@@ -12,6 +12,10 @@ Incoherent averaging mixes the density matrices of the path pairs;
 coherent averaging superposes amplitudes weighted by their relative
 action phases and renormalizes, so it stays pure and only the holonomy
 spread moves it.
+
+Each bundle pair is transported once: averaged_state(...) returns the
+averaged state together with its per-path maps, and fidelity_with_error(avg)
+reads the fidelity and its block standard error off that average.
 """
 
 import numpy as np
@@ -47,14 +51,16 @@ N_PATHS = 400
 print(f"singlet fidelity vs bundle width ({N_PATHS} paths per leg)")
 print(f"{'sigma':>7} {'incoherent F':>16} {'std err':>10} {'coherent F':>16}")
 for k, sigma in enumerate((0.0, 0.4, 0.8, 1.6)):
-    f_inc, se = fidelity_with_error(
+    avg_inc = averaged_state(
         sample_bundle(seg1, sigma, N_PATHS, 100 + 2 * k, "incoherent"),
         sample_bundle(seg2, sigma, N_PATHS, 101 + 2 * k, "incoherent"),
     )
-    f_coh, _ = fidelity_with_error(
+    avg_coh = averaged_state(
         sample_bundle(seg1, sigma, N_PATHS, 100 + 2 * k, "coherent"),
         sample_bundle(seg2, sigma, N_PATHS, 101 + 2 * k, "coherent"),
     )
+    f_inc, se = fidelity_with_error(avg_inc)
+    f_coh, _ = fidelity_with_error(avg_coh)
     print(f"{sigma:7.2f} {f_inc:16.12f} {se:10.1e} {f_coh:16.12f}")
 
 # The averaged state still anticorrelates along the matched axis, just
@@ -83,7 +89,9 @@ f2 = integrate_geodesic(
     n_samples=samples_for(3.0),
 )
 f, _ = fidelity_with_error(
-    sample_bundle(f1, 1.6, N_PATHS, 100, "incoherent"),
-    sample_bundle(f2, 1.6, N_PATHS, 101, "incoherent"),
+    averaged_state(
+        sample_bundle(f1, 1.6, N_PATHS, 100, "incoherent"),
+        sample_bundle(f2, 1.6, N_PATHS, 101, "incoherent"),
+    )
 )
 print(f"\nflat control at sigma = 1.6:  F = {f:.15f}")

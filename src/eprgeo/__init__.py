@@ -4,32 +4,20 @@ The package integrates timelike geodesics in static spherically symmetric
 spacetimes, parallel-transports frames and spin-half amplitudes along
 them, matches measurement axes between separated detectors, and evaluates
 singlet correlations, CHSH combinations, and dephasing from path bundles.
+
+The names below are the ones the README, the demos and the benchmark use;
+everything else is imported from its submodule.
 """
 
 from .decoherence import (
-    ChannelAverage,
-    PathBundle,
     averaged_state,
     degraded_correlation,
     fidelity_with_error,
     sample_bundle,
 )
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    DomainExitError,
-    IntegrationError,
-    UsageError,
-)
-from .geodesic import (
-    GeodesicSegment,
-    ShootingReport,
-    integrate_geodesic,
-    point_segment,
-    reverse,
-    solve_bvp,
-)
-from .pipeline import PairResult, integrate_pair, matched_axis, pair_transport
+from .errors import DomainExitError
+from .geodesic import integrate_geodesic
+from .pipeline import integrate_pair, matched_axis, pair_transport
 from .precession import (
     circular_orbit_tangent,
     geodetic_angle_exact,
@@ -39,70 +27,17 @@ from .precession import (
     spinor_holonomy_angle,
 )
 from .report import Report, emit_report
-from .scenario import TOOL_VERSION, Scenario, load_scenario, parse_scenario, run_scenario
-from .spacetime import (
-    Event,
-    Minkowski,
-    Schwarzschild,
-    Spacetime,
-    Tangent,
-    WeakField,
-    make_spacetime,
-)
-from .spin import (
-    CANONICAL_CHSH_DIRECTIONS,
-    Direction,
-    TwoQubitState,
-    apply_transports,
-    chsh,
-    correlation,
-    correlation_matrix,
-    fidelity,
-    matched_direction,
-    singlet,
-)
-from .transport import (
-    Correspondence,
-    LorentzMap,
-    SpinTransport,
-    Tetrad,
-    frame_correspondence,
-    gauge_tetrad,
-    transport_spinor,
-    transport_tetrad,
-    transport_vector,
-    wigner_rotation,
-)
+from .scenario import TOOL_VERSION, parse_scenario, run_scenario
+from .spacetime import Event, make_spacetime
+from .spin import CANONICAL_CHSH_DIRECTIONS, chsh, correlation, correlation_matrix
 
 __version__ = TOOL_VERSION
 
 __all__ = [
     "CANONICAL_CHSH_DIRECTIONS",
-    "ChannelAverage",
-    "ConfigurationError",
-    "Correspondence",
-    "Direction",
-    "DomainError",
     "DomainExitError",
     "Event",
-    "GeodesicSegment",
-    "IntegrationError",
-    "LorentzMap",
-    "Minkowski",
-    "PairResult",
-    "PathBundle",
     "Report",
-    "Scenario",
-    "Schwarzschild",
-    "ShootingReport",
-    "Spacetime",
-    "SpinTransport",
-    "Tangent",
-    "Tetrad",
-    "TwoQubitState",
-    "UsageError",
-    "WeakField",
-    "apply_transports",
     "averaged_state",
     "chsh",
     "circular_orbit_tangent",
@@ -110,32 +45,19 @@ __all__ = [
     "correlation_matrix",
     "degraded_correlation",
     "emit_report",
-    "fidelity",
     "fidelity_with_error",
-    "frame_correspondence",
-    "gauge_tetrad",
     "geodetic_angle_exact",
     "integrate_geodesic",
     "integrate_orbit",
     "integrate_pair",
-    "load_scenario",
     "make_spacetime",
     "matched_axis",
-    "matched_direction",
     "orbit_period",
     "pair_transport",
     "parse_scenario",
-    "point_segment",
     "rest_frame_holonomy_angle",
-    "reverse",
     "run_scenario",
     "sample_bundle",
-    "singlet",
-    "solve_bvp",
     "spinor_holonomy_angle",
-    "transport_spinor",
-    "transport_tetrad",
-    "transport_vector",
-    "wigner_rotation",
     "__version__",
 ]

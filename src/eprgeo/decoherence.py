@@ -15,17 +15,21 @@ all-pairs result is computed exactly in O(n).
 The reference state for fidelity is the sigma=0 transport over the same
 decimated knots, which makes the sigma -> 0 limit exact by construction
 rather than holding only up to discretization error.
+
+One bundle pair is transported once: ``averaged_state(b1, b2, ...)`` returns
+a ChannelAverage holding the averaged state, the per-path maps and weights,
+and the reference state; ``fidelity_with_error(avg)`` derives the fidelity
+and its block standard error from that object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
-from .frames import frame_field, inverse_frame
+from .frames import frame_field
 from .geodesic import GeodesicSegment
 from .lorentz import su2_polar
 from .pipeline import boosted_tetrad, rest_conjugation_factors
@@ -197,15 +201,20 @@ def _kron_right(w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ChannelAverage:
-    """The spin density matrix left after averaging over both path bundles."""
+    """One evaluation of the bundle channel: the averaged spin state and its parts.
+
+    ``transports`` and ``weights`` hold each bundle's per-path SU(2) maps and
+    complex weights; ``fidelity_with_error`` derives the Monte-Carlo error
+    bar from them without transporting any path again.
+    """
 
     rho: np.ndarray
     mode: str
+    transports: tuple[np.ndarray, np.ndarray]
     weights: tuple[np.ndarray, np.ndarray]
     reference_state: np.ndarray
     detector1: Tetrad
     detector2: Tetrad
-    transports: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def state(self) -> TwoQubitState:
@@ -248,14 +257,15 @@ def averaged_state(
     gauge: str = "static",
     *,
     decay_velocity: np.ndarray | None = None,
-    keep_transports: bool = False,
 ) -> ChannelAverage:
     """Average the transported singlet over both bundles' path pairs.
 
     Coherent mode superposes amplitudes with their action phases (the
     average stays pure); incoherent mode mixes the conjugated density
     matrices uniformly.  Either way the result is a valid density matrix
-    with frame tags at the two base endpoints.
+    with frame tags at the two base endpoints.  This is the only place a
+    bundle pair is transported: pass the result to ``fidelity_with_error``
+    for the error bar.
     """
     base1, base2 = b1.base, b2.base
     if base1.spacetime is not base2.spacetime:
@@ -274,11 +284,11 @@ def averaged_state(
     return ChannelAverage(
         rho,
         b1.mode,
+        (maps1, maps2),
         (w1, w2),
         pair_state(base_map1, base_map2),
         gauge_tetrad(st, base1.end, "static"),
         gauge_tetrad(st, base2.end, "static"),
-        (maps1, maps2) if keep_transports else None,
     )
 
 
@@ -287,29 +297,18 @@ def degraded_correlation(avg: ChannelAverage, a, b) -> float:
     return correlation(avg.state, a, b)
 
 
-def fidelity_with_error(
-    b1: PathBundle,
-    b2: PathBundle,
-    gauge: str = "static",
-    *,
-    decay_velocity: np.ndarray | None = None,
-    n_blocks: int = 10,
-) -> tuple[float, float]:
-    """Singlet fidelity of the bundle average and its Monte-Carlo error.
+def fidelity_with_error(avg: ChannelAverage, n_blocks: int = 10) -> tuple[float, float]:
+    """Singlet fidelity of a bundle average and its Monte-Carlo error.
 
     The error bar is the standard error over n_blocks disjoint path blocks,
-    each averaged independently with the same rule.
+    each averaged independently with the same rule from the per-path maps
+    and weights ``averaged_state`` already computed.
     """
-    st = b1.base.spacetime
-    reference = boosted_tetrad(st, b1.base.start, decay_velocity)
-    maps1, w1, base_map1 = _bundle_ingredients(b1, gauge, reference)
-    maps2, w2, base_map2 = _bundle_ingredients(b2, gauge, reference)
-    psi0 = pair_state(base_map1, base_map2)
+    maps1, maps2 = avg.transports
+    w1, w2 = avg.weights
+    psi0 = avg.reference_state
 
-    rho = _combine(maps1, w1, maps2, w2, b1.mode)
-    f_all = fidelity(psi0, rho)
-
-    n = min(b1.n_paths, b2.n_paths)
+    n = min(len(maps1), len(maps2))
     n_blocks = min(n_blocks, n)
     bounds = np.linspace(0, n, n_blocks + 1).astype(int)
     fs = []
@@ -317,15 +316,15 @@ def fidelity_with_error(
         if hi == lo:
             continue
         # renormalize the block weights so each block is a complete average
-        scale = n / (hi - lo) if b1.mode == "coherent" else 1.0
+        scale = n / (hi - lo) if avg.mode == "coherent" else 1.0
         rk = _combine(
             maps1[lo:hi],
             w1[lo:hi] * scale,
             maps2[lo:hi],
             w2[lo:hi] * scale,
-            b1.mode,
+            avg.mode,
         )
         fs.append(fidelity(psi0, rk))
     fs = np.asarray(fs)
     se = float(np.std(fs, ddof=1) / np.sqrt(len(fs))) if len(fs) > 1 else 0.0
-    return f_all, se
+    return avg.fidelity, se

@@ -183,23 +183,12 @@ def su2_polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.sqrt(detp)
     t = np.sqrt(p[..., 0, 0].real + p[..., 1, 1].real + 2.0 * s)
     h = (p + s[..., None, None] * ID2) / t[..., None, None]
-    hinv = _inv2(h)
-    w = hinv @ m
+    deth = h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+    w = (sl2_inverse(h) / deth[..., None, None]) @ m
     # clean residual determinant drift so w stays exactly special unitary
     detw = w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
     w = w / np.sqrt(detw)[..., None, None]
     return w, h
-
-
-def _inv2(m: np.ndarray) -> np.ndarray:
-    """Inverse of 2x2 matrices via the adjugate.  Batched."""
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    out = np.empty_like(m)
-    out[..., 0, 0] = m[..., 1, 1]
-    out[..., 1, 1] = m[..., 0, 0]
-    out[..., 0, 1] = -m[..., 0, 1]
-    out[..., 1, 0] = -m[..., 1, 0]
-    return out / det[..., None, None]
 
 
 def sl2_inverse(m: np.ndarray) -> np.ndarray:

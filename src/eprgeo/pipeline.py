@@ -125,7 +125,7 @@ def rest_frame_rotation(
     start_frame: Optional[Tetrad] = None,
     end_frame: Optional[Tetrad] = None,
 ) -> np.ndarray:
-    """3x3 rest-frame rotation along one leg (vector route, no spinors)."""
+    """3x3 rest-frame (Wigner) rotation along one leg (vector route, no spinors)."""
     st = seg.spacetime
     if start_frame is None:
         start_frame = gauge_tetrad(st, seg.start, "static")

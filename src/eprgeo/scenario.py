@@ -56,6 +56,12 @@ from .transport import transport_tetrad, gauge_tetrad
 
 TOOL_VERSION = "0.1.0"
 
+# Round-off allowance of the fidelity monotonicity flag.  Flat or otherwise
+# trivial channels give standard errors of 0 or ~1e-17, so the 2-sigma margin
+# all but vanishes, while fidelities of 1 still differ in the last ulp
+# between sigmas (1.0, then 1.0000000000000002).
+MONOTONE_ROUNDOFF = 16.0 * np.finfo(float).eps
+
 _SECTIONS = (
     "spacetime",
     "decay",
@@ -543,16 +549,14 @@ def _run_decoherence(sc: Scenario, result, seg1, seg2, report: Report) -> None:
         except DomainError as exc:
             report.fail(f"decoherence: sigma={sigma}: {exc}")
             return
-        fid, se = deco.fidelity_with_error(
-            b1, b2, sc.gauge, decay_velocity=sc.decay_velocity
-        )
         avg = deco.averaged_state(b1, b2, sc.gauge, decay_velocity=sc.decay_velocity)
+        fid, se = deco.fidelity_with_error(avg)
         e_deg = float(deco.degraded_correlation(avg, a_ideal, b_ideal))
         flag = ""
         if sigma == 0.0:
             flag = FLAG_OK if abs(fid - 1.0) <= 1e-8 else FLAG_FAIL
         elif prev is not None:
-            margin = 2.0 * (se + prev[1])
+            margin = 2.0 * (se + prev[1]) + MONOTONE_ROUNDOFF
             flag = FLAG_OK if fid <= prev[0] + margin else FLAG_FAIL
         report.add("decoherence_sigma", float(sigma), a_index=k)
         report.add("decoherence_fidelity", float(fid), a_index=k, flag=flag)

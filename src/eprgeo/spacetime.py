@@ -285,11 +285,6 @@ def make_spacetime(name: str, params: dict | None = None) -> Spacetime:
     raise ConfigurationError(f"unknown spacetime {name!r}")
 
 
-def validate_event(st: Spacetime, e: Event) -> bool:
-    """Whether the event lies inside the chart domain of st."""
-    return bool(st.in_chart(e.coords))
-
-
 def require_event(st: Spacetime, e: Event) -> None:
     """Raise DomainError unless the event lies inside the chart domain."""
     _require_in_chart(st, e.coords)
@@ -304,18 +299,3 @@ def metric_at(st: Spacetime, e: Event) -> np.ndarray:
     """Metric components g_{mu nu} at an event.  Raises DomainError outside the chart."""
     _require_in_chart(st, e.coords)
     return st.metric(e.coords)
-
-
-def christoffel_at(st: Spacetime, e: Event) -> np.ndarray:
-    """Christoffel symbols Gamma^lam_{mu nu} at an event, shape (4, 4, 4)."""
-    _require_in_chart(st, e.coords)
-    return st.christoffel(e.coords)
-
-
-def inner(st: Spacetime, e: Event, u: Tangent, v: Tangent) -> float:
-    """Metric inner product g(u, v) of two tangents attached to the same event."""
-    for t, label in ((u, "u"), (v, "v")):
-        if not same_event(t.event, e):
-            raise UsageError(f"tangent {label} is not attached to the given event")
-    g = metric_at(st, e)
-    return float(u.components @ g @ v.components)

@@ -3,12 +3,12 @@
 The two-particle basis is |00>, |01>, |10>, |11>.  States carry frame tags:
 each tensor factor's spin components refer to the spatial triad of a named
 tetrad, and operations that mix states with directions check that the tags
-agree.  Applying transports uses only the rotational (polar) part of each
-2x2 transport matrix; boosts are absorbed into the rest-frame convention for
-spin, so measurement axes always live in ordinary 3-space.
+agree.  Transports enter only as the SU(2) rest-frame rotations handed to
+``pair_state``; boosts are absorbed into the rest-frame convention for spin,
+so measurement axes always live in ordinary 3-space.
 
 Everything here is small dense linear algebra; the geometry enters only
-through the transport matrices handed in.
+through the rotations handed in.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .lorentz import ID2, PAULI, su2_polar
+from .lorentz import ID2, PAULI
 from .spacetime import same_event
-from .transport import SpinTransport, Tetrad
+from .transport import Tetrad
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -123,39 +123,6 @@ def _direction_vector(a, state_frame: Optional[Tetrad], side: str) -> np.ndarray
     return a / n
 
 
-def measurement_operator(a) -> np.ndarray:
-    """a . sigma for a unit direction a (Direction or plain 3-vector)."""
-    v = _direction_vector(a, None, "1")
-    return v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
-
-
-def _rotational_part(u: SpinTransport | np.ndarray) -> np.ndarray:
-    m = u.matrix if isinstance(u, SpinTransport) else np.asarray(u, dtype=complex)
-    if m.shape != (2, 2):
-        raise UsageError("spin transport matrix must be 2x2")
-    w, _ = su2_polar(m)
-    return w
-
-
-def apply_transports(state: TwoQubitState, u1: SpinTransport, u2: SpinTransport) -> TwoQubitState:
-    """Carry each factor through its transport (rotational parts only).
-
-    Frame tags must match the transports' source frames; the result is
-    tagged with the target frames.
-    """
-    for i, (u, tag) in enumerate(zip((u1, u2), state.frames)):
-        if isinstance(u, SpinTransport) and not _frames_match(tag, u.source):
-            raise UsageError(f"state factor {i + 1} is not expressed in the transport's source frame")
-    w = np.kron(_rotational_part(u1), _rotational_part(u2))
-    tags = (
-        u1.target if isinstance(u1, SpinTransport) else None,
-        u2.target if isinstance(u2, SpinTransport) else None,
-    )
-    if state.kind == "pure":
-        return TwoQubitState("pure", w @ state.data, tags)
-    return TwoQubitState("mixed", w @ state.data @ w.conj().T, tags)
-
-
 def correlation(state: TwoQubitState, a, b) -> float:
     """E(a, b) = <(a.sigma) x (b.sigma)> in the state's tagged frames."""
     va = _direction_vector(a, state.frames[0], "1")
@@ -201,16 +168,6 @@ def chsh(state: TwoQubitState, a, ap, b, bp) -> float:
     vb = _direction_vector(b, state.frames[1], "2")
     vbp = _direction_vector(bp, state.frames[1], "2")
     return float(va @ k @ vb - va @ k @ vbp + vap @ k @ vb + vap @ k @ vbp)
-
-
-def partial_trace(state: TwoQubitState, keep: int) -> np.ndarray:
-    """Reduced 2x2 density matrix of factor ``keep`` (1 or 2)."""
-    rho = state.density.reshape(2, 2, 2, 2)
-    if keep == 1:
-        return np.einsum("ikjk->ij", rho)
-    if keep == 2:
-        return np.einsum("kikj->ij", rho)
-    raise UsageError("keep must be 1 or 2")
 
 
 # ---------------------------------------------------------------------------

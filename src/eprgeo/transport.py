@@ -22,22 +22,14 @@ matters; reversed segments carry their own cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import UsageError
 from .frames import frame_field, inverse_frame, orthonormality_defect, spin_connection
 from .geodesic import GeodesicSegment, reverse
-from .lorentz import (
-    expm2,
-    lift_so13,
-    lorentz_polar,
-    ordered_product,
-    pure_boost,
-    pure_boost_inverse,
-)
-from .spacetime import Event, Spacetime, Tangent, metric_at, require_event, same_event
+from .lorentz import expm2, lift_so13, ordered_product
+from .spacetime import Event, Spacetime, Tangent, require_event, same_event
 
 ORTHO_TOL = 1.0e-8
 
@@ -62,30 +54,6 @@ class Tetrad:
     def defect(self, st: Spacetime) -> float:
         """Orthonormality defect max |N^T g N - eta| at this tetrad's event."""
         return orthonormality_defect(st.metric(self.event.coords), self.matrix)
-
-
-@dataclass(frozen=True)
-class SpinTransport:
-    """A 2x2 transport matrix between spin frames at two events."""
-
-    matrix: np.ndarray
-    source: Tetrad
-    target: Tetrad
-
-
-@dataclass(frozen=True)
-class LorentzMap:
-    """A 4x4 map between frame components at the source and target tetrads."""
-
-    matrix: np.ndarray
-    source: Tetrad
-    target: Tetrad
-
-
-class Correspondence(NamedTuple):
-    tetrad: Tetrad
-    map: LorentzMap
-    spin: SpinTransport
 
 
 def gauge_tetrad(st: Spacetime, event: Event, gauge: str = "static") -> Tetrad:
@@ -216,77 +184,3 @@ def transport_tetrad(seg: GeodesicSegment, n0: Tetrad) -> Tetrad:
     if defect > 100.0 * ORTHO_TOL:
         raise UsageError(f"input tetrad is not orthonormal (defect {defect:.3e})")
     return Tetrad(seg.end, world_propagator(seg) @ n0.matrix)
-
-
-def spin_connection_at(st: Spacetime, e: Event, gauge: str = "static") -> np.ndarray:
-    """The four 2x2 connection matrices M_mu at an event, spin-1/2 lifted."""
-    require_event(st, e)
-    return lift_so13(spin_connection(st, e.coords, gauge))
-
-
-def transport_spinor(seg: GeodesicSegment, gauge: str = "static") -> SpinTransport:
-    """Path-ordered spin-1/2 transport along the segment.
-
-    A zero-length segment transports trivially; any other segment needs at
-    least two samples.
-    """
-    if not seg.zero_length and seg.n_samples < 2:
-        raise UsageError("segment has too few samples for spinor transport")
-    st = seg.spacetime
-    return SpinTransport(
-        spinor_propagator(seg, gauge),
-        gauge_tetrad(st, seg.start, gauge),
-        gauge_tetrad(st, seg.end, gauge),
-    )
-
-
-def frame_correspondence(
-    seg1: GeodesicSegment,
-    seg2: GeodesicSegment,
-    n1: Tetrad,
-    gauge: str = "static",
-) -> Correspondence:
-    """Carry a tetrad at A1 backwards along seg1=OA1 and forwards along seg2=OA2.
-
-    Returns the transported tetrad n2 at A2, the induced map between gauge
-    frame components at A1 and A2, and the composed spin transport over the
-    same path.
-    """
-    if not same_event(seg1.start, seg2.start, tol=1.0e-9):
-        raise UsageError("segments do not share their initial event")
-    _check_attached(reversed_segment(seg1), n1, "tetrad")
-
-    st = seg1.spacetime
-    back = reversed_segment(seg1)
-    p = world_propagator(seg2) @ world_propagator(back)
-    n2 = Tetrad(seg2.end, p @ n1.matrix)
-
-    t1 = gauge_tetrad(st, seg1.end, gauge)
-    t2 = gauge_tetrad(st, seg2.end, gauge)
-    g2 = metric_at(st, seg2.end)
-    lam = inverse_frame(t2.matrix, g2) @ p @ t1.matrix
-    lmap = LorentzMap(lam, t1, t2)
-
-    u = spinor_propagator(seg2, gauge) @ spinor_propagator(back, gauge)
-    spin = SpinTransport(u, t1, t2)
-    return Correspondence(n2, lmap, spin)
-
-
-def wigner_rotation(st: Spacetime, lmap: LorentzMap, u1: Tangent, u2: Tangent) -> np.ndarray:
-    """Rest-frame rotation carried by a Lorentz map between moving observers.
-
-    The map is conjugated by the pure boosts taking the frame time legs to
-    the rest velocities u1 (source side) and u2 (target side); the rotation
-    factor of the polar decomposition of the result is returned.
-    """
-    if not same_event(u1.event, lmap.source.event, tol=1.0e-12):
-        raise UsageError("u1 is not attached to the map's source event")
-    if not same_event(u2.event, lmap.target.event, tol=1.0e-12):
-        raise UsageError("u2 is not attached to the map's target event")
-    g1 = metric_at(st, lmap.source.event)
-    g2 = metric_at(st, lmap.target.event)
-    uh1 = inverse_frame(lmap.source.matrix, g1) @ u1.components
-    uh2 = inverse_frame(lmap.target.matrix, g2) @ u2.components
-    conj = pure_boost_inverse(uh2) @ lmap.matrix @ pure_boost(uh1)
-    _, rot = lorentz_polar(conj)
-    return rot[1:, 1:]

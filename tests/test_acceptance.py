@@ -25,6 +25,7 @@ import pytest
 from eprgeo import (
     CANONICAL_CHSH_DIRECTIONS,
     Event,
+    averaged_state,
     chsh,
     correlation,
     fidelity_with_error,
@@ -204,7 +205,7 @@ def test_08_dephasing_monotone_with_flat_control(schwarzschild, minkowski, stati
     for k, sigma in enumerate(sigmas):
         b1 = sample_bundle(s1, sigma, 2000, 100 + 2 * k, "incoherent")
         b2 = sample_bundle(s2, sigma, 2000, 101 + 2 * k, "incoherent")
-        results.append(fidelity_with_error(b1, b2))
+        results.append(fidelity_with_error(averaged_state(b1, b2)))
     zero_err = abs(results[0][0] - 1.0)
     monotone = all(
         results[k + 1][0] <= results[k][0] + 2.0 * (results[k][1] + results[k + 1][1])
@@ -216,7 +217,7 @@ def test_08_dephasing_monotone_with_flat_control(schwarzschild, minkowski, stati
     for k, sigma in enumerate(sigmas):
         b1 = sample_bundle(f1, sigma, 2000, 100 + 2 * k, "incoherent")
         b2 = sample_bundle(f2, sigma, 2000, 101 + 2 * k, "incoherent")
-        f, _ = fidelity_with_error(b1, b2)
+        f, _ = fidelity_with_error(averaged_state(b1, b2))
         flat_err = max(flat_err, abs(f - 1.0))
 
     ok = zero_err <= 1e-8 and monotone and flat_err <= 1e-8

@@ -11,21 +11,18 @@ import numpy as np
 import pytest
 
 from eprgeo import (
-    ChannelAverage,
-    DomainError,
     Event,
-    UsageError,
     averaged_state,
     correlation_matrix,
     degraded_correlation,
     fidelity_with_error,
     integrate_geodesic,
-    point_segment,
     sample_bundle,
-    singlet,
 )
-from eprgeo.decoherence import MAX_BUNDLE_KNOTS
-from eprgeo.geodesic import samples_for
+from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage
+from eprgeo.errors import DomainError, UsageError
+from eprgeo.geodesic import point_segment, samples_for
+from eprgeo.spin import singlet
 from eprgeo.transport import gauge_tetrad
 
 DECAY = np.array([0.0, 12.0, np.pi / 2.0, 0.0])
@@ -182,6 +179,7 @@ class TestCorrelation:
         avg = ChannelAverage(
             np.eye(4, dtype=complex) / 4.0,
             "incoherent",
+            (np.eye(2, dtype=complex)[None], np.eye(2, dtype=complex)[None]),
             (np.ones(1), np.ones(1)),
             singlet().data,
             det1,
@@ -207,7 +205,7 @@ class TestRegression:
         for sigma, expected in self.PINNED.items():
             b1 = sample_bundle(legs[0], sigma, 400, 21, "incoherent")
             b2 = sample_bundle(legs[1], sigma, 400, 22, "incoherent")
-            f, se = fidelity_with_error(b1, b2)
+            f, se = fidelity_with_error(averaged_state(b1, b2))
             got[sigma], errs[sigma] = f, se
             assert f == pytest.approx(expected, abs=1e-9)
             assert f <= 1.0 + 1e-12

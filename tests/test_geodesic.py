@@ -8,17 +8,16 @@ fixed-step mode.
 import numpy as np
 import pytest
 
-from eprgeo import (
-    DomainExitError,
-    Event,
+from eprgeo import DomainExitError, Event, integrate_geodesic
+from eprgeo.errors import UsageError
+from eprgeo.geodesic import (
+    DEFAULT_SAMPLE_STEP,
     GeodesicSegment,
-    integrate_geodesic,
     point_segment,
     reverse,
+    samples_for,
     solve_bvp,
 )
-from eprgeo.errors import UsageError
-from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, samples_for
 
 
 def tangent_norms(st, seg):

@@ -5,8 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from eprgeo import ConfigurationError, load_scenario, parse_scenario, run_scenario
+import eprgeo.decoherence
+from eprgeo import parse_scenario, run_scenario
+from eprgeo.errors import ConfigurationError
 from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, DEFAULT_TOL
+from eprgeo.scenario import load_scenario
 
 FULL = """\
 # two detectors around a central mass
@@ -270,3 +273,48 @@ class TestRun:
         quantities = [r.quantity for r in report.rows]
         assert "geodesic2_endpoint_residual" in quantities
         assert not any(q == "E_matched" for q in quantities)
+
+    def test_flat_dephasing_control_with_sigma_zero_first(self):
+        # fidelities of 1 differ in the last ulp between sigmas while both
+        # standard errors are ~0, so the monotonicity flag needs round-off slack
+        text = """\
+[spacetime]
+kind = minkowski
+[decay]
+event = 0.0, 1.7394588311170818, -1.2831551735441704, 1.1815150594262338
+[detector1]
+tangent = 1.07737276695741, 0.10767064924287113, 0.02518965664601635, -0.3853629347396297
+tau = 1.0
+[detector2]
+tangent = 1.0636553273413119, 0.2841572585859892, 0.2246827712696919, -0.01161723155574415
+tau = 1.0
+[measurements]
+directions1 = -0.29958406708783974, 0.6660805122371437, -0.6830711075466545
+[decoherence]
+sigma = 0.0, 0.15336944854184484
+n_paths = 100
+mode = coherent
+seed = 639675700
+"""
+        report = run_scenario(parse_scenario(text))
+        fids = [r for r in report.rows if r.quantity == "decoherence_fidelity"]
+        assert len(fids) == 2
+        assert all(r.value == pytest.approx(1.0, abs=1e-12) for r in fids)
+        assert [r.flag for r in fids] == ["ok", "ok"]
+        assert not report.has_failures
+
+    def test_bundle_channel_runs_once_per_sigma(self, monkeypatch):
+        original = eprgeo.decoherence.polygon_spinor_transport
+        bundle_calls = []
+
+        def counting(st, xs, gauge="static"):
+            if np.ndim(xs) > 2:  # a batch of bundle paths, not the base polygon
+                bundle_calls.append(np.shape(xs)[0])
+            return original(st, xs, gauge)
+
+        monkeypatch.setattr(eprgeo.decoherence, "polygon_spinor_transport", counting)
+        text = MINIMAL + "[decoherence]\nsigma = 0.0, 0.3\nn_paths = 6\nseed = 3\n"
+        report = run_scenario(parse_scenario(text))
+        assert not report.has_failures
+        # 2 sigmas x 2 legs, each bundle of 6 paths transported exactly once
+        assert bundle_calls == [6, 6, 6, 6]

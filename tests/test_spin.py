@@ -3,30 +3,20 @@
 import numpy as np
 import pytest
 
-from eprgeo import (
-    CANONICAL_CHSH_DIRECTIONS,
-    Direction,
-    Event,
-    TwoQubitState,
-    chsh,
-    correlation,
-    correlation_matrix,
-    fidelity,
-    make_spacetime,
-    matched_direction,
-    singlet,
-)
+from eprgeo import CANONICAL_CHSH_DIRECTIONS, Event, chsh, correlation, correlation_matrix
 from eprgeo.errors import UsageError
-from eprgeo.lorentz import su2_from_rotation
+from eprgeo.lorentz import PAULI, su2_from_rotation, su2_polar
 from eprgeo.spin import (
     SINGLET,
-    apply_transports,
+    Direction,
+    TwoQubitState,
     direction,
-    measurement_operator,
+    fidelity,
+    matched_direction,
     pair_state,
-    partial_trace,
+    singlet,
 )
-from eprgeo.transport import SpinTransport, gauge_tetrad
+from eprgeo.transport import gauge_tetrad
 
 rng = np.random.default_rng(31)
 
@@ -58,8 +48,9 @@ class TestSinglet:
 
     def test_reduced_states_maximally_mixed(self):
         s = singlet()
-        for side in (1, 2):
-            assert np.allclose(partial_trace(s, side), np.eye(2) / 2, atol=1e-12)
+        rho = s.density.reshape(2, 2, 2, 2)
+        for reduced in (np.einsum("ikjk->ij", rho), np.einsum("kikj->ij", rho)):
+            assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_rotation_invariance(self):
         # (W x W) leaves the singlet ray unchanged
@@ -96,10 +87,15 @@ class TestDirections:
         assert np.allclose(d.components, [0.6, 0.0, 0.8])
 
     def test_measurement_operator_spectrum(self):
+        # a.sigma has eigenvalues -1 and +1, so a product state along the
+        # same axis on both sides reaches the correlation bound |E| = 1
         a = np.array([0.0, 0.6, 0.8])
-        op = measurement_operator(a)
+        op = np.einsum("k,kij->ij", a, PAULI)
         eig = np.sort(np.linalg.eigvalsh(op))
         assert np.allclose(eig, [-1.0, 1.0], atol=1e-12)
+        up = np.linalg.eigh(op)[1][:, 1]
+        st = TwoQubitState("pure", np.kron(up, up), frames=(None, None))
+        assert correlation(st, a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_frame_tag_mismatch_rejected(self, schwarzschild):
         e1 = Event(np.array([0.0, 8.0, 1.0, 0.0]))
@@ -112,55 +108,34 @@ class TestDirections:
 
 
 class TestApplyTransports:
-    def _transport(self, st, e1, e2, w):
-        t1 = gauge_tetrad(st, e1, "static")
-        t2 = gauge_tetrad(st, e2, "static")
-        return SpinTransport(w, t1, t2), t1, t2
+    """Rest-frame rotations applied to the singlet through pair_state."""
 
     def test_rotations_rotate_correlation_axes(self, schwarzschild):
-        e0 = Event(np.array([0.0, 10.0, 1.2, 0.0]))
         e1 = Event(np.array([1.0, 10.5, 1.2, 0.1]))
         e2 = Event(np.array([1.0, 9.5, 1.2, -0.1]))
+        t1 = gauge_tetrad(schwarzschild, e1, "static")
+        t2 = gauge_tetrad(schwarzschild, e2, "static")
         r1 = rodrigues([0, 0, 1], 0.4)
         r2 = rodrigues([1, 0, 0], -0.7)
-        u1, t0a, t1 = self._transport(schwarzschild, e0, e1, su2_from_rotation(r1))
-        u2, t0b, t2 = self._transport(schwarzschild, e0, e2, su2_from_rotation(r2))
-        s = singlet(frame=t0a)
-        # tag both inputs to the shared source frame
-        s = TwoQubitState("pure", s.data, frames=(t0a, t0b))
-        out = apply_transports(s, u1, u2)
+        psi = pair_state(su2_from_rotation(r1), su2_from_rotation(r2))
+        out = TwoQubitState("pure", psi, frames=(t1, t2))
         a = np.array([0.0, 1.0, 0.0])
         b = np.array([0.3, -0.5, 0.8])
         b /= np.linalg.norm(b)
         expected = -(r1.T @ a) @ (r2.T @ b)
         assert correlation(out, a, b) == pytest.approx(expected, abs=1e-10)
 
-    def test_boost_part_is_discarded(self, schwarzschild):
+    def test_boost_part_is_discarded(self):
         # a pure-boost SL(2,C) factor must not change rest-frame spin axes
         from eprgeo.lorentz import pure_boost_sl2
 
-        e0 = Event(np.array([0.0, 10.0, 1.2, 0.0]))
-        e1 = Event(np.array([1.0, 10.5, 1.2, 0.1]))
         u = np.array([np.sqrt(1.0 + 0.25), 0.5, 0.0, 0.0])
-        w = pure_boost_sl2(u)
-        tr, t0, t1 = self._transport(schwarzschild, e0, e1, w)
-        ident, _, _ = self._transport(schwarzschild, e0, e1, np.eye(2, dtype=complex))
-        s0 = singlet(frame=t0)
-        out = apply_transports(s0, tr, tr)
-        ref = apply_transports(s0, ident, ident)
+        w, _ = su2_polar(pure_boost_sl2(u))
+        out = TwoQubitState("pure", pair_state(w, w))
+        ref = TwoQubitState("pure", pair_state())
         assert np.allclose(
             correlation_matrix(out), correlation_matrix(ref), atol=1e-10
         )
-
-    def test_source_frame_mismatch_rejected(self, schwarzschild):
-        e0 = Event(np.array([0.0, 10.0, 1.2, 0.0]))
-        e1 = Event(np.array([1.0, 10.5, 1.2, 0.1]))
-        tr, t0, t1 = self._transport(
-            schwarzschild, e0, e1, np.eye(2, dtype=complex)
-        )
-        s = singlet(frame=t1)  # tagged at the target, not the source
-        with pytest.raises(UsageError):
-            apply_transports(s, tr, tr)
 
 
 class TestStateValidation:

@@ -9,26 +9,20 @@ cover.
 import numpy as np
 import pytest
 
-from eprgeo import (
-    Event,
-    Tangent,
-    integrate_geodesic,
-    point_segment,
-    transport_spinor,
-    transport_tetrad,
-    transport_vector,
-)
+from eprgeo import Event, integrate_geodesic, pair_transport
 from eprgeo.errors import UsageError
-from eprgeo.lorentz import ID2, PAULI, rotation_matrix_from_su2, vector_action
+from eprgeo.frames import spin_connection
+from eprgeo.geodesic import point_segment
+from eprgeo.lorentz import ID2, lift_so13, vector_action
+from eprgeo.pipeline import rest_frame_rotation
+from eprgeo.spacetime import Tangent
 from eprgeo.transport import (
-    Tetrad,
-    frame_correspondence,
     frame_propagator,
     gauge_tetrad,
     reversed_segment,
-    spin_connection_at,
     spinor_propagator,
-    wigner_rotation,
+    transport_tetrad,
+    transport_vector,
     world_propagator,
 )
 
@@ -129,27 +123,21 @@ class TestSpinorTransport:
         )
         assert np.max(np.abs(spinor_propagator(seg, "static") - ID2)) < 1e-13
 
-    def test_transport_spinor_wraps_propagator(self, schwarzschild, battery):
-        seg = battery[1]
-        tr = transport_spinor(seg, "static")
-        assert np.allclose(tr.matrix, spinor_propagator(seg, "static"))
-        assert np.allclose(tr.source.event.coords, seg.start.coords)
-        assert np.allclose(tr.target.event.coords, seg.end.coords)
-
     def test_zero_length_segment_transports_trivially(self, schwarzschild):
         seg = point_segment(schwarzschild, Event(np.array([0.0, 8.0, 1.2, 0.1])))
-        tr = transport_spinor(seg, "static")
-        assert np.allclose(tr.matrix, ID2)
+        assert np.allclose(spinor_propagator(seg, "static"), ID2)
 
-    def test_spin_connection_at_shape(self, schwarzschild):
-        e = Event(np.array([0.0, 8.0, 1.2, 0.1]))
-        m = spin_connection_at(schwarzschild, e, "static")
+    def test_lifted_spin_connection_shape(self, schwarzschild):
+        x = np.array([0.0, 8.0, 1.2, 0.1])
+        m = lift_so13(spin_connection(schwarzschild, x, "static"))
         assert m.shape == (4, 2, 2)
         # each component is traceless (sl(2,C))
         assert np.max(np.abs(np.einsum("lii->l", m))) < 1e-14
 
 
 class TestCorrespondence:
+    """Carrying a tetrad back along leg 1 and out along leg 2."""
+
     def test_flat_correspondence_is_identity(self, minkowski):
         origin = Event(np.zeros(4))
         seg1 = integrate_geodesic(
@@ -158,19 +146,14 @@ class TestCorrespondence:
         seg2 = integrate_geodesic(
             minkowski, origin, np.array([np.sqrt(1.25), -0.5, 0, 0]), 2.0
         )
-        n1 = gauge_tetrad(minkowski, seg1.end, "static")
-        corr = frame_correspondence(seg1, seg2, n1, "static")
-        assert np.max(np.abs(corr.map.matrix - np.eye(4))) < 1e-12
+        back = reversed_segment(seg1)
+        lam = frame_propagator(seg2, "static") @ frame_propagator(back, "static")
+        assert np.max(np.abs(lam - np.eye(4))) < 1e-12
         # spinor factor is +-identity
-        assert min(
-            np.max(np.abs(corr.spin.matrix - ID2)),
-            np.max(np.abs(corr.spin.matrix + ID2)),
-        ) < 1e-12
+        u = spinor_propagator(seg2, "static") @ spinor_propagator(back, "static")
+        assert min(np.max(np.abs(u - ID2)), np.max(np.abs(u + ID2))) < 1e-12
 
-    def test_correspondence_fields_attached(self, schwarzschild, battery):
-        seg1, seg2 = battery[0], battery[1]
-        # rebase seg2 so both start at the same event: use battery pairs built
-        # from a common origin instead
+    def test_correspondence_fields_attached(self, schwarzschild):
         rng = np.random.default_rng(11)
         from eprgeo.frames import frame_field
 
@@ -181,55 +164,38 @@ class TestCorrespondence:
             w = rng.normal(scale=0.3, size=3)
             u = n0 @ np.concatenate(([np.sqrt(1 + w @ w)], w))
             segs.append(integrate_geodesic(schwarzschild, Event(coords), u, 1.5))
+        back = reversed_segment(segs[0])
         n1 = gauge_tetrad(schwarzschild, segs[0].end, "static")
-        corr = frame_correspondence(segs[0], segs[1], n1, "static")
-        assert np.allclose(corr.tetrad.event.coords, segs[1].end.coords)
-        assert corr.tetrad.defect(schwarzschild) < 1e-9
-        lam = corr.map.matrix
+        n2 = transport_tetrad(segs[1], transport_tetrad(back, n1))
+        assert np.allclose(n2.event.coords, segs[1].end.coords)
+        assert n2.defect(schwarzschild) < 1e-9
+        lam = frame_propagator(segs[1], "static") @ frame_propagator(back, "static")
         from eprgeo.lorentz import ETA
 
         assert np.max(np.abs(lam.T @ ETA @ lam - ETA)) < 1e-9
 
-    def test_rejects_mismatched_origins(self, schwarzschild, battery):
+    def test_rejects_mismatched_origins(self, battery):
         seg1, seg2 = battery[0], battery[1]  # different random origins
-        n1 = gauge_tetrad(schwarzschild, seg1.end, "static")
         with pytest.raises(UsageError):
-            frame_correspondence(seg1, seg2, n1, "static")
+            pair_transport(seg1, seg2)
 
 
 class TestWigner:
-    def test_wigner_is_a_rotation(self, schwarzschild, static_tangent):
-        from eprgeo.transport import LorentzMap
+    """The Wigner rotation of one leg is pipeline.rest_frame_rotation."""
 
+    def test_wigner_is_a_rotation(self, schwarzschild, static_tangent):
         coords = np.array([0.0, 10.0, 1.3, 0.2])
         u0 = static_tangent(schwarzschild, coords, [0.2, 0.1, 0.3])
         seg = integrate_geodesic(schwarzschild, Event(coords), u0, 1.5)
-        lam = LorentzMap(
-            frame_propagator(seg, "static"),
-            gauge_tetrad(schwarzschild, seg.start, "static"),
-            gauge_tetrad(schwarzschild, seg.end, "static"),
-        )
-        r = wigner_rotation(
-            schwarzschild,
-            lam,
-            seg.start_tangent,
-            seg.end_tangent,
-        )
+        r = rest_frame_rotation(seg)
         assert r.shape == (3, 3)
         assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-9
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
 
     def test_flat_wigner_identity_for_parallel_tangents(self, minkowski):
-        from eprgeo.transport import LorentzMap
-
         u = np.array([np.sqrt(1.25), 0.5, 0.0, 0.0])
         seg = integrate_geodesic(minkowski, Event(np.zeros(4)), u, 2.0)
-        lam = LorentzMap(
-            np.eye(4),
-            gauge_tetrad(minkowski, seg.start, "static"),
-            gauge_tetrad(minkowski, seg.end, "static"),
-        )
-        r = wigner_rotation(minkowski, lam, seg.start_tangent, seg.end_tangent)
+        r = rest_frame_rotation(seg)
         assert np.max(np.abs(r - np.eye(3))) < 1e-12
 
 
