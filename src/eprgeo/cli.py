@@ -2,9 +2,11 @@
 
     eprgeo run <scenario-file> [--strict] [--format table|csv] [--out PATH]
 
-Exit codes: 0 on success, 1 on a validation problem (unreadable or
-malformed scenario), 2 on a numerical failure (a leg could not be built),
-3 when --strict is given and a diagnostic exceeded its tolerance.
+Exit codes: 0 on success, 1 on a validation or I/O problem (an unreadable,
+non-UTF-8, malformed, non-finite, spacelike, past-directed or over-cap
+scenario, or an unwritable report path), 2 on a numerical failure (a leg
+could not be built), 3 when --strict is given and a diagnostic exceeded its
+tolerance.  Exit code 1 comes with exactly one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import ConfigurationError, UsageError
 from .report import emit_report
-from .scenario import parse_scenario, run_scenario
+from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,13 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        with open(args.scenario, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        sc = load_scenario(args.scenario)
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        sc = parse_scenario(text)
     except (ConfigurationError, UsageError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -70,8 +69,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_path = args.out or sc.out_path
     rendered = emit_report(report, fmt)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rendered)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(rendered)
 

@@ -38,6 +38,7 @@ from .spin import SINGLET, TwoQubitState, correlation, fidelity, pair_state
 from .transport import Tetrad, gauge_tetrad, polygon_spinor_transport
 
 MAX_BUNDLE_KNOTS = 160
+MODES = ("coherent", "incoherent")
 RESAMPLE_ATTEMPTS = 100
 
 # paths per transport chunk; keeps the batched christoffel arrays modest
@@ -90,7 +91,7 @@ def sample_bundle(
         raise UsageError("bundle width sigma must be nonnegative")
     if n_paths < 1:
         raise UsageError("n_paths must be at least 1")
-    if mode not in ("coherent", "incoherent"):
+    if mode not in MODES:
         raise UsageError(f"unknown averaging mode {mode!r}")
     if seg.zero_length:
         raise UsageError("cannot build a path bundle on a zero-length segment")

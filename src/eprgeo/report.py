@@ -69,13 +69,7 @@ class Report:
 
 
 def _csv_value(v: float | str) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, int):
-        return str(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _table_value(v: float | str) -> str:

@@ -23,16 +23,20 @@ comma-separated reals; lists of vectors are semicolon-separated.  Sections:
 ``[output]`` (optional)
     ``format`` (table | csv) and ``path``.
 
-Parse and validation problems raise ConfigurationError with the offending
-line number.  ``run_scenario`` turns a parsed scenario into a Report; leg
-failures (chart exit, no endpoint solution) are recorded in the report
-rather than raised.
+Every number must be finite; ``tangent`` and ``velocity`` must be timelike
+and future-directed at the decay event; ``MAX_LEG_SAMPLES`` caps the samples
+of an initial-value leg and ``MAX_PATHS`` the paths of a bundle.  Problems
+raise ConfigurationError with the line number (on the command line: one
+``error:`` line, exit code 1).  ``run_scenario`` turns a parsed scenario into
+a Report; leg failures (chart exit, no endpoint solution) are recorded in the
+report rather than raised.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -50,7 +54,7 @@ from .frames import GAUGES
 from .lorentz import rotation_axis_angle
 from .pipeline import matched_axis, pair_transport, spin_relative_rotation
 from .report import FLAG_FAIL, FLAG_OK, Report
-from .spacetime import Event, Spacetime, make_spacetime, require_event
+from .spacetime import Event, Spacetime, make_spacetime, metric_at, require_event
 from .spin import CANONICAL_CHSH_DIRECTIONS, chsh, correlation
 from .transport import transport_tetrad, gauge_tetrad
 
@@ -62,27 +66,9 @@ TOOL_VERSION = "0.1.0"
 # between sigmas (1.0, then 1.0000000000000002).
 MONOTONE_ROUNDOFF = 16.0 * np.finfo(float).eps
 
-_SECTIONS = (
-    "spacetime",
-    "decay",
-    "detector1",
-    "detector2",
-    "measurements",
-    "decoherence",
-    "numerics",
-    "output",
-)
-
-_KEYS = {
-    "spacetime": {"kind", "mass", "epsilon", "softening"},
-    "decay": {"event", "velocity"},
-    "detector1": {"tangent", "tau", "target", "tau_hint"},
-    "detector2": {"tangent", "tau", "target", "tau_hint"},
-    "measurements": {"directions1", "directions2"},
-    "decoherence": {"sigma", "n_paths", "mode", "seed"},
-    "numerics": {"gauge", "tol", "bvp_tol", "sample_step"},
-    "output": {"format", "path"},
-}
+# Caps on memory and run time: samples_for(tau, sample_step) per leg, paths per bundle.
+MAX_LEG_SAMPLES = 100_000
+MAX_PATHS = 10_000
 
 
 @dataclass
@@ -115,8 +101,8 @@ class Scenario:
     decay_velocity: Optional[np.ndarray]
     detector1: DetectorSpec
     detector2: DetectorSpec
-    directions1: list[np.ndarray] = field(default_factory=list)
-    directions2: list[np.ndarray] = field(default_factory=list)
+    directions1: list[np.ndarray] = field(default_factory=lambda: [np.array([0.0, 0.0, 1.0])])
+    directions2: list[np.ndarray] = field(default_factory=lambda: [np.array([0.0, 0.0, 1.0])])
     decoherence: Optional[DecoherenceSpec] = None
     gauge: str = "static"
     tol: float = DEFAULT_TOL
@@ -141,43 +127,105 @@ def _err(line: int, message: str) -> ConfigurationError:
     return ConfigurationError(f"line {line}: {message}")
 
 
-def _parse_float(raw: str, line: int, key: str) -> float:
+def _number(raw: str, line: int, key: str, kind: type = float):
+    """The one number parser, used by every numeric key: finite values only."""
     try:
-        return float(raw)
+        value = kind(raw)
     except ValueError:
-        raise _err(line, f"{key}: expected a number, got {raw!r}") from None
+        noun = "an integer" if kind is int else "a number"
+        raise _err(line, f"{key}: expected {noun}, got {raw!r}") from None
+    if isinstance(value, float) and not np.isfinite(value):
+        raise _err(line, f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_int(raw: str, line: int, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise _err(line, f"{key}: expected an integer, got {raw!r}") from None
+def _list(raw: str, line: int, key: str, parse=_number, sep: str = ",") -> list:
+    items = [p for p in (s.strip() for s in raw.split(sep)) if p]
+    if not items:
+        raise _err(line, f"{key}: expected at least one value")
+    return [parse(p, line, key) for p in items]
 
 
-def _parse_vector(raw: str, line: int, key: str, size: int) -> np.ndarray:
+def _vector(raw: str, line: int, key: str, size: int = 4) -> np.ndarray:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != size:
         raise _err(line, f"{key}: expected {size} comma-separated values, got {len(parts)}")
-    return np.array([_parse_float(p, line, key) for p in parts], dtype=float)
+    return np.array([_number(p, line, key) for p in parts], dtype=float)
 
 
-def _parse_vector_list(raw: str, line: int, key: str, size: int) -> list[np.ndarray]:
-    groups = [g for g in (s.strip() for s in raw.split(";")) if g]
-    if not groups:
-        raise _err(line, f"{key}: expected at least one vector")
-    return [_parse_vector(g, line, key, size) for g in groups]
+def _directions(raw: str, line: int, key: str) -> list[np.ndarray]:
+    """Semicolon-separated spatial directions, normalized to unit length."""
+    vectors = _list(raw, line, key, partial(_vector, size=3), ";")
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(v)) for v in vectors]
+    if min(norms) < 1e-12:
+        raise _err(line, f"{key}: zero direction vector")
+    if max(norms) == np.inf:
+        raise _err(line, f"{key}: direction vector too long to normalize")
+    return [v / n for v, n in zip(vectors, norms)]
 
 
-def _parse_float_list(raw: str, line: int, key: str) -> list[float]:
-    parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-    if not parts:
-        raise _err(line, f"{key}: expected at least one value")
-    return [_parse_float(p, line, key) for p in parts]
+def _lower(raw: str, line: int, key: str) -> str:
+    return raw.lower()
 
 
-def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
+def _checked(parse, ok, message: str):
+    """Wrap a parser with a range check that fails with ``message``."""
+    def parse_checked(raw: str, line: int, key: str):
+        value = parse(raw, line, key)
+        if not ok(value):
+            raise _err(line, f"{message}, got {raw!r}")
+        return value
+
+    return parse_checked
+
+
+_LEG = {
+    "tangent": _vector,
+    "tau": _checked(_number, lambda t: t >= 0, "tau must be nonnegative"),
+    "target": _vector,
+    "tau_hint": _checked(_number, lambda t: t > 0, "tau_hint must be positive"),
+}
+
+# section -> key -> parse(raw, line, key).  Optional-section keys name the
+# fields they fill (``sigma`` fills ``sigmas``, ``[output]`` the ``out_*``).
+_SCHEMA = {
+    "spacetime": {
+        "kind": lambda raw, line, key: raw.lower().replace("-", "_"),
+        "mass": _number,
+        "epsilon": _number,
+        "softening": _number,
+    },
+    "decay": {"event": _vector, "velocity": _vector},
+    "detector1": _LEG,
+    "detector2": _LEG,
+    "measurements": {"directions1": _directions, "directions2": _directions},
+    "decoherence": {
+        "sigma": _checked(_list, lambda s: min(s) >= 0, "sigma values must be nonnegative"),
+        "n_paths": _checked(
+            partial(_number, kind=int),
+            lambda n: 1 <= n <= MAX_PATHS,
+            f"n_paths must be at least 1 and at most {MAX_PATHS}",
+        ),
+        "mode": _checked(_lower, lambda m: m in deco.MODES, "mode must be coherent or incoherent"),
+        "seed": _checked(partial(_number, kind=int), lambda s: s >= 0, "seed must be nonnegative"),
+    },
+    "numerics": {
+        "gauge": _checked(_lower, lambda g: g in GAUGES, f"gauge must be one of {GAUGES}"),
+        "tol": _checked(_number, lambda v: 0 < v <= 1e-2, "tol must be in (0, 1e-2]"),
+        "bvp_tol": _checked(_number, lambda v: 0 < v <= 1e-2, "bvp_tol must be in (0, 1e-2]"),
+        "sample_step": _checked(_number, lambda h: 0 < h <= 1.0, "sample_step must be in (0, 1]"),
+    },
+    "output": {
+        "format": _checked(_lower, lambda f: f in ("table", "csv"), "format must be table or csv"),
+        "path": lambda raw, line, key: raw,
+    },
+}
+
+
+def _split_sections(text: str) -> dict[str, dict[str, tuple]]:
+    """Split the text into sections of parsed (value, line) entries."""
+    sections: dict[str, dict[str, tuple]] = {}
     current: Optional[str] = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -185,7 +233,7 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise _err(lineno, f"unknown section [{name}]")
             if name in sections:
                 raise _err(lineno, f"duplicate section [{name}]")
@@ -199,17 +247,29 @@ def _split_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _KEYS[current]:
+        if key not in _SCHEMA[current]:
             raise _err(lineno, f"unknown key {key!r} in [{current}]")
         if key in sections[current]:
             raise _err(lineno, f"duplicate key {key!r} in [{current}]")
         if not value:
             raise _err(lineno, f"empty value for {key!r}")
-        sections[current][key] = (value, lineno)
+        sections[current][key] = (_SCHEMA[current][key](value, lineno, key), lineno)
     return sections
 
 
-def _parse_detector(name: str, entries: dict[str, tuple[str, int]]) -> DetectorSpec:
+def _values(entries: dict) -> dict:
+    return {key: value for key, (value, _) in entries.items()}
+
+
+def _require_future_timelike(g: np.ndarray, u: np.ndarray, line: int, key: str) -> None:
+    """Reject a 4-vector that is not timelike and future-directed under g."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(u @ g @ u)
+    if not (-np.inf < norm < 0.0 and u[0] > 0.0):
+        raise _err(line, f"{key} must be timelike and future-directed, got g(u, u) = {norm}")
+
+
+def _parse_detector(name: str, entries: dict, st: Spacetime, g: np.ndarray) -> DetectorSpec:
     has_ivp = "tangent" in entries or "tau" in entries
     has_bvp = "target" in entries or "tau_hint" in entries
     first_line = min(line for _, line in entries.values()) if entries else 0
@@ -218,188 +278,81 @@ def _parse_detector(name: str, entries: dict[str, tuple[str, int]]) -> DetectorS
     if has_ivp:
         if "tangent" not in entries or "tau" not in entries:
             raise _err(first_line, f"[{name}]: tangent and tau are both required")
-        raw, line = entries["tangent"]
-        tangent = _parse_vector(raw, line, "tangent", 4)
-        raw, line = entries["tau"]
-        tau = _parse_float(raw, line, "tau")
-        if tau < 0:
-            raise _err(line, "tau must be nonnegative")
-        return DetectorSpec(mode="ivp", tangent=tangent, tau=tau)
+        _require_future_timelike(g, *entries["tangent"], "tangent")
+        return DetectorSpec(mode="ivp", **_values(entries))
     if has_bvp:
         if "target" not in entries:
             raise _err(first_line, f"[{name}]: target is required for a boundary-value leg")
-        raw, line = entries["target"]
-        target = _parse_vector(raw, line, "target", 4)
-        hint = None
-        if "tau_hint" in entries:
-            raw, line = entries["tau_hint"]
-            hint = _parse_float(raw, line, "tau_hint")
-            if hint <= 0:
-                raise _err(line, "tau_hint must be positive")
-        return DetectorSpec(mode="bvp", target=target, tau_hint=hint)
+        try:
+            require_event(st, Event(entries["target"][0]))
+        except DomainError as exc:
+            line = entries["target"][1]
+            raise _err(line, f"[{name}]: target outside chart domain: {exc}") from None
+        return DetectorSpec(mode="bvp", **_values(entries))
     raise ConfigurationError(f"[{name}]: missing leg definition (tangent/tau or target)")
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text.
 
-    Raises ConfigurationError with a line number on any malformed or
-    inconsistent entry.
+    Raises ConfigurationError with a line number on any malformed,
+    non-finite, out-of-range or inconsistent entry.
     """
     sections = _split_sections(text)
     for required in ("spacetime", "decay", "detector1", "detector2"):
         if required not in sections:
             raise ConfigurationError(f"missing required section [{required}]")
+    for name, key in (("spacetime", "kind"), ("decay", "event"), ("decoherence", "sigma")):
+        if name in sections and key not in sections[name]:
+            raise ConfigurationError(f"[{name}]: missing {key!r}")
 
-    st_entries = sections["spacetime"]
-    if "kind" not in st_entries:
-        raise ConfigurationError("[spacetime]: missing 'kind'")
-    kind_raw, kind_line = st_entries["kind"]
-    kind = kind_raw.lower().replace("-", "_")
-    params: dict = {}
-    if "mass" in st_entries:
-        raw, line = st_entries["mass"]
-        params["M"] = _parse_float(raw, line, "mass")
-    if "epsilon" in st_entries:
-        raw, line = st_entries["epsilon"]
-        params["epsilon"] = _parse_float(raw, line, "epsilon")
-    if "softening" in st_entries:
-        raw, line = st_entries["softening"]
-        params["softening"] = _parse_float(raw, line, "softening")
+    params = {("M" if k == "mass" else k): v for k, v in _values(sections["spacetime"]).items()}
+    kind = params.pop("kind")
     try:
         st = make_spacetime(kind, params)
     except ConfigurationError as exc:
-        raise _err(kind_line, f"[spacetime]: {exc}") from None
+        raise _err(sections["spacetime"]["kind"][1], f"[spacetime]: {exc}") from None
 
-    decay_entries = sections["decay"]
-    if "event" not in decay_entries:
-        raise ConfigurationError("[decay]: missing 'event'")
-    raw, line = decay_entries["event"]
-    decay_event = _parse_vector(raw, line, "event", 4)
+    decay = sections["decay"]
+    decay_event, line = decay["event"]
     try:
-        require_event(st, Event(decay_event))
+        g = metric_at(st, Event(decay_event))
     except DomainError as exc:
         raise _err(line, f"decay event outside chart domain: {exc}") from None
-    decay_velocity = None
-    if "velocity" in decay_entries:
-        raw, line = decay_entries["velocity"]
-        decay_velocity = _parse_vector(raw, line, "velocity", 4)
+    if "velocity" in decay:
+        _require_future_timelike(g, *decay["velocity"], "velocity")
 
-    det1 = _parse_detector("detector1", sections["detector1"])
-    det2 = _parse_detector("detector2", sections["detector2"])
-    for name, det in (("detector1", det1), ("detector2", det2)):
-        if det.mode == "bvp":
-            try:
-                require_event(st, Event(det.target))
-            except DomainError as exc:
-                raise ConfigurationError(f"[{name}]: target outside chart domain: {exc}") from None
+    d = _values(sections.get("decoherence", {}))
+    decoherence = DecoherenceSpec(sigmas=d.pop("sigma"), **d) if d else None
 
-    directions1 = [np.array([0.0, 0.0, 1.0])]
-    directions2 = [np.array([0.0, 0.0, 1.0])]
-    if "measurements" in sections:
-        m = sections["measurements"]
-        if "directions1" in m:
-            raw, line = m["directions1"]
-            directions1 = _parse_vector_list(raw, line, "directions1", 3)
-        if "directions2" in m:
-            raw, line = m["directions2"]
-            directions2 = _parse_vector_list(raw, line, "directions2", 3)
-        for key, vecs in (("directions1", directions1), ("directions2", directions2)):
-            for v in vecs:
-                norm = float(np.linalg.norm(v))
-                if norm < 1e-12:
-                    _, line = m[key]
-                    raise _err(line, f"{key}: zero direction vector")
-        directions1 = [v / np.linalg.norm(v) for v in directions1]
-        directions2 = [v / np.linalg.norm(v) for v in directions2]
-
-    decoherence = None
-    if "decoherence" in sections:
-        d = sections["decoherence"]
-        if "sigma" not in d:
-            raise ConfigurationError("[decoherence]: missing 'sigma'")
-        raw, line = d["sigma"]
-        sigmas = _parse_float_list(raw, line, "sigma")
-        if any(s < 0 for s in sigmas):
-            raise _err(line, "sigma values must be nonnegative")
-        dspec = DecoherenceSpec(sigmas=sigmas)
-        if "n_paths" in d:
-            raw, line = d["n_paths"]
-            dspec.n_paths = _parse_int(raw, line, "n_paths")
-            if dspec.n_paths < 1:
-                raise _err(line, "n_paths must be at least 1")
-        if "mode" in d:
-            raw, line = d["mode"]
-            dspec.mode = raw.lower()
-            if dspec.mode not in ("coherent", "incoherent"):
-                raise _err(line, f"mode must be coherent or incoherent, got {raw!r}")
-        if "seed" in d:
-            raw, line = d["seed"]
-            dspec.seed = _parse_int(raw, line, "seed")
-        decoherence = dspec
-
-    gauge = "static"
-    tol = DEFAULT_TOL
-    bvp_tol = 1e-9
-    sample_step = DEFAULT_SAMPLE_STEP
-    if "numerics" in sections:
-        n = sections["numerics"]
-        if "gauge" in n:
-            raw, line = n["gauge"]
-            gauge = raw.lower()
-            if gauge not in GAUGES:
-                raise _err(line, f"gauge must be one of {GAUGES}, got {raw!r}")
-        if "tol" in n:
-            raw, line = n["tol"]
-            tol = _parse_float(raw, line, "tol")
-            if not 0 < tol <= 1e-2:
-                raise _err(line, "tol must be in (0, 1e-2]")
-        if "bvp_tol" in n:
-            raw, line = n["bvp_tol"]
-            bvp_tol = _parse_float(raw, line, "bvp_tol")
-            if not 0 < bvp_tol <= 1e-2:
-                raise _err(line, "bvp_tol must be in (0, 1e-2]")
-        if "sample_step" in n:
-            raw, line = n["sample_step"]
-            sample_step = _parse_float(raw, line, "sample_step")
-            if not 0 < sample_step <= 1.0:
-                raise _err(line, "sample_step must be in (0, 1]")
-
-    out_format = "table"
-    out_path = None
-    if "output" in sections:
-        o = sections["output"]
-        if "format" in o:
-            raw, line = o["format"]
-            out_format = raw.lower()
-            if out_format not in ("table", "csv"):
-                raise _err(line, f"format must be table or csv, got {raw!r}")
-        if "path" in o:
-            out_path, _ = o["path"]
-
-    return Scenario(
+    sc = Scenario(
         text=text,
         spacetime_kind=kind,
         spacetime_params=params,
         decay_event=decay_event,
-        decay_velocity=decay_velocity,
-        detector1=det1,
-        detector2=det2,
-        directions1=directions1,
-        directions2=directions2,
+        decay_velocity=_values(decay).get("velocity"),
+        detector1=_parse_detector("detector1", sections["detector1"], st, g),
+        detector2=_parse_detector("detector2", sections["detector2"], st, g),
         decoherence=decoherence,
-        gauge=gauge,
-        tol=tol,
-        bvp_tol=bvp_tol,
-        sample_step=sample_step,
-        out_format=out_format,
-        out_path=out_path,
+        **_values(sections.get("measurements", {})),
+        **_values(sections.get("numerics", {})),
+        **{f"out_{k}": v for k, v in _values(sections.get("output", {})).items()},
     )
+    for name, det in (("detector1", sc.detector1), ("detector2", sc.detector2)):
+        if det.mode == "ivp" and det.tau / sc.sample_step > MAX_LEG_SAMPLES - 1:
+            cap = f"over {MAX_LEG_SAMPLES} samples per leg"
+            raise _err(sections[name]["tau"][1], f"tau / sample_step: {cap}")
+    return sc
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    """Read and parse a scenario file; non-UTF-8 text raises ConfigurationError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"scenario is not UTF-8 text: {exc}") from None
+    return parse_scenario(text)
 
 
 def _build_leg(sc: Scenario, st: Spacetime, origin: Event, det: DetectorSpec, label: str, report: Report):

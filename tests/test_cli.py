@@ -8,6 +8,7 @@ import pytest
 
 from eprgeo.cli import main
 from eprgeo.report import CSV_COLUMNS
+from eprgeo.scenario import MAX_PATHS
 
 FLAT = """\
 [spacetime]
@@ -100,6 +101,65 @@ def test_invalid_scenario_exits_1(tmp_path, capsys):
     assert main(["run", str(p)]) == 1
     err = capsys.readouterr().err
     assert "error" in err and "line 2" in err
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("tangent = 1.25, 0.75", "tangent = 0.5, 1"),
+        ("tangent = 1.25, 0.75", "tangent = -1.25, 0.75"),
+        ("event = 0, 0, 0, 0", "event = 0, 0, 0, 0\nvelocity = 0.5, 1, 0, 0"),
+        ("tau = 1.5", "tau = nan"),
+        ("[measurements]", "[decoherence]\nsigma = 0, nan\n[measurements]"),
+        ("tau = 1.5", "tau = 1e9"),
+        ("[measurements]", f"[decoherence]\nsigma = 0\nn_paths = {MAX_PATHS + 1}\n[measurements]"),
+        ("[measurements]", "[decoherence]\nsigma = 0, 0.1\nseed = -3\n[measurements]"),
+    ],
+    ids=[
+        "spacelike-tangent",
+        "past-tangent",
+        "spacelike-velocity",
+        "nan-tau",
+        "nan-sigma",
+        "tau-over-sample-cap",
+        "n_paths-over-cap",
+        "negative-seed",
+    ],
+)
+def test_rejected_scenario_exits_1_with_one_line(tmp_path, capsys, old, new):
+    p = tmp_path / "bad.cfg"
+    p.write_text(FLAT.replace(old, new, 1))
+    assert main(["run", str(p)]) == 1
+    assert "line " in one_error_line(capsys)
+
+
+def test_non_utf8_scenario_exits_1(tmp_path, capsys):
+    p = tmp_path / "latin1.cfg"
+    p.write_bytes(FLAT.replace("minkowski", "minkowski  # café").encode("latin-1"))
+    assert main(["run", str(p)]) == 1
+    assert "not UTF-8" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("via", ["--out", "[output] path"])
+def test_unwritable_report_path_exits_1(tmp_path, capsys, via):
+    missing = tmp_path / "no_such_dir" / "r.csv"
+    p = tmp_path / "flat.cfg"
+    if via == "--out":
+        p.write_text(FLAT)
+        argv = ["run", str(p), "--out", str(missing)]
+    else:
+        p.write_text(FLAT + f"\n[output]\npath = {missing}\n")
+        argv = ["run", str(p)]
+    assert main(argv) == 1
+    assert "cannot write report" in one_error_line(capsys)
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

@@ -4,12 +4,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import eprgeo.decoherence
+import eprgeo.scenario
 from eprgeo import parse_scenario, run_scenario
 from eprgeo.errors import ConfigurationError
-from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, DEFAULT_TOL
-from eprgeo.scenario import load_scenario
+from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, DEFAULT_TOL, samples_for
+from eprgeo.scenario import _SCHEMA, MAX_LEG_SAMPLES, MAX_PATHS, Scenario, load_scenario
 
 FULL = """\
 # two detectors around a central mass
@@ -125,6 +128,12 @@ class TestParseFull:
         p = tmp_path / "s.cfg"
         p.write_text(MINIMAL)
         assert load_scenario(str(p)).scenario_id == parse_scenario(MINIMAL).scenario_id
+
+    def test_load_rejects_non_utf8(self, tmp_path):
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes(MINIMAL.replace("minkowski", "minkowski  # café").encode("latin-1"))
+        with pytest.raises(ConfigurationError, match="not UTF-8"):
+            load_scenario(str(p))
 
 
 def expect(text: str, pattern: str):
@@ -251,6 +260,142 @@ class TestValueErrors:
 
     def test_bad_format(self):
         expect(FULL.replace("format = csv", "format = json"), r"format must be table or csv")
+
+
+class TestPhysicalValidation:
+    """Non-finite, unphysical and over-cap values fail at parse time, with
+    their line number, before any leg or bundle is computed."""
+
+    @pytest.mark.parametrize(
+        "old, new, pattern",
+        [
+            ("tangent = 1.25, 0.75", "tangent = 0.5, 1", r"line 8: tangent must be timelike"),
+            ("tangent = 1.25, 0.75", "tangent = -1.25, 0.75", r"line 8: tangent .* future-directed"),
+            ("0, 0, 0, 0", "0, 0, 0, 0\nvelocity = 0.5, 1, 0, 0", r"line 6: velocity must be timelike"),
+            ("tau = 1.5", "tau = nan", r"line 9: tau: expected a finite number, got 'nan'"),
+            ("tau = 1.5", "tau = -inf", r"line 9: tau: expected a finite number"),
+            ("tangent = 1.25, 0.75", "tangent = 1e200, 0", r"line 8: tangent must be timelike"),
+        ],
+        ids=["spacelike-tangent", "past-tangent", "spacelike-velocity", "nan-tau", "inf-tau", "overflow"],
+    )
+    def test_leg_and_velocity(self, old, new, pattern):
+        expect(MINIMAL.replace(old, new, 1), pattern)
+
+    def test_non_finite_sigma(self):
+        expect(FULL.replace("sigma = 0.0, 0.4", "sigma = 0.0, nan"), r"line 23: sigma: expected a finite")
+
+    def test_negative_seed(self):
+        # numpy refuses negative seeds, which would fail mid-run
+        expect(FULL.replace("seed = 7", "seed = -3"), r"line 26: seed must be nonnegative")
+
+    def test_huge_integers_and_directions(self):
+        seed = "9" * 400
+        assert parse_scenario(FULL.replace("seed = 7", f"seed = {seed}")).decoherence.seed == int(seed)
+        expect(FULL.replace("n_paths = 50", f"n_paths = {seed}"), r"line 24: n_paths must be at least 1")
+        expect(
+            FULL.replace("directions2 = 0,0,2", "directions2 = 1e200, 1e200, 0"),
+            r"directions2: direction vector too long",
+        )
+
+    def test_caps_reject_before_integrating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_scenario must not integrate")
+
+        monkeypatch.setattr(eprgeo.scenario, "integrate_geodesic", refuse)
+        monkeypatch.setattr(eprgeo.scenario, "solve_bvp", refuse)
+        expect(MINIMAL.replace("tau = 1.5", "tau = 1e9", 1), r"line 9: tau / sample_step")
+        expect(
+            FULL.replace("n_paths = 50", f"n_paths = {MAX_PATHS + 1}"),
+            rf"line 24: n_paths must be at least 1 and at most {MAX_PATHS}",
+        )
+
+    def test_caps_are_inclusive(self):
+        coarse = MINIMAL + "[numerics]\nsample_step = 1\n"
+        tau = MAX_LEG_SAMPLES - 1
+        assert samples_for(tau, 1.0) == MAX_LEG_SAMPLES
+        assert parse_scenario(coarse.replace("tau = 1.5", f"tau = {tau}", 1)).detector1.tau == tau
+        expect(coarse.replace("tau = 1.5", f"tau = {tau + 1}", 1), r"line 9: tau / sample_step")
+        text = FULL.replace("n_paths = 50", f"n_paths = {MAX_PATHS}")
+        assert parse_scenario(text).decoherence.n_paths == MAX_PATHS
+
+
+# Values each key's own parser accepts, some of which a cross-key check
+# rejects (spacelike, past-directed, off-chart, over the sample cap); a
+# KeyError here means the schema grew a key this table does not know.
+WELL_FORMED = {
+    "kind": ["minkowski", "schwarzschild", "weak-field"],
+    "mass": ["1.0", "0"],
+    "epsilon": ["0.02", "-0.05"],
+    "softening": ["1", "2.5"],
+    "event": ["0, 12, 1.5707963267948966, 0", "0, 3, 1, -0.5", "0, 1.5, 1.6, 0"],
+    "velocity": ["1.1, 0.1, 0, 0", "1, 0, 0, 0", "0.5, 1, 0, 0", "-1, 0, 0, 0"],
+    "tangent": ["1.25, 0.75, 0, 0", "1.2, 0.4, 0, 0", "0.5, 1, 0, 0", "-1.25, 0.75, 0, 0"],
+    "tau": ["1.5", "0", "1e9"],
+    "target": ["2.1, 11.5, 1.6, 0.25", "2.5, 3.2, 1, -0.4", "2.1, 1.5, 1.6, 0"],
+    "tau_hint": ["2.5"],
+    "directions1": ["0,0,1 ; 1,0,0", "0, 1, 1"],
+    "directions2": ["0,0,2"],
+    "sigma": ["0.0, 0.4", "0"],
+    "n_paths": ["50", str(MAX_PATHS)],
+    "mode": ["coherent", "incoherent"],
+    "seed": ["7"],
+    "gauge": ["static", "boosted-static"],
+    "tol": ["1e-9"],
+    "bvp_tol": ["1e-8"],
+    "sample_step": ["0.05", "1"],
+    "format": ["csv", "table"],
+    "path": ["out.csv"],
+}
+JUNK = [
+    "nan", "inf", "-inf", "1e308", "-1e308", "1e400", "-1", "0", "1e9", "10001",
+    "heavy", "1, 2", "0, 0, 0", "nan, 0, 0, 0", "inf, 1, 0, 0", "1e308, 1e308, 1e308, 1e308",
+    "1e200, 0, 0, 0", "-1, 0, 0, 0", "0, 1, 0, 0", ";", ",", "1,,2", "\u00e9", "9" * 400,
+]
+# Key subsets that make a leg or a spacetime consistent often enough to
+# reach the cross-key checks; None keeps every key of the section.
+SHAPES = {
+    "detector1": [("tangent", "tau"), ("target", "tau_hint"), ("target",), None],
+    "spacetime": [("kind",), ("kind", "mass"), ("kind", "epsilon", "softening"), None],
+}
+SHAPES["detector2"] = SHAPES["detector1"]
+
+
+@hst.composite
+def scenario_texts(draw):
+    """Sections in any order, some left out; each key well formed, or at a
+    drawn rate dropped, duplicated or given a junk, non-finite, huge or empty
+    value."""
+    # sampled_from favours early elements, so the benign choice comes first
+    actions = ["well formed"] * draw(hst.sampled_from([96, 30, 6])) + ["drop", "duplicate", "junk"]
+    lines = []
+    for section in draw(hst.permutations(list(_SCHEMA))):
+        if draw(hst.sampled_from(range(16))) == 15:
+            continue
+        lines.append(f"[{section}]")
+        keys = draw(hst.sampled_from(SHAPES.get(section, [None]))) or _SCHEMA[section]
+        for key in keys:
+            action = draw(hst.sampled_from(actions))
+            pool = JUNK + [""] if action == "junk" else WELL_FORMED[key]
+            copies = {"drop": 0, "duplicate": 2}.get(action, 1)
+            lines += [f"{key} = {draw(hst.sampled_from(pool))}" for _ in range(copies)]
+    return "\n".join(lines) + "\n"
+
+
+class TestSchemaProperty:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(scenario_texts())
+    def test_parse_returns_scenario_or_configuration_error(self, text):
+        try:
+            sc = parse_scenario(text)
+        except ConfigurationError:
+            return
+        assert isinstance(sc, Scenario)
+        legs = [vars(sc.detector1), vars(sc.detector2)]
+        numbers = [v for leg in legs for k, v in leg.items() if k != "mode" and v is not None]
+        numbers += [sc.decay_event, sc.tol, sc.bvp_tol, sc.sample_step, *sc.spacetime_params.values()]
+        assert all(np.all(np.isfinite(v)) for v in numbers)
+        for d in sc.directions1 + sc.directions2:
+            assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRun:
