@@ -8,10 +8,9 @@ upper-triangular with positive diagonal and hence unique.  The
 "boosted-static" gauge multiplies it on the right by a constant boost; it
 exists only so gauge independence can be tested, not because it is useful.
 
-Derivatives of N are computed in closed form, no differencing anywhere.
-Metric compatibility gives d_l g = Gamma_l^T g + g Gamma_l exactly, and
-differentiating N^T g N = eta shows C_l = N^{-1} d_l N is the unique
-upper-triangular solution of eta C + (eta C)^T = -N^T (d_l g) N.
+The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form in
+g and Gamma at the point, with no frame derivative and no differencing: in
+the static gauge N^{-1} d_l N is upper-triangular (see spin_connection).
 """
 
 from __future__ import annotations
@@ -85,57 +84,27 @@ def inverse_frame(n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ETA @ np.swapaxes(n, -1, -2) @ g
 
 
-def metric_derivative(st: Spacetime, coords: np.ndarray) -> np.ndarray:
-    """d_l g_{mn} from metric compatibility, dg[..., l, m, n].  Batched."""
-    g = st.metric(coords)
-    gam = st.christoffel(coords)
-    return np.einsum("...slm,...sn->...lmn", gam, g) + np.einsum(
-        "...ms,...sln->...lmn", g, gam
-    )
-
-
-def frame_with_derivative(st: Spacetime, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Static-gauge frame and its coordinate derivatives, dn[..., l, m, a]."""
-    g = st.metric(coords)
-    n = gram_schmidt_frame(g)
-    dg = metric_derivative(st, coords)
-    s = np.einsum("...ma,...lmn,...nb->...lab", n, dg, n)
-    a = -np.triu(s, 1) - 0.5 * _diag_embed(np.einsum("...ii->...i", s))
-    c = _ETA_DIAG[:, None] * a
-    dn = np.einsum("...ma,...lab->...lmb", n, c)
-    return n, dn
-
-
-def _diag_embed(d: np.ndarray) -> np.ndarray:
-    out = np.zeros(d.shape + (d.shape[-1],))
-    idx = np.arange(d.shape[-1])
-    out[..., idx, idx] = d
-    return out
-
-
 def spin_connection(st: Spacetime, coords: np.ndarray, gauge: str = "static") -> np.ndarray:
     """Frame-index connection M[..., l, a, b] with eta M_l antisymmetric.
 
-    M_l = N^{-1}(d_l N + Gamma_l N); the boosted-static gauge conjugates the
-    static result by the constant gauge boost.  A final antisymmetric
-    projection of eta M removes floating-point residue so the so(1,3)
-    structure holds exactly.
+    M_l = N^{-1}(d_l N + Gamma_l N) gives eta M_l = eta C_l + K_l, where
+    C_l = N^{-1} d_l N is upper-triangular like the static frame N and
+    K_l = N^T g Gamma_l N; so eta M_l is the antisymmetric matrix whose strict
+    lower triangle is that of K_l.  In the boosted-static gauge
+    eta L^{-1} = L eta turns eta M into L (eta M) L, re-projected onto its
+    antisymmetric part so the so(1,3) structure holds exactly.
     """
     _check_gauge(gauge)
     g = st.metric(coords)
+    n = gram_schmidt_frame(g)
     gam = st.christoffel(coords)
-    n, dn = frame_with_derivative(st, coords)
-    ninv = inverse_frame(n, g)
-    m = np.einsum("...am,...lmb->...lab", ninv, dn) + np.einsum(
-        "...am,...mln,...nb->...lab", ninv, gam, n
-    )
+    k = np.einsum("...ma,...mn,...nlp,...pb->...lab", n, g, gam, n, optimize=True)
+    em = np.tril(k, -1)
+    em = em - np.swapaxes(em, -1, -2)
     if gauge == "boosted-static":
         L = gauge_boost()
-        Linv = L.copy()
-        Linv[0, 3] = Linv[3, 0] = -L[0, 3]
-        m = Linv @ m @ L
-    em = _ETA_DIAG[:, None] * m
-    em = 0.5 * (em - np.swapaxes(em, -1, -2))
+        em = L @ em @ L
+        em = 0.5 * (em - np.swapaxes(em, -1, -2))
     return _ETA_DIAG[:, None] * em
 
 

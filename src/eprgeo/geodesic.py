@@ -29,6 +29,9 @@ from .spacetime import Event, Spacetime, Tangent, metric_at, require_event, same
 DEFAULT_SAMPLE_STEP = 0.02
 DEFAULT_TOL = 1.0e-10
 
+# Cap on memory and run time: samples_for(tau, sample_step) per sampled leg.
+MAX_LEG_SAMPLES = 100_000
+
 # Dormand-Prince 5(4) coefficients; last row of A equals the 5th-order
 # weights, so the 7th stage is the first stage of the next step (FSAL).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -207,7 +210,7 @@ def integrate_geodesic(
             if not adaptive:
                 h = t_node - t
             h = min(h, t_node - t)
-            if h < h_min:
+            if h < h_min and h < t_node - t:
                 raise IntegrationError(f"step size underflow at tau={sgn * t:.6g}")
             stages[0] = k1
             ok = True
@@ -329,7 +332,8 @@ def solve_bvp(
     Newton iterates on (w, tau): w is the spatial 4-velocity in the static
     frame at the origin and tau the total proper time.  Trial trajectories
     are integrated endpoint-only; the converged one is re-integrated on the
-    full sample grid.  Angular residuals are wrapped on periodic axes.
+    full sample grid, or reported not converged if that grid would exceed
+    MAX_LEG_SAMPLES.  Angular residuals are wrapped on periodic axes.
     Returns (segment, report); the segment is None when not converged.
     """
     require_event(st, origin)
@@ -403,6 +407,11 @@ def solve_bvp(
     message = "did not converge in max_iter iterations"
     for it in range(1, max_iter + 1):
         if float(np.linalg.norm(r)) < tol:
+            if samples_for(p[3], sample_step) > MAX_LEG_SAMPLES:
+                message = f"proper time {p[3]:.6g} needs over {MAX_LEG_SAMPLES} samples per leg"
+                return None, ShootingReport(
+                    False, float(np.linalg.norm(r)), it - 1, None, p[:3].copy(), float(p[3]), message
+                )
             seg = integrate_geodesic(
                 st,
                 origin,

@@ -12,17 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .frames import inverse_frame
 from .geodesic import GeodesicSegment, integrate_geodesic, samples_for
-from .lorentz import (
-    lorentz_polar,
-    pure_boost,
-    pure_boost_inverse,
-    rotation_axis_angle,
-    su2_rotation_angle,
-)
+from .lorentz import rotation_axis_angle, su2_rotation_angle
+from .pipeline import rest_frame_rotation
 from .spacetime import Event, Spacetime
-from .transport import frame_propagator, gauge_tetrad, spinor_propagator
+from .transport import gauge_tetrad, spinor_propagator
 
 
 def circular_orbit_tangent(st: Spacetime, r: float) -> tuple[Event, np.ndarray]:
@@ -63,19 +57,12 @@ def integrate_orbit(
 def rest_frame_holonomy_angle(seg: GeodesicSegment, gauge: str = "static") -> tuple[float, np.ndarray]:
     """(angle, axis) of the transport holonomy seen by the comoving observer.
 
-    The frame-component propagator is conjugated by the pure boost of the
-    orbital velocity, leaving a rotation whose angle is the precession per
-    segment.  Start and end must share their static-frame velocity (true for
-    whole circular orbits).
+    This is the rest-frame (Wigner) rotation between the gauge tetrads at the
+    two ends (pipeline.rest_frame_rotation); its angle is the precession.
     """
     st = seg.spacetime
-    lam = frame_propagator(seg, gauge)
-    n0 = gauge_tetrad(st, seg.start, gauge)
-    g0 = st.metric(seg.start.coords)
-    uh = inverse_frame(n0.matrix, g0) @ seg.tangents[0]
-    conj = pure_boost_inverse(uh) @ lam @ pure_boost(uh)
-    _, rot = lorentz_polar(conj)
-    axis, angle = rotation_axis_angle(rot[1:, 1:])
+    start, end = gauge_tetrad(st, seg.start, gauge), gauge_tetrad(st, seg.end, gauge)
+    axis, angle = rotation_axis_angle(rest_frame_rotation(seg, start, end))
     return angle, axis
 
 

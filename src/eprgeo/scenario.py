@@ -24,8 +24,8 @@ comma-separated reals; lists of vectors are semicolon-separated.  Sections:
     ``format`` (table | csv) and ``path``.
 
 Every number must be finite; ``tangent`` and ``velocity`` must be timelike
-and future-directed at the decay event; ``MAX_LEG_SAMPLES`` caps the samples
-of an initial-value leg and ``MAX_PATHS`` the paths of a bundle.  Problems
+and future-directed at the decay event; ``geodesic.MAX_LEG_SAMPLES`` caps the
+samples of an initial-value leg and ``MAX_PATHS`` the paths of a bundle.  Problems
 raise ConfigurationError with the line number (on the command line: one
 ``error:`` line, exit code 1).  ``run_scenario`` turns a parsed scenario into
 a Report; leg failures (chart exit, no endpoint solution) are recorded in the
@@ -46,6 +46,7 @@ from .errors import ConfigurationError, DomainError, IntegrationError
 from .geodesic import (
     DEFAULT_SAMPLE_STEP,
     DEFAULT_TOL,
+    MAX_LEG_SAMPLES,
     integrate_geodesic,
     samples_for,
     solve_bvp,
@@ -66,8 +67,7 @@ TOOL_VERSION = "0.1.0"
 # between sigmas (1.0, then 1.0000000000000002).
 MONOTONE_ROUNDOFF = 16.0 * np.finfo(float).eps
 
-# Caps on memory and run time: samples_for(tau, sample_step) per leg, paths per bundle.
-MAX_LEG_SAMPLES = 100_000
+# Cap on memory and run time: paths per bundle (geodesic.MAX_LEG_SAMPLES caps legs).
 MAX_PATHS = 10_000
 
 

@@ -205,20 +205,13 @@ class WeakField(Spacetime):
         A = 1.0 + 2.0 * self.epsilon * phi
         B = 1.0 - 2.0 * self.epsilon * phi
         G = np.zeros(x.shape[:-1] + (4, 4, 4))
-        for i in range(3):
-            G[..., 0, 0, i + 1] = G[..., 0, i + 1, 0] = dP[..., i] / A
-            G[..., i + 1, 0, 0] = dP[..., i] / B
-            for j in range(3):
-                for k in range(3):
-                    term = 0.0
-                    if i == k:
-                        term = term + dP[..., j]
-                    if i == j:
-                        term = term + dP[..., k]
-                    if j == k:
-                        term = term - dP[..., i]
-                    if np.ndim(term) or term != 0.0:
-                        G[..., i + 1, j + 1, k + 1] = -term / B
+        G[..., 0, 0, 1:] = G[..., 0, 1:, 0] = dP / A[..., None]
+        G[..., 1:, 0, 0] = dP / B[..., None]
+        # Gamma^i_jk = -((delta_ik d_j + delta_ij d_k) - delta_jk d_i)(eps phi) / B
+        d = np.eye(3)
+        term = np.einsum("ik,...j->...ijk", d, dP) + np.einsum("ij,...k->...ijk", d, dP)
+        term = term - np.einsum("jk,...i->...ijk", d, dP)
+        G[..., 1:, 1:, 1:] = -term / B[..., None, None, None]
         return G
 
     def in_chart(self, x):

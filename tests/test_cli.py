@@ -175,6 +175,33 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "no timelike geodesic" in out
 
 
+def test_far_boundary_value_leg_exits_2_without_allocating(tmp_path, capsys):
+    # the leg's proper time (1e7) would need 5e8 samples
+    p = tmp_path / "far.cfg"
+    p.write_text(
+        FLAT.replace(
+            "[detector2]\ntangent = 1.25, -0.75, 0, 0\ntau = 1.5",
+            "[detector2]\ntarget = 1e7, 0, 0, 0",
+        )
+    )
+    assert main(["run", str(p), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    failures = [r for r in rows[1:] if r[1] == "failure"]
+    assert len(failures) == 1
+    assert "samples per leg" in failures[0][4]
+
+
+def test_tiny_legs_run(tmp_path, capsys):
+    p = tmp_path / "tiny.cfg"
+    p.write_text(FLAT.replace("tau = 1.5", "tau = 1e-30"))
+    assert main(["run", str(p), "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert "failure" not in captured.out
+    assert "geodesic2_proper_time,,,1e-30," in captured.out
+
+
 def test_strict_diagnostics_exit_3(tmp_path, capsys):
     # a very coarse sample step degrades the route-agreement diagnostic
     # without failing the run outright

@@ -1,6 +1,6 @@
-"""Orthonormal frame fields: Gram-Schmidt properties, closed-form frame
-derivatives against finite differences, and the spin connection's
-antisymmetry."""
+"""Orthonormal frame fields: Gram-Schmidt properties, the closed-form spin
+connection against finite differences of the frame, its antisymmetry, and
+its cost in metric and Christoffel evaluations."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from eprgeo.errors import UsageError
 from eprgeo.frames import (
     BOOST_RAPIDITY,
     frame_field,
-    frame_with_derivative,
     gauge_boost,
     gram_schmidt_frame,
     inverse_frame,
-    metric_derivative,
     orthonormality_defect,
     spin_connection,
 )
@@ -83,37 +81,6 @@ def test_gram_schmidt_rejects_wrong_signature():
 
 
 @pytest.mark.parametrize("kind", ["schwarzschild", "weak_field"])
-def test_metric_derivative_matches_fd(kind):
-    st = _spacetime(kind)
-    x = POINTS[kind][0]
-    dg = metric_derivative(st, x)
-    h = 1e-6
-    for lam in range(4):
-        xp, xm = x.copy(), x.copy()
-        xp[lam] += h
-        xm[lam] -= h
-        fd = (st.metric(xp) - st.metric(xm)) / (2 * h)
-        assert np.max(np.abs(dg[lam] - fd)) < 1e-5
-
-
-@pytest.mark.parametrize("kind", ["schwarzschild", "weak_field"])
-@pytest.mark.parametrize("gauge", ["static", "boosted-static"])
-def test_frame_derivative_matches_fd(kind, gauge):
-    st = _spacetime(kind)
-    x = POINTS[kind][1]
-    _, dn = frame_with_derivative(st, x)
-    if gauge == "boosted-static":
-        dn = dn @ gauge_boost()  # constant boost acts on the frame index
-    h = 1e-6
-    for lam in range(4):
-        xp, xm = x.copy(), x.copy()
-        xp[lam] += h
-        xm[lam] -= h
-        fd = (frame_field(st, xp, gauge) - frame_field(st, xm, gauge)) / (2 * h)
-        assert np.max(np.abs(dn[lam] - fd)) < 1e-5
-
-
-@pytest.mark.parametrize("kind", ["schwarzschild", "weak_field"])
 @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
 def test_spin_connection_eta_antisymmetric(kind, gauge):
     """eta M must be exactly antisymmetric: the transport then preserves eta."""
@@ -124,23 +91,41 @@ def test_spin_connection_eta_antisymmetric(kind, gauge):
     assert np.max(np.abs(em + np.swapaxes(em, -1, -2))) == 0.0
 
 
-def test_spin_connection_matches_transport_derivative(schwarzschild):
-    """M_l = N^{-1} (dN + Gamma_l N) evaluated independently."""
-    st = schwarzschild
-    x = np.array([0.0, 10.0, 1.3, 0.7])
-    m = spin_connection(st, x, "static")
-    n = frame_field(st, x, "static")
-    g = st.metric(x)
-    ninv = inverse_frame(n, g)
+@pytest.mark.parametrize("kind", ["schwarzschild", "weak_field"])
+@pytest.mark.parametrize("gauge", ["static", "boosted-static"])
+def test_spin_connection_matches_transport_derivative(kind, gauge):
+    """M_l = N^{-1} (d_l N + Gamma_l N), with d_l N from central differences."""
+    st = _spacetime(kind)
+    x = POINTS[kind][1]
+    m = spin_connection(st, x, gauge)
+    n = frame_field(st, x, gauge)
+    ninv = inverse_frame(n, st.metric(x))
     gamma = st.christoffel(x)
     h = 1e-6
     for lam in range(4):
         xp, xm = x.copy(), x.copy()
         xp[lam] += h
         xm[lam] -= h
-        dn = (frame_field(st, xp, "static") - frame_field(st, xm, "static")) / (2 * h)
+        dn = (frame_field(st, xp, gauge) - frame_field(st, xm, gauge)) / (2 * h)
         ref = ninv @ (dn + gamma[:, lam, :] @ n)
         assert np.max(np.abs(m[lam] - ref)) < 1e-5
+
+
+@pytest.mark.parametrize("gauge", ["static", "boosted-static"])
+def test_spin_connection_evaluates_metric_and_christoffel_once(gauge, monkeypatch):
+    st = _spacetime("schwarzschild")
+    calls = {"metric": 0, "christoffel": 0}
+    for name in calls:
+        original = getattr(st, name)
+
+        def counted(x, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(x)
+
+        monkeypatch.setattr(st, name, counted)
+    m = spin_connection(st, POINTS["schwarzschild"], gauge)
+    assert m.shape == (3, 4, 4, 4)
+    assert calls == {"metric": 1, "christoffel": 1}
 
 
 def test_unknown_gauge_rejected(schwarzschild):

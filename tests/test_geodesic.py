@@ -8,10 +8,11 @@ fixed-step mode.
 import numpy as np
 import pytest
 
-from eprgeo import DomainExitError, Event, integrate_geodesic
+from eprgeo import DomainExitError, Event, geodesic, integrate_geodesic
 from eprgeo.errors import UsageError
 from eprgeo.geodesic import (
     DEFAULT_SAMPLE_STEP,
+    MAX_LEG_SAMPLES,
     GeodesicSegment,
     point_segment,
     reverse,
@@ -64,6 +65,14 @@ class TestMinkowski:
         u = np.array([1.0, 0.1, 0.0, 0.0]) * 1.01
         seg = integrate_geodesic(minkowski, Event(np.zeros(4)), u, 1.0)
         assert tangent_norms(minkowski, seg)[0] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_tiny_leg_is_not_an_underflow(self, minkowski):
+        # the step may be shorter than h_min when the grid interval itself is
+        u = np.array([1.25, 0.75, 0.0, 0.0])
+        seg = integrate_geodesic(minkowski, Event(np.zeros(4)), u, 1e-30)
+        assert seg.n_samples == 2
+        assert seg.proper_time == 1e-30
+        assert np.allclose(seg.events[-1], 1e-30 * u, rtol=1e-12, atol=0.0)
 
     def test_spacelike_input_rejected(self, minkowski):
         with pytest.raises(UsageError):
@@ -210,6 +219,25 @@ class TestShooting:
         assert not rep.converged
         assert seg is None
         assert rep.message
+
+    def test_leg_over_sample_cap_is_not_converged(self, minkowski, monkeypatch):
+        # the cap is checked before the converged shot is re-integrated
+        u = np.array([1.25, 0.75, 0.0, 0.0])
+        target = Event(2.0 * MAX_LEG_SAMPLES * DEFAULT_SAMPLE_STEP * u)
+        calls = []
+
+        def no_dense_grid(*args, n_samples=None, **kwargs):
+            calls.append(n_samples)
+            assert n_samples == 2, "re-integrated a leg over the sample cap"
+            return integrate_geodesic(*args, n_samples=n_samples, **kwargs)
+
+        monkeypatch.setattr(geodesic, "integrate_geodesic", no_dense_grid)
+        seg, rep = solve_bvp(minkowski, Event(np.zeros(4)), target)
+        assert seg is None
+        assert not rep.converged
+        assert f"over {MAX_LEG_SAMPLES} samples" in rep.message
+        assert rep.proper_time == pytest.approx(2.0 * MAX_LEG_SAMPLES * DEFAULT_SAMPLE_STEP)
+        assert calls
 
     def test_azimuth_wraps_through_branch_cut(self, schwarzschild, static_tangent):
         # target azimuth recorded on the other side of the +-pi seam

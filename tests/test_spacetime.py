@@ -75,6 +75,45 @@ def test_metric_batched_shapes(schwarzschild):
     assert schwarzschild.christoffel(xs).shape == (5, 4, 4, 4)
 
 
+def weak_field_christoffel_loops(st, x):
+    """Reference: the weak-field closed form filled entry by entry."""
+    phi, grad = st._potential(np.asarray(x, dtype=float)[1:])
+    dP = st.epsilon * grad
+    A = 1.0 + 2.0 * st.epsilon * phi
+    B = 1.0 - 2.0 * st.epsilon * phi
+    G = np.zeros((4, 4, 4))
+    for i in range(3):
+        G[0, 0, i + 1] = G[0, i + 1, 0] = dP[i] / A
+        G[i + 1, 0, 0] = dP[i] / B
+        for j in range(3):
+            for k in range(3):
+                term = 0.0
+                if i == k:
+                    term = term + dP[j]
+                if i == j:
+                    term = term + dP[k]
+                if j == k:
+                    term = term - dP[i]
+                G[i + 1, j + 1, k + 1] = -term / B
+    return G
+
+
+def test_weak_field_batched_matches_pointwise_and_loops():
+    st = make_spacetime("weak_field", {"epsilon": 0.05, "softening": 0.7})
+    xs = np.random.default_rng(3).uniform(-4.0, 4.0, (3, 5, 4))
+    xs[0, 0, 1:] = 0.0  # the potential's centre, where the gradient vanishes
+    xs[0, 1, 2] = 0.0
+    gamma = st.christoffel(xs)
+    g = st.metric(xs)
+    assert gamma.shape == (3, 5, 4, 4, 4)
+    assert g.shape == (3, 5, 4, 4)
+    for k in range(3):
+        for m in range(5):
+            assert np.array_equal(gamma[k, m], st.christoffel(xs[k, m]))
+            assert np.array_equal(gamma[k, m], weak_field_christoffel_loops(st, xs[k, m]))
+            assert np.array_equal(g[k, m], st.metric(xs[k, m]))
+
+
 def test_zero_mass_schwarzschild_is_flat():
     st = make_spacetime("schwarzschild", {"M": 0.0})
     x = np.array([0.0, 7.0, 1.0, 2.0])
