@@ -40,6 +40,8 @@ from .transport import Tetrad, gauge_tetrad, polygon_spinor_transport
 MAX_BUNDLE_KNOTS = 160
 MODES = ("coherent", "incoherent")
 RESAMPLE_ATTEMPTS = 100
+# disjoint path blocks behind the standard error of fidelity_with_error
+FIDELITY_BLOCKS = 10
 
 # paths per transport chunk; keeps the batched christoffel arrays modest
 _CHUNK = 256
@@ -148,7 +150,7 @@ def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Discretized kinetic action sum_k <dx, dx>/dtau along polygon paths."""
     xs = np.asarray(xs, dtype=float)
     dx = xs[..., 1:, :] - xs[..., :-1, :]
-    mid = 0.5 * (xs[..., 1:, :] + xs[..., :-1, :])
+    mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
     g = st.metric(mid)
     num = np.einsum("...ka,...kab,...kb->...k", dx, g, dx)
     return np.sum(num / np.diff(taus), axis=-1)
@@ -298,20 +300,19 @@ def degraded_correlation(avg: ChannelAverage, a, b) -> float:
     return correlation(avg.state, a, b)
 
 
-def fidelity_with_error(avg: ChannelAverage, n_blocks: int = 10) -> tuple[float, float]:
+def fidelity_with_error(avg: ChannelAverage) -> tuple[float, float]:
     """Singlet fidelity of a bundle average and its Monte-Carlo error.
 
-    The error bar is the standard error over n_blocks disjoint path blocks,
-    each averaged independently with the same rule from the per-path maps
-    and weights ``averaged_state`` already computed.
+    The error bar is the standard error over FIDELITY_BLOCKS disjoint path
+    blocks, each averaged independently with the same rule from the per-path
+    maps and weights ``averaged_state`` already computed.
     """
     maps1, maps2 = avg.transports
     w1, w2 = avg.weights
     psi0 = avg.reference_state
 
     n = min(len(maps1), len(maps2))
-    n_blocks = min(n_blocks, n)
-    bounds = np.linspace(0, n, n_blocks + 1).astype(int)
+    bounds = np.linspace(0, n, min(FIDELITY_BLOCKS, n) + 1).astype(int)
     fs = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi == lo:

@@ -1,11 +1,11 @@
 """Timelike geodesics: grid-locked adaptive integration and two-point shooting.
 
 The integrator is an embedded Dormand-Prince 5(4) pair marching the 8-dim
-state (x, dx/dtau) between the nodes of a fixed uniform proper-time grid, so
-callers always get samples at exactly the grid times regardless of how the
-adaptive substeps fall.  Leaving the chart is not an error of the integrator
-but of the trajectory: the step is halved toward the boundary and a
-DomainExitError carrying the last valid sample is raised.
+state (x, dx/dtau) toward the future between the nodes of a fixed uniform
+proper-time grid, so callers always get samples at exactly the grid times
+regardless of how the adaptive substeps fall.  Leaving the chart is not an
+error of the integrator but of the trajectory: the step is halved toward the
+boundary and a DomainExitError carrying the last valid sample is raised.
 
 The boundary-value problem (geodesic from O to a given target event) is
 solved by damped Newton shooting on four unknowns: the spatial velocity of
@@ -24,13 +24,16 @@ import numpy as np
 
 from .errors import DomainExitError, IntegrationError, UsageError
 from .frames import frame_field, inverse_frame
-from .spacetime import Event, Spacetime, Tangent, metric_at, require_event, same_event
+from .spacetime import Event, Spacetime, metric_at, require_event, same_event
 
 DEFAULT_SAMPLE_STEP = 0.02
 DEFAULT_TOL = 1.0e-10
 
 # Cap on memory and run time: samples_for(tau, sample_step) per sampled leg.
 MAX_LEG_SAMPLES = 100_000
+
+# Newton updates solve_bvp attempts before reporting non-convergence.
+MAX_SHOOTING_ITERATIONS = 50
 
 # Dormand-Prince 5(4) coefficients; last row of A equals the 5th-order
 # weights, so the 7th stage is the first stage of the next step (FSAL).
@@ -56,16 +59,14 @@ class GeodesicSegment:
     """A sampled geodesic: events and tangents on a uniform proper-time grid.
 
     tau runs from 0 at the start of the segment; events[k] and tangents[k]
-    are the position and 4-velocity at tau[k].  ``forward`` records whether
-    the segment still carries its original orientation (reverse() flips it).
-    ``cache`` holds per-segment transport data and is never compared.
+    are the position and 4-velocity at tau[k].  ``cache`` holds per-segment
+    transport data and is never compared.
     """
 
     spacetime: Spacetime
     tau: np.ndarray
     events: np.ndarray
     tangents: np.ndarray
-    forward: bool = True
     meta: dict = field(default_factory=dict)
     cache: dict = field(default_factory=dict, repr=False)
 
@@ -81,28 +82,13 @@ class GeodesicSegment:
     def zero_length(self) -> bool:
         return self.n_samples == 1 or self.proper_time == 0.0
 
-    def event_at(self, k: int) -> Event:
-        return Event(self.events[k])
-
-    def tangent_at(self, k: int) -> Tangent:
-        e = self.event_at(k)
-        return Tangent(self.tangents[k], e)
-
     @property
     def start(self) -> Event:
-        return self.event_at(0)
+        return Event(self.events[0])
 
     @property
     def end(self) -> Event:
-        return self.event_at(-1)
-
-    @property
-    def start_tangent(self) -> Tangent:
-        return self.tangent_at(0)
-
-    @property
-    def end_tangent(self) -> Tangent:
-        return self.tangent_at(-1)
+        return Event(self.events[-1])
 
 
 def point_segment(st: Spacetime, event: Event, u: np.ndarray | None = None) -> GeodesicSegment:
@@ -116,7 +102,6 @@ def point_segment(st: Spacetime, event: Event, u: np.ndarray | None = None) -> G
         np.zeros(1),
         event.coords[None, :].copy(),
         u[None, :].copy(),
-        meta={"zero_length": True},
     )
 
 
@@ -135,32 +120,26 @@ def _deriv(st: Spacetime, y: np.ndarray) -> np.ndarray:
 
 def integrate_geodesic(
     st: Spacetime,
-    start: Event | Tangent,
-    u0: np.ndarray | None = None,
-    tau_end: float = 0.0,
+    event0: Event,
+    u0: np.ndarray,
+    tau_end: float,
     *,
     tol: float = DEFAULT_TOL,
     n_samples: int | None = None,
     adaptive: bool = True,
     normalize: bool = True,
-    allow_past: bool = False,
 ) -> GeodesicSegment:
-    """Integrate the geodesic from a start event and 4-velocity.
+    """Integrate the geodesic from event0 with 4-velocity u0 for proper time tau_end.
 
-    ``start`` may be a Tangent (bundling event and velocity) or an Event with
-    ``u0`` given separately.  Samples are returned at exactly the uniform
-    grid times; with ``adaptive`` the local error per substep is controlled
-    at rtol=tol, atol=tol/100, otherwise one 5th-order step is taken per
-    grid interval (useful for convergence studies).  The 4-velocity norm is
-    checked across all samples afterwards; drift beyond max(10 tol, 1e-9)
-    raises IntegrationError.
+    u0 must be timelike and future-directed (u0[0] > 0) and tau_end >= 0:
+    the integrator only runs toward the future; ``reverse`` gives the same
+    worldline traversed the other way.  Samples are returned at exactly the
+    uniform grid times; with ``adaptive`` the local error per substep is
+    controlled at rtol=tol, atol=tol/100, otherwise one 5th-order step is
+    taken per grid interval (useful for convergence studies).  The 4-velocity
+    norm is checked across all samples afterwards; drift beyond
+    max(10 tol, 1e-9) raises IntegrationError.
     """
-    if isinstance(start, Tangent):
-        event0, u0 = start.event, start.components
-    else:
-        event0 = start
-        if u0 is None:
-            raise UsageError("u0 is required when start is an Event")
     require_event(st, event0)
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (4,):
@@ -169,36 +148,32 @@ def integrate_geodesic(
     q = float(u0 @ st.metric(event0.coords) @ u0)
     if not q < 0.0:
         raise UsageError("initial 4-velocity must be timelike")
-    if u0[0] <= 0.0 and not allow_past:
-        raise UsageError(
-            "initial 4-velocity must be future-directed (or pass allow_past=True)"
-        )
+    if u0[0] <= 0.0:
+        raise UsageError("initial 4-velocity must be future-directed")
     u0 = u0 / np.sqrt(-q) if normalize else u0
     norm0 = -1.0 if normalize else q
 
     tau_end = float(tau_end)
+    if not 0.0 <= tau_end < np.inf:
+        raise UsageError(f"tau_end must be finite and >= 0, got {tau_end}")
     if tau_end == 0.0:
         return point_segment(st, event0, u0)
-    if tau_end < 0.0 and not allow_past:
-        raise UsageError("tau_end < 0 requires allow_past=True")
-    sgn = 1.0 if tau_end > 0.0 else -1.0
-    span = abs(tau_end)
 
     if n_samples is None:
-        n_samples = samples_for(span)
+        n_samples = samples_for(tau_end)
     if n_samples < 2:
         raise UsageError("n_samples must be at least 2")
-    nodes = np.linspace(0.0, span, n_samples)
+    nodes = np.linspace(0.0, tau_end, n_samples)
 
     rtol, atol = tol, tol * 1.0e-2
-    h_min = 1.0e-12 * max(1.0, span)
+    h_min = 1.0e-12 * max(1.0, tau_end)
     ys = np.empty((n_samples, 8))
     ys[0, :4] = event0.coords
     ys[0, 4:] = u0
 
     y = ys[0].copy()
     with np.errstate(all="ignore"):
-        k1 = sgn * _deriv(st, y)
+        k1 = _deriv(st, y)
     h = nodes[1] - nodes[0]
     t = 0.0
     n_steps = n_rejected = 0
@@ -206,20 +181,20 @@ def integrate_geodesic(
 
     for i in range(n_samples - 1):
         t_node = nodes[i + 1]
-        while t_node - t > 1.0e-14 * span:
+        while t_node - t > 1.0e-14 * tau_end:
             if not adaptive:
                 h = t_node - t
             h = min(h, t_node - t)
             if h < h_min and h < t_node - t:
-                raise IntegrationError(f"step size underflow at tau={sgn * t:.6g}")
+                raise IntegrationError(f"step size underflow at tau={t:.6g}")
             stages[0] = k1
             ok = True
             with np.errstate(all="ignore"):
                 for j in range(1, 7):
-                    yj = y + (sgn * h) * (np.asarray(_DP_A[j]) @ stages[:j])
-                    stages[j] = sgn * _deriv(st, yj)
-                y_new = y + (sgn * h) * (_DP_B5 @ stages)
-                err = (sgn * h) * (_DP_E @ stages)
+                    yj = y + h * (np.asarray(_DP_A[j]) @ stages[:j])
+                    stages[j] = _deriv(st, yj)
+                y_new = y + h * (_DP_B5 @ stages)
+                err = h * (_DP_E @ stages)
             if not np.all(np.isfinite(y_new)):
                 ok = False
             elif not bool(st.in_chart(y_new[:4])):
@@ -229,8 +204,8 @@ def integrate_geodesic(
                     n_rejected += 1
                     continue
                 raise DomainExitError(
-                    f"trajectory leaves the chart of {st.name} near tau={sgn * t:.6g}",
-                    tau=sgn * t,
+                    f"trajectory leaves the chart of {st.name} near tau={t:.6g}",
+                    tau=t,
                     coords=y[:4].copy(),
                     velocity=y[4:].copy(),
                 )
@@ -245,7 +220,7 @@ def integrate_geodesic(
                 grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
             else:
                 if not ok:
-                    raise IntegrationError(f"non-finite state at tau={sgn * t:.6g}")
+                    raise IntegrationError(f"non-finite state at tau={t:.6g}")
                 grow = 1.0
             t += h
             y = y_new
@@ -257,15 +232,10 @@ def integrate_geodesic(
 
     seg = GeodesicSegment(
         st,
-        sgn * nodes,
+        nodes,
         ys[:, :4].copy(),
         ys[:, 4:].copy(),
-        meta={
-            "tol": tol,
-            "adaptive": adaptive,
-            "n_steps": n_steps,
-            "n_rejected": n_rejected,
-        },
+        meta={"n_steps": n_steps, "n_rejected": n_rejected},
     )
     g = st.metric(seg.events)
     norms = np.einsum("km,kmn,kn->k", seg.tangents, g, seg.tangents)
@@ -286,7 +256,6 @@ def reverse(seg: GeodesicSegment) -> GeodesicSegment:
         seg.tau[-1] - seg.tau[::-1],
         seg.events[::-1].copy(),
         -seg.tangents[::-1],
-        forward=not seg.forward,
         meta=dict(seg.meta),
     )
 
@@ -296,15 +265,13 @@ class ShootingReport:
     """Outcome of solve_bvp.  Non-convergence is reported here, not raised.
 
     residual is the Euclidean chart-coordinate distance from the endpoint to
-    the target (periodic axes wrapped).  frame_velocity is the shooting
-    unknown w, the spatial velocity in the static frame at the origin.
+    the target (periodic axes wrapped); iterations counts the Newton updates
+    the line search accepted.
     """
 
     converged: bool
     residual: float
     iterations: int
-    initial_tangent: Optional[Tangent]
-    frame_velocity: np.ndarray
     proper_time: float
     message: str = ""
 
@@ -321,9 +288,7 @@ def solve_bvp(
     target: Event,
     *,
     tau_hint: float | None = None,
-    frame_velocity_guess: np.ndarray | None = None,
     tol: float = 1.0e-9,
-    max_iter: int = 50,
     sample_step: float = DEFAULT_SAMPLE_STEP,
     integration_tol: float = DEFAULT_TOL,
 ) -> tuple[Optional[GeodesicSegment], ShootingReport]:
@@ -340,11 +305,7 @@ def solve_bvp(
     require_event(st, target)
 
     if same_event(origin, target, tol=1.0e-12):
-        seg = point_segment(st, origin)
-        report = ShootingReport(
-            True, 0.0, 0, seg.start_tangent, np.zeros(3), 0.0, "coincident endpoints"
-        )
-        return seg, report
+        return point_segment(st, origin), ShootingReport(True, 0.0, 0, 0.0, "coincident endpoints")
 
     n0 = frame_field(st, origin.coords)
     g0 = metric_at(st, origin)
@@ -354,29 +315,22 @@ def solve_bvp(
         q = -float(dx @ g0 @ dx)
         tau_hint = float(np.sqrt(q)) if q > 1.0e-8 else float(np.linalg.norm(dx))
         tau_hint = max(tau_hint, 1.0e-3)
-    if frame_velocity_guess is None:
-        uf = inverse_frame(n0, g0) @ (dx / tau_hint)
-        w0 = uf[1:]
-    else:
-        w0 = np.asarray(frame_velocity_guess, dtype=float)
 
     p = np.empty(4)
-    p[:3] = w0
+    p[:3] = (inverse_frame(n0, g0) @ (dx / tau_hint))[1:]
     p[3] = tau_hint
 
-    def endpoint(param: np.ndarray) -> np.ndarray | None:
+    def launch(w: np.ndarray) -> np.ndarray:
+        return n0 @ np.concatenate([[np.sqrt(1.0 + w @ w)], w])
+
+    def residual(param: np.ndarray) -> np.ndarray | None:
         if param[3] < 1.0e-8:
             return None
-        w = param[:3]
-        uf = np.empty(4)
-        uf[0] = np.sqrt(1.0 + w @ w)
-        uf[1:] = w
-        u0 = n0 @ uf
         try:
             trial = integrate_geodesic(
                 st,
                 origin,
-                u0,
+                launch(param[:3]),
                 param[3],
                 tol=integration_tol,
                 n_samples=2,
@@ -384,13 +338,7 @@ def solve_bvp(
             )
         except (DomainExitError, IntegrationError):
             return None
-        return trial.events[-1]
-
-    def residual(param: np.ndarray) -> np.ndarray | None:
-        e = endpoint(param)
-        if e is None:
-            return None
-        return _wrap_residual(st, e - target.coords)
+        return _wrap_residual(st, trial.events[-1] - target.coords)
 
     r = residual(p)
     shrink = 0
@@ -399,40 +347,29 @@ def solve_bvp(
         r = residual(p)
         shrink += 1
     if r is None:
-        report = ShootingReport(
-            False, np.inf, 0, None, p[:3].copy(), p[3], "initial trajectory leaves the chart"
-        )
-        return None, report
+        return None, ShootingReport(False, np.inf, 0, p[3], "initial trajectory leaves the chart")
 
-    message = "did not converge in max_iter iterations"
-    for it in range(1, max_iter + 1):
+    message = f"did not converge in {MAX_SHOOTING_ITERATIONS} iterations"
+    n_updates = 0
+    for _ in range(MAX_SHOOTING_ITERATIONS):
         if float(np.linalg.norm(r)) < tol:
             if samples_for(p[3], sample_step) > MAX_LEG_SAMPLES:
                 message = f"proper time {p[3]:.6g} needs over {MAX_LEG_SAMPLES} samples per leg"
                 return None, ShootingReport(
-                    False, float(np.linalg.norm(r)), it - 1, None, p[:3].copy(), float(p[3]), message
+                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message
                 )
             seg = integrate_geodesic(
                 st,
                 origin,
-                n0 @ np.concatenate([[np.sqrt(1.0 + p[:3] @ p[:3])], p[:3]]),
+                launch(p[:3]),
                 p[3],
                 tol=integration_tol,
                 n_samples=samples_for(p[3], sample_step),
             )
             final = _wrap_residual(st, seg.events[-1] - target.coords)
-            report = ShootingReport(
-                True,
-                float(np.linalg.norm(final)),
-                it - 1,
-                seg.start_tangent,
-                p[:3].copy(),
-                float(p[3]),
-            )
-            return seg, report
+            return seg, ShootingReport(True, float(np.linalg.norm(final)), n_updates, float(p[3]))
 
         jac = np.empty((4, 4))
-        bad = False
         for j in range(4):
             step = 1.0e-6 * max(1.0, abs(p[j]))
             pj = p.copy()
@@ -443,10 +380,9 @@ def solve_bvp(
                 rj = residual(pj)
                 step = -step
                 if rj is None:
-                    bad = True
                     break
             jac[:, j] = (rj - r) / step
-        if bad:
+        if rj is None:
             message = "Jacobian evaluation left the chart"
             break
 
@@ -456,7 +392,6 @@ def solve_bvp(
             d = np.linalg.lstsq(jac, -r, rcond=None)[0]
 
         r2 = float(r @ r)
-        improved = False
         for k in range(9):
             p_try = p + d * (0.5**k)
             if p_try[3] < 1.0e-8:
@@ -464,13 +399,10 @@ def solve_bvp(
             r_try = residual(p_try)
             if r_try is not None and float(r_try @ r_try) < r2:
                 p, r = p_try, r_try
-                improved = True
                 break
-        if not improved:
+        else:
             message = "line search stalled"
             break
+        n_updates += 1
 
-    report = ShootingReport(
-        False, float(np.linalg.norm(r)), max_iter, None, p[:3].copy(), float(p[3]), message
-    )
-    return None, report
+    return None, ShootingReport(False, float(np.linalg.norm(r)), n_updates, float(p[3]), message)

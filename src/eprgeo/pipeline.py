@@ -18,7 +18,6 @@ gauge, which is what makes correlations gauge-independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -96,42 +95,24 @@ def rest_conjugation_factors(
 
 
 def rest_frame_map(
-    seg: GeodesicSegment,
-    gauge: str = "static",
-    start_frame: Optional[Tetrad] = None,
-    end_frame: Optional[Tetrad] = None,
+    seg: GeodesicSegment, gauge: str, start_frame: Tetrad, end_frame: Tetrad
 ) -> np.ndarray:
     """SU(2) rest-frame spin rotation along one leg (spin-1/2 route).
 
     Maps canonical spin components at the start (relative to start_frame)
-    to canonical spin components at the end (relative to end_frame).  The
-    frames default to the static tetrads at the endpoints.
+    to canonical spin components at the end (relative to end_frame).
     """
-    st = seg.spacetime
-    if start_frame is None:
-        start_frame = gauge_tetrad(st, seg.start, "static")
-    if end_frame is None:
-        end_frame = gauge_tetrad(st, seg.end, "static")
     pre, post = rest_conjugation_factors(
-        st, start_frame, end_frame, seg.tangents[0], seg.tangents[-1], gauge
+        seg.spacetime, start_frame, end_frame, seg.tangents[0], seg.tangents[-1], gauge
     )
     chain = post @ spinor_propagator(seg, gauge) @ pre
     w, _ = su2_polar(chain)
     return w
 
 
-def rest_frame_rotation(
-    seg: GeodesicSegment,
-    start_frame: Optional[Tetrad] = None,
-    end_frame: Optional[Tetrad] = None,
-) -> np.ndarray:
+def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Tetrad) -> np.ndarray:
     """3x3 rest-frame (Wigner) rotation along one leg (vector route, no spinors)."""
     st = seg.spacetime
-    if start_frame is None:
-        start_frame = gauge_tetrad(st, seg.start, "static")
-    if end_frame is None:
-        end_frame = gauge_tetrad(st, seg.end, "static")
-
     uh0 = _frame_velocity(st, start_frame, seg.tangents[0])
     uh1 = _frame_velocity(st, end_frame, seg.tangents[-1])
 

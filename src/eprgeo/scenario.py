@@ -463,12 +463,8 @@ def run_scenario(sc: Scenario) -> Report:
     # orthonormality of a transported detector frame.
     drift = 0.0
     for seg in (seg1, seg2):
-        if seg.zero_length:
-            continue
-        norms = np.einsum(
-            "ki,kij,kj->k", seg.tangents, st.metric(seg.events), seg.tangents
-        )
-        drift = max(drift, float(np.max(np.abs(norms + 1.0))))
+        if not seg.zero_length:
+            drift = max(drift, seg.meta["norm_drift"])
     report.add("diag_norm_drift", drift, flag=FLAG_OK if drift <= 1e-8 else FLAG_FAIL)
     ortho = 0.0
     for seg in (seg1, seg2):

@@ -20,7 +20,8 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 #: excluded band around the polar axis of spherical charts, sin(theta) <= guard
 AXIS_GUARD = 1.0e-6
 
-DEFAULT_HORIZON_GUARD = 1.0e-3
+#: excluded shell outside the Schwarzschild horizon, r <= 2M(1 + guard)
+HORIZON_GUARD = 1.0e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +109,7 @@ class Minkowski(Spacetime):
 class Schwarzschild(Spacetime):
     """Schwarzschild exterior in (t, r, theta, phi) coordinates.
 
-    The chart excludes r <= 2M(1 + horizon_guard) and a thin band around the
+    The chart excludes r <= 2M(1 + HORIZON_GUARD) and a thin band around the
     polar axis where the spherical coordinates degenerate.  M = 0 is allowed
     and reduces to flat spacetime written in spherical coordinates.
     """
@@ -119,11 +120,7 @@ class Schwarzschild(Spacetime):
     def __init__(self, params):
         super().__init__(params)
         self.mass = float(params["M"])
-        self.horizon_guard = float(params.get("horizon_guard", DEFAULT_HORIZON_GUARD))
-
-    @property
-    def r_min(self) -> float:
-        return 2.0 * self.mass * (1.0 + self.horizon_guard)
+        self.r_min = 2.0 * self.mass * (1.0 + HORIZON_GUARD)
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -235,7 +232,7 @@ def make_spacetime(name: str, params: dict | None = None) -> Spacetime:
     name : str
         One of ``minkowski``, ``schwarzschild``, ``weak_field``.
     params : dict, optional
-        ``schwarzschild``: M (>= 0), horizon_guard (default 1e-3).
+        ``schwarzschild``: M (>= 0).
         ``weak_field``: epsilon (|eps| <= 0.1), softening (> 0, default 1).
 
     Raises
@@ -248,15 +245,12 @@ def make_spacetime(name: str, params: dict | None = None) -> Spacetime:
         _reject_unknown(params, set(), name)
         return Minkowski(params)
     if name == "schwarzschild":
-        _reject_unknown(params, {"M", "horizon_guard"}, name)
+        _reject_unknown(params, {"M"}, name)
         if "M" not in params:
             raise ConfigurationError("schwarzschild requires parameter M")
         M = float(params["M"])
         if not np.isfinite(M) or M < 0.0:
             raise ConfigurationError(f"schwarzschild mass must be >= 0, got {M}")
-        guard = float(params.get("horizon_guard", DEFAULT_HORIZON_GUARD))
-        if not np.isfinite(guard) or guard <= 0.0:
-            raise ConfigurationError(f"horizon_guard must be > 0, got {guard}")
         return Schwarzschild(params)
     if name == "weak_field":
         _reject_unknown(params, {"epsilon", "softening"}, name)

@@ -74,7 +74,7 @@ def _interval_data(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray, float]
     h = float(seg.tau[1] - seg.tau[0])
     gam = seg.spacetime.christoffel(x)
     acc = -np.einsum("klmn,km,kn->kl", gam, u, u)
-    x_mid = 0.5 * (x[:-1] + x[1:]) + (h / 8.0) * (u[:-1] - u[1:])
+    x_mid = 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:])
     u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
     seg.cache["midpoints"] = (x_mid, u_mid, h)
     return x_mid, u_mid, h
@@ -156,7 +156,7 @@ def polygon_spinor_transport(st: Spacetime, xs: np.ndarray, gauge: str = "static
     """
     xs = np.asarray(xs, dtype=float)
     dx = xs[..., 1:, :] - xs[..., :-1, :]
-    mid = 0.5 * (xs[..., 1:, :] + xs[..., :-1, :])
+    mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
     m_conn = spin_connection(st, mid, gauge)
     m = -np.einsum("...lab,...l->...ab", m_conn, dx)
     return ordered_product(expm2(lift_so13(m)))

@@ -202,6 +202,17 @@ def test_tiny_legs_run(tmp_path, capsys):
     assert "geodesic2_proper_time,,,1e-30," in captured.out
 
 
+@pytest.mark.filterwarnings("error")
+def test_huge_decay_coordinates_run_without_warnings(tmp_path, capsys):
+    # in the chart, but the sum of two neighbouring samples or polygon knots
+    # overflows
+    p = tmp_path / "huge.cfg"
+    deco = "\n[decoherence]\nsigma = 0, 0.3\nn_paths = 20\nseed = 5\n"
+    p.write_text(FLAT.replace("event = 0, 0, 0, 0", "event = 0, 1e308, 0, 0") + deco)
+    assert main(["run", str(p), "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_strict_diagnostics_exit_3(tmp_path, capsys):
     # a very coarse sample step degrades the route-agreement diagnostic
     # without failing the run outright
