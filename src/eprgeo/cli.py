@@ -5,8 +5,10 @@
 Exit codes: 0 on success, 1 on a validation or I/O problem (an unreadable,
 non-UTF-8, malformed, non-finite, spacelike, past-directed or over-cap
 scenario, or an unwritable report path), 2 on a numerical failure (a leg
-could not be built), 3 when --strict is given and a diagnostic exceeded its
-tolerance.  Exit code 1 comes with exactly one ``error:`` line on stderr.
+could not be built, or the run met an event outside the chart), 3 when
+--strict is given and a diagnostic exceeded its tolerance.  Exit code 1
+comes with exactly one ``error:`` line on stderr; exit code 2 comes with a
+report holding at least one ``failure`` row.
 """
 
 from __future__ import annotations
@@ -63,7 +65,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    report = run_scenario(sc)
+    try:
+        report = run_scenario(sc)
+    except (ConfigurationError, UsageError) as exc:
+        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     fmt = args.format or sc.out_format
     out_path = args.out or sc.out_path

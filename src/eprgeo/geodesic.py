@@ -1,11 +1,13 @@
-"""Timelike geodesics: grid-locked adaptive integration and two-point shooting.
+"""Timelike geodesics: adaptive integration with dense output, and shooting.
 
 The integrator is an embedded Dormand-Prince 5(4) pair marching the 8-dim
-state (x, dx/dtau) toward the future between the nodes of a fixed uniform
-proper-time grid, so callers always get samples at exactly the grid times
-regardless of how the adaptive substeps fall.  Leaving the chart is not an
-error of the integrator but of the trajectory: the step is halved toward the
-boundary and a DomainExitError carrying the last valid sample is raised.
+state (x, dx/dtau) toward the future.  The error estimate alone sets the
+step, up to MAX_STEP_SPACINGS sample spacings; the nodes of the uniform
+proper-time grid that a step passes are filled from the pair's continuous
+extension, so callers get samples at exactly the grid times however the
+steps fall.  Leaving the chart is not an error of the integrator but of the
+trajectory: the step is halved toward the boundary and a DomainExitError
+carrying the last valid sample is raised.
 
 The boundary-value problem (geodesic from O to a given target event) is
 solved by damped Newton shooting on four unknowns: the spatial velocity of
@@ -22,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainExitError, IntegrationError, UsageError
+from .errors import DomainExitError, IntegrationError, NormDriftError, UsageError
 from .frames import frame_field, inverse_frame
 from .spacetime import Event, Spacetime, metric_at, require_event, same_event
 
@@ -52,6 +54,26 @@ _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_E = _DP_B5 - _DP_B4
+# Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
+# y(t + theta h) = y + h * sum_i b_i(theta) k_i with b_i(theta) =
+# sum_j _DP_P[i, j] theta^(j+1), a 4th-order interpolant; b(1) = _DP_B5.
+_DP_P = np.array(
+    [
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+
+# Longest adaptive step, in sample spacings.  Uncapped steps let the
+# interpolated 4-velocity norm drift past max(10 tol, 1e-9) on some legs at
+# the default tol, and a cap of 8 still did on one boundary-value leg; at 4
+# the worst drift seen on those legs was about 6e-12.
+MAX_STEP_SPACINGS = 4
 
 
 @dataclass
@@ -102,6 +124,7 @@ def point_segment(st: Spacetime, event: Event, u: np.ndarray | None = None) -> G
         np.zeros(1),
         event.coords[None, :].copy(),
         u[None, :].copy(),
+        meta={"n_steps": 0, "n_rejected": 0},
     )
 
 
@@ -116,6 +139,11 @@ def _deriv(st: Spacetime, y: np.ndarray) -> np.ndarray:
     out[:4] = y[4:]
     out[4:] = -np.einsum("lmn,m,n->l", gam, y[4:], y[4:])
     return out
+
+
+def _dense_weights(theta: np.ndarray) -> np.ndarray:
+    """Continuous-extension weights b(theta), shape (len(theta), 7)."""
+    return np.power.outer(theta, np.arange(1, 5)) @ _DP_P.T
 
 
 def integrate_geodesic(
@@ -134,11 +162,14 @@ def integrate_geodesic(
     u0 must be timelike and future-directed (u0[0] > 0) and tau_end >= 0:
     the integrator only runs toward the future; ``reverse`` gives the same
     worldline traversed the other way.  Samples are returned at exactly the
-    uniform grid times; with ``adaptive`` the local error per substep is
-    controlled at rtol=tol, atol=tol/100, otherwise one 5th-order step is
-    taken per grid interval (useful for convergence studies).  The 4-velocity
-    norm is checked across all samples afterwards; drift beyond
-    max(10 tol, 1e-9) raises IntegrationError.
+    uniform grid times.  With ``adaptive`` the local error per step is
+    controlled at rtol=tol, atol=tol/100, each step spans at most
+    MAX_STEP_SPACINGS sample spacings, and the nodes inside a step are
+    interpolated by the 4th-order continuous extension (the last sample is
+    the endpoint of the last step); otherwise one 5th-order step is taken per
+    grid interval (useful for convergence studies).  The 4-velocity norm is
+    checked across all samples afterwards, interpolated ones included; drift
+    beyond max(10 tol, 1e-9) raises NormDriftError carrying the segment.
     """
     require_event(st, event0)
     u0 = np.asarray(u0, dtype=float)
@@ -167,6 +198,8 @@ def integrate_geodesic(
 
     rtol, atol = tol, tol * 1.0e-2
     h_min = 1.0e-12 * max(1.0, tau_end)
+    h_max = MAX_STEP_SPACINGS * nodes[1]
+    at_node = 1.0e-14 * tau_end
     ys = np.empty((n_samples, 8))
     ys[0, :4] = event0.coords
     ys[0, 4:] = u0
@@ -174,61 +207,72 @@ def integrate_geodesic(
     y = ys[0].copy()
     with np.errstate(all="ignore"):
         k1 = _deriv(st, y)
-    h = nodes[1] - nodes[0]
+    h = nodes[1]
     t = 0.0
+    i = 1  # next node to fill
     n_steps = n_rejected = 0
     stages = np.empty((7, 8))
 
-    for i in range(n_samples - 1):
-        t_node = nodes[i + 1]
-        while t_node - t > 1.0e-14 * tau_end:
-            if not adaptive:
-                h = t_node - t
-            h = min(h, t_node - t)
-            if h < h_min and h < t_node - t:
+    while i < n_samples:
+        if adaptive:
+            h_limit = min(h_max, tau_end - t)
+            if h < h_min and h < h_limit:
                 raise IntegrationError(f"step size underflow at tau={t:.6g}")
-            stages[0] = k1
-            ok = True
+            h = min(h, h_limit)
+        else:
+            h = nodes[i] - t
+        stages[0] = k1
+        ok = True
+        with np.errstate(all="ignore"):
+            for j in range(1, 7):
+                yj = y + h * (np.asarray(_DP_A[j]) @ stages[:j])
+                stages[j] = _deriv(st, yj)
+            y_new = y + h * (_DP_B5 @ stages)
+            err = h * (_DP_E @ stages)
+        if not np.all(np.isfinite(y_new)):
+            ok = False
+        elif not bool(st.in_chart(y_new[:4])):
+            # not a numerical failure: creep toward the chart boundary
+            if adaptive and h > 4.0 * h_min:
+                h *= 0.5
+                n_rejected += 1
+                continue
+            raise DomainExitError(
+                f"trajectory leaves the chart of {st.name} near tau={t:.6g}",
+                tau=t,
+                coords=y[:4].copy(),
+                velocity=y[4:].copy(),
+            )
+        if adaptive:
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             with np.errstate(all="ignore"):
-                for j in range(1, 7):
-                    yj = y + h * (np.asarray(_DP_A[j]) @ stages[:j])
-                    stages[j] = _deriv(st, yj)
-                y_new = y + h * (_DP_B5 @ stages)
-                err = h * (_DP_E @ stages)
-            if not np.all(np.isfinite(y_new)):
-                ok = False
-            elif not bool(st.in_chart(y_new[:4])):
-                # not a numerical failure: creep toward the chart boundary
-                if adaptive and h > 4.0 * h_min:
-                    h *= 0.5
-                    n_rejected += 1
-                    continue
-                raise DomainExitError(
-                    f"trajectory leaves the chart of {st.name} near tau={t:.6g}",
-                    tau=t,
-                    coords=y[:4].copy(),
-                    velocity=y[4:].copy(),
-                )
-            if adaptive:
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                with np.errstate(all="ignore"):
-                    enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-                if not ok or not np.isfinite(enorm) or enorm > 1.0:
-                    h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if np.isfinite(enorm) else 0.5
-                    n_rejected += 1
-                    continue
-                grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
-            else:
-                if not ok:
-                    raise IntegrationError(f"non-finite state at tau={t:.6g}")
-                grow = 1.0
-            t += h
-            y = y_new
-            k1 = stages[6]
-            h *= grow
-            n_steps += 1
-        t = t_node
-        ys[i + 1] = y
+                enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            if not ok or not np.isfinite(enorm) or enorm > 1.0:
+                h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if np.isfinite(enorm) else 0.5
+                n_rejected += 1
+                continue
+            grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
+        else:
+            if not ok:
+                raise IntegrationError(f"non-finite state at tau={t:.6g}")
+            grow = 1.0
+        # fill the nodes in (t, t + h]; one at the step's end gets y_new
+        t_new = t + h
+        inner = i
+        while inner < n_samples and nodes[inner] < t_new - at_node:
+            inner += 1
+        if inner > i:
+            ys[i:inner] = y + h * (_dense_weights((nodes[i:inner] - t) / h) @ stages)
+            i = inner
+        if i < n_samples and nodes[i] - t_new <= at_node:
+            ys[i] = y_new
+            t_new = nodes[i]
+            i += 1
+        t = t_new
+        y = y_new
+        k1 = stages[6]
+        h *= grow
+        n_steps += 1
 
     seg = GeodesicSegment(
         st,
@@ -242,7 +286,7 @@ def integrate_geodesic(
     drift = float(np.max(np.abs(norms - norm0)))
     seg.meta["norm_drift"] = drift
     if adaptive and drift > max(10.0 * tol, 1.0e-9):
-        raise IntegrationError(f"4-velocity norm drifted by {drift:.3e}; tighten tol")
+        raise NormDriftError(f"4-velocity norm drifted by {drift:.3e}; tighten tol", seg)
     return seg
 
 
@@ -296,9 +340,16 @@ def solve_bvp(
 
     Newton iterates on (w, tau): w is the spatial 4-velocity in the static
     frame at the origin and tau the total proper time.  Trial trajectories
-    are integrated endpoint-only; the converged one is re-integrated on the
-    full sample grid, or reported not converged if that grid would exceed
-    MAX_LEG_SAMPLES.  Angular residuals are wrapped on periodic axes.
+    are integrated endpoint-only and judged by their endpoint alone, even
+    when their 4-velocity norm drifted.  A shot that hits the target to tol
+    is re-integrated on the full sample grid, where the drift check holds.
+    If that segment's endpoint misses the target by tol or more, the miss is
+    the endpoint-only integration error: its difference from the trial
+    endpoint offsets every later trial residual and Newton goes on, within
+    the same iteration budget.  So a converged report means the returned
+    segment ends within tol of the target.  The shot is reported not
+    converged if the full grid would exceed MAX_LEG_SAMPLES or the
+    re-integration fails.  Angular residuals are wrapped on periodic axes.
     Returns (segment, report); the segment is None when not converged.
     """
     require_event(st, origin)
@@ -323,6 +374,9 @@ def solve_bvp(
     def launch(w: np.ndarray) -> np.ndarray:
         return n0 @ np.concatenate([[np.sqrt(1.0 + w @ w)], w])
 
+    # full-grid endpoint minus trial endpoint at the last re-integration
+    offset = np.zeros(4)
+
     def residual(param: np.ndarray) -> np.ndarray | None:
         if param[3] < 1.0e-8:
             return None
@@ -336,9 +390,12 @@ def solve_bvp(
                 n_samples=2,
                 normalize=False,
             )
-        except (DomainExitError, IntegrationError):
+        except NormDriftError as exc:
+            # the drift check guards returned segments; a trial needs its end
+            trial = exc.segment
+        except IntegrationError:
             return None
-        return _wrap_residual(st, trial.events[-1] - target.coords)
+        return _wrap_residual(st, trial.events[-1] - target.coords) + offset
 
     r = residual(p)
     shrink = 0
@@ -358,16 +415,28 @@ def solve_bvp(
                 return None, ShootingReport(
                     False, float(np.linalg.norm(r)), n_updates, float(p[3]), message
                 )
-            seg = integrate_geodesic(
-                st,
-                origin,
-                launch(p[:3]),
-                p[3],
-                tol=integration_tol,
-                n_samples=samples_for(p[3], sample_step),
-            )
+            try:
+                seg = integrate_geodesic(
+                    st,
+                    origin,
+                    launch(p[:3]),
+                    p[3],
+                    tol=integration_tol,
+                    n_samples=samples_for(p[3], sample_step),
+                )
+            except IntegrationError as exc:
+                message = f"re-integration of the converged shot failed: {exc}"
+                return None, ShootingReport(
+                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message
+                )
             final = _wrap_residual(st, seg.events[-1] - target.coords)
-            return seg, ShootingReport(True, float(np.linalg.norm(final)), n_updates, float(p[3]))
+            if float(np.linalg.norm(final)) < tol:
+                return seg, ShootingReport(
+                    True, float(np.linalg.norm(final)), n_updates, float(p[3])
+                )
+            # the endpoint-only integration missed by this much: aim the trials off
+            offset += final - r
+            r = final
 
         jac = np.empty((4, 4))
         for j in range(4):

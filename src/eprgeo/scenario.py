@@ -47,6 +47,7 @@ from .geodesic import (
     DEFAULT_SAMPLE_STEP,
     DEFAULT_TOL,
     MAX_LEG_SAMPLES,
+    GeodesicSegment,
     integrate_geodesic,
     samples_for,
     solve_bvp,
@@ -366,7 +367,7 @@ def _build_leg(sc: Scenario, st: Spacetime, origin: Event, det: DetectorSpec, la
         except (DomainError, IntegrationError) as exc:
             report.fail(f"{label}: integration failed: {exc}")
             return None
-        report.add(f"{label}_proper_time", float(seg.proper_time))
+        _add_leg_rows(report, label, seg)
         return seg
     seg, shot = solve_bvp(
         st,
@@ -382,29 +383,43 @@ def _build_leg(sc: Scenario, st: Spacetime, origin: Event, det: DetectorSpec, la
     if seg is None:
         report.fail(f"{label}: no timelike geodesic found: {shot.message}")
         return None
-    report.add(f"{label}_proper_time", float(seg.proper_time))
+    _add_leg_rows(report, label, seg)
     return seg
+
+
+def _add_leg_rows(report: Report, label: str, seg: GeodesicSegment) -> None:
+    report.add(f"{label}_proper_time", float(seg.proper_time))
+    report.add(f"{label}_integrator_steps", int(seg.meta["n_steps"]))
+    report.add(f"{label}_rejected_steps", int(seg.meta["n_rejected"]))
 
 
 def run_scenario(sc: Scenario) -> Report:
     """Execute a scenario end to end and assemble its report.
 
-    Geodesic failures (chart exit, shooting non-convergence) are recorded
-    as failure rows; the report is still returned so partial diagnostics
-    reach the caller.
+    Geodesic failures (chart exit, shooting non-convergence) and any other
+    DomainError are recorded as failure rows; the report is still returned
+    so partial diagnostics reach the caller.
     """
     report = Report(
         scenario_id=sc.scenario_id,
         scenario_sha256=sc.sha256,
         tool_version=TOOL_VERSION,
     )
+    try:
+        _fill_report(sc, report)
+    except DomainError as exc:
+        report.fail(f"run stopped: {exc}")
+    return report
+
+
+def _fill_report(sc: Scenario, report: Report) -> None:
     st = sc.build_spacetime()
     origin = Event(sc.decay_event)
 
     seg1 = _build_leg(sc, st, origin, sc.detector1, "geodesic1", report)
     seg2 = _build_leg(sc, st, origin, sc.detector2, "geodesic2", report)
     if seg1 is None or seg2 is None:
-        return report
+        return
 
     result = pair_transport(
         seg1, seg2, gauge=sc.gauge, decay_velocity=sc.decay_velocity
@@ -476,7 +491,6 @@ def run_scenario(sc: Scenario) -> Report:
 
     if sc.decoherence is not None:
         _run_decoherence(sc, result, seg1, seg2, report)
-    return report
 
 
 def _run_decoherence(sc: Scenario, result, seg1, seg2, report: Report) -> None:

@@ -2,13 +2,21 @@
 
 import csv
 import io
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eprgeo.cli
+import eprgeo.scenario
+from eprgeo import geodesic
 from eprgeo.cli import main
+from eprgeo.errors import DomainError, IntegrationError, UsageError
 from eprgeo.report import CSV_COLUMNS
 from eprgeo.scenario import MAX_PATHS
+
+DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.cfg"))
 
 FLAT = """\
 [spacetime]
@@ -173,6 +181,72 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert main(["run", str(p), "--format", "csv"]) == 2
     out = capsys.readouterr().out
     assert "no timelike geodesic" in out
+
+
+def test_failed_reintegration_exits_2_with_a_failure_row(tmp_path, capsys, monkeypatch):
+    real = geodesic.integrate_geodesic
+
+    def failing_dense_grid(*args, n_samples=None, **kwargs):
+        if n_samples != 2:
+            raise IntegrationError("4-velocity norm drifted by 2.000e-09; tighten tol")
+        return real(*args, n_samples=n_samples, **kwargs)
+
+    # only solve_bvp's calls are patched; the IVP leg runs as usual
+    monkeypatch.setattr(geodesic, "integrate_geodesic", failing_dense_grid)
+    p = tmp_path / "bvp.cfg"
+    p.write_text(
+        FLAT.replace(
+            "[detector2]\ntangent = 1.25, -0.75, 0, 0\ntau = 1.5",
+            "[detector2]\ntarget = 1.875, -1.125, 0, 0",
+        )
+    )
+    assert main(["run", str(p), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    failures = [r for r in rows[1:] if r[1] == "failure"]
+    assert len(failures) == 1
+    assert "re-integration" in failures[0][4] and "drifted" in failures[0][4]
+
+
+def test_usage_error_from_the_run_exits_1_with_one_line(flat_scenario, capsys, monkeypatch):
+    def raising(sc):
+        raise UsageError("mismatched events")
+
+    monkeypatch.setattr(eprgeo.cli, "run_scenario", raising)
+    assert main(["run", str(flat_scenario)]) == 1
+    assert "mismatched events" in one_error_line(capsys)
+
+
+def test_domain_error_from_the_run_exits_2_with_a_failure_row(flat_scenario, capsys, monkeypatch):
+    def raising(*args, **kwargs):
+        raise DomainError("event outside the chart")
+
+    monkeypatch.setattr(eprgeo.scenario, "pair_transport", raising)
+    assert main(["run", str(flat_scenario), "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    # the legs were built before the run stopped, so their rows stay
+    assert "geodesic2_proper_time" in [r[1] for r in rows]
+    failures = [r for r in rows[1:] if r[1] == "failure"]
+    assert len(failures) == 1 and "event outside the chart" in failures[0][4]
+
+
+def test_leg_rows_carry_integrator_counters(flat_scenario, capsys):
+    assert main(["run", str(flat_scenario), "--format", "csv"]) == 0
+    quantities = [r[1] for r in csv.reader(io.StringIO(capsys.readouterr().out))]
+    for label in ("geodesic1", "geodesic2"):
+        at = quantities.index(f"{label}_proper_time")
+        assert quantities[at + 1 : at + 3] == [f"{label}_integrator_steps", f"{label}_rejected_steps"]
+
+
+@pytest.mark.parametrize("cfg", DEMO_SCENARIOS, ids=[p.stem for p in DEMO_SCENARIOS])
+def test_demo_scenarios_run_without_warnings(cfg, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(cfg), "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_far_boundary_value_leg_exits_2_without_allocating(tmp_path, capsys):

@@ -8,12 +8,14 @@ fixed-step mode.
 import numpy as np
 import pytest
 
-from eprgeo import DomainExitError, Event, geodesic, integrate_geodesic
-from eprgeo.errors import UsageError
+from eprgeo import DomainExitError, Event, geodesic, integrate_geodesic, parse_scenario, run_scenario
+from eprgeo.errors import IntegrationError, UsageError
 from eprgeo.geodesic import (
+    _DP_B5,
     DEFAULT_SAMPLE_STEP,
     MAX_LEG_SAMPLES,
     GeodesicSegment,
+    _dense_weights,
     point_segment,
     reverse,
     samples_for,
@@ -102,6 +104,8 @@ class TestSchwarzschild:
         assert np.max(np.abs(seg.events[:, 1] - 10.0)) < 1e-6
         # full revolution advances the (unwrapped) azimuth by exactly 2 pi
         assert seg.events[-1, 3] == pytest.approx(2 * np.pi, abs=1e-6)
+        # steps are set by tolerance and the step cap, not one per sample
+        assert seg.meta["n_steps"] < seg.n_samples / 3
 
     def test_conserved_energy_and_angular_momentum(self, schwarzschild, static_tangent):
         coords = np.array([0.0, 9.0, np.pi / 2, 0.3])
@@ -167,6 +171,33 @@ class TestSchwarzschild:
         back = integrate_geodesic(schwarzschild, fwd.end, u_back, 1.5)
         assert np.max(np.abs(back.events[-1, 1:] - coords[1:])) < 1e-8
         assert back.events[-1, 0] == pytest.approx(2.0 * fwd.events[-1, 0], abs=1e-8)
+
+
+class TestDenseOutput:
+    @pytest.fixture
+    def eccentric(self, schwarzschild):
+        # a circular orbit's state is linear in t and phi, so any step is
+        # accepted; this perturbed one makes the error control work
+        from eprgeo import circular_orbit_tangent
+
+        e0, u0 = circular_orbit_tangent(schwarzschild, 10.0)
+        return e0, np.array([1.05 * u0[0], 0.08, 0.0, 0.95 * u0[3]])
+
+    def test_weights_at_step_end_are_fifth_order_weights(self):
+        assert np.max(np.abs(_dense_weights(np.array([1.0]))[0] - _DP_B5)) < 1e-14
+        assert np.array_equal(_dense_weights(np.array([0.0]))[0], np.zeros(7))
+
+    def test_steps_are_not_locked_to_samples(self, schwarzschild, eccentric):
+        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)
+        assert seg.n_samples == 1001
+        assert seg.meta["n_steps"] <= 260
+
+    def test_samples_match_fine_fixed_step_reference(self, schwarzschild, eccentric):
+        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)
+        n_fine = 10 * (seg.n_samples - 1) + 1
+        ref = integrate_geodesic(schwarzschild, *eccentric, 20.0, n_samples=n_fine, adaptive=False)
+        assert np.max(np.abs(seg.events - ref.events[::10])) < 1e-12
+        assert np.max(np.abs(seg.tangents - ref.tangents[::10])) < 1e-12
 
 
 class TestReverse:
@@ -253,6 +284,73 @@ class TestShooting:
         assert f"over {MAX_LEG_SAMPLES} samples" in rep.message
         assert rep.proper_time == pytest.approx(2.0 * MAX_LEG_SAMPLES * DEFAULT_SAMPLE_STEP)
         assert calls
+
+    def test_failed_reintegration_is_not_converged(self, minkowski, monkeypatch):
+        def failing_dense_grid(*args, n_samples=None, **kwargs):
+            if n_samples != 2:
+                raise IntegrationError("step size underflow at tau=0.5")
+            return integrate_geodesic(*args, n_samples=n_samples, **kwargs)
+
+        monkeypatch.setattr(geodesic, "integrate_geodesic", failing_dense_grid)
+        u = np.array([1.25, 0.75, 0.0, 0.0])
+        seg, rep = solve_bvp(minkowski, Event(np.zeros(4)), Event(1.5 * u))
+        assert seg is None
+        assert not rep.converged
+        assert "re-integration" in rep.message
+        assert "step size underflow" in rep.message
+        assert rep.proper_time == pytest.approx(1.5, abs=1e-9)
+
+    def test_full_grid_miss_is_shot_again(self, minkowski, monkeypatch):
+        def biased_dense_grid(*args, n_samples=None, **kwargs):
+            seg = integrate_geodesic(*args, n_samples=n_samples, **kwargs)
+            if n_samples != 2:
+                seg.events[-1, 1] += 1e-7
+            return seg
+
+        # the full-grid endpoint misses where the trial endpoint hits
+        monkeypatch.setattr(geodesic, "integrate_geodesic", biased_dense_grid)
+        target = Event(1.5 * np.array([1.25, 0.75, 0.0, 0.0]))
+        seg, rep = solve_bvp(minkowski, Event(np.zeros(4)), target)
+        assert rep.converged
+        assert rep.residual < 1e-9
+        assert np.linalg.norm(seg.events[-1] - target.coords) < 1e-9
+
+    def test_drifting_trial_shots_are_judged_by_their_endpoint(self):
+        # a weak-field shot whose endpoint-only trials drift past 1e-9 at the
+        # default tol; they used to count as chart exits and stall the search
+        text = """\
+[spacetime]
+kind = weak-field
+epsilon = 0.03879305804351027
+[decay]
+event = 0.0, 3.6350800574033886, 1.7670133094009963, -0.6632276478289406
+velocity = 1.038869454494549, 0.04261950623953841, 0.2283193139867537, 0.06610626015497796
+[detector1]
+tangent = 1.0356096783449693, 0.21095711808540632, 0.08534422797023826, -0.003416646869144258
+tau = 3.8862895084766826
+[detector2]
+target = 5.785943441101714, 3.4790113494235118, -0.14433311751689543, 0.4473446789100271
+tau_hint = 5.443491198575939
+[measurements]
+directions1 = -0.970029337767522, 0.12592502538998637, -0.2078123476861614 ; -0.6434479103212443, -0.6836527134554533, -0.34437443878461665
+directions2 = -0.765823663723098, 0.11586263958964439, -0.632526651477273
+[numerics]
+gauge = boosted-static
+tol = 1e-10
+"""
+        sc = parse_scenario(text)
+        report = run_scenario(sc)
+        assert not report.has_failures, report.failures
+        assert report.diagnostics_ok
+        ref = run_scenario(parse_scenario(text.replace("tol = 1e-10", "tol = 1e-12")))
+        assert not ref.has_failures
+        values = {r.quantity: r.value for r in report.rows}
+        ref_values = {r.quantity: r.value for r in ref.rows}
+        assert values["geodesic2_proper_time"] == pytest.approx(
+            ref_values["geodesic2_proper_time"], abs=sc.bvp_tol
+        )
+        # the returned segment ends on the target, not just the trial shot
+        assert values["geodesic2_endpoint_residual"] < sc.bvp_tol
 
     def test_azimuth_wraps_through_branch_cut(self, schwarzschild, static_tangent):
         # target azimuth recorded on the other side of the +-pi seam
