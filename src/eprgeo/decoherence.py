@@ -14,7 +14,9 @@ all-pairs result is computed exactly in O(n).
 
 The reference state for fidelity is the sigma=0 transport over the same
 decimated knots, which makes the sigma -> 0 limit exact by construction
-rather than holding only up to discretization error.
+rather than holding only up to discretization error.  A sigma=0 bundle
+holds n copies of those knots, so it is transported once: every path gets
+the base polygon's map.
 
 One bundle pair is transported once: ``averaged_state(b1, b2, ...)`` returns
 a ChannelAverage holding the averaged state, the per-path maps and weights,
@@ -107,6 +109,7 @@ def sample_bundle(
 
     if sigma == 0.0:
         paths = np.broadcast_to(knots, (n_paths,) + knots.shape).copy()
+        meta["resample_rounds"] = 0
         return PathBundle(seg, taus, paths, sigma, seed, mode, meta)
 
     legs = frame_field(st, knots)[..., 1:]  # static spatial legs, (K+1, 4, 3)
@@ -174,15 +177,19 @@ def _bundle_ingredients(
         st, reference, det, bundle.base.tangents[0], bundle.base.tangents[-1], gauge
     )
 
-    n = bundle.n_paths
-    maps = np.empty((n, 2, 2), dtype=complex)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        u = polygon_spinor_transport(st, bundle.paths[lo:hi], gauge)
-        maps[lo:hi] = su2_polar(post @ u @ pre)[0]
-
     base_u = polygon_spinor_transport(st, bundle.base_knots, gauge)
     base_map = su2_polar(post @ base_u @ pre)[0]
+
+    n = bundle.n_paths
+    if bundle.sigma == 0.0:
+        # every path is a copy of the base knots
+        maps = np.broadcast_to(base_map, (n, 2, 2))
+    else:
+        maps = np.empty((n, 2, 2), dtype=complex)
+        for lo in range(0, n, _CHUNK):
+            hi = min(lo + _CHUNK, n)
+            u = polygon_spinor_transport(st, bundle.paths[lo:hi], gauge)
+            maps[lo:hi] = su2_polar(post @ u @ pre)[0]
 
     if bundle.mode == "coherent":
         s_base = path_action(st, bundle.base_knots, bundle.taus)

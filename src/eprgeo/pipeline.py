@@ -181,11 +181,6 @@ def matched_axis(result: PairResult, a: np.ndarray) -> np.ndarray:
     return matched_direction(result.state, np.asarray(a, dtype=float))
 
 
-def matched_axis_vector_route(result: PairResult, a: np.ndarray) -> np.ndarray:
-    """The same matched axis from the 4x4 transports only (oracle route)."""
-    return result.relative_rotation @ np.asarray(a, dtype=float)
-
-
 def spin_relative_rotation(result: PairResult) -> np.ndarray:
     """R(W2 W1^-1) from the spin route, for route-against-route checks."""
     return rotation_matrix_from_su2(result.spin2 @ result.spin1.conj().T)

@@ -525,4 +525,6 @@ def _run_decoherence(sc: Scenario, result, seg1, seg2, report: Report) -> None:
         report.add("decoherence_fidelity", float(fid), a_index=k, flag=flag)
         report.add("decoherence_fidelity_se", float(se), a_index=k)
         report.add("decoherence_E_matched", e_deg, a_index=k)
+        rounds = b1.meta["resample_rounds"] + b2.meta["resample_rounds"]
+        report.add("decoherence_resample_rounds", int(rounds), a_index=k)
         prev = (fid, se)

@@ -8,7 +8,8 @@ from cubic Hermite interpolation of the stored samples (positions from
 
 Spin-1/2 transport multiplies per-interval exponentials of the frame-index
 connection, exp(-M_l(midpoint) dx^l) lifted to SL(2,C) with the pinned
-generator convention of the lorentz module.  Each factor has determinant one
+generator convention of the lorentz module; spin_connection contracts the
+connection with each chord itself.  Each factor has determinant one
 and the factor for the reversed interval is its exact adjugate inverse,
 which is why a retraced path gives the identity to machine precision rather
 than to integration accuracy.  The SU(2) sign of the result is whatever the
@@ -133,9 +134,7 @@ def spinor_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray
         st = seg.spacetime
         x_mid, _, _ = _interval_data(seg)
         dx = seg.events[1:] - seg.events[:-1]
-        m_conn = spin_connection(st, x_mid, gauge)
-        m = -np.einsum("klab,kl->kab", m_conn, dx)
-        u = ordered_product(expm2(lift_so13(m)))
+        u = ordered_product(expm2(lift_so13(spin_connection(st, x_mid, dx, gauge))))
     seg.cache[key] = u
     return u
 
@@ -157,29 +156,17 @@ def polygon_spinor_transport(st: Spacetime, xs: np.ndarray, gauge: str = "static
     xs = np.asarray(xs, dtype=float)
     dx = xs[..., 1:, :] - xs[..., :-1, :]
     mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
-    m_conn = spin_connection(st, mid, gauge)
-    m = -np.einsum("...lab,...l->...ab", m_conn, dx)
-    return ordered_product(expm2(lift_so13(m)))
+    return ordered_product(expm2(lift_so13(spin_connection(st, mid, dx, gauge))))
 
 
 # ---------------------------------------------------------------------------
 # contract-level operations
 
 
-def _check_attached(seg: GeodesicSegment, v: Tangent | Tetrad, what: str) -> None:
-    if not same_event(v.event, seg.start, tol=1.0e-12):
-        raise UsageError(f"{what} is not attached to the segment's first event")
-
-
-def transport_vector(seg: GeodesicSegment, v0: Tangent) -> Tangent:
-    """Parallel transport of a tangent vector along the segment."""
-    _check_attached(seg, v0, "vector")
-    return Tangent(world_propagator(seg) @ v0.components, seg.end)
-
-
 def transport_tetrad(seg: GeodesicSegment, n0: Tetrad) -> Tetrad:
     """Parallel transport of all four tetrad legs along the segment."""
-    _check_attached(seg, n0, "tetrad")
+    if not same_event(n0.event, seg.start, tol=1.0e-12):
+        raise UsageError("tetrad is not attached to the segment's first event")
     defect = n0.defect(seg.spacetime)
     if defect > 100.0 * ORTHO_TOL:
         raise UsageError(f"input tetrad is not orthonormal (defect {defect:.3e})")

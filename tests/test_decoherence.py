@@ -22,7 +22,7 @@ from eprgeo import (
 from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.geodesic import point_segment, samples_for
-from eprgeo.spin import singlet
+from eprgeo.spin import pair_state, singlet
 from eprgeo.transport import gauge_tetrad
 
 DECAY = np.array([0.0, 12.0, np.pi / 2.0, 0.0])
@@ -124,6 +124,23 @@ class TestAveragedState:
         b1 = sample_bundle(legs[0], 0.0, 4, 5, mode)
         b2 = sample_bundle(legs[1], 0.0, 4, 6, mode)
         assert averaged_state(b1, b2).fidelity == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    def test_zero_width_bundle_reuses_the_base_map(self, legs, mode):
+        # 20 paths make ten equal blocks of identical maps and weights, so
+        # every block fidelity is the same number and the error bar is 0
+        b1 = sample_bundle(legs[0], 0.0, 20, 5, mode)
+        b2 = sample_bundle(legs[1], 0.0, 20, 6, mode)
+        assert b1.meta["resample_rounds"] == b2.meta["resample_rounds"] == 0
+        avg = averaged_state(b1, b2)
+        maps1, maps2 = avg.transports
+        assert maps1.shape == maps2.shape == (20, 2, 2)
+        assert np.array_equal(maps1, np.broadcast_to(maps1[0], maps1.shape))
+        assert np.array_equal(maps2, np.broadcast_to(maps2[0], maps2.shape))
+        assert np.array_equal(pair_state(maps1[0], maps2[0]), avg.reference_state)
+        fid, se = fidelity_with_error(avg)
+        assert se == 0.0
+        assert fid == pytest.approx(1.0, abs=1e-12)
 
     def test_small_width_continuity(self, legs):
         sigma = 1.0e-6 * TAU

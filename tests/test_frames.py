@@ -1,12 +1,13 @@
-"""Orthonormal frame fields: Gram-Schmidt properties, the closed-form spin
-connection against finite differences of the frame, its antisymmetry, and
-its cost in metric and Christoffel evaluations."""
+"""Orthonormal frame fields: the closed-form diagonal frame against the
+general Gram-Schmidt loop, the chord-contracted spin connection against
+finite differences of the frame, its antisymmetry, and its cost in metric
+and Christoffel evaluations."""
 
 import numpy as np
 import pytest
 
 from eprgeo import make_spacetime
-from eprgeo.errors import UsageError
+from eprgeo.errors import DomainError, UsageError
 from eprgeo.frames import (
     BOOST_RAPIDITY,
     frame_field,
@@ -17,6 +18,7 @@ from eprgeo.frames import (
     spin_connection,
 )
 from eprgeo.lorentz import ETA
+from eprgeo.spacetime import HORIZON_GUARD
 
 POINTS = {
     "schwarzschild": np.array(
@@ -69,9 +71,56 @@ def test_inverse_frame_exact(schwarzschild):
     assert np.max(np.abs(inverse_frame(n, g) @ n - np.eye(4))) < 1e-13
 
 
-def test_gram_schmidt_rejects_wrong_signature():
-    from eprgeo.errors import DomainError
+def _gram_schmidt_loop(g):
+    """Reference: signature Gram-Schmidt of the coordinate basis, any metric."""
+    eta = np.diag(ETA)
+    batch = g.shape[:-2]
+    n = np.zeros(batch + (4, 4))
+    for a in range(4):
+        v = np.zeros(batch + (4,))
+        v[..., a] = 1.0
+        for b in range(a):
+            leg = n[..., :, b]
+            coeff = eta[b] * np.einsum("...m,...mn,...n->...", leg, g, v)
+            v = v - coeff[..., None] * leg
+        nrm2 = eta[a] * np.einsum("...m,...mn,...n->...", v, g, v)
+        assert np.all(nrm2 > 0.0)
+        n[..., :, a] = v / np.sqrt(nrm2)[..., None]
+    return n
 
+
+def _oracle_batch(kind):
+    rng = np.random.default_rng(23)
+    xs = rng.uniform(-30.0, 30.0, size=(200, 4))
+    if kind == "minkowski":
+        return make_spacetime("minkowski"), xs
+    if kind == "weak_field":
+        return _spacetime("weak_field"), xs
+    st = _spacetime("schwarzschild")
+    r_min = 2.0 * (1.0 + HORIZON_GUARD)
+    xs[:, 1] = np.concatenate(
+        [r_min * (1.0 + np.geomspace(1e-12, 1e-3, 100)), rng.uniform(r_min, 50.0, 100)]
+    )
+    xs[:, 2] = rng.uniform(0.01, np.pi - 0.01, 200)
+    return st, xs
+
+
+@pytest.mark.parametrize("kind", ["minkowski", "schwarzschild", "weak_field"])
+def test_diagonal_frame_equals_gram_schmidt_loop(kind):
+    st, xs = _oracle_batch(kind)
+    g = st.metric(xs)
+    assert np.array_equal(gram_schmidt_frame(g), _gram_schmidt_loop(g))
+
+
+def test_gram_schmidt_rejects_non_diagonal_metric():
+    g = np.diag([-1.0, 1.0, 1.0, 1.0])
+    g[0, 1] = g[1, 0] = 0.1  # symmetric, signature still (-,+,+,+)
+    assert np.all(np.diag(_gram_schmidt_loop(g)) > 0.0)
+    with pytest.raises(DomainError, match="not diagonal"):
+        gram_schmidt_frame(g)
+
+
+def test_gram_schmidt_rejects_wrong_signature():
     # no timelike direction at all
     with pytest.raises(DomainError):
         gram_schmidt_frame(np.eye(4))
@@ -83,11 +132,12 @@ def test_gram_schmidt_rejects_wrong_signature():
 @pytest.mark.parametrize("kind", ["schwarzschild", "weak_field"])
 @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
 def test_spin_connection_eta_antisymmetric(kind, gauge):
-    """eta M must be exactly antisymmetric: the transport then preserves eta."""
+    """eta m must be exactly antisymmetric: the transport then preserves eta."""
     st = _spacetime(kind)
     xs = POINTS[kind]
-    m = spin_connection(st, xs, gauge)
-    em = np.einsum("ab,klbc->klac", ETA, m)
+    dx = np.random.default_rng(8).normal(size=xs.shape)
+    m = spin_connection(st, xs, dx, gauge)
+    em = np.einsum("ab,kbc->kac", ETA, m)
     assert np.max(np.abs(em + np.swapaxes(em, -1, -2))) == 0.0
 
 
@@ -97,7 +147,8 @@ def test_spin_connection_matches_transport_derivative(kind, gauge):
     """M_l = N^{-1} (d_l N + Gamma_l N), with d_l N from central differences."""
     st = _spacetime(kind)
     x = POINTS[kind][1]
-    m = spin_connection(st, x, gauge)
+    # the unit chord e_l reads off -M_l
+    m = -spin_connection(st, np.broadcast_to(x, (4, 4)), np.eye(4), gauge)
     n = frame_field(st, x, gauge)
     ninv = inverse_frame(n, st.metric(x))
     gamma = st.christoffel(x)
@@ -123,8 +174,9 @@ def test_spin_connection_evaluates_metric_and_christoffel_once(gauge, monkeypatc
             return _original(x)
 
         monkeypatch.setattr(st, name, counted)
-    m = spin_connection(st, POINTS["schwarzschild"], gauge)
-    assert m.shape == (3, 4, 4, 4)
+    xs = POINTS["schwarzschild"]
+    m = spin_connection(st, xs, np.ones_like(xs), gauge)
+    assert m.shape == (3, 4, 4)
     assert calls == {"metric": 1, "christoffel": 1}
 
 

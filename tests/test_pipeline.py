@@ -22,7 +22,6 @@ from eprgeo.pipeline import (
     boosted_tetrad,
     double_cover_defect,
     integrate_pair,
-    matched_axis_vector_route,
     pair_transport,
     spin_relative_rotation,
 )
@@ -94,7 +93,7 @@ class TestCurved:
             a = rng.normal(size=3)
             a /= np.linalg.norm(a)
             b_state = matched_axis(res, a)
-            b_vector = matched_axis_vector_route(res, a)
+            b_vector = res.relative_rotation @ a
             assert np.max(np.abs(b_state - b_vector)) < 1e-6
 
     def test_matched_anticorrelation_cross_route(self, schwarzschild):
@@ -102,7 +101,7 @@ class TestCurved:
         for _ in range(5):
             a = rng.normal(size=3)
             a /= np.linalg.norm(a)
-            b = matched_axis_vector_route(res, a)
+            b = res.relative_rotation @ a
             assert correlation(res.state, a, b) == pytest.approx(-1.0, abs=1e-9)
 
     def test_gauge_independence(self, schwarzschild):
