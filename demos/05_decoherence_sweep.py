@@ -13,9 +13,11 @@ coherent averaging superposes amplitudes weighted by their relative
 action phases and renormalizes, so it stays pure and only the holonomy
 spread moves it.
 
-Each bundle pair is transported once: averaged_state(...) returns the
-averaged state together with its per-path maps, and fidelity_with_error(avg)
-reads the fidelity and its block standard error off that average.
+The averaging mode is a property of the channel, not of the paths: each
+sigma's bundle pair is drawn once and averaged both ways.  averaged_state
+returns the averaged state together with its per-path maps, and
+fidelity_with_error(avg) reads the fidelity and its block standard error
+off that average.
 """
 
 import numpy as np
@@ -51,16 +53,10 @@ N_PATHS = 400
 print(f"singlet fidelity vs bundle width ({N_PATHS} paths per leg)")
 print(f"{'sigma':>7} {'incoherent F':>16} {'std err':>10} {'coherent F':>16}")
 for k, sigma in enumerate((0.0, 0.4, 0.8, 1.6)):
-    avg_inc = averaged_state(
-        sample_bundle(seg1, sigma, N_PATHS, 100 + 2 * k, "incoherent"),
-        sample_bundle(seg2, sigma, N_PATHS, 101 + 2 * k, "incoherent"),
-    )
-    avg_coh = averaged_state(
-        sample_bundle(seg1, sigma, N_PATHS, 100 + 2 * k, "coherent"),
-        sample_bundle(seg2, sigma, N_PATHS, 101 + 2 * k, "coherent"),
-    )
-    f_inc, se = fidelity_with_error(avg_inc)
-    f_coh, _ = fidelity_with_error(avg_coh)
+    b1 = sample_bundle(seg1, sigma, N_PATHS, 100 + 2 * k)
+    b2 = sample_bundle(seg2, sigma, N_PATHS, 101 + 2 * k)
+    f_inc, se = fidelity_with_error(averaged_state(b1, b2, "incoherent"))
+    f_coh, _ = fidelity_with_error(averaged_state(b1, b2, "coherent"))
     print(f"{sigma:7.2f} {f_inc:16.12f} {se:10.1e} {f_coh:16.12f}")
 
 # The averaged state still anticorrelates along the matched axis, just
@@ -69,8 +65,9 @@ print("\nmatched-axis correlation of the averaged state")
 a = np.array([0.0, 0.0, 1.0])
 for sigma in (0.0, 1.6):
     avg = averaged_state(
-        sample_bundle(seg1, sigma, N_PATHS, 100, "incoherent"),
-        sample_bundle(seg2, sigma, N_PATHS, 101, "incoherent"),
+        sample_bundle(seg1, sigma, N_PATHS, 100),
+        sample_bundle(seg2, sigma, N_PATHS, 101),
+        "incoherent",
     )
     m = correlation_matrix(avg.state)
     b = -(m.T @ a)
@@ -90,8 +87,9 @@ f2 = integrate_geodesic(
 )
 f, _ = fidelity_with_error(
     averaged_state(
-        sample_bundle(f1, 1.6, N_PATHS, 100, "incoherent"),
-        sample_bundle(f2, 1.6, N_PATHS, 101, "incoherent"),
+        sample_bundle(f1, 1.6, N_PATHS, 100),
+        sample_bundle(f2, 1.6, N_PATHS, 101),
+        "incoherent",
     )
 )
 print(f"\nflat control at sigma = 1.6:  F = {f:.15f}")

@@ -10,15 +10,16 @@ transport; the amplitude weight is the relative discretized action phase
 exp(-(i/4)(S_path - S_base)).  The two-sided average over all n^2 path
 pairs factorizes into one averaged 2x2 operator per particle (coherent
 mode) or one averaged conjugation per particle (incoherent mode), so the
-all-pairs result is computed exactly in O(n).
+all-pairs result is computed exactly in O(n).  The mode belongs to the
+channel, not to the bundles: the same bundle pair can be averaged both ways.
 
 The reference state for fidelity is the sigma=0 transport over the same
 decimated knots, which makes the sigma -> 0 limit exact by construction
 rather than holding only up to discretization error.  A sigma=0 bundle
 holds n copies of those knots, so it is transported once: every path gets
-the base polygon's map.
+the base polygon's map and, having zero relative action, the weight 1/n.
 
-One bundle pair is transported once: ``averaged_state(b1, b2, ...)`` returns
+One bundle pair is transported once: ``averaged_state(b1, b2, mode)`` returns
 a ChannelAverage holding the averaged state, the per-path maps and weights,
 and the reference state; ``fidelity_with_error(avg)`` derives the fidelity
 and its block standard error from that object.
@@ -59,8 +60,6 @@ class PathBundle:
     taus: np.ndarray
     paths: np.ndarray
     sigma: float
-    seed: int
-    mode: str = "coherent"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -83,20 +82,18 @@ def sample_bundle(
     sigma: float,
     n_paths: int,
     seed: int,
-    mode: str = "coherent",
 ) -> PathBundle:
     """Draw a bundle of Brownian-bridge perturbed paths around a geodesic.
 
     Deterministic given the seed.  Paths that wander out of the chart are
     redrawn individually; a path still failing after RESAMPLE_ATTEMPTS draws
-    raises DomainError.
+    raises DomainError.  ``meta["resample_rounds"]`` counts the redraw
+    rounds, 0 when the first draw stays in the chart.
     """
     if sigma < 0.0:
         raise UsageError("bundle width sigma must be nonnegative")
     if n_paths < 1:
         raise UsageError("n_paths must be at least 1")
-    if mode not in MODES:
-        raise UsageError(f"unknown averaging mode {mode!r}")
     if seg.zero_length:
         raise UsageError("cannot build a path bundle on a zero-length segment")
 
@@ -110,7 +107,7 @@ def sample_bundle(
     if sigma == 0.0:
         paths = np.broadcast_to(knots, (n_paths,) + knots.shape).copy()
         meta["resample_rounds"] = 0
-        return PathBundle(seg, taus, paths, sigma, seed, mode, meta)
+        return PathBundle(seg, taus, paths, sigma, meta)
 
     legs = frame_field(st, knots)[..., 1:]  # static spatial legs, (K+1, 4, 3)
     interior = slice(1, -1)
@@ -145,8 +142,8 @@ def sample_bundle(
         paths[bad] = draw(len(bad))
         ok[bad] = np.all(st.in_chart(paths[bad]), axis=1)
         attempts += 1
-    meta["resample_rounds"] = attempts
-    return PathBundle(seg, taus, paths, sigma, seed, mode, meta)
+    meta["resample_rounds"] = attempts - 1
+    return PathBundle(seg, taus, paths, sigma, meta)
 
 
 def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -159,16 +156,8 @@ def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     return np.sum(num / np.diff(taus), axis=-1)
 
 
-def path_action_phase(
-    st: Spacetime, xs: np.ndarray, taus: np.ndarray, reference: float | np.ndarray = 0.0
-) -> np.ndarray:
-    """Unit amplitude phase exp(-(i/4)(S - S_reference)) of polygon paths."""
-    s = path_action(st, xs, taus)
-    return np.exp(-0.25j * (s - reference))
-
-
 def _bundle_ingredients(
-    bundle: PathBundle, gauge: str, reference: Tetrad
+    bundle: PathBundle, mode: str, gauge: str, reference: Tetrad
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(per-path SU(2) maps, per-path complex weights, sigma=0 map)."""
     st = bundle.base.spacetime
@@ -181,21 +170,19 @@ def _bundle_ingredients(
     base_map = su2_polar(post @ base_u @ pre)[0]
 
     n = bundle.n_paths
+    weights = np.full(n, 1.0 / n, dtype=complex)
     if bundle.sigma == 0.0:
-        # every path is a copy of the base knots
-        maps = np.broadcast_to(base_map, (n, 2, 2))
-    else:
-        maps = np.empty((n, 2, 2), dtype=complex)
-        for lo in range(0, n, _CHUNK):
-            hi = min(lo + _CHUNK, n)
-            u = polygon_spinor_transport(st, bundle.paths[lo:hi], gauge)
-            maps[lo:hi] = su2_polar(post @ u @ pre)[0]
+        # every path is a copy of the base knots: the base map, zero action phase
+        return np.broadcast_to(base_map, (n, 2, 2)), weights, base_map
 
-    if bundle.mode == "coherent":
+    maps = np.empty((n, 2, 2), dtype=complex)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        u = polygon_spinor_transport(st, bundle.paths[lo:hi], gauge)
+        maps[lo:hi] = su2_polar(post @ u @ pre)[0]
+    if mode == "coherent":
         s_base = path_action(st, bundle.base_knots, bundle.taus)
-        weights = path_action_phase(st, bundle.paths, bundle.taus, s_base) / n
-    else:
-        weights = np.full(n, 1.0 / n, dtype=complex)
+        weights = np.exp(-0.25j * (path_action(st, bundle.paths, bundle.taus) - s_base)) / n
     return maps, weights, base_map
 
 
@@ -223,12 +210,10 @@ class ChannelAverage:
     transports: tuple[np.ndarray, np.ndarray]
     weights: tuple[np.ndarray, np.ndarray]
     reference_state: np.ndarray
-    detector1: Tetrad
-    detector2: Tetrad
 
     @property
     def state(self) -> TwoQubitState:
-        return TwoQubitState("mixed", self.rho, (self.detector1, self.detector2))
+        return TwoQubitState("mixed", self.rho)
 
     @property
     def fidelity(self) -> float:
@@ -264,42 +249,34 @@ def _combine(
 def averaged_state(
     b1: PathBundle,
     b2: PathBundle,
+    mode: str = "coherent",
     gauge: str = "static",
     *,
     decay_velocity: np.ndarray | None = None,
 ) -> ChannelAverage:
     """Average the transported singlet over both bundles' path pairs.
 
-    Coherent mode superposes amplitudes with their action phases (the
-    average stays pure); incoherent mode mixes the conjugated density
-    matrices uniformly.  Either way the result is a valid density matrix
-    with frame tags at the two base endpoints.  This is the only place a
-    bundle pair is transported: pass the result to ``fidelity_with_error``
-    for the error bar.
+    ``mode`` is one of MODES.  Coherent mode superposes amplitudes with
+    their action phases (the average stays pure); incoherent mode mixes the
+    conjugated density matrices uniformly.  Either way the result is a valid
+    density matrix in the static detector frames at the two base endpoints.
+    This is the only place a bundle pair is transported: pass the result to
+    ``fidelity_with_error`` for the error bar.
     """
+    if mode not in MODES:
+        raise UsageError(f"unknown averaging mode {mode!r}")
     base1, base2 = b1.base, b2.base
     if base1.spacetime is not base2.spacetime:
         raise UsageError("bundles live in different spacetimes")
     if not same_event(base1.start, base2.start, tol=1.0e-9):
         raise UsageError("bundles do not share their decay event")
-    if b1.mode != b2.mode:
-        raise UsageError("bundles have different averaging modes")
 
-    st = base1.spacetime
-    reference = boosted_tetrad(st, base1.start, decay_velocity)
-    maps1, w1, base_map1 = _bundle_ingredients(b1, gauge, reference)
-    maps2, w2, base_map2 = _bundle_ingredients(b2, gauge, reference)
+    reference = boosted_tetrad(base1.spacetime, base1.start, decay_velocity)
+    maps1, w1, base_map1 = _bundle_ingredients(b1, mode, gauge, reference)
+    maps2, w2, base_map2 = _bundle_ingredients(b2, mode, gauge, reference)
 
-    rho = _combine(maps1, w1, maps2, w2, b1.mode)
-    return ChannelAverage(
-        rho,
-        b1.mode,
-        (maps1, maps2),
-        (w1, w2),
-        pair_state(base_map1, base_map2),
-        gauge_tetrad(st, base1.end, "static"),
-        gauge_tetrad(st, base2.end, "static"),
-    )
+    rho = _combine(maps1, w1, maps2, w2, mode)
+    return ChannelAverage(rho, mode, (maps1, maps2), (w1, w2), pair_state(base_map1, base_map2))
 
 
 def degraded_correlation(avg: ChannelAverage, a, b) -> float:

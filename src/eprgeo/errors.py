@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class UsageError(ValueError):
-    """API misuse: mismatched events, frame tags, or malformed inputs."""
+    """API misuse: mismatched events or spacetimes, or malformed inputs."""
 
 
 class IntegrationError(RuntimeError):

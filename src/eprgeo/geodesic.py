@@ -39,7 +39,7 @@ MAX_SHOOTING_ITERATIONS = 50
 
 # Dormand-Prince 5(4) coefficients; last row of A equals the 5th-order
 # weights, so the 7th stage is the first stage of the next step (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# The geodesic equation is autonomous, so the stage nodes c_i never enter.
 _DP_A = (
     (),
     (1 / 5,),

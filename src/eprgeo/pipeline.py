@@ -129,9 +129,6 @@ class PairResult:
 
     segment1: GeodesicSegment
     segment2: GeodesicSegment
-    reference: Tetrad
-    detector1: Tetrad
-    detector2: Tetrad
     spin1: np.ndarray
     spin2: np.ndarray
     rotation1: np.ndarray
@@ -171,9 +168,7 @@ def pair_transport(
     r1 = rest_frame_rotation(seg1, reference, det1)
     r2 = rest_frame_rotation(seg2, reference, det2)
 
-    psi = pair_state(w1, w2)
-    state = TwoQubitState("pure", psi, (det1, det2))
-    return PairResult(seg1, seg2, reference, det1, det2, w1, w2, r1, r2, state)
+    return PairResult(seg1, seg2, w1, w2, r1, r2, TwoQubitState("pure", pair_state(w1, w2)))
 
 
 def matched_axis(result: PairResult, a: np.ndarray) -> np.ndarray:

@@ -503,16 +503,12 @@ def _run_decoherence(sc: Scenario, result, seg1, seg2, report: Report) -> None:
     prev = None
     for k, sigma in enumerate(dspec.sigmas):
         try:
-            b1 = deco.sample_bundle(
-                seg1, sigma, dspec.n_paths, seed=dspec.seed + 2 * k, mode=dspec.mode
-            )
-            b2 = deco.sample_bundle(
-                seg2, sigma, dspec.n_paths, seed=dspec.seed + 2 * k + 1, mode=dspec.mode
-            )
+            b1 = deco.sample_bundle(seg1, sigma, dspec.n_paths, seed=dspec.seed + 2 * k)
+            b2 = deco.sample_bundle(seg2, sigma, dspec.n_paths, seed=dspec.seed + 2 * k + 1)
         except DomainError as exc:
             report.fail(f"decoherence: sigma={sigma}: {exc}")
             return
-        avg = deco.averaged_state(b1, b2, sc.gauge, decay_velocity=sc.decay_velocity)
+        avg = deco.averaged_state(b1, b2, dspec.mode, sc.gauge, decay_velocity=sc.decay_velocity)
         fid, se = deco.fidelity_with_error(avg)
         e_deg = float(deco.degraded_correlation(avg, a_ideal, b_ideal))
         flag = ""

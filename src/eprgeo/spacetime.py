@@ -40,24 +40,8 @@ class Event:
         return "Event(%s)" % np.array2string(self.coords, precision=6, separator=", ")
 
 
-@dataclass(frozen=True, eq=False)
-class Tangent:
-    """A contravariant vector attached to an event."""
-
-    components: np.ndarray
-    event: Event
-
-    def __post_init__(self):
-        v = np.asarray(self.components, dtype=float)
-        if v.shape != (4,):
-            raise UsageError(f"tangent components must have shape (4,), got {v.shape}")
-        object.__setattr__(self, "components", v)
-
-
-def same_event(a: Event, b: Event, tol: float = 0.0) -> bool:
-    """Whether two events have identical chart coordinates (within tol)."""
-    if tol == 0.0:
-        return bool(np.array_equal(a.coords, b.coords))
+def same_event(a: Event, b: Event, tol: float) -> bool:
+    """Whether two events' chart coordinates agree within tol."""
     return bool(np.max(np.abs(a.coords - b.coords)) <= tol)
 
 

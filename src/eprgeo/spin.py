@@ -1,11 +1,11 @@
 """Two-qubit states of the decay pair, measurements, and Bell combinations.
 
-The two-particle basis is |00>, |01>, |10>, |11>.  States carry frame tags:
-each tensor factor's spin components refer to the spatial triad of a named
-tetrad, and operations that mix states with directions check that the tags
-agree.  Transports enter only as the SU(2) rest-frame rotations handed to
-``pair_state``; boosts are absorbed into the rest-frame convention for spin,
-so measurement axes always live in ordinary 3-space.
+The two-particle basis is |00>, |01>, |10>, |11>.  Each tensor factor's spin
+components refer to the spatial triad of its detector's static tetrad; the
+pipeline builds both spins in those frames, so states and measurement axes
+need no frame tags.  Transports enter only as the SU(2) rest-frame rotations
+handed to ``pair_state``; boosts are absorbed into the rest-frame convention
+for spin, so measurement axes are unit 3-vectors in ordinary 3-space.
 
 Everything here is small dense linear algebra; the geometry enters only
 through the rotations handed in.
@@ -14,14 +14,11 @@ through the rotations handed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import UsageError
 from .lorentz import ID2, PAULI
-from .spacetime import same_event
-from .transport import Tetrad
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -36,48 +33,12 @@ CANONICAL_CHSH_DIRECTIONS = (
 )
 
 
-def _frames_match(f1: Optional[Tetrad], f2: Optional[Tetrad]) -> bool:
-    if f1 is None or f2 is None:
-        return True
-    return (
-        same_event(f1.event, f2.event, tol=1.0e-9)
-        and float(np.max(np.abs(f1.matrix - f2.matrix))) < 1.0e-9
-    )
-
-
-@dataclass(frozen=True)
-class Direction:
-    """A unit measurement axis in the spatial triad of a tagged tetrad."""
-
-    components: np.ndarray
-    frame: Optional[Tetrad] = None
-
-    def __post_init__(self):
-        a = np.asarray(self.components, dtype=float)
-        if a.shape != (3,):
-            raise UsageError(f"direction must be a 3-vector, got shape {a.shape}")
-        n = np.linalg.norm(a)
-        if abs(n - 1.0) > 1.0e-10:
-            raise UsageError(f"direction must be unit (|a| = {n:.12g})")
-        object.__setattr__(self, "components", a / n)
-
-
-def direction(a: np.ndarray, frame: Optional[Tetrad] = None) -> Direction:
-    """Direction from an unnormalized 3-vector (normalizes, rejects zero)."""
-    a = np.asarray(a, dtype=float)
-    n = np.linalg.norm(a)
-    if n < 1.0e-14:
-        raise UsageError("direction must be nonzero")
-    return Direction(a / n, frame)
-
-
 @dataclass(frozen=True)
 class TwoQubitState:
     """Pure (4-vector) or mixed (4x4 density matrix) two-qubit state."""
 
     kind: str
     data: np.ndarray
-    frames: tuple[Optional[Tetrad], Optional[Tetrad]] = (None, None)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex)
@@ -106,16 +67,7 @@ class TwoQubitState:
         return self.data
 
 
-def singlet(frame: Optional[Tetrad] = None) -> TwoQubitState:
-    """The antisymmetric pure state, both factors tagged with ``frame``."""
-    return TwoQubitState("pure", SINGLET.copy(), (frame, frame))
-
-
-def _direction_vector(a, state_frame: Optional[Tetrad], side: str) -> np.ndarray:
-    if isinstance(a, Direction):
-        if not _frames_match(a.frame, state_frame):
-            raise UsageError(f"direction for particle {side} is tagged with a different frame")
-        return a.components
+def _direction_vector(a, side: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     n = np.linalg.norm(a)
     if a.shape != (3,) or abs(n - 1.0) > 1.0e-10:
@@ -124,9 +76,9 @@ def _direction_vector(a, state_frame: Optional[Tetrad], side: str) -> np.ndarray
 
 
 def correlation(state: TwoQubitState, a, b) -> float:
-    """E(a, b) = <(a.sigma) x (b.sigma)> in the state's tagged frames."""
-    va = _direction_vector(a, state.frames[0], "1")
-    vb = _direction_vector(b, state.frames[1], "2")
+    """E(a, b) = <(a.sigma) x (b.sigma)>, each axis in its detector's frame."""
+    va = _direction_vector(a, "1")
+    vb = _direction_vector(b, "2")
     op = np.kron(
         va[0] * PAULI[0] + va[1] * PAULI[1] + va[2] * PAULI[2],
         vb[0] * PAULI[0] + vb[1] * PAULI[1] + vb[2] * PAULI[2],
@@ -152,7 +104,7 @@ def matched_direction(state: TwoQubitState, a) -> np.ndarray:
     For a transported singlet this is the image of a under the relative
     frame rotation, and E(a, matched) = -1.
     """
-    va = _direction_vector(a, state.frames[0], "1")
+    va = _direction_vector(a, "1")
     b = -correlation_matrix(state).T @ va
     n = np.linalg.norm(b)
     if n < 1.0e-12:
@@ -163,10 +115,10 @@ def matched_direction(state: TwoQubitState, a) -> np.ndarray:
 def chsh(state: TwoQubitState, a, ap, b, bp) -> float:
     """E(a,b) - E(a,b') + E(a',b) + E(a',b') for the given settings."""
     k = correlation_matrix(state)
-    va = _direction_vector(a, state.frames[0], "1")
-    vap = _direction_vector(ap, state.frames[0], "1")
-    vb = _direction_vector(b, state.frames[1], "2")
-    vbp = _direction_vector(bp, state.frames[1], "2")
+    va = _direction_vector(a, "1")
+    vap = _direction_vector(ap, "1")
+    vb = _direction_vector(b, "2")
+    vbp = _direction_vector(bp, "2")
     return float(va @ k @ vb - va @ k @ vbp + vap @ k @ vb + vap @ k @ vbp)
 
 

@@ -30,7 +30,7 @@ from .errors import UsageError
 from .frames import frame_field, inverse_frame, orthonormality_defect, spin_connection
 from .geodesic import GeodesicSegment, reverse
 from .lorentz import expm2, lift_so13, ordered_product
-from .spacetime import Event, Spacetime, Tangent, require_event, same_event
+from .spacetime import Event, Spacetime, require_event, same_event
 
 ORTHO_TOL = 1.0e-8
 
@@ -47,10 +47,6 @@ class Tetrad:
 
     event: Event
     matrix: np.ndarray
-
-    @property
-    def vectors(self) -> tuple[Tangent, Tangent, Tangent, Tangent]:
-        return tuple(Tangent(self.matrix[:, a].copy(), self.event) for a in range(4))
 
     def defect(self, st: Spacetime) -> float:
         """Orthonormality defect max |N^T g N - eta| at this tetrad's event."""

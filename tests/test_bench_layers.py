@@ -2,14 +2,16 @@
 
 ``perfbench/bench_trace.py`` lists them in ``LAYERS``; a function deleted or
 renamed in the package would break ``--trace 1`` runs without any other test
-failing.  The table is read with ``ast`` so the benchmark directory is never
-imported or written to.
+failing, and so would a result field that its counting hooks read.  The
+table is read with ``ast`` so the benchmark directory is never imported or
+written to.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
@@ -32,3 +34,31 @@ TRACED = [(layer, name) for layer, names in _layers().items() for name in names]
 def test_traced_function_exists(layer, name):
     module = importlib.import_module(f"eprgeo.{layer}")
     assert callable(getattr(module, name, None)), f"eprgeo.{layer}.{name} is gone"
+
+
+def test_traced_results_keep_the_fields_the_hooks_read():
+    # the counting hooks in bench_trace.py read these attributes off the
+    # traced functions' arguments and results; pruning one breaks --trace 1
+    from eprgeo import Event, integrate_geodesic, make_spacetime, sample_bundle
+    from eprgeo.frames import frame_field
+    from eprgeo.geodesic import solve_bvp
+    from eprgeo.transport import spinor_propagator
+
+    st = make_spacetime("schwarzschild", {"M": 1.0})
+    decay = np.array([0.0, 12.0, np.pi / 2.0, 0.0])
+    u = frame_field(st, decay, "static") @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
+    leg = integrate_geodesic(st, Event(decay), u, 0.5)
+    assert isinstance(leg.meta["n_steps"], int) and leg.meta["n_steps"] > 0
+    assert isinstance(leg.meta["n_rejected"], int)
+    assert leg.n_samples == leg.tau.shape[0]
+    cached = len(leg.cache)
+    spinor_propagator(leg)
+    assert len(leg.cache) > cached
+
+    seg, shot = solve_bvp(st, Event(decay), leg.end, tau_hint=0.5)
+    assert seg is not None and shot.converged is True
+    assert isinstance(shot.iterations, int) and shot.iterations >= 0
+
+    bundle = sample_bundle(leg, 0.05, 3, 0)
+    assert bundle.n_paths == 3
+    assert bundle.meta["resample_rounds"] == 0

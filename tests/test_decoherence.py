@@ -22,8 +22,7 @@ from eprgeo import (
 from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.geodesic import point_segment, samples_for
-from eprgeo.spin import pair_state, singlet
-from eprgeo.transport import gauge_tetrad
+from eprgeo.spin import SINGLET, pair_state
 
 DECAY = np.array([0.0, 12.0, np.pi / 2.0, 0.0])
 TAU = 2.0
@@ -93,8 +92,25 @@ class TestSampling:
             sample_bundle(legs[0], -0.1, 5, 0)
         with pytest.raises(UsageError):
             sample_bundle(legs[0], 0.1, 0, 0)
-        with pytest.raises(UsageError):
-            sample_bundle(legs[0], 0.1, 5, 0, mode="fancy")
+
+    def test_resample_rounds_count_redraws(self, legs, monkeypatch):
+        assert sample_bundle(legs[0], 0.4, 30, 17).meta["resample_rounds"] == 0
+        # push one path of the first draw out of the chart: one redraw round
+        cls = type(legs[0].spacetime)
+        in_chart = cls.in_chart
+        calls = []
+
+        def first_draw_loses_a_path(self, x):
+            ok = in_chart(self, x)
+            calls.append(ok.shape)
+            if len(calls) == 1:
+                ok = ok.copy()
+                ok[0, 1] = False
+            return ok
+
+        monkeypatch.setattr(cls, "in_chart", first_draw_loses_a_path)
+        assert sample_bundle(legs[0], 0.4, 30, 17).meta["resample_rounds"] == 1
+        assert calls[1][0] == 1
 
     def test_zero_length_segment_rejected(self, schwarzschild, static_tangent):
         u = static_tangent(schwarzschild, DECAY, [0.0, 0.0, 0.0])
@@ -106,9 +122,9 @@ class TestSampling:
 class TestAveragedState:
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
     def test_density_is_valid(self, legs, mode):
-        b1 = sample_bundle(legs[0], 0.6, 60, 5, mode)
-        b2 = sample_bundle(legs[1], 0.6, 60, 6, mode)
-        avg = averaged_state(b1, b2)
+        b1 = sample_bundle(legs[0], 0.6, 60, 5)
+        b2 = sample_bundle(legs[1], 0.6, 60, 6)
+        avg = averaged_state(b1, b2, mode)
         rho = avg.rho
         assert np.allclose(rho, rho.conj().T, atol=1e-14)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -121,18 +137,32 @@ class TestAveragedState:
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
     def test_zero_width_fidelity_is_one(self, legs, mode):
-        b1 = sample_bundle(legs[0], 0.0, 4, 5, mode)
-        b2 = sample_bundle(legs[1], 0.0, 4, 6, mode)
-        assert averaged_state(b1, b2).fidelity == pytest.approx(1.0, abs=1e-12)
+        b1 = sample_bundle(legs[0], 0.0, 4, 5)
+        b2 = sample_bundle(legs[1], 0.0, 4, 6)
+        assert averaged_state(b1, b2, mode).fidelity == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
-    def test_zero_width_bundle_reuses_the_base_map(self, legs, mode):
+    def test_zero_width_bundle_reuses_the_base_map(self, legs, mode, monkeypatch):
         # 20 paths make ten equal blocks of identical maps and weights, so
         # every block fidelity is the same number and the error bar is 0
-        b1 = sample_bundle(legs[0], 0.0, 20, 5, mode)
-        b2 = sample_bundle(legs[1], 0.0, 20, 6, mode)
+        b1 = sample_bundle(legs[0], 0.0, 20, 5)
+        b2 = sample_bundle(legs[1], 0.0, 20, 6)
         assert b1.meta["resample_rounds"] == b2.meta["resample_rounds"] == 0
-        avg = averaged_state(b1, b2)
+        cls = type(legs[0].spacetime)
+        metric = cls.metric
+        shapes = []
+
+        def recording_metric(self, x):
+            shapes.append(np.shape(x))
+            return metric(self, x)
+
+        monkeypatch.setattr(cls, "metric", recording_metric)
+        avg = averaged_state(b1, b2, mode)
+        monkeypatch.undo()
+        # no metric evaluation spans the (n_paths, knots, 4) path batch
+        assert shapes and all(len(s) <= 2 for s in shapes)
+        for w in avg.weights:
+            assert np.array_equal(w, np.full(20, 1.0 / 20))
         maps1, maps2 = avg.transports
         assert maps1.shape == maps2.shape == (20, 2, 2)
         assert np.array_equal(maps1, np.broadcast_to(maps1[0], maps1.shape))
@@ -144,9 +174,9 @@ class TestAveragedState:
 
     def test_small_width_continuity(self, legs):
         sigma = 1.0e-6 * TAU
-        b1 = sample_bundle(legs[0], sigma, 100, 5, "incoherent")
-        b2 = sample_bundle(legs[1], sigma, 100, 6, "incoherent")
-        assert averaged_state(b1, b2).fidelity >= 1.0 - 1e-6
+        b1 = sample_bundle(legs[0], sigma, 100, 5)
+        b2 = sample_bundle(legs[1], sigma, 100, 6)
+        assert averaged_state(b1, b2, "incoherent").fidelity >= 1.0 - 1e-6
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
     def test_flat_spacetime_channel_is_trivial(self, minkowski, sigma):
@@ -157,15 +187,15 @@ class TestAveragedState:
         u2 = np.array([np.sqrt(1.25), -0.5, 0.0, 0.0])
         s1 = integrate_geodesic(minkowski, e0, u1, TAU, n_samples=samples_for(TAU))
         s2 = integrate_geodesic(minkowski, e0, u2, TAU, n_samples=samples_for(TAU))
-        b1 = sample_bundle(s1, sigma, 80, 5, "incoherent")
-        b2 = sample_bundle(s2, sigma, 80, 6, "incoherent")
-        assert averaged_state(b1, b2).fidelity == pytest.approx(1.0, abs=1e-12)
+        b1 = sample_bundle(s1, sigma, 80, 5)
+        b2 = sample_bundle(s2, sigma, 80, 6)
+        assert averaged_state(b1, b2, "incoherent").fidelity == pytest.approx(1.0, abs=1e-12)
 
-    def test_mismatched_modes_rejected(self, legs):
-        b1 = sample_bundle(legs[0], 0.1, 4, 5, "coherent")
-        b2 = sample_bundle(legs[1], 0.1, 4, 6, "incoherent")
-        with pytest.raises(UsageError):
-            averaged_state(b1, b2)
+    def test_unknown_mode_rejected(self, legs):
+        b1 = sample_bundle(legs[0], 0.1, 4, 5)
+        b2 = sample_bundle(legs[1], 0.1, 4, 6)
+        with pytest.raises(UsageError, match="unknown averaging mode"):
+            averaged_state(b1, b2, "fancy")
 
     def test_different_decay_events_rejected(self, schwarzschild, static_tangent, legs):
         other = np.array([0.0, 14.0, np.pi / 2.0, 0.2])
@@ -181,26 +211,22 @@ class TestAveragedState:
 
 class TestCorrelation:
     def test_zero_width_matched_anticorrelation(self, legs):
-        b1 = sample_bundle(legs[0], 0.0, 4, 21, "incoherent")
-        b2 = sample_bundle(legs[1], 0.0, 4, 22, "incoherent")
-        avg = averaged_state(b1, b2)
+        b1 = sample_bundle(legs[0], 0.0, 4, 21)
+        b2 = sample_bundle(legs[1], 0.0, 4, 22)
+        avg = averaged_state(b1, b2, "incoherent")
         m = correlation_matrix(avg.state)
         a = np.array([0.0, 0.0, 1.0])
         b = -(m.T @ a)
         b /= np.linalg.norm(b)
         assert degraded_correlation(avg, a, b) == pytest.approx(-1.0, abs=1e-6)
 
-    def test_maximally_mixed_state_is_uncorrelated(self, schwarzschild, legs):
-        det1 = gauge_tetrad(schwarzschild, legs[0].end, "static")
-        det2 = gauge_tetrad(schwarzschild, legs[1].end, "static")
+    def test_maximally_mixed_state_is_uncorrelated(self):
         avg = ChannelAverage(
             np.eye(4, dtype=complex) / 4.0,
             "incoherent",
             (np.eye(2, dtype=complex)[None], np.eye(2, dtype=complex)[None]),
             (np.ones(1), np.ones(1)),
-            singlet().data,
-            det1,
-            det2,
+            SINGLET,
         )
         a = np.array([0.0, 0.0, 1.0])
         b = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])
@@ -220,9 +246,9 @@ class TestRegression:
         got = {}
         errs = {}
         for sigma, expected in self.PINNED.items():
-            b1 = sample_bundle(legs[0], sigma, 400, 21, "incoherent")
-            b2 = sample_bundle(legs[1], sigma, 400, 22, "incoherent")
-            f, se = fidelity_with_error(averaged_state(b1, b2))
+            b1 = sample_bundle(legs[0], sigma, 400, 21)
+            b2 = sample_bundle(legs[1], sigma, 400, 22)
+            f, se = fidelity_with_error(averaged_state(b1, b2, "incoherent"))
             got[sigma], errs[sigma] = f, se
             assert f == pytest.approx(expected, abs=1e-9)
             assert f <= 1.0 + 1e-12

@@ -1,24 +1,18 @@
-"""Two-qubit spin layer: singlet correlations, CHSH, frame tagging."""
+"""Two-qubit spin layer: singlet correlations, CHSH, measurement axes."""
 
 import numpy as np
 import pytest
 
-from eprgeo import CANONICAL_CHSH_DIRECTIONS, Event, chsh, correlation, correlation_matrix
+from eprgeo import CANONICAL_CHSH_DIRECTIONS, chsh, correlation, correlation_matrix
 from eprgeo.errors import UsageError
 from eprgeo.lorentz import PAULI, su2_from_rotation, su2_polar
-from eprgeo.spin import (
-    SINGLET,
-    Direction,
-    TwoQubitState,
-    direction,
-    fidelity,
-    matched_direction,
-    pair_state,
-    singlet,
-)
-from eprgeo.transport import gauge_tetrad
+from eprgeo.spin import SINGLET, TwoQubitState, fidelity, matched_direction, pair_state
 
 rng = np.random.default_rng(31)
+
+
+def singlet():
+    return TwoQubitState("pure", SINGLET)
 
 
 def rodrigues(axis, angle):
@@ -68,23 +62,25 @@ class TestChsh:
 
     def test_product_state_respects_classical_bound(self):
         rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        st = TwoQubitState("mixed", rho, frames=(None, None))
+        st = TwoQubitState("mixed", rho)
         a, ap, b, bp = CANONICAL_CHSH_DIRECTIONS
         assert abs(chsh(st, a, ap, b, bp)) <= 2.0 + 1e-12
 
 
 class TestDirections:
     def test_normalizes_small_drift(self):
-        d = Direction(np.array([1.0 + 1e-12, 0.0, 0.0]))
-        assert np.linalg.norm(d.components) == pytest.approx(1.0, abs=1e-15)
+        a = np.array([1.0 + 1e-12, 0.0, 0.0])
+        b = matched_direction(singlet(), a)
+        assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-15)
+        assert correlation(singlet(), a, b) == pytest.approx(-1.0, abs=1e-12)
 
     def test_rejects_non_unit(self):
-        with pytest.raises(UsageError):
-            Direction(np.array([2.0, 0.0, 0.0]))
-
-    def test_direction_helper_normalizes(self):
-        d = direction(np.array([3.0, 0.0, 4.0]))
-        assert np.allclose(d.components, [0.6, 0.0, 0.8])
+        a = np.array([0.0, 0.0, 1.0])
+        for bad in ([2.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]):
+            with pytest.raises(UsageError, match="particle 2 must be a unit 3-vector"):
+                correlation(singlet(), a, bad)
+            with pytest.raises(UsageError, match="particle 1 must be a unit 3-vector"):
+                matched_direction(singlet(), bad)
 
     def test_measurement_operator_spectrum(self):
         # a.sigma has eigenvalues -1 and +1, so a product state along the
@@ -94,31 +90,18 @@ class TestDirections:
         eig = np.sort(np.linalg.eigvalsh(op))
         assert np.allclose(eig, [-1.0, 1.0], atol=1e-12)
         up = np.linalg.eigh(op)[1][:, 1]
-        st = TwoQubitState("pure", np.kron(up, up), frames=(None, None))
+        st = TwoQubitState("pure", np.kron(up, up))
         assert correlation(st, a, a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_frame_tag_mismatch_rejected(self, schwarzschild):
-        e1 = Event(np.array([0.0, 8.0, 1.0, 0.0]))
-        e2 = Event(np.array([0.0, 9.0, 1.0, 0.0]))
-        t1 = gauge_tetrad(schwarzschild, e1, "static")
-        t2 = gauge_tetrad(schwarzschild, e2, "static")
-        s = singlet(frame=t1)
-        with pytest.raises(UsageError):
-            correlation(s, direction(np.array([0, 0, 1.0]), frame=t2), [0, 0, 1.0])
 
 
 class TestApplyTransports:
     """Rest-frame rotations applied to the singlet through pair_state."""
 
-    def test_rotations_rotate_correlation_axes(self, schwarzschild):
-        e1 = Event(np.array([1.0, 10.5, 1.2, 0.1]))
-        e2 = Event(np.array([1.0, 9.5, 1.2, -0.1]))
-        t1 = gauge_tetrad(schwarzschild, e1, "static")
-        t2 = gauge_tetrad(schwarzschild, e2, "static")
+    def test_rotations_rotate_correlation_axes(self):
         r1 = rodrigues([0, 0, 1], 0.4)
         r2 = rodrigues([1, 0, 0], -0.7)
         psi = pair_state(su2_from_rotation(r1), su2_from_rotation(r2))
-        out = TwoQubitState("pure", psi, frames=(t1, t2))
+        out = TwoQubitState("pure", psi)
         a = np.array([0.0, 1.0, 0.0])
         b = np.array([0.3, -0.5, 0.8])
         b /= np.linalg.norm(b)
@@ -141,17 +124,17 @@ class TestApplyTransports:
 class TestStateValidation:
     def test_pure_state_norm_checked(self):
         with pytest.raises(UsageError):
-            TwoQubitState("pure", np.array([1.0, 1.0, 0.0, 0.0]), frames=(None, None))
+            TwoQubitState("pure", np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_mixed_state_hermiticity_checked(self):
         rho = np.eye(4, dtype=complex) / 4
         rho[0, 1] = 0.5
         with pytest.raises(UsageError):
-            TwoQubitState("mixed", rho, frames=(None, None))
+            TwoQubitState("mixed", rho)
 
     def test_mixed_state_trace_checked(self):
         with pytest.raises(UsageError):
-            TwoQubitState("mixed", np.eye(4, dtype=complex), frames=(None, None))
+            TwoQubitState("mixed", np.eye(4, dtype=complex))
 
     def test_density_property(self):
         s = singlet()

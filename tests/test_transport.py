@@ -15,7 +15,6 @@ from eprgeo.frames import spin_connection
 from eprgeo.geodesic import point_segment
 from eprgeo.lorentz import ID2, lift_so13, vector_action
 from eprgeo.pipeline import rest_frame_rotation
-from eprgeo.spacetime import Tangent
 from eprgeo.transport import (
     frame_propagator,
     gauge_tetrad,
@@ -204,12 +203,3 @@ class TestWigner:
         seg = integrate_geodesic(minkowski, Event(np.zeros(4)), u, 2.0)
         r = static_rest_frame_rotation(seg)
         assert np.max(np.abs(r - np.eye(3))) < 1e-12
-
-
-def test_tetrad_vectors_property(schwarzschild):
-    e = Event(np.array([0.0, 9.0, 1.0, 0.0]))
-    tet = gauge_tetrad(schwarzschild, e, "static")
-    vs = tet.vectors
-    assert len(vs) == 4
-    assert all(isinstance(v, Tangent) for v in vs)
-    assert np.allclose(vs[0].components, tet.matrix[:, 0])
