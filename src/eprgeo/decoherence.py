@@ -202,7 +202,8 @@ class ChannelAverage:
 
     ``transports`` and ``weights`` hold each bundle's per-path SU(2) maps and
     complex weights; ``fidelity_with_error`` derives the Monte-Carlo error
-    bar from them without transporting any path again.
+    bar from them without transporting any path again.  ``zero_width`` marks
+    a pair of sigma = 0 bundles, whose paths all carry the base map.
     """
 
     rho: np.ndarray
@@ -210,6 +211,7 @@ class ChannelAverage:
     transports: tuple[np.ndarray, np.ndarray]
     weights: tuple[np.ndarray, np.ndarray]
     reference_state: np.ndarray
+    zero_width: bool
 
     @property
     def state(self) -> TwoQubitState:
@@ -276,7 +278,14 @@ def averaged_state(
     maps2, w2, base_map2 = _bundle_ingredients(b2, mode, gauge, reference)
 
     rho = _combine(maps1, w1, maps2, w2, mode)
-    return ChannelAverage(rho, mode, (maps1, maps2), (w1, w2), pair_state(base_map1, base_map2))
+    return ChannelAverage(
+        rho,
+        mode,
+        (maps1, maps2),
+        (w1, w2),
+        pair_state(base_map1, base_map2),
+        b1.sigma == 0.0 and b2.sigma == 0.0,
+    )
 
 
 def degraded_correlation(avg: ChannelAverage, a, b) -> float:
@@ -289,8 +298,12 @@ def fidelity_with_error(avg: ChannelAverage) -> tuple[float, float]:
 
     The error bar is the standard error over FIDELITY_BLOCKS disjoint path
     blocks, each averaged independently with the same rule from the per-path
-    maps and weights ``averaged_state`` already computed.
+    maps and weights ``averaged_state`` already computed.  A zero-width pair
+    has no Monte-Carlo error: its blocks are copies of one average, and
+    blocks of unequal size would only differ by round-off, so its error is 0.
     """
+    if avg.zero_width:
+        return avg.fidelity, 0.0
     maps1, maps2 = avg.transports
     w1, w2 = avg.weights
     psi0 = avg.reference_state

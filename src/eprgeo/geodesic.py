@@ -40,14 +40,17 @@ MAX_SHOOTING_ITERATIONS = 50
 # Dormand-Prince 5(4) coefficients; last row of A equals the 5th-order
 # weights, so the 7th stage is the first stage of the next step (FSAL).
 # The geodesic equation is autonomous, so the stage nodes c_i never enter.
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
 )
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
@@ -124,21 +127,13 @@ def point_segment(st: Spacetime, event: Event, u: np.ndarray | None = None) -> G
         np.zeros(1),
         event.coords[None, :].copy(),
         u[None, :].copy(),
-        meta={"n_steps": 0, "n_rejected": 0},
+        meta={"n_steps": 0, "n_rejected": 0, "n_rhs": 0},
     )
 
 
 def samples_for(tau: float, step: float = DEFAULT_SAMPLE_STEP) -> int:
     """Sample count for a segment of length tau at roughly the given spacing."""
     return max(1, int(np.ceil(abs(tau) / step))) + 1
-
-
-def _deriv(st: Spacetime, y: np.ndarray) -> np.ndarray:
-    gam = st.christoffel(y[:4])
-    out = np.empty(8)
-    out[:4] = y[4:]
-    out[4:] = -np.einsum("lmn,m,n->l", gam, y[4:], y[4:])
-    return out
 
 
 def _dense_weights(theta: np.ndarray) -> np.ndarray:
@@ -205,12 +200,12 @@ def integrate_geodesic(
     ys[0, 4:] = u0
 
     y = ys[0].copy()
-    with np.errstate(all="ignore"):
-        k1 = _deriv(st, y)
+    k1 = st.geodesic_rhs(y)
     h = nodes[1]
     t = 0.0
     i = 1  # next node to fill
     n_steps = n_rejected = 0
+    n_rhs = 1
     stages = np.empty((7, 8))
 
     while i < n_samples:
@@ -225,8 +220,14 @@ def integrate_geodesic(
         ok = True
         with np.errstate(all="ignore"):
             for j in range(1, 7):
-                yj = y + h * (np.asarray(_DP_A[j]) @ stages[:j])
-                stages[j] = _deriv(st, yj)
+                n_rhs += 1
+                try:
+                    stages[j] = st.geodesic_rhs(y + h * (_DP_A[j] @ stages[:j]))
+                except (ArithmeticError, ValueError):
+                    # a stage state where the closed form is singular or
+                    # non-finite: reject the step as a non-finite one
+                    stages[j:] = np.nan
+                    break
             y_new = y + h * (_DP_B5 @ stages)
             err = h * (_DP_E @ stages)
         if not np.all(np.isfinite(y_new)):
@@ -279,7 +280,7 @@ def integrate_geodesic(
         nodes,
         ys[:, :4].copy(),
         ys[:, 4:].copy(),
-        meta={"n_steps": n_steps, "n_rejected": n_rejected},
+        meta={"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs},
     )
     g = st.metric(seg.events)
     norms = np.einsum("km,kmn,kn->k", seg.tangents, g, seg.tangents)

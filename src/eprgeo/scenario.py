@@ -391,6 +391,7 @@ def _add_leg_rows(report: Report, label: str, seg: GeodesicSegment) -> None:
     report.add(f"{label}_proper_time", float(seg.proper_time))
     report.add(f"{label}_integrator_steps", int(seg.meta["n_steps"]))
     report.add(f"{label}_rejected_steps", int(seg.meta["n_rejected"]))
+    report.add(f"{label}_rhs_evals", int(seg.meta["n_rhs"]))
 
 
 def run_scenario(sc: Scenario) -> Report:

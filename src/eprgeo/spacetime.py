@@ -4,11 +4,15 @@ Geometric units G = c = 1 throughout; metric signature (-,+,+,+).
 
 Evaluators are vectorized: coordinates of shape (..., 4) give metrics of
 shape (..., 4, 4) and Christoffel symbols of shape (..., 4, 4, 4), indexed
-as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``.
+as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``.  The one exception is
+``geodesic_rhs``, the integrator's right-hand side at a single state: it
+evaluates the closed-form acceleration on Python floats, because at one point
+NumPy's per-call overhead costs more than the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +67,15 @@ class Spacetime:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def geodesic_rhs(self, y: np.ndarray) -> np.ndarray:
+        """The geodesic equation's right-hand side (u, -Gamma^l_mn(x) u^m u^n).
+
+        y is one state (x, u) of shape (8,); so is the result.  Off the
+        chart's domain the arithmetic may raise ArithmeticError or ValueError
+        (a division by zero, a sine of infinity) instead of returning inf.
+        """
+        raise NotImplementedError
+
     def in_chart(self, x: np.ndarray) -> np.ndarray:
         """Boolean mask of which coordinate tuples lie in the chart domain."""
         raise NotImplementedError
@@ -84,6 +97,11 @@ class Minkowski(Spacetime):
     def christoffel(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (4, 4, 4))
+
+    def geodesic_rhs(self, y):
+        out = np.zeros(8)
+        out[:4] = y[4:]
+        return out
 
     def in_chart(self, x):
         x = np.asarray(x, dtype=float)
@@ -137,6 +155,19 @@ class Schwarzschild(Spacetime):
         G[..., 3, 1, 3] = G[..., 3, 3, 1] = 1.0 / r
         G[..., 3, 2, 3] = G[..., 3, 3, 2] = cos / sin
         return G
+
+    def geodesic_rhs(self, y):
+        _, r, th, _, ut, ur, uth, uph = y.tolist()
+        M = self.mass
+        f = 1.0 - 2.0 * M / r
+        sin, cos = math.sin(th), math.cos(th)
+        m_r2 = M / (r * r)
+        a_t = -2.0 * (m_r2 / f) * ut * ur
+        a_r = m_r2 / f * ur * ur - m_r2 * f * ut * ut
+        a_r += (r - 2.0 * M) * (uth * uth + sin * sin * uph * uph)
+        a_th = sin * cos * uph * uph - 2.0 / r * ur * uth
+        a_ph = -2.0 * (ur / r + cos / sin * uth) * uph
+        return np.array([ut, ur, uth, uph, a_t, a_r, a_th, a_ph])
 
     def in_chart(self, x):
         x = np.asarray(x, dtype=float)
@@ -194,6 +225,23 @@ class WeakField(Spacetime):
         term = term - np.einsum("jk,...i->...ijk", d, dP)
         G[..., 1:, 1:, 1:] = -term / B[..., None, None, None]
         return G
+
+    def geodesic_rhs(self, y):
+        _, x1, x2, x3, ut, v1, v2, v3 = y.tolist()
+        eps = self.epsilon
+        s = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3 + self.softening**2)
+        s3 = s * s * s  # not s**3, which raises OverflowError on huge coordinates
+        d1, d2, d3 = eps * (x1 / s3), eps * (x2 / s3), eps * (x3 / s3)  # gradient of eps*phi
+        two_eps_phi = 2.0 * eps * (-1.0 / s)
+        A = 1.0 + two_eps_phi
+        B = 1.0 - two_eps_phi
+        dv = d1 * v1 + d2 * v2 + d3 * v3
+        uu = ut * ut + v1 * v1 + v2 * v2 + v3 * v3
+        # a^0 = -2 (d.v) u^t / A,  a^i = (2 v^i (d.v) - d_i (u^t^2 + |v|^2)) / B
+        a1 = (2.0 * dv * v1 - d1 * uu) / B
+        a2 = (2.0 * dv * v2 - d2 * uu) / B
+        a3 = (2.0 * dv * v3 - d3 * uu) / B
+        return np.array([ut, v1, v2, v3, -2.0 * dv * ut / A, a1, a2, a3])
 
     def in_chart(self, x):
         x = np.asarray(x, dtype=float)

@@ -1,10 +1,11 @@
 """The benchmark's per-layer tracer wraps functions by name.
 
-``perfbench/bench_trace.py`` lists them in ``LAYERS``; a function deleted or
-renamed in the package would break ``--trace 1`` runs without any other test
-failing, and so would a result field that its counting hooks read.  The
-table is read with ``ast`` so the benchmark directory is never imported or
-written to.
+``perfbench/bench_trace.py`` lists them in ``LAYERS``, and the spacetime
+methods it wraps on every spacetime class in ``SPACETIME_METHODS``; a
+function deleted or renamed in the package would break ``--trace 1`` runs
+without any other test failing, and so would a result field that its
+counting hooks read.  The tables are read with ``ast`` so the benchmark
+directory is never imported or written to.
 """
 
 import ast
@@ -17,23 +18,38 @@ import pytest
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
 
-def _layers() -> dict:
+def _table(name: str):
     tree = ast.parse(BENCH_TRACE.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError("LAYERS not found in perfbench/bench_trace.py")
+    raise AssertionError(f"{name} not found in perfbench/bench_trace.py")
 
 
-TRACED = [(layer, name) for layer, names in _layers().items() for name in names]
+TRACED = [(layer, name) for layer, names in _table("LAYERS").items() for name in names]
+SPACETIMES = [
+    ("minkowski", {}),
+    ("schwarzschild", {"M": 1.0}),
+    ("weak_field", {"epsilon": 0.05}),
+]
 
 
 @pytest.mark.parametrize("layer, name", TRACED, ids=[f"{l}.{n}" for l, n in TRACED])
 def test_traced_function_exists(layer, name):
     module = importlib.import_module(f"eprgeo.{layer}")
     assert callable(getattr(module, name, None)), f"eprgeo.{layer}.{name} is gone"
+
+
+@pytest.mark.parametrize("kind, params", SPACETIMES, ids=[k for k, _ in SPACETIMES])
+def test_traced_spacetime_methods_exist(kind, params):
+    # the tracer wraps a method only where the class itself defines it
+    from eprgeo import make_spacetime
+
+    cls = type(make_spacetime(kind, params))
+    for meth in _table("SPACETIME_METHODS"):
+        assert callable(vars(cls).get(meth)), f"{cls.__name__}.{meth} is gone"
 
 
 def test_traced_results_keep_the_fields_the_hooks_read():
@@ -50,6 +66,7 @@ def test_traced_results_keep_the_fields_the_hooks_read():
     leg = integrate_geodesic(st, Event(decay), u, 0.5)
     assert isinstance(leg.meta["n_steps"], int) and leg.meta["n_steps"] > 0
     assert isinstance(leg.meta["n_rejected"], int)
+    assert isinstance(leg.meta["n_rhs"], int) and leg.meta["n_rhs"] > 0
     assert leg.n_samples == leg.tau.shape[0]
     cached = len(leg.cache)
     spinor_propagator(leg)

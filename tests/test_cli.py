@@ -238,7 +238,11 @@ def test_leg_rows_carry_integrator_counters(flat_scenario, capsys):
     quantities = [r[1] for r in csv.reader(io.StringIO(capsys.readouterr().out))]
     for label in ("geodesic1", "geodesic2"):
         at = quantities.index(f"{label}_proper_time")
-        assert quantities[at + 1 : at + 3] == [f"{label}_integrator_steps", f"{label}_rejected_steps"]
+        assert quantities[at + 1 : at + 4] == [
+            f"{label}_integrator_steps",
+            f"{label}_rejected_steps",
+            f"{label}_rhs_evals",
+        ]
 
 
 @pytest.mark.parametrize("cfg", DEMO_SCENARIOS, ids=[p.stem for p in DEMO_SCENARIOS])

@@ -143,8 +143,6 @@ class TestAveragedState:
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
     def test_zero_width_bundle_reuses_the_base_map(self, legs, mode, monkeypatch):
-        # 20 paths make ten equal blocks of identical maps and weights, so
-        # every block fidelity is the same number and the error bar is 0
         b1 = sample_bundle(legs[0], 0.0, 20, 5)
         b2 = sample_bundle(legs[1], 0.0, 20, 6)
         assert b1.meta["resample_rounds"] == b2.meta["resample_rounds"] == 0
@@ -171,6 +169,18 @@ class TestAveragedState:
         fid, se = fidelity_with_error(avg)
         assert se == 0.0
         assert fid == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    @pytest.mark.parametrize("n_paths", [7, 20, 25])
+    def test_zero_width_error_bar_is_zero_for_any_path_count(self, legs, mode, n_paths):
+        # 7 and 25 paths do not split into ten equal blocks, and unequal
+        # blocks of identical paths differ by round-off alone
+        b1 = sample_bundle(legs[0], 0.0, n_paths, 5)
+        b2 = sample_bundle(legs[1], 0.0, n_paths, 6)
+        assert fidelity_with_error(averaged_state(b1, b2, mode))[1] == 0.0
+        # a pair with one wide bundle keeps its block estimate
+        wide = sample_bundle(legs[1], 0.3, n_paths, 6)
+        assert fidelity_with_error(averaged_state(b1, wide, mode))[1] > 0.0
 
     def test_small_width_continuity(self, legs):
         sigma = 1.0e-6 * TAU
@@ -227,6 +237,7 @@ class TestCorrelation:
             (np.eye(2, dtype=complex)[None], np.eye(2, dtype=complex)[None]),
             (np.ones(1), np.ones(1)),
             SINGLET,
+            False,
         )
         a = np.array([0.0, 0.0, 1.0])
         b = np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5)])

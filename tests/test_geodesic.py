@@ -173,16 +173,17 @@ class TestSchwarzschild:
         assert back.events[-1, 0] == pytest.approx(2.0 * fwd.events[-1, 0], abs=1e-8)
 
 
+@pytest.fixture
+def eccentric(schwarzschild):
+    # a circular orbit's state is linear in t and phi, so any step is
+    # accepted; this perturbed one makes the error control work
+    from eprgeo import circular_orbit_tangent
+
+    e0, u0 = circular_orbit_tangent(schwarzschild, 10.0)
+    return e0, np.array([1.05 * u0[0], 0.08, 0.0, 0.95 * u0[3]])
+
+
 class TestDenseOutput:
-    @pytest.fixture
-    def eccentric(self, schwarzschild):
-        # a circular orbit's state is linear in t and phi, so any step is
-        # accepted; this perturbed one makes the error control work
-        from eprgeo import circular_orbit_tangent
-
-        e0, u0 = circular_orbit_tangent(schwarzschild, 10.0)
-        return e0, np.array([1.05 * u0[0], 0.08, 0.0, 0.95 * u0[3]])
-
     def test_weights_at_step_end_are_fifth_order_weights(self):
         assert np.max(np.abs(_dense_weights(np.array([1.0]))[0] - _DP_B5)) < 1e-14
         assert np.array_equal(_dense_weights(np.array([0.0]))[0], np.zeros(7))
@@ -198,6 +199,77 @@ class TestDenseOutput:
         ref = integrate_geodesic(schwarzschild, *eccentric, 20.0, n_samples=n_fine, adaptive=False)
         assert np.max(np.abs(seg.events - ref.events[::10])) < 1e-12
         assert np.max(np.abs(seg.tangents - ref.tangents[::10])) < 1e-12
+
+
+def christoffel_rhs(self, y):
+    """The oracle right-hand side: the full Christoffel array contracted with u."""
+    out = np.empty(8)
+    out[:4] = y[4:]
+    out[4:] = -np.einsum("lmn,m,n->l", self.christoffel(y[:4]), y[4:], y[4:])
+    return out
+
+
+class TestRightHandSide:
+    def test_no_christoffel_call_and_every_rhs_call_counted(self, schwarzschild, eccentric, monkeypatch):
+        cls = type(schwarzschild)
+        calls = {"christoffel": 0, "geodesic_rhs": 0}
+        christoffel, rhs = cls.christoffel, cls.geodesic_rhs
+
+        def counting_christoffel(self, x):
+            calls["christoffel"] += 1
+            return christoffel(self, x)
+
+        def counting_rhs(self, y):
+            calls["geodesic_rhs"] += 1
+            return rhs(self, y)
+
+        monkeypatch.setattr(cls, "christoffel", counting_christoffel)
+        monkeypatch.setattr(cls, "geodesic_rhs", counting_rhs)
+        # two samples let the first steps overshoot, so some are rejected
+        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0, n_samples=2)
+        assert calls["christoffel"] == 0
+        assert seg.meta["n_rejected"] > 0
+        assert seg.meta["n_rhs"] == calls["geodesic_rhs"]
+        assert seg.meta["n_rhs"] == 1 + 6 * (seg.meta["n_steps"] + seg.meta["n_rejected"])
+
+    def test_orbit_is_bitwise_the_christoffel_oracle_run(self, schwarzschild, monkeypatch):
+        from eprgeo import integrate_orbit
+
+        seg = integrate_orbit(schwarzschild, 10.0)
+        monkeypatch.setattr(type(schwarzschild), "geodesic_rhs", christoffel_rhs)
+        ref = integrate_orbit(schwarzschild, 10.0)
+        assert seg.meta["n_steps"] == ref.meta["n_steps"]
+        assert np.array_equal(seg.events, ref.events)
+        assert np.array_equal(seg.tangents, ref.tangents)
+
+    def test_eccentric_leg_matches_the_christoffel_oracle_run(self, schwarzschild, eccentric, monkeypatch):
+        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)
+        monkeypatch.setattr(type(schwarzschild), "geodesic_rhs", christoffel_rhs)
+        ref = integrate_geodesic(schwarzschild, *eccentric, 20.0)
+        assert np.max(np.abs(seg.events - ref.events)) < 1e-12
+        assert np.max(np.abs(seg.tangents - ref.tangents)) < 1e-12
+
+    def test_stage_the_closed_form_cannot_evaluate_is_a_non_finite_step(
+        self, schwarzschild, eccentric, monkeypatch
+    ):
+        cls = type(schwarzschild)
+        rhs = cls.geodesic_rhs
+        calls = []
+
+        def singular_once(self, y):
+            calls.append(None)
+            if len(calls) == 2:  # the first step's second stage
+                raise ZeroDivisionError("float division by zero")
+            return rhs(self, y)
+
+        monkeypatch.setattr(cls, "geodesic_rhs", singular_once)
+        seg = integrate_geodesic(schwarzschild, *eccentric, 1.0)
+        assert seg.meta["n_rejected"] == 1
+        # the raising call counts; the step's later stages are never evaluated
+        assert seg.meta["n_rhs"] == len(calls) == 1 + 6 * (seg.meta["n_steps"] + 1) - 5
+        calls.clear()
+        with pytest.raises(IntegrationError, match="non-finite state"):
+            integrate_geodesic(schwarzschild, *eccentric, 1.0, adaptive=False)
 
 
 class TestReverse:

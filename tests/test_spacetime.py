@@ -6,7 +6,7 @@ import pytest
 
 from eprgeo import Event, make_spacetime
 from eprgeo.errors import ConfigurationError, DomainError
-from eprgeo.spacetime import Minkowski, metric_at, require_event
+from eprgeo.spacetime import AXIS_GUARD, HORIZON_GUARD, Minkowski, metric_at, require_event
 
 
 def fd_christoffel(st, x, h=1e-6):
@@ -112,6 +112,53 @@ def test_weak_field_batched_matches_pointwise_and_loops():
             assert np.array_equal(gamma[k, m], st.christoffel(xs[k, m]))
             assert np.array_equal(gamma[k, m], weak_field_christoffel_loops(st, xs[k, m]))
             assert np.array_equal(g[k, m], st.metric(xs[k, m]))
+
+
+def _rhs_states(kind, params, rng):
+    """1,200 states (x, u); Schwarzschild ones crowd the horizon and the axis."""
+    n = 1200
+    u = rng.normal(size=(n, 4))
+    if kind != "schwarzschild":
+        return np.concatenate([rng.uniform(-5.0, 5.0, (n, 4)), u], axis=1)
+    r_min = 2.0 * params["M"] * (1.0 + HORIZON_GUARD)
+    r = rng.uniform(r_min, 40.0, n)
+    r[:400] = r_min + rng.uniform(0.0, 1.0e-3, 400)
+    th = rng.uniform(0.01, np.pi - 0.01, n)
+    near_axis = np.arcsin(10.0 * AXIS_GUARD * rng.uniform(1.0, 2.0, 400))
+    th[400:800] = np.where(rng.random(400) < 0.5, near_axis, np.pi - near_axis)
+    x = np.stack([rng.normal(size=n), r, th, rng.uniform(-np.pi, np.pi, n)], axis=1)
+    return np.concatenate([x, u], axis=1)
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("schwarzschild", {"M": 1.0}),
+        ("schwarzschild", {"M": 0.5}),
+        ("weak_field", {"epsilon": 0.1, "softening": 0.5}),
+        ("weak_field", {"epsilon": -0.1, "softening": 2.0}),
+        ("minkowski", {}),
+    ],
+)
+def test_geodesic_rhs_matches_christoffel_contraction(kind, params):
+    st = make_spacetime(kind, params)
+    ys = _rhs_states(kind, params, np.random.default_rng(11))
+    assert np.all(st.in_chart(ys[:, :4]))
+    for y in ys:
+        out = st.geodesic_rhs(y)
+        assert out.shape == (8,)
+        assert np.array_equal(out[:4], y[4:])
+        oracle = -np.einsum("lmn,m,n->l", st.christoffel(y[:4]), y[4:], y[4:])
+        assert np.all(np.abs(out[4:] - oracle) <= 1.0e-14 * np.maximum(1.0, np.abs(oracle)))
+        if kind == "minkowski":
+            assert np.all(out[4:] == 0.0)
+
+
+def test_geodesic_rhs_at_huge_weak_field_coordinates():
+    # the squared distance overflows to inf; the gradient vanishes, no error
+    st = make_spacetime("weak_field", {"epsilon": 0.1})
+    y = np.array([0.0, 1.0e200, -1.0e160, 3.0, 1.5, 0.1, 0.2, 0.3])
+    assert np.array_equal(st.geodesic_rhs(y)[4:], np.zeros(4))
 
 
 def test_zero_mass_schwarzschild_is_flat():
