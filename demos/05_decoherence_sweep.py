@@ -13,10 +13,13 @@ coherent averaging superposes amplitudes weighted by their relative
 action phases and renormalizes, so it stays pure and only the holonomy
 spread moves it.
 
-The averaging mode is a property of the channel, not of the paths: each
-sigma's bundle pair is drawn once and averaged both ways.  averaged_state
-returns the averaged state together with its per-path maps, and
-fidelity_with_error(avg) reads the fidelity and its block standard error
+The channel degrades a transported pair: pair_transport fixes the gauge,
+the decay rest frame and the detector frames once, and averaged_state(pair,
+b1, b2, mode) reads every path of the bundles drawn around that pair's legs
+in those same frames.  The averaging mode is a property of the channel, not
+of the paths: each sigma's bundle pair is drawn once and averaged both ways.
+averaged_state returns the averaged state together with its per-path maps,
+and fidelity_with_error(avg) reads the fidelity and its block standard error
 off that average.
 """
 
@@ -30,6 +33,7 @@ from eprgeo import (
     fidelity_with_error,
     integrate_geodesic,
     make_spacetime,
+    pair_transport,
     sample_bundle,
 )
 from eprgeo.frames import frame_field
@@ -48,6 +52,7 @@ def leg(w, tau=3.0):
 
 seg1 = leg([0.4, 0.0, 0.0])
 seg2 = leg([-0.3, 0.0, 0.3])
+pair = pair_transport(seg1, seg2)
 
 N_PATHS = 400
 print(f"singlet fidelity vs bundle width ({N_PATHS} paths per leg)")
@@ -55,8 +60,8 @@ print(f"{'sigma':>7} {'incoherent F':>16} {'std err':>10} {'coherent F':>16}")
 for k, sigma in enumerate((0.0, 0.4, 0.8, 1.6)):
     b1 = sample_bundle(seg1, sigma, N_PATHS, 100 + 2 * k)
     b2 = sample_bundle(seg2, sigma, N_PATHS, 101 + 2 * k)
-    f_inc, se = fidelity_with_error(averaged_state(b1, b2, "incoherent"))
-    f_coh, _ = fidelity_with_error(averaged_state(b1, b2, "coherent"))
+    f_inc, se = fidelity_with_error(averaged_state(pair, b1, b2, "incoherent"))
+    f_coh, _ = fidelity_with_error(averaged_state(pair, b1, b2, "coherent"))
     print(f"{sigma:7.2f} {f_inc:16.12f} {se:10.1e} {f_coh:16.12f}")
 
 # The averaged state still anticorrelates along the matched axis, just
@@ -65,6 +70,7 @@ print("\nmatched-axis correlation of the averaged state")
 a = np.array([0.0, 0.0, 1.0])
 for sigma in (0.0, 1.6):
     avg = averaged_state(
+        pair,
         sample_bundle(seg1, sigma, N_PATHS, 100),
         sample_bundle(seg2, sigma, N_PATHS, 101),
         "incoherent",
@@ -87,6 +93,7 @@ f2 = integrate_geodesic(
 )
 f, _ = fidelity_with_error(
     averaged_state(
+        pair_transport(f1, f2),
         sample_bundle(f1, 1.6, N_PATHS, 100),
         sample_bundle(f2, 1.6, N_PATHS, 101),
         "incoherent",

@@ -19,10 +19,12 @@ rather than holding only up to discretization error.  A sigma=0 bundle
 holds n copies of those knots, so it is transported once: every path gets
 the base polygon's map and, having zero relative action, the weight 1/n.
 
-One bundle pair is transported once: ``averaged_state(b1, b2, mode)`` returns
-a ChannelAverage holding the averaged state, the per-path maps and weights,
-and the reference state; ``fidelity_with_error(avg)`` derives the fidelity
-and its block standard error from that object.
+``averaged_state(pair, b1, b2, mode)`` degrades a transported pair: it closes
+every path transport with the pair's own rest-frame factors, in its gauge,
+and transports the bundle pair once.  The ChannelAverage it returns holds the
+averaged state, the per-path maps and weights, and the reference state;
+``fidelity_with_error(avg)`` derives the fidelity and its block standard
+error from that object.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .errors import ConfigurationError, DomainError, UsageError
 from .frames import frame_field
 from .geodesic import GeodesicSegment
 from .lorentz import su2_polar
-from .pipeline import boosted_tetrad, rest_conjugation_factors
-from .spacetime import Spacetime, same_event
+from .pipeline import PairResult
+from .spacetime import Spacetime
 from .spin import SINGLET, TwoQubitState, correlation, fidelity, pair_state
-from .transport import Tetrad, gauge_tetrad, polygon_spinor_transport
+from .transport import polygon_spinor_transport
 
 MAX_BUNDLE_KNOTS = 160
 MODES = ("coherent", "incoherent")
@@ -157,15 +159,10 @@ def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def _bundle_ingredients(
-    bundle: PathBundle, mode: str, gauge: str, reference: Tetrad
+    bundle: PathBundle, mode: str, gauge: str, pre: np.ndarray, post: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(per-path SU(2) maps, per-path complex weights, sigma=0 map)."""
     st = bundle.base.spacetime
-    det = gauge_tetrad(st, bundle.base.end, "static")
-    pre, post = rest_conjugation_factors(
-        st, reference, det, bundle.base.tangents[0], bundle.base.tangents[-1], gauge
-    )
-
     base_u = polygon_spinor_transport(st, bundle.base_knots, gauge)
     base_map = su2_polar(post @ base_u @ pre)[0]
 
@@ -249,33 +246,26 @@ def _combine(
 
 
 def averaged_state(
-    b1: PathBundle,
-    b2: PathBundle,
-    mode: str = "coherent",
-    gauge: str = "static",
-    *,
-    decay_velocity: np.ndarray | None = None,
+    pair: PairResult, b1: PathBundle, b2: PathBundle, mode: str = "coherent"
 ) -> ChannelAverage:
-    """Average the transported singlet over both bundles' path pairs.
+    """Average a transported pair's singlet over both bundles' path pairs.
 
+    b1 and b2 must be drawn around ``pair.segment1`` and ``pair.segment2``;
+    the pair's rest-frame factors and gauge close every path transport, so
+    the result is a density matrix in the pair's own detector frames.
     ``mode`` is one of MODES.  Coherent mode superposes amplitudes with
     their action phases (the average stays pure); incoherent mode mixes the
-    conjugated density matrices uniformly.  Either way the result is a valid
-    density matrix in the static detector frames at the two base endpoints.
-    This is the only place a bundle pair is transported: pass the result to
-    ``fidelity_with_error`` for the error bar.
+    conjugated density matrices uniformly.  This is the only place a bundle
+    pair is transported: pass the result to ``fidelity_with_error``.
     """
     if mode not in MODES:
         raise UsageError(f"unknown averaging mode {mode!r}")
-    base1, base2 = b1.base, b2.base
-    if base1.spacetime is not base2.spacetime:
-        raise UsageError("bundles live in different spacetimes")
-    if not same_event(base1.start, base2.start, tol=1.0e-9):
-        raise UsageError("bundles do not share their decay event")
+    if b1.base is not pair.segment1 or b2.base is not pair.segment2:
+        raise UsageError("bundles must be drawn around the pair's legs, in leg order")
 
-    reference = boosted_tetrad(base1.spacetime, base1.start, decay_velocity)
-    maps1, w1, base_map1 = _bundle_ingredients(b1, mode, gauge, reference)
-    maps2, w2, base_map2 = _bundle_ingredients(b2, mode, gauge, reference)
+    (pre1, post1), (pre2, post2) = pair.conjugation_factors
+    maps1, w1, base_map1 = _bundle_ingredients(b1, mode, pair.gauge, pre1, post1)
+    maps2, w2, base_map2 = _bundle_ingredients(b2, mode, pair.gauge, pre2, post2)
 
     rho = _combine(maps1, w1, maps2, w2, mode)
     return ChannelAverage(

@@ -66,23 +66,19 @@ def _frame_velocity(st: Spacetime, frame: Tetrad, tangent: np.ndarray) -> np.nda
 
 
 def rest_conjugation_factors(
-    st: Spacetime,
-    start_frame: Tetrad,
-    end_frame: Tetrad,
-    u_start: np.ndarray,
-    u_end: np.ndarray,
-    gauge: str = "static",
+    seg: GeodesicSegment, start_frame: Tetrad, end_frame: Tetrad, gauge: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 factors closing a gauge-frame transport into a rest-frame map.
 
     For a transport U in gauge-frame components, post @ U @ pre maps
-    canonical rest-frame spin components at start_frame (rest velocity
-    u_start, world components) to those at end_frame.  When U carries the
-    start tangent to the end tangent the composite is unitary up to
-    discretization noise.
+    canonical rest-frame spin components at start_frame (rest velocity the
+    segment's first tangent) to those at end_frame (its last tangent).  When
+    U carries the start tangent to the end tangent the composite is unitary
+    up to discretization noise.
     """
-    uh0 = _frame_velocity(st, start_frame, u_start)
-    uh1 = _frame_velocity(st, end_frame, u_end)
+    st = seg.spacetime
+    uh0 = _frame_velocity(st, start_frame, seg.tangents[0])
+    uh1 = _frame_velocity(st, end_frame, seg.tangents[-1])
     ng0 = gauge_tetrad(st, start_frame.event, gauge).matrix
     ng1 = gauge_tetrad(st, end_frame.event, gauge).matrix
     g0 = st.metric(start_frame.event.coords)
@@ -92,22 +88,6 @@ def rest_conjugation_factors(
     pre = s_in @ pure_boost_sl2(uh0)
     post = pure_boost_sl2_inverse(uh1) @ s_out
     return pre, post
-
-
-def rest_frame_map(
-    seg: GeodesicSegment, gauge: str, start_frame: Tetrad, end_frame: Tetrad
-) -> np.ndarray:
-    """SU(2) rest-frame spin rotation along one leg (spin-1/2 route).
-
-    Maps canonical spin components at the start (relative to start_frame)
-    to canonical spin components at the end (relative to end_frame).
-    """
-    pre, post = rest_conjugation_factors(
-        seg.spacetime, start_frame, end_frame, seg.tangents[0], seg.tangents[-1], gauge
-    )
-    chain = post @ spinor_propagator(seg, gauge) @ pre
-    w, _ = su2_polar(chain)
-    return w
 
 
 def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Tetrad) -> np.ndarray:
@@ -125,7 +105,11 @@ def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Te
 
 @dataclass
 class PairResult:
-    """Everything the measurement layer needs about one decay configuration."""
+    """Everything the measurement layer and the bundle channel need about one decay.
+
+    ``conjugation_factors`` holds each leg's (pre, post) from
+    rest_conjugation_factors, closing transports computed in ``gauge``.
+    """
 
     segment1: GeodesicSegment
     segment2: GeodesicSegment
@@ -134,6 +118,8 @@ class PairResult:
     rotation1: np.ndarray
     rotation2: np.ndarray
     state: TwoQubitState
+    conjugation_factors: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    gauge: str
 
     @property
     def relative_rotation(self) -> np.ndarray:
@@ -163,12 +149,17 @@ def pair_transport(
     det1 = gauge_tetrad(st, seg1.end, "static")
     det2 = gauge_tetrad(st, seg2.end, "static")
 
-    w1 = rest_frame_map(seg1, gauge, reference, det1)
-    w2 = rest_frame_map(seg2, gauge, reference, det2)
+    pre1, post1 = rest_conjugation_factors(seg1, reference, det1, gauge)
+    pre2, post2 = rest_conjugation_factors(seg2, reference, det2, gauge)
+
+    w1 = su2_polar(post1 @ spinor_propagator(seg1, gauge) @ pre1)[0]
+    w2 = su2_polar(post2 @ spinor_propagator(seg2, gauge) @ pre2)[0]
     r1 = rest_frame_rotation(seg1, reference, det1)
     r2 = rest_frame_rotation(seg2, reference, det2)
 
-    return PairResult(seg1, seg2, w1, w2, r1, r2, TwoQubitState("pure", pair_state(w1, w2)))
+    state = TwoQubitState("pure", pair_state(w1, w2))
+    factors = ((pre1, post1), (pre2, post2))
+    return PairResult(seg1, seg2, w1, w2, r1, r2, state, factors, gauge)
 
 
 def matched_axis(result: PairResult, a: np.ndarray) -> np.ndarray:

@@ -43,7 +43,6 @@ class Report:
     scenario_sha256: str
     tool_version: str
     rows: list[ReportRow] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
 
     def add(
         self,
@@ -56,12 +55,11 @@ class Report:
         self.rows.append(ReportRow(quantity, a_index, b_index, value, flag))
 
     def fail(self, message: str) -> None:
-        self.failures.append(message)
         self.rows.append(ReportRow("failure", None, None, message, FLAG_FAIL))
 
     @property
     def has_failures(self) -> bool:
-        return bool(self.failures)
+        return any(r.quantity == "failure" for r in self.rows)
 
     @property
     def diagnostics_ok(self) -> bool:
@@ -138,10 +136,11 @@ def _emit_table(report: Report) -> str:
             f"{q:<{widths[0]}}  {ai:>{widths[1]}}  {bi:>{widths[2]}}  "
             f"{val:>{widths[3]}}  {flag}"
         )
-    if report.failures:
+    failures = [r.value for r in report.rows if r.quantity == "failure"]
+    if failures:
         lines.append("")
-        lines.append(f"FAILURES: {len(report.failures)}")
-        for msg in report.failures:
+        lines.append(f"FAILURES: {len(failures)}")
+        for msg in failures:
             lines.append(f"  - {msg}")
     lines.append("")
     return "\n".join(lines)

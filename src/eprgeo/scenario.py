@@ -54,7 +54,7 @@ from .geodesic import (
 )
 from .frames import GAUGES
 from .lorentz import rotation_axis_angle
-from .pipeline import matched_axis, pair_transport, spin_relative_rotation
+from .pipeline import PairResult, matched_axis, pair_transport, spin_relative_rotation
 from .report import FLAG_FAIL, FLAG_OK, Report
 from .spacetime import Event, Spacetime, make_spacetime, metric_at, require_event
 from .spin import CANONICAL_CHSH_DIRECTIONS, chsh, correlation
@@ -491,11 +491,12 @@ def _fill_report(sc: Scenario, report: Report) -> None:
     report.add("diag_ortho_drift", ortho, flag=FLAG_OK if ortho <= 1e-8 else FLAG_FAIL)
 
     if sc.decoherence is not None:
-        _run_decoherence(sc, result, seg1, seg2, report)
+        _run_decoherence(sc, result, report)
 
 
-def _run_decoherence(sc: Scenario, result, seg1, seg2, report: Report) -> None:
+def _run_decoherence(sc: Scenario, result: PairResult, report: Report) -> None:
     dspec = sc.decoherence
+    seg1, seg2 = result.segment1, result.segment2
     if seg1.zero_length or seg2.zero_length:
         report.fail("decoherence: both legs must have nonzero proper length")
         return
@@ -509,7 +510,7 @@ def _run_decoherence(sc: Scenario, result, seg1, seg2, report: Report) -> None:
         except DomainError as exc:
             report.fail(f"decoherence: sigma={sigma}: {exc}")
             return
-        avg = deco.averaged_state(b1, b2, dspec.mode, sc.gauge, decay_velocity=sc.decay_velocity)
+        avg = deco.averaged_state(result, b1, b2, dspec.mode)
         fid, se = deco.fidelity_with_error(avg)
         e_deg = float(deco.degraded_correlation(avg, a_ideal, b_ideal))
         flag = ""

@@ -27,6 +27,9 @@ AXIS_GUARD = 1.0e-6
 #: excluded shell outside the Schwarzschild horizon, r <= 2M(1 + guard)
 HORIZON_GUARD = 1.0e-3
 
+#: largest weak-field softening a; a**2 and the potential's s**3 stay finite
+MAX_SOFTENING = 1.0e100
+
 
 @dataclass(frozen=True, eq=False)
 class Event:
@@ -265,7 +268,8 @@ def make_spacetime(name: str, params: dict | None = None) -> Spacetime:
         One of ``minkowski``, ``schwarzschild``, ``weak_field``.
     params : dict, optional
         ``schwarzschild``: M (>= 0).
-        ``weak_field``: epsilon (|eps| <= 0.1), softening (> 0, default 1).
+        ``weak_field``: epsilon (|eps| <= 0.1), softening (in (0, MAX_SOFTENING],
+        default 1).
 
     Raises
     ------
@@ -294,8 +298,8 @@ def make_spacetime(name: str, params: dict | None = None) -> Spacetime:
                 f"weak_field perturbation must satisfy |epsilon| <= 0.1, got {eps}"
             )
         a = float(params.get("softening", 1.0))
-        if not np.isfinite(a) or a <= 0.0:
-            raise ConfigurationError(f"softening must be > 0, got {a}")
+        if not 0.0 < a <= MAX_SOFTENING:
+            raise ConfigurationError(f"softening must be in (0, {MAX_SOFTENING:g}], got {a}")
         if 2.0 * abs(eps) / a >= 0.5:
             raise ConfigurationError(
                 "weak_field perturbation is not small everywhere: need 2|epsilon|/softening < 0.5"

@@ -24,6 +24,9 @@ _SQRT2 = np.sqrt(2.0)
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / _SQRT2
 
+# sigma_j x sigma_k for j, k in 0..2, shape (3, 3, 4, 4)
+_PAULI_PAIRS = np.array([[np.kron(pj, pk) for pk in PAULI] for pj in PAULI])
+
 # measurement block saturating |CHSH| for the untouched singlet: value -2 sqrt(2)
 CANONICAL_CHSH_DIRECTIONS = (
     np.array([0.0, 0.0, 1.0]),
@@ -94,7 +97,7 @@ def correlation_matrix(state: TwoQubitState) -> np.ndarray:
     k = np.empty((3, 3))
     for j in range(3):
         for kk in range(3):
-            k[j, kk] = np.trace(rho @ np.kron(PAULI[j], PAULI[kk])).real
+            k[j, kk] = np.trace(rho @ _PAULI_PAIRS[j, kk]).real
     return k
 
 

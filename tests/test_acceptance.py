@@ -201,11 +201,12 @@ def test_08_dephasing_monotone_with_flat_control(schwarzschild, minkowski, stati
         return out
 
     s1, s2 = legs(schwarzschild, decay)
+    pair = pair_transport(s1, s2)
     results = []
     for k, sigma in enumerate(sigmas):
         b1 = sample_bundle(s1, sigma, 2000, 100 + 2 * k)
         b2 = sample_bundle(s2, sigma, 2000, 101 + 2 * k)
-        results.append(fidelity_with_error(averaged_state(b1, b2, "incoherent")))
+        results.append(fidelity_with_error(averaged_state(pair, b1, b2, "incoherent")))
     zero_err = abs(results[0][0] - 1.0)
     monotone = all(
         results[k + 1][0] <= results[k][0] + 2.0 * (results[k][1] + results[k + 1][1])
@@ -213,11 +214,12 @@ def test_08_dephasing_monotone_with_flat_control(schwarzschild, minkowski, stati
     )
 
     f1, f2 = legs(minkowski, np.zeros(4))
+    flat_pair = pair_transport(f1, f2)
     flat_err = 0.0
     for k, sigma in enumerate(sigmas):
         b1 = sample_bundle(f1, sigma, 2000, 100 + 2 * k)
         b2 = sample_bundle(f2, sigma, 2000, 101 + 2 * k)
-        f, _ = fidelity_with_error(averaged_state(b1, b2, "incoherent"))
+        f, _ = fidelity_with_error(averaged_state(flat_pair, b1, b2, "incoherent"))
         flat_err = max(flat_err, abs(f - 1.0))
 
     ok = zero_err <= 1e-8 and monotone and flat_err <= 1e-8

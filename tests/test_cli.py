@@ -130,6 +130,8 @@ def one_error_line(capsys) -> str:
         ("tau = 1.5", "tau = 1e9"),
         ("[measurements]", f"[decoherence]\nsigma = 0\nn_paths = {MAX_PATHS + 1}\n[measurements]"),
         ("[measurements]", "[decoherence]\nsigma = 0, 0.1\nseed = -3\n[measurements]"),
+        ("kind = minkowski", "kind = weak_field\nepsilon = 0.01\nsoftening = 1e200"),
+        ("kind = minkowski", "kind = weak_field\nepsilon = 0.01\nsoftening = 1e103"),
     ],
     ids=[
         "spacelike-tangent",
@@ -140,6 +142,8 @@ def one_error_line(capsys) -> str:
         "tau-over-sample-cap",
         "n_paths-over-cap",
         "negative-seed",
+        "softening-1e200",
+        "softening-1e103",
     ],
 )
 def test_rejected_scenario_exits_1_with_one_line(tmp_path, capsys, old, new):
@@ -147,6 +151,16 @@ def test_rejected_scenario_exits_1_with_one_line(tmp_path, capsys, old, new):
     p.write_text(FLAT.replace(old, new, 1))
     assert main(["run", str(p)]) == 1
     assert "line " in one_error_line(capsys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_softening_runs_without_warnings(tmp_path, capsys):
+    p = tmp_path / "soft.cfg"
+    p.write_text(
+        FLAT.replace("kind = minkowski", "kind = weak_field\nepsilon = 0.01\nsoftening = 1e100")
+    )
+    assert main(["run", str(p), "--format", "csv"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_non_utf8_scenario_exits_1(tmp_path, capsys):

@@ -17,6 +17,7 @@ from eprgeo import (
     degraded_correlation,
     fidelity_with_error,
     integrate_geodesic,
+    pair_transport,
     sample_bundle,
 )
 from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage
@@ -36,6 +37,11 @@ def legs(schwarzschild, static_tangent):
     s1 = integrate_geodesic(schwarzschild, e0, u1, TAU, n_samples=samples_for(TAU))
     s2 = integrate_geodesic(schwarzschild, e0, u2, TAU, n_samples=samples_for(TAU))
     return s1, s2
+
+
+@pytest.fixture(scope="module")
+def pair(legs):
+    return pair_transport(*legs)
 
 
 class TestSampling:
@@ -121,10 +127,10 @@ class TestSampling:
 
 class TestAveragedState:
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
-    def test_density_is_valid(self, legs, mode):
+    def test_density_is_valid(self, legs, pair, mode):
         b1 = sample_bundle(legs[0], 0.6, 60, 5)
         b2 = sample_bundle(legs[1], 0.6, 60, 6)
-        avg = averaged_state(b1, b2, mode)
+        avg = averaged_state(pair, b1, b2, mode)
         rho = avg.rho
         assert np.allclose(rho, rho.conj().T, atol=1e-14)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
@@ -136,13 +142,13 @@ class TestAveragedState:
             assert purity <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
-    def test_zero_width_fidelity_is_one(self, legs, mode):
+    def test_zero_width_fidelity_is_one(self, legs, pair, mode):
         b1 = sample_bundle(legs[0], 0.0, 4, 5)
         b2 = sample_bundle(legs[1], 0.0, 4, 6)
-        assert averaged_state(b1, b2, mode).fidelity == pytest.approx(1.0, abs=1e-12)
+        assert averaged_state(pair, b1, b2, mode).fidelity == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
-    def test_zero_width_bundle_reuses_the_base_map(self, legs, mode, monkeypatch):
+    def test_zero_width_bundle_reuses_the_base_map(self, legs, pair, mode, monkeypatch):
         b1 = sample_bundle(legs[0], 0.0, 20, 5)
         b2 = sample_bundle(legs[1], 0.0, 20, 6)
         assert b1.meta["resample_rounds"] == b2.meta["resample_rounds"] == 0
@@ -155,7 +161,7 @@ class TestAveragedState:
             return metric(self, x)
 
         monkeypatch.setattr(cls, "metric", recording_metric)
-        avg = averaged_state(b1, b2, mode)
+        avg = averaged_state(pair, b1, b2, mode)
         monkeypatch.undo()
         # no metric evaluation spans the (n_paths, knots, 4) path batch
         assert shapes and all(len(s) <= 2 for s in shapes)
@@ -172,21 +178,21 @@ class TestAveragedState:
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
     @pytest.mark.parametrize("n_paths", [7, 20, 25])
-    def test_zero_width_error_bar_is_zero_for_any_path_count(self, legs, mode, n_paths):
+    def test_zero_width_error_bar_is_zero_for_any_path_count(self, legs, pair, mode, n_paths):
         # 7 and 25 paths do not split into ten equal blocks, and unequal
         # blocks of identical paths differ by round-off alone
         b1 = sample_bundle(legs[0], 0.0, n_paths, 5)
         b2 = sample_bundle(legs[1], 0.0, n_paths, 6)
-        assert fidelity_with_error(averaged_state(b1, b2, mode))[1] == 0.0
+        assert fidelity_with_error(averaged_state(pair, b1, b2, mode))[1] == 0.0
         # a pair with one wide bundle keeps its block estimate
         wide = sample_bundle(legs[1], 0.3, n_paths, 6)
-        assert fidelity_with_error(averaged_state(b1, wide, mode))[1] > 0.0
+        assert fidelity_with_error(averaged_state(pair, b1, wide, mode))[1] > 0.0
 
-    def test_small_width_continuity(self, legs):
+    def test_small_width_continuity(self, legs, pair):
         sigma = 1.0e-6 * TAU
         b1 = sample_bundle(legs[0], sigma, 100, 5)
         b2 = sample_bundle(legs[1], sigma, 100, 6)
-        assert averaged_state(b1, b2, "incoherent").fidelity >= 1.0 - 1e-6
+        assert averaged_state(pair, b1, b2, "incoherent").fidelity >= 1.0 - 1e-6
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
     def test_flat_spacetime_channel_is_trivial(self, minkowski, sigma):
@@ -199,31 +205,34 @@ class TestAveragedState:
         s2 = integrate_geodesic(minkowski, e0, u2, TAU, n_samples=samples_for(TAU))
         b1 = sample_bundle(s1, sigma, 80, 5)
         b2 = sample_bundle(s2, sigma, 80, 6)
-        assert averaged_state(b1, b2, "incoherent").fidelity == pytest.approx(1.0, abs=1e-12)
+        avg = averaged_state(pair_transport(s1, s2), b1, b2, "incoherent")
+        assert avg.fidelity == pytest.approx(1.0, abs=1e-12)
 
-    def test_unknown_mode_rejected(self, legs):
+    def test_unknown_mode_rejected(self, legs, pair):
         b1 = sample_bundle(legs[0], 0.1, 4, 5)
         b2 = sample_bundle(legs[1], 0.1, 4, 6)
         with pytest.raises(UsageError, match="unknown averaging mode"):
-            averaged_state(b1, b2, "fancy")
+            averaged_state(pair, b1, b2, "fancy")
 
-    def test_different_decay_events_rejected(self, schwarzschild, static_tangent, legs):
+    def test_bundles_off_the_pair_legs_rejected(self, schwarzschild, static_tangent, legs, pair):
         other = np.array([0.0, 14.0, np.pi / 2.0, 0.2])
         u = static_tangent(schwarzschild, other, [0.1, 0.0, 0.0])
         seg = integrate_geodesic(
             schwarzschild, Event(other), u, TAU, n_samples=samples_for(TAU)
         )
         b1 = sample_bundle(legs[0], 0.1, 4, 5)
-        b2 = sample_bundle(seg, 0.1, 4, 6)
-        with pytest.raises(UsageError):
-            averaged_state(b1, b2)
+        b2 = sample_bundle(legs[1], 0.1, 4, 6)
+        other_event = sample_bundle(seg, 0.1, 4, 6)
+        for wrong in ((b2, b1), (b1, b1), (b1, other_event), (other_event, b2)):
+            with pytest.raises(UsageError, match="pair's legs"):
+                averaged_state(pair, *wrong)
 
 
 class TestCorrelation:
-    def test_zero_width_matched_anticorrelation(self, legs):
+    def test_zero_width_matched_anticorrelation(self, legs, pair):
         b1 = sample_bundle(legs[0], 0.0, 4, 21)
         b2 = sample_bundle(legs[1], 0.0, 4, 22)
-        avg = averaged_state(b1, b2, "incoherent")
+        avg = averaged_state(pair, b1, b2, "incoherent")
         m = correlation_matrix(avg.state)
         a = np.array([0.0, 0.0, 1.0])
         b = -(m.T @ a)
@@ -253,13 +262,13 @@ class TestRegression:
         1.2: 0.9999978325905637,
     }
 
-    def test_pinned_fidelities_and_monotone_decay(self, legs):
+    def test_pinned_fidelities_and_monotone_decay(self, legs, pair):
         got = {}
         errs = {}
         for sigma, expected in self.PINNED.items():
             b1 = sample_bundle(legs[0], sigma, 400, 21)
             b2 = sample_bundle(legs[1], sigma, 400, 22)
-            f, se = fidelity_with_error(averaged_state(b1, b2, "incoherent"))
+            f, se = fidelity_with_error(averaged_state(pair, b1, b2, "incoherent"))
             got[sigma], errs[sigma] = f, se
             assert f == pytest.approx(expected, abs=1e-9)
             assert f <= 1.0 + 1e-12

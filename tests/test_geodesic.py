@@ -412,7 +412,7 @@ tol = 1e-10
 """
         sc = parse_scenario(text)
         report = run_scenario(sc)
-        assert not report.has_failures, report.failures
+        assert not report.has_failures, [r.value for r in report.rows if r.quantity == "failure"]
         assert report.diagnostics_ok
         ref = run_scenario(parse_scenario(text.replace("tol = 1e-10", "tol = 1e-12")))
         assert not ref.has_failures

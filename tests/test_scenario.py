@@ -1,6 +1,7 @@
 """Scenario text parsing, validation errors, and the end-to-end run."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import eprgeo.decoherence
+import eprgeo.pipeline
 import eprgeo.scenario
 from eprgeo import parse_scenario, run_scenario
 from eprgeo.errors import ConfigurationError
@@ -464,3 +466,24 @@ seed = 639675700
         # each sigma > 0 bundle of 6 paths is transported exactly once; a
         # sigma = 0 bundle reuses its base polygon's map for every path
         assert bundle_calls == [6, 6]
+
+    def test_pair_frames_are_built_once_for_all_sigmas(self, monkeypatch):
+        calls = dict.fromkeys(("rest_conjugation_factors", "boosted_tetrad"), 0)
+        modules = [m for n, m in sys.modules.items() if n == "eprgeo" or n.startswith("eprgeo.")]
+        for name in calls:
+            original = getattr(eprgeo.pipeline, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # every module binding, so a local `from .pipeline import ...` counts too
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        text = MINIMAL + "[decoherence]\nsigma = 0.0, 0.2, 0.4\nn_paths = 6\nseed = 3\n"
+        report = run_scenario(parse_scenario(text))
+        assert not report.has_failures
+        assert len([r for r in report.rows if r.quantity == "decoherence_fidelity"]) == 3
+        # one reference tetrad and one factor pair per leg, shared by every sigma
+        assert calls == {"rest_conjugation_factors": 2, "boosted_tetrad": 1}

@@ -35,6 +35,19 @@ class TestSinglet:
     def test_correlation_matrix(self):
         assert np.allclose(correlation_matrix(singlet()), -np.eye(3), atol=1e-12)
 
+    def test_correlation_matrix_matches_kron_loop(self):
+        w1 = su2_from_rotation(rodrigues([0.3, -1.0, 0.4], 0.7))
+        w2 = su2_from_rotation(rodrigues([1.0, 0.2, 0.0], 2.1))
+        pure = TwoQubitState("pure", pair_state(w1, w2))
+        mixed = TwoQubitState("mixed", 0.7 * pure.density + 0.3 * np.eye(4) / 4.0)
+        for state in (pure, mixed):
+            rho = state.density
+            oracle = np.empty((3, 3))
+            for j in range(3):
+                for k in range(3):
+                    oracle[j, k] = np.trace(rho @ np.kron(PAULI[j], PAULI[k])).real
+            assert np.array_equal(correlation_matrix(state), oracle)
+
     def test_matched_direction_is_same_axis(self):
         s = singlet()
         a = np.array([0.6, 0.0, 0.8])
