@@ -73,10 +73,10 @@ class PathBundle:
         return self.meta["base_knots"]
 
 
-def _decimate(n: int, cap: int = MAX_BUNDLE_KNOTS) -> np.ndarray:
-    if n <= cap:
+def _decimate(n: int) -> np.ndarray:
+    if n <= MAX_BUNDLE_KNOTS:
         return np.arange(n)
-    return np.unique(np.round(np.linspace(0, n - 1, cap)).astype(int))
+    return np.unique(np.round(np.linspace(0, n - 1, MAX_BUNDLE_KNOTS)).astype(int))
 
 
 def sample_bundle(
@@ -178,8 +178,12 @@ def _bundle_ingredients(
         u = polygon_spinor_transport(st, bundle.paths[lo:hi], gauge)
         maps[lo:hi] = su2_polar(post @ u @ pre)[0]
     if mode == "coherent":
-        s_base = path_action(st, bundle.base_knots, bundle.taus)
-        weights = np.exp(-0.25j * (path_action(st, bundle.paths, bundle.taus) - s_base)) / n
+        # a huge sigma overflows |dx|^2; the check below reports it instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_base = path_action(st, bundle.base_knots, bundle.taus)
+            weights = np.exp(-0.25j * (path_action(st, bundle.paths, bundle.taus) - s_base)) / n
+        if not np.all(np.isfinite(weights)):
+            raise DomainError("path action is not finite; reduce sigma")
     return maps, weights, base_map
 
 

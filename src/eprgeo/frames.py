@@ -43,7 +43,7 @@ def gauge_boost() -> np.ndarray:
     return L
 
 
-def _check_gauge(gauge: str) -> None:
+def check_gauge(gauge: str) -> None:
     if gauge not in GAUGES:
         raise UsageError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
 
@@ -72,7 +72,7 @@ def gram_schmidt_frame(g: np.ndarray) -> np.ndarray:
 
 def frame_field(st: Spacetime, coords: np.ndarray, gauge: str = "static") -> np.ndarray:
     """Frame matrix N at coords (batched), in the requested gauge."""
-    _check_gauge(gauge)
+    check_gauge(gauge)
     n = gram_schmidt_frame(st.metric(coords))
     if gauge == "boosted-static":
         n = n @ gauge_boost()
@@ -98,7 +98,7 @@ def spin_connection(
     re-projected onto its antisymmetric part so the so(1,3) structure holds
     exactly.
     """
-    _check_gauge(gauge)
+    check_gauge(gauge)
     gd, nd = _frame_diagonal(st.metric(coords))
     gam_dx = np.einsum("...nlp,...l->...np", st.christoffel(coords), dx)
     lower = (nd * gd)[..., _LOWER] * gam_dx[..., _LOWER, _UPPER] * nd[..., _UPPER]

@@ -11,6 +11,11 @@ Conventions, fixed once and used everywhere:
   W sigma_k W^dagger = sum_j R[j, k] sigma_j.
 
 All 2x2 helpers accept leading batch axes.
+
+Lifts go one way only: SL(2,C) elements come from generators (expm2 of
+lift_so13) or from closed-form boosts (pure_boost_sl2), and vector_action
+maps them down to SO(1,3).  Nothing lifts a 4x4 Lorentz matrix back up; the
+spinor route builds its frame lifts from the boosts that define the frames.
 """
 
 from __future__ import annotations
@@ -85,35 +90,6 @@ def rotation_matrix_from_su2(w: np.ndarray) -> np.ndarray:
         for j in range(3):
             R[..., j, k] = 0.5 * np.einsum("ab,...ba->...", PAULI[j], y).real
     return R
-
-
-def su2_from_rotation(R: np.ndarray) -> np.ndarray:
-    """An SU(2) element covering the rotation R (sign chosen with w >= 0)."""
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise UsageError(f"expected a 3x3 rotation, got shape {R.shape}")
-    # Shepperd's method: pick the most stable of the four quaternion branches.
-    t = np.trace(R)
-    choices = [t, R[0, 0], R[1, 1], R[2, 2]]
-    i = int(np.argmax(choices))
-    if i == 0:
-        s = np.sqrt(1.0 + t) * 2.0
-        q = np.array(
-            [0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s]
-        )
-    else:
-        a = i - 1
-        b, c = (a + 1) % 3, (a + 2) % 3
-        s = np.sqrt(1.0 + R[a, a] - R[b, b] - R[c, c]) * 2.0
-        q = np.empty(4)
-        q[0] = (R[c, b] - R[b, c]) / s
-        q[1 + a] = 0.25 * s
-        q[1 + b] = (R[b, a] + R[a, b]) / s
-        q[1 + c] = (R[c, a] + R[a, c]) / s
-    if q[0] < 0.0:
-        q = -q
-    q = q / np.linalg.norm(q)
-    return q[0] * ID2 - 1.0j * (q[1] * SIGMA_X + q[2] * SIGMA_Y + q[3] * SIGMA_Z)
 
 
 def _unit_timelike(u_hat: np.ndarray) -> np.ndarray:
@@ -199,15 +175,6 @@ def sl2_inverse(m: np.ndarray) -> np.ndarray:
     out[..., 0, 1] = -m[..., 0, 1]
     out[..., 1, 0] = -m[..., 1, 0]
     return out
-
-
-def sl2_from_lorentz(L: np.ndarray) -> np.ndarray:
-    """An SL(2,C) element covering the proper orthochronous Lorentz matrix L.
-
-    Defined up to global sign; built from the boost/rotation polar factors.
-    """
-    B, R = lorentz_polar(L)
-    return pure_boost_sl2(L[:, 0]) @ su2_from_rotation(R[1:, 1:])
 
 
 def rotation_axis_angle(R: np.ndarray) -> tuple[np.ndarray, float]:

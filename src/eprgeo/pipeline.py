@@ -8,7 +8,10 @@ preserves the 4-velocity, so the composite map fixes the rest space and its
 polar unitary part is an honest SU(2) rotation: the rest-frame spin rotation
 of that particle.  Both the spin-1/2 route and the 4x4 vector route are
 implemented; they must agree through the double cover and are tested against
-each other, never merged.
+each other, never merged.  Every frame on the way (decay reference, gauge
+frames, detector rest frames) is a static tetrad times a pure boost, so the
+spin-1/2 route lifts those boosts in SL(2,C) directly with pure_boost_sl2;
+no 4x4 Lorentz matrix is ever lifted back to SL(2,C).
 
 Physical anchors (the reference tetrad at the decay and the detector
 tetrads) are fixed in the static gauge regardless of the computational
@@ -22,18 +25,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import inverse_frame
-from .geodesic import GeodesicSegment
+from .frames import check_gauge, gauge_boost, gram_schmidt_frame, inverse_frame
+from .geodesic import GeodesicSegment, integrate_geodesic
 from .lorentz import (
+    ID2,
     lorentz_polar,
     pure_boost,
     pure_boost_inverse,
     pure_boost_sl2,
     pure_boost_sl2_inverse,
     rotation_matrix_from_su2,
-    sl2_from_lorentz,
     sl2_inverse,
     su2_polar,
+    vector_action,
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
 from .spin import TwoQubitState, matched_direction, pair_state
@@ -65,28 +69,39 @@ def _frame_velocity(st: Spacetime, frame: Tetrad, tangent: np.ndarray) -> np.nda
     return inverse_frame(frame.matrix, g) @ tangent
 
 
+def _static_components(st: Spacetime, event: Event, vector: np.ndarray) -> np.ndarray:
+    """A world vector at the event in static-tetrad components."""
+    g = st.metric(event.coords)
+    return inverse_frame(gram_schmidt_frame(g), g) @ vector
+
+
 def rest_conjugation_factors(
-    seg: GeodesicSegment, start_frame: Tetrad, end_frame: Tetrad, gauge: str
+    seg: GeodesicSegment, reference: Tetrad, gauge: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 factors closing a gauge-frame transport into a rest-frame map.
 
     For a transport U in gauge-frame components, post @ U @ pre maps
-    canonical rest-frame spin components at start_frame (rest velocity the
-    segment's first tangent) to those at end_frame (its last tangent).  When
-    U carries the start tangent to the end tangent the composite is unitary
+    canonical rest-frame spin components at ``reference`` (the boosted_tetrad
+    at seg.start; rest velocity the segment's first tangent) to those at the
+    static tetrad at seg.end (rest velocity its last tangent).  When U
+    carries the start tangent to the end tangent the composite is unitary
     up to discretization noise.
+
+    Every frame involved is a static tetrad times a pure boost, so the
+    factors are products of closed-form SL(2,C) boost lifts:
+    pre = K^-1 S(v) S(u0) and post = S(u1)^-1 K, where S is pure_boost_sl2,
+    v is the reference's leg 0 in static-tetrad components, u0 and u1 are
+    the tangents in the reference and end-static components, and K lifts
+    the constant boost from static to gauge frames (I in the static gauge).
     """
+    check_gauge(gauge)
     st = seg.spacetime
-    uh0 = _frame_velocity(st, start_frame, seg.tangents[0])
-    uh1 = _frame_velocity(st, end_frame, seg.tangents[-1])
-    ng0 = gauge_tetrad(st, start_frame.event, gauge).matrix
-    ng1 = gauge_tetrad(st, end_frame.event, gauge).matrix
-    g0 = st.metric(start_frame.event.coords)
-    g1 = st.metric(end_frame.event.coords)
-    s_in = sl2_from_lorentz(inverse_frame(ng0, g0) @ start_frame.matrix)
-    s_out = sl2_inverse(sl2_from_lorentz(inverse_frame(ng1, g1) @ end_frame.matrix))
-    pre = s_in @ pure_boost_sl2(uh0)
-    post = pure_boost_sl2_inverse(uh1) @ s_out
+    k = pure_boost_sl2(gauge_boost()[:, 0]) if gauge == "boosted-static" else ID2
+    v = _static_components(st, reference.event, reference.matrix[:, 0])
+    uh0 = _frame_velocity(st, reference, seg.tangents[0])
+    uh1 = _static_components(st, seg.end, seg.tangents[-1])
+    pre = sl2_inverse(k) @ pure_boost_sl2(v) @ pure_boost_sl2(uh0)
+    post = pure_boost_sl2_inverse(uh1) @ k
     return pre, post
 
 
@@ -149,8 +164,8 @@ def pair_transport(
     det1 = gauge_tetrad(st, seg1.end, "static")
     det2 = gauge_tetrad(st, seg2.end, "static")
 
-    pre1, post1 = rest_conjugation_factors(seg1, reference, det1, gauge)
-    pre2, post2 = rest_conjugation_factors(seg2, reference, det2, gauge)
+    pre1, post1 = rest_conjugation_factors(seg1, reference, gauge)
+    pre2, post2 = rest_conjugation_factors(seg2, reference, gauge)
 
     w1 = su2_polar(post1 @ spinor_propagator(seg1, gauge) @ pre1)[0]
     w2 = su2_polar(post2 @ spinor_propagator(seg2, gauge) @ pre2)[0]
@@ -178,8 +193,6 @@ def double_cover_defect(seg: GeodesicSegment, gauge: str = "static") -> float:
     The spin-1/2 transport pushed through the vector action must reproduce
     the 4x4 frame-component transport; this is the routes' shared oracle.
     """
-    from .lorentz import vector_action
-
     u = spinor_propagator(seg, gauge)
     lam = frame_propagator(seg, gauge)
     return float(np.max(np.abs(vector_action(u) - lam)))
@@ -195,8 +208,6 @@ def integrate_pair(
     **kwargs,
 ) -> PairResult:
     """Convenience: integrate both legs from the decay event and pair them."""
-    from .geodesic import integrate_geodesic
-
     seg1 = integrate_geodesic(st, decay, u1, tau1)
     seg2 = integrate_geodesic(st, decay, u2, tau2)
     return pair_transport(seg1, seg2, **kwargs)

@@ -507,10 +507,10 @@ def _run_decoherence(sc: Scenario, result: PairResult, report: Report) -> None:
         try:
             b1 = deco.sample_bundle(seg1, sigma, dspec.n_paths, seed=dspec.seed + 2 * k)
             b2 = deco.sample_bundle(seg2, sigma, dspec.n_paths, seed=dspec.seed + 2 * k + 1)
+            avg = deco.averaged_state(result, b1, b2, dspec.mode)
         except DomainError as exc:
             report.fail(f"decoherence: sigma={sigma}: {exc}")
             return
-        avg = deco.averaged_state(result, b1, b2, dspec.mode)
         fid, se = deco.fidelity_with_error(avg)
         e_deg = float(deco.degraded_correlation(avg, a_ideal, b_ideal))
         flag = ""

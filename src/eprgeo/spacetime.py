@@ -198,9 +198,12 @@ class WeakField(Spacetime):
         self.softening = float(params.get("softening", 1.0))
 
     def _potential(self, sp):
-        s = np.sqrt(np.sum(sp * sp, axis=-1) + self.softening**2)
+        # far out |x|^2 or s^3 overflows to inf, which gives the exact far-field
+        # limit phi = 0, grad phi = 0
+        with np.errstate(over="ignore"):
+            s = np.sqrt(np.sum(sp * sp, axis=-1) + self.softening**2)
+            grad = sp / s[..., None] ** 3
         phi = -1.0 / s
-        grad = sp / s[..., None] ** 3
         return phi, grad
 
     def metric(self, x):

@@ -16,13 +16,15 @@ from eprgeo import (
     matched_axis,
 )
 from eprgeo.errors import UsageError
-from eprgeo.lorentz import rotation_axis_angle
+from eprgeo.frames import frame_field, gauge_boost, inverse_frame
+from eprgeo.lorentz import pure_boost, pure_boost_inverse, rotation_axis_angle, vector_action
 from eprgeo.pipeline import (
     PairResult,
     boosted_tetrad,
     double_cover_defect,
     integrate_pair,
     pair_transport,
+    rest_conjugation_factors,
     spin_relative_rotation,
 )
 
@@ -38,8 +40,6 @@ def _flat_pair(minkowski, w1, w2, tau=2.0, **kwargs):
 
 def _curved_pair(schwarzschild, seed=0, gauge="static", **kwargs):
     r = np.random.default_rng(seed)
-    from eprgeo.frames import frame_field
-
     coords = np.array([0.0, 11.0, 1.3, 0.4])
     n0 = frame_field(schwarzschild, coords, "static")
     segs = []
@@ -136,6 +136,35 @@ class TestCurved:
         a = np.array([1.0, 0.0, 0.0])
         b = matched_axis(res, a)
         assert correlation(res.state, a, b) == pytest.approx(-1.0, abs=1e-9)
+
+
+class TestRestConjugationFactors:
+    """The closed-form spinor factors against their 4x4 products, via the double cover."""
+
+    @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_factors_cover_the_frame_boosts(self, schwarzschild, static_tangent, gauge, moving):
+        st = schwarzschild
+        coords = np.array([0.0, 11.0, 1.3, 0.4])
+        u = static_tangent(st, coords, [0.3, -0.2, 0.25])
+        seg = integrate_geodesic(st, Event(coords), u, 1.8)
+        velocity = static_tangent(st, coords, [0.15, -0.1, 0.05]) if moving else None
+        reference = boosted_tetrad(st, seg.start, velocity)
+        pre, post = rest_conjugation_factors(seg, reference, gauge)
+
+        def static_components(x, vector):
+            g = st.metric(x)
+            return inverse_frame(frame_field(st, x, "static"), g) @ vector
+
+        v = static_components(seg.events[0], reference.matrix[:, 0])
+        g0 = st.metric(seg.events[0])
+        u0 = inverse_frame(reference.matrix, g0) @ seg.tangents[0]
+        u1 = static_components(seg.events[-1], seg.tangents[-1])
+        big_g = gauge_boost() if gauge == "boosted-static" else np.eye(4)
+        expected_pre = np.linalg.inv(big_g) @ pure_boost(v) @ pure_boost(u0)
+        expected_post = pure_boost_inverse(u1) @ big_g
+        assert np.max(np.abs(vector_action(pre) - expected_pre)) < 1e-12
+        assert np.max(np.abs(vector_action(post) - expected_post)) < 1e-12
 
 
 class TestValidation:

@@ -5,7 +5,7 @@ import pytest
 
 from eprgeo import CANONICAL_CHSH_DIRECTIONS, chsh, correlation, correlation_matrix
 from eprgeo.errors import UsageError
-from eprgeo.lorentz import PAULI, su2_from_rotation, su2_polar
+from eprgeo.lorentz import PAULI, expm2, su2_polar
 from eprgeo.spin import SINGLET, TwoQubitState, fidelity, matched_direction, pair_state
 
 rng = np.random.default_rng(31)
@@ -22,6 +22,13 @@ def rodrigues(axis, angle):
     return np.eye(3) + np.sin(angle) * kx + (1 - np.cos(angle)) * (kx @ kx)
 
 
+def su2(axis, angle):
+    """exp(-(i/2) angle n.sigma): the SU(2) rotation by angle about axis n."""
+    n = np.asarray(axis, dtype=float)
+    n = n / np.linalg.norm(n)
+    return expm2(-0.5j * angle * np.einsum("k,kij->ij", n, PAULI))
+
+
 class TestSinglet:
     def test_correlation_is_minus_cosine(self):
         s = singlet()
@@ -36,8 +43,8 @@ class TestSinglet:
         assert np.allclose(correlation_matrix(singlet()), -np.eye(3), atol=1e-12)
 
     def test_correlation_matrix_matches_kron_loop(self):
-        w1 = su2_from_rotation(rodrigues([0.3, -1.0, 0.4], 0.7))
-        w2 = su2_from_rotation(rodrigues([1.0, 0.2, 0.0], 2.1))
+        w1 = su2([0.3, -1.0, 0.4], 0.7)
+        w2 = su2([1.0, 0.2, 0.0], 2.1)
         pure = TwoQubitState("pure", pair_state(w1, w2))
         mixed = TwoQubitState("mixed", 0.7 * pure.density + 0.3 * np.eye(4) / 4.0)
         for state in (pure, mixed):
@@ -61,7 +68,7 @@ class TestSinglet:
 
     def test_rotation_invariance(self):
         # (W x W) leaves the singlet ray unchanged
-        w = su2_from_rotation(rodrigues([0.2, 1.0, -0.5], 1.234))
+        w = su2([0.2, 1.0, -0.5], 1.234)
         v = np.kron(w, w) @ SINGLET
         overlap = abs(np.vdot(SINGLET, v))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -113,7 +120,7 @@ class TestApplyTransports:
     def test_rotations_rotate_correlation_axes(self):
         r1 = rodrigues([0, 0, 1], 0.4)
         r2 = rodrigues([1, 0, 0], -0.7)
-        psi = pair_state(su2_from_rotation(r1), su2_from_rotation(r2))
+        psi = pair_state(su2([0, 0, 1], 0.4), su2([1, 0, 0], -0.7))
         out = TwoQubitState("pure", psi)
         a = np.array([0.0, 1.0, 0.0])
         b = np.array([0.3, -0.5, 0.8])
