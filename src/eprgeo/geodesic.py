@@ -9,6 +9,14 @@ steps fall.  Leaving the chart is not an error of the integrator but of the
 trajectory: the step is halved toward the boundary and a DomainExitError
 carrying the last valid sample is raised.
 
+The step is unrolled on Python floats, because on an 8-component state
+NumPy's per-call overhead costs more than the arithmetic: each stage is one
+list comprehension with the Butcher coefficients as literals, the error norm
+is a root mean square of eight floats, the chart test is the spacetime's
+one-point ``contains``, and the interpolated nodes come from the step's
+polynomial coefficients by Horner's rule.  NumPy holds the sample grid and
+the returned arrays, and checks the 4-velocity norm after the loop.
+
 The boundary-value problem (geodesic from O to a given target event) is
 solved by damped Newton shooting on four unknowns: the spatial velocity of
 the launch direction in the static frame at O, w = sinh(chi) * direction,
@@ -19,6 +27,7 @@ where angle coordinates would degenerate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,41 +45,6 @@ MAX_LEG_SAMPLES = 100_000
 
 # Newton updates solve_bvp attempts before reporting non-convergence.
 MAX_SHOOTING_ITERATIONS = 50
-
-# Dormand-Prince 5(4) coefficients; last row of A equals the 5th-order
-# weights, so the 7th stage is the first stage of the next step (FSAL).
-# The geodesic equation is autonomous, so the stage nodes c_i never enter.
-_DP_A = tuple(
-    np.array(row)
-    for row in (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-_DP_E = _DP_B5 - _DP_B4
-# Continuous extension (Hairer, Norsett & Wanner, Solving ODEs I, II.6):
-# y(t + theta h) = y + h * sum_i b_i(theta) k_i with b_i(theta) =
-# sum_j _DP_P[i, j] theta^(j+1), a 4th-order interpolant; b(1) = _DP_B5.
-_DP_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
 
 # Longest adaptive step, in sample spacings.  Uncapped steps let the
 # interpolated 4-velocity norm drift past max(10 tol, 1e-9) on some legs at
@@ -136,9 +110,31 @@ def samples_for(tau: float, step: float = DEFAULT_SAMPLE_STEP) -> int:
     return max(1, int(np.ceil(abs(tau) / step))) + 1
 
 
-def _dense_weights(theta: np.ndarray) -> np.ndarray:
-    """Continuous-extension weights b(theta), shape (len(theta), 7)."""
-    return np.power.outer(theta, np.arange(1, 5)) @ _DP_P.T
+def _dense_coefficients(h, y, k1, k3, k4, k5, k6, k7):
+    """Per component, the tuple (y, c1, c2, c3, c4) of one step's interpolant.
+
+    y(t + theta h) = y + theta (c1 + theta (c2 + theta (c3 + theta c4)))
+    with c_j = h sum_i p_ij k_i: the Dormand-Prince continuous extension
+    b_i(theta) = sum_j p_ij theta^j (Hairer, Norsett & Wanner, Solving ODEs
+    I, II.6), a 4th-order interpolant with b(1) the 5th-order weights.  The
+    second stage's polynomial is zero, so k2 does not enter.
+    """
+    return [
+        (
+            a,
+            h * b,
+            h * (-8048581381 / 2820520608 * b + 131558114200 / 32700410799 * c
+                 - 1754552775 / 470086768 * d + 127303824393 / 49829197408 * e
+                 - 282668133 / 205662961 * f + 40617522 / 29380423 * g),
+            h * (8663915743 / 2820520608 * b - 68118460800 / 10900136933 * c
+                 + 14199869525 / 1410260304 * d - 318862633887 / 49829197408 * e
+                 + 2019193451 / 616988883 * f - 110615467 / 29380423 * g),
+            h * (-12715105075 / 11282082432 * b + 87487479700 / 32700410799 * c
+                 - 10690763975 / 1880347072 * d + 701980252875 / 199316789632 * e
+                 - 1453857185 / 822651844 * f + 69997945 / 29380423 * g),
+        )
+        for a, b, c, d, e, f, g in zip(y, k1, k3, k4, k5, k6, k7)
+    ]
 
 
 def integrate_geodesic(
@@ -154,17 +150,21 @@ def integrate_geodesic(
 ) -> GeodesicSegment:
     """Integrate the geodesic from event0 with 4-velocity u0 for proper time tau_end.
 
-    u0 must be timelike and future-directed (u0[0] > 0) and tau_end >= 0:
-    the integrator only runs toward the future; ``reverse`` gives the same
-    worldline traversed the other way.  Samples are returned at exactly the
-    uniform grid times.  With ``adaptive`` the local error per step is
-    controlled at rtol=tol, atol=tol/100, each step spans at most
+    u0 must be timelike and future-directed (u0[0] > 0), tau_end >= 0 and
+    tol > 0: the integrator only runs toward the future; ``reverse`` gives
+    the same worldline traversed the other way.  Samples are returned at
+    exactly the uniform grid times.  With ``adaptive`` the local error per
+    step is controlled at rtol=tol, atol=tol/100, each step spans at most
     MAX_STEP_SPACINGS sample spacings, and the nodes inside a step are
     interpolated by the 4th-order continuous extension (the last sample is
     the endpoint of the last step); otherwise one 5th-order step is taken per
-    grid interval (useful for convergence studies).  The 4-velocity norm is
-    checked across all samples afterwards, interpolated ones included; drift
-    beyond max(10 tol, 1e-9) raises NormDriftError carrying the segment.
+    grid interval (useful for convergence studies).  Both modes run the same
+    step, unrolled on Python floats: the state, the seven stages, the error
+    norm and the interpolated nodes are floats and lists of floats, and the
+    chart test is the spacetime's one-point ``contains``.  The 4-velocity
+    norm is checked across all samples afterwards, interpolated ones
+    included; drift beyond max(10 tol, 1e-9) raises NormDriftError carrying
+    the segment.
     """
     require_event(st, event0)
     u0 = np.asarray(u0, dtype=float)
@@ -180,8 +180,10 @@ def integrate_geodesic(
     norm0 = -1.0 if normalize else q
 
     tau_end = float(tau_end)
-    if not 0.0 <= tau_end < np.inf:
+    if not 0.0 <= tau_end < math.inf:
         raise UsageError(f"tau_end must be finite and >= 0, got {tau_end}")
+    if not tol > 0.0:
+        raise UsageError(f"tol must be positive, got {tol}")
     if tau_end == 0.0:
         return point_segment(st, event0, u0)
 
@@ -190,23 +192,26 @@ def integrate_geodesic(
     if n_samples < 2:
         raise UsageError("n_samples must be at least 2")
     nodes = np.linspace(0.0, tau_end, n_samples)
+    grid = nodes.tolist()
 
-    rtol, atol = tol, tol * 1.0e-2
+    rtol, atol = float(tol), float(tol) * 1.0e-2
     h_min = 1.0e-12 * max(1.0, tau_end)
-    h_max = MAX_STEP_SPACINGS * nodes[1]
+    h_max = MAX_STEP_SPACINGS * grid[1]
     at_node = 1.0e-14 * tau_end
     ys = np.empty((n_samples, 8))
     ys[0, :4] = event0.coords
     ys[0, 4:] = u0
 
-    y = ys[0].copy()
-    k1 = st.geodesic_rhs(y)
-    h = nodes[1]
+    rhs = st.geodesic_rhs
+    contains = st.contains
+    isfinite = math.isfinite
+    y = ys[0].tolist()
+    k1 = rhs(y)
+    h = grid[1]
     t = 0.0
     i = 1  # next node to fill
     n_steps = n_rejected = 0
     n_rhs = 1
-    stages = np.empty((7, 8))
 
     while i < n_samples:
         if adaptive:
@@ -215,24 +220,44 @@ def integrate_geodesic(
                 raise IntegrationError(f"step size underflow at tau={t:.6g}")
             h = min(h, h_limit)
         else:
-            h = nodes[i] - t
-        stages[0] = k1
-        ok = True
-        with np.errstate(all="ignore"):
-            for j in range(1, 7):
-                n_rhs += 1
-                try:
-                    stages[j] = st.geodesic_rhs(y + h * (_DP_A[j] @ stages[:j]))
-                except (ArithmeticError, ValueError):
-                    # a stage state where the closed form is singular or
-                    # non-finite: reject the step as a non-finite one
-                    stages[j:] = np.nan
-                    break
-            y_new = y + h * (_DP_B5 @ stages)
-            err = h * (_DP_E @ stages)
-        if not np.all(np.isfinite(y_new)):
+            h = grid[i] - t
+        # one Dormand-Prince 5(4) step; the last stage row equals the
+        # 5th-order weights, so k7 is the next step's k1 (FSAL), and the
+        # equation is autonomous, so the nodes c_i never enter
+        try:
+            n_rhs += 1
+            k2 = rhs([a + h * (1 / 5 * b) for a, b in zip(y, k1)])
+            n_rhs += 1
+            k3 = rhs([a + h * (3 / 40 * b + 9 / 40 * c) for a, b, c in zip(y, k1, k2)])
+            n_rhs += 1
+            k4 = rhs([
+                a + h * (44 / 45 * b - 56 / 15 * c + 32 / 9 * d)
+                for a, b, c, d in zip(y, k1, k2, k3)
+            ])
+            n_rhs += 1
+            k5 = rhs([
+                a + h * (19372 / 6561 * b - 25360 / 2187 * c + 64448 / 6561 * d - 212 / 729 * e)
+                for a, b, c, d, e in zip(y, k1, k2, k3, k4)
+            ])
+            n_rhs += 1
+            k6 = rhs([
+                a + h * (9017 / 3168 * b - 355 / 33 * c + 46732 / 5247 * d
+                         + 49 / 176 * e - 5103 / 18656 * f)
+                for a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5)
+            ])
+            y_new = [
+                a + h * (35 / 384 * b + 500 / 1113 * d + 125 / 192 * e
+                         - 2187 / 6784 * f + 11 / 84 * g)
+                for a, b, d, e, f, g in zip(y, k1, k3, k4, k5, k6)
+            ]
+            n_rhs += 1
+            k7 = rhs(y_new)
+            ok = all(map(isfinite, y_new))
+        except (ArithmeticError, ValueError):
+            # a stage state where the closed form is singular or non-finite:
+            # reject the step as a non-finite one
             ok = False
-        elif not bool(st.in_chart(y_new[:4])):
+        if ok and not contains(y_new[:4]):
             # not a numerical failure: creep toward the chart boundary
             if adaptive and h > 4.0 * h_min:
                 h *= 0.5
@@ -241,15 +266,24 @@ def integrate_geodesic(
             raise DomainExitError(
                 f"trajectory leaves the chart of {st.name} near tau={t:.6g}",
                 tau=t,
-                coords=y[:4].copy(),
-                velocity=y[4:].copy(),
+                coords=np.array(y[:4]),
+                velocity=np.array(y[4:]),
             )
         if adaptive:
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            with np.errstate(all="ignore"):
-                enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-            if not ok or not np.isfinite(enorm) or enorm > 1.0:
-                h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if np.isfinite(enorm) else 0.5
+            enorm = math.inf
+            if ok:
+                # error of the embedded 4th-order solution, weights b5 - b4
+                ratios = [
+                    h * (71 / 57600 * b - 71 / 16695 * d + 71 / 1920 * e
+                         - 17253 / 339200 * f + 22 / 525 * g - 1 / 40 * k)
+                    / (atol + rtol * (a if a > z else z))
+                    for a, z, b, d, e, f, g, k in zip(
+                        map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7
+                    )
+                ]
+                enorm = math.sqrt(sum([q * q for q in ratios]) / 8.0)
+            if not enorm <= 1.0:
+                h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if isfinite(enorm) else 0.5
                 n_rejected += 1
                 continue
             grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
@@ -259,19 +293,19 @@ def integrate_geodesic(
             grow = 1.0
         # fill the nodes in (t, t + h]; one at the step's end gets y_new
         t_new = t + h
-        inner = i
-        while inner < n_samples and nodes[inner] < t_new - at_node:
-            inner += 1
-        if inner > i:
-            ys[i:inner] = y + h * (_dense_weights((nodes[i:inner] - t) / h) @ stages)
-            i = inner
-        if i < n_samples and nodes[i] - t_new <= at_node:
+        if i < n_samples and grid[i] < t_new - at_node:
+            dense = _dense_coefficients(h, y, k1, k3, k4, k5, k6, k7)
+            while i < n_samples and grid[i] < t_new - at_node:
+                th = (grid[i] - t) / h
+                ys[i] = [a + th * (b + th * (c + th * (d + th * e))) for a, b, c, d, e in dense]
+                i += 1
+        if i < n_samples and grid[i] - t_new <= at_node:
             ys[i] = y_new
-            t_new = nodes[i]
+            t_new = grid[i]
             i += 1
         t = t_new
         y = y_new
-        k1 = stages[6]
+        k1 = k7
         h *= grow
         n_steps += 1
 
@@ -311,7 +345,8 @@ class ShootingReport:
 
     residual is the Euclidean chart-coordinate distance from the endpoint to
     the target (periodic axes wrapped); iterations counts the Newton updates
-    the line search accepted.
+    the line search accepted, and halvings the times it halved a Newton step
+    (8 for a search that stalled).
     """
 
     converged: bool
@@ -319,12 +354,28 @@ class ShootingReport:
     iterations: int
     proper_time: float
     message: str = ""
+    halvings: int = 0
 
 
 def _wrap_residual(st: Spacetime, delta: np.ndarray) -> np.ndarray:
     for axis, period in st.periodic_axes.items():
         delta[axis] = (delta[axis] + period / 2.0) % period - period / 2.0
     return delta
+
+
+def chord(st: Spacetime, origin: Event, target: Event) -> tuple[np.ndarray, float]:
+    """The coordinate separation dx from origin to target and g(dx, dx) there.
+
+    dx is wrapped on periodic axes and g is the metric at origin.  Raises
+    UsageError when g(dx, dx) overflows: no leg reaches so far a target.
+    """
+    g0 = metric_at(st, origin)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = _wrap_residual(st, target.coords - origin.coords)
+        interval = float(dx @ g0 @ dx)
+    if not np.isfinite(interval):
+        raise UsageError(f"target too far from {origin!r}: g(dx, dx) = {interval}")
+    return dx, interval
 
 
 def solve_bvp(
@@ -352,6 +403,7 @@ def solve_bvp(
     converged if the full grid would exceed MAX_LEG_SAMPLES or the
     re-integration fails.  Angular residuals are wrapped on periodic axes.
     Returns (segment, report); the segment is None when not converged.
+    Raises UsageError for a target too far out (see ``chord``).
     """
     require_event(st, origin)
     require_event(st, target)
@@ -361,10 +413,10 @@ def solve_bvp(
 
     n0 = frame_field(st, origin.coords)
     g0 = metric_at(st, origin)
-    dx = _wrap_residual(st, target.coords - origin.coords)
+    dx, interval = chord(st, origin, target)
 
     if tau_hint is None:
-        q = -float(dx @ g0 @ dx)
+        q = -interval
         tau_hint = float(np.sqrt(q)) if q > 1.0e-8 else float(np.linalg.norm(dx))
         tau_hint = max(tau_hint, 1.0e-3)
 
@@ -408,13 +460,13 @@ def solve_bvp(
         return None, ShootingReport(False, np.inf, 0, p[3], "initial trajectory leaves the chart")
 
     message = f"did not converge in {MAX_SHOOTING_ITERATIONS} iterations"
-    n_updates = 0
+    n_updates = n_halvings = 0
     for _ in range(MAX_SHOOTING_ITERATIONS):
         if float(np.linalg.norm(r)) < tol:
             if samples_for(p[3], sample_step) > MAX_LEG_SAMPLES:
                 message = f"proper time {p[3]:.6g} needs over {MAX_LEG_SAMPLES} samples per leg"
                 return None, ShootingReport(
-                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message
+                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message, n_halvings
                 )
             try:
                 seg = integrate_geodesic(
@@ -428,12 +480,12 @@ def solve_bvp(
             except IntegrationError as exc:
                 message = f"re-integration of the converged shot failed: {exc}"
                 return None, ShootingReport(
-                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message
+                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message, n_halvings
                 )
             final = _wrap_residual(st, seg.events[-1] - target.coords)
             if float(np.linalg.norm(final)) < tol:
                 return seg, ShootingReport(
-                    True, float(np.linalg.norm(final)), n_updates, float(p[3])
+                    True, float(np.linalg.norm(final)), n_updates, float(p[3]), halvings=n_halvings
                 )
             # the endpoint-only integration missed by this much: aim the trials off
             offset += final - r
@@ -463,6 +515,7 @@ def solve_bvp(
 
         r2 = float(r @ r)
         for k in range(9):
+            n_halvings += k > 0
             p_try = p + d * (0.5**k)
             if p_try[3] < 1.0e-8:
                 continue
@@ -475,4 +528,6 @@ def solve_bvp(
             break
         n_updates += 1
 
-    return None, ShootingReport(False, float(np.linalg.norm(r)), n_updates, float(p[3]), message)
+    return None, ShootingReport(
+        False, float(np.linalg.norm(r)), n_updates, float(p[3]), message, n_halvings
+    )

@@ -42,12 +42,13 @@ from typing import Optional
 import numpy as np
 
 from . import decoherence as deco
-from .errors import ConfigurationError, DomainError, IntegrationError
+from .errors import ConfigurationError, DomainError, IntegrationError, UsageError
 from .geodesic import (
     DEFAULT_SAMPLE_STEP,
     DEFAULT_TOL,
     MAX_LEG_SAMPLES,
     GeodesicSegment,
+    chord,
     integrate_geodesic,
     samples_for,
     solve_bvp,
@@ -270,7 +271,9 @@ def _require_future_timelike(g: np.ndarray, u: np.ndarray, line: int, key: str) 
         raise _err(line, f"{key} must be timelike and future-directed, got g(u, u) = {norm}")
 
 
-def _parse_detector(name: str, entries: dict, st: Spacetime, g: np.ndarray) -> DetectorSpec:
+def _parse_detector(
+    name: str, entries: dict, st: Spacetime, origin: Event, g: np.ndarray
+) -> DetectorSpec:
     has_ivp = "tangent" in entries or "tau" in entries
     has_bvp = "target" in entries or "tau_hint" in entries
     first_line = min(line for _, line in entries.values()) if entries else 0
@@ -284,11 +287,15 @@ def _parse_detector(name: str, entries: dict, st: Spacetime, g: np.ndarray) -> D
     if has_bvp:
         if "target" not in entries:
             raise _err(first_line, f"[{name}]: target is required for a boundary-value leg")
+        target, line = entries["target"]
         try:
-            require_event(st, Event(entries["target"][0]))
+            require_event(st, Event(target))
         except DomainError as exc:
-            line = entries["target"][1]
             raise _err(line, f"[{name}]: target outside chart domain: {exc}") from None
+        try:
+            chord(st, origin, Event(target))
+        except UsageError as exc:
+            raise _err(line, f"[{name}]: {exc}") from None
         return DetectorSpec(mode="bvp", **_values(entries))
     raise ConfigurationError(f"[{name}]: missing leg definition (tangent/tau or target)")
 
@@ -316,8 +323,9 @@ def parse_scenario(text: str) -> Scenario:
 
     decay = sections["decay"]
     decay_event, line = decay["event"]
+    origin = Event(decay_event)
     try:
-        g = metric_at(st, Event(decay_event))
+        g = metric_at(st, origin)
     except DomainError as exc:
         raise _err(line, f"decay event outside chart domain: {exc}") from None
     if "velocity" in decay:
@@ -332,8 +340,8 @@ def parse_scenario(text: str) -> Scenario:
         spacetime_params=params,
         decay_event=decay_event,
         decay_velocity=_values(decay).get("velocity"),
-        detector1=_parse_detector("detector1", sections["detector1"], st, g),
-        detector2=_parse_detector("detector2", sections["detector2"], st, g),
+        detector1=_parse_detector("detector1", sections["detector1"], st, origin, g),
+        detector2=_parse_detector("detector2", sections["detector2"], st, origin, g),
         decoherence=decoherence,
         **_values(sections.get("measurements", {})),
         **_values(sections.get("numerics", {})),
@@ -380,6 +388,7 @@ def _build_leg(sc: Scenario, st: Spacetime, origin: Event, det: DetectorSpec, la
     )
     report.add(f"{label}_endpoint_residual", float(shot.residual))
     report.add(f"{label}_shooting_iterations", int(shot.iterations))
+    report.add(f"{label}_line_search_halvings", int(shot.halvings))
     if seg is None:
         report.fail(f"{label}: no timelike geodesic found: {shot.message}")
         return None

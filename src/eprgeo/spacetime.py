@@ -4,16 +4,21 @@ Geometric units G = c = 1 throughout; metric signature (-,+,+,+).
 
 Evaluators are vectorized: coordinates of shape (..., 4) give metrics of
 shape (..., 4, 4) and Christoffel symbols of shape (..., 4, 4, 4), indexed
-as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``.  The one exception is
-``geodesic_rhs``, the integrator's right-hand side at a single state: it
-evaluates the closed-form acceleration on Python floats, because at one point
-NumPy's per-call overhead costs more than the arithmetic.
+as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``, and ``in_chart`` gives a
+boolean mask over the leading axes.  The two exceptions serve the
+integrator's step, which works on one state at a time: ``geodesic_rhs`` takes
+a state as a sequence of 8 Python floats and returns the closed-form
+right-hand side as a tuple of floats, and ``contains`` is ``in_chart`` for one
+point given as 4 floats.  At one point NumPy's per-call overhead costs more
+than the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,6 +31,10 @@ AXIS_GUARD = 1.0e-6
 
 #: excluded shell outside the Schwarzschild horizon, r <= 2M(1 + guard)
 HORIZON_GUARD = 1.0e-3
+
+#: radii at or beyond this are outside the Schwarzschild chart: r**2 in the
+#: metric would overflow
+MAX_RADIUS = math.sqrt(sys.float_info.max)
 
 #: largest weak-field softening a; a**2 and the potential's s**3 stay finite
 MAX_SOFTENING = 1.0e100
@@ -70,18 +79,30 @@ class Spacetime:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def geodesic_rhs(self, y: np.ndarray) -> np.ndarray:
+    def geodesic_rhs(self, y: Sequence[float]) -> tuple[float, ...]:
         """The geodesic equation's right-hand side (u, -Gamma^l_mn(x) u^m u^n).
 
-        y is one state (x, u) of shape (8,); so is the result.  Off the
-        chart's domain the arithmetic may raise ArithmeticError or ValueError
-        (a division by zero, a sine of infinity) instead of returning inf.
+        y is one state (x, u) as a sequence of 8 Python floats; the result is
+        a tuple of 8 floats.  Off the chart's domain the arithmetic may raise
+        ArithmeticError or ValueError (a division by zero, a sine of
+        infinity) instead of returning inf.
         """
         raise NotImplementedError
 
     def in_chart(self, x: np.ndarray) -> np.ndarray:
-        """Boolean mask of which coordinate tuples lie in the chart domain."""
-        raise NotImplementedError
+        """Boolean mask of which coordinate tuples lie in the chart domain.
+
+        The default is a global chart: every finite coordinate tuple.
+        """
+        x = np.asarray(x, dtype=float)
+        return np.all(np.isfinite(x), axis=-1)
+
+    def contains(self, x: Sequence[float]) -> bool:
+        """Whether one point, given as 4 Python floats, lies in the chart domain.
+
+        The same test as ``in_chart``, on floats, for the integrator's step.
+        """
+        return all(map(math.isfinite, x))
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
@@ -102,21 +123,17 @@ class Minkowski(Spacetime):
         return np.zeros(x.shape[:-1] + (4, 4, 4))
 
     def geodesic_rhs(self, y):
-        out = np.zeros(8)
-        out[:4] = y[4:]
-        return out
-
-    def in_chart(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.all(np.isfinite(x), axis=-1)
+        _, _, _, _, ut, u1, u2, u3 = y
+        return (ut, u1, u2, u3, 0.0, 0.0, 0.0, 0.0)
 
 
 class Schwarzschild(Spacetime):
     """Schwarzschild exterior in (t, r, theta, phi) coordinates.
 
-    The chart excludes r <= 2M(1 + HORIZON_GUARD) and a thin band around the
-    polar axis where the spherical coordinates degenerate.  M = 0 is allowed
-    and reduces to flat spacetime written in spherical coordinates.
+    The chart excludes r <= 2M(1 + HORIZON_GUARD), radii r >= MAX_RADIUS
+    where r**2 overflows, and a thin band around the polar axis where the
+    spherical coordinates degenerate.  M = 0 is allowed and reduces to flat
+    spacetime written in spherical coordinates.
     """
 
     name = "schwarzschild"
@@ -160,7 +177,7 @@ class Schwarzschild(Spacetime):
         return G
 
     def geodesic_rhs(self, y):
-        _, r, th, _, ut, ur, uth, uph = y.tolist()
+        _, r, th, _, ut, ur, uth, uph = y
         M = self.mass
         f = 1.0 - 2.0 * M / r
         sin, cos = math.sin(th), math.cos(th)
@@ -170,14 +187,21 @@ class Schwarzschild(Spacetime):
         a_r += (r - 2.0 * M) * (uth * uth + sin * sin * uph * uph)
         a_th = sin * cos * uph * uph - 2.0 / r * ur * uth
         a_ph = -2.0 * (ur / r + cos / sin * uth) * uph
-        return np.array([ut, ur, uth, uph, a_t, a_r, a_th, a_ph])
+        return (ut, ur, uth, uph, a_t, a_r, a_th, a_ph)
 
     def in_chart(self, x):
         x = np.asarray(x, dtype=float)
         r = x[..., 1]
         th = x[..., 2]
-        ok = np.all(np.isfinite(x), axis=-1)
-        return ok & (r > self.r_min) & (r > 0.0) & (np.sin(th) > AXIS_GUARD)
+        ok = np.all(np.isfinite(x), axis=-1) & (r > self.r_min) & (r > 0.0) & (r < MAX_RADIUS)
+        with np.errstate(invalid="ignore"):  # sin of a non-finite theta, excluded above
+            return ok & (np.sin(th) > AXIS_GUARD)
+
+    def contains(self, x):
+        t, r, th, ph = x
+        if not (math.isfinite(t) and math.isfinite(th) and math.isfinite(ph)):
+            return False
+        return self.r_min < r < MAX_RADIUS and r > 0.0 and math.sin(th) > AXIS_GUARD
 
 
 class WeakField(Spacetime):
@@ -233,7 +257,7 @@ class WeakField(Spacetime):
         return G
 
     def geodesic_rhs(self, y):
-        _, x1, x2, x3, ut, v1, v2, v3 = y.tolist()
+        _, x1, x2, x3, ut, v1, v2, v3 = y
         eps = self.epsilon
         s = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3 + self.softening**2)
         s3 = s * s * s  # not s**3, which raises OverflowError on huge coordinates
@@ -247,11 +271,7 @@ class WeakField(Spacetime):
         a1 = (2.0 * dv * v1 - d1 * uu) / B
         a2 = (2.0 * dv * v2 - d2 * uu) / B
         a3 = (2.0 * dv * v3 - d3 * uu) / B
-        return np.array([ut, v1, v2, v3, -2.0 * dv * ut / A, a1, a2, a3])
-
-    def in_chart(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.all(np.isfinite(x), axis=-1)
+        return (ut, v1, v2, v3, -2.0 * dv * ut / A, a1, a2, a3)
 
 
 def _reject_unknown(params: dict, allowed: set, name: str):

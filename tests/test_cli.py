@@ -131,6 +131,11 @@ def one_error_line(capsys) -> str:
         ("[measurements]", "[decoherence]\nsigma = 0, 0.1\nseed = -3\n[measurements]"),
         ("kind = minkowski", "kind = weak_field\nepsilon = 0.01\nsoftening = 1e200"),
         ("kind = minkowski", "kind = weak_field\nepsilon = 0.01\nsoftening = 1e103"),
+        (
+            "kind = minkowski\n\n[decay]\nevent = 0, 0, 0, 0",
+            "kind = schwarzschild\nmass = 1.0\n\n[decay]\nevent = 0, 1e160, 1.5, 0",
+        ),
+        ("[detector2]\ntangent = 1.25, -0.75, 0, 0\ntau = 1.5", "[detector2]\ntarget = 1e300, 1, 0, 0"),
     ],
     ids=[
         "spacelike-tangent",
@@ -143,13 +148,22 @@ def one_error_line(capsys) -> str:
         "negative-seed",
         "softening-1e200",
         "softening-1e103",
+        "schwarzschild-event-1e160",
+        "target-1e300",
     ],
 )
 def test_rejected_scenario_exits_1_with_one_line(tmp_path, capsys, old, new):
     p = tmp_path / "bad.cfg"
-    p.write_text(FLAT.replace(old, new, 1))
+    text = FLAT.replace(old, new, 1)
+    assert text != FLAT
+    p.write_text(text)
     assert main(["run", str(p)]) == 1
-    assert "line " in one_error_line(capsys)
+    line = one_error_line(capsys)
+    assert "line " in line
+    if "1e160" in new:
+        assert "decay event outside chart domain" in line
+    if "1e300" in new:
+        assert "[detector2]: target too far" in line
 
 
 def test_largest_softening_runs_without_warnings(tmp_path, capsys):
@@ -245,7 +259,7 @@ def test_domain_error_from_the_run_exits_2_with_a_failure_row(flat_scenario, cap
     assert len(failures) == 1 and "event outside the chart" in failures[0][4]
 
 
-def test_leg_rows_carry_integrator_counters(flat_scenario, capsys):
+def test_leg_rows_carry_integrator_counters(flat_scenario, tmp_path, capsys):
     assert main(["run", str(flat_scenario), "--format", "csv"]) == 0
     quantities = [r[1] for r in csv.reader(io.StringIO(capsys.readouterr().out))]
     for label in ("geodesic1", "geodesic2"):
@@ -255,6 +269,28 @@ def test_leg_rows_carry_integrator_counters(flat_scenario, capsys):
             f"{label}_rejected_steps",
             f"{label}_rhs_evals",
         ]
+    # a boundary-value leg reports its shooting work before the leg rows
+    p = tmp_path / "bvp.cfg"
+    p.write_text(
+        FLAT.replace(
+            "[detector2]\ntangent = 1.25, -0.75, 0, 0\ntau = 1.5",
+            "[detector2]\ntarget = 1.875, -1.125, 0, 0",
+        )
+    )
+    assert main(["run", str(p), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    quantities = [r[1] for r in rows]
+    at = quantities.index("geodesic2_endpoint_residual")
+    assert quantities[at + 1 : at + 7] == [
+        "geodesic2_shooting_iterations",
+        "geodesic2_line_search_halvings",
+        "geodesic2_proper_time",
+        "geodesic2_integrator_steps",
+        "geodesic2_rejected_steps",
+        "geodesic2_rhs_evals",
+    ]
+    assert int(rows[at + 2][4]) >= 0
+    assert "geodesic1_line_search_halvings" not in quantities
 
 
 @pytest.mark.parametrize("cfg", DEMO_SCENARIOS, ids=[p.stem for p in DEMO_SCENARIOS])

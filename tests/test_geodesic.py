@@ -2,20 +2,30 @@
 
 Flat-space straight lines and the conserved quantities of Schwarzschild
 orbits serve as oracles; convergence order is checked by step doubling in
-fixed-step mode.
+fixed-step mode.  The unrolled float step is checked against an array-based
+Dormand-Prince loop kept here as a reference integrator.
 """
 
 import numpy as np
 import pytest
 
-from eprgeo import DomainExitError, Event, geodesic, integrate_geodesic, parse_scenario, run_scenario
+from eprgeo import (
+    DomainExitError,
+    Event,
+    geodesic,
+    integrate_geodesic,
+    make_spacetime,
+    parse_scenario,
+    run_scenario,
+)
 from eprgeo.errors import IntegrationError, UsageError
 from eprgeo.geodesic import (
-    _DP_B5,
     DEFAULT_SAMPLE_STEP,
+    DEFAULT_TOL,
     MAX_LEG_SAMPLES,
+    MAX_STEP_SPACINGS,
     GeodesicSegment,
-    _dense_weights,
+    _dense_coefficients,
     point_segment,
     reverse,
     samples_for,
@@ -26,6 +36,131 @@ from eprgeo.geodesic import (
 def tangent_norms(st, seg):
     g = st.metric(seg.events)
     return np.einsum("ki,kij,kj->k", seg.tangents, g, seg.tangents)
+
+
+# The reference integrator: the same Dormand-Prince 5(4) pair, step control
+# and dense output as integrate_geodesic, written on NumPy arrays with the
+# Butcher table as matrices.  Last row of A equals the 5th-order weights
+# (FSAL); the equation is autonomous, so the nodes c_i never enter.
+_DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+)
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B4 = np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+_DP_E = _DP_B5 - _DP_B4
+# continuous extension: b_i(theta) = sum_j _DP_P[i, j] theta^(j+1)
+_DP_P = np.array(
+    [
+        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+    ]
+)
+
+
+def _dense_weights(theta):
+    """Continuous-extension weights b(theta), shape (len(theta), 7)."""
+    return np.power.outer(theta, np.arange(1, 5)) @ _DP_P.T
+
+
+def reference_integration(st, event0, u0, tau_end, *, tol=DEFAULT_TOL, n_samples=None, adaptive=True):
+    """Samples (n_samples, 8) and step counts from the array-based step loop.
+
+    u0 is normalized as integrate_geodesic does; there is no norm-drift check.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    u0 = u0 / np.sqrt(-(u0 @ st.metric(event0.coords) @ u0))
+    n_samples = samples_for(tau_end) if n_samples is None else n_samples
+    nodes = np.linspace(0.0, tau_end, n_samples)
+    rtol, atol = tol, tol * 1.0e-2
+    h_min = 1.0e-12 * max(1.0, tau_end)
+    h_max = MAX_STEP_SPACINGS * nodes[1]
+    at_node = 1.0e-14 * tau_end
+    ys = np.empty((n_samples, 8))
+    ys[0] = np.concatenate([event0.coords, u0])
+
+    def rhs(y):
+        return np.array(st.geodesic_rhs(y.tolist()))
+
+    y = ys[0].copy()
+    k1 = rhs(y)
+    h, t, i = nodes[1], 0.0, 1
+    n_steps = n_rejected = 0
+    n_rhs = 1
+    stages = np.empty((7, 8))
+    while i < n_samples:
+        if adaptive:
+            h_limit = min(h_max, tau_end - t)
+            if h < h_min and h < h_limit:
+                raise IntegrationError(f"step size underflow at tau={t:.6g}")
+            h = min(h, h_limit)
+        else:
+            h = nodes[i] - t
+        stages[0] = k1
+        ok = True
+        with np.errstate(all="ignore"):
+            for j in range(1, 7):
+                n_rhs += 1
+                try:
+                    stages[j] = rhs(y + h * (_DP_A[j] @ stages[:j]))
+                except (ArithmeticError, ValueError):
+                    stages[j:] = np.nan
+                    break
+            y_new = y + h * (_DP_B5 @ stages)
+            err = h * (_DP_E @ stages)
+        if not np.all(np.isfinite(y_new)):
+            ok = False
+        elif not bool(st.in_chart(y_new[:4])):
+            if adaptive and h > 4.0 * h_min:
+                h *= 0.5
+                n_rejected += 1
+                continue
+            raise DomainExitError("chart exit", tau=t, coords=y[:4].copy(), velocity=y[4:].copy())
+        if adaptive:
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            with np.errstate(all="ignore"):
+                enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
+            if not ok or not np.isfinite(enorm) or enorm > 1.0:
+                h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if np.isfinite(enorm) else 0.5
+                n_rejected += 1
+                continue
+            grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
+        else:
+            if not ok:
+                raise IntegrationError(f"non-finite state at tau={t:.6g}")
+            grow = 1.0
+        t_new = t + h
+        inner = i
+        while inner < n_samples and nodes[inner] < t_new - at_node:
+            inner += 1
+        if inner > i:
+            ys[i:inner] = y + h * (_dense_weights((nodes[i:inner] - t) / h) @ stages)
+            i = inner
+        if i < n_samples and nodes[i] - t_new <= at_node:
+            ys[i] = y_new
+            t_new = nodes[i]
+            i += 1
+        t = t_new
+        y = y_new
+        k1 = stages[6].copy()  # a view would be overwritten by a rejected retry
+        h *= grow
+        n_steps += 1
+    return ys, {"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs}
 
 
 class TestSamples:
@@ -185,8 +320,22 @@ def eccentric(schwarzschild):
 
 class TestDenseOutput:
     def test_weights_at_step_end_are_fifth_order_weights(self):
-        assert np.max(np.abs(_dense_weights(np.array([1.0]))[0] - _DP_B5)) < 1e-14
-        assert np.array_equal(_dense_weights(np.array([0.0]))[0], np.zeros(7))
+        # with h = 1, y = 0 and the stages k1, k3, ..., k7 set to the rows of
+        # the identity, component m of the interpolant is b_m(theta)
+        stages = np.eye(6).tolist()
+        dense = _dense_coefficients(1.0, [0.0] * 6, *stages)
+
+        def b(theta):
+            return np.array([a + theta * (p + theta * (q + theta * (r + theta * s)))
+                             for a, p, q, r, s in dense])
+
+        assert np.max(np.abs(b(1.0) - _DP_B5[[0, 2, 3, 4, 5, 6]])) < 1e-14
+        assert _DP_B5[1] == 0.0
+        assert np.array_equal(b(0.0), np.zeros(6))
+        # the same polynomials as the reference integrator's table
+        for theta in (0.25, 0.5, 0.9):
+            ref = _dense_weights(np.array([theta]))[0, [0, 2, 3, 4, 5, 6]]
+            assert np.max(np.abs(b(theta) - ref)) < 1e-14
 
     def test_steps_are_not_locked_to_samples(self, schwarzschild, eccentric):
         seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)
@@ -203,10 +352,57 @@ class TestDenseOutput:
 
 def christoffel_rhs(self, y):
     """The oracle right-hand side: the full Christoffel array contracted with u."""
+    y = np.asarray(y, dtype=float)
     out = np.empty(8)
     out[:4] = y[4:]
     out[4:] = -np.einsum("lmn,m,n->l", self.christoffel(y[:4]), y[4:], y[4:])
-    return out
+    return tuple(out.tolist())
+
+
+class TestReferenceIntegrator:
+    def test_orbit_matches_the_array_step(self, schwarzschild):
+        from eprgeo import circular_orbit_tangent, integrate_orbit, orbit_period
+
+        seg = integrate_orbit(schwarzschild, 10.0)
+        e0, u0 = circular_orbit_tangent(schwarzschild, 10.0)
+        tau = orbit_period(schwarzschild, 10.0)
+        ys, meta = reference_integration(schwarzschild, e0, u0, tau, n_samples=seg.n_samples)
+        for key in ("n_steps", "n_rejected", "n_rhs"):
+            assert seg.meta[key] == meta[key], key
+        assert np.max(np.abs(seg.events - ys[:, :4])) < 1e-12
+        assert np.max(np.abs(seg.tangents - ys[:, 4:])) < 1e-12
+
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed-step"])
+    def test_eccentric_leg_matches_the_array_step(self, schwarzschild, eccentric, adaptive):
+        n = 1001 if adaptive else 201
+        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0, n_samples=n, adaptive=adaptive)
+        ys, meta = reference_integration(schwarzschild, *eccentric, 20.0, n_samples=n, adaptive=adaptive)
+        for key in ("n_steps", "n_rejected", "n_rhs"):
+            assert seg.meta[key] == meta[key], key
+        assert np.max(np.abs(seg.events - ys[:, :4])) < 1e-12
+        assert np.max(np.abs(seg.tangents - ys[:, 4:])) < 1e-12
+
+    def test_rejected_steps_restart_from_the_accepted_state(self):
+        # a weak-field leg at tol 1e-12 (a perfbench pairs text) that rejects a
+        # step after accepted ones; the retry must start from f(y) at the last
+        # accepted state, not from the rejected attempt's last stage, which
+        # cost 6 more rejections when the reference kept k1 as a view
+        st = make_spacetime("weak_field", {"epsilon": 0.041302900715759386})
+        event = Event(np.array([0.0, -2.472388764610322, 2.176695677852085, 0.3370811967435828]))
+        u = np.array([1.1792197536205513, 0.4439610994241759, -0.26748467595612124, -0.2834883146644227])
+        tau = 4.761677710978574
+        seg = integrate_geodesic(st, event, u, tau, tol=1e-12)
+        ys, meta = reference_integration(st, event, u, tau, tol=1e-12)
+        assert (seg.meta["n_steps"], seg.meta["n_rejected"]) == (64, 1)
+        for key in ("n_steps", "n_rejected", "n_rhs"):
+            assert seg.meta[key] == meta[key], key
+        assert np.max(np.abs(seg.events - ys[:, :4])) < 1e-12
+        assert np.max(np.abs(seg.tangents - ys[:, 4:])) < 1e-12
+
+    def test_eccentric_leg_step_counts(self, schwarzschild, eccentric):
+        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)
+        assert seg.meta["n_steps"] == 251
+        assert seg.meta["n_rhs"] == 1507
 
 
 class TestRightHandSide:
@@ -337,6 +533,8 @@ class TestShooting:
         assert seg is None
         assert rep.message == "line search stalled"
         assert rep.iterations == 4
+        # 22 halvings before the four accepted updates, 8 in the stalled search
+        assert rep.halvings == 30
 
     def test_leg_over_sample_cap_is_not_converged(self, minkowski, monkeypatch):
         # the cap is checked before the converged shot is re-integrated

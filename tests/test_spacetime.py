@@ -6,7 +6,14 @@ import pytest
 
 from eprgeo import Event, make_spacetime
 from eprgeo.errors import ConfigurationError, DomainError
-from eprgeo.spacetime import AXIS_GUARD, HORIZON_GUARD, Minkowski, metric_at, require_event
+from eprgeo.spacetime import (
+    AXIS_GUARD,
+    HORIZON_GUARD,
+    MAX_RADIUS,
+    Minkowski,
+    metric_at,
+    require_event,
+)
 
 
 def fd_christoffel(st, x, h=1e-6):
@@ -145,8 +152,10 @@ def test_geodesic_rhs_matches_christoffel_contraction(kind, params):
     ys = _rhs_states(kind, params, np.random.default_rng(11))
     assert np.all(st.in_chart(ys[:, :4]))
     for y in ys:
-        out = st.geodesic_rhs(y)
-        assert out.shape == (8,)
+        out = st.geodesic_rhs(y.tolist())
+        assert isinstance(out, tuple) and len(out) == 8
+        assert all(type(v) is float for v in out)
+        out = np.array(out)
         assert np.array_equal(out[:4], y[4:])
         oracle = -np.einsum("lmn,m,n->l", st.christoffel(y[:4]), y[4:], y[4:])
         assert np.all(np.abs(out[4:] - oracle) <= 1.0e-14 * np.maximum(1.0, np.abs(oracle)))
@@ -158,7 +167,54 @@ def test_geodesic_rhs_at_huge_weak_field_coordinates():
     # the squared distance overflows to inf; the gradient vanishes, no error
     st = make_spacetime("weak_field", {"epsilon": 0.1})
     y = np.array([0.0, 1.0e200, -1.0e160, 3.0, 1.5, 0.1, 0.2, 0.3])
-    assert np.array_equal(st.geodesic_rhs(y)[4:], np.zeros(4))
+    out = st.geodesic_rhs(y.tolist())
+    assert isinstance(out, tuple) and len(out) == 8
+    assert out[4:] == (0.0, 0.0, 0.0, 0.0)
+
+
+def _chart_edge_points(kind, params, rng):
+    """Points crowded against the chart guards, plus non-finite coordinates."""
+    x = _rhs_states(kind, params, rng)[:, :4]
+    if kind == "schwarzschild":
+        r_min = 2.0 * params["M"] * (1.0 + HORIZON_GUARD)
+        th_axis = np.arcsin(AXIS_GUARD)
+        edges = []
+        for r in (r_min, MAX_RADIUS):
+            edges += [np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)]
+        edges = np.array(edges)
+        at_r = np.tile([0.3, 10.0, 1.2, 0.4], (len(edges), 1))
+        at_r[:, 1] = edges
+        axis = []
+        for th in (th_axis, np.pi - th_axis):
+            axis += list(th + np.arange(-4, 5) * np.spacing(th))
+        at_th = np.tile([0.3, 10.0, 1.2, 0.4], (len(axis), 1))
+        at_th[:, 2] = axis
+        x = np.concatenate([x, at_r, at_th, [[0.0, 10.0, 0.0, 0.0], [0.0, 10.0, np.pi, 0.0]]])
+    bad = np.tile([0.3, 10.0, 1.2, 0.4], (12, 1))
+    for k, v in enumerate((np.inf, -np.inf, np.nan)):
+        bad[4 * k : 4 * k + 4][np.arange(4), np.arange(4)] = v
+    return np.concatenate([x, bad])
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("schwarzschild", {"M": 1.0}),
+        ("schwarzschild", {"M": 0.5}),
+        ("schwarzschild", {"M": 0.0}),
+        ("weak_field", {"epsilon": 0.1, "softening": 0.5}),
+        ("minkowski", {}),
+    ],
+)
+def test_one_point_chart_test_matches_in_chart(kind, params):
+    st = make_spacetime(kind, params)
+    xs = _chart_edge_points(kind, params, np.random.default_rng(12))
+    batched = st.in_chart(xs)
+    single = [st.contains(x) for x in xs.tolist()]
+    assert all(type(v) is bool for v in single)
+    assert single == batched.tolist()
+    # the points fall on both sides of the chart boundary
+    assert 0 < sum(single) < len(single)
 
 
 def test_zero_mass_schwarzschild_is_flat():
@@ -199,6 +255,8 @@ def test_chart_domain(schwarzschild):
         [0.0, 1.0, 1.0, 0.0],
         # polar axis excluded for the spherical chart
         [0.0, 6.0, 0.0, 0.0],
+        # so far out that r**2 in the metric overflows
+        [0.0, 1.0e160, 1.5, 0.0],
     ]
     assert not np.any(schwarzschild.in_chart(np.array(outside)))
     for x in outside:
