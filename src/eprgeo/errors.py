@@ -17,18 +17,6 @@ class IntegrationError(RuntimeError):
     """Numerical integration failed (step underflow or a broken postcondition)."""
 
 
-class NormDriftError(IntegrationError):
-    """The 4-velocity norm drifted past its bound along an integrated segment.
-
-    Carries the unchecked segment, so a caller that needs only its endpoint
-    (a trial shot) can still use it.
-    """
-
-    def __init__(self, message, segment):
-        super().__init__(message)
-        self.segment = segment
-
-
 class DomainExitError(IntegrationError):
     """A trajectory left the chart domain mid-integration.
 

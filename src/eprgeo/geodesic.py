@@ -1,4 +1,4 @@
-"""Timelike geodesics: adaptive integration with dense output, and shooting.
+"""Timelike geodesics: integration with dense output, and shooting.
 
 The integrator is an embedded Dormand-Prince 5(4) pair marching the 8-dim
 state (x, dx/dtau) toward the future.  The error estimate alone sets the
@@ -14,8 +14,10 @@ NumPy's per-call overhead costs more than the arithmetic: each stage is one
 list comprehension with the Butcher coefficients as literals, the error norm
 is a root mean square of eight floats, the chart test is the spacetime's
 one-point ``contains``, and the interpolated nodes come from the step's
-polynomial coefficients by Horner's rule.  NumPy holds the sample grid and
-the returned arrays, and checks the 4-velocity norm after the loop.
+polynomial coefficients by Horner's rule.  That loop is the private core
+``_march``; ``integrate_geodesic`` wraps it with input validation, the
+sample grid and the 4-velocity norm check, and the shooting's trial shots
+call the core directly on the two-node grid [0, tau].
 
 The boundary-value problem (geodesic from O to a given target event) is
 solved by damped Newton shooting on four unknowns: the spatial velocity of
@@ -33,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainExitError, IntegrationError, NormDriftError, UsageError
+from .errors import DomainExitError, IntegrationError, UsageError
 from .frames import frame_field, inverse_frame
 from .spacetime import Event, Spacetime, metric_at, require_event, same_event
 
@@ -46,7 +48,7 @@ MAX_LEG_SAMPLES = 100_000
 # Newton updates solve_bvp attempts before reporting non-convergence.
 MAX_SHOOTING_ITERATIONS = 50
 
-# Longest adaptive step, in sample spacings.  Uncapped steps let the
+# Longest step, in sample spacings.  Uncapped steps let the
 # interpolated 4-velocity norm drift past max(10 tol, 1e-9) on some legs at
 # the default tol, and a cap of 8 still did on one boundary-value leg; at 4
 # the worst drift seen on those legs was about 6e-12.
@@ -145,26 +147,21 @@ def integrate_geodesic(
     *,
     tol: float = DEFAULT_TOL,
     n_samples: int | None = None,
-    adaptive: bool = True,
-    normalize: bool = True,
 ) -> GeodesicSegment:
     """Integrate the geodesic from event0 with 4-velocity u0 for proper time tau_end.
 
     u0 must be timelike and future-directed (u0[0] > 0), tau_end >= 0 and
     tol > 0: the integrator only runs toward the future; ``reverse`` gives
-    the same worldline traversed the other way.  Samples are returned at
-    exactly the uniform grid times.  With ``adaptive`` the local error per
-    step is controlled at rtol=tol, atol=tol/100, each step spans at most
-    MAX_STEP_SPACINGS sample spacings, and the nodes inside a step are
-    interpolated by the 4th-order continuous extension (the last sample is
-    the endpoint of the last step); otherwise one 5th-order step is taken per
-    grid interval (useful for convergence studies).  Both modes run the same
-    step, unrolled on Python floats: the state, the seven stages, the error
-    norm and the interpolated nodes are floats and lists of floats, and the
-    chart test is the spacetime's one-point ``contains``.  The 4-velocity
-    norm is checked across all samples afterwards, interpolated ones
-    included; drift beyond max(10 tol, 1e-9) raises NormDriftError carrying
-    the segment.
+    the same worldline traversed the other way.  u0 is normalized to
+    g(u0, u0) = -1.  Samples are returned at exactly the uniform grid times.
+    The local error per step is controlled at rtol=tol, atol=tol/100, each
+    step spans at most MAX_STEP_SPACINGS sample spacings, and the nodes
+    inside a step are interpolated by the 4th-order continuous extension
+    (the last sample is the endpoint of the last step), so the endpoint
+    error falls with tol at the 5th-order rate.  The step is unrolled on
+    Python floats (see ``_march``).  The 4-velocity norm is checked across
+    all samples afterwards, interpolated ones included; drift beyond
+    max(10 tol, 1e-9) raises IntegrationError.
     """
     require_event(st, event0)
     u0 = np.asarray(u0, dtype=float)
@@ -176,8 +173,7 @@ def integrate_geodesic(
         raise UsageError("initial 4-velocity must be timelike")
     if u0[0] <= 0.0:
         raise UsageError("initial 4-velocity must be future-directed")
-    u0 = u0 / np.sqrt(-q) if normalize else u0
-    norm0 = -1.0 if normalize else q
+    u0 = u0 / np.sqrt(-q)
 
     tau_end = float(tau_end)
     if not 0.0 <= tau_end < math.inf:
@@ -192,15 +188,41 @@ def integrate_geodesic(
     if n_samples < 2:
         raise UsageError("n_samples must be at least 2")
     nodes = np.linspace(0.0, tau_end, n_samples)
-    grid = nodes.tolist()
-
-    rtol, atol = float(tol), float(tol) * 1.0e-2
-    h_min = 1.0e-12 * max(1.0, tau_end)
-    h_max = MAX_STEP_SPACINGS * grid[1]
-    at_node = 1.0e-14 * tau_end
     ys = np.empty((n_samples, 8))
     ys[0, :4] = event0.coords
     ys[0, 4:] = u0
+    n_steps, n_rejected, n_rhs = _march(st, ys, nodes.tolist(), float(tol))
+
+    seg = GeodesicSegment(
+        st,
+        nodes,
+        ys[:, :4].copy(),
+        ys[:, 4:].copy(),
+        meta={"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs},
+    )
+    g = st.metric(seg.events)
+    norms = np.einsum("km,kmn,kn->k", seg.tangents, g, seg.tangents)
+    drift = float(np.max(np.abs(norms + 1.0)))
+    seg.meta["norm_drift"] = drift
+    if drift > max(10.0 * tol, 1.0e-9):
+        raise IntegrationError(f"4-velocity norm drifted by {drift:.3e}; tighten tol")
+    return seg
+
+
+def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, int, int]:
+    """March the state in ys[0] over grid, filling ys[k] at proper time grid[k].
+
+    grid is a list of floats from 0.0 whose spacing grid[1] sets the step cap;
+    tol must be positive and the start state finite, inside the chart.
+    Returns (steps, rejected steps, RHS evaluations).  Raises IntegrationError
+    on step underflow and DomainExitError where the trajectory leaves the chart.
+    """
+    n_samples = len(grid)
+    tau_end = grid[-1]
+    rtol, atol = tol, tol * 1.0e-2
+    h_min = 1.0e-12 * max(1.0, tau_end)
+    h_max = MAX_STEP_SPACINGS * grid[1]
+    at_node = 1.0e-14 * tau_end
 
     rhs = st.geodesic_rhs
     contains = st.contains
@@ -214,13 +236,10 @@ def integrate_geodesic(
     n_rhs = 1
 
     while i < n_samples:
-        if adaptive:
-            h_limit = min(h_max, tau_end - t)
-            if h < h_min and h < h_limit:
-                raise IntegrationError(f"step size underflow at tau={t:.6g}")
-            h = min(h, h_limit)
-        else:
-            h = grid[i] - t
+        h_limit = min(h_max, tau_end - t)
+        if h < h_min and h < h_limit:
+            raise IntegrationError(f"step size underflow at tau={t:.6g}")
+        h = min(h, h_limit)
         # one Dormand-Prince 5(4) step; the last stage row equals the
         # 5th-order weights, so k7 is the next step's k1 (FSAL), and the
         # equation is autonomous, so the nodes c_i never enter
@@ -259,7 +278,7 @@ def integrate_geodesic(
             ok = False
         if ok and not contains(y_new[:4]):
             # not a numerical failure: creep toward the chart boundary
-            if adaptive and h > 4.0 * h_min:
+            if h > 4.0 * h_min:
                 h *= 0.5
                 n_rejected += 1
                 continue
@@ -269,28 +288,23 @@ def integrate_geodesic(
                 coords=np.array(y[:4]),
                 velocity=np.array(y[4:]),
             )
-        if adaptive:
-            enorm = math.inf
-            if ok:
-                # error of the embedded 4th-order solution, weights b5 - b4
-                ratios = [
-                    h * (71 / 57600 * b - 71 / 16695 * d + 71 / 1920 * e
-                         - 17253 / 339200 * f + 22 / 525 * g - 1 / 40 * k)
-                    / (atol + rtol * (a if a > z else z))
-                    for a, z, b, d, e, f, g, k in zip(
-                        map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7
-                    )
-                ]
-                enorm = math.sqrt(sum([q * q for q in ratios]) / 8.0)
-            if not enorm <= 1.0:
-                h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if isfinite(enorm) else 0.5
-                n_rejected += 1
-                continue
-            grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
-        else:
-            if not ok:
-                raise IntegrationError(f"non-finite state at tau={t:.6g}")
-            grow = 1.0
+        enorm = math.inf
+        if ok:
+            # error of the embedded 4th-order solution, weights b5 - b4
+            ratios = [
+                h * (71 / 57600 * b - 71 / 16695 * d + 71 / 1920 * e
+                     - 17253 / 339200 * f + 22 / 525 * g - 1 / 40 * k)
+                / (atol + rtol * (a if a > z else z))
+                for a, z, b, d, e, f, g, k in zip(
+                    map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7
+                )
+            ]
+            enorm = math.sqrt(sum([q * q for q in ratios]) / 8.0)
+        if not enorm <= 1.0:
+            h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if isfinite(enorm) else 0.5
+            n_rejected += 1
+            continue
+        grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
         # fill the nodes in (t, t + h]; one at the step's end gets y_new
         t_new = t + h
         if i < n_samples and grid[i] < t_new - at_node:
@@ -309,20 +323,7 @@ def integrate_geodesic(
         h *= grow
         n_steps += 1
 
-    seg = GeodesicSegment(
-        st,
-        nodes,
-        ys[:, :4].copy(),
-        ys[:, 4:].copy(),
-        meta={"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs},
-    )
-    g = st.metric(seg.events)
-    norms = np.einsum("km,kmn,kn->k", seg.tangents, g, seg.tangents)
-    drift = float(np.max(np.abs(norms - norm0)))
-    seg.meta["norm_drift"] = drift
-    if adaptive and drift > max(10.0 * tol, 1.0e-9):
-        raise NormDriftError(f"4-velocity norm drifted by {drift:.3e}; tighten tol", seg)
-    return seg
+    return n_steps, n_rejected, n_rhs
 
 
 def reverse(seg: GeodesicSegment) -> GeodesicSegment:
@@ -345,8 +346,9 @@ class ShootingReport:
 
     residual is the Euclidean chart-coordinate distance from the endpoint to
     the target (periodic axes wrapped); iterations counts the Newton updates
-    the line search accepted, and halvings the times it halved a Newton step
-    (8 for a search that stalled).
+    the line search accepted, halvings the times it halved a Newton step
+    (8 for a search that stalled), and trials the endpoint-only trial
+    integrations the shooting started.
     """
 
     converged: bool
@@ -355,6 +357,7 @@ class ShootingReport:
     proper_time: float
     message: str = ""
     halvings: int = 0
+    trials: int = 0
 
 
 def _wrap_residual(st: Spacetime, delta: np.ndarray) -> np.ndarray:
@@ -392,9 +395,12 @@ def solve_bvp(
 
     Newton iterates on (w, tau): w is the spatial 4-velocity in the static
     frame at the origin and tau the total proper time.  Trial trajectories
-    are integrated endpoint-only and judged by their endpoint alone, even
-    when their 4-velocity norm drifted.  A shot that hits the target to tol
-    is re-integrated on the full sample grid, where the drift check holds.
+    are marched endpoint-only by the integrator's core, with no validation
+    and no norm check, and judged by their endpoint alone; a trial whose tau
+    is below 1e-8 or not finite, or whose launch is not finite, fails like
+    one that leaves the chart.  A shot that hits the target to tol is
+    re-integrated by ``integrate_geodesic`` on the full sample grid, where
+    the drift check holds.
     If that segment's endpoint misses the target by tol or more, the miss is
     the endpoint-only integration error: its difference from the trial
     endpoint offsets every later trial residual and Newton goes on, within
@@ -403,10 +409,13 @@ def solve_bvp(
     converged if the full grid would exceed MAX_LEG_SAMPLES or the
     re-integration fails.  Angular residuals are wrapped on periodic axes.
     Returns (segment, report); the segment is None when not converged.
-    Raises UsageError for a target too far out (see ``chord``).
+    Raises UsageError for a target too far out (see ``chord``) and for
+    integration_tol <= 0.
     """
     require_event(st, origin)
     require_event(st, target)
+    if not integration_tol > 0.0:
+        raise UsageError(f"integration_tol must be positive, got {integration_tol}")
 
     if same_event(origin, target, tol=1.0e-12):
         return point_segment(st, origin), ShootingReport(True, 0.0, 0, 0.0, "coincident endpoints")
@@ -429,26 +438,32 @@ def solve_bvp(
 
     # full-grid endpoint minus trial endpoint at the last re-integration
     offset = np.zeros(4)
+    n_trials = n_updates = n_halvings = 0
 
     def residual(param: np.ndarray) -> np.ndarray | None:
-        if param[3] < 1.0e-8:
+        # a trial marches the unnormalized launch over the grid [0, tau]; one
+        # whose tau or launch the integrator cannot take is a failed trial
+        nonlocal n_trials
+        tau = float(param[3])
+        if not 1.0e-8 <= tau < math.inf:
             return None
+        ys = np.empty((2, 8))
+        ys[0, :4] = origin.coords
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys[0, 4:] = launch(param[:3])
+        if not np.isfinite(ys[0, 4:]).all():
+            return None
+        n_trials += 1
         try:
-            trial = integrate_geodesic(
-                st,
-                origin,
-                launch(param[:3]),
-                param[3],
-                tol=integration_tol,
-                n_samples=2,
-                normalize=False,
-            )
-        except NormDriftError as exc:
-            # the drift check guards returned segments; a trial needs its end
-            trial = exc.segment
+            _march(st, ys, [0.0, tau], float(integration_tol))
         except IntegrationError:
             return None
-        return _wrap_residual(st, trial.events[-1] - target.coords) + offset
+        return _wrap_residual(st, ys[1, :4] - target.coords) + offset
+
+    def report(converged: bool, miss: np.ndarray, message: str = "") -> ShootingReport:
+        return ShootingReport(
+            converged, float(np.linalg.norm(miss)), n_updates, float(p[3]), message, n_halvings, n_trials
+        )
 
     r = residual(p)
     shrink = 0
@@ -457,16 +472,16 @@ def solve_bvp(
         r = residual(p)
         shrink += 1
     if r is None:
-        return None, ShootingReport(False, np.inf, 0, p[3], "initial trajectory leaves the chart")
+        return None, ShootingReport(
+            False, np.inf, 0, p[3], "initial trajectory leaves the chart", trials=n_trials
+        )
 
     message = f"did not converge in {MAX_SHOOTING_ITERATIONS} iterations"
-    n_updates = n_halvings = 0
     for _ in range(MAX_SHOOTING_ITERATIONS):
         if float(np.linalg.norm(r)) < tol:
             if samples_for(p[3], sample_step) > MAX_LEG_SAMPLES:
-                message = f"proper time {p[3]:.6g} needs over {MAX_LEG_SAMPLES} samples per leg"
-                return None, ShootingReport(
-                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message, n_halvings
+                return None, report(
+                    False, r, f"proper time {p[3]:.6g} needs over {MAX_LEG_SAMPLES} samples per leg"
                 )
             try:
                 seg = integrate_geodesic(
@@ -478,15 +493,10 @@ def solve_bvp(
                     n_samples=samples_for(p[3], sample_step),
                 )
             except IntegrationError as exc:
-                message = f"re-integration of the converged shot failed: {exc}"
-                return None, ShootingReport(
-                    False, float(np.linalg.norm(r)), n_updates, float(p[3]), message, n_halvings
-                )
+                return None, report(False, r, f"re-integration of the converged shot failed: {exc}")
             final = _wrap_residual(st, seg.events[-1] - target.coords)
             if float(np.linalg.norm(final)) < tol:
-                return seg, ShootingReport(
-                    True, float(np.linalg.norm(final)), n_updates, float(p[3]), halvings=n_halvings
-                )
+                return seg, report(True, final)
             # the endpoint-only integration missed by this much: aim the trials off
             offset += final - r
             r = final
@@ -517,8 +527,6 @@ def solve_bvp(
         for k in range(9):
             n_halvings += k > 0
             p_try = p + d * (0.5**k)
-            if p_try[3] < 1.0e-8:
-                continue
             r_try = residual(p_try)
             if r_try is not None and float(r_try @ r_try) < r2:
                 p, r = p_try, r_try
@@ -528,6 +536,4 @@ def solve_bvp(
             break
         n_updates += 1
 
-    return None, ShootingReport(
-        False, float(np.linalg.norm(r)), n_updates, float(p[3]), message, n_halvings
-    )
+    return None, report(False, r, message)

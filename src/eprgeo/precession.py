@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError
-from .geodesic import GeodesicSegment, integrate_geodesic, samples_for
+from .geodesic import GeodesicSegment, integrate_geodesic
 from .lorentz import rotation_axis_angle, su2_rotation_angle
 from .pipeline import rest_frame_rotation
 from .spacetime import Event, Spacetime
@@ -45,13 +45,10 @@ def geodetic_angle_exact(st: Spacetime, r: float) -> float:
     return 2.0 * np.pi * (1.0 - np.sqrt(1.0 - 3.0 * m / r))
 
 
-def integrate_orbit(
-    st: Spacetime, r: float, n_orbits: float = 1.0, tol: float = 1.0e-10
-) -> GeodesicSegment:
+def integrate_orbit(st: Spacetime, r: float, n_orbits: float = 1.0) -> GeodesicSegment:
     """Integrate the circular orbit for the given number of revolutions."""
     e0, u0 = circular_orbit_tangent(st, r)
-    tau = n_orbits * orbit_period(st, r)
-    return integrate_geodesic(st, e0, u0, tau, tol=tol, n_samples=samples_for(tau))
+    return integrate_geodesic(st, e0, u0, n_orbits * orbit_period(st, r))
 
 
 def rest_frame_holonomy_angle(seg: GeodesicSegment, gauge: str = "static") -> tuple[float, np.ndarray]:

@@ -25,11 +25,11 @@ comma-separated reals; lists of vectors are semicolon-separated.  Sections:
 
 Every number must be finite; ``tangent`` and ``velocity`` must be timelike
 and future-directed at the decay event; ``geodesic.MAX_LEG_SAMPLES`` caps the
-samples of an initial-value leg and ``MAX_PATHS`` the paths of a bundle.  Problems
-raise ConfigurationError with the line number (on the command line: one
-``error:`` line, exit code 1).  ``run_scenario`` turns a parsed scenario into
-a Report; leg failures (chart exit, no endpoint solution) are recorded in the
-report rather than raised.
+samples of an initial-value leg and of a ``tau_hint``, and ``MAX_PATHS`` the
+paths of a bundle.  Problems raise ConfigurationError with the line number
+(on the command line: one ``error:`` line, exit code 1).  ``run_scenario``
+turns a parsed scenario into a Report; leg failures (chart exit, no endpoint
+solution) are recorded in the report rather than raised.
 """
 
 from __future__ import annotations
@@ -348,9 +348,11 @@ def parse_scenario(text: str) -> Scenario:
         **{f"out_{k}": v for k, v in _values(sections.get("output", {})).items()},
     )
     for name, det in (("detector1", sc.detector1), ("detector2", sc.detector2)):
-        if det.mode == "ivp" and det.tau / sc.sample_step > MAX_LEG_SAMPLES - 1:
+        key = "tau" if det.mode == "ivp" else "tau_hint"
+        tau = getattr(det, key)
+        if tau is not None and tau / sc.sample_step > MAX_LEG_SAMPLES - 1:
             cap = f"over {MAX_LEG_SAMPLES} samples per leg"
-            raise _err(sections[name]["tau"][1], f"tau / sample_step: {cap}")
+            raise _err(sections[name][key][1], f"{key} / sample_step: {cap}")
     return sc
 
 
@@ -389,6 +391,7 @@ def _build_leg(sc: Scenario, st: Spacetime, origin: Event, det: DetectorSpec, la
     report.add(f"{label}_endpoint_residual", float(shot.residual))
     report.add(f"{label}_shooting_iterations", int(shot.iterations))
     report.add(f"{label}_line_search_halvings", int(shot.halvings))
+    report.add(f"{label}_trial_integrations", int(shot.trials))
     if seg is None:
         report.fail(f"{label}: no timelike geodesic found: {shot.message}")
         return None

@@ -136,6 +136,10 @@ def one_error_line(capsys) -> str:
             "kind = schwarzschild\nmass = 1.0\n\n[decay]\nevent = 0, 1e160, 1.5, 0",
         ),
         ("[detector2]\ntangent = 1.25, -0.75, 0, 0\ntau = 1.5", "[detector2]\ntarget = 1e300, 1, 0, 0"),
+        (
+            "[detector2]\ntangent = 1.25, -0.75, 0, 0\ntau = 1.5",
+            "[detector2]\ntarget = 1.875, -1.125, 0, 0\ntau_hint = 1e300",
+        ),
     ],
     ids=[
         "spacelike-tangent",
@@ -150,6 +154,7 @@ def one_error_line(capsys) -> str:
         "softening-1e103",
         "schwarzschild-event-1e160",
         "target-1e300",
+        "tau_hint-1e300",
     ],
 )
 def test_rejected_scenario_exits_1_with_one_line(tmp_path, capsys, old, new):
@@ -162,8 +167,10 @@ def test_rejected_scenario_exits_1_with_one_line(tmp_path, capsys, old, new):
     assert "line " in line
     if "1e160" in new:
         assert "decay event outside chart domain" in line
-    if "1e300" in new:
+    if "target = 1e300" in new:
         assert "[detector2]: target too far" in line
+    if "tau_hint = 1e300" in new:
+        assert "tau_hint / sample_step: over" in line
 
 
 def test_largest_softening_runs_without_warnings(tmp_path, capsys):
@@ -210,14 +217,10 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
 
 
 def test_failed_reintegration_exits_2_with_a_failure_row(tmp_path, capsys, monkeypatch):
-    real = geodesic.integrate_geodesic
+    def failing_dense_grid(*args, **kwargs):
+        raise IntegrationError("4-velocity norm drifted by 2.000e-09; tighten tol")
 
-    def failing_dense_grid(*args, n_samples=None, **kwargs):
-        if n_samples != 2:
-            raise IntegrationError("4-velocity norm drifted by 2.000e-09; tighten tol")
-        return real(*args, n_samples=n_samples, **kwargs)
-
-    # only solve_bvp's calls are patched; the IVP leg runs as usual
+    # only solve_bvp's re-integration is patched; the IVP leg runs as usual
     monkeypatch.setattr(geodesic, "integrate_geodesic", failing_dense_grid)
     p = tmp_path / "bvp.cfg"
     p.write_text(
@@ -281,15 +284,17 @@ def test_leg_rows_carry_integrator_counters(flat_scenario, tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     quantities = [r[1] for r in rows]
     at = quantities.index("geodesic2_endpoint_residual")
-    assert quantities[at + 1 : at + 7] == [
+    assert quantities[at + 1 : at + 8] == [
         "geodesic2_shooting_iterations",
         "geodesic2_line_search_halvings",
+        "geodesic2_trial_integrations",
         "geodesic2_proper_time",
         "geodesic2_integrator_steps",
         "geodesic2_rejected_steps",
         "geodesic2_rhs_evals",
     ]
     assert int(rows[at + 2][4]) >= 0
+    assert int(rows[at + 3][4]) >= 1
     assert "geodesic1_line_search_halvings" not in quantities
 
 

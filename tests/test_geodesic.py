@@ -1,9 +1,10 @@
 """Geodesic integration and two-point shooting.
 
 Flat-space straight lines and the conserved quantities of Schwarzschild
-orbits serve as oracles; convergence order is checked by step doubling in
-fixed-step mode.  The unrolled float step is checked against an array-based
-Dormand-Prince loop kept here as a reference integrator.
+orbits serve as oracles.  The unrolled float step is checked against an
+array-based Dormand-Prince loop kept here as a reference integrator, whose
+fixed-step mode checks the convergence order by step doubling and gives a
+fine-grid reference for the dense output.
 """
 
 import numpy as np
@@ -270,15 +271,10 @@ class TestSchwarzschild:
         tau = 3.0
 
         def endpoint(n):
-            seg = integrate_geodesic(
-                schwarzschild,
-                Event(coords),
-                u0,
-                tau,
-                n_samples=n,
-                adaptive=False,
+            ys, _ = reference_integration(
+                schwarzschild, Event(coords), u0, tau, n_samples=n, adaptive=False
             )
-            return seg.events[-1]
+            return ys[-1, :4]
 
         ref = endpoint(3001)
         e1 = np.linalg.norm(endpoint(13) - ref)
@@ -345,9 +341,9 @@ class TestDenseOutput:
     def test_samples_match_fine_fixed_step_reference(self, schwarzschild, eccentric):
         seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)
         n_fine = 10 * (seg.n_samples - 1) + 1
-        ref = integrate_geodesic(schwarzschild, *eccentric, 20.0, n_samples=n_fine, adaptive=False)
-        assert np.max(np.abs(seg.events - ref.events[::10])) < 1e-12
-        assert np.max(np.abs(seg.tangents - ref.tangents[::10])) < 1e-12
+        ref, _ = reference_integration(schwarzschild, *eccentric, 20.0, n_samples=n_fine, adaptive=False)
+        assert np.max(np.abs(seg.events - ref[::10, :4])) < 1e-12
+        assert np.max(np.abs(seg.tangents - ref[::10, 4:])) < 1e-12
 
 
 def christoffel_rhs(self, y):
@@ -372,11 +368,9 @@ class TestReferenceIntegrator:
         assert np.max(np.abs(seg.events - ys[:, :4])) < 1e-12
         assert np.max(np.abs(seg.tangents - ys[:, 4:])) < 1e-12
 
-    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed-step"])
-    def test_eccentric_leg_matches_the_array_step(self, schwarzschild, eccentric, adaptive):
-        n = 1001 if adaptive else 201
-        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0, n_samples=n, adaptive=adaptive)
-        ys, meta = reference_integration(schwarzschild, *eccentric, 20.0, n_samples=n, adaptive=adaptive)
+    def test_eccentric_leg_matches_the_array_step(self, schwarzschild, eccentric):
+        seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)
+        ys, meta = reference_integration(schwarzschild, *eccentric, 20.0)
         for key in ("n_steps", "n_rejected", "n_rhs"):
             assert seg.meta[key] == meta[key], key
         assert np.max(np.abs(seg.events - ys[:, :4])) < 1e-12
@@ -463,9 +457,6 @@ class TestRightHandSide:
         assert seg.meta["n_rejected"] == 1
         # the raising call counts; the step's later stages are never evaluated
         assert seg.meta["n_rhs"] == len(calls) == 1 + 6 * (seg.meta["n_steps"] + 1) - 5
-        calls.clear()
-        with pytest.raises(IntegrationError, match="non-finite state"):
-            integrate_geodesic(schwarzschild, *eccentric, 1.0, adaptive=False)
 
 
 class TestReverse:
@@ -541,25 +532,18 @@ class TestShooting:
         u = np.array([1.25, 0.75, 0.0, 0.0])
         target = Event(2.0 * MAX_LEG_SAMPLES * DEFAULT_SAMPLE_STEP * u)
         calls = []
-
-        def no_dense_grid(*args, n_samples=None, **kwargs):
-            calls.append(n_samples)
-            assert n_samples == 2, "re-integrated a leg over the sample cap"
-            return integrate_geodesic(*args, n_samples=n_samples, **kwargs)
-
-        monkeypatch.setattr(geodesic, "integrate_geodesic", no_dense_grid)
+        monkeypatch.setattr(geodesic, "integrate_geodesic", lambda *args, **kwargs: calls.append(args))
         seg, rep = solve_bvp(minkowski, Event(np.zeros(4)), target)
         assert seg is None
         assert not rep.converged
         assert f"over {MAX_LEG_SAMPLES} samples" in rep.message
         assert rep.proper_time == pytest.approx(2.0 * MAX_LEG_SAMPLES * DEFAULT_SAMPLE_STEP)
-        assert calls
+        assert rep.trials > 0
+        assert calls == [], "re-integrated a leg over the sample cap"
 
     def test_failed_reintegration_is_not_converged(self, minkowski, monkeypatch):
-        def failing_dense_grid(*args, n_samples=None, **kwargs):
-            if n_samples != 2:
-                raise IntegrationError("step size underflow at tau=0.5")
-            return integrate_geodesic(*args, n_samples=n_samples, **kwargs)
+        def failing_dense_grid(*args, **kwargs):
+            raise IntegrationError("step size underflow at tau=0.5")
 
         monkeypatch.setattr(geodesic, "integrate_geodesic", failing_dense_grid)
         u = np.array([1.25, 0.75, 0.0, 0.0])
@@ -570,11 +554,55 @@ class TestShooting:
         assert "step size underflow" in rep.message
         assert rep.proper_time == pytest.approx(1.5, abs=1e-9)
 
+    def test_trials_march_the_core_and_only_the_result_is_integrated(self, schwarzschild, monkeypatch):
+        march, integrate = geodesic._march, geodesic.integrate_geodesic
+        core_grids, integrated = [], []
+
+        def counting_march(st, ys, grid, tol):
+            core_grids.append(len(grid))
+            return march(st, ys, grid, tol)
+
+        def counting_integrate(*args, **kwargs):
+            integrated.append(kwargs["n_samples"])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(geodesic, "_march", counting_march)
+        monkeypatch.setattr(geodesic, "integrate_geodesic", counting_integrate)
+        coords = np.array([0.0, 12.0, np.pi / 2, 0.0])
+        target = Event(np.array([2.5, 12.4, np.pi / 2, 0.15]))
+        seg, rep = solve_bvp(schwarzschild, Event(coords), target)
+        assert rep.converged, rep.message
+        # one re-integration on the full grid; every other march is a trial
+        assert integrated == [seg.n_samples]
+        assert rep.trials == len(core_grids) - 1 > 4 * rep.iterations
+        assert core_grids.count(2) == rep.trials
+
+    def test_nonpositive_integration_tol_is_refused_before_any_trial(self, minkowski, monkeypatch):
+        monkeypatch.setattr(geodesic, "_march", None)  # a trial would fail on the call
+        target = Event(1.5 * np.array([1.25, 0.75, 0.0, 0.0]))
+        for tol in (0.0, -1e-10, np.nan):
+            with pytest.raises(UsageError, match="integration_tol must be positive"):
+                solve_bvp(minkowski, Event(np.zeros(4)), target, integration_tol=tol)
+
+    @pytest.mark.parametrize(
+        "step", [[np.nan] * 4, [0.0, 0.0, 0.0, np.inf], [np.inf, 0.0, 0.0, 0.0]], ids=["nan", "inf-tau", "inf-w"]
+    )
+    def test_non_finite_newton_step_is_a_failed_trial(self, minkowski, monkeypatch, step):
+        # with tau = inf or nan the integrator's step never shrinks, and an
+        # infinite w gives a launch of inf - inf: neither may reach the core
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array(step))
+        target = Event(1.5 * np.array([1.25, 0.75, 0.0, 0.0]))
+        seg, rep = solve_bvp(minkowski, Event(np.zeros(4)), target, tau_hint=2.0)
+        assert seg is None
+        assert rep.message == "line search stalled"
+        assert (rep.iterations, rep.halvings) == (0, 8)
+        # the first shot and the four Jacobian columns, none from the search
+        assert rep.trials == 5
+
     def test_full_grid_miss_is_shot_again(self, minkowski, monkeypatch):
-        def biased_dense_grid(*args, n_samples=None, **kwargs):
-            seg = integrate_geodesic(*args, n_samples=n_samples, **kwargs)
-            if n_samples != 2:
-                seg.events[-1, 1] += 1e-7
+        def biased_dense_grid(*args, **kwargs):
+            seg = integrate_geodesic(*args, **kwargs)
+            seg.events[-1, 1] += 1e-7
             return seg
 
         # the full-grid endpoint misses where the trial endpoint hits

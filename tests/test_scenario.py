@@ -306,6 +306,7 @@ class TestPhysicalValidation:
         monkeypatch.setattr(eprgeo.scenario, "integrate_geodesic", refuse)
         monkeypatch.setattr(eprgeo.scenario, "solve_bvp", refuse)
         expect(MINIMAL.replace("tau = 1.5", "tau = 1e9", 1), r"line 9: tau / sample_step")
+        expect(FULL.replace("tau_hint = 2.5", "tau_hint = 1e300"), r"line 16: tau_hint / sample_step: over")
         expect(
             FULL.replace("n_paths = 50", f"n_paths = {MAX_PATHS + 1}"),
             rf"line 24: n_paths must be at least 1 and at most {MAX_PATHS}",
@@ -319,6 +320,11 @@ class TestPhysicalValidation:
         expect(coarse.replace("tau = 1.5", f"tau = {tau + 1}", 1), r"line 9: tau / sample_step")
         text = FULL.replace("n_paths = 50", f"n_paths = {MAX_PATHS}")
         assert parse_scenario(text).decoherence.n_paths == MAX_PATHS
+        # the shooting starts from tau_hint, so it gets the same cap as tau
+        coarse = FULL.replace("sample_step = 0.05", "sample_step = 1")
+        sc = parse_scenario(coarse.replace("tau_hint = 2.5", f"tau_hint = {tau}"))
+        assert sc.detector2.tau_hint == tau
+        expect(coarse.replace("tau_hint = 2.5", f"tau_hint = {tau + 1}"), r"line 16: tau_hint / sample_step")
 
 
 # Values each key's own parser accepts, some of which a cross-key check
