@@ -92,8 +92,8 @@ def sample_bundle(
     raises DomainError.  ``meta["resample_rounds"]`` counts the redraw
     rounds, 0 when the first draw stays in the chart.
     """
-    if sigma < 0.0:
-        raise UsageError("bundle width sigma must be nonnegative")
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise UsageError("bundle width sigma must be finite and nonnegative")
     if n_paths < 1:
         raise UsageError("n_paths must be at least 1")
     if seg.zero_length:

@@ -10,7 +10,8 @@ right by a constant boost, so gauge independence can be tested.
 
 The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form in
 g and Gamma at the point, with no frame derivative and no differencing;
-spin_connection returns it already contracted with a chord, -M_l dx^l.
+spin_connection returns the static-frame SL(2,C) generator of -M_l dx^l for a
+chord dx, and gauge_lift the constant conjugation into the other gauge.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .lorentz import ETA
+from .lorentz import ETA, ID2, pure_boost_sl2, sl2_generator
 from .spacetime import Spacetime
 
 GAUGES = ("static", "boosted-static")
@@ -84,32 +85,27 @@ def inverse_frame(n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ETA @ np.swapaxes(n, -1, -2) @ g
 
 
-def spin_connection(
-    st: Spacetime, coords: np.ndarray, dx: np.ndarray, gauge: str = "static"
-) -> np.ndarray:
-    """Connection contracted with chords dx at coords: m = -M_l dx^l, (..., 4, 4).
+def gauge_lift(gauge: str) -> np.ndarray:
+    """SL(2,C) lift K of the static-to-gauge frame boost: U in static frames is K^-1 U K."""
+    check_gauge(gauge)
+    return ID2 if gauge == "static" else pure_boost_sl2(gauge_boost()[:, 0])
+
+
+def spin_connection(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """SL(2,C) generator (..., 2, 2) of the static-frame m = -M_l dx^l at coords.
 
     M_l = N^{-1}(d_l N + Gamma_l N) gives eta M_l = eta C_l + K_l, where
     C_l = N^{-1} d_l N is diagonal like the static frame N and
     K_l = N^T g Gamma_l N; so eta M_l is the antisymmetric matrix whose strict
     lower triangle is that of K_l.  Contracting Gamma_l dx^l first leaves
-    K = N^T g (Gamma.dx) N, elementwise for diagonal g and N.  In the
-    boosted-static gauge eta L^{-1} = L eta turns eta m into L (eta m) L,
-    re-projected onto its antisymmetric part so the so(1,3) structure holds
-    exactly.
+    K = N^T g (Gamma.dx) N, elementwise for diagonal g and N; m has rotation
+    part theta = (-K_32, K_31, -K_21) and boost part b_k = -K_k0.
     """
-    check_gauge(gauge)
     gd, nd = _frame_diagonal(st.metric(coords))
     gam_dx = np.einsum("...nlp,...l->...np", st.christoffel(coords), dx)
     lower = (nd * gd)[..., _LOWER] * gam_dx[..., _LOWER, _UPPER] * nd[..., _UPPER]
-    em = np.zeros(gam_dx.shape)
-    em[..., _LOWER, _UPPER] = lower
-    em[..., _UPPER, _LOWER] = -lower
-    if gauge == "boosted-static":
-        L = gauge_boost()
-        em = L @ em @ L
-        em = 0.5 * (em - np.swapaxes(em, -1, -2))
-    return -_ETA_DIAG[:, None] * em
+    k10, k20, k21, k30, k31, k32 = np.moveaxis(lower, -1, 0)
+    return sl2_generator((-k32, k31, -k21), (-k10, -k20, -k30))
 
 
 def orthonormality_defect(g: np.ndarray, n: np.ndarray) -> float:

@@ -3,7 +3,8 @@
 Conventions, fixed once and used everywhere:
 
 * signature (-,+,+,+), eta = diag(-1, 1, 1, 1);
-* spin-1/2 generators: rotations J_k = -(i/2) sigma_k, boosts K_k = -(1/2) sigma_k;
+* spin-1/2 generators (written out only in sl2_generator): rotations
+  J_k = -(i/2) sigma_k, boosts K_k = -(1/2) sigma_k;
 * the vector action of A in SL(2,C) is defined through X = V^0 I - V.sigma,
   X -> A X A^dagger, which makes ``vector_action(exp(lift_so13(m))) = exp(m)``
   for every m in so(1,3) (lift and action form one consistent pair);
@@ -13,7 +14,7 @@ Conventions, fixed once and used everywhere:
 All 2x2 helpers accept leading batch axes.
 
 Lifts go one way only: SL(2,C) elements come from generators (expm2 of
-lift_so13) or from closed-form boosts (pure_boost_sl2), and vector_action
+sl2_generator) or from closed-form boosts (pure_boost_sl2), and vector_action
 maps them down to SO(1,3).  Nothing lifts a 4x4 Lorentz matrix back up; the
 spinor route builds its frame lifts from the boosts that define the frames.
 """
@@ -50,6 +51,16 @@ def expm2(a: np.ndarray) -> np.ndarray:
     return cosh[..., None, None] * ID2 + sinhc[..., None, None] * a
 
 
+def sl2_generator(theta, boost) -> np.ndarray:
+    """theta . J + b . K from three rotation and three boost components (batched).
+
+    With c_k = -(i theta_k + b_k)/2 it is [[c3, c1 - i c2], [c1 + i c2, -c3]],
+    traceless exactly.
+    """
+    c1, c2, c3 = (-0.5j * th - 0.5 * b for th, b in zip(theta, boost))
+    return np.stack([np.stack([c3, c1 - 1j * c2], -1), np.stack([c1 + 1j * c2, -c3], -1)], -2)
+
+
 def lift_so13(m: np.ndarray) -> np.ndarray:
     """Spin-1/2 representation of an so(1,3) matrix (eta m antisymmetric).
 
@@ -57,14 +68,8 @@ def lift_so13(m: np.ndarray) -> np.ndarray:
     the boost part b_k = m[0, k] to b . K.  Batched over leading axes.
     """
     m = np.asarray(m, dtype=float)
-    th1 = -0.5 * (m[..., 2, 3] - m[..., 3, 2])
-    th2 = -0.5 * (m[..., 3, 1] - m[..., 1, 3])
-    th3 = -0.5 * (m[..., 1, 2] - m[..., 2, 1])
-    out = np.zeros(m.shape[:-2] + (2, 2), dtype=complex)
-    for th, b, sig in zip((th1, th2, th3), (m[..., 0, 1], m[..., 0, 2], m[..., 0, 3]), PAULI):
-        coeff = np.asarray(-0.5j * th - 0.5 * b)
-        out = out + coeff[..., None, None] * sig
-    return out
+    theta = [-0.5 * (m[..., i, j] - m[..., j, i]) for i, j in ((2, 3), (3, 1), (1, 2))]
+    return sl2_generator(theta, np.moveaxis(m[..., 0, 1:], -1, 0))
 
 
 def vector_action(a: np.ndarray) -> np.ndarray:

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import check_gauge, gauge_boost, gram_schmidt_frame, inverse_frame
+from .frames import gauge_lift, gram_schmidt_frame, inverse_frame
 from .geodesic import GeodesicSegment, integrate_geodesic
 from .lorentz import (
-    ID2,
     lorentz_polar,
     pure_boost,
     pure_boost_inverse,
@@ -91,12 +90,11 @@ def rest_conjugation_factors(
     factors are products of closed-form SL(2,C) boost lifts:
     pre = K^-1 S(v) S(u0) and post = S(u1)^-1 K, where S is pure_boost_sl2,
     v is the reference's leg 0 in static-tetrad components, u0 and u1 are
-    the tangents in the reference and end-static components, and K lifts
-    the constant boost from static to gauge frames (I in the static gauge).
+    the tangents in the reference and end-static components, and
+    K = gauge_lift(gauge) lifts the constant static-to-gauge frame boost.
     """
-    check_gauge(gauge)
     st = seg.spacetime
-    k = pure_boost_sl2(gauge_boost()[:, 0]) if gauge == "boosted-static" else ID2
+    k = gauge_lift(gauge)
     v = _static_components(st, reference.event, reference.matrix[:, 0])
     uh0 = _frame_velocity(st, reference, seg.tangents[0])
     uh1 = _static_components(st, seg.end, seg.tangents[-1])

@@ -19,13 +19,19 @@ from .spacetime import Event, Spacetime
 from .transport import gauge_tetrad, spinor_propagator
 
 
-def circular_orbit_tangent(st: Spacetime, r: float) -> tuple[Event, np.ndarray]:
-    """Equatorial circular-orbit start event and unit 4-velocity at radius r."""
+def _orbit_mass(st: Spacetime, r: float) -> float:
+    """The mass M of a spacetime with a timelike circular orbit at radius r."""
     m = getattr(st, "mass", None)
     if m is None:
         raise ConfigurationError("circular orbits need a schwarzschild spacetime")
-    if r <= 3.0 * m:
-        raise ConfigurationError(f"no timelike circular orbit at r={r} <= 3M")
+    if not 0.0 < 3.0 * m < r:
+        raise ConfigurationError(f"no timelike circular orbit at r={r} unless 0 < 3M < r (M={m})")
+    return m
+
+
+def circular_orbit_tangent(st: Spacetime, r: float) -> tuple[Event, np.ndarray]:
+    """Equatorial circular-orbit start event and unit 4-velocity at radius r."""
+    m = _orbit_mass(st, r)
     e0 = Event(np.array([0.0, r, np.pi / 2.0, 0.0]))
     omega = np.sqrt(m / r**3)
     ut = 1.0 / np.sqrt(1.0 - 3.0 * m / r)
@@ -35,7 +41,7 @@ def circular_orbit_tangent(st: Spacetime, r: float) -> tuple[Event, np.ndarray]:
 
 def orbit_period(st: Spacetime, r: float) -> float:
     """Proper time for one revolution of the circular orbit at radius r."""
-    m = st.mass
+    m = _orbit_mass(st, r)
     return 2.0 * np.pi * np.sqrt(r**3 / m) * np.sqrt(1.0 - 3.0 * m / r)
 
 

@@ -4,17 +4,17 @@ Vector transport works in world indices: the endpoint-to-endpoint propagator
 P solves dP/dtau = -Gamma_mu(x) u^mu P, integrated with one classical RK4
 step per sample interval.  The coefficient at the interval midpoint comes
 from cubic Hermite interpolation of the stored samples (positions from
-(x, u), velocities from (u, a)), so no extra geodesic solves are needed.
+(x, u), velocities from (u, a)), with one Gamma per node and per midpoint.
 
-Spin-1/2 transport multiplies per-interval exponentials of the frame-index
-connection, exp(-M_l(midpoint) dx^l) lifted to SL(2,C) with the pinned
-generator convention of the lorentz module; spin_connection contracts the
-connection with each chord itself.  Each factor has determinant one
-and the factor for the reversed interval is its exact adjugate inverse,
-which is why a retraced path gives the identity to machine precision rather
-than to integration accuracy.  The SU(2) sign of the result is whatever the
-continuous composition along the path produces; no branch is re-chosen
-afterwards.
+Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
+the Hermite midpoint positions (which need no Gamma); spin_connection gives
+each static-frame generator already contracted with its chord, and the
+boosted-static gauge conjugates the product once by gauge_lift(gauge).  Each
+factor has determinant one and the factor for the reversed interval is its
+exact adjugate inverse, which is why a retraced path gives the identity to
+machine precision rather than to integration accuracy.  The SU(2) sign of
+the result is whatever the continuous composition along the path produces;
+no branch is re-chosen afterwards.
 
 Endpoint propagators are cached on the segment, keyed by gauge where that
 matters; reversed segments carry their own cache.
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import frame_field, inverse_frame, orthonormality_defect, spin_connection
+from .frames import frame_field, gauge_lift, inverse_frame, orthonormality_defect, spin_connection
 from .geodesic import GeodesicSegment, reverse
-from .lorentz import expm2, lift_so13, ordered_product
+from .lorentz import expm2, ordered_product, sl2_inverse
 from .spacetime import Event, Spacetime, require_event, same_event
 
 ORTHO_TOL = 1.0e-8
@@ -63,24 +63,11 @@ def gauge_tetrad(st: Spacetime, event: Event, gauge: str = "static") -> Tetrad:
 # segment-level propagators (internal, cached)
 
 
-def _interval_data(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray, float]:
-    """Hermite midpoint positions/velocities for each sample interval."""
-    if "midpoints" in seg.cache:
-        return seg.cache["midpoints"]
+def _midpoints(seg: GeodesicSegment) -> tuple[np.ndarray, float]:
+    """Hermite midpoint positions of the sample intervals (no Gamma needed), and h."""
     x, u = seg.events, seg.tangents
     h = float(seg.tau[1] - seg.tau[0])
-    gam = seg.spacetime.christoffel(x)
-    acc = -np.einsum("klmn,km,kn->kl", gam, u, u)
-    x_mid = 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:])
-    u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
-    seg.cache["midpoints"] = (x_mid, u_mid, h)
-    return x_mid, u_mid, h
-
-
-def _coefficient(st: Spacetime, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """W = -Gamma_mu u^mu as a matrix acting on world components.  Batched."""
-    gam = st.christoffel(x)
-    return -np.einsum("...lms,...m->...ls", gam, u)
+    return 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:]), h
 
 
 def world_propagator(seg: GeodesicSegment) -> np.ndarray:
@@ -91,11 +78,17 @@ def world_propagator(seg: GeodesicSegment) -> np.ndarray:
         p = _EYE4.copy()
     else:
         st = seg.spacetime
-        x_mid, u_mid, h = _interval_data(seg)
-        w_nodes = _coefficient(st, seg.events, seg.tangents)
-        w0, w1 = w_nodes[:-1], w_nodes[1:]
-        wm = _coefficient(st, x_mid, u_mid)
-        k1 = w0
+        u = seg.tangents
+        # W = -Gamma_mu u^mu on world components; the node Gamma also gives the
+        # Hermite accelerations, and both are freed before Gamma at the midpoints
+        gam = st.christoffel(seg.events)
+        w_nodes = -np.einsum("...lms,...m->...ls", gam, u)
+        acc = -np.einsum("klmn,km,kn->kl", gam, u, u)
+        x_mid, h = _midpoints(seg)
+        u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
+        del gam, acc
+        wm = -np.einsum("...lms,...m->...ls", st.christoffel(x_mid), u_mid)
+        k1, w1 = w_nodes[:-1], w_nodes[1:]
         k2 = wm + (0.5 * h) * (wm @ k1)
         k3 = wm + (0.5 * h) * (wm @ k2)
         k4 = w1 + h * (w1 @ k3)
@@ -119,6 +112,13 @@ def frame_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray:
     return p
 
 
+def _chord_transport(st: Spacetime, mid: np.ndarray, dx: np.ndarray, gauge: str) -> np.ndarray:
+    """Ordered product of the chord exponentials, conjugated once into the gauge frames."""
+    k = gauge_lift(gauge)
+    u = ordered_product(expm2(spin_connection(st, mid, dx)))
+    return u if gauge == "static" else sl2_inverse(k) @ u @ k
+
+
 def spinor_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray:
     """SL(2,C) transport matrix along the segment, U[end <- start]."""
     key = ("spinor_propagator", gauge)
@@ -127,10 +127,8 @@ def spinor_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray
     if seg.zero_length:
         u = np.eye(2, dtype=complex)
     else:
-        st = seg.spacetime
-        x_mid, _, _ = _interval_data(seg)
         dx = seg.events[1:] - seg.events[:-1]
-        u = ordered_product(expm2(lift_so13(spin_connection(st, x_mid, dx, gauge))))
+        u = _chord_transport(seg.spacetime, _midpoints(seg)[0], dx, gauge)
     seg.cache[key] = u
     return u
 
@@ -152,7 +150,7 @@ def polygon_spinor_transport(st: Spacetime, xs: np.ndarray, gauge: str = "static
     xs = np.asarray(xs, dtype=float)
     dx = xs[..., 1:, :] - xs[..., :-1, :]
     mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
-    return ordered_product(expm2(lift_so13(spin_connection(st, mid, dx, gauge))))
+    return _chord_transport(st, mid, dx, gauge)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ class TestSampling:
             sample_bundle(legs[0], -0.1, 5, 0)
         with pytest.raises(UsageError):
             sample_bundle(legs[0], 0.1, 0, 0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(UsageError, match="finite"):
+                sample_bundle(legs[0], sigma, 5, 0)
 
     def test_resample_rounds_count_redraws(self, legs, monkeypatch):
         assert sample_bundle(legs[0], 0.4, 30, 17).meta["resample_rounds"] == 0

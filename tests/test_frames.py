@@ -1,7 +1,7 @@
 """Orthonormal frame fields: the closed-form diagonal frame against the
-general Gram-Schmidt loop, the chord-contracted spin connection against
-finite differences of the frame, its antisymmetry, and its cost in metric
-and Christoffel evaluations."""
+general Gram-Schmidt loop, and the chord-contracted spin connection against
+the lift of its 4x4 so(1,3) assembly and against finite differences of the
+frame, its trace, and its cost in metric and Christoffel evaluations."""
 
 import numpy as np
 import pytest
@@ -12,12 +12,13 @@ from eprgeo.frames import (
     BOOST_RAPIDITY,
     frame_field,
     gauge_boost,
+    gauge_lift,
     gram_schmidt_frame,
     inverse_frame,
     orthonormality_defect,
     spin_connection,
 )
-from eprgeo.lorentz import ETA
+from eprgeo.lorentz import ETA, lift_so13, sl2_inverse
 from eprgeo.spacetime import HORIZON_GUARD
 
 POINTS = {
@@ -129,26 +130,56 @@ def test_gram_schmidt_rejects_wrong_signature():
         gram_schmidt_frame(np.diag([-1.0, -1.0, 1.0, 1.0]))
 
 
+def _connection_4x4(st, xs, dx):
+    """Oracle: the so(1,3) matrix -M_l dx^l assembled entry by entry.
+
+    eta M_l is antisymmetric with the strict lower triangle of
+    K_l = N^T g Gamma_l N, contracted with the chord first.
+    """
+    eta = np.diag(ETA)
+    gd = np.diagonal(st.metric(xs), axis1=-2, axis2=-1)
+    nd = 1.0 / np.sqrt(eta * gd)
+    gam_dx = np.einsum("...nlp,...l->...np", st.christoffel(xs), dx)
+    lo, up = np.tril_indices(4, -1)
+    lower = (nd * gd)[..., lo] * gam_dx[..., lo, up] * nd[..., up]
+    em = np.zeros(gam_dx.shape)
+    em[..., lo, up] = lower
+    em[..., up, lo] = -lower
+    return -eta[:, None] * em
+
+
+@pytest.mark.parametrize("kind", ["minkowski", "schwarzschild", "weak_field"])
+def test_spin_connection_is_the_lift_of_the_4x4_assembly(kind):
+    """Bitwise, including the points crowded against the horizon guard."""
+    st, xs = _oracle_batch(kind)
+    dx = np.random.default_rng(4).normal(size=xs.shape)
+    assert np.array_equal(spin_connection(st, xs, dx), lift_so13(_connection_4x4(st, xs, dx)))
+
+
 @pytest.mark.parametrize("kind", ["schwarzschild", "weak_field"])
-@pytest.mark.parametrize("gauge", ["static", "boosted-static"])
-def test_spin_connection_eta_antisymmetric(kind, gauge):
-    """eta m must be exactly antisymmetric: the transport then preserves eta."""
+def test_spin_connection_is_traceless(kind):
+    """An exact sl(2,C) generator: each factor of the transport has det one."""
     st = _spacetime(kind)
     xs = POINTS[kind]
     dx = np.random.default_rng(8).normal(size=xs.shape)
-    m = spin_connection(st, xs, dx, gauge)
-    em = np.einsum("ab,kbc->kac", ETA, m)
-    assert np.max(np.abs(em + np.swapaxes(em, -1, -2))) == 0.0
+    m = spin_connection(st, xs, dx)
+    assert np.all(np.trace(m, axis1=-2, axis2=-1) == 0.0)
+    assert np.max(np.abs(m)) > 0.0
 
 
 @pytest.mark.parametrize("kind", ["schwarzschild", "weak_field"])
 @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
 def test_spin_connection_matches_transport_derivative(kind, gauge):
-    """M_l = N^{-1} (d_l N + Gamma_l N), with d_l N from central differences."""
+    """M_l = N^{-1} (d_l N + Gamma_l N), with d_l N from central differences.
+
+    In the boosted-static gauge the static-frame generator is conjugated by
+    the constant lift gauge_lift(gauge).
+    """
     st = _spacetime(kind)
     x = POINTS[kind][1]
+    k = gauge_lift(gauge)
     # the unit chord e_l reads off -M_l
-    m = -spin_connection(st, np.broadcast_to(x, (4, 4)), np.eye(4), gauge)
+    m = sl2_inverse(k) @ spin_connection(st, np.broadcast_to(x, (4, 4)), np.eye(4)) @ k
     n = frame_field(st, x, gauge)
     ninv = inverse_frame(n, st.metric(x))
     gamma = st.christoffel(x)
@@ -159,11 +190,10 @@ def test_spin_connection_matches_transport_derivative(kind, gauge):
         xm[lam] -= h
         dn = (frame_field(st, xp, gauge) - frame_field(st, xm, gauge)) / (2 * h)
         ref = ninv @ (dn + gamma[:, lam, :] @ n)
-        assert np.max(np.abs(m[lam] - ref)) < 1e-5
+        assert np.max(np.abs(m[lam] - lift_so13(-ref))) < 1e-5
 
 
-@pytest.mark.parametrize("gauge", ["static", "boosted-static"])
-def test_spin_connection_evaluates_metric_and_christoffel_once(gauge, monkeypatch):
+def test_spin_connection_evaluates_metric_and_christoffel_once(monkeypatch):
     st = _spacetime("schwarzschild")
     calls = {"metric": 0, "christoffel": 0}
     for name in calls:
@@ -175,11 +205,13 @@ def test_spin_connection_evaluates_metric_and_christoffel_once(gauge, monkeypatc
 
         monkeypatch.setattr(st, name, counted)
     xs = POINTS["schwarzschild"]
-    m = spin_connection(st, xs, np.ones_like(xs), gauge)
-    assert m.shape == (3, 4, 4)
+    m = spin_connection(st, xs, np.ones_like(xs))
+    assert m.shape == (3, 2, 2)
     assert calls == {"metric": 1, "christoffel": 1}
 
 
 def test_unknown_gauge_rejected(schwarzschild):
     with pytest.raises(UsageError):
         frame_field(schwarzschild, np.array([0.0, 8.0, 1.0, 0.0]), "comoving")
+    with pytest.raises(UsageError):
+        gauge_lift("comoving")

@@ -81,3 +81,30 @@ def test_orbit_inside_photon_sphere_rejected(schwarzschild):
 def test_requires_mass(minkowski):
     with pytest.raises(ConfigurationError):
         circular_orbit_tangent(minkowski, 10.0)
+
+
+def test_massless_schwarzschild_has_no_circular_orbit():
+    st = make_spacetime("schwarzschild", {"M": 0.0})
+    for call in (circular_orbit_tangent, orbit_period, integrate_orbit):
+        with pytest.raises(ConfigurationError, match="M=0.0"):
+            call(st, 10.0)
+
+
+def test_both_routes_evaluate_christoffel_once_per_node(monkeypatch):
+    """The vector route at the nodes and midpoints, the spinor route at the
+    midpoints only: n + 2 (n - 1) points for an orbit of n samples."""
+    st = make_spacetime("schwarzschild", {"M": 1.0})
+    seg = integrate_orbit(st, 10.0)
+    points = []
+    christoffel = st.christoffel
+
+    def counted(x):
+        points.append(int(np.prod(np.shape(x)[:-1])))
+        return christoffel(x)
+
+    monkeypatch.setattr(st, "christoffel", counted)
+    rest_frame_holonomy_angle(seg, "static")
+    spinor_holonomy_angle(seg, "static")
+    n = seg.n_samples
+    assert n == 8313
+    assert sum(points) == n + 2 * (n - 1) == 24937

@@ -13,7 +13,7 @@ from eprgeo import Event, integrate_geodesic, pair_transport
 from eprgeo.errors import UsageError
 from eprgeo.frames import spin_connection
 from eprgeo.geodesic import point_segment
-from eprgeo.lorentz import ID2, lift_so13, vector_action
+from eprgeo.lorentz import ID2, vector_action
 from eprgeo.pipeline import rest_frame_rotation
 from eprgeo.transport import (
     frame_propagator,
@@ -103,11 +103,12 @@ class TestSpinorTransport:
             u = spinor_propagator(rev, "static") @ spinor_propagator(seg, "static")
             assert np.max(np.abs(u - ID2)) < 1e-6
 
-    def test_double_cover_projection(self, battery):
+    @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
+    def test_double_cover_projection(self, battery, gauge):
         """U sigma_k U^dag realizes the vector-route frame rotation."""
         for seg in battery[:10]:
-            u = spinor_propagator(seg, "static")
-            lam = frame_propagator(seg, "static")
+            u = spinor_propagator(seg, gauge)
+            lam = frame_propagator(seg, gauge)
             assert np.max(np.abs(vector_action(u) - lam)) < 1e-6
 
     def test_unit_determinant(self, battery):
@@ -128,7 +129,7 @@ class TestSpinorTransport:
     def test_lifted_spin_connection_shape(self, schwarzschild):
         x = np.array([[0.0, 8.0, 1.2, 0.1], [0.5, 9.0, 1.4, -0.3]])
         dx = np.array([[0.1, 0.02, -0.01, 0.03], [0.2, -0.05, 0.01, 0.0]])
-        m = lift_so13(spin_connection(schwarzschild, x, dx, "static"))
+        m = spin_connection(schwarzschild, x, dx)
         assert m.shape == (2, 2, 2)
         # each generator is traceless (sl(2,C))
         assert np.max(np.abs(np.einsum("kii->k", m))) < 1e-14
