@@ -48,7 +48,8 @@ RESAMPLE_ATTEMPTS = 100
 # disjoint path blocks behind the standard error of fidelity_with_error
 FIDELITY_BLOCKS = 10
 
-# paths per transport chunk; keeps the batched christoffel arrays modest
+# paths per transport chunk; bounds the per-chord (paths, chords, 2, 2)
+# generator and exponential arrays of one transport
 _CHUNK = 256
 
 _ID2 = np.eye(2, dtype=complex)

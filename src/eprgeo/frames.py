@@ -8,10 +8,12 @@ diagonal in its chart, so that frame is diag(|g_aa|^(-1/2)); a non-diagonal
 metric raises DomainError.  The "boosted-static" gauge multiplies it on the
 right by a constant boost, so gauge independence can be tested.
 
-The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form in
-g and Gamma at the point, with no frame derivative and no differencing;
-spin_connection returns the static-frame SL(2,C) generator of -M_l dx^l for a
-chord dx, and gauge_lift the constant conjugation into the other gauge.
+The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form at
+the point, with no frame derivative and no differencing.  spin_connection
+returns the static-frame SL(2,C) generator of -M_l dx^l for a chord dx from
+the six coefficients each spacetime's static_connection gives in closed
+form, so the spinor route reads neither the metric nor Gamma; gauge_lift is
+the constant conjugation into the other gauge.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .lorentz import ETA, ID2, pure_boost_sl2, sl2_generator
-from .spacetime import Spacetime
+from .spacetime import Spacetime, require_static_frame
 
 GAUGES = ("static", "boosted-static")
 
@@ -28,8 +30,6 @@ GAUGES = ("static", "boosted-static")
 BOOST_RAPIDITY = 0.3
 
 _ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
-# (row, column) of the six strict-lower entries of a 4x4 matrix
-_LOWER, _UPPER = np.tril_indices(4, -1)
 
 
 def gauge_boost() -> np.ndarray:
@@ -49,17 +49,6 @@ def check_gauge(gauge: str) -> None:
         raise UsageError(f"unknown gauge {gauge!r}; expected one of {GAUGES}")
 
 
-def _frame_diagonal(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal of g, diagonal of its static frame N) for a diagonal metric."""
-    d = np.diagonal(g, axis1=-2, axis2=-1)
-    if np.count_nonzero(g) != np.count_nonzero(d):
-        raise DomainError("metric is not diagonal in its chart at a requested event")
-    nrm2 = _ETA_DIAG * d
-    if np.any(nrm2 <= 0.0) or not np.all(np.isfinite(nrm2)):
-        raise DomainError("metric signature is not (-,+,+,+) at a requested event")
-    return d, 1.0 / np.sqrt(nrm2)
-
-
 def gram_schmidt_frame(g: np.ndarray) -> np.ndarray:
     """Signature Gram-Schmidt frame of the coordinate basis.  Batched.
 
@@ -68,7 +57,13 @@ def gram_schmidt_frame(g: np.ndarray) -> np.ndarray:
     bitwise.  Raises DomainError on a non-diagonal metric or a wrong
     signature at the point (e.g. inside a horizon).
     """
-    return _frame_diagonal(np.asarray(g, dtype=float))[1][..., None] * np.eye(4)
+    g = np.asarray(g, dtype=float)
+    d = np.diagonal(g, axis1=-2, axis2=-1)
+    if np.count_nonzero(g) != np.count_nonzero(d):
+        raise DomainError("metric is not diagonal in its chart at a requested event")
+    nrm2 = _ETA_DIAG * d
+    require_static_frame(nrm2)
+    return (1.0 / np.sqrt(nrm2))[..., None] * np.eye(4)
 
 
 def frame_field(st: Spacetime, coords: np.ndarray, gauge: str = "static") -> np.ndarray:
@@ -97,14 +92,12 @@ def spin_connection(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.nda
     M_l = N^{-1}(d_l N + Gamma_l N) gives eta M_l = eta C_l + K_l, where
     C_l = N^{-1} d_l N is diagonal like the static frame N and
     K_l = N^T g Gamma_l N; so eta M_l is the antisymmetric matrix whose strict
-    lower triangle is that of K_l.  Contracting Gamma_l dx^l first leaves
-    K = N^T g (Gamma.dx) N, elementwise for diagonal g and N; m has rotation
-    part theta = (-K_32, K_31, -K_21) and boost part b_k = -K_k0.
+    lower triangle is that of K = K_l dx^l, which st.static_connection gives
+    in closed form; m has rotation part theta = (-K_32, K_31, -K_21) and boost
+    part b_k = -K_k0.  Raises DomainError where the static frame does not
+    exist.
     """
-    gd, nd = _frame_diagonal(st.metric(coords))
-    gam_dx = np.einsum("...nlp,...l->...np", st.christoffel(coords), dx)
-    lower = (nd * gd)[..., _LOWER] * gam_dx[..., _LOWER, _UPPER] * nd[..., _UPPER]
-    k10, k20, k21, k30, k31, k32 = np.moveaxis(lower, -1, 0)
+    k10, k20, k21, k30, k31, k32 = st.static_connection(coords, dx)
     return sl2_generator((-k32, k31, -k21), (-k10, -k20, -k30))
 
 

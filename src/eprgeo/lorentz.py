@@ -55,10 +55,19 @@ def sl2_generator(theta, boost) -> np.ndarray:
     """theta . J + b . K from three rotation and three boost components (batched).
 
     With c_k = -(i theta_k + b_k)/2 it is [[c3, c1 - i c2], [c1 + i c2, -c3]],
-    traceless exactly.
+    traceless exactly.  The real and imaginary parts of the entries are
+    written directly, so no complex temporaries are built.
     """
-    c1, c2, c3 = (-0.5j * th - 0.5 * b for th, b in zip(theta, boost))
-    return np.stack([np.stack([c3, c1 - 1j * c2], -1), np.stack([c1 + 1j * c2, -c3], -1)], -2)
+    s1, s2, s3 = (-0.5 * th for th in theta)  # Im c_k
+    a1, a2, a3 = (-0.5 * b for b in boost)  # Re c_k
+    shape = np.broadcast_shapes(*map(np.shape, (s1, s2, s3, a1, a2, a3)))
+    m = np.empty(shape + (2, 2), dtype=complex)
+    re, im = m.real, m.imag
+    re[..., 0, 0], im[..., 0, 0] = a3, s3
+    re[..., 0, 1], im[..., 0, 1] = a1 + s2, s1 - a2
+    re[..., 1, 0], im[..., 1, 0] = a1 - s2, s1 + a2
+    re[..., 1, 1], im[..., 1, 1] = -a3, -s3
+    return m
 
 
 def lift_so13(m: np.ndarray) -> np.ndarray:

@@ -36,17 +36,10 @@ from .lorentz import (
     rotation_matrix_from_su2,
     sl2_inverse,
     su2_polar,
-    vector_action,
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
 from .spin import TwoQubitState, matched_direction, pair_state
-from .transport import (
-    Tetrad,
-    frame_propagator,
-    gauge_tetrad,
-    spinor_propagator,
-    world_propagator,
-)
+from .transport import Tetrad, gauge_tetrad, spinor_propagator, world_propagator
 
 
 def boosted_tetrad(st: Spacetime, event: Event, velocity: np.ndarray | None = None) -> Tetrad:
@@ -183,17 +176,6 @@ def matched_axis(result: PairResult, a: np.ndarray) -> np.ndarray:
 def spin_relative_rotation(result: PairResult) -> np.ndarray:
     """R(W2 W1^-1) from the spin route, for route-against-route checks."""
     return rotation_matrix_from_su2(result.spin2 @ result.spin1.conj().T)
-
-
-def double_cover_defect(seg: GeodesicSegment, gauge: str = "static") -> float:
-    """max |vector_action(U) - frame propagator| along one segment.
-
-    The spin-1/2 transport pushed through the vector action must reproduce
-    the 4x4 frame-component transport; this is the routes' shared oracle.
-    """
-    u = spinor_propagator(seg, gauge)
-    lam = frame_propagator(seg, gauge)
-    return float(np.max(np.abs(vector_action(u) - lam)))
 
 
 def integrate_pair(

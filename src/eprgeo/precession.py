@@ -47,7 +47,7 @@ def orbit_period(st: Spacetime, r: float) -> float:
 
 def geodetic_angle_exact(st: Spacetime, r: float) -> float:
     """Closed-form per-orbit geodetic angle 2 pi (1 - sqrt(1 - 3M/r))."""
-    m = st.mass
+    m = _orbit_mass(st, r)
     return 2.0 * np.pi * (1.0 - np.sqrt(1.0 - 3.0 * m / r))
 
 

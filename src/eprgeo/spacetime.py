@@ -5,12 +5,14 @@ Geometric units G = c = 1 throughout; metric signature (-,+,+,+).
 Evaluators are vectorized: coordinates of shape (..., 4) give metrics of
 shape (..., 4, 4) and Christoffel symbols of shape (..., 4, 4, 4), indexed
 as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``, and ``in_chart`` gives a
-boolean mask over the leading axes.  The two exceptions serve the
-integrator's step, which works on one state at a time: ``geodesic_rhs`` takes
-a state as a sequence of 8 Python floats and returns the closed-form
-right-hand side as a tuple of floats, and ``contains`` is ``in_chart`` for one
-point given as 4 floats.  At one point NumPy's per-call overhead costs more
-than the arithmetic.
+boolean mask over the leading axes.  ``static_connection`` is batched too,
+but returns no Gamma: it gives the six static-frame connection coefficients
+already contracted with a batch of chords, in closed form, which is all the
+spinor transport reads.  Two exceptions serve the integrator's step, which
+works on one state at a time: ``geodesic_rhs`` takes a state as a sequence of
+8 Python floats and returns the closed-form right-hand side as a tuple of
+floats, and ``contains`` is ``in_chart`` for one point given as 4 floats.  At
+one point NumPy's per-call overhead costs more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -79,6 +81,17 @@ class Spacetime:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def static_connection(self, x: np.ndarray, dx: np.ndarray) -> tuple:
+        """Static-frame connection along chords dx at points x (batched).
+
+        The six strict-lower entries (k10, k20, k21, k30, k31, k32) of
+        K = N^T g (Gamma.dx) N, where N = diag(|g_aa|^(-1/2)) is the static
+        frame; each entry has the batch shape or is the scalar 0.0.  Raises
+        DomainError where the static frame does not exist (a metric
+        signature other than (-,+,+,+), or a non-finite metric).
+        """
+        raise NotImplementedError
+
     def geodesic_rhs(self, y: Sequence[float]) -> tuple[float, ...]:
         """The geodesic equation's right-hand side (u, -Gamma^l_mn(x) u^m u^n).
 
@@ -121,6 +134,10 @@ class Minkowski(Spacetime):
     def christoffel(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (4, 4, 4))
+
+    def static_connection(self, x, dx):
+        zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(dx))[:-1])
+        return (zero,) * 6
 
     def geodesic_rhs(self, y):
         _, _, _, _, ut, u1, u2, u3 = y
@@ -175,6 +192,21 @@ class Schwarzschild(Spacetime):
         G[..., 3, 1, 3] = G[..., 3, 3, 1] = 1.0 / r
         G[..., 3, 2, 3] = G[..., 3, 3, 2] = cos / sin
         return G
+
+    def static_connection(self, x, dx):
+        x = np.asarray(x, dtype=float)
+        dt, _, dth, dph = np.moveaxis(np.asarray(dx, dtype=float), -1, 0)
+        r = x[..., 1]
+        th = x[..., 2]
+        f = 1.0 - 2.0 * self.mass / r
+        sin = np.sin(th)
+        # g_11 = 1/f is positive and finite wherever f > 0 is: a rounded
+        # 1 - 2M/r that is positive is at least 2**-53
+        r2 = r * r
+        require_static_frame(f, r2, (r * sin) ** 2)
+        sqrt_f = np.sqrt(f)
+        # k10 = M/r^2 dt, k21 = sqrt(f) dth, k31 = sqrt(f) sin dph, k32 = cos dph
+        return (self.mass / r2 * dt, 0.0, sqrt_f * dth, 0.0, sqrt_f * sin * dph, np.cos(th) * dph)
 
     def geodesic_rhs(self, y):
         _, r, th, _, ut, ur, uth, uph = y
@@ -256,6 +288,26 @@ class WeakField(Spacetime):
         G[..., 1:, 1:, 1:] = -term / B[..., None, None, None]
         return G
 
+    def static_connection(self, x, dx):
+        x = np.asarray(x, dtype=float)
+        dt, dx1, dx2, dx3 = np.moveaxis(np.asarray(dx, dtype=float), -1, 0)
+        phi, grad = self._potential(x[..., 1:])
+        two_eps_phi = 2.0 * self.epsilon * phi
+        A = 1.0 + two_eps_phi
+        B = 1.0 - two_eps_phi
+        require_static_frame(A, B)
+        d1, d2, d3 = np.moveaxis(self.epsilon * grad, -1, 0)  # gradient of eps*phi
+        # k_i0 = d_i dt / sqrt(AB),  k_ij = (d_i dx^j - d_j dx^i) / B
+        boost = dt / np.sqrt(A * B)
+        return (
+            d1 * boost,
+            d2 * boost,
+            (d2 * dx1 - d1 * dx2) / B,
+            d3 * boost,
+            (d3 * dx1 - d1 * dx3) / B,
+            (d3 * dx2 - d2 * dx3) / B,
+        )
+
     def geodesic_rhs(self, y):
         _, x1, x2, x3, ut, v1, v2, v3 = y
         eps = self.epsilon
@@ -272,6 +324,16 @@ class WeakField(Spacetime):
         a2 = (2.0 * dv * v2 - d2 * uu) / B
         a3 = (2.0 * dv * v3 - d3 * uu) / B
         return (ut, v1, v2, v3, -2.0 * dv * ut / A, a1, a2, a3)
+
+
+def require_static_frame(*norms: np.ndarray) -> None:
+    """Raise DomainError unless every given eta_aa g_aa is positive and finite.
+
+    For a diagonal metric that is the condition for its static frame
+    diag(|g_aa|^(-1/2)) to exist with signature (-,+,+,+).
+    """
+    if not all(np.all((n > 0.0) & (n < np.inf)) for n in norms):
+        raise DomainError("metric signature is not (-,+,+,+) at a requested event")
 
 
 def _reject_unknown(params: dict, allowed: set, name: str):

@@ -8,13 +8,15 @@ from cubic Hermite interpolation of the stored samples (positions from
 
 Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
 the Hermite midpoint positions (which need no Gamma); spin_connection gives
-each static-frame generator already contracted with its chord, and the
-boosted-static gauge conjugates the product once by gauge_lift(gauge).  Each
-factor has determinant one and the factor for the reversed interval is its
-exact adjugate inverse, which is why a retraced path gives the identity to
-machine precision rather than to integration accuracy.  The SU(2) sign of
-the result is whatever the continuous composition along the path produces;
-no branch is re-chosen afterwards.
+each static-frame generator already contracted with its chord from the
+spacetime's closed-form connection coefficients, so this route reads no
+Gamma at all and is independent of the vector route down to the Christoffel
+symbols.  The boosted-static gauge conjugates the product once by
+gauge_lift(gauge).  Each factor has determinant one and the factor for the
+reversed interval is its exact adjugate inverse, which is why a retraced
+path gives the identity to machine precision rather than to integration
+accuracy.  The SU(2) sign of the result is whatever the continuous
+composition along the path produces; no branch is re-chosen afterwards.
 
 Endpoint propagators are cached on the segment, keyed by gauge where that
 matters; reversed segments carry their own cache.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import UsageError
 from .frames import frame_field, gauge_lift, inverse_frame, orthonormality_defect, spin_connection
-from .geodesic import GeodesicSegment, reverse
+from .geodesic import GeodesicSegment
 from .lorentz import expm2, ordered_product, sl2_inverse
 from .spacetime import Event, Spacetime, require_event, same_event
 
@@ -131,13 +133,6 @@ def spinor_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray
         u = _chord_transport(seg.spacetime, _midpoints(seg)[0], dx, gauge)
     seg.cache[key] = u
     return u
-
-
-def reversed_segment(seg: GeodesicSegment) -> GeodesicSegment:
-    """reverse(seg), computed once and cached on the segment."""
-    if "reversed" not in seg.cache:
-        seg.cache["reversed"] = reverse(seg)
-    return seg.cache["reversed"]
 
 
 def polygon_spinor_transport(st: Spacetime, xs: np.ndarray, gauge: str = "static") -> np.ndarray:

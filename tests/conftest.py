@@ -1,10 +1,15 @@
-"""Shared fixtures: spacetimes and the random Schwarzschild segment battery."""
+"""Shared fixtures: spacetimes, the random Schwarzschild segment battery, and
+the test-side helpers that reverse a segment and compare the two transport
+routes through the double cover."""
 
 import numpy as np
 import pytest
 
 from eprgeo import Event, integrate_geodesic, make_spacetime
 from eprgeo.frames import frame_field
+from eprgeo.geodesic import GeodesicSegment, reverse
+from eprgeo.lorentz import vector_action
+from eprgeo.transport import frame_propagator, spinor_propagator
 
 
 @pytest.fixture(scope="session")
@@ -49,3 +54,34 @@ def battery(schwarzschild, static_tangent):
         tau = rng.uniform(0.8, 2.5)
         segs.append(integrate_geodesic(st, Event(coords), u, tau))
     return segs
+
+
+@pytest.fixture(scope="session")
+def reversed_segment():
+    """Callable reversing a segment once, so the battery's reversals and
+    their cached propagators are shared by the tests that retrace it."""
+
+    def reversed_segment(seg: GeodesicSegment) -> GeodesicSegment:
+        """reverse(seg), computed once and cached on the segment."""
+        if "reversed" not in seg.cache:
+            seg.cache["reversed"] = reverse(seg)
+        return seg.cache["reversed"]
+
+    return reversed_segment
+
+
+@pytest.fixture(scope="session")
+def double_cover_defect():
+    """Callable comparing the spinor and vector routes along one segment."""
+
+    def double_cover_defect(seg: GeodesicSegment, gauge: str = "static") -> float:
+        """max |vector_action(U) - frame propagator| along one segment.
+
+        The spin-1/2 transport pushed through the vector action must reproduce
+        the 4x4 frame-component transport; this is the routes' shared oracle.
+        """
+        u = spinor_propagator(seg, gauge)
+        lam = frame_propagator(seg, gauge)
+        return float(np.max(np.abs(vector_action(u) - lam)))
+
+    return double_cover_defect

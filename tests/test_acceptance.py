@@ -44,14 +44,7 @@ from eprgeo.cli import main as cli_main
 from eprgeo.frames import frame_field
 from eprgeo.geodesic import samples_for
 from eprgeo.lorentz import rotation_axis_angle
-from eprgeo.pipeline import double_cover_defect
-from eprgeo.transport import (
-    gauge_tetrad,
-    reversed_segment,
-    spinor_propagator,
-    transport_tetrad,
-    world_propagator,
-)
+from eprgeo.transport import gauge_tetrad, spinor_propagator, transport_tetrad, world_propagator
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -97,7 +90,7 @@ def test_02_geodetic_angle_both_routes(schwarzschild):
     )
 
 
-def test_03_spin_route_projects_onto_vector_route(battery):
+def test_03_spin_route_projects_onto_vector_route(battery, double_cover_defect):
     worst = max(double_cover_defect(seg, "static") for seg in battery)
     ok = worst <= 1e-6
     assert verdict(3, ok, f"max |U sigma U^dag - R| = {worst:.3e} over {len(battery)} segments")
@@ -133,7 +126,7 @@ def test_04_matched_axis_and_gauge_independence(schwarzschild, static_tangent):
     )
 
 
-def test_05_retraced_transport_is_identity(battery):
+def test_05_retraced_transport_is_identity(battery, reversed_segment):
     worst_v = 0.0
     worst_s = 0.0
     eye2 = np.eye(2)

@@ -156,18 +156,21 @@ class TestAveragedState:
         b2 = sample_bundle(legs[1], 0.0, 20, 6)
         assert b1.meta["resample_rounds"] == b2.meta["resample_rounds"] == 0
         cls = type(legs[0].spacetime)
-        metric = cls.metric
-        shapes = []
+        shapes = {"metric": [], "static_connection": []}
+        for name, calls in shapes.items():
+            original = getattr(cls, name)
 
-        def recording_metric(self, x):
-            shapes.append(np.shape(x))
-            return metric(self, x)
+            def recording(self, x, *rest, _original=original, _calls=calls):
+                _calls.append(np.shape(x))
+                return _original(self, x, *rest)
 
-        monkeypatch.setattr(cls, "metric", recording_metric)
+            monkeypatch.setattr(cls, name, recording)
         avg = averaged_state(pair, b1, b2, mode)
         monkeypatch.undo()
-        # no metric evaluation spans the (n_paths, knots, 4) path batch
-        assert shapes and all(len(s) <= 2 for s in shapes)
+        # each leg's base polygon is transported once, and no metric or
+        # connection evaluation spans the (n_paths, knots, 4) path batch
+        assert len(shapes["static_connection"]) == 2
+        assert all(len(s) <= 2 for calls in shapes.values() for s in calls)
         for w in avg.weights:
             assert np.array_equal(w, np.full(20, 1.0 / 20))
         maps1, maps2 = avg.transports

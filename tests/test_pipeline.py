@@ -21,7 +21,6 @@ from eprgeo.lorentz import pure_boost, pure_boost_inverse, rotation_axis_angle, 
 from eprgeo.pipeline import (
     PairResult,
     boosted_tetrad,
-    double_cover_defect,
     integrate_pair,
     pair_transport,
     rest_conjugation_factors,
@@ -124,7 +123,7 @@ class TestCurved:
         _, ang_vec = rotation_axis_angle(res.relative_rotation)
         assert ang_spin == pytest.approx(ang_vec, abs=1e-6)
 
-    def test_double_cover_defect_small(self, schwarzschild):
+    def test_double_cover_defect_small(self, schwarzschild, double_cover_defect):
         res = _curved_pair(schwarzschild, seed=6)
         assert double_cover_defect(res.segment1) < 1e-6
         assert double_cover_defect(res.segment2) < 1e-6

@@ -73,26 +73,34 @@ def test_gauge_choice_does_not_change_angle(schwarzschild):
     assert a_boosted == pytest.approx(a_static, abs=1e-9)
 
 
+# every orbit helper shares one check of the spacetime and the radius
+ORBIT_HELPERS = (circular_orbit_tangent, orbit_period, integrate_orbit, geodetic_angle_exact)
+
+
 def test_orbit_inside_photon_sphere_rejected(schwarzschild):
-    with pytest.raises(ConfigurationError):
-        circular_orbit_tangent(schwarzschild, 2.9)
+    # at r = 2.5 the closed-form angle's sqrt(1 - 3M/r) would be nan
+    for call in ORBIT_HELPERS:
+        for r in (2.5, 2.9):
+            with pytest.raises(ConfigurationError, match="no timelike circular orbit"):
+                call(schwarzschild, r)
 
 
 def test_requires_mass(minkowski):
-    with pytest.raises(ConfigurationError):
-        circular_orbit_tangent(minkowski, 10.0)
+    for call in ORBIT_HELPERS:
+        with pytest.raises(ConfigurationError, match="schwarzschild"):
+            call(minkowski, 10.0)
 
 
 def test_massless_schwarzschild_has_no_circular_orbit():
     st = make_spacetime("schwarzschild", {"M": 0.0})
-    for call in (circular_orbit_tangent, orbit_period, integrate_orbit):
+    for call in ORBIT_HELPERS:
         with pytest.raises(ConfigurationError, match="M=0.0"):
             call(st, 10.0)
 
 
 def test_both_routes_evaluate_christoffel_once_per_node(monkeypatch):
-    """The vector route at the nodes and midpoints, the spinor route at the
-    midpoints only: n + 2 (n - 1) points for an orbit of n samples."""
+    """The vector route at the nodes and midpoints, n + (n - 1) points for an
+    orbit of n samples; the spinor route never."""
     st = make_spacetime("schwarzschild", {"M": 1.0})
     seg = integrate_orbit(st, 10.0)
     points = []
@@ -104,7 +112,9 @@ def test_both_routes_evaluate_christoffel_once_per_node(monkeypatch):
 
     monkeypatch.setattr(st, "christoffel", counted)
     rest_frame_holonomy_angle(seg, "static")
-    spinor_holonomy_angle(seg, "static")
     n = seg.n_samples
     assert n == 8313
-    assert sum(points) == n + 2 * (n - 1) == 24937
+    assert sum(points) == n + (n - 1) == 16625
+    points.clear()
+    spinor_holonomy_angle(seg, "static")
+    assert points == []

@@ -9,7 +9,14 @@ cover.
 import numpy as np
 import pytest
 
-from eprgeo import Event, integrate_geodesic, pair_transport
+from eprgeo import (
+    Event,
+    integrate_geodesic,
+    integrate_orbit,
+    make_spacetime,
+    pair_transport,
+    spinor_holonomy_angle,
+)
 from eprgeo.errors import UsageError
 from eprgeo.frames import spin_connection
 from eprgeo.geodesic import point_segment
@@ -18,7 +25,7 @@ from eprgeo.pipeline import rest_frame_rotation
 from eprgeo.transport import (
     frame_propagator,
     gauge_tetrad,
-    reversed_segment,
+    polygon_spinor_transport,
     spinor_propagator,
     transport_tetrad,
     world_propagator,
@@ -45,7 +52,7 @@ class TestVectorTransport:
             after = (p @ v) @ g1 @ (p @ w)
             assert after == pytest.approx(before, abs=1e-10)
 
-    def test_retraced_path_is_identity(self, battery):
+    def test_retraced_path_is_identity(self, battery, reversed_segment):
         for seg in battery[:10]:
             rev = reversed_segment(seg)
             round_trip = world_propagator(rev) @ world_propagator(seg)
@@ -97,7 +104,7 @@ class TestTetradTransport:
 
 
 class TestSpinorTransport:
-    def test_retraced_path_is_identity(self, battery):
+    def test_retraced_path_is_identity(self, battery, reversed_segment):
         for seg in battery[:10]:
             rev = reversed_segment(seg)
             u = spinor_propagator(rev, "static") @ spinor_propagator(seg, "static")
@@ -126,6 +133,26 @@ class TestSpinorTransport:
         seg = point_segment(schwarzschild, Event(np.array([0.0, 8.0, 1.2, 0.1])))
         assert np.allclose(spinor_propagator(seg, "static"), ID2)
 
+    def test_spinor_route_reads_no_christoffel_symbols(self, static_tangent, monkeypatch):
+        """The runtime cross-check between the routes is independent down to Gamma."""
+        st = make_spacetime("schwarzschild", {"M": 1.0})
+
+        def no_christoffel(x):
+            raise AssertionError("the spinor route evaluated Christoffel symbols")
+
+        monkeypatch.setattr(st, "christoffel", no_christoffel)
+        coords = np.array([0.0, 9.0, 1.2, 0.3])
+        u0 = static_tangent(st, coords, [0.3, 0.1, -0.2])
+        seg = integrate_geodesic(st, Event(coords), u0, 1.5)
+        for gauge in ("static", "boosted-static"):
+            assert abs(np.linalg.det(spinor_propagator(seg, gauge)) - 1.0) < 1e-10
+        paths = np.stack([seg.events, seg.events[::-1]])
+        assert polygon_spinor_transport(st, paths).shape == (2, 2, 2)
+        orbit = integrate_orbit(st, 10.0, n_orbits=0.1)
+        assert 0.0 < spinor_holonomy_angle(orbit) < np.pi
+        with pytest.raises(AssertionError, match="Christoffel"):
+            world_propagator(seg)
+
     def test_lifted_spin_connection_shape(self, schwarzschild):
         x = np.array([[0.0, 8.0, 1.2, 0.1], [0.5, 9.0, 1.4, -0.3]])
         dx = np.array([[0.1, 0.02, -0.01, 0.03], [0.2, -0.05, 0.01, 0.0]])
@@ -138,7 +165,7 @@ class TestSpinorTransport:
 class TestCorrespondence:
     """Carrying a tetrad back along leg 1 and out along leg 2."""
 
-    def test_flat_correspondence_is_identity(self, minkowski):
+    def test_flat_correspondence_is_identity(self, minkowski, reversed_segment):
         origin = Event(np.zeros(4))
         seg1 = integrate_geodesic(
             minkowski, origin, np.array([np.sqrt(1.25), 0.5, 0, 0]), 2.0
@@ -153,7 +180,7 @@ class TestCorrespondence:
         u = spinor_propagator(seg2, "static") @ spinor_propagator(back, "static")
         assert min(np.max(np.abs(u - ID2)), np.max(np.abs(u + ID2))) < 1e-12
 
-    def test_correspondence_fields_attached(self, schwarzschild):
+    def test_correspondence_fields_attached(self, schwarzschild, reversed_segment):
         rng = np.random.default_rng(11)
         from eprgeo.frames import frame_field
 
