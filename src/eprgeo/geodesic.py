@@ -2,19 +2,22 @@
 
 The integrator is an embedded Dormand-Prince 5(4) pair marching the 8-dim
 state (x, dx/dtau) toward the future.  The error estimate alone sets the
-step, up to MAX_STEP_SPACINGS sample spacings; the nodes of the uniform
-proper-time grid that a step passes are filled from the pair's continuous
-extension, so callers get samples at exactly the grid times however the
-steps fall.  Leaving the chart is not an error of the integrator but of the
-trajectory: the step is halved toward the boundary and a DomainExitError
-carrying the last valid sample is raised.
+step; the nodes of the uniform proper-time grid that a step passes are
+filled from the pair's continuous extension, so callers get samples at
+exactly the grid times however the steps fall.  The estimate controls the
+5th-order step end, and the nodes inside a step come from a 4th-order
+interpolant, so a grid with interior nodes is marched at min(tol,
+DENSE_TOL); a two-node grid is marched at tol.  Leaving the chart is not an
+error of the integrator but of the trajectory: the step is halved toward
+the boundary and a DomainExitError carrying the last valid sample is raised.
 
 The step is unrolled on Python floats, because on an 8-component state
 NumPy's per-call overhead costs more than the arithmetic: each stage is one
 list comprehension with the Butcher coefficients as literals, the error norm
-is a root mean square of eight floats, the chart test is the spacetime's
-one-point ``contains``, and the interpolated nodes come from the step's
-polynomial coefficients by Horner's rule.  That loop is the private core
+is a root mean square of eight floats and the chart test is the spacetime's
+one-point ``contains``.  An accepted step that passes nodes only records its
+start and stages; all passed nodes are filled after the loop in one NumPy
+pass through the coefficient matrix _DENSE_P.  That loop is the private core
 ``_march``; ``integrate_geodesic`` wraps it with input validation, the
 sample grid and the 4-velocity norm check, and the shooting's trial shots
 call the core directly on the two-node grid [0, tau].
@@ -30,6 +33,7 @@ where angle coordinates would degenerate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,11 +52,26 @@ MAX_LEG_SAMPLES = 100_000
 # Newton updates solve_bvp attempts before reporting non-convergence.
 MAX_SHOOTING_ITERATIONS = 50
 
-# Longest step, in sample spacings.  Uncapped steps let the
-# interpolated 4-velocity norm drift past max(10 tol, 1e-9) on some legs at
-# the default tol, and a cap of 8 still did on one boundary-value leg; at 4
-# the worst drift seen on those legs was about 6e-12.
-MAX_STEP_SPACINGS = 4
+# Loosest tolerance a grid with interior nodes is marched at.  The error
+# estimate controls the 5th-order step end only; the nodes between come from
+# the 4th-order interpolant.  Marched at the default tol, the nodes of a
+# weak-field leg from the softened core drift in 4-velocity norm by 1.25e-9,
+# past max(10 tol, 1e-9); at 1e-13 the worst drift over the 324 perfbench
+# pairs texts of seeds 1-3 is 2.6e-13.
+DENSE_TOL = 1.0e-13
+
+# The Dormand-Prince continuous extension (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.6): y(t + theta h) = y + h sum_ij _DENSE_P[i, j] theta^(j+1) k_i
+# over the stages k1, k3, ..., k7 (the second stage's weight is zero), a
+# 4th-order interpolant whose weights at theta = 1 are the 5th-order ones.
+_DENSE_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 @dataclass
@@ -112,33 +131,6 @@ def samples_for(tau: float, step: float = DEFAULT_SAMPLE_STEP) -> int:
     return max(1, int(np.ceil(abs(tau) / step))) + 1
 
 
-def _dense_coefficients(h, y, k1, k3, k4, k5, k6, k7):
-    """Per component, the tuple (y, c1, c2, c3, c4) of one step's interpolant.
-
-    y(t + theta h) = y + theta (c1 + theta (c2 + theta (c3 + theta c4)))
-    with c_j = h sum_i p_ij k_i: the Dormand-Prince continuous extension
-    b_i(theta) = sum_j p_ij theta^j (Hairer, Norsett & Wanner, Solving ODEs
-    I, II.6), a 4th-order interpolant with b(1) the 5th-order weights.  The
-    second stage's polynomial is zero, so k2 does not enter.
-    """
-    return [
-        (
-            a,
-            h * b,
-            h * (-8048581381 / 2820520608 * b + 131558114200 / 32700410799 * c
-                 - 1754552775 / 470086768 * d + 127303824393 / 49829197408 * e
-                 - 282668133 / 205662961 * f + 40617522 / 29380423 * g),
-            h * (8663915743 / 2820520608 * b - 68118460800 / 10900136933 * c
-                 + 14199869525 / 1410260304 * d - 318862633887 / 49829197408 * e
-                 + 2019193451 / 616988883 * f - 110615467 / 29380423 * g),
-            h * (-12715105075 / 11282082432 * b + 87487479700 / 32700410799 * c
-                 - 10690763975 / 1880347072 * d + 701980252875 / 199316789632 * e
-                 - 1453857185 / 822651844 * f + 69997945 / 29380423 * g),
-        )
-        for a, b, c, d, e, f, g in zip(y, k1, k3, k4, k5, k6, k7)
-    ]
-
-
 def integrate_geodesic(
     st: Spacetime,
     event0: Event,
@@ -154,14 +146,14 @@ def integrate_geodesic(
     tol > 0: the integrator only runs toward the future; ``reverse`` gives
     the same worldline traversed the other way.  u0 is normalized to
     g(u0, u0) = -1.  Samples are returned at exactly the uniform grid times.
-    The local error per step is controlled at rtol=tol, atol=tol/100, each
-    step spans at most MAX_STEP_SPACINGS sample spacings, and the nodes
-    inside a step are interpolated by the 4th-order continuous extension
-    (the last sample is the endpoint of the last step), so the endpoint
-    error falls with tol at the 5th-order rate.  The step is unrolled on
-    Python floats (see ``_march``).  The 4-velocity norm is checked across
-    all samples afterwards, interpolated ones included; drift beyond
-    max(10 tol, 1e-9) raises IntegrationError.
+    The error estimate alone sets the step, and the nodes inside a step are
+    interpolated by the 4th-order continuous extension (the last sample is
+    the endpoint of the last step).  The local error per step is controlled
+    at rtol=tol, atol=tol/100 when n_samples == 2, so the endpoint error
+    falls with tol at the 5th-order rate; with interior nodes the leg is
+    marched at min(tol, DENSE_TOL) (see ``_march``).  The 4-velocity norm
+    is checked across all samples afterwards, interpolated ones included;
+    drift beyond max(10 tol, 1e-9) raises IntegrationError.
     """
     require_event(st, event0)
     u0 = np.asarray(u0, dtype=float)
@@ -212,16 +204,21 @@ def integrate_geodesic(
 def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, int, int]:
     """March the state in ys[0] over grid, filling ys[k] at proper time grid[k].
 
-    grid is a list of floats from 0.0 whose spacing grid[1] sets the step cap;
-    tol must be positive and the start state finite, inside the chart.
+    grid is an increasing list of floats from 0.0; tol must be positive and
+    the start state finite, inside the chart.  The local error per step is
+    controlled at rtol=tol, atol=tol/100 on the two-node grid [0, tau] and
+    at min(tol, DENSE_TOL) on a grid with interior nodes; nothing else
+    limits the step.  ys[1:] is complete only once _march returns: the
+    interior nodes are filled after the loop, so after a raise they are not.
     Returns (steps, rejected steps, RHS evaluations).  Raises IntegrationError
     on step underflow and DomainExitError where the trajectory leaves the chart.
     """
     n_samples = len(grid)
     tau_end = grid[-1]
+    if n_samples > 2:
+        tol = min(tol, DENSE_TOL)
     rtol, atol = tol, tol * 1.0e-2
     h_min = 1.0e-12 * max(1.0, tau_end)
-    h_max = MAX_STEP_SPACINGS * grid[1]
     at_node = 1.0e-14 * tau_end
 
     rhs = st.geodesic_rhs
@@ -234,9 +231,10 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
     i = 1  # next node to fill
     n_steps = n_rejected = 0
     n_rhs = 1
+    passed = []  # (t, h, first node, end node, y, k1, k3, ..., k7) per step
 
     while i < n_samples:
-        h_limit = min(h_max, tau_end - t)
+        h_limit = tau_end - t
         if h < h_min and h < h_limit:
             raise IntegrationError(f"step size underflow at tau={t:.6g}")
         h = min(h, h_limit)
@@ -305,14 +303,12 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
             n_rejected += 1
             continue
         grow = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
-        # fill the nodes in (t, t + h]; one at the step's end gets y_new
+        # record the nodes in (t, t + h) for the fill; one at the end gets y_new
         t_new = t + h
-        if i < n_samples and grid[i] < t_new - at_node:
-            dense = _dense_coefficients(h, y, k1, k3, k4, k5, k6, k7)
-            while i < n_samples and grid[i] < t_new - at_node:
-                th = (grid[i] - t) / h
-                ys[i] = [a + th * (b + th * (c + th * (d + th * e))) for a, b, c, d, e in dense]
-                i += 1
+        end = bisect_left(grid, t_new - at_node, i)
+        if end > i:
+            passed.append((t, h, i, end, y, k1, k3, k4, k5, k6, k7))
+            i = end
         if i < n_samples and grid[i] - t_new <= at_node:
             ys[i] = y_new
             t_new = grid[i]
@@ -323,6 +319,17 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
         h *= grow
         n_steps += 1
 
+    if passed:
+        # the n-th passed node is grid[node[n]], inside recorded step step[n]
+        t0, h0, first, ends, y0, *stages = map(np.array, zip(*passed))
+        counts = ends - first
+        step = np.repeat(np.arange(counts.size), counts)
+        node = np.arange(step.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        theta = (np.asarray(grid)[node] - t0[step]) / h0[step]
+        # per step, c_j = h sum_i _DENSE_P[i, j] k_i; y(t + theta h) = y + sum_j theta^j c_j
+        coeffs = h0[:, None, None] * np.einsum("ij,isc->sjc", _DENSE_P, np.array(stages))
+        powers = theta[:, None] ** np.arange(1, 5)
+        ys[node] = y0[step] + np.einsum("nj,njc->nc", powers, coeffs[step])
     return n_steps, n_rejected, n_rhs
 
 
