@@ -44,9 +44,9 @@ def expm2(a: np.ndarray) -> np.ndarray:
     det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
     s = np.sqrt(-det + 0.0j)
     small = np.abs(s) < 1.0e-6
-    # sinh(s)/s, with its series for tiny s to dodge 0/0
+    # sinh(s)/s, with its series 1 + s^2/6 = 1 - det/6 for tiny s to dodge 0/0
     s_safe = np.where(small, 1.0, s)
-    sinhc = np.where(small, 1.0 + det / 6.0, np.sinh(s_safe) / s_safe)
+    sinhc = np.where(small, 1.0 - det / 6.0, np.sinh(s_safe) / s_safe)
     cosh = np.cosh(s)
     return cosh[..., None, None] * ID2 + sinhc[..., None, None] * a
 
@@ -214,19 +214,44 @@ def su2_rotation_angle(u: np.ndarray) -> float:
     return float(2.0 * np.arccos(np.clip(abs(tr) / 2.0, 0.0, 1.0)))
 
 
+def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2x2 factors held as components (p, q, r, s) on axis 1.
+
+    Eight complex multiplies per product, on whole component arrays, each
+    entry a_i0 b_0j + a_i1 b_1j written straight into the result.
+    """
+    p, q, r, s = a.swapaxes(0, 1)
+    pb, qb, rb, sb = b.swapaxes(0, 1)
+    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    terms = ((p, pb, q, rb), (p, qb, q, sb), (r, pb, s, rb), (r, qb, s, sb))
+    for o, (x0, y0, x1, y1) in zip(out.swapaxes(0, 1), terms):
+        np.multiply(x0, y0, out=o)
+        o += x1 * y1
+    return out
+
+
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """Ordered product mats[-1] @ ... @ mats[0] along axis -3, batched.
 
     Uses pairwise tree reduction: adjacent factors are combined in order, so
-    the result is the exact ordered product in O(log n) batched matmuls.
+    the result is the exact ordered product in O(log n) rounds.  2x2 factors
+    are multiplied on their four component arrays (p, q, r, s), larger ones
+    by batched matmul.  An empty factor axis gives the identity.
     """
     m = np.asarray(mats)
-    while m.shape[-3] > 1:
-        n = m.shape[-3]
-        even = m[..., 0 : n - (n % 2) : 2, :, :]
-        odd = m[..., 1 : n : 2, :, :]
-        paired = odd @ even
+    lead, n, k = m.shape[:-3], m.shape[-3], m.shape[-1]
+    if n == 0:
+        return np.broadcast_to(np.eye(k, dtype=m.dtype), lead + (k, k)).copy()
+    # the factor axis goes first; 2x2 factors become (n, 4, *lead) components
+    if k == 2:
+        f, pair = np.moveaxis(m.reshape(lead + (n, 4)), (-2, -1), (0, 1)), _product_2x2
+    else:
+        f, pair = np.moveaxis(m, -3, 0), np.matmul
+    while n > 1:
+        paired = pair(f[1:n:2], f[0 : n - 1 : 2])
         if n % 2:
-            paired = np.concatenate([paired, m[..., n - 1 : n, :, :]], axis=-3)
-        m = paired
-    return m[..., 0, :, :]
+            paired = np.concatenate([paired, f[n - 1 :]])
+        f, n = paired, len(paired)
+    if k == 2:
+        return np.moveaxis(f[0], 0, -1).reshape(lead + (2, 2))
+    return f[0]

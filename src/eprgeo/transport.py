@@ -1,10 +1,13 @@
 """Parallel transport along sampled curves, vector and spin-1/2 versions.
 
 Vector transport works in world indices: the endpoint-to-endpoint propagator
-P solves dP/dtau = -Gamma_mu(x) u^mu P, integrated with one classical RK4
-step per sample interval.  The coefficient at the interval midpoint comes
-from cubic Hermite interpolation of the stored samples (positions from
-(x, u), velocities from (u, a)), with one Gamma per node and per midpoint.
+P solves dP/dtau = W P with W^l_s = -Gamma^l_ms u^m, integrated with one
+classical RK4 step per sample interval.  The coefficient at the interval
+midpoint comes from cubic Hermite interpolation of the stored samples
+(positions from (x, u), velocities from (u, a)), with one Gamma per node and
+per midpoint.  Gamma is symmetric in its lower indices, so each W is one
+contraction over Gamma's contiguous last axis, and the node accelerations
+are a = W u, not a second contraction of Gamma.
 
 Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
 the Hermite midpoint positions (which need no Gamma); spin_connection gives
@@ -72,6 +75,16 @@ def _midpoints(seg: GeodesicSegment) -> tuple[np.ndarray, float]:
     return 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:]), h
 
 
+def _connection_matrix(gam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """W^l_s = -Gamma^l_ms u^m for (n, 4, 4, 4) Gamma and (n, 4) velocities.
+
+    Gamma is symmetric in its lower indices, so the sum runs over its
+    contiguous last axis: one (16, 4) @ (4,) product per point.
+    """
+    n = len(u)
+    return (gam.reshape(n, 16, 4) @ -u[:, :, None]).reshape(n, 4, 4)
+
+
 def world_propagator(seg: GeodesicSegment) -> np.ndarray:
     """Endpoint parallel propagator in world indices, P[end <- start]."""
     if "world_propagator" in seg.cache:
@@ -81,15 +94,16 @@ def world_propagator(seg: GeodesicSegment) -> np.ndarray:
     else:
         st = seg.spacetime
         u = seg.tangents
-        # W = -Gamma_mu u^mu on world components; the node Gamma also gives the
-        # Hermite accelerations, and both are freed before Gamma at the midpoints
+        # the Hermite accelerations a = W u come from the node W, so Gamma is
+        # contracted once per point set; the node Gamma is freed only just
+        # before Gamma at the midpoints, whose allocation can then reuse it
         gam = st.christoffel(seg.events)
-        w_nodes = -np.einsum("...lms,...m->...ls", gam, u)
-        acc = -np.einsum("klmn,km,kn->kl", gam, u, u)
+        w_nodes = _connection_matrix(gam, u)
+        acc = np.einsum("...ls,...s->...l", w_nodes, u)
         x_mid, h = _midpoints(seg)
         u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
         del gam, acc
-        wm = -np.einsum("...lms,...m->...ls", st.christoffel(x_mid), u_mid)
+        wm = _connection_matrix(st.christoffel(x_mid), u_mid)
         k1, w1 = w_nodes[:-1], w_nodes[1:]
         k2 = wm + (0.5 * h) * (wm @ k1)
         k3 = wm + (0.5 * h) * (wm @ k2)

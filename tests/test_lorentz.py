@@ -12,6 +12,7 @@ from eprgeo.lorentz import (
     ETA,
     ID2,
     PAULI,
+    SIGMA_X,
     expm2,
     lift_so13,
     lorentz_polar,
@@ -85,6 +86,14 @@ class TestExpm2:
 
     def test_identity_at_zero(self):
         assert np.allclose(expm2(np.zeros((2, 2), dtype=complex)), ID2)
+
+    @pytest.mark.parametrize("x", [9.0e-7, 1.1e-6])
+    def test_sinhc_on_both_sides_of_the_series_switch(self, x):
+        """exp([[0, x], [x, 0]]) = cosh(x) I + sinh(x) sigma_x, whether
+        sinh(s)/s comes from its series (|s| < 1e-6) or from the quotient."""
+        out = expm2(x * SIGMA_X)
+        assert abs(out[0, 1] - np.sinh(x)) <= 1e-15 * np.sinh(x)
+        assert abs(out[0, 0] - np.cosh(x)) <= 1e-15
 
 
 class TestLift:
@@ -224,6 +233,34 @@ def test_ordered_product_matches_loop():
     for k in range(9):
         expected = mats[k] @ expected
     assert np.allclose(ordered_product(mats), expected, atol=1e-12)
+
+
+def loop_product(mats):
+    """mats[-1] @ ... @ mats[0] along axis -3, one @ at a time."""
+    *lead, _, k, _ = mats.shape
+    out = np.broadcast_to(np.eye(k, dtype=mats.dtype), (*lead, k, k))
+    for k in range(mats.shape[-3]):
+        out = mats[..., k, :, :] @ out
+    return out
+
+
+@pytest.mark.parametrize("chords", [1, 2, 3, 7, 8, 159])
+def test_ordered_product_2x2_components_match_matmul_loop(chords):
+    """The component tree agrees with sequential @ on (paths, chords) SL(2,C) stacks."""
+    g = 0.2 * (rng.normal(size=(6, chords, 2, 2)) + 1j * rng.normal(size=(6, chords, 2, 2)))
+    g -= 0.5 * np.einsum("...ii->...", g)[..., None, None] * ID2
+    mats = expm2(g)
+    expected = loop_product(mats)
+    out = ordered_product(mats)
+    assert out.shape == (6, 2, 2)
+    assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_ordered_product_of_no_factors_is_the_identity(k):
+    out = ordered_product(np.zeros((3, 0, k, k), dtype=complex))
+    assert out.shape == (3, k, k)
+    assert np.array_equal(out, np.broadcast_to(np.eye(k), (3, k, k)))
 
 
 def test_ordered_product_batched():

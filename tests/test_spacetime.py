@@ -62,10 +62,24 @@ def test_christoffel_matches_finite_differences(kind):
         assert np.max(np.abs(exact - approx)) < 1e-5
 
 
-def test_christoffel_symmetric_lower_indices(schwarzschild):
-    x = np.array([0.0, 9.0, 1.1, 0.4])
-    gamma = schwarzschild.christoffel(x)
-    assert np.allclose(gamma, np.swapaxes(gamma, 1, 2))
+@pytest.mark.parametrize(
+    "st",
+    [
+        make_spacetime("minkowski"),
+        make_spacetime("schwarzschild", {"M": 1.0}),
+        make_spacetime("weak_field", {"epsilon": 0.05, "softening": 0.7}),
+    ],
+    ids=lambda st: st.name,
+)
+def test_christoffel_symmetric_lower_indices(st):
+    """Exactly symmetric, which the vector route's contraction relies on."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-2.0, 2.0, size=(5, 7, 4))
+    x[..., 1] += 8.0  # r in [6, 10] for Schwarzschild
+    x[..., 2] = rng.uniform(0.5, 2.6, (5, 7))  # theta off the axis
+    gamma = st.christoffel(x)
+    assert gamma.shape == (5, 7, 4, 4, 4)
+    assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
 
 
 def test_metric_signature(schwarzschild):

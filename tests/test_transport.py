@@ -20,7 +20,7 @@ from eprgeo import (
 from eprgeo.errors import UsageError
 from eprgeo.frames import spin_connection
 from eprgeo.geodesic import point_segment
-from eprgeo.lorentz import ID2, vector_action
+from eprgeo.lorentz import ID2, ordered_product, vector_action
 from eprgeo.pipeline import rest_frame_rotation
 from eprgeo.transport import (
     frame_propagator,
@@ -81,6 +81,40 @@ class TestVectorTransport:
         assert e1 / e2 > 8.0
 
 
+def einsum_world_propagator(seg):
+    """The vector route with W and the Hermite accelerations as separate
+    contractions of Gamma over its middle index: an independent reference."""
+    st, x, u = seg.spacetime, seg.events, seg.tangents
+    h = float(seg.tau[1] - seg.tau[0])
+    gam = st.christoffel(x)
+    w_nodes = -np.einsum("...lms,...m->...ls", gam, u)
+    acc = -np.einsum("klmn,km,kn->kl", gam, u, u)
+    x_mid = 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:])
+    u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
+    wm = -np.einsum("...lms,...m->...ls", st.christoffel(x_mid), u_mid)
+    k1, w1 = w_nodes[:-1], w_nodes[1:]
+    k2 = wm + (0.5 * h) * (wm @ k1)
+    k3 = wm + (0.5 * h) * (wm @ k2)
+    k4 = w1 + h * (w1 @ k3)
+    return ordered_product(np.eye(4) + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+@pytest.mark.parametrize(
+    "kind, params, coords, w",
+    [
+        ("minkowski", {}, [0.0, 1.0, -2.0, 0.5], [0.3, 0.4, -0.1]),
+        ("schwarzschild", {"M": 1.0}, [0.0, 7.0, 1.1, 0.3], [0.2, 0.35, -0.1]),
+        ("weak_field", {"epsilon": 0.05}, [0.0, 1.0, -2.0, 0.5], [-0.3, 0.5, 0.2]),
+    ],
+)
+def test_world_propagator_matches_the_einsum_contraction(static_tangent, kind, params, coords, w):
+    st = make_spacetime(kind, params)
+    coords = np.array(coords)
+    seg = integrate_geodesic(st, Event(coords), static_tangent(st, coords, w), 6.0)
+    ref = einsum_world_propagator(seg)
+    assert np.max(np.abs(world_propagator(seg) - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 class TestTetradTransport:
     def test_orthonormality_preserved(self, schwarzschild, battery):
         for seg in battery[:5]:
@@ -132,6 +166,13 @@ class TestSpinorTransport:
     def test_zero_length_segment_transports_trivially(self, schwarzschild):
         seg = point_segment(schwarzschild, Event(np.array([0.0, 8.0, 1.2, 0.1])))
         assert np.allclose(spinor_propagator(seg, "static"), ID2)
+
+    @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
+    def test_one_knot_polygon_transports_trivially(self, schwarzschild, gauge):
+        knots = np.tile([0.0, 8.0, 1.2, 0.1], (3, 1, 1))  # 3 paths of one knot
+        u = polygon_spinor_transport(schwarzschild, knots, gauge)
+        assert u.shape == (3, 2, 2)
+        assert np.allclose(u, ID2, rtol=0.0, atol=1e-15)
 
     def test_spinor_route_reads_no_christoffel_symbols(self, static_tangent, monkeypatch):
         """The runtime cross-check between the routes is independent down to Gamma."""
