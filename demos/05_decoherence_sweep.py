@@ -18,8 +18,9 @@ the decay rest frame and the detector frames once, and averaged_state(pair,
 b1, b2, mode) reads every path of the bundles drawn around that pair's legs
 in those same frames.  The averaging mode is a property of the channel, not
 of the paths: each sigma's bundle pair is drawn once and averaged both ways.
-averaged_state returns the averaged state together with its per-path maps,
-and fidelity_with_error(avg) reads the fidelity and its block standard error
+averaged_state returns the averaged state together with its per-path terms
+(the SU(2) map times its action phase, or the 3x3 rotation), and
+fidelity_with_error(avg) reads the fidelity and its block standard error
 off that average.
 """
 

@@ -1,8 +1,8 @@
 """Spin correlations for geodesic particle pairs in curved spacetime.
 
 The package integrates timelike geodesics in static spherically symmetric
-spacetimes, parallel-transports frames and spin-half amplitudes along
-them, matches measurement axes between separated detectors, and evaluates
+spacetimes, carries frames and spin-half amplitudes along them by parallel
+transport, matches measurement axes between separated detectors, and evaluates
 singlet correlations, CHSH combinations, and dephasing from path bundles.
 
 The names below are the ones the README, the demos and the benchmark use;

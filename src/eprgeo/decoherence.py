@@ -8,23 +8,25 @@ envelope so the per-knot standard deviation is sigma * sin(pi tau/L).
 Per path, the spin effect is the rest-frame rotation of its polygon
 transport; the amplitude weight is the relative discretized action phase
 exp(-(i/4)(S_path - S_base)).  The two-sided average over all n^2 path
-pairs factorizes into one averaged 2x2 operator per particle (coherent
-mode) or one averaged conjugation per particle (incoherent mode), so the
-all-pairs result is computed exactly in O(n).  The mode belongs to the
-channel, not to the bundles: the same bundle pair can be averaged both ways.
+pairs factorizes into one mean term per particle, so the all-pairs result is
+computed exactly in O(n): a path's term is its SU(2) map times its phase in
+coherent mode, and its 3x3 rotation in incoherent mode, where the mean
+rotations fix the mixture in the Fano form (U. Fano, Rev. Mod. Phys. 55
+(1983) 855).  The mode belongs to the channel, not to the bundles: the same
+bundle pair can be averaged both ways.
 
 The reference state for fidelity is the sigma=0 transport over the same
 decimated knots, which makes the sigma -> 0 limit exact by construction
 rather than holding only up to discretization error.  A sigma=0 bundle
 holds n copies of those knots, so it is transported once: every path gets
-the base polygon's map and, having zero relative action, the weight 1/n.
+the base polygon's term, with zero relative action.
 
 ``averaged_state(pair, b1, b2, mode)`` degrades a transported pair: it closes
 every path transport with the pair's own rest-frame factors, in its gauge,
-and transports the bundle pair once.  The ChannelAverage it returns holds the
-averaged state, the per-path maps and weights, and the reference state;
-``fidelity_with_error(avg)`` derives the fidelity and its block standard
-error from that object.
+and carries each bundle through the transport once.  The ChannelAverage it
+returns holds the averaged state, the per-path terms and the reference
+state; ``fidelity_with_error(avg)`` derives the fidelity and its block
+standard error from that object.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, UsageError
 from .frames import frame_field
 from .geodesic import GeodesicSegment
-from .lorentz import su2_polar
+from .lorentz import rotation_matrix_from_su2, su2_polar
 from .pipeline import PairResult
 from .spacetime import Spacetime
-from .spin import SINGLET, TwoQubitState, correlation, fidelity, pair_state
+from .spin import PAULI_PAIRS, SINGLET, TwoQubitState, correlation, fidelity, pair_state
 from .transport import polygon_spinor_transport
 
 MAX_BUNDLE_KNOTS = 160
@@ -52,7 +54,7 @@ FIDELITY_BLOCKS = 10
 # generator and exponential arrays of one transport
 _CHUNK = 256
 
-_ID2 = np.eye(2, dtype=complex)
+_ID4 = np.eye(4, dtype=complex)
 
 
 @dataclass
@@ -161,57 +163,54 @@ def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 def _bundle_ingredients(
     bundle: PathBundle, mode: str, gauge: str, pre: np.ndarray, post: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(per-path SU(2) maps, per-path complex weights, sigma=0 map)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(per-path terms, sigma=0 map).
+
+    A coherent term is the path's SU(2) map times its action phase
+    exp(-(i/4)(S_path - S_base)); an incoherent term is the path's 3x3
+    rotation.  The channel reads only the mean term of each bundle.
+    """
     st = bundle.base.spacetime
     base_u = polygon_spinor_transport(st, bundle.base_knots, gauge)
     base_map = su2_polar(post @ base_u @ pre)[0]
 
     n = bundle.n_paths
-    weights = np.full(n, 1.0 / n, dtype=complex)
     if bundle.sigma == 0.0:
         # every path is a copy of the base knots: the base map, zero action phase
-        return np.broadcast_to(base_map, (n, 2, 2)), weights, base_map
+        base_term = base_map if mode == "coherent" else rotation_matrix_from_su2(base_map)
+        return np.broadcast_to(base_term, (n,) + base_term.shape), base_map
 
     maps = np.empty((n, 2, 2), dtype=complex)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         u = polygon_spinor_transport(st, bundle.paths[lo:hi], gauge)
         maps[lo:hi] = su2_polar(post @ u @ pre)[0]
-    if mode == "coherent":
-        # a huge sigma overflows |dx|^2; the check below reports it instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_base = path_action(st, bundle.base_knots, bundle.taus)
-            weights = np.exp(-0.25j * (path_action(st, bundle.paths, bundle.taus) - s_base)) / n
-        if not np.all(np.isfinite(weights)):
-            raise DomainError("path action is not finite; reduce sigma")
-    return maps, weights, base_map
-
-
-def _kron_left(w: np.ndarray) -> np.ndarray:
-    """kron(W, I2) for a batch of 2x2 matrices."""
-    return np.einsum("...ij,kl->...ikjl", w, _ID2).reshape(w.shape[:-2] + (4, 4))
-
-
-def _kron_right(w: np.ndarray) -> np.ndarray:
-    """kron(I2, W) for a batch of 2x2 matrices."""
-    return np.einsum("ij,...kl->...ikjl", _ID2, w).reshape(w.shape[:-2] + (4, 4))
+    if mode == "incoherent":
+        return rotation_matrix_from_su2(maps), base_map
+    # a huge sigma overflows |dx|^2; the check below reports it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_base = path_action(st, bundle.base_knots, bundle.taus)
+        phases = np.exp(-0.25j * (path_action(st, bundle.paths, bundle.taus) - s_base))
+    if not np.all(np.isfinite(phases)):
+        raise DomainError("path action is not finite; reduce sigma")
+    return maps * phases[:, None, None], base_map
 
 
 @dataclass
 class ChannelAverage:
     """One evaluation of the bundle channel: the averaged spin state and its parts.
 
-    ``transports`` and ``weights`` hold each bundle's per-path SU(2) maps and
-    complex weights; ``fidelity_with_error`` derives the Monte-Carlo error
-    bar from them without transporting any path again.  ``zero_width`` marks
-    a pair of sigma = 0 bundles, whose paths all carry the base map.
+    ``terms`` holds each bundle's per-path terms (SU(2) maps times action
+    phases in coherent mode, 3x3 rotations in incoherent mode); the state is
+    built from their means, and ``fidelity_with_error`` derives the
+    Monte-Carlo error bar from block means of the same terms without
+    transporting any path again.  ``zero_width`` marks a pair of sigma = 0
+    bundles, whose paths all carry the base term.
     """
 
     rho: np.ndarray
     mode: str
-    transports: tuple[np.ndarray, np.ndarray]
-    weights: tuple[np.ndarray, np.ndarray]
+    terms: tuple[np.ndarray, np.ndarray]
     reference_state: np.ndarray
     zero_width: bool
 
@@ -224,30 +223,22 @@ class ChannelAverage:
         return fidelity(self.reference_state, self.rho)
 
 
-def _combine(
-    maps1: np.ndarray,
-    w1: np.ndarray,
-    maps2: np.ndarray,
-    w2: np.ndarray,
-    mode: str,
-) -> np.ndarray:
-    """Exact all-pairs average, factorized per particle.  Unit trace."""
+def _combine(a1: np.ndarray, a2: np.ndarray, mode: str) -> np.ndarray:
+    """The all-pairs average from the two per-particle mean terms.  Unit trace.
+
+    Coherent mode normalizes (a1 x a2)|singlet>.  Incoherent mode mixes
+    conjugated singlets, whose marginals stay I/2, so the mixture is fixed by
+    its correlation matrix -R1 R2^T: the Fano form
+    rho = (I - sum_jk (R1 R2^T)_jk sigma_j x sigma_k) / 4.
+    """
     if mode == "coherent":
-        a1 = np.einsum("p,pij->ij", w1, maps1)
-        a2 = np.einsum("p,pij->ij", w2, maps2)
         v = np.kron(a1, a2) @ SINGLET
         nrm = float(np.linalg.norm(v))
         if nrm < 1.0e-12:
             raise ConfigurationError("coherent bundle average destroyed the state entirely")
         v = v / nrm
         return np.outer(v, v.conj())
-    p0 = np.outer(SINGLET, SINGLET.conj())
-    x = _kron_right(maps2)
-    t = np.einsum("p,pij,jk,plk->il", np.abs(w2), x, p0, x.conj())
-    y = _kron_left(maps1)
-    rho = np.einsum("p,pij,jk,plk->il", np.abs(w1), y, t, y.conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
+    return 0.25 * (_ID4 - np.tensordot(a1 @ a2.T, PAULI_PAIRS, 2))
 
 
 def averaged_state(
@@ -269,15 +260,12 @@ def averaged_state(
         raise UsageError("bundles must be drawn around the pair's legs, in leg order")
 
     (pre1, post1), (pre2, post2) = pair.conjugation_factors
-    maps1, w1, base_map1 = _bundle_ingredients(b1, mode, pair.gauge, pre1, post1)
-    maps2, w2, base_map2 = _bundle_ingredients(b2, mode, pair.gauge, pre2, post2)
-
-    rho = _combine(maps1, w1, maps2, w2, mode)
+    t1, base_map1 = _bundle_ingredients(b1, mode, pair.gauge, pre1, post1)
+    t2, base_map2 = _bundle_ingredients(b2, mode, pair.gauge, pre2, post2)
     return ChannelAverage(
-        rho,
+        _combine(t1.mean(axis=0), t2.mean(axis=0), mode),
         mode,
-        (maps1, maps2),
-        (w1, w2),
+        (t1, t2),
         pair_state(base_map1, base_map2),
         b1.sigma == 0.0 and b2.sigma == 0.0,
     )
@@ -292,33 +280,18 @@ def fidelity_with_error(avg: ChannelAverage) -> tuple[float, float]:
     """Singlet fidelity of a bundle average and its Monte-Carlo error.
 
     The error bar is the standard error over FIDELITY_BLOCKS disjoint path
-    blocks, each averaged independently with the same rule from the per-path
-    maps and weights ``averaged_state`` already computed.  A zero-width pair
+    blocks, each combined with the same rule from the block means of the
+    per-path terms ``averaged_state`` already computed.  A zero-width pair
     has no Monte-Carlo error: its blocks are copies of one average, and
     blocks of unequal size would only differ by round-off, so its error is 0.
     """
     if avg.zero_width:
         return avg.fidelity, 0.0
-    maps1, maps2 = avg.transports
-    w1, w2 = avg.weights
-    psi0 = avg.reference_state
-
-    n = min(len(maps1), len(maps2))
-    bounds = np.linspace(0, n, min(FIDELITY_BLOCKS, n) + 1).astype(int)
-    fs = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi == lo:
-            continue
-        # renormalize the block weights so each block is a complete average
-        scale = n / (hi - lo) if avg.mode == "coherent" else 1.0
-        rk = _combine(
-            maps1[lo:hi],
-            w1[lo:hi] * scale,
-            maps2[lo:hi],
-            w2[lo:hi] * scale,
-            avg.mode,
-        )
-        fs.append(fidelity(psi0, rk))
-    fs = np.asarray(fs)
-    se = float(np.std(fs, ddof=1) / np.sqrt(len(fs))) if len(fs) > 1 else 0.0
+    n = min(len(t) for t in avg.terms)
+    k = min(FIDELITY_BLOCKS, n)
+    starts = np.arange(k) * n // k
+    counts = np.diff(starts, append=n)[:, None, None]
+    m1, m2 = (np.add.reduceat(t[:n], starts) / counts for t in avg.terms)
+    fs = [fidelity(avg.reference_state, _combine(a1, a2, avg.mode)) for a1, a2 in zip(m1, m2)]
+    se = float(np.std(fs, ddof=1) / np.sqrt(k)) if k > 1 else 0.0
     return avg.fidelity, se

@@ -143,8 +143,7 @@ def integrate_geodesic(
     """Integrate the geodesic from event0 with 4-velocity u0 for proper time tau_end.
 
     u0 must be timelike and future-directed (u0[0] > 0), tau_end >= 0 and
-    tol > 0: the integrator only runs toward the future; ``reverse`` gives
-    the same worldline traversed the other way.  u0 is normalized to
+    tol > 0: the integrator only runs toward the future.  u0 is normalized to
     g(u0, u0) = -1.  Samples are returned at exactly the uniform grid times.
     The error estimate alone sets the step, and the nodes inside a step are
     interpolated by the 4th-order continuous extension (the last sample is
@@ -331,20 +330,6 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
         powers = theta[:, None] ** np.arange(1, 5)
         ys[node] = y0[step] + np.einsum("nj,njc->nc", powers, coeffs[step])
     return n_steps, n_rejected, n_rhs
-
-
-def reverse(seg: GeodesicSegment) -> GeodesicSegment:
-    """The same worldline traversed the other way (tangents negated).
-
-    reverse(reverse(seg)) reproduces the original samples exactly.
-    """
-    return GeodesicSegment(
-        seg.spacetime,
-        seg.tau[-1] - seg.tau[::-1],
-        seg.events[::-1].copy(),
-        -seg.tangents[::-1],
-        meta=dict(seg.meta),
-    )
 
 
 @dataclass

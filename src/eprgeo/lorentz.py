@@ -5,18 +5,18 @@ Conventions, fixed once and used everywhere:
 * signature (-,+,+,+), eta = diag(-1, 1, 1, 1);
 * spin-1/2 generators (written out only in sl2_generator): rotations
   J_k = -(i/2) sigma_k, boosts K_k = -(1/2) sigma_k;
-* the vector action of A in SL(2,C) is defined through X = V^0 I - V.sigma,
-  X -> A X A^dagger, which makes ``vector_action(exp(lift_so13(m))) = exp(m)``
-  for every m in so(1,3) (lift and action form one consistent pair);
+* the vector action of A in SL(2,C) is X -> A X A^dagger on
+  X = V^0 I - V.sigma, and lift_so13 is defined so that exp(lift_so13(m))
+  acts on 4-vectors as exp(m) for every m in so(1,3);
 * rotations follow the right-handed active convention
   W sigma_k W^dagger = sum_j R[j, k] sigma_j.
 
 All 2x2 helpers accept leading batch axes.
 
 Lifts go one way only: SL(2,C) elements come from generators (expm2 of
-sl2_generator) or from closed-form boosts (pure_boost_sl2), and vector_action
-maps them down to SO(1,3).  Nothing lifts a 4x4 Lorentz matrix back up; the
-spinor route builds its frame lifts from the boosts that define the frames.
+sl2_generator) or from closed-form boosts (pure_boost_sl2).  Nothing lifts a
+4x4 Lorentz matrix back up; the spinor route builds its frame lifts from the
+boosts that define the frames.
 """
 
 from __future__ import annotations
@@ -79,19 +79,6 @@ def lift_so13(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     theta = [-0.5 * (m[..., i, j] - m[..., j, i]) for i, j in ((2, 3), (3, 1), (1, 2))]
     return sl2_generator(theta, np.moveaxis(m[..., 0, 1:], -1, 0))
-
-
-def vector_action(a: np.ndarray) -> np.ndarray:
-    """The 4x4 Lorentz matrix induced by A in SL(2,C) (single matrix)."""
-    a = np.asarray(a, dtype=complex)
-    basis = (ID2, -SIGMA_X, -SIGMA_Y, -SIGMA_Z)
-    L = np.empty((4, 4))
-    for b, Xb in enumerate(basis):
-        y = a @ Xb @ a.conj().T
-        L[0, b] = 0.5 * np.trace(y).real
-        for j in range(3):
-            L[j + 1, b] = -0.5 * np.trace(PAULI[j] @ y).real
-    return L
 
 
 def rotation_matrix_from_su2(w: np.ndarray) -> np.ndarray:

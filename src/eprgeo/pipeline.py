@@ -114,7 +114,7 @@ class PairResult:
     """Everything the measurement layer and the bundle channel need about one decay.
 
     ``conjugation_factors`` holds each leg's (pre, post) from
-    rest_conjugation_factors, closing transports computed in ``gauge``.
+    rest_conjugation_factors, closing a transport computed in ``gauge``.
     """
 
     segment1: GeodesicSegment

@@ -25,7 +25,7 @@ _SQRT2 = np.sqrt(2.0)
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / _SQRT2
 
 # sigma_j x sigma_k for j, k in 0..2, shape (3, 3, 4, 4)
-_PAULI_PAIRS = np.array([[np.kron(pj, pk) for pk in PAULI] for pj in PAULI])
+PAULI_PAIRS = np.array([[np.kron(pj, pk) for pk in PAULI] for pj in PAULI])
 
 # measurement block saturating |CHSH| for the untouched singlet: value -2 sqrt(2)
 CANONICAL_CHSH_DIRECTIONS = (
@@ -82,23 +82,12 @@ def correlation(state: TwoQubitState, a, b) -> float:
     """E(a, b) = <(a.sigma) x (b.sigma)>, each axis in its detector's frame."""
     va = _direction_vector(a, "1")
     vb = _direction_vector(b, "2")
-    op = np.kron(
-        va[0] * PAULI[0] + va[1] * PAULI[1] + va[2] * PAULI[2],
-        vb[0] * PAULI[0] + vb[1] * PAULI[1] + vb[2] * PAULI[2],
-    )
-    if state.kind == "pure":
-        return float((state.data.conj() @ op @ state.data).real)
-    return float(np.trace(state.data @ op).real)
+    return float(va @ correlation_matrix(state) @ vb)
 
 
 def correlation_matrix(state: TwoQubitState) -> np.ndarray:
     """K[j, k] = <sigma_j x sigma_k>, so E(a, b) = a^T K b."""
-    rho = state.density
-    k = np.empty((3, 3))
-    for j in range(3):
-        for kk in range(3):
-            k[j, kk] = np.trace(rho @ _PAULI_PAIRS[j, kk]).real
-    return k
+    return np.trace(state.density @ PAULI_PAIRS, axis1=-2, axis2=-1).real
 
 
 def matched_direction(state: TwoQubitState, a) -> np.ndarray:

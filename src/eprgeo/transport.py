@@ -105,11 +105,20 @@ def world_propagator(seg: GeodesicSegment) -> np.ndarray:
         del gam, acc
         wm = _connection_matrix(st.christoffel(x_mid), u_mid)
         k1, w1 = w_nodes[:-1], w_nodes[1:]
+        # the RK4 sum k1 + 2 k2 + 2 k3 + k4 is accumulated in place, in
+        # that order, as each stage is formed, so at most two stages live
         k2 = wm + (0.5 * h) * (wm @ k1)
+        acc = k1 + 2.0 * k2
         k3 = wm + (0.5 * h) * (wm @ k2)
+        del k2
+        acc += 2.0 * k3
         k4 = w1 + h * (w1 @ k3)
-        steps = _EYE4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        p = ordered_product(steps)
+        del k3
+        acc += k4
+        del k4
+        acc *= h / 6.0
+        acc += _EYE4
+        p = ordered_product(acc)
     seg.cache["world_propagator"] = p
     return p
 

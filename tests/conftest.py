@@ -1,15 +1,47 @@
 """Shared fixtures: spacetimes, the random Schwarzschild segment battery, and
 the test-side helpers that reverse a segment and compare the two transport
-routes through the double cover."""
+routes through the double cover.
+
+``vector_action`` and ``reverse`` are plain functions, imported by the test
+modules with ``from conftest import ...``; the package itself never needs
+them.
+"""
 
 import numpy as np
 import pytest
 
 from eprgeo import Event, integrate_geodesic, make_spacetime
 from eprgeo.frames import frame_field
-from eprgeo.geodesic import GeodesicSegment, reverse
-from eprgeo.lorentz import vector_action
+from eprgeo.geodesic import GeodesicSegment
+from eprgeo.lorentz import ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
 from eprgeo.transport import frame_propagator, spinor_propagator
+
+
+def vector_action(a: np.ndarray) -> np.ndarray:
+    """The 4x4 Lorentz matrix induced by A in SL(2,C) (single matrix)."""
+    a = np.asarray(a, dtype=complex)
+    basis = (ID2, -SIGMA_X, -SIGMA_Y, -SIGMA_Z)
+    L = np.empty((4, 4))
+    for b, Xb in enumerate(basis):
+        y = a @ Xb @ a.conj().T
+        L[0, b] = 0.5 * np.trace(y).real
+        for j in range(3):
+            L[j + 1, b] = -0.5 * np.trace(PAULI[j] @ y).real
+    return L
+
+
+def reverse(seg: GeodesicSegment) -> GeodesicSegment:
+    """The same worldline traversed the other way (tangents negated).
+
+    reverse(reverse(seg)) reproduces the original samples exactly.
+    """
+    return GeodesicSegment(
+        seg.spacetime,
+        seg.tau[-1] - seg.tau[::-1],
+        seg.events[::-1].copy(),
+        -seg.tangents[::-1],
+        meta=dict(seg.meta),
+    )
 
 
 @pytest.fixture(scope="session")

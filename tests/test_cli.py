@@ -300,7 +300,10 @@ def test_leg_rows_carry_integrator_counters(flat_scenario, tmp_path, capsys):
 
 @pytest.mark.parametrize("cfg", DEMO_SCENARIOS, ids=[p.stem for p in DEMO_SCENARIOS])
 def test_demo_scenarios_run_without_warnings(cfg, tmp_path, capsys):
-    assert main(["run", str(cfg), "--format", "csv", "--out", str(tmp_path / "r.csv")]) == 0
+    # --strict exits 3 on any tolerance flag, so a flag flipped by a
+    # last-digit change in a demo scenario fails here
+    out = str(tmp_path / "r.csv")
+    assert main(["run", str(cfg), "--strict", "--format", "csv", "--out", out]) == 0
     assert capsys.readouterr().err == ""
 
 

@@ -20,10 +20,12 @@ from eprgeo import (
     pair_transport,
     sample_bundle,
 )
-from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage
+from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage, _combine
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.geodesic import point_segment, samples_for
+from eprgeo.lorentz import ID2, rotation_matrix_from_su2, su2_polar
 from eprgeo.spin import SINGLET, pair_state
+from eprgeo.transport import polygon_spinor_transport
 
 DECAY = np.array([0.0, 12.0, np.pi / 2.0, 0.0])
 TAU = 2.0
@@ -171,13 +173,22 @@ class TestAveragedState:
         # connection evaluation spans the (n_paths, knots, 4) path batch
         assert len(shapes["static_connection"]) == 2
         assert all(len(s) <= 2 for calls in shapes.values() for s in calls)
-        for w in avg.weights:
-            assert np.array_equal(w, np.full(20, 1.0 / 20))
-        maps1, maps2 = avg.transports
-        assert maps1.shape == maps2.shape == (20, 2, 2)
-        assert np.array_equal(maps1, np.broadcast_to(maps1[0], maps1.shape))
-        assert np.array_equal(maps2, np.broadcast_to(maps2[0], maps2.shape))
-        assert np.array_equal(pair_state(maps1[0], maps2[0]), avg.reference_state)
+        # every path carries the base term: the base map with phase 1, or
+        # its rotation
+        t1, t2 = avg.terms
+        shape = (20, 2, 2) if mode == "coherent" else (20, 3, 3)
+        assert t1.shape == t2.shape == shape
+        assert np.array_equal(t1, np.broadcast_to(t1[0], t1.shape))
+        assert np.array_equal(t2, np.broadcast_to(t2[0], t2.shape))
+
+        def base_map(b, pre, post):
+            u = polygon_spinor_transport(b.base.spacetime, b.base_knots, pair.gauge)
+            return su2_polar(post @ u @ pre)[0]
+
+        base1, base2 = map(base_map, (b1, b2), *zip(*pair.conjugation_factors))
+        term = (lambda m: m) if mode == "coherent" else rotation_matrix_from_su2
+        assert np.array_equal(t1[0], term(base1)) and np.array_equal(t2[0], term(base2))
+        assert np.array_equal(pair_state(base1, base2), avg.reference_state)
         fid, se = fidelity_with_error(avg)
         assert se == 0.0
         assert fid == pytest.approx(1.0, abs=1e-12)
@@ -234,6 +245,46 @@ class TestAveragedState:
                 averaged_state(pair, *wrong)
 
 
+def _kron_left(w):
+    """kron(W, I2) for a batch of 2x2 matrices."""
+    return np.einsum("...ij,kl->...ikjl", w, ID2).reshape(w.shape[:-2] + (4, 4))
+
+
+def _kron_right(w):
+    """kron(I2, W) for a batch of 2x2 matrices."""
+    return np.einsum("ij,...kl->...ikjl", ID2, w).reshape(w.shape[:-2] + (4, 4))
+
+
+def conjugation_average(maps1, maps2):
+    """The uniform mixture of (W1 x W2) P0 (W1 x W2)^dagger over all path
+    pairs, conjugated as explicit 4x4 operators one particle at a time."""
+    p0 = np.outer(SINGLET, SINGLET.conj())
+    w1 = np.full(len(maps1), 1.0 / len(maps1))
+    w2 = np.full(len(maps2), 1.0 / len(maps2))
+    x = _kron_right(maps2)
+    t = np.einsum("p,pij,jk,plk->il", w2, x, p0, x.conj())
+    y = _kron_left(maps1)
+    rho = np.einsum("p,pij,jk,plk->il", w1, y, t, y.conj())
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+class TestIncoherentClosedForm:
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 17), (40, 9), (250, 401)])
+    def test_fano_form_matches_conjugation_average(self, n1, n2):
+        rng = np.random.default_rng(n1 * 1000 + n2)
+
+        def random_su2(n):
+            m = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+            return su2_polar(m / np.sqrt(np.linalg.det(m))[:, None, None])[0]
+
+        maps1, maps2 = random_su2(n1), random_su2(n2)
+        r1 = rotation_matrix_from_su2(maps1).mean(axis=0)
+        r2 = rotation_matrix_from_su2(maps2).mean(axis=0)
+        rho = _combine(r1, r2, "incoherent")
+        assert np.max(np.abs(rho - conjugation_average(maps1, maps2))) < 1e-14
+
+
 class TestCorrelation:
     def test_zero_width_matched_anticorrelation(self, legs, pair):
         b1 = sample_bundle(legs[0], 0.0, 4, 21)
@@ -249,8 +300,7 @@ class TestCorrelation:
         avg = ChannelAverage(
             np.eye(4, dtype=complex) / 4.0,
             "incoherent",
-            (np.eye(2, dtype=complex)[None], np.eye(2, dtype=complex)[None]),
-            (np.ones(1), np.ones(1)),
+            (np.eye(3)[None], np.eye(3)[None]),
             SINGLET,
             False,
         )

@@ -10,6 +10,7 @@ fine-grid reference for the dense output.
 import numpy as np
 import pytest
 
+from conftest import reverse
 from eprgeo import (
     DomainExitError,
     Event,
@@ -29,7 +30,6 @@ from eprgeo.geodesic import (
     _DENSE_P,
     _march,
     point_segment,
-    reverse,
     samples_for,
     solve_bvp,
 )

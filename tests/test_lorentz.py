@@ -7,6 +7,7 @@ series, written independently of the closed forms under test.
 import numpy as np
 import pytest
 
+from conftest import vector_action
 from eprgeo.errors import UsageError
 from eprgeo.lorentz import (
     ETA,
@@ -26,7 +27,6 @@ from eprgeo.lorentz import (
     sl2_inverse,
     su2_polar,
     su2_rotation_angle,
-    vector_action,
 )
 
 

@@ -8,6 +8,7 @@ the spin-half and vector routes and for gauge independence.
 import numpy as np
 import pytest
 
+from conftest import vector_action
 from eprgeo import (
     Event,
     correlation,
@@ -17,7 +18,7 @@ from eprgeo import (
 )
 from eprgeo.errors import UsageError
 from eprgeo.frames import frame_field, gauge_boost, inverse_frame
-from eprgeo.lorentz import pure_boost, pure_boost_inverse, rotation_axis_angle, vector_action
+from eprgeo.lorentz import pure_boost, pure_boost_inverse, rotation_axis_angle
 from eprgeo.pipeline import (
     PairResult,
     boosted_tetrad,

@@ -54,6 +54,11 @@ class TestSinglet:
                 for k in range(3):
                     oracle[j, k] = np.trace(rho @ np.kron(PAULI[j], PAULI[k])).real
             assert np.array_equal(correlation_matrix(state), oracle)
+            # E(a, b) against the expectation of the explicit 4x4 operator
+            for a, b in np.random.default_rng(5).normal(size=(5, 2, 3)):
+                a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+                op = np.kron(np.einsum("k,kij->ij", a, PAULI), np.einsum("k,kij->ij", b, PAULI))
+                assert abs(correlation(state, a, b) - np.trace(rho @ op).real) < 1e-15
 
     def test_matched_direction_is_same_axis(self):
         s = singlet()

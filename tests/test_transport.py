@@ -9,6 +9,7 @@ cover.
 import numpy as np
 import pytest
 
+from conftest import vector_action
 from eprgeo import (
     Event,
     integrate_geodesic,
@@ -20,7 +21,7 @@ from eprgeo import (
 from eprgeo.errors import UsageError
 from eprgeo.frames import spin_connection
 from eprgeo.geodesic import point_segment
-from eprgeo.lorentz import ID2, ordered_product, vector_action
+from eprgeo.lorentz import ID2, ordered_product
 from eprgeo.pipeline import rest_frame_rotation
 from eprgeo.transport import (
     frame_propagator,
