@@ -107,7 +107,7 @@ def sample_bundle(
     taus = seg.tau[idx] - seg.tau[0]
     knots = seg.events[idx]
     length = taus[-1]
-    meta = {"base_knots": knots.copy(), "knot_indices": idx}
+    meta = {"base_knots": knots.copy()}
 
     if sigma == 0.0:
         paths = np.broadcast_to(knots, (n_paths,) + knots.shape).copy()

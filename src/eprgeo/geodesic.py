@@ -46,6 +46,9 @@ from .spacetime import Event, Spacetime, metric_at, require_event, same_event
 DEFAULT_SAMPLE_STEP = 0.02
 DEFAULT_TOL = 1.0e-10
 
+# Default endpoint tolerance of solve_bvp (a scenario's bvp_tol).
+DEFAULT_BVP_TOL = 1.0e-9
+
 # Cap on memory and run time: samples_for(tau, sample_step) per sampled leg.
 MAX_LEG_SAMPLES = 100_000
 
@@ -379,7 +382,7 @@ def solve_bvp(
     target: Event,
     *,
     tau_hint: float | None = None,
-    tol: float = 1.0e-9,
+    tol: float = DEFAULT_BVP_TOL,
     sample_step: float = DEFAULT_SAMPLE_STEP,
     integration_tol: float = DEFAULT_TOL,
 ) -> tuple[Optional[GeodesicSegment], ShootingReport]:

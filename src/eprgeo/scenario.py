@@ -23,13 +23,16 @@ comma-separated reals; lists of vectors are semicolon-separated.  Sections:
 ``[output]`` (optional)
     ``format`` (table | csv) and ``path``.
 
-Every number must be finite; ``tangent`` and ``velocity`` must be timelike
-and future-directed at the decay event; ``geodesic.MAX_LEG_SAMPLES`` caps the
+Every number must be finite; the spacetime's class checks its parameters
+(``spacetime.make_spacetime``); the decay event and any ``target`` must lie
+in its chart; ``tangent`` and ``velocity`` must be timelike and
+future-directed at the decay event; ``geodesic.MAX_LEG_SAMPLES`` caps the
 samples of an initial-value leg and of a ``tau_hint``, and ``MAX_PATHS`` the
 paths of a bundle.  Problems raise ConfigurationError with the line number
-(on the command line: one ``error:`` line, exit code 1).  ``run_scenario``
-turns a parsed scenario into a Report; leg failures (chart exit, no endpoint
-solution) are recorded in the report rather than raised.
+(on the command line: one ``error:`` line, exit code 1).  The parsed
+Scenario keeps the Spacetime it was validated against, and ``run_scenario``
+turns it into a Report on that same object; leg failures (chart exit, no
+endpoint solution) are recorded in the report rather than raised.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 from . import decoherence as deco
 from .errors import ConfigurationError, DomainError, IntegrationError, UsageError
 from .geodesic import (
+    DEFAULT_BVP_TOL,
     DEFAULT_SAMPLE_STEP,
     DEFAULT_TOL,
     MAX_LEG_SAMPLES,
@@ -97,8 +101,7 @@ class Scenario:
     """Validated contents of a scenario file."""
 
     text: str
-    spacetime_kind: str
-    spacetime_params: dict
+    spacetime: Spacetime
     decay_event: np.ndarray
     decay_velocity: Optional[np.ndarray]
     detector1: DetectorSpec
@@ -108,7 +111,7 @@ class Scenario:
     decoherence: Optional[DecoherenceSpec] = None
     gauge: str = "static"
     tol: float = DEFAULT_TOL
-    bvp_tol: float = 1e-9
+    bvp_tol: float = DEFAULT_BVP_TOL
     sample_step: float = DEFAULT_SAMPLE_STEP
     out_format: str = "table"
     out_path: Optional[str] = None
@@ -120,9 +123,6 @@ class Scenario:
     @property
     def scenario_id(self) -> str:
         return self.sha256[:12]
-
-    def build_spacetime(self) -> Spacetime:
-        return make_spacetime(self.spacetime_kind, self.spacetime_params)
 
 
 def _err(line: int, message: str) -> ConfigurationError:
@@ -315,9 +315,8 @@ def parse_scenario(text: str) -> Scenario:
             raise ConfigurationError(f"[{name}]: missing {key!r}")
 
     params = {("M" if k == "mass" else k): v for k, v in _values(sections["spacetime"]).items()}
-    kind = params.pop("kind")
     try:
-        st = make_spacetime(kind, params)
+        st = make_spacetime(params.pop("kind"), params)
     except ConfigurationError as exc:
         raise _err(sections["spacetime"]["kind"][1], f"[spacetime]: {exc}") from None
 
@@ -336,8 +335,7 @@ def parse_scenario(text: str) -> Scenario:
 
     sc = Scenario(
         text=text,
-        spacetime_kind=kind,
-        spacetime_params=params,
+        spacetime=st,
         decay_event=decay_event,
         decay_velocity=_values(decay).get("velocity"),
         detector1=_parse_detector("detector1", sections["detector1"], st, origin, g),
@@ -426,7 +424,7 @@ def run_scenario(sc: Scenario) -> Report:
 
 
 def _fill_report(sc: Scenario, report: Report) -> None:
-    st = sc.build_spacetime()
+    st = sc.spacetime
     origin = Event(sc.decay_event)
 
     seg1 = _build_leg(sc, st, origin, sc.detector1, "geodesic1", report)

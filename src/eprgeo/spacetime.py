@@ -2,6 +2,9 @@
 
 Geometric units G = c = 1 throughout; metric signature (-,+,+,+).
 
+Each spacetime class checks its own parameters, so ``make_spacetime`` is a
+lookup by name; ``require_event`` is the one chart check on an Event.
+
 Evaluators are vectorized: coordinates of shape (..., 4) give metrics of
 shape (..., 4, 4) and Christoffel symbols of shape (..., 4, 4, 4), indexed
 as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``, and ``in_chart`` gives a
@@ -25,8 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
-
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+from .lorentz import ETA
 
 #: excluded band around the polar axis of spherical charts, sin(theta) <= guard
 AXIS_GUARD = 1.0e-6
@@ -38,7 +40,12 @@ HORIZON_GUARD = 1.0e-3
 #: metric would overflow
 MAX_RADIUS = math.sqrt(sys.float_info.max)
 
-#: largest weak-field softening a; a**2 and the potential's s**3 stay finite
+#: radii at or below this are outside the Schwarzschild chart: r**2 in the
+#: geodesic equation would underflow (to 0 at r = 1e-200)
+MIN_RADIUS = math.sqrt(sys.float_info.min)
+
+#: weak-field softening range: a**2 and the potential's s**3 >= a**3 stay normal
+MIN_SOFTENING = 1.0e-100
 MAX_SOFTENING = 1.0e100
 
 
@@ -68,12 +75,21 @@ class Spacetime:
 
     name = "abstract"
 
+    #: parameter names the constructor accepts; others raise ConfigurationError
+    allowed: tuple[str, ...] = ()
+
     #: coordinate axes that are periodic, as {axis: period}; used e.g. for
     #: wrapping boundary-value residuals in the azimuthal angle
     periodic_axes: dict[int, float] = {}
 
-    def __init__(self, params: dict):
-        self.params = dict(params)
+    def __init__(self, params: dict | None = None):
+        self.params = dict(params or {})
+        unknown = set(self.params) - set(self.allowed)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown parameter(s) for {self.name}: {sorted(unknown)}; "
+                f"allowed: {sorted(self.allowed)}"
+            )
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -147,19 +163,25 @@ class Minkowski(Spacetime):
 class Schwarzschild(Spacetime):
     """Schwarzschild exterior in (t, r, theta, phi) coordinates.
 
-    The chart excludes r <= 2M(1 + HORIZON_GUARD), radii r >= MAX_RADIUS
-    where r**2 overflows, and a thin band around the polar axis where the
+    Parameter M, the mass, finite and >= 0.  The chart excludes
+    r <= max(2M(1 + HORIZON_GUARD), MIN_RADIUS), radii r >= MAX_RADIUS where
+    r**2 overflows, and a thin band around the polar axis where the
     spherical coordinates degenerate.  M = 0 is allowed and reduces to flat
     spacetime written in spherical coordinates.
     """
 
     name = "schwarzschild"
+    allowed = ("M",)
     periodic_axes = {3: 2.0 * np.pi}
 
-    def __init__(self, params):
+    def __init__(self, params=None):
         super().__init__(params)
-        self.mass = float(params["M"])
-        self.r_min = 2.0 * self.mass * (1.0 + HORIZON_GUARD)
+        if "M" not in self.params:
+            raise ConfigurationError("schwarzschild requires parameter M")
+        M = self.mass = float(self.params["M"])
+        if not math.isfinite(M) or M < 0.0:
+            raise ConfigurationError(f"schwarzschild mass must be >= 0, got {M}")
+        self.r_min = max(2.0 * M * (1.0 + HORIZON_GUARD), MIN_RADIUS)
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -225,7 +247,7 @@ class Schwarzschild(Spacetime):
         x = np.asarray(x, dtype=float)
         r = x[..., 1]
         th = x[..., 2]
-        ok = np.all(np.isfinite(x), axis=-1) & (r > self.r_min) & (r > 0.0) & (r < MAX_RADIUS)
+        ok = np.all(np.isfinite(x), axis=-1) & (r > self.r_min) & (r < MAX_RADIUS)
         with np.errstate(invalid="ignore"):  # sin of a non-finite theta, excluded above
             return ok & (np.sin(th) > AXIS_GUARD)
 
@@ -233,7 +255,7 @@ class Schwarzschild(Spacetime):
         t, r, th, ph = x
         if not (math.isfinite(t) and math.isfinite(th) and math.isfinite(ph)):
             return False
-        return self.r_min < r < MAX_RADIUS and r > 0.0 and math.sin(th) > AXIS_GUARD
+        return self.r_min < r < MAX_RADIUS and math.sin(th) > AXIS_GUARD
 
 
 class WeakField(Spacetime):
@@ -243,15 +265,31 @@ class WeakField(Spacetime):
 
     with the softened point potential phi = -1/sqrt(x^2 + y^2 + z^2 + a^2).
     The softening a > 0 keeps the chart global and the metric smooth at the
-    origin; the perturbation is linear in eps by construction.
+    origin; the perturbation is linear in eps by construction.  Parameters:
+    |epsilon| <= 0.1, softening in [MIN_SOFTENING, MAX_SOFTENING] (default 1).
     """
 
     name = "weak_field"
+    allowed = ("epsilon", "softening")
 
-    def __init__(self, params):
+    def __init__(self, params=None):
         super().__init__(params)
-        self.epsilon = float(params["epsilon"])
-        self.softening = float(params.get("softening", 1.0))
+        if "epsilon" not in self.params:
+            raise ConfigurationError("weak_field requires parameter epsilon")
+        eps = self.epsilon = float(self.params["epsilon"])
+        if not math.isfinite(eps) or abs(eps) > 0.1:
+            raise ConfigurationError(
+                f"weak_field perturbation must satisfy |epsilon| <= 0.1, got {eps}"
+            )
+        a = self.softening = float(self.params.get("softening", 1.0))
+        if not MIN_SOFTENING <= a <= MAX_SOFTENING:
+            raise ConfigurationError(
+                f"softening must be in [{MIN_SOFTENING:g}, {MAX_SOFTENING:g}], got {a}"
+            )
+        if 2.0 * abs(eps) / a >= 0.5:
+            raise ConfigurationError(
+                "weak_field perturbation is not small everywhere: need 2|epsilon|/softening < 0.5"
+            )
 
     def _potential(self, sp):
         # far out |x|^2 or s^3 overflows to inf, which gives the exact far-field
@@ -336,74 +374,27 @@ def require_static_frame(*norms: np.ndarray) -> None:
         raise DomainError("metric signature is not (-,+,+,+) at a requested event")
 
 
-def _reject_unknown(params: dict, allowed: set, name: str):
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown parameter(s) for {name}: {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
+_SPACETIMES = {cls.name: cls for cls in (Minkowski, Schwarzschild, WeakField)}
 
 
 def make_spacetime(name: str, params: dict | None = None) -> Spacetime:
-    """Build one of the named analytic spacetimes.
+    """Build the spacetime named ``minkowski``, ``schwarzschild`` or ``weak_field``.
 
-    Parameters
-    ----------
-    name : str
-        One of ``minkowski``, ``schwarzschild``, ``weak_field``.
-    params : dict, optional
-        ``schwarzschild``: M (>= 0).
-        ``weak_field``: epsilon (|eps| <= 0.1), softening (in (0, MAX_SOFTENING],
-        default 1).
-
-    Raises
-    ------
-    ConfigurationError
-        For unknown names or invalid parameters.
+    A lookup of the class by its ``name``; the class's constructor checks
+    params.  Raises ConfigurationError for an unknown name or invalid params.
     """
-    params = dict(params or {})
-    if name == "minkowski":
-        _reject_unknown(params, set(), name)
-        return Minkowski(params)
-    if name == "schwarzschild":
-        _reject_unknown(params, {"M"}, name)
-        if "M" not in params:
-            raise ConfigurationError("schwarzschild requires parameter M")
-        M = float(params["M"])
-        if not np.isfinite(M) or M < 0.0:
-            raise ConfigurationError(f"schwarzschild mass must be >= 0, got {M}")
-        return Schwarzschild(params)
-    if name == "weak_field":
-        _reject_unknown(params, {"epsilon", "softening"}, name)
-        if "epsilon" not in params:
-            raise ConfigurationError("weak_field requires parameter epsilon")
-        eps = float(params["epsilon"])
-        if not np.isfinite(eps) or abs(eps) > 0.1:
-            raise ConfigurationError(
-                f"weak_field perturbation must satisfy |epsilon| <= 0.1, got {eps}"
-            )
-        a = float(params.get("softening", 1.0))
-        if not 0.0 < a <= MAX_SOFTENING:
-            raise ConfigurationError(f"softening must be in (0, {MAX_SOFTENING:g}], got {a}")
-        if 2.0 * abs(eps) / a >= 0.5:
-            raise ConfigurationError(
-                "weak_field perturbation is not small everywhere: need 2|epsilon|/softening < 0.5"
-            )
-        return WeakField(params)
-    raise ConfigurationError(f"unknown spacetime {name!r}")
+    if name not in _SPACETIMES:
+        raise ConfigurationError(f"unknown spacetime {name!r}")
+    return _SPACETIMES[name](params)
 
 
 def require_event(st: Spacetime, e: Event) -> None:
     """Raise DomainError unless the event lies inside the chart domain."""
-    _require_in_chart(st, e.coords)
-
-
-def _require_in_chart(st: Spacetime, x: np.ndarray, what: str = "event"):
-    if not np.all(st.in_chart(x)):
-        raise DomainError(f"{what} outside the chart domain of {st!r}: {np.asarray(x)}")
+    if not st.in_chart(e.coords):
+        raise DomainError(f"event outside the chart domain of {st!r}: {e.coords}")
 
 
 def metric_at(st: Spacetime, e: Event) -> np.ndarray:
     """Metric components g_{mu nu} at an event.  Raises DomainError outside the chart."""
-    _require_in_chart(st, e.coords)
+    require_event(st, e)
     return st.metric(e.coords)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from eprgeo.report import CSV_COLUMNS
 from eprgeo.scenario import MAX_PATHS
 
 DEMO_SCENARIOS = sorted((Path(__file__).parent.parent / "demos" / "scenarios").glob("*.cfg"))
+GOLDEN = Path(__file__).parent / "golden"
 
 FLAT = """\
 [spacetime]
@@ -131,9 +133,18 @@ def one_error_line(capsys) -> str:
         ("[measurements]", "[decoherence]\nsigma = 0, 0.1\nseed = -3\n[measurements]"),
         ("kind = minkowski", "kind = weak_field\nepsilon = 0.01\nsoftening = 1e200"),
         ("kind = minkowski", "kind = weak_field\nepsilon = 0.01\nsoftening = 1e103"),
+        ("kind = minkowski", "kind = weak_field\nepsilon = 0\nsoftening = 1e-200"),
         (
             "kind = minkowski\n\n[decay]\nevent = 0, 0, 0, 0",
             "kind = schwarzschild\nmass = 1.0\n\n[decay]\nevent = 0, 1e160, 1.5, 0",
+        ),
+        (
+            "kind = minkowski\n\n[decay]\nevent = 0, 0, 0, 0",
+            "kind = schwarzschild\nmass = 0\n\n[decay]\nevent = 0, 1e-200, 1.5, 0",
+        ),
+        (
+            "kind = minkowski\n\n[decay]\nevent = 0, 0, 0, 0",
+            "kind = schwarzschild\nmass = 1e-300\n\n[decay]\nevent = 0, 1e-290, 1.5, 0",
         ),
         ("[detector2]\ntangent = 1.25, -0.75, 0, 0\ntau = 1.5", "[detector2]\ntarget = 1e300, 1, 0, 0"),
         (
@@ -152,7 +163,10 @@ def one_error_line(capsys) -> str:
         "negative-seed",
         "softening-1e200",
         "softening-1e103",
+        "softening-1e-200",
         "schwarzschild-event-1e160",
+        "schwarzschild-event-1e-200",
+        "schwarzschild-mass-1e-300-event-1e-290",
         "target-1e300",
         "tau_hint-1e300",
     ],
@@ -165,8 +179,10 @@ def test_rejected_scenario_exits_1_with_one_line(tmp_path, capsys, old, new):
     assert main(["run", str(p)]) == 1
     line = one_error_line(capsys)
     assert "line " in line
-    if "1e160" in new:
+    if "event = 0, 1e" in new:
         assert "decay event outside chart domain" in line
+    if "softening = 1e-200" in new:
+        assert "softening must be in [1e-100, 1e+100]" in line
     if "target = 1e300" in new:
         assert "[detector2]: target too far" in line
     if "tau_hint = 1e300" in new:
@@ -305,6 +321,40 @@ def test_demo_scenarios_run_without_warnings(cfg, tmp_path, capsys):
     out = str(tmp_path / "r.csv")
     assert main(["run", str(cfg), "--strict", "--format", "csv", "--out", out]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _same_value(new: str, golden: str) -> bool:
+    """Integers and text exactly, floats to rel 1e-9, abs 1e-12."""
+    try:
+        int(golden)
+        return new == golden
+    except ValueError:
+        pass
+    try:
+        expected = float(golden)
+    except ValueError:
+        return new == golden
+    return math.isclose(float(new), expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", DEMO_SCENARIOS, ids=[p.stem for p in DEMO_SCENARIOS])
+def test_demo_scenarios_match_golden_csv(cfg, capsys):
+    """Each demo scenario's CSV report, row by row, against tests/golden.
+
+    Quantity, indices, flag and integer values must match exactly, floats
+    within rel 1e-9, abs 1e-12.  After a change that is meant to move the
+    numbers, regenerate the files from the repository root with
+
+        for f in demos/scenarios/*.cfg; do PYTHONPATH=src python -m eprgeo.cli run "$f" --format csv > "tests/golden/$(basename "$f" .cfg).csv"; done
+    """
+    assert main(["run", str(cfg), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    with open(GOLDEN / f"{cfg.stem}.csv", newline="") as fh:
+        golden = list(csv.reader(fh))
+    assert len(rows) == len(golden)
+    for row, want in zip(rows, golden):
+        assert row[:4] + row[5:] == want[:4] + want[5:], row
+        assert _same_value(row[4], want[4]), (row, want)
 
 
 def test_far_boundary_value_leg_exits_2_without_allocating(tmp_path, capsys):

@@ -20,7 +20,7 @@ from eprgeo import (
     pair_transport,
     sample_bundle,
 )
-from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage, _combine
+from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage, _combine, _decimate
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.geodesic import point_segment, samples_for
 from eprgeo.lorentz import ID2, rotation_matrix_from_su2, su2_polar
@@ -86,7 +86,7 @@ class TestSampling:
         b = sample_bundle(seg, 0.1, 3, 0)
         k = b.base_knots.shape[0]
         assert k <= MAX_BUNDLE_KNOTS
-        idx = b.meta["knot_indices"]
+        idx = _decimate(seg.n_samples)
         assert idx[0] == 0 and idx[-1] == 500
         assert np.array_equal(b.base_knots, seg.events[idx])
         assert np.array_equal(b.taus, seg.tau[idx])

@@ -1,17 +1,22 @@
 """Scenario text parsing, validation errors, and the end-to-end run."""
 
+import contextlib
 import hashlib
+import io
 import sys
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import eprgeo.decoherence
 import eprgeo.pipeline
 import eprgeo.scenario
 from eprgeo import parse_scenario, run_scenario
+from eprgeo.cli import main
 from eprgeo.errors import ConfigurationError
 from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, DEFAULT_TOL, samples_for
 from eprgeo.scenario import _SCHEMA, MAX_LEG_SAMPLES, MAX_PATHS, Scenario, load_scenario
@@ -75,8 +80,8 @@ tau = 1.5
 class TestParseFull:
     def test_every_field(self):
         sc = parse_scenario(FULL)
-        assert sc.spacetime_kind == "schwarzschild"
-        assert sc.spacetime_params == {"M": 1.0}
+        assert sc.spacetime.name == "schwarzschild"
+        assert sc.spacetime.params == {"M": 1.0}
         assert np.array_equal(sc.decay_event, [0.0, 12.0, 1.5707963267948966, 0.0])
         assert np.array_equal(sc.decay_velocity, [1.1, 0.1, 0.0, 0.0])
         assert sc.detector1.mode == "ivp"
@@ -124,7 +129,7 @@ class TestParseFull:
 
     def test_kind_spelling_normalized(self):
         text = MINIMAL.replace("kind = minkowski", "kind = weak-field\nepsilon = 0.01")
-        assert parse_scenario(text).spacetime_kind == "weak_field"
+        assert parse_scenario(text).spacetime.name == "weak_field"
 
     def test_load_from_file(self, tmp_path):
         p = tmp_path / "s.cfg"
@@ -333,13 +338,15 @@ class TestPhysicalValidation:
 WELL_FORMED = {
     "kind": ["minkowski", "schwarzschild", "weak-field"],
     "mass": ["1.0", "0"],
-    "epsilon": ["0.02", "-0.05"],
-    "softening": ["1", "2.5"],
-    "event": ["0, 12, 1.5707963267948966, 0", "0, 3, 1, -0.5", "0, 1.5, 1.6, 0"],
+    "epsilon": ["0.02", "-0.05", "0"],
+    "softening": ["1", "2.5", "1e-200"],
+    "event": [
+        "0, 12, 1.5707963267948966, 0", "0, 3, 1, -0.5", "0, 1.5, 1.6, 0", "0, 1e-200, 1.5, 0"
+    ],
     "velocity": ["1.1, 0.1, 0, 0", "1, 0, 0, 0", "0.5, 1, 0, 0", "-1, 0, 0, 0"],
     "tangent": ["1.25, 0.75, 0, 0", "1.2, 0.4, 0, 0", "0.5, 1, 0, 0", "-1.25, 0.75, 0, 0"],
     "tau": ["1.5", "0", "1e9"],
-    "target": ["2.1, 11.5, 1.6, 0.25", "2.5, 3.2, 1, -0.4", "2.1, 1.5, 1.6, 0"],
+    "target": ["2.1, 11.5, 1.6, 0.25", "2.5, 3.2, 1, -0.4", "2.1, 1.5, 1.6, 0", "1, 1e-200, 1.5, 0"],
     "tau_hint": ["2.5"],
     "directions1": ["0,0,1 ; 1,0,0", "0, 1, 1"],
     "directions2": ["0,0,2"],
@@ -366,6 +373,14 @@ SHAPES = {
     "spacetime": [("kind",), ("kind", "mass"), ("kind", "epsilon", "softening"), None],
 }
 SHAPES["detector2"] = SHAPES["detector1"]
+
+# At this radius r * r underflows to 0 in the geodesic equation, and at this
+# softening the potential's s does; both texts must fail to parse
+LEGS = "[detector1]\ntangent = 1.2, 0.3, 0, 0\ntau = 1.0\n[detector2]\ntangent = 1.2, -0.3, 0, 0\ntau = 1.0\n"
+TINY_RADIUS = "[spacetime]\nkind = schwarzschild\nmass = 0\n[decay]\nevent = 0, 1e-200, 1.5, 0\n" + LEGS
+TINY_SOFTENING = (
+    "[spacetime]\nkind = weak-field\nepsilon = 0\nsoftening = 1e-200\n[decay]\nevent = 0, 0, 0, 0\n" + LEGS
+)
 
 
 @hst.composite
@@ -400,10 +415,33 @@ class TestSchemaProperty:
         assert isinstance(sc, Scenario)
         legs = [vars(sc.detector1), vars(sc.detector2)]
         numbers = [v for leg in legs for k, v in leg.items() if k != "mode" and v is not None]
-        numbers += [sc.decay_event, sc.tol, sc.bvp_tol, sc.sample_step, *sc.spacetime_params.values()]
+        numbers += [sc.decay_event, sc.tol, sc.bvp_tol, sc.sample_step, *sc.spacetime.params.values()]
         assert all(np.all(np.isfinite(v)) for v in numbers)
         for d in sc.directions1 + sc.directions2:
             assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(text=scenario_texts())
+    @example(text=TINY_RADIUS)
+    @example(text=TINY_SOFTENING)
+    def test_main_exits_0_to_3_without_raising(self, text, tmp_path_factory):
+        """Every text ends in a documented exit code, without a warning; exit 1
+        comes with one ``error:`` line.  Small caps keep every run short."""
+        tmp = tmp_path_factory.mktemp("main")
+        path = tmp / "scenario.cfg"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(eprgeo.scenario, "MAX_PATHS", 50))
+            stack.enter_context(mock.patch.object(eprgeo.scenario, "MAX_LEG_SAMPLES", 200))
+            stack.enter_context(warnings.catch_warnings())
+            stack.enter_context(contextlib.redirect_stderr(err))
+            warnings.simplefilter("error")
+            code = main(["run", str(path), "--strict", "--out", str(tmp / "report.out")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2, 3)
+        assert len(lines) == (code == 1), lines
+        assert all(line.startswith("error: ") for line in lines)
 
 
 class TestRun:

@@ -10,7 +10,10 @@ from eprgeo.spacetime import (
     AXIS_GUARD,
     HORIZON_GUARD,
     MAX_RADIUS,
+    MIN_RADIUS,
     Minkowski,
+    Schwarzschild,
+    WeakField,
     metric_at,
     require_event,
 )
@@ -193,7 +196,7 @@ def _chart_edge_points(kind, params, rng):
         r_min = 2.0 * params["M"] * (1.0 + HORIZON_GUARD)
         th_axis = np.arcsin(AXIS_GUARD)
         edges = []
-        for r in (r_min, MAX_RADIUS):
+        for r in (r_min, MIN_RADIUS, MAX_RADIUS):
             edges += [np.nextafter(r, -np.inf), r, np.nextafter(r, np.inf)]
         edges = np.array(edges)
         at_r = np.tile([0.3, 10.0, 1.2, 0.4], (len(edges), 1))
@@ -300,6 +303,36 @@ def test_factory_rejects_bad_input():
         make_spacetime("weak_field", {"epsilon": 0.2})
     with pytest.raises(ConfigurationError):
         make_spacetime("weak_field", {"epsilon": 0.01, "softening": 0.0})
+
+
+@pytest.mark.parametrize(
+    "cls, params",
+    [
+        (Minkowski, {"M": 1.0}),
+        (Schwarzschild, {}),
+        (Schwarzschild, {"M": -1.0}),
+        (Schwarzschild, {"M": np.nan}),
+        (Schwarzschild, {"M": np.inf}),
+        (Schwarzschild, {"M": 1.0, "spin": 0.5}),
+        (WeakField, {}),
+        (WeakField, {"epsilon": 0.2}),
+        (WeakField, {"epsilon": 0.4}),
+        (WeakField, {"epsilon": np.nan}),
+        (WeakField, {"epsilon": 0.01, "softening": 0.0}),
+        (WeakField, {"epsilon": 0.01, "softening": -1.0}),
+        (WeakField, {"epsilon": 0.0, "softening": 1e-200}),
+        (WeakField, {"epsilon": 0.01, "softening": 1e101}),
+        (WeakField, {"epsilon": 0.01, "softening": np.nan}),
+        (WeakField, {"epsilon": 0.1, "softening": 0.3}),
+        (WeakField, {"epsilon": 0.01, "mass": 1.0}),
+    ],
+)
+def test_constructors_reject_what_the_factory_rejects(cls, params):
+    with pytest.raises(ConfigurationError) as direct:
+        cls(params)
+    with pytest.raises(ConfigurationError) as factory:
+        make_spacetime(cls.name, params)
+    assert str(direct.value) == str(factory.value)
 
 
 def test_weak_field_softening_default():
