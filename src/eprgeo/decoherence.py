@@ -50,8 +50,8 @@ RESAMPLE_ATTEMPTS = 100
 # disjoint path blocks behind the standard error of fidelity_with_error
 FIDELITY_BLOCKS = 10
 
-# paths per transport chunk; bounds the per-chord (paths, chords, 2, 2)
-# generator and exponential arrays of one transport
+# paths per transport chunk; bounds the per-chord (chords, paths) connection
+# components and the (chords, 4, paths) exponential components of one transport
 _CHUNK = 256
 
 _ID4 = np.eye(4, dtype=complex)
@@ -114,8 +114,9 @@ def sample_bundle(
         meta["resample_rounds"] = 0
         return PathBundle(seg, taus, paths, sigma, meta)
 
-    legs = frame_field(st, knots)[..., 1:]  # static spatial legs, (K+1, 4, 3)
     interior = slice(1, -1)
+    # the static frame is diagonal: spatial leg j is its scale times axis j + 1
+    scale = np.diagonal(frame_field(st, knots), axis1=-2, axis2=-1)[interior, 1:]
     t_int = taus[interior]
     envelope = np.sin(np.pi * t_int / length)
     bridge_var = t_int * (length - t_int) / length
@@ -131,7 +132,7 @@ def sample_bundle(
         unit = bridge / np.sqrt(bridge_var)[None, :, None]
         delta = sigma * envelope[None, :, None] * unit
         out = np.broadcast_to(knots, (count,) + knots.shape).copy()
-        out[:, interior, :] += np.einsum("kaj,nkj->nka", legs[interior], delta)
+        out[:, interior, 1:] += scale * delta
         return out
 
     paths = draw(n_paths)

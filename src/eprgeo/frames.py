@@ -9,11 +9,13 @@ metric raises DomainError.  The "boosted-static" gauge multiplies it on the
 right by a constant boost, so gauge independence can be tested.
 
 The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form at
-the point, with no frame derivative and no differencing.  spin_connection
-returns the static-frame SL(2,C) generator of -M_l dx^l for a chord dx from
-the six coefficients each spacetime's static_connection gives in closed
-form, so the spinor route reads neither the metric nor Gamma; gauge_lift is
-the constant conjugation into the other gauge.
+the point, with no frame derivative and no differencing.
+spin_connection_components maps the six coefficients each spacetime's
+static_connection gives in closed form to the three components (c3, b, d)
+of the static-frame SL(2,C) generator of -M_l dx^l for a chord dx, so the
+spinor route reads neither the metric nor Gamma; spin_connection stacks the
+same components into the (..., 2, 2) generator.  gauge_lift is the constant
+conjugation into the other gauge.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .lorentz import ETA, ID2, pure_boost_sl2, sl2_generator
+from .lorentz import ETA, ID2, pure_boost_sl2, sl2_components, sl2_matrix
 from .spacetime import Spacetime, require_static_frame
 
 GAUGES = ("static", "boosted-static")
@@ -86,19 +88,23 @@ def gauge_lift(gauge: str) -> np.ndarray:
     return ID2 if gauge == "static" else pure_boost_sl2(gauge_boost()[:, 0])
 
 
-def spin_connection(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """SL(2,C) generator (..., 2, 2) of the static-frame m = -M_l dx^l at coords.
+def spin_connection_components(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """(c3, b, d) of the static-frame generator [[c3, b], [d, -c3]] of -M_l dx^l.
 
     M_l = N^{-1}(d_l N + Gamma_l N) gives eta M_l = eta C_l + K_l, where
     C_l = N^{-1} d_l N is diagonal like the static frame N and
-    K_l = N^T g Gamma_l N; so eta M_l is the antisymmetric matrix whose strict
-    lower triangle is that of K = K_l dx^l, which st.static_connection gives
-    in closed form; m has rotation part theta = (-K_32, K_31, -K_21) and boost
-    part b_k = -K_k0.  Raises DomainError where the static frame does not
-    exist.
+    K_l = N^T g Gamma_l N; so eta M_l dx^l is the antisymmetric matrix A whose
+    strict lower triangle is that of K = K_l dx^l, which st.static_connection
+    gives in closed form, and sl2_components lifts -M_l dx^l = -eta A from
+    those six coefficients.  Raises DomainError where the static frame does
+    not exist.
     """
-    k10, k20, k21, k30, k31, k32 = st.static_connection(coords, dx)
-    return sl2_generator((-k32, k31, -k21), (-k10, -k20, -k30))
+    return sl2_components(*st.static_connection(coords, dx))
+
+
+def spin_connection(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The same generator as a (..., 2, 2) matrix."""
+    return sl2_matrix(spin_connection_components(st, coords, dx))
 
 
 def orthonormality_defect(g: np.ndarray, n: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 Conventions, fixed once and used everywhere:
 
 * signature (-,+,+,+), eta = diag(-1, 1, 1, 1);
-* spin-1/2 generators (written out only in sl2_generator): rotations
+* spin-1/2 generators (written out only in sl2_components): rotations
   J_k = -(i/2) sigma_k, boosts K_k = -(1/2) sigma_k;
 * the vector action of A in SL(2,C) is X -> A X A^dagger on
   X = V^0 I - V.sigma, and lift_so13 is defined so that exp(lift_so13(m))
@@ -13,10 +13,14 @@ Conventions, fixed once and used everywhere:
 
 All 2x2 helpers accept leading batch axes.
 
-Lifts go one way only: SL(2,C) elements come from generators (expm2 of
-sl2_generator) or from closed-form boosts (pure_boost_sl2).  Nothing lifts a
-4x4 Lorentz matrix back up; the spinor route builds its frame lifts from the
-boosts that define the frames.
+Lifts go one way only: SL(2,C) elements come from generators or from
+closed-form boosts (pure_boost_sl2).  A traceless generator [[c3, b], [d, -c3]]
+is exponentiated in closed form on its three components; expm2 reads them off
+a (..., 2, 2) matrix, and ordered_exp_product takes them as arrays and keeps
+the exponentials as components through the ordered product, which is how the
+spinor route builds its chord factors.  Nothing lifts a 4x4 Lorentz matrix
+back up; the spinor route builds its frame lifts from the boosts that define
+the frames.
 """
 
 from __future__ import annotations
@@ -34,62 +38,106 @@ PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 ID2 = np.eye(2, dtype=complex)
 
 
+# below this |z| the series through z^3 is exact to within z^4/8! < 2.5e-17
+_SERIES_BOUND = 1.0e-3
+
+
+def _exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 1.
+
+    With z = c3^2 + b d = -det, the generator squares to z I, so
+    exp = [[ch + sh c3, sh b], [sh d, ch - sh c3]] with ch = cosh sqrt z and
+    sh = sinh(sqrt z)/sqrt z, both even in sqrt z.  Below _SERIES_BOUND they
+    are Horner series, with no complex sqrt, sinh or cosh; only the elements
+    at or above it take the closed form (Moler & Van Loan, SIAM Rev. 45
+    (2003) 3).  Inputs share one shape of at least one axis.  Negating all
+    three inputs gives the exact adjugate, bitwise.
+    """
+    z = c3 * c3 + b * d
+    ch = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
+    sh = 1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))
+    big = np.abs(z) >= _SERIES_BOUND
+    if big.any():
+        s = np.sqrt(z[big])
+        ch[big] = np.cosh(s)
+        sh[big] = np.sinh(s) / s
+    out = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
+    p, q, r, s = out.swapaxes(0, 1)
+    t = sh * c3
+    np.add(ch, t, out=p)
+    np.multiply(sh, b, out=q)
+    np.multiply(sh, d, out=r)
+    np.subtract(ch, t, out=s)
+    return out
+
+
 def expm2(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of traceless 2x2 matrices, closed form.
 
-    For traceless a, a^2 = -det(a) I, so with s = sqrt(-det a):
-    exp(a) = cosh(s) I + sinhc(s) a.  Batched over leading axes.
+    The (..., 2, 2) form of the component exponential: it reads c3, b and d
+    off a[0, 0], a[0, 1] and a[1, 0], and a[1, 1] is taken to be -c3.
+    Batched over leading axes.
     """
     a = np.asarray(a, dtype=complex)
-    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    s = np.sqrt(-det + 0.0j)
-    small = np.abs(s) < 1.0e-6
-    # sinh(s)/s, with its series 1 + s^2/6 = 1 - det/6 for tiny s to dodge 0/0
-    s_safe = np.where(small, 1.0, s)
-    sinhc = np.where(small, 1.0 - det / 6.0, np.sinh(s_safe) / s_safe)
-    cosh = np.cosh(s)
-    return cosh[..., None, None] * ID2 + sinhc[..., None, None] * a
+    flat = a.reshape(-1, 2, 2)
+    out = _exp_traceless(flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 0])
+    return out.reshape(a.shape)
 
 
-def sl2_generator(theta, boost) -> np.ndarray:
-    """theta . J + b . K from three rotation and three boost components (batched).
+def sl2_components(k10, k20, k21, k30, k31, k32) -> np.ndarray:
+    """(c3, b, d) of the lift [[c3, b], [d, -c3]] of m = -eta A, on a new axis 0.
 
-    With c_k = -(i theta_k + b_k)/2 it is [[c3, c1 - i c2], [c1 + i c2, -c3]],
-    traceless exactly.  The real and imaginary parts of the entries are
-    written directly, so no complex temporaries are built.
+    A is the antisymmetric matrix with strict lower triangle (k10, k20, k21,
+    k30, k31, k32), so m has rotation part theta = (-k32, k31, -k21) and
+    boost part b_k = -k_k0, and c3 = (k30 + i k21)/2,
+    b = ((k10 - k31) + i (k32 - k20))/2, d = ((k10 + k31) + i (k32 + k20))/2.
+    Batched; the real and imaginary parts are written directly.
     """
-    s1, s2, s3 = (-0.5 * th for th in theta)  # Im c_k
-    a1, a2, a3 = (-0.5 * b for b in boost)  # Re c_k
-    shape = np.broadcast_shapes(*map(np.shape, (s1, s2, s3, a1, a2, a3)))
-    m = np.empty(shape + (2, 2), dtype=complex)
-    re, im = m.real, m.imag
-    re[..., 0, 0], im[..., 0, 0] = a3, s3
-    re[..., 0, 1], im[..., 0, 1] = a1 + s2, s1 - a2
-    re[..., 1, 0], im[..., 1, 0] = a1 - s2, s1 + a2
-    re[..., 1, 1], im[..., 1, 1] = -a3, -s3
-    return m
+    k10, k20, k21, k30, k31, k32 = ks = [0.5 * k for k in (k10, k20, k21, k30, k31, k32)]
+    g = np.empty((3,) + np.broadcast_shapes(*map(np.shape, ks)), dtype=complex)
+    re, im = g.real, g.imag
+    re[0], im[0] = k30, k21
+    re[1], im[1] = k10 - k31, k32 - k20
+    re[2], im[2] = k10 + k31, k32 + k20
+    return g
+
+
+def sl2_matrix(g: np.ndarray) -> np.ndarray:
+    """The traceless (..., 2, 2) matrix [[c3, b], [d, -c3]] of components on axis 0."""
+    c3, b, d = g
+    return np.stack([c3, b, d, -c3], axis=-1).reshape(c3.shape + (2, 2))
 
 
 def lift_so13(m: np.ndarray) -> np.ndarray:
     """Spin-1/2 representation of an so(1,3) matrix (eta m antisymmetric).
 
     The rotation part theta_k = -1/2 eps_{kij} m[i, j] maps to theta . J and
-    the boost part b_k = m[0, k] to b . K.  Batched over leading axes.
+    the boost part b_k = m[0, k] to b . K; both are read off the strict lower
+    triangle of m = -eta A.  Batched over leading axes.
     """
     m = np.asarray(m, dtype=float)
-    theta = [-0.5 * (m[..., i, j] - m[..., j, i]) for i, j in ((2, 3), (3, 1), (1, 2))]
-    return sl2_generator(theta, np.moveaxis(m[..., 0, 1:], -1, 0))
+    lower = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+    return sl2_matrix(sl2_components(*(-m[..., i, j] for i, j in lower)))
 
 
 def rotation_matrix_from_su2(w: np.ndarray) -> np.ndarray:
-    """3x3 rotation R with W sigma_k W^dagger = sum_j R[j, k] sigma_j."""
+    """3x3 rotation R with W sigma_k W^dagger = sum_j R[j, k] sigma_j.
+
+    R[j, k] = Re (1/2) tr(sigma_j W sigma_k W^dagger), written out on the
+    components W = [[a, b], [c, d]] in one pass.  Batched.
+    """
     w = np.asarray(w, dtype=complex)
+    a, b, c, d = (w[..., i, j] for i in (0, 1) for j in (0, 1))
+    ad, bc = a * d.conj(), b * c.conj()
+    ab, cd = a * b.conj(), c * d.conj()
+    ac, bd = a * c.conj(), b * d.conj()
     R = np.empty(w.shape[:-2] + (3, 3))
-    wd = np.conj(np.swapaxes(w, -1, -2))
-    for k in range(3):
-        y = w @ PAULI[k] @ wd
-        for j in range(3):
-            R[..., j, k] = 0.5 * np.einsum("ab,...ba->...", PAULI[j], y).real
+    plus, minus, top, side = ad + bc, ad - bc, ac - bd, ab - cd
+    R[..., 0, 0], R[..., 1, 0], R[..., 2, 0] = plus.real, -plus.imag, side.real
+    R[..., 0, 1], R[..., 1, 1], R[..., 2, 1] = minus.imag, minus.real, side.imag
+    R[..., 0, 2], R[..., 1, 2] = top.real, -top.imag
+    n2 = w.real**2 + w.imag**2
+    R[..., 2, 2] = 0.5 * (n2[..., 0, 0] - n2[..., 0, 1] - n2[..., 1, 0] + n2[..., 1, 1])
     return R
 
 
@@ -217,28 +265,52 @@ def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] along axis -3, batched.
+def _pairwise(f: np.ndarray, pair) -> np.ndarray:
+    """f[-1] ... f[0] for n >= 1 factors on axis 0, by pairwise tree reduction.
 
-    Uses pairwise tree reduction: adjacent factors are combined in order, so
-    the result is the exact ordered product in O(log n) rounds.  2x2 factors
-    are multiplied on their four component arrays (p, q, r, s), larger ones
-    by batched matmul.  An empty factor axis gives the identity.
+    Adjacent factors are combined in order, so the result is the exact
+    ordered product in O(log n) rounds; pair(a, b) multiplies a @ b.
     """
-    m = np.asarray(mats)
-    lead, n, k = m.shape[:-3], m.shape[-3], m.shape[-1]
-    if n == 0:
-        return np.broadcast_to(np.eye(k, dtype=m.dtype), lead + (k, k)).copy()
-    # the factor axis goes first; 2x2 factors become (n, 4, *lead) components
-    if k == 2:
-        f, pair = np.moveaxis(m.reshape(lead + (n, 4)), (-2, -1), (0, 1)), _product_2x2
-    else:
-        f, pair = np.moveaxis(m, -3, 0), np.matmul
+    n = len(f)
     while n > 1:
         paired = pair(f[1:n:2], f[0 : n - 1 : 2])
         if n % 2:
             paired = np.concatenate([paired, f[n - 1 :]])
         f, n = paired, len(paired)
-    if k == 2:
-        return np.moveaxis(f[0], 0, -1).reshape(lead + (2, 2))
     return f[0]
+
+
+def _ordered_2x2(f: np.ndarray) -> np.ndarray:
+    """Ordered product (*lead, 2, 2) of 2x2 factors held as (n, 4, *lead) components."""
+    lead = f.shape[2:]
+    if len(f) == 0:
+        return np.broadcast_to(ID2, lead + (2, 2)).copy()
+    return np.moveaxis(_pairwise(f, _product_2x2), 0, -1).reshape(lead + (2, 2))
+
+
+def ordered_product(mats: np.ndarray) -> np.ndarray:
+    """Ordered product mats[-1] @ ... @ mats[0] along axis -3, batched.
+
+    Uses pairwise tree reduction.  2x2 factors are multiplied on their four
+    component arrays (p, q, r, s), larger ones by batched matmul.  An empty
+    factor axis gives the identity.
+    """
+    m = np.asarray(mats)
+    lead, n, k = m.shape[:-3], m.shape[-3], m.shape[-1]
+    if k == 2:
+        # the factor axis goes first: (n, 4, *lead) components
+        return _ordered_2x2(np.moveaxis(m.reshape(lead + (n, 4)), (-2, -1), (0, 1)))
+    if n == 0:
+        return np.broadcast_to(np.eye(k, dtype=m.dtype), lead + (k, k)).copy()
+    return _pairwise(np.moveaxis(m, -3, 0), np.matmul)
+
+
+def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Ordered product of exp([[c3, b], [d, -c3]]) over axis 0, last factor leftmost.
+
+    The generators come as three component arrays of shape (n, *lead); the
+    exponentials stay components through the same tree as ordered_product,
+    so no (..., 2, 2) generator or exponential array is made.  Returns
+    (*lead, 2, 2), the identity when n = 0.
+    """
+    return _ordered_2x2(_exp_traceless(c3, b, d))

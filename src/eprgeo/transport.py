@@ -10,9 +10,11 @@ contraction over Gamma's contiguous last axis, and the node accelerations
 are a = W u, not a second contraction of Gamma.
 
 Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
-the Hermite midpoint positions (which need no Gamma); spin_connection gives
-each static-frame generator already contracted with its chord from the
-spacetime's closed-form connection coefficients, so this route reads no
+the Hermite midpoint positions (which need no Gamma).
+spin_connection_components gives each static-frame generator, already
+contracted with its chord, as three component arrays from the spacetime's
+closed-form connection coefficients, and ordered_exp_product exponentiates
+and multiplies them on components, chord axis first; so this route reads no
 Gamma at all and is independent of the vector route down to the Christoffel
 symbols.  The boosted-static gauge conjugates the product once by
 gauge_lift(gauge).  Each factor has determinant one and the factor for the
@@ -32,9 +34,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import frame_field, gauge_lift, inverse_frame, orthonormality_defect, spin_connection
+from .frames import (
+    frame_field,
+    gauge_lift,
+    inverse_frame,
+    orthonormality_defect,
+    spin_connection_components,
+)
 from .geodesic import GeodesicSegment
-from .lorentz import expm2, ordered_product, sl2_inverse
+from .lorentz import ordered_exp_product, ordered_product, sl2_inverse
 from .spacetime import Event, Spacetime, require_event, same_event
 
 ORTHO_TOL = 1.0e-8
@@ -138,9 +146,14 @@ def frame_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray:
 
 
 def _chord_transport(st: Spacetime, mid: np.ndarray, dx: np.ndarray, gauge: str) -> np.ndarray:
-    """Ordered product of the chord exponentials, conjugated once into the gauge frames."""
+    """Ordered product of the chord exponentials, conjugated once into the gauge frames.
+
+    mid and dx are (..., chords, 4); the chord axis goes first, so the
+    connection components and their exponentials are (chords, ...) arrays.
+    """
     k = gauge_lift(gauge)
-    u = ordered_product(expm2(spin_connection(st, mid, dx)))
+    g = spin_connection_components(st, np.moveaxis(mid, -2, 0), np.moveaxis(dx, -2, 0))
+    u = ordered_exp_product(*g)
     return u if gauge == "static" else sl2_inverse(k) @ u @ k
 
 

@@ -17,11 +17,13 @@ from eprgeo import (
     degraded_correlation,
     fidelity_with_error,
     integrate_geodesic,
+    make_spacetime,
     pair_transport,
     sample_bundle,
 )
 from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage, _combine, _decimate
 from eprgeo.errors import DomainError, UsageError
+from eprgeo.frames import frame_field
 from eprgeo.geodesic import point_segment, samples_for
 from eprgeo.lorentz import ID2, rotation_matrix_from_su2, su2_polar
 from eprgeo.spin import SINGLET, pair_state
@@ -46,7 +48,48 @@ def pair(legs):
     return pair_transport(*legs)
 
 
+def einsum_bundle_paths(seg, sigma, n_paths, seed):
+    """The bundle's first draw, with the full static spatial legs (K+1, 4, 3)
+    contracted against the displacements by einsum."""
+    idx = _decimate(seg.n_samples)
+    taus = seg.tau[idx] - seg.tau[0]
+    knots = seg.events[idx]
+    length = taus[-1]
+    t_int = taus[1:-1]
+    legs = frame_field(seg.spacetime, knots)[..., 1:]
+    dtau = np.diff(taus)
+    rng = np.random.default_rng(seed)
+    dw = rng.standard_normal((n_paths, len(dtau), 3)) * np.sqrt(dtau)[:, None]
+    w = np.cumsum(dw, axis=1)
+    bridge = w[:, :-1, :] - (t_int / length)[None, :, None] * w[:, -1:, :]
+    unit = bridge / np.sqrt(t_int * (length - t_int) / length)[None, :, None]
+    delta = sigma * np.sin(np.pi * t_int / length)[None, :, None] * unit
+    out = np.broadcast_to(knots, (n_paths,) + knots.shape).copy()
+    out[:, 1:-1, :] += np.einsum("kaj,nkj->nka", legs[1:-1], delta)
+    return out
+
+
 class TestSampling:
+    @pytest.mark.parametrize(
+        "kind, params, coords, w",
+        [
+            ("schwarzschild", {"M": 1.0}, [0.0, 12.0, 1.3, 0.2], [0.3, 0.1, 0.05]),
+            ("weak_field", {"epsilon": 0.05}, [0.0, 3.0, 1.0, 0.5], [0.2, -0.1, 0.3]),
+        ],
+    )
+    def test_paths_match_the_einsum_over_the_static_legs(
+        self, static_tangent, kind, params, coords, w
+    ):
+        """The static frame is diagonal, so scaling by its diagonal draws
+        bitwise the paths the full leg contraction draws."""
+        st = make_spacetime(kind, params)
+        u = static_tangent(st, coords, w)
+        seg = integrate_geodesic(st, Event(np.array(coords)), u, 3.0, n_samples=400)
+        for seed in (1, 2, 3):
+            b = sample_bundle(seg, 0.05, 300, seed)
+            assert b.meta["resample_rounds"] == 0
+            assert np.array_equal(b.paths, einsum_bundle_paths(seg, 0.05, 300, seed))
+
     def test_zero_width_reproduces_base(self, legs):
         b = sample_bundle(legs[0], 0.0, 5, 3)
         assert np.array_equal(b.paths, np.broadcast_to(b.base_knots, b.paths.shape))

@@ -4,6 +4,8 @@ The oracle for exponentials is plain scaling-and-squaring on the Taylor
 series, written independently of the closed forms under test.
 """
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from eprgeo.lorentz import (
     expm2,
     lift_so13,
     lorentz_polar,
+    ordered_exp_product,
     ordered_product,
     pure_boost,
     pure_boost_inverse,
@@ -87,13 +90,29 @@ class TestExpm2:
     def test_identity_at_zero(self):
         assert np.allclose(expm2(np.zeros((2, 2), dtype=complex)), ID2)
 
-    @pytest.mark.parametrize("x", [9.0e-7, 1.1e-6])
+    @pytest.mark.parametrize("x", [0.0316, 0.0317])
     def test_sinhc_on_both_sides_of_the_series_switch(self, x):
         """exp([[0, x], [x, 0]]) = cosh(x) I + sinh(x) sigma_x, whether
-        sinh(s)/s comes from its series (|s| < 1e-6) or from the quotient."""
+        cosh and sinh(s)/s come from their series (|s^2| < 1e-3, x = 0.0316)
+        or from the closed form (x = 0.0317)."""
         out = expm2(x * SIGMA_X)
         assert abs(out[0, 1] - np.sinh(x)) <= 1e-15 * np.sinh(x)
         assert abs(out[0, 0] - np.cosh(x)) <= 1e-15
+
+    @pytest.mark.parametrize("size", [0.999e-3, 1.001e-3, 0.3, 7.0])
+    @pytest.mark.parametrize("phase", [0.0, 0.5, 1.0, 1.7, 2.9, -1.2])
+    def test_cosh_and_sinhc_match_cmath(self, size, phase):
+        """exp([[0, 1], [z, 0]]) = [[ch, sh], [sh z, ch]] with ch = cosh s and
+        sh = sinh(s)/s, s = sqrt z, within 1e-15 relative for complex z on
+        both sides of the series bound |z| = 1e-3."""
+        z = size * cmath.exp(1j * phase)
+        s = cmath.sqrt(z)
+        ch, sh = cmath.cosh(s), cmath.sinh(s) / s
+        out = expm2(np.array([[0.0, 1.0], [z, 0.0]]))
+        assert abs(out[0, 0] - ch) <= 1e-15 * abs(ch)
+        assert abs(out[1, 1] - ch) <= 1e-15 * abs(ch)
+        assert abs(out[0, 1] - sh) <= 1e-15 * abs(sh)
+        assert abs(out[1, 0] - sh * z) <= 1e-15 * abs(sh * z)
 
 
 class TestLift:
@@ -119,6 +138,17 @@ class TestLift:
         assert lift_so13(ms).shape == (5, 2, 2)
 
 
+def loop_rotation_matrix(w):
+    """R[j, k] = Re (1/2) tr(sigma_j W sigma_k W^dagger), one product at a time."""
+    R = np.empty(w.shape[:-2] + (3, 3))
+    wd = np.conj(np.swapaxes(w, -1, -2))
+    for k in range(3):
+        y = w @ PAULI[k] @ wd
+        for j in range(3):
+            R[..., j, k] = 0.5 * np.einsum("ab,...ba->...", PAULI[j], y).real
+    return R
+
+
 class TestSU2Rotation:
     def test_round_trip(self):
         for _ in range(10):
@@ -128,6 +158,16 @@ class TestSU2Rotation:
             w = su2(axis, angle)
             assert np.allclose(rotation_matrix_from_su2(w), r, atol=1e-12)
             assert abs(np.linalg.det(w) - 1.0) < 1e-12
+
+    def test_components_match_the_trace_loop(self):
+        """The one-pass component formula against the traces it writes out."""
+        local = np.random.default_rng(30)
+        m = local.normal(size=(300, 2, 2)) + 1j * local.normal(size=(300, 2, 2))
+        w = su2_polar(m)[0]
+        r = rotation_matrix_from_su2(w)
+        assert r.shape == (300, 3, 3)
+        assert np.max(np.abs(r - loop_rotation_matrix(w))) <= 1e-15
+        assert np.max(np.abs(rotation_matrix_from_su2(w[7]) - r[7])) == 0.0
 
     def test_near_pi_rotation(self):
         r = rodrigues([1.0, -2.0, 0.5], np.pi - 1e-9)
@@ -261,6 +301,20 @@ def test_ordered_product_of_no_factors_is_the_identity(k):
     out = ordered_product(np.zeros((3, 0, k, k), dtype=complex))
     assert out.shape == (3, k, k)
     assert np.array_equal(out, np.broadcast_to(np.eye(k), (3, k, k)))
+
+
+def test_ordered_exp_product_matches_the_matrix_chain():
+    """Factors built on components equal ordered_product(expm2(.)) of the same generators."""
+    local = np.random.default_rng(31)
+    g = 0.2 * (local.normal(size=(3, 159, 6, 2, 2)) + 1j * local.normal(size=(3, 159, 6, 2, 2)))
+    c3, b, d = g[0, ..., 0, 0], g[1, ..., 0, 1], g[2, ..., 1, 0]
+    mats = np.stack([c3, b, d, -c3], axis=-1).reshape(c3.shape + (2, 2))
+    expected = ordered_product(np.moveaxis(expm2(mats), 0, -3))
+    out = ordered_exp_product(c3, b, d)
+    assert out.shape == (6, 2, 2)
+    assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
+    empty = ordered_exp_product(*np.zeros((3, 0, 4), dtype=complex))
+    assert np.array_equal(empty, np.broadcast_to(ID2, (4, 2, 2)))
 
 
 def test_ordered_product_batched():

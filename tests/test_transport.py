@@ -6,6 +6,8 @@ the spin-half route projects onto the vector route through the double
 cover.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,13 @@ from eprgeo import (
     integrate_orbit,
     make_spacetime,
     pair_transport,
+    sample_bundle,
     spinor_holonomy_angle,
 )
 from eprgeo.errors import UsageError
-from eprgeo.frames import spin_connection
+from eprgeo.frames import frame_field, spin_connection
 from eprgeo.geodesic import point_segment
-from eprgeo.lorentz import ID2, ordered_product
+from eprgeo.lorentz import ID2, ordered_product, sl2_inverse
 from eprgeo.pipeline import rest_frame_rotation
 from eprgeo.transport import (
     frame_propagator,
@@ -202,6 +205,102 @@ class TestSpinorTransport:
         assert m.shape == (2, 2, 2)
         # each generator is traceless (sl(2,C))
         assert np.max(np.abs(np.einsum("kii->k", m))) < 1e-14
+
+
+def generator_chain_expm2(a):
+    """The closed form cosh(s) I + sinhc(s) a, s = sqrt(-det a), with the
+    sinhc series 1 - det/6 below |s| = 1e-6: the exponential the chord
+    factors were built with before they moved onto components."""
+    det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    s = np.sqrt(-det + 0.0j)
+    small = np.abs(s) < 1.0e-6
+    s_safe = np.where(small, 1.0, s)
+    sinhc = np.where(small, 1.0 - det / 6.0, np.sinh(s_safe) / s_safe)
+    return np.cosh(s)[..., None, None] * ID2 + sinhc[..., None, None] * a
+
+
+CHUNKS = {
+    # spacetime, parameters, start event, static-frame velocity, proper time
+    "schwarzschild": ({"M": 1.0}, [0.0, 12.0, np.pi / 2.0, 0.0], [0.4, 0.0, 0.0], 2.0),
+    "weak_field": ({"epsilon": 0.05}, [0.0, 3.0, 1.0, 0.5], [0.2, -0.1, 0.3], 2.0),
+    "minkowski": ({}, [0.0, 1.0, 2.0, 3.0], [0.1, 0.2, 0.3], 2.0),
+}
+
+
+def bundle_chunk(kind, n_paths=256, sigma=0.3):
+    """A bundle chunk of n_paths polygons of 160 knots (159 chords) around one leg."""
+    params, x0, w, tau = CHUNKS[kind]
+    st = make_spacetime(kind, params)
+    x0 = np.asarray(x0, dtype=float)
+    u0 = frame_field(st, x0) @ np.concatenate(([np.sqrt(1.0 + np.dot(w, w))], w))
+    seg = integrate_geodesic(st, Event(x0), u0, tau, n_samples=400)
+    paths = sample_bundle(seg, sigma, n_paths, 5).paths
+    assert paths.shape == (n_paths, 160, 4)
+    return st, paths
+
+
+class TestChordFactors:
+    @pytest.mark.parametrize("kind", sorted(CHUNKS))
+    def test_chord_product_matches_the_generator_chain(self, kind):
+        """polygon_spinor_transport against ordered_product(exp(spin_connection))
+        with the pre-component exponential, within 1e-14 of the result's scale."""
+        st, xs = bundle_chunk(kind)
+        dx = xs[:, 1:] - xs[:, :-1]
+        mid = 0.5 * xs[:, 1:] + 0.5 * xs[:, :-1]
+        expected = ordered_product(generator_chain_expm2(spin_connection(st, mid, dx)))
+        out = polygon_spinor_transport(st, xs)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+        if kind == "minkowski":
+            assert np.array_equal(out, np.broadcast_to(ID2, out.shape))
+
+    @pytest.mark.parametrize("kind", sorted(CHUNKS))
+    def test_reversed_chord_factor_is_the_exact_adjugate(self, kind):
+        """Same midpoint, -dx: the factor is bitwise sl2_inverse of the forward
+        one, for chords on both sides of the series bound |s^2| = 1e-3."""
+        params, x0, _, _ = CHUNKS[kind]
+        st = make_spacetime(kind, params)
+        rng = np.random.default_rng(12)
+        # the weak field's connection is weaker: its chords reach further
+        lengths = np.geomspace(1e-4, 0.5 if kind == "schwarzschild" else 40.0, 40)
+        dirs = rng.normal(size=(40, 4))
+        dx = lengths[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        knots = np.stack([x0 - 0.5 * dx, x0 + 0.5 * dx], axis=1)  # 40 one-chord polygons
+        forward = polygon_spinor_transport(st, knots)
+        backward = polygon_spinor_transport(st, knots[:, ::-1])
+        assert np.array_equal(backward, sl2_inverse(forward))
+        m = spin_connection(st, 0.5 * knots[:, 1] + 0.5 * knots[:, 0], knots[:, 1] - knots[:, 0])
+        z = np.abs(np.linalg.det(m))
+        if kind == "minkowski":
+            assert np.array_equal(forward, np.broadcast_to(ID2, forward.shape))
+        else:
+            assert z.min() < 1e-3 <= z.max()
+
+    def test_spinor_route_runs_neither_expm2_nor_spin_connection(self, monkeypatch):
+        """The chord factors come from the connection components alone: no
+        (..., 2, 2) generator or exponential is built beside them."""
+        import eprgeo.frames
+        import eprgeo.lorentz
+
+        calls = []
+        for original in (eprgeo.lorentz.expm2, eprgeo.frames.spin_connection):
+
+            def spy(*args, _name=original.__name__, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for name, module in list(sys.modules.items()):
+                if name == "eprgeo" or name.startswith("eprgeo."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, spy)
+        st, xs = bundle_chunk("schwarzschild", n_paths=4)
+        coords = np.array([0.0, 9.0, 1.2, 0.3])
+        u0 = frame_field(st, coords) @ np.array([np.sqrt(1.14), 0.3, 0.1, -0.2])
+        seg = integrate_geodesic(st, Event(coords), u0, 1.5)
+        for gauge in ("static", "boosted-static"):
+            assert polygon_spinor_transport(st, xs, gauge).shape == (4, 2, 2)
+            assert abs(np.linalg.det(spinor_propagator(seg, gauge)) - 1.0) < 1e-10
+        assert calls == []
 
 
 class TestCorrespondence:
