@@ -38,7 +38,7 @@ from .lorentz import (
     su2_polar,
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
-from .spin import TwoQubitState, matched_direction, pair_state
+from .spin import TwoQubitState, _direction_vector, pair_state
 from .transport import Tetrad, gauge_tetrad, spinor_propagator, world_propagator
 
 
@@ -129,7 +129,8 @@ class PairResult:
 
     @property
     def relative_rotation(self) -> np.ndarray:
-        """R2 R1^T: maps particle-1 axes to the anticorrelated particle-2 axes."""
+        """R2 R1^T from the vector route: parallel transport's map from
+        particle-1 axes to the particle-2 axes they anticorrelate with."""
         return self.rotation2 @ self.rotation1.T
 
 
@@ -169,8 +170,16 @@ def pair_transport(
 
 
 def matched_axis(result: PairResult, a: np.ndarray) -> np.ndarray:
-    """Detector-2 axis anticorrelated with detector-1 axis a (state route)."""
-    return matched_direction(result.state, np.asarray(a, dtype=float))
+    """Detector-2 axis matched to detector-1 axis a: its parallel-transported image.
+
+    The image comes from the vector route (``relative_rotation``) and the
+    correlations from the spinor route's state, so E(a, matched) = -1 only
+    as far as the two routes agree.  Normalized, so that a rotation drifting
+    off orthogonality within the orthonormality diagnostic's bound still
+    gives a unit axis.
+    """
+    b = result.relative_rotation @ _direction_vector(a, "1")
+    return b / np.linalg.norm(b)
 
 
 def spin_relative_rotation(result: PairResult) -> np.ndarray:

@@ -90,20 +90,6 @@ def correlation_matrix(state: TwoQubitState) -> np.ndarray:
     return np.trace(state.density @ PAULI_PAIRS, axis1=-2, axis2=-1).real
 
 
-def matched_direction(state: TwoQubitState, a) -> np.ndarray:
-    """The axis b restoring the strongest anticorrelation with a.
-
-    For a transported singlet this is the image of a under the relative
-    frame rotation, and E(a, matched) = -1.
-    """
-    va = _direction_vector(a, "1")
-    b = -correlation_matrix(state).T @ va
-    n = np.linalg.norm(b)
-    if n < 1.0e-12:
-        raise UsageError("state carries no spin correlation along this axis")
-    return b / n
-
-
 def chsh(state: TwoQubitState, a, ap, b, bp) -> float:
     """E(a,b) - E(a,b') + E(a',b) + E(a',b') for the given settings."""
     k = correlation_matrix(state)

@@ -99,15 +99,14 @@ def test_03_spin_route_projects_onto_vector_route(battery, double_cover_defect):
 def test_04_matched_axis_and_gauge_independence(schwarzschild, static_tangent):
     """Two halves over 25 random Schwarzschild pair configurations.
 
-    The E half (|E(a, b) + 1| at the matched axis) holds by construction:
-    ``matched_axis`` reads b off the state's own correlation matrix, and for
-    unitary spin maps that gives E = -1 whatever the transport computed
-    (ROADMAP item 10 moves the axis to the vector route's transport).
-    The gauge half (E in the static against the boosted-static gauge)
-    checks that the rest-frame bookkeeping does not depend on the gauge:
-    the constant gauge lift enters the spinor route and the rest-frame
-    factors as conjugations that cancel, so it is not a test of the spin
-    connection's covariance.
+    The E half (|E(a, b) + 1| at the matched axis) is a cross-route check:
+    ``matched_axis`` is the vector route's parallel-transported image of a,
+    and E comes from the spinor route's state, so |E + 1| is about half the
+    squared gap between the routes.  The gauge half (E in the static
+    against the boosted-static gauge) checks that the rest-frame
+    bookkeeping does not depend on the gauge: the constant gauge lift
+    enters the spinor route and the rest-frame factors as conjugations that
+    cancel, so it is not a test of the spin connection's covariance.
     """
     rng = np.random.default_rng(11)
     worst_e = 0.0

@@ -5,9 +5,13 @@ equal axes); curved cases are checked for internal consistency between
 the spin-half and vector routes and for gauge independence.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eprgeo.scenario
 from conftest import vector_action
 from eprgeo import (
     Event,
@@ -15,10 +19,11 @@ from eprgeo import (
     integrate_geodesic,
     make_spacetime,
     matched_axis,
+    run_scenario,
 )
 from eprgeo.errors import UsageError
 from eprgeo.frames import frame_field, gauge_boost, inverse_frame
-from eprgeo.lorentz import pure_boost, pure_boost_inverse, rotation_axis_angle
+from eprgeo.lorentz import PAULI, expm2, pure_boost, pure_boost_inverse, rotation_axis_angle
 from eprgeo.pipeline import (
     PairResult,
     boosted_tetrad,
@@ -27,7 +32,10 @@ from eprgeo.pipeline import (
     rest_conjugation_factors,
     spin_relative_rotation,
 )
+from eprgeo.scenario import load_scenario
+from eprgeo.spin import TwoQubitState, pair_state
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 rng = np.random.default_rng(17)
 
 
@@ -87,14 +95,26 @@ class TestCurved:
         assert res.rotation1.shape == (3, 3)
         assert res.relative_rotation.shape == (3, 3)
 
-    def test_matched_axis_routes_agree(self, schwarzschild):
-        res = _curved_pair(schwarzschild, seed=2)
-        for _ in range(5):
-            a = rng.normal(size=3)
-            a /= np.linalg.norm(a)
-            b_state = matched_axis(res, a)
-            b_vector = res.relative_rotation @ a
-            assert np.max(np.abs(b_state - b_vector)) < 1e-6
+    def test_matched_flags_catch_a_broken_spinor_route(self, monkeypatch):
+        """A fixed 1-rad turn on leg 2's spin map, which the vector route
+        does not see: the matched rows cross the routes, so they fail."""
+        kick = expm2(-0.5j * np.einsum("k,kij->ij", np.ones(3) / np.sqrt(3.0), PAULI))
+
+        def broken(*args, **kwargs):
+            res = pair_transport(*args, **kwargs)
+            spin2 = kick @ res.spin2
+            state = TwoQubitState("pure", pair_state(res.spin1, spin2))
+            return dataclasses.replace(res, spin2=spin2, state=state)
+
+        monkeypatch.setattr(eprgeo.scenario, "pair_transport", broken)
+        report = run_scenario(load_scenario(SCENARIO_DIR / "schwarzschild_pair.cfg"))
+        flags = {}
+        for row in report.rows:
+            flags.setdefault(row.quantity, []).append(row.flag)
+        # no direction of the scenario is parallel to the turn's axis (1, 1, 1)
+        assert flags["E_matched"] == ["fail"] * 3
+        assert flags["chsh_matched"] == ["fail"]
+        assert flags["diag_route_agreement"] == ["fail"]
 
     def test_matched_anticorrelation_cross_route(self, schwarzschild):
         res = _curved_pair(schwarzschild, seed=3)

@@ -373,6 +373,25 @@ SHAPES = {
     "spacetime": [("kind",), ("kind", "mass"), ("kind", "epsilon", "softening"), None],
 }
 SHAPES["detector2"] = SHAPES["detector1"]
+# A clean text keeps every required section, one leg mode per detector and
+# each key's first WELL_FORMED value, except where its kind needs its own:
+# the kind's parameters, a decay event inside its chart (where the first
+# tangent and velocity are timelike) and a target inside the chart that a
+# leg from that event reaches.  So clean texts reach the run.
+KINDS = {
+    "minkowski": {"keys": ("kind",), "event": "0, 0, 0, 0", "target": "2.5, 0.5, 0.3, 0"},
+    "schwarzschild": {
+        "keys": ("kind", "mass"),
+        "event": "0, 12, 1.5707963267948966, 0",
+        "target": "2.6, 11.5, 1.5707963267948966, 0.057",
+    },
+    "weak-field": {
+        "keys": ("kind", "epsilon", "softening"),
+        "event": "0, 3, 1, -0.5",
+        "target": "2.5, 3.2, 1, -0.4",
+    },
+}
+REQUIRED = ("spacetime", "decay", "detector1", "detector2")
 
 # At this radius r * r underflows to 0 in the geodesic equation, and at this
 # softening the potential's s does; both texts must fail to parse
@@ -385,20 +404,28 @@ TINY_SOFTENING = (
 
 @hst.composite
 def scenario_texts(draw):
-    """Sections in any order, some left out; each key well formed, or at a
-    drawn rate dropped, duplicated or given a junk, non-finite, huge or empty
-    value."""
+    """Sections in any order, some left out.  About half the texts are clean
+    (see KINDS); in the rest each key is well formed, or at a drawn rate
+    dropped, duplicated or given a junk, non-finite, huge or empty value."""
+    clean = draw(hst.booleans())
+    kind = draw(hst.sampled_from(list(KINDS)))
+    agreeing = {"kind": kind, **KINDS[kind]}
     # sampled_from favours early elements, so the benign choice comes first
     actions = ["well formed"] * draw(hst.sampled_from([96, 30, 6])) + ["drop", "duplicate", "junk"]
     lines = []
     for section in draw(hst.permutations(list(_SCHEMA))):
-        if draw(hst.sampled_from(range(16))) == 15:
+        if draw(hst.sampled_from(range(16))) == 15 and not (clean and section in REQUIRED):
             continue
         lines.append(f"[{section}]")
-        keys = draw(hst.sampled_from(SHAPES.get(section, [None]))) or _SCHEMA[section]
+        shapes = SHAPES.get(section, [None])
+        if clean:
+            shapes = [agreeing["keys"]] if section == "spacetime" else [s for s in shapes if s] or [None]
+        keys = draw(hst.sampled_from(shapes)) or _SCHEMA[section]
         for key in keys:
-            action = draw(hst.sampled_from(actions))
+            action = "well formed" if clean else draw(hst.sampled_from(actions))
             pool = JUNK + [""] if action == "junk" else WELL_FORMED[key]
+            if clean:
+                pool = [agreeing.get(key, pool[0])]
             copies = {"drop": 0, "duplicate": 2}.get(action, 1)
             lines += [f"{key} = {draw(hst.sampled_from(pool))}" for _ in range(copies)]
     return "\n".join(lines) + "\n"

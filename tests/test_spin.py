@@ -1,18 +1,36 @@
 """Two-qubit spin layer: singlet correlations, CHSH, measurement axes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from eprgeo import CANONICAL_CHSH_DIRECTIONS, chsh, correlation, correlation_matrix
+from eprgeo import (
+    CANONICAL_CHSH_DIRECTIONS,
+    Event,
+    chsh,
+    correlation,
+    correlation_matrix,
+    integrate_pair,
+    matched_axis,
+)
 from eprgeo.errors import UsageError
 from eprgeo.lorentz import PAULI, expm2, su2_polar
-from eprgeo.spin import SINGLET, TwoQubitState, fidelity, matched_direction, pair_state
+from eprgeo.spin import SINGLET, TwoQubitState, fidelity, pair_state
 
 rng = np.random.default_rng(31)
 
 
 def singlet():
     return TwoQubitState("pure", SINGLET)
+
+
+@pytest.fixture(scope="module")
+def flat_pair(minkowski):
+    """A flat-spacetime decay: every transport is trivial, so a matches a."""
+    u1 = np.array([np.sqrt(1.49), 0.7, 0.0, 0.0])
+    u2 = np.array([np.sqrt(1.25), -0.5, 0.0, 0.0])
+    return integrate_pair(minkowski, Event(np.zeros(4)), u1, u2, 1.5, 1.5)
 
 
 def rodrigues(axis, angle):
@@ -60,10 +78,9 @@ class TestSinglet:
                 op = np.kron(np.einsum("k,kij->ij", a, PAULI), np.einsum("k,kij->ij", b, PAULI))
                 assert abs(correlation(state, a, b) - np.trace(rho @ op).real) < 1e-15
 
-    def test_matched_direction_is_same_axis(self):
-        s = singlet()
+    def test_matched_axis_is_same_axis(self, flat_pair):
         a = np.array([0.6, 0.0, 0.8])
-        assert np.allclose(matched_direction(s, a), a, atol=1e-12)
+        assert np.allclose(matched_axis(flat_pair, a), a, atol=1e-12)
 
     def test_reduced_states_maximally_mixed(self):
         s = singlet()
@@ -93,19 +110,22 @@ class TestChsh:
 
 
 class TestDirections:
-    def test_normalizes_small_drift(self):
+    def test_normalizes_small_drift(self, flat_pair):
+        # a rotation 1e-9 off orthogonal, inside the orthonormality
+        # diagnostic's bound, still gives a unit axis that correlation accepts
+        drifted = dataclasses.replace(flat_pair, rotation2=(1.0 + 1e-9) * flat_pair.rotation2)
         a = np.array([1.0 + 1e-12, 0.0, 0.0])
-        b = matched_direction(singlet(), a)
+        b = matched_axis(drifted, a)
         assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-15)
-        assert correlation(singlet(), a, b) == pytest.approx(-1.0, abs=1e-12)
+        assert correlation(drifted.state, a, b) == pytest.approx(-1.0, abs=1e-12)
 
-    def test_rejects_non_unit(self):
+    def test_rejects_non_unit(self, flat_pair):
         a = np.array([0.0, 0.0, 1.0])
         for bad in ([2.0, 0.0, 0.0], [0.0, 0.0], [0.0, 0.0, 0.0]):
             with pytest.raises(UsageError, match="particle 2 must be a unit 3-vector"):
                 correlation(singlet(), a, bad)
             with pytest.raises(UsageError, match="particle 1 must be a unit 3-vector"):
-                matched_direction(singlet(), bad)
+                matched_axis(flat_pair, bad)
 
     def test_measurement_operator_spectrum(self):
         # a.sigma has eigenvalues -1 and +1, so a product state along the
