@@ -194,8 +194,8 @@ def integrate_geodesic(
         ys[:, 4:].copy(),
         meta={"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs},
     )
-    g = st.metric(seg.events)
-    norms = np.einsum("km,kmn,kn->k", seg.tangents, g, seg.tangents)
+    g = np.diagonal(st.metric(seg.events), axis1=-2, axis2=-1)
+    norms = np.sum(g * seg.tangents * seg.tangents, axis=-1)
     drift = float(np.max(np.abs(norms + 1.0)))
     seg.meta["norm_drift"] = drift
     if drift > max(10.0 * tol, 1.0e-9):

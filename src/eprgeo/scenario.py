@@ -391,7 +391,16 @@ def _build_leg(sc: Scenario, st: Spacetime, origin: Event, det: DetectorSpec, la
     report.add(f"{label}_line_search_halvings", int(shot.halvings))
     report.add(f"{label}_trial_integrations", int(shot.trials))
     if seg is None:
-        report.fail(f"{label}: no timelike geodesic found: {shot.message}")
+        # a spacelike or null chord does not rule out a timelike geodesic in a
+        # curved chart, so it is reported with the failure, not rejected
+        _, interval = chord(st, origin, Event(det.target))
+        why = ""
+        if interval >= 0.0:
+            why = (
+                " (the chord to the target is not timelike at the decay event:"
+                f" g(dx, dx) = {interval:.3g})"
+            )
+        report.fail(f"{label}: no timelike geodesic found: {shot.message}{why}")
         return None
     _add_leg_rows(report, label, seg)
     return seg

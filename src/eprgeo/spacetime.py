@@ -8,14 +8,19 @@ lookup by name; ``require_event`` is the one chart check on an Event.
 Evaluators are vectorized: coordinates of shape (..., 4) give metrics of
 shape (..., 4, 4) and Christoffel symbols of shape (..., 4, 4, 4), indexed
 as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``, and ``in_chart`` gives a
-boolean mask over the leading axes.  ``static_connection`` is batched too,
-but returns no Gamma: it gives the six static-frame connection coefficients
-already contracted with a batch of chords, in closed form, which is all the
-spinor transport reads.  Two exceptions serve the integrator's step, which
-works on one state at a time: ``geodesic_rhs`` takes a state as a sequence of
-8 Python floats and returns the closed-form right-hand side as a tuple of
-floats, and ``contains`` is ``in_chart`` for one point given as 4 floats.  At
-one point NumPy's per-call overhead costs more than the arithmetic.
+boolean mask over the leading axes.  No transport or integration path reads
+``christoffel``: it is the oracle, checked against finite differences, that
+the closed forms below are tested against.  ``connection_matrix(x, u)`` is
+batched and gives W^l_s = -Gamma^l_ms u^m as (..., 4, 4) in closed form,
+which is all the vector transport reads.  ``static_connection`` is batched
+too, but gives the six static-frame connection coefficients already
+contracted with a batch of chords, in closed form, which is all the spinor
+transport reads; the two share no code.  Two exceptions serve the
+integrator's step, which works on one state at a time: ``geodesic_rhs``
+takes a state as a sequence of 8 Python floats and returns the closed-form
+right-hand side as a tuple of floats, and ``contains`` is ``in_chart`` for
+one point given as 4 floats.  At one point NumPy's per-call overhead costs
+more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -97,6 +102,14 @@ class Spacetime:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def connection_matrix(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """W^l_s = -Gamma^l_ms u^m at points x for velocities u (batched).
+
+        x and u broadcast over their leading axes; the result is
+        (..., 4, 4), in closed form, with no Gamma array filled.
+        """
+        raise NotImplementedError
+
     def static_connection(self, x: np.ndarray, dx: np.ndarray) -> tuple:
         """Static-frame connection along chords dx at points x (batched).
 
@@ -150,6 +163,9 @@ class Minkowski(Spacetime):
     def christoffel(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (4, 4, 4))
+
+    def connection_matrix(self, x, u):
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u))[:-1] + (4, 4))
 
     def static_connection(self, x, dx):
         zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(dx))[:-1])
@@ -214,6 +230,35 @@ class Schwarzschild(Spacetime):
         G[..., 3, 1, 3] = G[..., 3, 3, 1] = 1.0 / r
         G[..., 3, 2, 3] = G[..., 3, 3, 2] = cos / sin
         return G
+
+    def connection_matrix(self, x, u):
+        x = np.asarray(x, dtype=float)
+        ut, ur, uth, uph = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
+        M = self.mass
+        r = x[..., 1]
+        th = x[..., 2]
+        f = 1.0 - 2.0 * M / r
+        sin = np.sin(th)
+        cos = np.cos(th)
+        # each entry is minus the Gamma above times the one or two u^m it meets
+        g001 = M / (r * r * f)
+        r_2m = r - 2.0 * M
+        inv_r = 1.0 / r
+        cot = cos / sin
+        W = np.zeros(np.broadcast_shapes(x.shape, np.shape(u))[:-1] + (4, 4))
+        W[..., 0, 0] = -g001 * ur
+        W[..., 0, 1] = -g001 * ut
+        W[..., 1, 0] = -(M * f / (r * r)) * ut
+        W[..., 1, 1] = g001 * ur
+        W[..., 1, 2] = r_2m * uth
+        W[..., 1, 3] = r_2m * sin * sin * uph
+        W[..., 2, 1] = -inv_r * uth
+        W[..., 2, 2] = -inv_r * ur
+        W[..., 2, 3] = sin * cos * uph
+        W[..., 3, 1] = -inv_r * uph
+        W[..., 3, 2] = -cot * uph
+        W[..., 3, 3] = -(inv_r * ur + cot * uth)
+        return W
 
     def static_connection(self, x, dx):
         x = np.asarray(x, dtype=float)
@@ -325,6 +370,28 @@ class WeakField(Spacetime):
         term = term - np.einsum("jk,...i->...ijk", d, dP)
         G[..., 1:, 1:, 1:] = -term / B[..., None, None, None]
         return G
+
+    def connection_matrix(self, x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        phi, grad = self._potential(x[..., 1:])
+        two_eps_phi = 2.0 * self.epsilon * phi
+        A = (1.0 + two_eps_phi)[..., None]
+        B = (1.0 - two_eps_phi)[..., None]
+        d = self.epsilon * grad  # gradient of eps*phi
+        ut, v = u[..., :1], u[..., 1:]
+        dv = np.sum(d * v, axis=-1, keepdims=True)
+        # W^0_0 = -(d.v)/A, W^0_i = -d_i u^t/A, W^i_0 = -d_i u^t/B,
+        # W^i_j = (delta_ij (d.v) + v^i d_j - v^j d_i)/B
+        W = np.empty(np.broadcast_shapes(x.shape, u.shape)[:-1] + (4, 4))
+        W[..., 0, :1] = -dv / A
+        W[..., 0, 1:] = -(d / A) * ut
+        W[..., 1:, 0] = -(d / B) * ut
+        vd = v[..., :, None] * d[..., None, :]
+        vd = vd - np.swapaxes(vd, -1, -2)
+        vd[..., [0, 1, 2], [0, 1, 2]] = dv
+        W[..., 1:, 1:] = vd / B[..., None]
+        return W
 
     def static_connection(self, x, dx):
         x = np.asarray(x, dtype=float)

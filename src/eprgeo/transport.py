@@ -4,24 +4,26 @@ Vector transport works in world indices: the endpoint-to-endpoint propagator
 P solves dP/dtau = W P with W^l_s = -Gamma^l_ms u^m, integrated with one
 classical RK4 step per sample interval.  The coefficient at the interval
 midpoint comes from cubic Hermite interpolation of the stored samples
-(positions from (x, u), velocities from (u, a)), with one Gamma per node and
-per midpoint.  Gamma is symmetric in its lower indices, so each W is one
-contraction over Gamma's contiguous last axis, and the node accelerations
-are a = W u, not a second contraction of Gamma.
+(positions from (x, u), velocities from (u, a)), with one W per node and
+per midpoint from the spacetime's closed-form ``connection_matrix``, which
+fills no Gamma array; the node accelerations are a = W u.  The midpoint W,
+the RK4 stages and their ordered product are formed block by block of
+sample intervals, and the block products are multiplied in order.
 
 Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
 the Hermite midpoint positions (which need no Gamma).
 spin_connection_components gives each static-frame generator, already
 contracted with its chord, as three component arrays from the spacetime's
 closed-form connection coefficients, and ordered_exp_product exponentiates
-and multiplies them on components, chord axis first; so this route reads no
-Gamma at all and is independent of the vector route down to the Christoffel
-symbols.  The boosted-static gauge conjugates the product once by
-gauge_lift(gauge).  Each factor has determinant one and the factor for the
-reversed interval is its exact adjugate inverse, which is why a retraced
-path gives the identity to machine precision rather than to integration
-accuracy.  The SU(2) sign of the result is whatever the continuous
-composition along the path produces; no branch is re-chosen afterwards.
+and multiplies them on components, chord axis first; so this route reads
+neither Gamma nor W, and the two routes share no connection code: the vector
+route reads W and the spinor route the six static-frame coefficients.  The
+boosted-static gauge conjugates the product once by gauge_lift(gauge).
+Each factor has determinant one and the factor for the reversed interval is
+its exact adjugate inverse, which is why a retraced path gives the identity
+to machine precision rather than to integration accuracy.  The SU(2) sign
+of the result is whatever the continuous composition along the path
+produces; no branch is re-chosen afterwards.
 
 Endpoint propagators are cached on the segment, keyed by gauge where that
 matters; reversed segments carry their own cache.
@@ -83,14 +85,11 @@ def _midpoints(seg: GeodesicSegment) -> tuple[np.ndarray, float]:
     return 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:]), h
 
 
-def _connection_matrix(gam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """W^l_s = -Gamma^l_ms u^m for (n, 4, 4, 4) Gamma and (n, 4) velocities.
-
-    Gamma is symmetric in its lower indices, so the sum runs over its
-    contiguous last axis: one (16, 4) @ (4,) product per point.
-    """
-    n = len(u)
-    return (gam.reshape(n, 16, 4) @ -u[:, :, None]).reshape(n, 4, 4)
+#: sample intervals per block of the vector route.  Blocks keep the stage
+#: arrays small (128 KiB each) instead of one (n, 4, 4) array per stage; a
+#: power of two, so the blocks' ordered products combine into exactly the
+#: pairwise tree that ordered_product builds over all intervals at once
+_BLOCK = 1024
 
 
 def world_propagator(seg: GeodesicSegment) -> np.ndarray:
@@ -102,31 +101,21 @@ def world_propagator(seg: GeodesicSegment) -> np.ndarray:
     else:
         st = seg.spacetime
         u = seg.tangents
-        # the Hermite accelerations a = W u come from the node W, so Gamma is
-        # contracted once per point set; the node Gamma is freed only just
-        # before Gamma at the midpoints, whose allocation can then reuse it
-        gam = st.christoffel(seg.events)
-        w_nodes = _connection_matrix(gam, u)
+        # the Hermite accelerations a = W u come from the node W
+        w_nodes = st.connection_matrix(seg.events, u)
         acc = np.einsum("...ls,...s->...l", w_nodes, u)
         x_mid, h = _midpoints(seg)
         u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
-        del gam, acc
-        wm = _connection_matrix(st.christoffel(x_mid), u_mid)
-        k1, w1 = w_nodes[:-1], w_nodes[1:]
-        # the RK4 sum k1 + 2 k2 + 2 k3 + k4 is accumulated in place, in
-        # that order, as each stage is formed, so at most two stages live
-        k2 = wm + (0.5 * h) * (wm @ k1)
-        acc = k1 + 2.0 * k2
-        k3 = wm + (0.5 * h) * (wm @ k2)
-        del k2
-        acc += 2.0 * k3
-        k4 = w1 + h * (w1 @ k3)
-        del k3
-        acc += k4
-        del k4
-        acc *= h / 6.0
-        acc += _EYE4
-        p = ordered_product(acc)
+        products = []
+        for lo in range(0, len(x_mid), _BLOCK):
+            hi = min(lo + _BLOCK, len(x_mid))
+            wm = st.connection_matrix(x_mid[lo:hi], u_mid[lo:hi])
+            k1, w1 = w_nodes[lo:hi], w_nodes[lo + 1 : hi + 1]
+            k2 = wm + (0.5 * h) * (wm @ k1)
+            k3 = wm + (0.5 * h) * (wm @ k2)
+            k4 = w1 + h * (w1 @ k3)
+            products.append(ordered_product(_EYE4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
+        p = ordered_product(np.stack(products))
     seg.cache["world_propagator"] = p
     return p
 

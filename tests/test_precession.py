@@ -99,22 +99,28 @@ def test_massless_schwarzschild_has_no_circular_orbit():
 
 
 def test_both_routes_evaluate_christoffel_once_per_node(monkeypatch):
-    """The vector route at the nodes and midpoints, n + (n - 1) points for an
-    orbit of n samples; the spinor route never."""
+    """The vector route evaluates W once at the nodes and midpoints, n + (n - 1)
+    points for an orbit of n samples, and no Gamma; the spinor route neither."""
     st = make_spacetime("schwarzschild", {"M": 1.0})
     seg = integrate_orbit(st, 10.0)
-    points = []
-    christoffel = st.christoffel
+    points = {"christoffel": [], "connection_matrix": []}
 
-    def counted(x):
-        points.append(int(np.prod(np.shape(x)[:-1])))
-        return christoffel(x)
+    def counted(name):
+        method = getattr(st, name)
 
-    monkeypatch.setattr(st, "christoffel", counted)
+        def count(x, *args):
+            points[name].append(int(np.prod(np.shape(x)[:-1])))
+            return method(x, *args)
+
+        return count
+
+    for name in points:
+        monkeypatch.setattr(st, name, counted(name))
     rest_frame_holonomy_angle(seg, "static")
     n = seg.n_samples
     assert n == 8313
-    assert sum(points) == n + (n - 1) == 16625
-    points.clear()
+    assert sum(points["connection_matrix"]) == n + (n - 1) == 16625
+    assert points["christoffel"] == []
+    points["connection_matrix"].clear()
     spinor_holonomy_angle(seg, "static")
-    assert points == []
+    assert points == {"christoffel": [], "connection_matrix": []}

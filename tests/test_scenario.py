@@ -1,6 +1,7 @@
 """Scenario text parsing, validation errors, and the end-to-end run."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import sys
@@ -491,6 +492,20 @@ class TestRun:
         quantities = [r.quantity for r in report.rows]
         assert "geodesic2_endpoint_residual" in quantities
         assert not any(q == "E_matched" for q in quantities)
+
+    def test_spacelike_target_failure_names_the_separation(self, tmp_path):
+        # FULL's target is spacelike-separated from its decay event: the shot
+        # stalls, and the failure row says what the chord's interval is
+        path = tmp_path / "full.cfg"
+        path.write_text(FULL, encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+        failures = [r[4] for r in rows[1:] if r[1] == "failure"]
+        assert failures == [
+            "geodesic2: no timelike geodesic found: line search stalled"
+            " (the chord to the target is not timelike at the decay event: g(dx, dx) = 5.75)"
+        ]
 
     def test_flat_dephasing_control_with_sigma_zero_first(self):
         # fidelities of 1 differ in the last ulp between sigmas while both

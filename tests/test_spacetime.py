@@ -180,6 +180,64 @@ def test_geodesic_rhs_matches_christoffel_contraction(kind, params):
             assert np.all(out[4:] == 0.0)
 
 
+def christoffel_contraction(st, x, u):
+    """W^l_s = -Gamma^l_sm u^m from the Christoffel oracle, over the last axis."""
+    return np.einsum("...lsm,...m->...ls", st.christoffel(x), -u)
+
+
+def _connection_points(kind, params, rng):
+    """States (x, u) at the chart's edges: just outside r_min, next to the
+    axis band, and (weak field, Minkowski) so far out that the potential's
+    gradient is 0."""
+    states = _rhs_states(kind, params, rng)
+    x, u = states[:, :4], states[:, 4:]
+    if kind == "schwarzschild":
+        r_min = make_spacetime(kind, params).r_min
+        th_axis = np.arcsin(AXIS_GUARD)
+        edge = np.tile([0.3, 10.0, 1.2, 0.4], (12, 1))
+        edge[:4, 1] = r_min + np.arange(1, 5) * np.spacing(r_min)
+        edge[4:8, 2] = th_axis + np.arange(2, 6) * np.spacing(th_axis)
+        edge[8:, 2] = np.pi - th_axis - np.arange(2, 6) * np.spacing(np.pi)
+    else:
+        edge = np.array([[0.0, s * 1.0e100, -s * 1.0e100, 0.3] for s in (1.0, 10.0, 1.0e3, 1.0e60)])
+        edge = np.concatenate([edge, [[1.0, 1.0e200, 2.0e200, -1.0e200], [0.0, 0.0, 0.0, 0.0]]])
+    x = np.concatenate([x, edge])
+    u = np.concatenate([u, rng.normal(size=(len(edge), 4))])
+    return x, u
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("schwarzschild", {"M": 1.0}),
+        ("schwarzschild", {"M": 0.5}),
+        ("weak_field", {"epsilon": 0.1, "softening": 0.5}),
+        ("weak_field", {"epsilon": -0.1, "softening": 2.0}),
+        ("minkowski", {}),
+    ],
+)
+def test_connection_matrix_matches_christoffel_contraction(kind, params):
+    st = make_spacetime(kind, params)
+    x, u = _connection_points(kind, params, np.random.default_rng(13))
+    assert np.all(st.in_chart(x))
+    n = len(x) // 2 * 2
+    for xs, us in ((x, u), (x[:n].reshape(2, -1, 4), u[:n].reshape(2, -1, 4))):
+        w = st.connection_matrix(xs, us)
+        oracle = christoffel_contraction(st, xs, us)
+        assert w.shape == xs.shape[:-1] + (4, 4)
+        assert np.all(np.abs(w - oracle) <= 1.0e-14 * np.maximum(1.0, np.abs(oracle)))
+    for k in (0, len(x) - 1):
+        w = st.connection_matrix(x[k], u[k])
+        oracle = christoffel_contraction(st, x[k], u[k])
+        assert w.shape == (4, 4)
+        assert np.all(np.abs(w - oracle) <= 1.0e-14 * np.maximum(1.0, np.abs(oracle)))
+    if kind == "minkowski":
+        assert np.all(st.connection_matrix(x, u) == 0.0)
+    if kind == "weak_field":
+        # far out s**3 overflows, so the gradient is an exact 0, with no warning
+        assert np.all(st.connection_matrix(x[-3:-1], u[-3:-1]) == 0.0)
+
+
 def test_geodesic_rhs_at_huge_weak_field_coordinates():
     # the squared distance overflows to inf; the gradient vanishes, no error
     st = make_spacetime("weak_field", {"epsilon": 0.1})

@@ -7,10 +7,12 @@ cover.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import eprgeo.transport as transport
 from conftest import vector_action
 from eprgeo import (
     Event,
@@ -18,6 +20,7 @@ from eprgeo import (
     integrate_orbit,
     make_spacetime,
     pair_transport,
+    rest_frame_holonomy_angle,
     sample_bundle,
     spinor_holonomy_angle,
 )
@@ -119,6 +122,41 @@ def test_world_propagator_matches_the_einsum_contraction(static_tangent, kind, p
     assert np.max(np.abs(world_propagator(seg) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def test_world_propagator_memory_peak_on_a_long_orbit(schwarzschild):
+    """The vector route holds one (n, 4, 4) array, the node W, and works
+    through the intervals in blocks: on the 11,311-sample r = 12 orbit it
+    peaks at about 3.3 MiB, where a dense (n, 4, 4, 4) Gamma at the nodes
+    alone would take 5.5 MiB."""
+    seg = integrate_orbit(schwarzschild, 12.0)
+    assert seg.n_samples == 11311
+    tracemalloc.start()
+    try:
+        world_propagator(seg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * 2**20
+
+
+@pytest.mark.parametrize("block", [8, 1024])
+def test_world_propagator_blocks_multiply_into_one_product(schwarzschild, static_tangent, monkeypatch, block):
+    """Power-of-two blocks of intervals give bitwise the product of one block,
+    with a partial last block (the r = 10 orbit's 8,312 intervals) and with
+    whole blocks only (64 intervals)."""
+    coords = np.array([0.0, 9.0, 1.2, 0.3])
+    u0 = static_tangent(schwarzschild, coords, [0.3, 0.1, -0.2])
+    segs = [
+        integrate_orbit(schwarzschild, 10.0),
+        integrate_geodesic(schwarzschild, Event(coords), u0, 1.5, n_samples=65),
+    ]
+    monkeypatch.setattr(transport, "_BLOCK", block)
+    blocked = [world_propagator(seg) for seg in segs]
+    monkeypatch.setattr(transport, "_BLOCK", 1 << 20)
+    for seg, p in zip(segs, blocked):
+        seg.cache.clear()
+        assert np.array_equal(world_propagator(seg), p)
+
+
 class TestTetradTransport:
     def test_orthonormality_preserved(self, schwarzschild, battery):
         for seg in battery[:5]:
@@ -179,13 +217,18 @@ class TestSpinorTransport:
         assert np.allclose(u, ID2, rtol=0.0, atol=1e-15)
 
     def test_spinor_route_reads_no_christoffel_symbols(self, static_tangent, monkeypatch):
-        """The runtime cross-check between the routes is independent down to Gamma."""
+        """The runtime cross-check between the routes is independent down to
+        the connection: the spinor route reads neither Gamma nor W."""
         st = make_spacetime("schwarzschild", {"M": 1.0})
 
         def no_christoffel(x):
             raise AssertionError("the spinor route evaluated Christoffel symbols")
 
+        def no_connection_matrix(x, u):
+            raise AssertionError("the spinor route evaluated the connection matrix")
+
         monkeypatch.setattr(st, "christoffel", no_christoffel)
+        monkeypatch.setattr(st, "connection_matrix", no_connection_matrix)
         coords = np.array([0.0, 9.0, 1.2, 0.3])
         u0 = static_tangent(st, coords, [0.3, 0.1, -0.2])
         seg = integrate_geodesic(st, Event(coords), u0, 1.5)
@@ -195,8 +238,24 @@ class TestSpinorTransport:
         assert polygon_spinor_transport(st, paths).shape == (2, 2, 2)
         orbit = integrate_orbit(st, 10.0, n_orbits=0.1)
         assert 0.0 < spinor_holonomy_angle(orbit) < np.pi
-        with pytest.raises(AssertionError, match="Christoffel"):
+        with pytest.raises(AssertionError, match="connection matrix"):
             world_propagator(seg)
+
+    def test_vector_route_reads_no_christoffel_symbols(self, static_tangent, monkeypatch):
+        """Gamma is the test oracle only: the vector route reads the closed-form W."""
+        st = make_spacetime("schwarzschild", {"M": 1.0})
+
+        def no_christoffel(x):
+            raise AssertionError("the vector route evaluated Christoffel symbols")
+
+        monkeypatch.setattr(st, "christoffel", no_christoffel)
+        coords = np.array([0.0, 9.0, 1.2, 0.3])
+        seg1 = integrate_geodesic(st, Event(coords), static_tangent(st, coords, [0.3, 0.1, -0.2]), 1.5)
+        seg2 = integrate_geodesic(st, Event(coords), static_tangent(st, coords, [-0.3, 0.0, 0.2]), 1.5)
+        assert world_propagator(seg1).shape == (4, 4)
+        orbit = integrate_orbit(st, 10.0, n_orbits=0.1)
+        assert 0.0 < rest_frame_holonomy_angle(orbit)[0] < np.pi
+        assert pair_transport(seg1, seg2).relative_rotation.shape == (3, 3)
 
     def test_lifted_spin_connection_shape(self, schwarzschild):
         x = np.array([[0.0, 8.0, 1.2, 0.1], [0.5, 9.0, 1.4, -0.3]])
