@@ -36,8 +36,8 @@ print(f"  azimuth - 2 pi       {seg.events[-1, 3] - 2 * np.pi:+.3e}")
 # Killing symmetries of the metric give two conserved numbers along any
 # geodesic: the energy -g_tt u^t and angular momentum g_pp u^p.
 g = st.metric(seg.events)
-energy = -(g[:, 0, 0] * seg.tangents[:, 0])
-angmom = g[:, 3, 3] * seg.tangents[:, 3]
+energy = -(g[:, 0] * seg.tangents[:, 0])
+angmom = g[:, 3] * seg.tangents[:, 3]
 print(f"  energy spread        {np.ptp(energy):.3e}")
 print(f"  ang momentum spread  {np.ptp(angmom):.3e}")
 

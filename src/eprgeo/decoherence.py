@@ -157,7 +157,7 @@ def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     dx = xs[..., 1:, :] - xs[..., :-1, :]
     mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
-    g = np.diagonal(st.metric(mid), axis1=-2, axis2=-1)
+    g = st.metric(mid)
     num = np.sum(g * dx * dx, axis=-1)
     return np.sum(num / np.diff(taus), axis=-1)
 

@@ -4,9 +4,9 @@ A frame at an event is a matrix N whose columns are the frame legs in
 coordinate components, with N^T g N = eta and the timelike leg in column
 zero.  The "static" gauge is the signature Gram-Schmidt frame built from the
 coordinate basis in order (t, then the spatial axes).  Every metric here is
-diagonal in its chart, so that frame is diag(|g_aa|^(-1/2)); a non-diagonal
-metric raises DomainError.  The "boosted-static" gauge multiplies it on the
-right by a constant boost, so gauge independence can be tested.
+diagonal in its chart and is given as its diagonal g_aa, so that frame is
+diag(|g_aa|^(-1/2)).  The "boosted-static" gauge multiplies it on the right
+by a constant boost, so gauge independence can be tested.
 
 The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form at
 the point, with no frame derivative and no differencing.
@@ -22,16 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, UsageError
-from .lorentz import ETA, ID2, pure_boost_sl2, sl2_components, sl2_matrix
+from .errors import UsageError
+from .lorentz import ETA, ETA_DIAG, ID2, pure_boost_sl2, sl2_components, sl2_matrix
 from .spacetime import Spacetime, require_static_frame
 
 GAUGES = ("static", "boosted-static")
 
 # rapidity of the constant frame boost used by the boosted-static gauge
 BOOST_RAPIDITY = 0.3
-
-_ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
 
 
 def gauge_boost() -> np.ndarray:
@@ -54,16 +52,12 @@ def check_gauge(gauge: str) -> None:
 def gram_schmidt_frame(g: np.ndarray) -> np.ndarray:
     """Signature Gram-Schmidt frame of the coordinate basis.  Batched.
 
-    Returns N with N^T g N = eta, column 0 timelike.  For a diagonal g every
-    projection coefficient is an exact zero, so N = diag(|g_aa|^(-1/2))
-    bitwise.  Raises DomainError on a non-diagonal metric or a wrong
-    signature at the point (e.g. inside a horizon).
+    g is the metric's diagonal g_aa, shape (..., 4).  Returns N with
+    N^T g N = eta, column 0 timelike: every projection coefficient of a
+    diagonal metric is an exact zero, so N = diag(|g_aa|^(-1/2)).  Raises
+    DomainError on a wrong signature at the point (e.g. inside a horizon).
     """
-    g = np.asarray(g, dtype=float)
-    d = np.diagonal(g, axis1=-2, axis2=-1)
-    if np.count_nonzero(g) != np.count_nonzero(d):
-        raise DomainError("metric is not diagonal in its chart at a requested event")
-    nrm2 = _ETA_DIAG * d
+    nrm2 = ETA_DIAG * np.asarray(g, dtype=float)
     require_static_frame(nrm2)
     return (1.0 / np.sqrt(nrm2))[..., None] * np.eye(4)
 
@@ -78,8 +72,11 @@ def frame_field(st: Spacetime, coords: np.ndarray, gauge: str = "static") -> np.
 
 
 def inverse_frame(n: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Exact inverse of any frame with N^T g N = eta:  N^{-1} = eta N^T g."""
-    return ETA @ np.swapaxes(n, -1, -2) @ g
+    """Exact inverse of any frame with N^T g N = eta:  N^{-1} = eta N^T g.
+
+    g is the metric's diagonal, so the product with g scales the columns.
+    """
+    return ETA @ np.swapaxes(n, -1, -2) * g[..., None, :]
 
 
 def gauge_lift(gauge: str) -> np.ndarray:
@@ -108,6 +105,6 @@ def spin_connection(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.nda
 
 
 def orthonormality_defect(g: np.ndarray, n: np.ndarray) -> float:
-    """max |N^T g N - eta| over the batch; the frame-quality figure."""
-    r = np.einsum("...ma,...mn,...nb->...ab", n, g, n) - ETA
+    """max |N^T g N - eta| over the batch, g the metric's diagonal; the frame-quality figure."""
+    r = np.einsum("...ma,...m,...mb->...ab", n, g, n) - ETA
     return float(np.max(np.abs(r)))

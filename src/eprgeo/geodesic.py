@@ -162,7 +162,7 @@ def integrate_geodesic(
     if u0.shape != (4,):
         raise UsageError(f"4-velocity must have shape (4,), got {u0.shape}")
 
-    q = float(u0 @ st.metric(event0.coords) @ u0)
+    q = float((st.metric(event0.coords) * u0) @ u0)
     if not q < 0.0:
         raise UsageError("initial 4-velocity must be timelike")
     if u0[0] <= 0.0:
@@ -194,7 +194,7 @@ def integrate_geodesic(
         ys[:, 4:].copy(),
         meta={"n_steps": n_steps, "n_rejected": n_rejected, "n_rhs": n_rhs},
     )
-    g = np.diagonal(st.metric(seg.events), axis1=-2, axis2=-1)
+    g = st.metric(seg.events)
     norms = np.sum(g * seg.tangents * seg.tangents, axis=-1)
     drift = float(np.max(np.abs(norms + 1.0)))
     seg.meta["norm_drift"] = drift
@@ -370,7 +370,7 @@ def chord(st: Spacetime, origin: Event, target: Event) -> tuple[np.ndarray, floa
     g0 = metric_at(st, origin)
     with np.errstate(over="ignore", invalid="ignore"):
         dx = _wrap_residual(st, target.coords - origin.coords)
-        interval = float(dx @ g0 @ dx)
+        interval = float((g0 * dx) @ dx)
     if not np.isfinite(interval):
         raise UsageError(f"target too far from {origin!r}: g(dx, dx) = {interval}")
     return dx, interval

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import UsageError
 
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+ETA_DIAG = np.array([-1.0, 1.0, 1.0, 1.0])
+ETA = np.diag(ETA_DIAG)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -144,10 +145,10 @@ def rotation_matrix_from_su2(w: np.ndarray) -> np.ndarray:
 def _unit_timelike(u_hat: np.ndarray) -> np.ndarray:
     u = np.asarray(u_hat, dtype=float)
     nrm = -(u @ ETA @ u)
-    if nrm <= 0.0:
+    if not nrm > 0.0:
         raise UsageError("expected a timelike frame 4-velocity")
     u = u / np.sqrt(nrm)
-    if u[0] <= 0.0:
+    if not u[0] > 0.0:
         raise UsageError("expected a future-directed frame 4-velocity")
     return u
 
@@ -188,7 +189,7 @@ def lorentz_polar(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     R fixes the time axis, so its spatial block is the rotation part.
     """
     L = np.asarray(L, dtype=float)
-    if L[0, 0] <= 0.0:
+    if not L[0, 0] > 0.0:
         raise UsageError("non-orthochronous Lorentz map")
     u = L[:, 0]
     B = pure_boost(u)

@@ -266,7 +266,7 @@ def _values(entries: dict) -> dict:
 def _require_future_timelike(g: np.ndarray, u: np.ndarray, line: int, key: str) -> None:
     """Reject a 4-vector that is not timelike and future-directed under g."""
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(u @ g @ u)
+        norm = float((g * u) @ u)
     if not (-np.inf < norm < 0.0 and u[0] > 0.0):
         raise _err(line, f"{key} must be timelike and future-directed, got g(u, u) = {norm}")
 

@@ -5,8 +5,9 @@ Geometric units G = c = 1 throughout; metric signature (-,+,+,+).
 Each spacetime class checks its own parameters, so ``make_spacetime`` is a
 lookup by name; ``require_event`` is the one chart check on an Event.
 
-Evaluators are vectorized: coordinates of shape (..., 4) give metrics of
-shape (..., 4, 4) and Christoffel symbols of shape (..., 4, 4, 4), indexed
+Evaluators are vectorized.  Every metric here is diagonal in its chart, so
+coordinates of shape (..., 4) give the metric as its diagonal g_aa, also
+of shape (..., 4), and Christoffel symbols of shape (..., 4, 4, 4), indexed
 as ``gamma[..., lam, mu, nu] = Gamma^lam_{mu nu}``, and ``in_chart`` gives a
 boolean mask over the leading axes.  No transport or integration path reads
 ``christoffel``: it is the oracle, checked against finite differences, that
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, UsageError
-from .lorentz import ETA
+from .lorentz import ETA_DIAG
 
 #: excluded band around the polar axis of spherical charts, sin(theta) <= guard
 AXIS_GUARD = 1.0e-6
@@ -97,6 +98,11 @@ class Spacetime:
             )
 
     def metric(self, x: np.ndarray) -> np.ndarray:
+        """The metric components g_aa at points x (batched), shape x.shape.
+
+        Every metric here is diagonal in its chart, so the four diagonal
+        entries are the whole metric: g(u, v) = sum_a g_aa u^a v^a.
+        """
         raise NotImplementedError
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
@@ -158,7 +164,7 @@ class Minkowski(Spacetime):
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(ETA, x.shape[:-1] + (4, 4)).copy()
+        return np.broadcast_to(ETA_DIAG, x.shape).copy()
 
     def christoffel(self, x):
         x = np.asarray(x, dtype=float)
@@ -204,12 +210,7 @@ class Schwarzschild(Spacetime):
         r = x[..., 1]
         th = x[..., 2]
         f = 1.0 - 2.0 * self.mass / r
-        g = np.zeros(x.shape[:-1] + (4, 4))
-        g[..., 0, 0] = -f
-        g[..., 1, 1] = 1.0 / f
-        g[..., 2, 2] = r * r
-        g[..., 3, 3] = (r * np.sin(th)) ** 2
-        return g
+        return np.stack([-f, 1.0 / f, r * r, (r * np.sin(th)) ** 2], axis=-1)
 
     def christoffel(self, x):
         x = np.asarray(x, dtype=float)
@@ -349,11 +350,8 @@ class WeakField(Spacetime):
         x = np.asarray(x, dtype=float)
         phi, _ = self._potential(x[..., 1:])
         two_eps_phi = 2.0 * self.epsilon * phi
-        g = np.zeros(x.shape[:-1] + (4, 4))
-        g[..., 0, 0] = -(1.0 + two_eps_phi)
-        for i in (1, 2, 3):
-            g[..., i, i] = 1.0 - two_eps_phi
-        return g
+        B = 1.0 - two_eps_phi
+        return np.stack([-(1.0 + two_eps_phi), B, B, B], axis=-1)
 
     def christoffel(self, x):
         x = np.asarray(x, dtype=float)
@@ -462,6 +460,6 @@ def require_event(st: Spacetime, e: Event) -> None:
 
 
 def metric_at(st: Spacetime, e: Event) -> np.ndarray:
-    """Metric components g_{mu nu} at an event.  Raises DomainError outside the chart."""
+    """Metric components g_aa at an event, shape (4,).  Raises DomainError outside the chart."""
     require_event(st, e)
     return st.metric(e.coords)

@@ -48,12 +48,12 @@ class TwoQubitState:
         if self.kind == "pure":
             if data.shape != (4,):
                 raise UsageError("pure state data must be a 4-vector")
-            if abs(np.linalg.norm(data) - 1.0) > 1.0e-10:
+            if not abs(np.linalg.norm(data) - 1.0) <= 1.0e-10:
                 raise UsageError("pure state must be normalized")
         elif self.kind == "mixed":
             if data.shape != (4, 4):
                 raise UsageError("mixed state data must be a 4x4 matrix")
-            if np.max(np.abs(data - data.conj().T)) > 1.0e-10:
+            if not np.max(np.abs(data - data.conj().T)) <= 1.0e-10:
                 raise UsageError("density matrix must be Hermitian")
             if abs(np.trace(data).real - 1.0) > 1.0e-10:
                 raise UsageError("density matrix must have unit trace")
@@ -73,7 +73,7 @@ class TwoQubitState:
 def _direction_vector(a, side: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     n = np.linalg.norm(a)
-    if a.shape != (3,) or abs(n - 1.0) > 1.0e-10:
+    if a.shape != (3,) or not abs(n - 1.0) <= 1.0e-10:
         raise UsageError(f"measurement direction for particle {side} must be a unit 3-vector")
     return a / n
 

@@ -182,6 +182,6 @@ def transport_tetrad(seg: GeodesicSegment, n0: Tetrad) -> Tetrad:
     if not same_event(n0.event, seg.start, tol=1.0e-12):
         raise UsageError("tetrad is not attached to the segment's first event")
     defect = n0.defect(seg.spacetime)
-    if defect > 100.0 * ORTHO_TOL:
+    if not defect <= 100.0 * ORTHO_TOL:
         raise UsageError(f"input tetrad is not orthonormal (defect {defect:.3e})")
     return Tetrad(seg.end, world_propagator(seg) @ n0.matrix)

@@ -158,7 +158,7 @@ def test_06_conservation_diagnostics(schwarzschild, battery):
     ortho = 0.0
     for seg in battery:
         norms = np.einsum(
-            "ki,kij,kj->k", seg.tangents, schwarzschild.metric(seg.events), seg.tangents
+            "ki,ki,ki->k", seg.tangents, schwarzschild.metric(seg.events), seg.tangents
         )
         drift = max(drift, float(np.max(np.abs(norms + 1.0))))
         moved = transport_tetrad(seg, gauge_tetrad(schwarzschild, seg.start, "static"))

@@ -108,7 +108,7 @@ class TestSampling:
         k = np.argmin(np.abs(b.taus - b.taus[-1] / 2.0))
         d = b.paths[:, k] - b.base_knots[k]
         g = schwarzschild.metric(b.base_knots[k])
-        sq = np.einsum("na,ab,nb->n", d, g, d)
+        sq = np.einsum("na,a,na->n", d, g, d)
         per_axis = np.sqrt(np.mean(sq) / 3.0)
         expected = sigma * np.sin(np.pi * b.taus[k] / b.taus[-1])
         assert per_axis == pytest.approx(expected, rel=0.1)

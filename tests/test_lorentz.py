@@ -207,6 +207,16 @@ class TestBoosts:
             assert np.allclose(b, b.T, atol=1e-12)
             assert np.allclose(pure_boost_inverse(u) @ b, np.eye(4), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "boost", [pure_boost, pure_boost_inverse, pure_boost_sl2, pure_boost_sl2_inverse]
+    )
+    @pytest.mark.parametrize(
+        "u", [[np.nan, 0.0, 0.0, 0.0], [1.5, np.nan, 0.0, 0.0]], ids=["time", "space"]
+    )
+    def test_nan_velocity_rejected(self, boost, u):
+        with pytest.raises(UsageError, match="timelike frame 4-velocity"):
+            boost(np.array(u))
+
     def test_sl2_boost_acts_like_vector_boost(self):
         w = np.array([0.3, -0.2, 0.5])
         u = np.concatenate(([np.sqrt(1 + w @ w)], w))
@@ -232,6 +242,13 @@ class TestPolar:
     def test_lorentz_polar_rejects_time_reversal(self):
         lam = np.diag([-1.0, 1.0, 1.0, -1.0])
         with pytest.raises(UsageError):
+            lorentz_polar(lam)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 0), ...], ids=["time", "boost", "all"])
+    def test_lorentz_polar_rejects_nan(self, entry):
+        lam = pure_boost(np.array([np.sqrt(1.25), 0.5, 0.0, 0.0]))
+        lam[entry] = np.nan
+        with pytest.raises(UsageError, match="non-orthochronous|timelike"):
             lorentz_polar(lam)
 
     def test_su2_polar(self):

@@ -22,7 +22,7 @@ from eprgeo import make_spacetime
 def test_orbit_tangent_is_unit_timelike(schwarzschild):
     e0, u0 = circular_orbit_tangent(schwarzschild, 10.0)
     g = schwarzschild.metric(e0.coords)
-    assert u0 @ g @ u0 == pytest.approx(-1.0, abs=1e-12)
+    assert (g * u0) @ u0 == pytest.approx(-1.0, abs=1e-12)
     assert u0[1] == 0.0 and u0[2] == 0.0
 
 

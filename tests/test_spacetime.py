@@ -28,8 +28,8 @@ def fd_christoffel(st, x, h=1e-6):
         xm = x.copy()
         xp[lam] += h
         xm[lam] -= h
-        dg[lam] = (st.metric(xp) - st.metric(xm)) / (2.0 * h)
-    ginv = np.linalg.inv(st.metric(x))
+        dg[lam] = np.diag(st.metric(xp) - st.metric(xm)) / (2.0 * h)
+    ginv = np.linalg.inv(np.diag(st.metric(x)))
     gamma = np.zeros((4, 4, 4))
     for i in range(4):
         for m in range(4):
@@ -88,15 +88,58 @@ def test_christoffel_symmetric_lower_indices(st):
 def test_metric_signature(schwarzschild):
     for r in (2.5, 6.0, 50.0):
         g = schwarzschild.metric(np.array([0.0, r, 1.0, 0.0]))
-        eig = np.sort(np.linalg.eigvalsh(g))
+        eig = np.sort(np.linalg.eigvalsh(np.diag(g)))
         assert eig[0] < 0
         assert np.all(eig[1:] > 0)
 
 
 def test_metric_batched_shapes(schwarzschild):
     xs = np.tile(np.array([0.0, 8.0, 1.3, 0.2]), (5, 1))
-    assert schwarzschild.metric(xs).shape == (5, 4, 4)
+    assert schwarzschild.metric(xs).shape == (5, 4)
     assert schwarzschild.christoffel(xs).shape == (5, 4, 4, 4)
+
+
+def dense_metric_reference(st, x):
+    """Reference: the dense (..., 4, 4) metric, filled entry by entry."""
+    g = np.zeros(x.shape[:-1] + (4, 4))
+    if isinstance(st, Minkowski):
+        g[..., 0, 0] = -1.0
+        for i in (1, 2, 3):
+            g[..., i, i] = 1.0
+    elif isinstance(st, Schwarzschild):
+        r, th = x[..., 1], x[..., 2]
+        f = 1.0 - 2.0 * st.mass / r
+        g[..., 0, 0] = -f
+        g[..., 1, 1] = 1.0 / f
+        g[..., 2, 2] = r * r
+        g[..., 3, 3] = (r * np.sin(th)) ** 2
+    else:
+        phi, _ = st._potential(x[..., 1:])
+        g[..., 0, 0] = -(1.0 + 2.0 * st.epsilon * phi)
+        for i in (1, 2, 3):
+            g[..., i, i] = 1.0 - 2.0 * st.epsilon * phi
+    return g
+
+
+@pytest.mark.parametrize("lead", [(), (6,), (2, 3)], ids=["point", "batch", "grid"])
+@pytest.mark.parametrize(
+    "st",
+    [
+        make_spacetime("minkowski"),
+        make_spacetime("schwarzschild", {"M": 1.0}),
+        make_spacetime("weak_field", {"epsilon": 0.05, "softening": 0.7}),
+    ],
+    ids=lambda st: st.name,
+)
+def test_metric_is_the_diagonal_of_the_dense_form(st, lead):
+    """metric gives g_aa with the coordinates' shape, bitwise the diagonal
+    of the dense matrix."""
+    x = np.random.default_rng(17).uniform(-4.0, 4.0, size=lead + (4,))
+    x[..., 1] += 9.0  # r in [5, 13] for Schwarzschild
+    x[..., 2] = np.random.default_rng(18).uniform(0.5, 2.6, lead)  # theta off the axis
+    g = st.metric(x)
+    assert g.shape == x.shape
+    assert np.array_equal(g, np.diagonal(dense_metric_reference(st, x), axis1=-2, axis2=-1))
 
 
 def weak_field_christoffel_loops(st, x):
@@ -130,7 +173,7 @@ def test_weak_field_batched_matches_pointwise_and_loops():
     gamma = st.christoffel(xs)
     g = st.metric(xs)
     assert gamma.shape == (3, 5, 4, 4, 4)
-    assert g.shape == (3, 5, 4, 4)
+    assert g.shape == (3, 5, 4)
     for k in range(3):
         for m in range(5):
             assert np.array_equal(gamma[k, m], st.christoffel(xs[k, m]))
@@ -297,14 +340,14 @@ def test_zero_mass_schwarzschild_is_flat():
     x = np.array([0.0, 7.0, 1.0, 2.0])
     g = st.metric(x)
     # spherical-coordinate flat metric
-    expected = np.diag([-1.0, 1.0, x[1] ** 2, (x[1] * np.sin(x[2])) ** 2])
+    expected = np.array([-1.0, 1.0, x[1] ** 2, (x[1] * np.sin(x[2])) ** 2])
     assert np.max(np.abs(g - expected)) < 1e-12
 
 
 def test_minkowski_trivial():
     st = Minkowski({})
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(st.metric(x), np.diag([-1.0, 1.0, 1.0, 1.0]))
+    assert np.allclose(st.metric(x), [-1.0, 1.0, 1.0, 1.0])
     assert np.allclose(st.christoffel(x), 0.0)
     assert st.periodic_axes == {}
 
@@ -317,7 +360,7 @@ def test_weak_field_metric_linear_in_epsilon():
     x = np.array([0.0, 2.0, 1.0, -1.0])
     g1 = make_spacetime("weak_field", {"epsilon": 0.04}).metric(x)
     g2 = make_spacetime("weak_field", {"epsilon": 0.02}).metric(x)
-    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    eta = np.array([-1.0, 1.0, 1.0, 1.0])
     assert np.allclose(g1 - eta, 2.0 * (g2 - eta), atol=1e-14)
 
 
@@ -342,7 +385,7 @@ def test_chart_domain(schwarzschild):
 def test_event_helpers(schwarzschild):
     e = Event(np.array([0.0, 10.0, np.pi / 2, 0.0]))
     g = metric_at(schwarzschild, e)
-    assert g.shape == (4, 4)
+    assert g.shape == (4,)
     assert schwarzschild.christoffel(e.coords).shape == (4, 4, 4)
     with pytest.raises(DomainError):
         metric_at(schwarzschild, Event(np.array([0.0, 1.0, 1.0, 0.0])))
@@ -398,4 +441,4 @@ def test_weak_field_softening_default():
     # potential stays finite at the coordinate origin
     g = st.metric(np.array([0.0, 0.0, 0.0, 0.0]))
     assert np.all(np.isfinite(g))
-    assert g[0, 0] == pytest.approx(-(1.0 - 2.0 * 0.05), rel=1e-12)
+    assert g[0] == pytest.approx(-(1.0 - 2.0 * 0.05), rel=1e-12)

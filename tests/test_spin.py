@@ -127,6 +127,14 @@ class TestDirections:
             with pytest.raises(UsageError, match="particle 1 must be a unit 3-vector"):
                 matched_axis(flat_pair, bad)
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, np.nan, 1.0]], ids=["x", "y"])
+    def test_rejects_nan(self, bad):
+        a = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(UsageError, match="particle 1 must be a unit 3-vector"):
+            correlation(singlet(), bad, a)
+        with pytest.raises(UsageError, match="particle 2 must be a unit 3-vector"):
+            correlation(singlet(), a, bad)
+
     def test_measurement_operator_spectrum(self):
         # a.sigma has eigenvalues -1 and +1, so a product state along the
         # same axis on both sides reaches the correlation bound |E| = 1
@@ -180,6 +188,22 @@ class TestStateValidation:
     def test_mixed_state_trace_checked(self):
         with pytest.raises(UsageError):
             TwoQubitState("mixed", np.eye(4, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "kind, entry, message",
+        [
+            ("pure", (1,), "normalized"),
+            ("mixed", (0, 0), "Hermitian"),
+            ("mixed", (1, 2), "Hermitian"),
+            ("mixed", ..., "Hermitian"),
+        ],
+        ids=["pure", "mixed-diagonal", "mixed-off-diagonal", "mixed-all"],
+    )
+    def test_nan_state_rejected(self, kind, entry, message):
+        data = SINGLET.copy() if kind == "pure" else np.eye(4, dtype=complex) / 4
+        data[entry] = np.nan
+        with pytest.raises(UsageError, match=message):
+            TwoQubitState(kind, data)
 
     def test_density_property(self):
         s = singlet()

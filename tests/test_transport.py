@@ -30,6 +30,7 @@ from eprgeo.geodesic import point_segment
 from eprgeo.lorentz import ID2, ordered_product, sl2_inverse
 from eprgeo.pipeline import rest_frame_rotation
 from eprgeo.transport import (
+    Tetrad,
     frame_propagator,
     gauge_tetrad,
     polygon_spinor_transport,
@@ -55,8 +56,8 @@ class TestVectorTransport:
         for _ in range(5):
             v = rng.normal(size=4)
             w = rng.normal(size=4)
-            before = v @ g0 @ w
-            after = (p @ v) @ g1 @ (p @ w)
+            before = (g0 * v) @ w
+            after = (g1 * (p @ v)) @ (p @ w)
             assert after == pytest.approx(before, abs=1e-10)
 
     def test_retraced_path_is_identity(self, battery, reversed_segment):
@@ -170,6 +171,14 @@ class TestTetradTransport:
         wrong = gauge_tetrad(schwarzschild, seg.end, "static")
         with pytest.raises(UsageError):
             transport_tetrad(seg, wrong)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (2, 3), ...], ids=["time-leg", "spatial-leg", "all"])
+    def test_rejects_nan_tetrad(self, schwarzschild, battery, entry):
+        seg = battery[0]
+        m = gauge_tetrad(schwarzschild, seg.start, "static").matrix.copy()
+        m[entry] = np.nan
+        with pytest.raises(UsageError, match="not orthonormal"):
+            transport_tetrad(seg, Tetrad(seg.start, m))
 
     def test_gauge_tetrad_matches_frame_field(self, schwarzschild):
         e = Event(np.array([0.0, 9.0, 1.1, 0.3]))
