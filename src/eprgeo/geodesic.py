@@ -23,11 +23,16 @@ sample grid and the 4-velocity norm check, and the shooting's trial shots
 call the core directly on the two-node grid [0, tau].
 
 The boundary-value problem (geodesic from O to a given target event) is
-solved by damped Newton shooting on four unknowns: the spatial velocity of
-the launch direction in the static frame at O, w = sinh(chi) * direction,
-plus the total proper time.  This parameterization is unconstrained and
-stays well conditioned near purely radial or purely tangential launches,
-where angle coordinates would degenerate.
+solved by shooting on four unknowns: the spatial velocity of the launch
+direction in the static frame at O, w = sinh(chi) * direction, plus the
+total proper time.  This parameterization is unconstrained and stays well
+conditioned near purely radial or purely tangential launches, where angle
+coordinates would degenerate.  The Newton iteration is Broyden's (Math.
+Comp. 19 (1965) 577): the Jacobian starts as that of the straight chord
+x(tau) ~ O + tau launch(w) and takes a rank-one update after every accepted
+step, so a step usually costs one trial shot.  A full step that does not
+lower the residual rebuilds the Jacobian by finite differences, and only
+then is the step damped by a line search.
 """
 
 from __future__ import annotations
@@ -340,10 +345,11 @@ class ShootingReport:
     """Outcome of solve_bvp.  Non-convergence is reported here, not raised.
 
     residual is the Euclidean chart-coordinate distance from the endpoint to
-    the target (periodic axes wrapped); iterations counts the Newton updates
-    the line search accepted, halvings the times it halved a Newton step
-    (8 for a search that stalled), and trials the endpoint-only trial
-    integrations the shooting started.
+    the target (periodic axes wrapped); iterations counts the accepted Newton
+    updates, halvings the times the line search halved a Newton step (8 for
+    a search that stalled), trials the endpoint-only trial integrations the
+    shooting started, and jacobian_rebuilds the finite-difference Jacobians
+    it built (four or more trials each).
     """
 
     converged: bool
@@ -353,6 +359,7 @@ class ShootingReport:
     message: str = ""
     halvings: int = 0
     trials: int = 0
+    jacobian_rebuilds: int = 0
 
 
 def _wrap_residual(st: Spacetime, delta: np.ndarray) -> np.ndarray:
@@ -389,7 +396,14 @@ def solve_bvp(
     """Find the timelike geodesic from origin to target by shooting.
 
     Newton iterates on (w, tau): w is the spatial 4-velocity in the static
-    frame at the origin and tau the total proper time.  Trial trajectories
+    frame at the origin and tau the total proper time.  The Jacobian starts
+    as the chord Jacobian of x(tau) ~ origin + tau launch(w), exact in
+    Minkowski Cartesian coordinates, and every accepted step applies
+    Broyden's rank-one update J += (dr - J dp) dp^T / (dp^T dp).  Such a J
+    earns only its full step: when p + d does not lower |r|^2, J is rebuilt
+    at p by finite differences and the step is halved up to 8 times until
+    |r|^2 falls; a search that never lowers it stops the shooting ("line
+    search stalled").  Trial trajectories
     are marched endpoint-only by the integrator's core, with no validation
     and no norm check, and judged by their endpoint alone; a trial whose tau
     is below 1e-8 or not finite, or whose launch is not finite, fails like
@@ -431,9 +445,15 @@ def solve_bvp(
     def launch(w: np.ndarray) -> np.ndarray:
         return n0 @ np.concatenate([[np.sqrt(1.0 + w @ w)], w])
 
+    def newton_step(jac: np.ndarray, r: np.ndarray) -> np.ndarray:
+        try:
+            return np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(jac, -r, rcond=None)[0]
+
     # full-grid endpoint minus trial endpoint at the last re-integration
     offset = np.zeros(4)
-    n_trials = n_updates = n_halvings = 0
+    n_trials = n_updates = n_halvings = n_rebuilds = 0
 
     def residual(param: np.ndarray) -> np.ndarray | None:
         # a trial marches the unnormalized launch over the grid [0, tau]; one
@@ -457,7 +477,8 @@ def solve_bvp(
 
     def report(converged: bool, miss: np.ndarray, message: str = "") -> ShootingReport:
         return ShootingReport(
-            converged, float(np.linalg.norm(miss)), n_updates, float(p[3]), message, n_halvings, n_trials
+            converged, float(np.linalg.norm(miss)), n_updates, float(p[3]), message,
+            n_halvings, n_trials, n_rebuilds,
         )
 
     r = residual(p)
@@ -470,6 +491,13 @@ def solve_bvp(
         return None, ShootingReport(
             False, np.inf, 0, p[3], "initial trajectory leaves the chart", trials=n_trials
         )
+
+    # the chord Jacobian of x(tau) ~ origin + tau launch(w), exact in
+    # Minkowski Cartesian coordinates
+    w = p[:3]
+    jac = np.empty((4, 4))
+    jac[:, :3] = p[3] * (n0[:, 1:] + np.outer(n0[:, 0], w) / np.sqrt(1.0 + w @ w))
+    jac[:, 3] = launch(w)
 
     message = f"did not converge in {MAX_SHOOTING_ITERATIONS} iterations"
     for _ in range(MAX_SHOOTING_ITERATIONS):
@@ -496,39 +524,44 @@ def solve_bvp(
             offset += final - r
             r = final
 
-        jac = np.empty((4, 4))
-        for j in range(4):
-            step = 1.0e-6 * max(1.0, abs(p[j]))
-            pj = p.copy()
-            pj[j] += step
-            rj = residual(pj)
-            if rj is None:
-                pj[j] = p[j] - step
-                rj = residual(pj)
-                step = -step
-                if rj is None:
-                    break
-            jac[:, j] = (rj - r) / step
-        if rj is None:
-            message = "Jacobian evaluation left the chart"
-            break
-
-        try:
-            d = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(jac, -r, rcond=None)[0]
-
+        # the current J earns only its full step; a step that does not lower
+        # |r|^2 rebuilds J at p by finite differences for the damped search
         r2 = float(r @ r)
-        for k in range(9):
-            n_halvings += k > 0
-            p_try = p + d * (0.5**k)
-            r_try = residual(p_try)
-            if r_try is not None and float(r_try @ r_try) < r2:
-                p, r = p_try, r_try
+        p_try = p + newton_step(jac, r)
+        r_try = residual(p_try)
+        if r_try is None or not float(r_try @ r_try) < r2:
+            n_rebuilds += 1
+            for j in range(4):
+                step = 1.0e-6 * max(1.0, abs(p[j]))
+                pj = p.copy()
+                pj[j] += step
+                rj = residual(pj)
+                if rj is None:
+                    pj[j] = p[j] - step
+                    rj = residual(pj)
+                    step = -step
+                    if rj is None:
+                        break
+                jac[:, j] = (rj - r) / step
+            if rj is None:
+                message = "Jacobian evaluation left the chart"
                 break
-        else:
-            message = "line search stalled"
-            break
+
+            d = newton_step(jac, r)
+            for k in range(9):
+                n_halvings += k > 0
+                p_try = p + d * (0.5**k)
+                r_try = residual(p_try)
+                if r_try is not None and float(r_try @ r_try) < r2:
+                    break
+            else:
+                message = "line search stalled"
+                break
+
+        # Broyden's rank-one update carries J along the accepted step
+        dp = p_try - p
+        jac += np.outer(r_try - r - jac @ dp, dp) / (dp @ dp)
+        p, r = p_try, r_try
         n_updates += 1
 
     return None, report(False, r, message)

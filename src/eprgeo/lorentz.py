@@ -189,8 +189,8 @@ def lorentz_polar(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     R fixes the time axis, so its spatial block is the rotation part.
     """
     L = np.asarray(L, dtype=float)
-    if not L[0, 0] > 0.0:
-        raise UsageError("non-orthochronous Lorentz map")
+    if not (L[0, 0] > 0.0 and np.isfinite(L).all()):
+        raise UsageError("non-orthochronous or non-finite Lorentz map")
     u = L[:, 0]
     B = pure_boost(u)
     R = pure_boost_inverse(u) @ L

@@ -300,10 +300,11 @@ def test_leg_rows_carry_integrator_counters(flat_scenario, tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     quantities = [r[1] for r in rows]
     at = quantities.index("geodesic2_endpoint_residual")
-    assert quantities[at + 1 : at + 8] == [
+    assert quantities[at + 1 : at + 9] == [
         "geodesic2_shooting_iterations",
         "geodesic2_line_search_halvings",
         "geodesic2_trial_integrations",
+        "geodesic2_jacobian_rebuilds",
         "geodesic2_proper_time",
         "geodesic2_integrator_steps",
         "geodesic2_rejected_steps",

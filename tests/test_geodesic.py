@@ -537,6 +537,46 @@ class TestShooting:
         # the returned segment is integrated on the full sample grid
         assert seg.n_samples == samples_for(rep.proper_time, DEFAULT_SAMPLE_STEP)
 
+    def test_round_trip_builds_no_finite_difference_jacobian(self, schwarzschild, static_tangent):
+        # the chord Jacobian and its Broyden updates earn every full step
+        coords = np.array([0.0, 12.0, np.pi / 2, 0.0])
+        u0 = static_tangent(schwarzschild, coords, [0.3, 0.0, 0.25])
+        fwd = integrate_geodesic(schwarzschild, Event(coords), u0, 2.5)
+        seg, rep = solve_bvp(schwarzschild, Event(coords), fwd.end)
+        assert rep.converged, rep.message
+        assert rep.jacobian_rebuilds == 0
+        assert rep.halvings == 0
+        assert rep.trials == 1 + rep.iterations
+
+    @pytest.mark.parametrize(
+        "origin, target, tau_hint",
+        [
+            (
+                (0.0, 6.301504247246516, 1.9351962441549615, -1.308465488113783),
+                (15.237364861764693, 7.019458700807751, 2.6627882165850383, 1.3846281217910192),
+                6.708740993736618,
+            ),
+            (
+                (0.0, 7.127377649948547, 1.3761476193170707, 0.0809636479686402),
+                (20.13589788689964, 7.69034677797379, 2.8871446791246402, -2.3325365112271372),
+                11.70272760184875,
+            ),
+        ],
+        ids=["stall", "creep"],
+    )
+    def test_strong_field_shot_converges(self, schwarzschild, origin, target, tau_hint):
+        # strong-field shots near r = 6M whose Broyden iterates go astray:
+        # rebuilding J only once a damped search on an updated J stalls ends
+        # the first in a stalled search and leaves the second creeping at
+        # |r| ~ 1.7e-6 until the iteration cap; rebuilding whenever the full
+        # step fails converges both
+        origin, target = Event(np.array(origin)), Event(np.array(target))
+        seg, rep = solve_bvp(schwarzschild, origin, target, tau_hint=tau_hint)
+        assert rep.converged, rep.message
+        assert rep.residual < 1e-9
+        assert rep.jacobian_rebuilds > 0
+        assert np.linalg.norm(seg.end.coords - target.coords) < 1e-9
+
     def test_coincident_target_gives_point_segment(self, schwarzschild):
         origin = Event(np.array([0.0, 10.0, 1.2, 0.4]))
         seg, rep = solve_bvp(schwarzschild, origin, origin)
@@ -561,6 +601,8 @@ class TestShooting:
         assert rep.iterations == 4
         # 22 halvings before the four accepted updates, 8 in the stalled search
         assert rep.halvings == 30
+        # no full step lowers |r|, so every search runs on a rebuilt J
+        assert rep.jacobian_rebuilds == 5
 
     def test_leg_over_sample_cap_is_not_converged(self, minkowski, monkeypatch):
         # the cap is checked before the converged shot is re-integrated
@@ -609,8 +651,11 @@ class TestShooting:
         assert rep.converged, rep.message
         # one re-integration on the full grid; every other march is a trial
         assert integrated == [seg.n_samples]
-        assert rep.trials == len(core_grids) - 1 > 4 * rep.iterations
+        assert rep.trials == len(core_grids) - 1
         assert core_grids.count(2) == rep.trials
+        # every update was a Broyden full step: one trial each, no FD column
+        assert rep.jacobian_rebuilds == 0
+        assert rep.trials == 1 + rep.iterations
 
     def test_nonpositive_integration_tol_is_refused_before_any_trial(self, minkowski, monkeypatch):
         monkeypatch.setattr(geodesic, "_march", None)  # a trial would fail on the call
@@ -631,8 +676,10 @@ class TestShooting:
         assert seg is None
         assert rep.message == "line search stalled"
         assert (rep.iterations, rep.halvings) == (0, 8)
-        # the first shot and the four Jacobian columns, none from the search
+        # the first shot and the four Jacobian columns; neither the chord
+        # Jacobian's full step nor the search starts a trial
         assert rep.trials == 5
+        assert rep.jacobian_rebuilds == 1
 
     def test_full_grid_miss_is_shot_again(self, minkowski, monkeypatch):
         def biased_dense_grid(*args, **kwargs):

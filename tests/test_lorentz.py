@@ -244,7 +244,9 @@ class TestPolar:
         with pytest.raises(UsageError):
             lorentz_polar(lam)
 
-    @pytest.mark.parametrize("entry", [(0, 0), (2, 0), ...], ids=["time", "boost", "all"])
+    @pytest.mark.parametrize(
+        "entry", [(0, 0), (2, 0), (2, 2), ...], ids=["time", "boost", "rotation", "all"]
+    )
     def test_lorentz_polar_rejects_nan(self, entry):
         lam = pure_boost(np.array([np.sqrt(1.25), 0.5, 0.0, 0.0]))
         lam[entry] = np.nan
