@@ -7,6 +7,9 @@ fixed-step mode checks the convergence order by step doubling and gives a
 fine-grid reference for the dense output.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,8 @@ from eprgeo.geodesic import (
     samples_for,
     solve_bvp,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def tangent_norms(st, seg):
@@ -742,6 +747,60 @@ tol = 1e-10
         seg, rep = solve_bvp(schwarzschild, Event(coords), Event(end))
         assert rep.converged, rep.message
         assert rep.residual < 1e-9
+
+
+# The work bound of the stress set: RHS evaluations over every march of its
+# 285 solves, trials and full-grid re-integrations alike.  A change that moves
+# it records the old and the new value.
+STRESS_RHS_BOUND = 895_083
+
+
+class TestStressSet:
+    def test_every_stress_shot_converges_within_the_rhs_budget(self, monkeypatch):
+        """285 committed shots, the only data that tells shooting rules apart.
+
+        ``golden/shooting_stress_set.json`` was generated once, so its inputs
+        do not move with the integrator's last digits.  The recipe:
+        ``rng = np.random.default_rng(7)``, 300 draws; draw i is Schwarzschild
+        M = 1 for i % 3 == 0, the weak field for 1 and Minkowski for 2.  In
+        this order it draws: Schwarzschild r ~ U[4, 8], theta = pi/2 +
+        U[-0.6, 0.6], phi ~ U[-3, 3]; weak field epsilon ~ U[0.05, 0.1], then
+        a direction ``rng.normal(size=3)``, normalized and scaled by |x| ~
+        U[1, 4]; Minkowski x ~ U[-5, 5]^3; then for every kind t = 0, a
+        static-frame w = normalized ``rng.normal(size=3)`` * U[0.1, 1.5],
+        tau ~ U[1, 15] and tau_hint = tau * U[0.7, 1.3].  The target is the
+        endpoint of ``integrate_geodesic(..., tol=1e-12, n_samples=2)`` from
+        the static-frame launch; the 15 draws whose leg fails are skipped.
+        Every shot is solved at solve_bvp's defaults with its tau_hint.
+        """
+        shots = json.loads((GOLDEN / "shooting_stress_set.json").read_text())
+        assert len(shots) == 285
+        march = geodesic._march
+        rhs = []
+
+        def counting_march(st, ys, grid, tol):
+            counts = march(st, ys, grid, tol)
+            rhs.append(counts[2])
+            return counts
+
+        monkeypatch.setattr(geodesic, "_march", counting_march)
+        failed, trials, rebuilds, worst = [], 0, 0, (0, -1)
+        for shot in shots:
+            st = make_spacetime(shot["spacetime"], shot["params"])
+            origin, target = Event(np.array(shot["origin"])), Event(np.array(shot["target"]))
+            seg, rep = solve_bvp(st, origin, target, tau_hint=shot["tau_hint"])
+            if not rep.converged:
+                failed.append((shot["draw"], rep.message))
+            trials += rep.trials
+            rebuilds += rep.jacobian_rebuilds
+            worst = max(worst, (rep.trials, shot["draw"]))
+        print(
+            f"\nstress set: {len(shots) - len(failed)}/{len(shots)} converged, {trials} trials, "
+            f"{rebuilds} FD rebuilds, {sum(rhs)} RHS evaluations (bound {STRESS_RHS_BOUND}); "
+            f"worst shot: draw {worst[1]}, {worst[0]} trials"
+        )
+        assert failed == []
+        assert sum(rhs) <= STRESS_RHS_BOUND
 
 
 def test_segment_accessors(minkowski):
