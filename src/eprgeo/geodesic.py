@@ -32,7 +32,11 @@ Comp. 19 (1965) 577): the Jacobian starts as that of the straight chord
 x(tau) ~ O + tau launch(w) and takes a rank-one update after every accepted
 step, so a step usually costs one trial shot.  A full step that does not
 lower the residual rebuilds the Jacobian by finite differences, and only
-then is the step damped by a line search.
+then is the step damped by a line search.  The Newton is inexact (Dembo,
+Eisenstat & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400): a full-step
+trial is marched at a tolerance tied to the residual it serves, loose while
+|r| is large, and only the last iterates, the finite differences and the
+line search pay for the full integration tolerance.
 """
 
 from __future__ import annotations
@@ -59,6 +63,13 @@ MAX_LEG_SAMPLES = 100_000
 
 # Newton updates solve_bvp attempts before reporting non-convergence.
 MAX_SHOOTING_ITERATIONS = 50
+
+# Inexact Newton: a full-step trial from an iterate with residual r is marched
+# at max(integration_tol, min(TRIAL_TOL_CAP, TRIAL_TOL_RATIO |r|)), the first
+# shot at max(integration_tol, TRIAL_TOL_CAP).  An endpoint error 1e-4 times
+# smaller than |r| changes no Newton decision.
+TRIAL_TOL_CAP = 1.0e-6
+TRIAL_TOL_RATIO = 1.0e-4
 
 # Loosest tolerance a grid with interior nodes is marched at.  The error
 # estimate controls the 5th-order step end only; the nodes between come from
@@ -348,8 +359,11 @@ class ShootingReport:
     the target (periodic axes wrapped); iterations counts the accepted Newton
     updates, halvings the times the line search halved a Newton step (8 for
     a search that stalled), trials the endpoint-only trial integrations the
-    shooting started, and jacobian_rebuilds the finite-difference Jacobians
-    it built (four or more trials each).
+    shooting started, jacobian_rebuilds the finite-difference Jacobians it
+    built (four or more trials each), and trial_rhs_evals the right-hand-side
+    evaluations of the trial marches that reached their endpoint.  A trial
+    is marched at a tolerance tied to the residual (see ``solve_bvp``), so
+    trial_rhs_evals, not trials, is the work.
     """
 
     converged: bool
@@ -360,6 +374,7 @@ class ShootingReport:
     halvings: int = 0
     trials: int = 0
     jacobian_rebuilds: int = 0
+    trial_rhs_evals: int = 0
 
 
 def _wrap_residual(st: Spacetime, delta: np.ndarray) -> np.ndarray:
@@ -403,11 +418,16 @@ def solve_bvp(
     earns only its full step: when p + d does not lower |r|^2, J is rebuilt
     at p by finite differences and the step is halved up to 8 times until
     |r|^2 falls; a search that never lowers it stops the shooting ("line
-    search stalled").  Trial trajectories
-    are marched endpoint-only by the integrator's core, with no validation
-    and no norm check, and judged by their endpoint alone; a trial whose tau
-    is below 1e-8 or not finite, or whose launch is not finite, fails like
-    one that leaves the chart.  A shot that hits the target to tol is
+    search stalled").  Trial trajectories are marched endpoint-only by the
+    integrator's core, with no validation and no norm check, and judged by
+    their endpoint alone; a trial whose tau is below 1e-8 or not finite, or
+    whose launch is not finite, fails like one that leaves the chart.  The
+    first shot is marched at max(integration_tol, 1e-6) and a full step from
+    an iterate with residual r at max(integration_tol, min(1e-6, 1e-4 |r|)).
+    When the full step fails, r is first re-marched at integration_tol
+    unless it was marched there, since finite differences of step 1e-6
+    cannot use a residual only 1e-6 accurate; the finite differences and the
+    line search run at integration_tol.  A shot that hits the target to tol is
     re-integrated by ``integrate_geodesic`` on the full sample grid, where
     the drift check holds.
     If that segment's endpoint misses the target by tol or more, the miss is
@@ -453,12 +473,13 @@ def solve_bvp(
 
     # full-grid endpoint minus trial endpoint at the last re-integration
     offset = np.zeros(4)
-    n_trials = n_updates = n_halvings = n_rebuilds = 0
+    n_trials = n_updates = n_halvings = n_rebuilds = n_trial_rhs = 0
+    integration_tol = float(integration_tol)
 
-    def residual(param: np.ndarray) -> np.ndarray | None:
+    def residual(param: np.ndarray, march_tol: float) -> np.ndarray | None:
         # a trial marches the unnormalized launch over the grid [0, tau]; one
         # whose tau or launch the integrator cannot take is a failed trial
-        nonlocal n_trials
+        nonlocal n_trials, n_trial_rhs
         tau = float(param[3])
         if not 1.0e-8 <= tau < math.inf:
             return None
@@ -470,7 +491,7 @@ def solve_bvp(
             return None
         n_trials += 1
         try:
-            _march(st, ys, [0.0, tau], float(integration_tol))
+            n_trial_rhs += _march(st, ys, [0.0, tau], march_tol)[2]
         except IntegrationError:
             return None
         return _wrap_residual(st, ys[1, :4] - target.coords) + offset
@@ -478,14 +499,16 @@ def solve_bvp(
     def report(converged: bool, miss: np.ndarray, message: str = "") -> ShootingReport:
         return ShootingReport(
             converged, float(np.linalg.norm(miss)), n_updates, float(p[3]), message,
-            n_halvings, n_trials, n_rebuilds,
+            n_halvings, n_trials, n_rebuilds, n_trial_rhs,
         )
 
-    r = residual(p)
+    # the tolerance r was marched at
+    r_tol = max(integration_tol, TRIAL_TOL_CAP)
+    r = residual(p, r_tol)
     shrink = 0
     while r is None and shrink < 6:
         p[3] *= 0.5
-        r = residual(p)
+        r = residual(p, r_tol)
         shrink += 1
     if r is None:
         return None, ShootingReport(
@@ -524,21 +547,31 @@ def solve_bvp(
             offset += final - r
             r = final
 
-        # the current J earns only its full step; a step that does not lower
-        # |r|^2 rebuilds J at p by finite differences for the damped search
+        # the current J earns only its full step, marched at a tolerance tied
+        # to |r|; a step that does not lower |r|^2 rebuilds J at p by finite
+        # differences for the damped search, all at integration_tol
         r2 = float(r @ r)
         p_try = p + newton_step(jac, r)
-        r_try = residual(p_try)
+        try_tol = max(integration_tol, min(TRIAL_TOL_CAP, TRIAL_TOL_RATIO * math.sqrt(r2)))
+        r_try = residual(p_try, try_tol)
         if r_try is None or not float(r_try @ r_try) < r2:
+            try_tol = integration_tol
+            if r_tol > integration_tol:
+                # finite differences of step 1e-6 need r more accurate than 1e-6
+                r_tight = residual(p, integration_tol)
+                if r_tight is None:
+                    message = "Jacobian evaluation left the chart"
+                    break
+                r, r_tol, r2 = r_tight, integration_tol, float(r_tight @ r_tight)
             n_rebuilds += 1
             for j in range(4):
                 step = 1.0e-6 * max(1.0, abs(p[j]))
                 pj = p.copy()
                 pj[j] += step
-                rj = residual(pj)
+                rj = residual(pj, integration_tol)
                 if rj is None:
                     pj[j] = p[j] - step
-                    rj = residual(pj)
+                    rj = residual(pj, integration_tol)
                     step = -step
                     if rj is None:
                         break
@@ -551,7 +584,7 @@ def solve_bvp(
             for k in range(9):
                 n_halvings += k > 0
                 p_try = p + d * (0.5**k)
-                r_try = residual(p_try)
+                r_try = residual(p_try, integration_tol)
                 if r_try is not None and float(r_try @ r_try) < r2:
                     break
             else:
@@ -561,7 +594,7 @@ def solve_bvp(
         # Broyden's rank-one update carries J along the accepted step
         dp = p_try - p
         jac += np.outer(r_try - r - jac @ dp, dp) / (dp @ dp)
-        p, r = p_try, r_try
+        p, r, r_tol = p_try, r_try, try_tol
         n_updates += 1
 
     return None, report(False, r, message)

@@ -391,6 +391,7 @@ def _build_leg(sc: Scenario, st: Spacetime, origin: Event, det: DetectorSpec, la
     report.add(f"{label}_line_search_halvings", int(shot.halvings))
     report.add(f"{label}_trial_integrations", int(shot.trials))
     report.add(f"{label}_jacobian_rebuilds", int(shot.jacobian_rebuilds))
+    report.add(f"{label}_trial_rhs_evals", int(shot.trial_rhs_evals))
     if seg is None:
         # a spacelike or null chord does not rule out a timelike geodesic in a
         # curved chart, so it is reported with the failure, not rejected

@@ -300,11 +300,12 @@ def test_leg_rows_carry_integrator_counters(flat_scenario, tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     quantities = [r[1] for r in rows]
     at = quantities.index("geodesic2_endpoint_residual")
-    assert quantities[at + 1 : at + 9] == [
+    assert quantities[at + 1 : at + 10] == [
         "geodesic2_shooting_iterations",
         "geodesic2_line_search_halvings",
         "geodesic2_trial_integrations",
         "geodesic2_jacobian_rebuilds",
+        "geodesic2_trial_rhs_evals",
         "geodesic2_proper_time",
         "geodesic2_integrator_steps",
         "geodesic2_rejected_steps",
@@ -312,6 +313,7 @@ def test_leg_rows_carry_integrator_counters(flat_scenario, tmp_path, capsys):
     ]
     assert int(rows[at + 2][4]) >= 0
     assert int(rows[at + 3][4]) >= 1
+    assert int(rows[at + 5][4]) > 0
     assert "geodesic1_line_search_halvings" not in quantities
 
 

@@ -40,9 +40,81 @@ from eprgeo.geodesic import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def stress_shots():
+    """The committed shooting stress set; see TestStressSet for its recipe."""
+    return json.loads((GOLDEN / "shooting_stress_set.json").read_text())
+
+
+def stress_shot(draw):
+    """(spacetime, origin, target, tau_hint) of one stress-set draw."""
+    shot = next(shot for shot in stress_shots() if shot["draw"] == draw)
+    st = make_spacetime(shot["spacetime"], shot["params"])
+    return st, Event(np.array(shot["origin"])), Event(np.array(shot["target"])), shot["tau_hint"]
+
+
 def tangent_norms(st, seg):
     g = st.metric(seg.events)
     return np.einsum("ki,ki,ki->k", seg.tangents, g, seg.tangents)
+
+
+def record_marches(monkeypatch, st, target):
+    """Patch _march to record [grid length, tol, endpoint miss] per call.
+
+    The miss is the wrapped chart distance from the march's last node to the
+    target, or None for a march that raised.
+    """
+    march = geodesic._march
+    calls = []
+
+    def recording_march(st_, ys, grid, tol):
+        calls.append([len(grid), tol, None])
+        counts = march(st_, ys, grid, tol)
+        calls[-1][2] = float(np.linalg.norm(geodesic._wrap_residual(st, ys[-1, :4] - target.coords)))
+        return counts
+
+    monkeypatch.setattr(geodesic, "_march", recording_march)
+    return calls
+
+
+def replay_trial_tolerances(calls, integration_tol):
+    """Walk solve_bvp's trials in order and check the tolerance of each.
+
+    The first shot is marched at max(integration_tol, 1e-6) and a full-step
+    trial from an iterate with residual r at max(integration_tol, min(1e-6,
+    1e-4 |r|)).  A full step that does not lower |r| is followed, all at
+    integration_tol, by a re-march of r when r was marched looser, the four
+    finite-difference columns and the line search up to its first try that
+    lowers |r|.  Full-grid marches use integration_tol.  Holds while every
+    full step marches (one to tau < 1e-8 starts none) and no full-grid miss
+    offsets the residuals.  Returns the number of re-marches.
+    """
+    trials = [(tol, miss) for n, tol, miss in calls if n == 2]
+    tol, r = trials[0]
+    assert tol == max(integration_tol, 1.0e-6)
+    r_tol, k, remarches = tol, 1, 0
+    while k < len(trials):
+        tol, miss = trials[k]
+        k += 1
+        assert tol == max(integration_tol, min(1.0e-6, 1.0e-4 * r)), k - 1
+        if miss is not None and miss < r:
+            r, r_tol = miss, tol
+            continue
+        if r_tol > integration_tol:
+            tol, r = trials[k]
+            k += 1
+            remarches += 1
+            assert tol == integration_tol
+        assert [tol for tol, _ in trials[k : k + 4]] == [integration_tol] * 4
+        k += 4
+        while k < len(trials):
+            tol, miss = trials[k]
+            k += 1
+            assert tol == integration_tol
+            if miss is not None and miss < r:
+                r, r_tol = miss, tol
+                break
+    assert [tol for n, tol, _ in calls if n > 2] == [integration_tol] * sum(n > 2 for n, _, _ in calls)
+    return remarches
 
 
 # The reference integrator: the same Dormand-Prince 5(4) pair, step control
@@ -662,6 +734,47 @@ class TestShooting:
         assert rep.jacobian_rebuilds == 0
         assert rep.trials == 1 + rep.iterations
 
+    def test_trials_are_marched_at_a_tolerance_tied_to_the_residual(
+        self, schwarzschild, static_tangent, monkeypatch
+    ):
+        coords = np.array([0.0, 12.0, np.pi / 2, 0.0])
+        u0 = static_tangent(schwarzschild, coords, [0.3, 0.0, 0.25])
+        target = integrate_geodesic(schwarzschild, Event(coords), u0, 2.5).end
+        calls = record_marches(monkeypatch, schwarzschild, target)
+        seg, rep = solve_bvp(schwarzschild, Event(coords), target)
+        assert rep.converged, rep.message
+        # every update a full step, each marched tighter as |r| falls
+        assert replay_trial_tolerances(calls, DEFAULT_TOL) == 0
+        tols = [tol for _, tol, _ in calls]
+        assert tols[0] == tols[1] == 1.0e-6 > tols[2] > tols[3] > tols[4] > tols[5] == DEFAULT_TOL
+
+    def test_failed_full_step_is_rebuilt_and_searched_at_integration_tol(self, monkeypatch):
+        # a strong-field stress shot whose full steps fail three times, two of
+        # them from an iterate marched at 1e-6: r is re-marched first
+        st, origin, target, tau_hint = stress_shot(30)
+        calls = record_marches(monkeypatch, st, target)
+        seg, rep = solve_bvp(st, origin, target, tau_hint=tau_hint)
+        assert rep.converged, rep.message
+        assert (rep.jacobian_rebuilds, rep.halvings) == (3, 2)
+        assert replay_trial_tolerances(calls, DEFAULT_TOL) == 2
+        assert rep.trials == len(calls) - 1
+
+    @pytest.mark.parametrize("draw", [None, 30], ids=["round-trip", "stress-30"])
+    def test_no_trial_is_marched_tighter_than_a_loose_integration_tol(
+        self, schwarzschild, static_tangent, monkeypatch, draw
+    ):
+        # above the 1e-6 cap integration_tol is the floor of every march
+        if draw is None:
+            st, origin, tau_hint = schwarzschild, Event(np.array([0.0, 12.0, np.pi / 2, 0.0])), None
+            u0 = static_tangent(st, origin.coords, [0.3, 0.0, 0.25])
+            target = integrate_geodesic(st, origin, u0, 2.5).end
+        else:
+            st, origin, target, tau_hint = stress_shot(draw)
+        calls = record_marches(monkeypatch, st, target)
+        seg, rep = solve_bvp(st, origin, target, tau_hint=tau_hint, integration_tol=1.0e-5)
+        assert rep.converged, rep.message
+        assert [tol for _, tol, _ in calls] == [1.0e-5] * len(calls)
+
     def test_nonpositive_integration_tol_is_refused_before_any_trial(self, minkowski, monkeypatch):
         monkeypatch.setattr(geodesic, "_march", None)  # a trial would fail on the call
         target = Event(1.5 * np.array([1.25, 0.75, 0.0, 0.0]))
@@ -681,10 +794,33 @@ class TestShooting:
         assert seg is None
         assert rep.message == "line search stalled"
         assert (rep.iterations, rep.halvings) == (0, 8)
-        # the first shot and the four Jacobian columns; neither the chord
-        # Jacobian's full step nor the search starts a trial
-        assert rep.trials == 5
+        # the first shot, its re-march at integration_tol (it was marched
+        # at 1e-6, too loose for the finite differences) and the four
+        # Jacobian columns; neither the chord Jacobian's full step nor the
+        # search starts a trial
+        assert rep.trials == 6
         assert rep.jacobian_rebuilds == 1
+        # a first shot already marched at integration_tol is not re-marched
+        seg, rep = solve_bvp(minkowski, Event(np.zeros(4)), target, tau_hint=2.0, integration_tol=1.0e-5)
+        assert (rep.trials, rep.jacobian_rebuilds) == (5, 1)
+
+    def test_failed_re_march_ends_the_shot(self, minkowski, monkeypatch):
+        # the first shot passes at 1e-6, and its re-march at integration_tol
+        # for the finite differences fails
+        march = geodesic._march
+
+        def loose_only(st, ys, grid, tol):
+            if tol < 1.0e-6:
+                raise IntegrationError("step size underflow at tau=0")
+            return march(st, ys, grid, tol)
+
+        monkeypatch.setattr(geodesic, "_march", loose_only)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array([np.nan] * 4))
+        target = Event(1.5 * np.array([1.25, 0.75, 0.0, 0.0]))
+        seg, rep = solve_bvp(minkowski, Event(np.zeros(4)), target, tau_hint=2.0)
+        assert seg is None
+        assert rep.message == "Jacobian evaluation left the chart"
+        assert (rep.iterations, rep.trials, rep.jacobian_rebuilds) == (0, 2, 0)
 
     def test_full_grid_miss_is_shot_again(self, minkowski, monkeypatch):
         def biased_dense_grid(*args, **kwargs):
@@ -751,8 +887,9 @@ tol = 1e-10
 
 # The work bound of the stress set: RHS evaluations over every march of its
 # 285 solves, trials and full-grid re-integrations alike.  A change that moves
-# it records the old and the new value.
-STRESS_RHS_BOUND = 895_083
+# it records the old and the new value.  895,083 with every trial marched at
+# integration_tol; 684,535 with trial tolerances tied to the residual.
+STRESS_RHS_BOUND = 684_535
 
 
 class TestStressSet:
@@ -773,7 +910,7 @@ class TestStressSet:
         the static-frame launch; the 15 draws whose leg fails are skipped.
         Every shot is solved at solve_bvp's defaults with its tau_hint.
         """
-        shots = json.loads((GOLDEN / "shooting_stress_set.json").read_text())
+        shots = stress_shots()
         assert len(shots) == 285
         march = geodesic._march
         rhs = []
