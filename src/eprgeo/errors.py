@@ -14,7 +14,15 @@ class UsageError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration failed (step underflow or a broken postcondition)."""
+    """Numerical integration failed (step underflow or a broken postcondition).
+
+    A march that raises it sets ``counts`` to the (steps, rejected steps,
+    RHS evaluations) it spent; other raises leave it None.
+    """
+
+    def __init__(self, message, counts=None):
+        super().__init__(message)
+        self.counts = counts
 
 
 class DomainExitError(IntegrationError):
@@ -24,8 +32,8 @@ class DomainExitError(IntegrationError):
     report how far the curve got.
     """
 
-    def __init__(self, message, tau=None, coords=None, velocity=None):
-        super().__init__(message)
+    def __init__(self, message, tau=None, coords=None, velocity=None, counts=None):
+        super().__init__(message, counts)
         self.tau = tau
         self.coords = coords
         self.velocity = velocity

@@ -229,7 +229,8 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
     limits the step.  ys[1:] is complete only once _march returns: the
     interior nodes are filled after the loop, so after a raise they are not.
     Returns (steps, rejected steps, RHS evaluations).  Raises IntegrationError
-    on step underflow and DomainExitError where the trajectory leaves the chart.
+    on step underflow and DomainExitError where the trajectory leaves the
+    chart, either with those counts so far as its ``counts``.
     """
     n_samples = len(grid)
     tau_end = grid[-1]
@@ -254,7 +255,7 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
     while i < n_samples:
         h_limit = tau_end - t
         if h < h_min and h < h_limit:
-            raise IntegrationError(f"step size underflow at tau={t:.6g}")
+            raise IntegrationError(f"step size underflow at tau={t:.6g}", (n_steps, n_rejected, n_rhs))
         h = min(h, h_limit)
         # one Dormand-Prince 5(4) step; the last stage row equals the
         # 5th-order weights, so k7 is the next step's k1 (FSAL), and the
@@ -303,6 +304,7 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
                 tau=t,
                 coords=np.array(y[:4]),
                 velocity=np.array(y[4:]),
+                counts=(n_steps, n_rejected, n_rhs),
             )
         enorm = math.inf
         if ok:
@@ -361,7 +363,7 @@ class ShootingReport:
     a search that stalled), trials the endpoint-only trial integrations the
     shooting started, jacobian_rebuilds the finite-difference Jacobians it
     built (four or more trials each), and trial_rhs_evals the right-hand-side
-    evaluations of the trial marches that reached their endpoint.  A trial
+    evaluations of the trial marches, those that raised included.  A trial
     is marched at a tolerance tied to the residual (see ``solve_bvp``), so
     trial_rhs_evals, not trials, is the work.
     """
@@ -492,7 +494,8 @@ def solve_bvp(
         n_trials += 1
         try:
             n_trial_rhs += _march(st, ys, [0.0, tau], march_tol)[2]
-        except IntegrationError:
+        except IntegrationError as exc:
+            n_trial_rhs += exc.counts[2]
             return None
         return _wrap_residual(st, ys[1, :4] - target.coords) + offset
 

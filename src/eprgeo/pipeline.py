@@ -38,7 +38,7 @@ from .lorentz import (
     su2_polar,
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
-from .spin import TwoQubitState, _direction_vector, pair_state
+from .spin import TwoQubitState, direction_vector, pair_state
 from .transport import Tetrad, gauge_tetrad, spinor_propagator, world_propagator
 
 
@@ -178,7 +178,7 @@ def matched_axis(result: PairResult, a: np.ndarray) -> np.ndarray:
     off orthogonality within the orthonormality diagnostic's bound still
     gives a unit axis.
     """
-    b = result.relative_rotation @ _direction_vector(a, "1")
+    b = result.relative_rotation @ direction_vector(a, "1")
     return b / np.linalg.norm(b)
 
 

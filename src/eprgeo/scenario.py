@@ -62,7 +62,7 @@ from .lorentz import rotation_axis_angle
 from .pipeline import PairResult, matched_axis, pair_transport, spin_relative_rotation
 from .report import FLAG_FAIL, FLAG_OK, Report
 from .spacetime import Event, Spacetime, make_spacetime, metric_at, require_event
-from .spin import CANONICAL_CHSH_DIRECTIONS, chsh, correlation
+from .spin import CANONICAL_CHSH_DIRECTIONS, chsh_value, correlation_matrix, direction_vector
 from .transport import transport_tetrad, gauge_tetrad
 
 TOOL_VERSION = "0.1.0"
@@ -463,14 +463,24 @@ def _fill_report(sc: Scenario, report: Report) -> None:
     )
 
     # Correlations for every requested direction pair, then the matched
-    # image of each first-detector direction.
-    state = result.state
-    for i, a in enumerate(sc.directions1):
-        for j, b in enumerate(sc.directions2):
-            report.add("E", float(correlation(state, a, b)), a_index=i, b_index=j)
-    for i, a in enumerate(sc.directions1):
-        b_star = matched_axis(result, a)
-        e_matched = float(correlation(state, a, b_star))
+    # image of each first-detector direction, and the CHSH values.  One
+    # correlation matrix serves them all, and each axis is validated once
+    # (matched_axis checks the direction it maps for itself).
+    k = correlation_matrix(result.state)
+    v1 = [direction_vector(a, "1") for a in sc.directions1]
+    v2 = np.array([direction_vector(b, "2") for b in sc.directions2])
+    # a @ K row by row, as correlation() computes (a @ K) @ b: a 2-D v1 @ K
+    # sums in another order and moves the last digits of E
+    table = np.array([va @ k for va in v1]) @ v2.T
+    for i, row in enumerate(table.tolist()):
+        for j, e in enumerate(row):
+            report.add("E", e, a_index=i, b_index=j)
+
+    def matched(a):
+        return direction_vector(matched_axis(result, a), "2")
+
+    for i, (a, va) in enumerate(zip(sc.directions1, v1)):
+        e_matched = float(va @ k @ matched(a))
         report.add(
             "E_matched",
             e_matched,
@@ -480,21 +490,14 @@ def _fill_report(sc: Scenario, report: Report) -> None:
         )
 
     za, xa, da, ea = CANONICAL_CHSH_DIRECTIONS
-    s_matched = float(
-        chsh(
-            state,
-            za,
-            xa,
-            matched_axis(result, da),
-            matched_axis(result, ea),
-        )
-    )
+    vz, vx = direction_vector(za, "1"), direction_vector(xa, "1")
+    s_matched = chsh_value(k, vz, vx, matched(da), matched(ea))
     report.add(
         "chsh_matched",
         s_matched,
         flag=FLAG_OK if abs(s_matched + 2.0 * np.sqrt(2.0)) <= 1e-6 else FLAG_FAIL,
     )
-    report.add("chsh_canonical", float(chsh(state, za, xa, da, ea)))
+    report.add("chsh_canonical", chsh_value(k, vz, vx, direction_vector(da, "2"), direction_vector(ea, "2")))
 
     # Diagnostics: conservation of the tangent norm along each leg and
     # orthonormality of a transported detector frame.

@@ -70,7 +70,11 @@ class TwoQubitState:
         return self.data
 
 
-def _direction_vector(a, side: str) -> np.ndarray:
+def direction_vector(a, side: str) -> np.ndarray:
+    """Measurement axis a for particle side ("1" or "2") as a unit 3-vector.
+
+    Raises UsageError unless a is a 3-vector of norm 1 within 1e-10.
+    """
     a = np.asarray(a, dtype=float)
     n = np.linalg.norm(a)
     if a.shape != (3,) or not abs(n - 1.0) <= 1.0e-10:
@@ -80,8 +84,8 @@ def _direction_vector(a, side: str) -> np.ndarray:
 
 def correlation(state: TwoQubitState, a, b) -> float:
     """E(a, b) = <(a.sigma) x (b.sigma)>, each axis in its detector's frame."""
-    va = _direction_vector(a, "1")
-    vb = _direction_vector(b, "2")
+    va = direction_vector(a, "1")
+    vb = direction_vector(b, "2")
     return float(va @ correlation_matrix(state) @ vb)
 
 
@@ -92,12 +96,18 @@ def correlation_matrix(state: TwoQubitState) -> np.ndarray:
 
 def chsh(state: TwoQubitState, a, ap, b, bp) -> float:
     """E(a,b) - E(a,b') + E(a',b) + E(a',b') for the given settings."""
-    k = correlation_matrix(state)
-    va = _direction_vector(a, "1")
-    vap = _direction_vector(ap, "1")
-    vb = _direction_vector(b, "2")
-    vbp = _direction_vector(bp, "2")
-    return float(va @ k @ vb - va @ k @ vbp + vap @ k @ vb + vap @ k @ vbp)
+    return chsh_value(
+        correlation_matrix(state),
+        direction_vector(a, "1"),
+        direction_vector(ap, "1"),
+        direction_vector(b, "2"),
+        direction_vector(bp, "2"),
+    )
+
+
+def chsh_value(k: np.ndarray, a, ap, b, bp) -> float:
+    """chsh from a correlation matrix k and axes that are already unit vectors."""
+    return float(a @ k @ b - a @ k @ bp + ap @ k @ b + ap @ k @ bp)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Vector transport works in world indices: the endpoint-to-endpoint propagator
 P solves dP/dtau = W P with W^l_s = -Gamma^l_ms u^m, integrated with one
-classical RK4 step per sample interval.  The coefficient at the interval
-midpoint comes from cubic Hermite interpolation of the stored samples
-(positions from (x, u), velocities from (u, a)), with one W per node and
-per midpoint from the spacetime's closed-form ``connection_matrix``, which
-fills no Gamma array; the node accelerations are a = W u.  The midpoint W,
-the RK4 stages and their ordered product are formed block by block of
-sample intervals, and the block products are multiplied in order.
+classical RK4 step per pair of sample intervals, staged at the stored
+middle node.  W comes once per node from the spacetime's closed-form
+``connection_matrix``, which fills no Gamma array.  A lone last interval
+(an odd interval count, a two-sample segment) takes one RK4 step of its
+own, staged at its cubic Hermite midpoint (positions from (x, u),
+velocities from (u, a), a from the geodesic equation at its ends), whose W
+comes in the same call as the nodes'.  The RK4 stages and their ordered
+product are formed block by block of steps, the block products are
+multiplied in order, and the lone interval's step goes last.
 
 Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
 the Hermite midpoint positions (which need no Gamma).
@@ -78,17 +80,28 @@ def gauge_tetrad(st: Spacetime, event: Event, gauge: str = "static") -> Tetrad:
 # segment-level propagators (internal, cached)
 
 
-def _midpoints(seg: GeodesicSegment) -> tuple[np.ndarray, float]:
-    """Hermite midpoint positions of the sample intervals (no Gamma needed), and h."""
-    x, u = seg.events, seg.tangents
-    h = float(seg.tau[1] - seg.tau[0])
-    return 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:]), h
+def _hermite_midpoints(y: np.ndarray, dy: np.ndarray, h: float) -> np.ndarray:
+    """Cubic Hermite midpoints of the intervals of samples y with derivatives dy."""
+    return 0.5 * y[:-1] + 0.5 * y[1:] + (h / 8.0) * (dy[:-1] - dy[1:])
 
 
-#: sample intervals per block of the vector route.  Blocks keep the stage
-#: arrays small (128 KiB each) instead of one (n, 4, 4) array per stage; a
-#: power of two, so the blocks' ordered products combine into exactly the
-#: pairwise tree that ordered_product builds over all intervals at once
+def _sample_step(seg: GeodesicSegment) -> float:
+    return float(seg.tau[1] - seg.tau[0])
+
+
+def _rk4_steps(w0: np.ndarray, wm: np.ndarray, w1: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step matrices of dP/dtau = W P over steps of length h,
+    given W at each step's start, middle and end (batched)."""
+    k2 = wm + (0.5 * h) * (wm @ w0)
+    k3 = wm + (0.5 * h) * (wm @ k2)
+    k4 = w1 + h * (w1 @ k3)
+    return _EYE4 + (h / 6.0) * (w0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+#: RK4 steps per block of the vector route.  Blocks keep the stage arrays
+#: small (128 KiB each) instead of one (n/2, 4, 4) array per stage; a power
+#: of two, so the blocks' ordered products combine into exactly the pairwise
+#: tree that ordered_product builds over all steps at once
 _BLOCK = 1024
 
 
@@ -100,22 +113,29 @@ def world_propagator(seg: GeodesicSegment) -> np.ndarray:
         p = _EYE4.copy()
     else:
         st = seg.spacetime
-        u = seg.tangents
-        # the Hermite accelerations a = W u come from the node W
-        w_nodes = st.connection_matrix(seg.events, u)
-        acc = np.einsum("...ls,...s->...l", w_nodes, u)
-        x_mid, h = _midpoints(seg)
-        u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
-        products = []
-        for lo in range(0, len(x_mid), _BLOCK):
-            hi = min(lo + _BLOCK, len(x_mid))
-            wm = st.connection_matrix(x_mid[lo:hi], u_mid[lo:hi])
-            k1, w1 = w_nodes[lo:hi], w_nodes[lo + 1 : hi + 1]
-            k2 = wm + (0.5 * h) * (wm @ k1)
-            k3 = wm + (0.5 * h) * (wm @ k2)
-            k4 = w1 + h * (w1 @ k3)
-            products.append(ordered_product(_EYE4 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
-        p = ordered_product(np.stack(products))
+        x, u = seg.events, seg.tangents
+        h = _sample_step(seg)
+        n = len(x) - 1
+        m = n // 2
+        if n % 2:
+            # a lone last interval is staged at its Hermite midpoint, appended
+            # after the nodes; its ends' accelerations come from the geodesic
+            # equation
+            y = np.concatenate([x[-2:], u[-2:]], axis=1).tolist()
+            acc = np.array([st.geodesic_rhs(y[0])[4:], st.geodesic_rhs(y[1])[4:]])
+            x = np.concatenate([x, _hermite_midpoints(x[-2:], u[-2:], h)])
+            u = np.concatenate([u, _hermite_midpoints(u[-2:], acc, h)])
+        w = st.connection_matrix(x, u)
+        # step j runs from node 2j to node 2j + 2 and is staged at node 2j + 1
+        blocks = []
+        for lo in range(0, m, _BLOCK):
+            a, b = 2 * lo, 2 * min(lo + _BLOCK, m)
+            steps = _rk4_steps(w[a:b:2], w[a + 1 : b : 2], w[a + 2 : b + 1 : 2], 2.0 * h)
+            blocks.append(ordered_product(steps))
+        # a two-sample segment has no block, and an empty product is the identity
+        p = ordered_product(np.reshape(blocks, (-1, 4, 4)))
+        if n % 2:
+            p = _rk4_steps(w[n - 1], w[n + 1], w[n], h) @ p
     seg.cache["world_propagator"] = p
     return p
 
@@ -155,7 +175,8 @@ def spinor_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray
         u = np.eye(2, dtype=complex)
     else:
         dx = seg.events[1:] - seg.events[:-1]
-        u = _chord_transport(seg.spacetime, _midpoints(seg)[0], dx, gauge)
+        mid = _hermite_midpoints(seg.events, seg.tangents, _sample_step(seg))
+        u = _chord_transport(seg.spacetime, mid, dx, gauge)
     seg.cache[key] = u
     return u
 

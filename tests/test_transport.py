@@ -92,20 +92,30 @@ class TestVectorTransport:
 
 def einsum_world_propagator(seg):
     """The vector route with W and the Hermite accelerations as separate
-    contractions of Gamma over its middle index: an independent reference."""
+    contractions of Gamma over its middle index: an independent reference.
+
+    One RK4 step covers each pair of sample intervals and is staged at the
+    stored middle node; a lone last interval is staged at its Hermite midpoint.
+    """
     st, x, u = seg.spacetime, seg.events, seg.tangents
     h = float(seg.tau[1] - seg.tau[0])
     gam = st.christoffel(x)
-    w_nodes = -np.einsum("...lms,...m->...ls", gam, u)
-    acc = -np.einsum("klmn,km,kn->kl", gam, u, u)
-    x_mid = 0.5 * x[:-1] + 0.5 * x[1:] + (h / 8.0) * (u[:-1] - u[1:])
-    u_mid = 0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (acc[:-1] - acc[1:])
-    wm = -np.einsum("...lms,...m->...ls", st.christoffel(x_mid), u_mid)
-    k1, w1 = w_nodes[:-1], w_nodes[1:]
-    k2 = wm + (0.5 * h) * (wm @ k1)
-    k3 = wm + (0.5 * h) * (wm @ k2)
-    k4 = w1 + h * (w1 @ k3)
-    return ordered_product(np.eye(4) + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    w = -np.einsum("...lms,...m->...ls", gam, u)
+    end = 2 * ((len(x) - 1) // 2)
+    w0, wm, w1 = w[0:end:2], w[1:end:2], w[2 : end + 1 : 2]
+    steps = np.full(len(w0), 2.0 * h)
+    if end < len(x) - 1:
+        acc = -np.einsum("klmn,km,kn->kl", gam[-2:], u[-2:], u[-2:])
+        x_mid = 0.5 * x[-2] + 0.5 * x[-1] + (h / 8.0) * (u[-2] - u[-1])
+        u_mid = 0.5 * (u[-2] + u[-1]) + (h / 8.0) * (acc[0] - acc[1])
+        w_mid = -np.einsum("lms,m->ls", st.christoffel(x_mid), u_mid)
+        w0, wm, w1 = np.concatenate([w0, w[-2:-1]]), np.concatenate([wm, [w_mid]]), np.concatenate([w1, w[-1:]])
+        steps = np.append(steps, h)
+    hs = steps[:, None, None]
+    k2 = wm + (0.5 * hs) * (wm @ w0)
+    k3 = wm + (0.5 * hs) * (wm @ k2)
+    k4 = w1 + hs * (w1 @ k3)
+    return ordered_product(np.eye(4) + (hs / 6.0) * (w0 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
 @pytest.mark.parametrize(
@@ -117,11 +127,14 @@ def einsum_world_propagator(seg):
     ],
 )
 def test_world_propagator_matches_the_einsum_contraction(static_tangent, kind, params, coords, w):
+    """On an even leg (300 intervals), an odd one (25) and a two-sample one."""
     st = make_spacetime(kind, params)
     coords = np.array(coords)
-    seg = integrate_geodesic(st, Event(coords), static_tangent(st, coords, w), 6.0)
-    ref = einsum_world_propagator(seg)
-    assert np.max(np.abs(world_propagator(seg) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    u0 = static_tangent(st, coords, w)
+    for n_samples in (None, 26, 2):
+        seg = integrate_geodesic(st, Event(coords), u0, 6.0, n_samples=n_samples)
+        ref = einsum_world_propagator(seg)
+        assert np.max(np.abs(world_propagator(seg) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_world_propagator_memory_peak_on_a_long_orbit(schwarzschild):
@@ -142,14 +155,14 @@ def test_world_propagator_memory_peak_on_a_long_orbit(schwarzschild):
 
 @pytest.mark.parametrize("block", [8, 1024])
 def test_world_propagator_blocks_multiply_into_one_product(schwarzschild, static_tangent, monkeypatch, block):
-    """Power-of-two blocks of intervals give bitwise the product of one block,
-    with a partial last block (the r = 10 orbit's 8,312 intervals) and with
-    whole blocks only (64 intervals)."""
+    """Power-of-two blocks of RK4 steps give bitwise the product of one block,
+    with a partial last block (the r = 10 orbit's 4,156 steps), with whole
+    blocks only (32 steps), with whole blocks and a lone last interval (16
+    steps and one) and with the lone interval of a two-sample leg."""
     coords = np.array([0.0, 9.0, 1.2, 0.3])
     u0 = static_tangent(schwarzschild, coords, [0.3, 0.1, -0.2])
-    segs = [
-        integrate_orbit(schwarzschild, 10.0),
-        integrate_geodesic(schwarzschild, Event(coords), u0, 1.5, n_samples=65),
+    segs = [integrate_orbit(schwarzschild, 10.0)] + [
+        integrate_geodesic(schwarzschild, Event(coords), u0, 1.5, n_samples=n) for n in (65, 34, 2)
     ]
     monkeypatch.setattr(transport, "_BLOCK", block)
     blocked = [world_propagator(seg) for seg in segs]
