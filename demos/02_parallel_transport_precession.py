@@ -25,7 +25,7 @@ for r in (6.0, 8.0, 10.0, 15.0, 25.0):
     seg = integrate_orbit(st, r)
     exact = geodetic_angle_exact(st, r)
     a_vec, axis = rest_frame_holonomy_angle(seg, "static")
-    a_spin = spinor_holonomy_angle(seg, "static")
+    a_spin = spinor_holonomy_angle(seg)
     err = max(abs(a_vec - exact), abs(a_spin - exact))
     print(f"{r:6.1f} {exact:12.8f} {a_vec:14.8f} {a_spin:14.8f} {err:12.2e}")
 

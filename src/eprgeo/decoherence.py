@@ -21,12 +21,12 @@ rather than holding only up to discretization error.  A sigma=0 bundle
 holds n copies of those knots, so it is transported once: every path gets
 the base polygon's term, with zero relative action.
 
-``averaged_state(pair, b1, b2, mode)`` degrades a transported pair: it closes
-every path transport with the pair's own rest-frame factors, in its gauge,
-and carries each bundle through the transport once.  The ChannelAverage it
-returns holds the averaged state, the per-path terms and the reference
-state; ``fidelity_with_error(avg)`` derives the fidelity and its block
-standard error from that object.
+``averaged_state(pair, b1, b2, mode)`` degrades a transported pair: the
+pair's rest-frame map PairResult.spin_map, which applies its gauge, closes
+every static-frame path transport, and each bundle is transported once.
+The ChannelAverage it returns holds the averaged state, the per-path terms
+and the reference state; ``fidelity_with_error(avg)`` derives the fidelity
+and its block standard error from that object.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, UsageError
 from .frames import frame_field
 from .geodesic import GeodesicSegment
-from .lorentz import rotation_matrix_from_su2, su2_polar
+from .lorentz import rotation_matrix_from_su2
 from .pipeline import PairResult
 from .spacetime import Spacetime
 from .spin import PAULI_PAIRS, SINGLET, TwoQubitState, correlation, fidelity, pair_state
@@ -163,17 +163,16 @@ def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def _bundle_ingredients(
-    bundle: PathBundle, mode: str, gauge: str, pre: np.ndarray, post: np.ndarray
+    pair: PairResult, leg: int, bundle: PathBundle, mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(per-path terms, sigma=0 map).
+    """(per-path terms, sigma=0 map) of the bundle around leg 1 or 2 of the pair.
 
     A coherent term is the path's SU(2) map times its action phase
     exp(-(i/4)(S_path - S_base)); an incoherent term is the path's 3x3
     rotation.  The channel reads only the mean term of each bundle.
     """
     st = bundle.base.spacetime
-    base_u = polygon_spinor_transport(st, bundle.base_knots, gauge)
-    base_map = su2_polar(post @ base_u @ pre)[0]
+    base_map = pair.spin_map(leg, polygon_spinor_transport(st, bundle.base_knots))
 
     n = bundle.n_paths
     if bundle.sigma == 0.0:
@@ -184,8 +183,7 @@ def _bundle_ingredients(
     maps = np.empty((n, 2, 2), dtype=complex)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        u = polygon_spinor_transport(st, bundle.paths[lo:hi], gauge)
-        maps[lo:hi] = su2_polar(post @ u @ pre)[0]
+        maps[lo:hi] = pair.spin_map(leg, polygon_spinor_transport(st, bundle.paths[lo:hi]))
     if mode == "incoherent":
         return rotation_matrix_from_su2(maps), base_map
     # a huge sigma overflows |dx|^2; the check below reports it instead
@@ -248,8 +246,8 @@ def averaged_state(
     """Average a transported pair's singlet over both bundles' path pairs.
 
     b1 and b2 must be drawn around ``pair.segment1`` and ``pair.segment2``;
-    the pair's rest-frame factors and gauge close every path transport, so
-    the result is a density matrix in the pair's own detector frames.
+    the pair's spin_map closes every path transport, so the result is a
+    density matrix in the pair's own detector frames.
     ``mode`` is one of MODES.  Coherent mode superposes amplitudes with
     their action phases (the average stays pure); incoherent mode mixes the
     conjugated density matrices uniformly.  This is the only place a bundle
@@ -260,9 +258,8 @@ def averaged_state(
     if b1.base is not pair.segment1 or b2.base is not pair.segment2:
         raise UsageError("bundles must be drawn around the pair's legs, in leg order")
 
-    (pre1, post1), (pre2, post2) = pair.conjugation_factors
-    t1, base_map1 = _bundle_ingredients(b1, mode, pair.gauge, pre1, post1)
-    t2, base_map2 = _bundle_ingredients(b2, mode, pair.gauge, pre2, post2)
+    t1, base_map1 = _bundle_ingredients(pair, 1, b1, mode)
+    t2, base_map2 = _bundle_ingredients(pair, 2, b2, mode)
     return ChannelAverage(
         _combine(t1.mean(axis=0), t2.mean(axis=0), mode),
         mode,

@@ -15,7 +15,10 @@ no 4x4 Lorentz matrix is ever lifted back to SL(2,C).
 
 Physical anchors (the reference tetrad at the decay and the detector
 tetrads) are fixed in the static gauge regardless of the computational
-gauge, which is what makes correlations gauge-independent.
+gauge, which is what makes correlations gauge-independent.  The spin route
+applies the gauge in one place, PairResult.spin_map: it conjugates the
+static-frame transports of the legs and of every bundle path by the gauge
+lift before the leg's rest-frame factors close them.
 """
 
 from __future__ import annotations
@@ -114,18 +117,28 @@ class PairResult:
     """Everything the measurement layer and the bundle channel need about one decay.
 
     ``conjugation_factors`` holds each leg's (pre, post) from
-    rest_conjugation_factors, closing a transport computed in ``gauge``.
+    rest_conjugation_factors, which ``spin_map`` applies in ``gauge``;
+    pair_transport sets ``spin1``, ``spin2`` and ``state``.
     """
 
     segment1: GeodesicSegment
     segment2: GeodesicSegment
-    spin1: np.ndarray
-    spin2: np.ndarray
     rotation1: np.ndarray
     rotation2: np.ndarray
-    state: TwoQubitState
     conjugation_factors: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     gauge: str
+    spin1: np.ndarray | None = None
+    spin2: np.ndarray | None = None
+    state: TwoQubitState | None = None
+
+    def spin_map(self, leg: int, u: np.ndarray) -> np.ndarray:
+        """Rest-frame SU(2) maps of static-frame transports u (batched) along leg 1 or 2:
+        the polar unitary part of post @ K^-1 u K @ pre, K = gauge_lift(gauge)."""
+        pre, post = self.conjugation_factors[leg - 1]
+        if self.gauge != "static":
+            k = gauge_lift(self.gauge)
+            u = sl2_inverse(k) @ u @ k
+        return su2_polar(post @ u @ pre)[0]
 
     @property
     def relative_rotation(self) -> np.ndarray:
@@ -153,20 +166,14 @@ def pair_transport(
         raise UsageError("legs live in different spacetimes")
 
     reference = boosted_tetrad(st, seg1.start, decay_velocity)
-    det1 = gauge_tetrad(st, seg1.end, "static")
-    det2 = gauge_tetrad(st, seg2.end, "static")
-
-    pre1, post1 = rest_conjugation_factors(seg1, reference, gauge)
-    pre2, post2 = rest_conjugation_factors(seg2, reference, gauge)
-
-    w1 = su2_polar(post1 @ spinor_propagator(seg1, gauge) @ pre1)[0]
-    w2 = su2_polar(post2 @ spinor_propagator(seg2, gauge) @ pre2)[0]
-    r1 = rest_frame_rotation(seg1, reference, det1)
-    r2 = rest_frame_rotation(seg2, reference, det2)
-
-    state = TwoQubitState("pure", pair_state(w1, w2))
-    factors = ((pre1, post1), (pre2, post2))
-    return PairResult(seg1, seg2, w1, w2, r1, r2, state, factors, gauge)
+    factors = tuple(rest_conjugation_factors(seg, reference, gauge) for seg in (seg1, seg2))
+    r1 = rest_frame_rotation(seg1, reference, gauge_tetrad(st, seg1.end, "static"))
+    r2 = rest_frame_rotation(seg2, reference, gauge_tetrad(st, seg2.end, "static"))
+    pair = PairResult(seg1, seg2, r1, r2, factors, gauge)
+    pair.spin1 = pair.spin_map(1, spinor_propagator(seg1))
+    pair.spin2 = pair.spin_map(2, spinor_propagator(seg2))
+    pair.state = TwoQubitState("pure", pair_state(pair.spin1, pair.spin2))
+    return pair
 
 
 def matched_axis(result: PairResult, a: np.ndarray) -> np.ndarray:

@@ -69,10 +69,10 @@ def rest_frame_holonomy_angle(seg: GeodesicSegment, gauge: str = "static") -> tu
     return angle, axis
 
 
-def spinor_holonomy_angle(seg: GeodesicSegment, gauge: str = "static") -> float:
+def spinor_holonomy_angle(seg: GeodesicSegment) -> float:
     """Precession angle from the spin-1/2 route via |tr U| = 2 |cos(theta/2)|.
 
     The trace is similarity-invariant, so no rest-frame conjugation is
     needed; angles in [0, pi] only, which covers the geodetic range.
     """
-    return su2_rotation_angle(spinor_propagator(seg, gauge))
+    return su2_rotation_angle(spinor_propagator(seg))

@@ -19,16 +19,17 @@ contracted with its chord, as three component arrays from the spacetime's
 closed-form connection coefficients, and ordered_exp_product exponentiates
 and multiplies them on components, chord axis first; so this route reads
 neither Gamma nor W, and the two routes share no connection code: the vector
-route reads W and the spinor route the six static-frame coefficients.  The
-boosted-static gauge conjugates the product once by gauge_lift(gauge).
+route reads W and the spinor route the six static-frame coefficients.  Both
+spinor transports are in static-frame components; the pair's rest-frame map
+(pipeline.PairResult.spin_map) conjugates them into its gauge.
 Each factor has determinant one and the factor for the reversed interval is
 its exact adjugate inverse, which is why a retraced path gives the identity
 to machine precision rather than to integration accuracy.  The SU(2) sign
 of the result is whatever the continuous composition along the path
 produces; no branch is re-chosen afterwards.
 
-Endpoint propagators are cached on the segment, keyed by gauge where that
-matters; reversed segments carry their own cache.
+Endpoint propagators are cached on the segment, the frame propagator keyed
+by gauge; reversed segments carry their own cache.
 """
 
 from __future__ import annotations
@@ -38,15 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import (
-    frame_field,
-    gauge_lift,
-    inverse_frame,
-    orthonormality_defect,
-    spin_connection_components,
-)
+from .frames import frame_field, inverse_frame, orthonormality_defect, spin_connection_components
 from .geodesic import GeodesicSegment
-from .lorentz import ordered_exp_product, ordered_product, sl2_inverse
+from .lorentz import ordered_exp_product, ordered_product
 from .spacetime import Event, Spacetime, require_event, same_event
 
 ORTHO_TOL = 1.0e-8
@@ -154,44 +149,42 @@ def frame_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray:
     return p
 
 
-def _chord_transport(st: Spacetime, mid: np.ndarray, dx: np.ndarray, gauge: str) -> np.ndarray:
-    """Ordered product of the chord exponentials, conjugated once into the gauge frames.
+def _chord_transport(st: Spacetime, mid: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Ordered product of the chord exponentials, in static-frame components.
 
     mid and dx are (..., chords, 4); the chord axis goes first, so the
     connection components and their exponentials are (chords, ...) arrays.
     """
-    k = gauge_lift(gauge)
     g = spin_connection_components(st, np.moveaxis(mid, -2, 0), np.moveaxis(dx, -2, 0))
-    u = ordered_exp_product(*g)
-    return u if gauge == "static" else sl2_inverse(k) @ u @ k
+    return ordered_exp_product(*g)
 
 
-def spinor_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray:
-    """SL(2,C) transport matrix along the segment, U[end <- start]."""
-    key = ("spinor_propagator", gauge)
-    if key in seg.cache:
-        return seg.cache[key]
+def spinor_propagator(seg: GeodesicSegment) -> np.ndarray:
+    """SL(2,C) transport matrix along the segment, U[end <- start], static frames."""
+    if "spinor_propagator" in seg.cache:
+        return seg.cache["spinor_propagator"]
     if seg.zero_length:
         u = np.eye(2, dtype=complex)
     else:
         dx = seg.events[1:] - seg.events[:-1]
         mid = _hermite_midpoints(seg.events, seg.tangents, _sample_step(seg))
-        u = _chord_transport(seg.spacetime, mid, dx, gauge)
-    seg.cache[key] = u
+        u = _chord_transport(seg.spacetime, mid, dx)
+    seg.cache["spinor_propagator"] = u
     return u
 
 
-def polygon_spinor_transport(st: Spacetime, xs: np.ndarray, gauge: str = "static") -> np.ndarray:
+def polygon_spinor_transport(st: Spacetime, xs: np.ndarray) -> np.ndarray:
     """Spinor transport along polygonal paths given by their knots.
 
     xs has shape (..., n, 4); the result (..., 2, 2) is the ordered product
-    of per-chord midpoint exponentials.  This is the discrete path law used
-    for perturbed-path bundles, where the polygon itself is the path.
+    of per-chord midpoint exponentials in static-frame components.  This is
+    the discrete path law used for perturbed-path bundles, where the polygon
+    itself is the path.
     """
     xs = np.asarray(xs, dtype=float)
     dx = xs[..., 1:, :] - xs[..., :-1, :]
     mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
-    return _chord_transport(st, mid, dx, gauge)
+    return _chord_transport(st, mid, dx)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from eprgeo import Event, integrate_geodesic, make_spacetime
-from eprgeo.frames import frame_field
+from eprgeo.frames import frame_field, gauge_lift
 from eprgeo.geodesic import GeodesicSegment
-from eprgeo.lorentz import ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z
+from eprgeo.lorentz import ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, sl2_inverse
 from eprgeo.transport import frame_propagator, spinor_propagator
 
 
@@ -111,8 +111,12 @@ def double_cover_defect():
 
         The spin-1/2 transport pushed through the vector action must reproduce
         the 4x4 frame-component transport; this is the routes' shared oracle.
+        The static-frame spinor transport is conjugated into the gauge frames
+        by the constant lift K, K^-1 U K, which checks gauge_lift against the
+        frames' gauge_boost.
         """
-        u = spinor_propagator(seg, gauge)
+        k = gauge_lift(gauge)
+        u = sl2_inverse(k) @ spinor_propagator(seg) @ k
         lam = frame_propagator(seg, gauge)
         return float(np.max(np.abs(vector_action(u) - lam)))
 

@@ -82,7 +82,7 @@ def test_02_geodetic_angle_both_routes(schwarzschild):
     seg = integrate_orbit(schwarzschild, 10.0)
     exact = geodetic_angle_exact(schwarzschild, 10.0)
     a_vec, _ = rest_frame_holonomy_angle(seg, "static")
-    a_spin = spinor_holonomy_angle(seg, "static")
+    a_spin = spinor_holonomy_angle(seg)
     dv, ds = abs(a_vec - exact), abs(a_spin - exact)
     ok = dv <= 1e-4 and ds <= 1e-4
     assert verdict(
@@ -145,7 +145,7 @@ def test_05_retraced_transport_is_identity(battery, reversed_segment):
     for seg in battery[:50]:
         rev = reversed_segment(seg)
         worst_v = max(worst_v, np.max(np.abs(world_propagator(rev) @ world_propagator(seg) - eye4)))
-        u = spinor_propagator(rev, "static") @ spinor_propagator(seg, "static")
+        u = spinor_propagator(rev) @ spinor_propagator(seg)
         worst_s = max(worst_s, np.max(np.abs(u - eye2)))
     ok = worst_v <= 1e-8 and worst_s <= 1e-6
     assert verdict(

@@ -443,7 +443,7 @@ class TestDenseOutput:
         assert seg.meta["n_steps"] <= 10
         exact = geodetic_angle_exact(schwarzschild, 10.0)
         assert abs(rest_frame_holonomy_angle(seg, "static")[0] - exact) < 1e-12
-        assert abs(spinor_holonomy_angle(seg, "static") - exact) < 1e-12
+        assert abs(spinor_holonomy_angle(seg) - exact) < 1e-12
 
     def test_steps_are_not_locked_to_samples(self, schwarzschild, eccentric):
         seg = integrate_geodesic(schwarzschild, *eccentric, 20.0)

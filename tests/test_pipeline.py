@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import eprgeo.scenario
+import eprgeo.transport
 from conftest import vector_action
 from eprgeo import (
     Event,
@@ -46,7 +47,7 @@ def _flat_pair(minkowski, w1, w2, tau=2.0, **kwargs):
     return integrate_pair(minkowski, origin, u1, u2, tau, tau, **kwargs)
 
 
-def _curved_pair(schwarzschild, seed=0, gauge="static", **kwargs):
+def _curved_legs(schwarzschild, seed=0):
     r = np.random.default_rng(seed)
     coords = np.array([0.0, 11.0, 1.3, 0.4])
     n0 = frame_field(schwarzschild, coords, "static")
@@ -55,7 +56,11 @@ def _curved_pair(schwarzschild, seed=0, gauge="static", **kwargs):
         w = r.normal(scale=0.35, size=3)
         u = n0 @ np.concatenate(([np.sqrt(1 + w @ w)], w))
         segs.append(integrate_geodesic(schwarzschild, Event(coords), u, 1.8))
-    return pair_transport(segs[0], segs[1], gauge=gauge, **kwargs)
+    return segs
+
+
+def _curved_pair(schwarzschild, seed=0, gauge="static", **kwargs):
+    return pair_transport(*_curved_legs(schwarzschild, seed), gauge=gauge, **kwargs)
 
 
 class TestFlatSpace:
@@ -135,6 +140,25 @@ class TestCurved:
         assert e_b == pytest.approx(e_s, abs=1e-10)
         # the relative rotation itself is gauge independent
         assert np.max(np.abs(res_s.relative_rotation - res_b.relative_rotation)) < 1e-8
+
+    def test_both_gauges_share_each_legs_chord_product(self, schwarzschild, monkeypatch):
+        """The spinor transport is cached in static frames, not per gauge, so
+        pairing the same legs in both gauges multiplies each leg's chord
+        exponentials once."""
+        calls = []
+        original = eprgeo.transport.ordered_exp_product
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(eprgeo.transport, "ordered_exp_product", counting)
+        segs = _curved_legs(schwarzschild, seed=4)
+        res_s = pair_transport(*segs, gauge="static")
+        res_b = pair_transport(*segs, gauge="boosted-static")
+        assert calls == [s.n_samples - 1 for s in segs]
+        assert np.max(np.abs(res_b.spin1 - res_s.spin1)) < 1e-12
+        assert np.max(np.abs(res_b.spin2 - res_s.spin2)) < 1e-12
 
     def test_spin_and_vector_rotations_agree(self, schwarzschild):
         res = _curved_pair(schwarzschild, seed=5)

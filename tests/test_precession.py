@@ -50,7 +50,7 @@ def test_vector_route_matches_exact(schwarzschild, r):
 @pytest.mark.parametrize("r", [8.0, 10.0])
 def test_spinor_route_matches_exact(schwarzschild, r):
     seg = integrate_orbit(schwarzschild, r)
-    angle = spinor_holonomy_angle(seg, "static")
+    angle = spinor_holonomy_angle(seg)
     assert angle == pytest.approx(geodetic_angle_exact(schwarzschild, r), abs=1e-6)
 
 
@@ -123,5 +123,5 @@ def test_both_routes_evaluate_christoffel_once_per_node(monkeypatch):
     assert sum(points["connection_matrix"]) == n
     assert points["christoffel"] == []
     points["connection_matrix"].clear()
-    spinor_holonomy_angle(seg, "static")
+    spinor_holonomy_angle(seg)
     assert points == {"christoffel": [], "connection_matrix": []}

@@ -540,10 +540,10 @@ seed = 639675700
         original = eprgeo.decoherence.polygon_spinor_transport
         bundle_calls = []
 
-        def counting(st, xs, gauge="static"):
+        def counting(st, xs):
             if np.ndim(xs) > 2:  # a batch of bundle paths, not the base polygon
                 bundle_calls.append(np.shape(xs)[0])
-            return original(st, xs, gauge)
+            return original(st, xs)
 
         monkeypatch.setattr(eprgeo.decoherence, "polygon_spinor_transport", counting)
         text = MINIMAL + "[decoherence]\nsigma = 0.0, 0.3\nn_paths = 6\nseed = 3\n"

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 import eprgeo.transport as transport
-from conftest import vector_action
 from eprgeo import (
     Event,
     integrate_geodesic,
@@ -206,36 +205,33 @@ class TestSpinorTransport:
     def test_retraced_path_is_identity(self, battery, reversed_segment):
         for seg in battery[:10]:
             rev = reversed_segment(seg)
-            u = spinor_propagator(rev, "static") @ spinor_propagator(seg, "static")
+            u = spinor_propagator(rev) @ spinor_propagator(seg)
             assert np.max(np.abs(u - ID2)) < 1e-6
 
     @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
-    def test_double_cover_projection(self, battery, gauge):
+    def test_double_cover_projection(self, battery, double_cover_defect, gauge):
         """U sigma_k U^dag realizes the vector-route frame rotation."""
         for seg in battery[:10]:
-            u = spinor_propagator(seg, gauge)
-            lam = frame_propagator(seg, gauge)
-            assert np.max(np.abs(vector_action(u) - lam)) < 1e-6
+            assert double_cover_defect(seg, gauge) < 1e-6
 
     def test_unit_determinant(self, battery):
         for seg in battery[:10]:
-            u = spinor_propagator(seg, "static")
+            u = spinor_propagator(seg)
             assert abs(np.linalg.det(u) - 1.0) < 1e-10
 
     def test_flat_space_spinor_trivial(self, minkowski):
         seg = integrate_geodesic(
             minkowski, Event(np.zeros(4)), np.array([np.sqrt(2.0), 0, 1.0, 0]), 1.5
         )
-        assert np.max(np.abs(spinor_propagator(seg, "static") - ID2)) < 1e-13
+        assert np.max(np.abs(spinor_propagator(seg) - ID2)) < 1e-13
 
     def test_zero_length_segment_transports_trivially(self, schwarzschild):
         seg = point_segment(schwarzschild, Event(np.array([0.0, 8.0, 1.2, 0.1])))
-        assert np.allclose(spinor_propagator(seg, "static"), ID2)
+        assert np.allclose(spinor_propagator(seg), ID2)
 
-    @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
-    def test_one_knot_polygon_transports_trivially(self, schwarzschild, gauge):
+    def test_one_knot_polygon_transports_trivially(self, schwarzschild):
         knots = np.tile([0.0, 8.0, 1.2, 0.1], (3, 1, 1))  # 3 paths of one knot
-        u = polygon_spinor_transport(schwarzschild, knots, gauge)
+        u = polygon_spinor_transport(schwarzschild, knots)
         assert u.shape == (3, 2, 2)
         assert np.allclose(u, ID2, rtol=0.0, atol=1e-15)
 
@@ -255,8 +251,7 @@ class TestSpinorTransport:
         coords = np.array([0.0, 9.0, 1.2, 0.3])
         u0 = static_tangent(st, coords, [0.3, 0.1, -0.2])
         seg = integrate_geodesic(st, Event(coords), u0, 1.5)
-        for gauge in ("static", "boosted-static"):
-            assert abs(np.linalg.det(spinor_propagator(seg, gauge)) - 1.0) < 1e-10
+        assert abs(np.linalg.det(spinor_propagator(seg)) - 1.0) < 1e-10
         paths = np.stack([seg.events, seg.events[::-1]])
         assert polygon_spinor_transport(st, paths).shape == (2, 2, 2)
         orbit = integrate_orbit(st, 10.0, n_orbits=0.1)
@@ -379,9 +374,8 @@ class TestChordFactors:
         coords = np.array([0.0, 9.0, 1.2, 0.3])
         u0 = frame_field(st, coords) @ np.array([np.sqrt(1.14), 0.3, 0.1, -0.2])
         seg = integrate_geodesic(st, Event(coords), u0, 1.5)
-        for gauge in ("static", "boosted-static"):
-            assert polygon_spinor_transport(st, xs, gauge).shape == (4, 2, 2)
-            assert abs(np.linalg.det(spinor_propagator(seg, gauge)) - 1.0) < 1e-10
+        assert polygon_spinor_transport(st, xs).shape == (4, 2, 2)
+        assert abs(np.linalg.det(spinor_propagator(seg)) - 1.0) < 1e-10
         assert calls == []
 
 
@@ -400,7 +394,7 @@ class TestCorrespondence:
         lam = frame_propagator(seg2, "static") @ frame_propagator(back, "static")
         assert np.max(np.abs(lam - np.eye(4))) < 1e-12
         # spinor factor is +-identity
-        u = spinor_propagator(seg2, "static") @ spinor_propagator(back, "static")
+        u = spinor_propagator(seg2) @ spinor_propagator(back)
         assert min(np.max(np.abs(u - ID2)), np.max(np.abs(u + ID2))) < 1e-12
 
     def test_correspondence_fields_attached(self, schwarzschild, reversed_segment):
@@ -550,9 +544,14 @@ def test_spinor_route_is_covariant_under_a_local_gauge(kind, params, bound):
     """
     st = make_spacetime(kind, params)
     coarse = local_gauge_error(st, DEFAULT_SAMPLE_STEP)
-    fine = local_gauge_error(st, DEFAULT_SAMPLE_STEP / 2.0)
-    print(f"{kind}: {coarse:.3e} at the default step, ratio {coarse / fine:.3f} over one halving")
-    assert coarse < bound
-    assert 3.5 <= coarse / fine <= 4.5
+    ratio = coarse / local_gauge_error(st, DEFAULT_SAMPLE_STEP / 2.0)
     # the wrong sign of the gauge term is no discretization error
-    assert local_gauge_error(st, DEFAULT_SAMPLE_STEP, sign=-1.0) > 0.1
+    flipped = local_gauge_error(st, DEFAULT_SAMPLE_STEP, sign=-1.0)
+    ok = coarse < bound and 3.5 <= ratio <= 4.5 and flipped > 0.1
+    print(
+        f"local gauge oracle ({kind}) {'PASS' if ok else 'FAIL'}: error {coarse:.3e} (bound {bound:.0e}), "
+        f"halving ratio {ratio:.3f} (needs [3.5, 4.5]), flipped-sign error {flipped:.3f} (needs > 0.1)"
+    )
+    assert coarse < bound
+    assert 3.5 <= ratio <= 4.5
+    assert flipped > 0.1
