@@ -11,6 +11,7 @@ everything else is imported from its submodule.
 
 from .decoherence import (
     averaged_state,
+    averaged_states,
     degraded_correlation,
     fidelity_with_error,
     sample_bundle,
@@ -39,6 +40,7 @@ __all__ = [
     "Event",
     "Report",
     "averaged_state",
+    "averaged_states",
     "chsh",
     "circular_orbit_tangent",
     "correlation",

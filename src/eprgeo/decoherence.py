@@ -17,20 +17,24 @@ bundle pair can be averaged both ways.
 
 The reference state for fidelity is the sigma=0 transport over the same
 decimated knots, which makes the sigma -> 0 limit exact by construction
-rather than holding only up to discretization error.  A sigma=0 bundle
-holds n copies of those knots, so it is transported once: every path gets
-the base polygon's term, with zero relative action.
+rather than holding only up to discretization error.  A sigma=0 bundle's
+paths are a read-only view of those knots, so it is never transported:
+every path gets the base polygon's term, with zero relative action.
 
-``averaged_state(pair, b1, b2, mode)`` degrades a transported pair: the
-pair's rest-frame map PairResult.spin_map, which applies its gauge, closes
-every static-frame path transport, and each bundle is transported once.
-The ChannelAverage it returns holds the averaged state, the per-path terms
+``averaged_states(pair, bundles1, bundles2, mode)`` degrades a transported
+pair once per bundle pair, and ``averaged_state(pair, b1, b2, mode)`` is
+its one-pair call.  Per leg, the base polygon is row 0 of one stack with
+the paths of every sigma > 0 bundle, and the stack goes through the
+transport and the pair's rest-frame map PairResult.spin_map, which applies
+its gauge, once per chunk of rows; each bundle's terms are its slice of the
+stack.  Each ChannelAverage holds the averaged state, the per-path terms
 and the reference state; ``fidelity_with_error(avg)`` derives the fidelity
 and its block standard error from that object.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,8 +54,9 @@ RESAMPLE_ATTEMPTS = 100
 # disjoint path blocks behind the standard error of fidelity_with_error
 FIDELITY_BLOCKS = 10
 
-# paths per transport chunk; bounds the per-chord (chords, paths) connection
-# components and the (chords, 4, paths) exponential components of one transport
+# stacked rows (a leg's base polygon, then bundle paths) per transport chunk;
+# bounds the per-chord (chords, rows) connection components and the
+# (chords, 4, rows) exponential components of one transport
 _CHUNK = 256
 
 _ID4 = np.eye(4, dtype=complex)
@@ -110,7 +115,7 @@ def sample_bundle(
     meta = {"base_knots": knots.copy()}
 
     if sigma == 0.0:
-        paths = np.broadcast_to(knots, (n_paths,) + knots.shape).copy()
+        paths = np.broadcast_to(knots, (n_paths,) + knots.shape)
         meta["resample_rounds"] = 0
         return PathBundle(seg, taus, paths, sigma, meta)
 
@@ -157,42 +162,57 @@ def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     dx = xs[..., 1:, :] - xs[..., :-1, :]
     mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
-    g = st.metric(mid)
-    num = np.sum(g * dx * dx, axis=-1)
+    q = st.metric(mid) * dx * dx
+    # np.sum's order over the four components, without a reduction's set-up cost
+    num = ((q[..., 0] + q[..., 1]) + q[..., 2]) + q[..., 3]
     return np.sum(num / np.diff(taus), axis=-1)
 
 
-def _bundle_ingredients(
-    pair: PairResult, leg: int, bundle: PathBundle, mode: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(per-path terms, sigma=0 map) of the bundle around leg 1 or 2 of the pair.
+def _leg_terms(
+    pair: PairResult, leg: int, bundles: Sequence[PathBundle], mode: str
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(per-path terms of each bundle, sigma=0 map) around leg 1 or 2 of the pair.
 
-    A coherent term is the path's SU(2) map times its action phase
-    exp(-(i/4)(S_path - S_base)); an incoherent term is the path's 3x3
-    rotation.  The channel reads only the mean term of each bundle.
+    The base polygon is row 0 of one stack with the paths of every sigma > 0
+    bundle, transported (and in coherent mode its action taken) one chunk of
+    rows at a time.  Every operation acts on each row alone, so a bundle's
+    terms do not depend on the bundles stacked beside it.  A coherent term is
+    the path's SU(2) map times its action phase exp(-(i/4)(S_path - S_base));
+    an incoherent term is the path's 3x3 rotation.  The channel reads only
+    the mean term of each bundle.
     """
-    st = bundle.base.spacetime
-    base_map = pair.spin_map(leg, polygon_spinor_transport(st, bundle.base_knots))
-
-    n = bundle.n_paths
-    if bundle.sigma == 0.0:
-        # every path is a copy of the base knots: the base map, zero action phase
-        base_term = base_map if mode == "coherent" else rotation_matrix_from_su2(base_map)
-        return np.broadcast_to(base_term, (n,) + base_term.shape), base_map
-
-    maps = np.empty((n, 2, 2), dtype=complex)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        maps[lo:hi] = pair.spin_map(leg, polygon_spinor_transport(st, bundle.paths[lo:hi]))
+    st = pair.segment1.spacetime
+    base = bundles[0]
+    xs = np.concatenate([base.base_knots[None]] + [b.paths for b in bundles if b.sigma != 0.0])
+    maps = np.empty((len(xs), 2, 2), dtype=complex)
+    actions = np.empty(len(xs))
+    for lo in range(0, len(xs), _CHUNK):
+        chunk = xs[lo : lo + _CHUNK]
+        maps[lo : lo + _CHUNK] = pair.spin_map(leg, polygon_spinor_transport(st, chunk))
+        if mode == "coherent":
+            # a huge sigma overflows |dx|^2; the check below reports it instead
+            with np.errstate(over="ignore", invalid="ignore"):
+                actions[lo : lo + _CHUNK] = path_action(st, chunk, base.taus)
     if mode == "incoherent":
-        return rotation_matrix_from_su2(maps), base_map
-    # a huge sigma overflows |dx|^2; the check below reports it instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_base = path_action(st, bundle.base_knots, bundle.taus)
-        phases = np.exp(-0.25j * (path_action(st, bundle.paths, bundle.taus) - s_base))
-    if not np.all(np.isfinite(phases)):
-        raise DomainError("path action is not finite; reduce sigma")
-    return maps * phases[:, None, None], base_map
+        terms = rotation_matrix_from_su2(maps)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(-0.25j * (actions[1:] - actions[0]))
+        if not np.all(np.isfinite(phases)):
+            raise DomainError("path action is not finite; reduce sigma")
+        # row 0 keeps the base map itself: its relative action is zero
+        terms = maps
+        terms[1:] *= phases[:, None, None]
+
+    out, lo = [], 1
+    for b in bundles:
+        if b.sigma == 0.0:
+            # every path is the base polygon: the base term, zero relative action
+            out.append(np.broadcast_to(terms[0], (b.n_paths,) + terms.shape[1:]))
+        else:
+            out.append(terms[lo : lo + b.n_paths])
+            lo += b.n_paths
+    return out, maps[0]
 
 
 @dataclass
@@ -240,6 +260,48 @@ def _combine(a1: np.ndarray, a2: np.ndarray, mode: str) -> np.ndarray:
     return 0.25 * (_ID4 - np.tensordot(a1 @ a2.T, PAULI_PAIRS, 2))
 
 
+def averaged_states(
+    pair: PairResult,
+    bundles1: Sequence[PathBundle],
+    bundles2: Sequence[PathBundle],
+    mode: str = "coherent",
+) -> list[ChannelAverage]:
+    """Average a transported pair's singlet over each pair of bundles.
+
+    bundles1[i] and bundles2[i] must be drawn around ``pair.segment1`` and
+    ``pair.segment2``; the result holds one ChannelAverage per bundle pair,
+    in order, each equal to a separate ``averaged_state`` call.  Each leg's
+    base polygon and paths are transported in one stack, so a sweep over
+    sigma pays the per-call cost of the transport chain once per chunk of
+    rows, not once per bundle.  The stack holds every bundle handed over:
+    pass as many as memory allows at once.
+    """
+    if mode not in MODES:
+        raise UsageError(f"unknown averaging mode {mode!r}")
+    if len(bundles1) != len(bundles2):
+        raise UsageError("need one bundle around each leg per bundle pair")
+    if any(b.base is not pair.segment1 for b in bundles1) or any(
+        b.base is not pair.segment2 for b in bundles2
+    ):
+        raise UsageError("bundles must be drawn around the pair's legs, in leg order")
+    if not bundles1:
+        return []
+
+    terms1, base_map1 = _leg_terms(pair, 1, bundles1, mode)
+    terms2, base_map2 = _leg_terms(pair, 2, bundles2, mode)
+    reference = pair_state(base_map1, base_map2)
+    return [
+        ChannelAverage(
+            _combine(t1.mean(axis=0), t2.mean(axis=0), mode),
+            mode,
+            (t1, t2),
+            reference,
+            b1.sigma == 0.0 and b2.sigma == 0.0,
+        )
+        for b1, b2, t1, t2 in zip(bundles1, bundles2, terms1, terms2)
+    ]
+
+
 def averaged_state(
     pair: PairResult, b1: PathBundle, b2: PathBundle, mode: str = "coherent"
 ) -> ChannelAverage:
@@ -250,23 +312,10 @@ def averaged_state(
     density matrix in the pair's own detector frames.
     ``mode`` is one of MODES.  Coherent mode superposes amplitudes with
     their action phases (the average stays pure); incoherent mode mixes the
-    conjugated density matrices uniformly.  This is the only place a bundle
-    pair is transported: pass the result to ``fidelity_with_error``.
+    conjugated density matrices uniformly.  This is ``averaged_states`` for
+    one bundle pair: pass the result to ``fidelity_with_error``.
     """
-    if mode not in MODES:
-        raise UsageError(f"unknown averaging mode {mode!r}")
-    if b1.base is not pair.segment1 or b2.base is not pair.segment2:
-        raise UsageError("bundles must be drawn around the pair's legs, in leg order")
-
-    t1, base_map1 = _bundle_ingredients(pair, 1, b1, mode)
-    t2, base_map2 = _bundle_ingredients(pair, 2, b2, mode)
-    return ChannelAverage(
-        _combine(t1.mean(axis=0), t2.mean(axis=0), mode),
-        mode,
-        (t1, t2),
-        pair_state(base_map1, base_map2),
-        b1.sigma == 0.0 and b2.sigma == 0.0,
-    )
+    return averaged_states(pair, [b1], [b2], mode)[0]
 
 
 def degraded_correlation(avg: ChannelAverage, a, b) -> float:

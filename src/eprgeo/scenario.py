@@ -518,6 +518,58 @@ def _fill_report(sc: Scenario, report: Report) -> None:
         _run_decoherence(sc, result, report)
 
 
+class _SigmaFailure(Exception):
+    """A sigma of the decoherence sweep failed; its text is the failure row."""
+
+
+def _averaged_group(result: PairResult, group: list, mode: str):
+    """(sigma, resample rounds, ChannelAverage) of each (sigma, b1, b2) of a group.
+
+    A DomainError from the group's channel is traced to its first failing
+    sigma by averaging one bundle pair at a time, so the sigmas before it
+    still yield.
+    """
+    try:
+        avgs = deco.averaged_states(result, [g[1] for g in group], [g[2] for g in group], mode)
+    except DomainError:
+        avgs = [None] * len(group)
+    for (sigma, b1, b2), avg in zip(group, avgs):
+        if avg is None:
+            try:
+                avg = deco.averaged_state(result, b1, b2, mode)
+            except DomainError as exc:
+                raise _SigmaFailure(f"decoherence: sigma={sigma}: {exc}") from None
+        yield sigma, b1.meta["resample_rounds"] + b2.meta["resample_rounds"], avg
+
+
+def _averaged_sweep(result: PairResult, dspec: DecoherenceSpec):
+    """(sigma, resample rounds, ChannelAverage) of each sigma, in sigma order.
+
+    Bundles are drawn in sigma order and averaged in groups whose stacked
+    rows per leg, the base polygon's included, fit in one transport chunk; a
+    larger bundle forms a group of its own, and a zero-width bundle adds no
+    rows.  A group is yielded in full before the next is drawn, so a sweep
+    holds no more paths than its largest group.  The first sigma that fails
+    raises _SigmaFailure after every sigma before it has been yielded.
+    """
+    seg1, seg2 = result.segment1, result.segment2
+    group, rows = [], 1
+    for k, sigma in enumerate(dspec.sigmas):
+        extra = dspec.n_paths if sigma != 0.0 else 0
+        if rows > 1 and rows + extra > deco._CHUNK:
+            yield from _averaged_group(result, group, dspec.mode)
+            group, rows = [], 1
+        try:
+            b1 = deco.sample_bundle(seg1, sigma, dspec.n_paths, seed=dspec.seed + 2 * k)
+            b2 = deco.sample_bundle(seg2, sigma, dspec.n_paths, seed=dspec.seed + 2 * k + 1)
+        except DomainError as exc:
+            yield from _averaged_group(result, group, dspec.mode)
+            raise _SigmaFailure(f"decoherence: sigma={sigma}: {exc}") from None
+        group.append((sigma, b1, b2))
+        rows += extra
+    yield from _averaged_group(result, group, dspec.mode)
+
+
 def _run_decoherence(sc: Scenario, result: PairResult, report: Report) -> None:
     dspec = sc.decoherence
     seg1, seg2 = result.segment1, result.segment2
@@ -527,26 +579,21 @@ def _run_decoherence(sc: Scenario, result: PairResult, report: Report) -> None:
     a_ideal = sc.directions1[0]
     b_ideal = matched_axis(result, a_ideal)
     prev = None
-    for k, sigma in enumerate(dspec.sigmas):
-        try:
-            b1 = deco.sample_bundle(seg1, sigma, dspec.n_paths, seed=dspec.seed + 2 * k)
-            b2 = deco.sample_bundle(seg2, sigma, dspec.n_paths, seed=dspec.seed + 2 * k + 1)
-            avg = deco.averaged_state(result, b1, b2, dspec.mode)
-        except DomainError as exc:
-            report.fail(f"decoherence: sigma={sigma}: {exc}")
-            return
-        fid, se = deco.fidelity_with_error(avg)
-        e_deg = float(deco.degraded_correlation(avg, a_ideal, b_ideal))
-        flag = ""
-        if sigma == 0.0:
-            flag = FLAG_OK if abs(fid - 1.0) <= 1e-8 else FLAG_FAIL
-        elif prev is not None:
-            margin = 2.0 * (se + prev[1]) + MONOTONE_ROUNDOFF
-            flag = FLAG_OK if fid <= prev[0] + margin else FLAG_FAIL
-        report.add("decoherence_sigma", float(sigma), a_index=k)
-        report.add("decoherence_fidelity", float(fid), a_index=k, flag=flag)
-        report.add("decoherence_fidelity_se", float(se), a_index=k)
-        report.add("decoherence_E_matched", e_deg, a_index=k)
-        rounds = b1.meta["resample_rounds"] + b2.meta["resample_rounds"]
-        report.add("decoherence_resample_rounds", int(rounds), a_index=k)
-        prev = (fid, se)
+    try:
+        for k, (sigma, rounds, avg) in enumerate(_averaged_sweep(result, dspec)):
+            fid, se = deco.fidelity_with_error(avg)
+            e_deg = float(deco.degraded_correlation(avg, a_ideal, b_ideal))
+            flag = ""
+            if sigma == 0.0:
+                flag = FLAG_OK if abs(fid - 1.0) <= 1e-8 else FLAG_FAIL
+            elif prev is not None:
+                margin = 2.0 * (se + prev[1]) + MONOTONE_ROUNDOFF
+                flag = FLAG_OK if fid <= prev[0] + margin else FLAG_FAIL
+            report.add("decoherence_sigma", float(sigma), a_index=k)
+            report.add("decoherence_fidelity", float(fid), a_index=k, flag=flag)
+            report.add("decoherence_fidelity_se", float(se), a_index=k)
+            report.add("decoherence_E_matched", e_deg, a_index=k)
+            report.add("decoherence_resample_rounds", int(rounds), a_index=k)
+            prev = (fid, se)
+    except _SigmaFailure as exc:
+        report.fail(str(exc))

@@ -13,6 +13,7 @@ import pytest
 from eprgeo import (
     Event,
     averaged_state,
+    averaged_states,
     correlation_matrix,
     degraded_correlation,
     fidelity_with_error,
@@ -212,10 +213,12 @@ class TestAveragedState:
             monkeypatch.setattr(cls, name, recording)
         avg = averaged_state(pair, b1, b2, mode)
         monkeypatch.undo()
-        # each leg's base polygon is transported once, and no metric or
-        # connection evaluation spans the (n_paths, knots, 4) path batch
+        # each leg's base polygon is transported once, as the lone row of its
+        # stack, and no metric or connection evaluation spans more points than
+        # one polygon has chords: none spans the (n_paths, knots, 4) path batch
         assert len(shapes["static_connection"]) == 2
-        assert all(len(s) <= 2 for calls in shapes.values() for s in calls)
+        chords = max(len(b.base_knots) for b in (b1, b2)) - 1
+        assert all(np.prod(s[:-1]) <= chords for calls in shapes.values() for s in calls)
         # every path carries the base term: the base map with phase 1, or
         # its rotation
         t1, t2 = avg.terms
@@ -235,6 +238,23 @@ class TestAveragedState:
         fid, se = fidelity_with_error(avg)
         assert se == 0.0
         assert fid == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    def test_sweep_matches_separate_calls(self, legs, pair, mode):
+        """Stacking three bundles per leg, 601 rows in chunks of 256 that
+        straddle the bundles, changes no bit of any bundle's average."""
+        sigmas = (0.0, 0.1, 0.3)
+        b1s = [sample_bundle(legs[0], s, 300, 5 + 2 * k) for k, s in enumerate(sigmas)]
+        b2s = [sample_bundle(legs[1], s, 300, 6 + 2 * k) for k, s in enumerate(sigmas)]
+        swept = averaged_states(pair, b1s, b2s, mode)
+        assert len(swept) == len(sigmas)
+        for avg, b1, b2 in zip(swept, b1s, b2s):
+            alone = averaged_state(pair, b1, b2, mode)
+            assert all(np.array_equal(t, u) for t, u in zip(avg.terms, alone.terms))
+            assert np.array_equal(avg.rho, alone.rho)
+            assert np.array_equal(avg.reference_state, alone.reference_state)
+            assert avg.zero_width == alone.zero_width == (b1.sigma == 0.0)
+        assert averaged_states(pair, [], [], mode) == []
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
     @pytest.mark.parametrize("n_paths", [7, 20, 25])
@@ -313,6 +333,8 @@ class TestAveragedState:
         for wrong in ((b2, b1), (b1, b1), (b1, other_event), (other_event, b2)):
             with pytest.raises(UsageError, match="pair's legs"):
                 averaged_state(pair, *wrong)
+        with pytest.raises(UsageError, match="one bundle around each leg"):
+            averaged_states(pair, [b1, b1], [b2])
 
 
 def _kron_left(w):

@@ -4,7 +4,9 @@ import contextlib
 import csv
 import hashlib
 import io
+import re
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,6 +19,7 @@ import eprgeo.decoherence
 import eprgeo.pipeline
 import eprgeo.scenario
 from eprgeo import parse_scenario, run_scenario
+from eprgeo.report import emit_report
 from eprgeo.cli import main
 from eprgeo.errors import ConfigurationError
 from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, DEFAULT_TOL, samples_for
@@ -536,23 +539,6 @@ seed = 639675700
         assert [r.flag for r in fids] == ["ok", "ok"]
         assert not report.has_failures
 
-    def test_bundle_channel_runs_once_per_sigma(self, monkeypatch):
-        original = eprgeo.decoherence.polygon_spinor_transport
-        bundle_calls = []
-
-        def counting(st, xs):
-            if np.ndim(xs) > 2:  # a batch of bundle paths, not the base polygon
-                bundle_calls.append(np.shape(xs)[0])
-            return original(st, xs)
-
-        monkeypatch.setattr(eprgeo.decoherence, "polygon_spinor_transport", counting)
-        text = MINIMAL + "[decoherence]\nsigma = 0.0, 0.3\nn_paths = 6\nseed = 3\n"
-        report = run_scenario(parse_scenario(text))
-        assert not report.has_failures
-        # each sigma > 0 bundle of 6 paths is transported exactly once; a
-        # sigma = 0 bundle reuses its base polygon's map for every path
-        assert bundle_calls == [6, 6]
-
     def test_pair_frames_are_built_once_for_all_sigmas(self, monkeypatch):
         calls = dict.fromkeys(("rest_conjugation_factors", "boosted_tetrad"), 0)
         modules = [m for n, m in sys.modules.items() if n == "eprgeo" or n.startswith("eprgeo.")]
@@ -573,3 +559,123 @@ seed = 639675700
         assert len([r for r in report.rows if r.quantity == "decoherence_fidelity"]) == 3
         # one reference tetrad and one factor pair per leg, shared by every sigma
         assert calls == {"rest_conjugation_factors": 2, "boosted_tetrad": 1}
+
+
+SCHWARZSCHILD = """\
+[spacetime]
+kind = schwarzschild
+mass = 1.0
+
+[decay]
+event = 0, 12, 1.5707963267948966, 0
+
+[detector1]
+tangent = 1.2, 0.4, 0, 0
+tau = 2.0
+
+[detector2]
+tangent = 1.2, -0.3, 0, 0.02
+tau = 2.0
+"""
+
+
+def decoherence(sigmas, n_paths, mode="coherent", seed=3):
+    sigma = ", ".join(map(str, sigmas))
+    return f"[decoherence]\nsigma = {sigma}\nn_paths = {n_paths}\nmode = {mode}\nseed = {seed}\n"
+
+
+def sweep_rows(report):
+    return [r for r in report.rows if r.quantity.startswith("decoherence")]
+
+
+class TestBundleSweep:
+    """The sweep hands its bundles to the channel in groups that fit one
+    transport chunk; the groups change no byte of the report."""
+
+    @pytest.mark.parametrize(
+        "sigmas, chunk, rows",
+        [
+            # one group: each leg stacks its base polygon and the 6 paths of
+            # every sigma > 0 bundle; a sigma = 0 bundle adds no row
+            ((0.0, 0.3), 256, [7, 7]),
+            ((0.0, 0.2, 0.4), 256, [13, 13]),
+            # ceil(7 / 4) transports per leg
+            ((0.0, 0.3), 4, [4, 3, 4, 3]),
+            # 13 rows overflow a chunk of 4, so each sigma > 0 forms a group
+            ((0.0, 0.2, 0.4), 4, [4, 3, 4, 3] * 2),
+        ],
+        ids=["one-group", "one-group-three-sigmas", "two-chunks", "two-groups"],
+    )
+    def test_bundle_channel_transports_each_leg_once_per_chunk(
+        self, monkeypatch, sigmas, chunk, rows
+    ):
+        original = eprgeo.decoherence.polygon_spinor_transport
+        shapes = []
+
+        def counting(st, xs):
+            shapes.append(np.shape(xs)[0])
+            return original(st, xs)
+
+        monkeypatch.setattr(eprgeo.decoherence, "polygon_spinor_transport", counting)
+        monkeypatch.setattr(eprgeo.decoherence, "_CHUNK", chunk)
+        report = run_scenario(parse_scenario(MINIMAL + decoherence(sigmas, 6)))
+        assert not report.has_failures
+        assert shapes == rows
+
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    @pytest.mark.parametrize("n_paths", [3, 20])
+    def test_csv_does_not_depend_on_the_chunk_size(self, monkeypatch, mode, n_paths):
+        """At _CHUNK = 8, n_paths = 3 stacks two bundles per group and
+        n_paths = 20 spreads each bundle over three chunks."""
+        text = SCHWARZSCHILD + decoherence((0.0, 0.1, 0.2, 0.0, 0.3), n_paths, mode)
+        default = emit_report(run_scenario(parse_scenario(text)), "csv")
+        monkeypatch.setattr(eprgeo.decoherence, "_CHUNK", 8)
+        assert emit_report(run_scenario(parse_scenario(text)), "csv") == default
+        assert "decoherence_fidelity" in default and "failure" not in default
+
+    @pytest.mark.parametrize(
+        "text, bad, message",
+        [
+            (
+                MINIMAL + decoherence((0.0, 0.1, 1e300), 20),
+                1e300,
+                r"path action is not finite; reduce sigma",
+            ),
+            (
+                SCHWARZSCHILD + decoherence((0.0, 0.1, 50.0), 20),
+                50.0,
+                r"\d+ bundle paths still leave the chart after 100 attempts; reduce sigma",
+            ),
+        ],
+        ids=["non-finite-action", "hopeless-draw"],
+    )
+    def test_failing_sigma_reports_every_sigma_before_it(self, text, bad, message):
+        report = run_scenario(parse_scenario(text))
+        good = run_scenario(parse_scenario(text.replace(f", {bad}", "")))
+        assert not good.has_failures
+        # every row of the sweep without the bad sigma, then one failure row
+        assert report.rows[:-1] == good.rows
+        assert [r.value for r in sweep_rows(report) if r.quantity == "decoherence_sigma"] == [0.0, 0.1]
+        failures = [r for r in report.rows if r.quantity == "failure"]
+        assert failures == report.rows[-1:]
+        assert re.fullmatch(re.escape(f"decoherence: sigma={bad}: ") + message, failures[0].value)
+
+    def test_sweep_memory_does_not_grow_with_the_sigma_count(self):
+        """Each group is reported before the next is drawn, so 40 sigmas peak
+        where 2 do; drawing every bundle first would grow the peak with the count."""
+        sigmas = np.round(np.linspace(0.01, 0.4, 40), 4)
+
+        def peak(count):
+            sc = parse_scenario(SCHWARZSCHILD + decoherence(sigmas[:count], 200))
+            tracemalloc.start()
+            try:
+                report = run_scenario(sc)
+                return tracemalloc.get_traced_memory()[1], report
+            finally:
+                tracemalloc.stop()
+
+        small, report2 = peak(2)
+        large, report40 = peak(40)
+        assert not report2.has_failures and not report40.has_failures
+        assert len([r for r in sweep_rows(report40) if r.quantity == "decoherence_sigma"]) == 40
+        assert large <= 1.25 * small, (small, large)

@@ -4,7 +4,8 @@ signature, chart domains, and the factory's validation."""
 import numpy as np
 import pytest
 
-from eprgeo import Event, make_spacetime
+from eprgeo import Event, integrate_geodesic, make_spacetime
+from eprgeo.decoherence import path_action
 from eprgeo.errors import ConfigurationError, DomainError
 from eprgeo.spacetime import (
     AXIS_GUARD,
@@ -442,3 +443,80 @@ def test_weak_field_softening_default():
     g = st.metric(np.array([0.0, 0.0, 0.0, 0.0]))
     assert np.all(np.isfinite(g))
     assert g[0] == pytest.approx(-(1.0 - 2.0 * 0.05), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# short-axis reductions: the component forms keep the reductions' bits
+
+
+def mixed_magnitudes(rng, shape):
+    """Normal draws scaled by 10^k, k in [-3, 3], so that the order of a sum
+    shows in its last bits; one entry in 200 (at least one) set to inf, -inf
+    or nan."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    flat = x.reshape(-1)
+    idx = rng.choice(flat.size, size=max(1, flat.size // 200), replace=False)
+    flat[idx] = rng.choice([np.inf, -np.inf, np.nan], size=idx.size)
+    return x
+
+
+SHORT_AXIS_SHAPES = [(4,), (7, 4), (100, 50, 4)]
+
+
+@pytest.mark.parametrize("shape", SHORT_AXIS_SHAPES, ids=str)
+@pytest.mark.parametrize(
+    "st",
+    [Minkowski(), Schwarzschild({"M": 1.0}), WeakField({"epsilon": 0.05})],
+    ids=lambda st: st.name,
+)
+def test_in_chart_matches_np_all(st, shape):
+    x = mixed_magnitudes(np.random.default_rng(21), shape)
+    if x.ndim > 1:
+        # every third point well inside every chart
+        x[..., ::3, :] = [0.5, 9.0, 1.2, 0.3]
+    with np.errstate(invalid="ignore"):
+        expected = np.all(np.isfinite(x), axis=-1)
+        if isinstance(st, Schwarzschild):
+            r, th = x[..., 1], x[..., 2]
+            expected &= (r > st.r_min) & (r < MAX_RADIUS) & (np.sin(th) > AXIS_GUARD)
+    assert np.array_equal(st.in_chart(x), expected)
+
+
+@pytest.mark.parametrize("shape", [(3,), (7, 3), (100, 50, 3)], ids=str)
+def test_weak_field_potential_matches_np_sum(shape):
+    st = WeakField({"epsilon": 0.05, "softening": 0.7})
+    sp = mixed_magnitudes(np.random.default_rng(22), shape)
+    with np.errstate(all="ignore"):
+        s = np.sqrt(np.sum(sp * sp, axis=-1) + 0.7**2)
+        phi, grad = st._potential(sp)
+        assert np.array_equal(phi, -1.0 / s, equal_nan=True)
+        assert np.array_equal(grad, sp / s[..., None] ** 3, equal_nan=True)
+
+
+@pytest.mark.parametrize("shape", [(20, 4), (30, 20, 4)], ids=str)
+def test_path_action_matches_np_sum(shape):
+    st = WeakField({"epsilon": 0.05})
+    rng = np.random.default_rng(23)
+    xs = mixed_magnitudes(rng, shape)
+    taus = np.cumsum(rng.uniform(0.1, 1.0, shape[-2]))
+    with np.errstate(all="ignore"):
+        dx = xs[..., 1:, :] - xs[..., :-1, :]
+        g = st.metric(0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :])
+        expected = np.sum(np.sum(g * dx * dx, axis=-1) / np.diff(taus), axis=-1)
+        assert np.array_equal(path_action(st, xs, taus), expected, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "kind, params, x0",
+    [
+        ("minkowski", {}, [0.0, 1.0, 2.0, 3.0]),
+        ("schwarzschild", {"M": 1.0}, [0.0, 9.0, 1.3, 0.2]),
+        ("weak_field", {"epsilon": 0.05}, [0.0, 3.0, 1.0, 0.5]),
+    ],
+)
+def test_norm_drift_matches_np_sum(static_tangent, kind, params, x0):
+    st = make_spacetime(kind, params)
+    for w in np.random.default_rng(24).uniform(-0.3, 0.3, (8, 3)):
+        seg = integrate_geodesic(st, Event(np.array(x0)), static_tangent(st, x0, w), 3.0, n_samples=300)
+        norms = np.sum(st.metric(seg.events) * seg.tangents * seg.tangents, axis=-1)
+        assert seg.meta["norm_drift"] == float(np.max(np.abs(norms + 1.0)))
