@@ -12,15 +12,17 @@ error of the integrator but of the trajectory: the step is halved toward
 the boundary and a DomainExitError carrying the last valid sample is raised.
 
 The step is unrolled on Python floats, because on an 8-component state
-NumPy's per-call overhead costs more than the arithmetic: each stage is one
-list comprehension with the Butcher coefficients as literals, the error norm
+NumPy's per-call overhead costs more than the arithmetic, and written out
+per component on local floats, because a comprehension's per-element
+overhead costs more again: every component of every stage repeats the
+Butcher coefficients as literals in one order and grouping.  The error norm
 is a root mean square of eight floats and the chart test is the spacetime's
 one-point ``contains``.  An accepted step that passes nodes only records its
-start and stages; all passed nodes are filled after the loop in one NumPy
-pass through the coefficient matrix _DENSE_P.  That loop is the private core
-``_march``; ``integrate_geodesic`` wraps it with input validation, the
-sample grid and the 4-velocity norm check, and the shooting's trial shots
-call the core directly on the two-node grid [0, tau].
+start and stages, as flat floats; all passed nodes are filled after the
+loop in one NumPy pass through the coefficient matrix _DENSE_P.  That loop
+is the private core ``_march``; ``integrate_geodesic`` wraps it with input
+validation, the sample grid and the 4-velocity norm check, and the
+shooting's trial shots call the core directly on the two-node grid [0, tau].
 
 The boundary-value problem (geodesic from O to a given target event) is
 solved by shooting on four unknowns: the spatial velocity of the launch
@@ -232,6 +234,14 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
     Returns (steps, rejected steps, RHS evaluations).  Raises IntegrationError
     on step underflow and DomainExitError where the trajectory leaves the
     chart, either with those counts so far as its ``counts``.
+
+    The step is written out per component: y0..y7 is the state, kj_c
+    component c of stage j and yn0..yn7 the step's end.  Each component
+    repeats the coefficient literals in the order and grouping of the
+    stage's list-comprehension form, kept in the tests as the oracle, so
+    every float is the same IEEE result.  The squared error ratios are added
+    by sum(), not by a written-out chain of +: from Python 3.12 on, sum() of
+    floats is compensated, and a chain would round differently.
     """
     n_samples = len(grid)
     tau_end = grid[-1]
@@ -251,7 +261,8 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
     i = 1  # next node to fill
     n_steps = n_rejected = 0
     n_rhs = 1
-    passed = []  # (t, h, first node, end node, y, k1, k3, ..., k7) per step
+    passed = []  # (t, h, first node, end node) per step that passes nodes
+    states = []  # the same steps' y, k1, k3, ..., k7: 56 floats each
 
     while i < n_samples:
         h_limit = tau_end - t
@@ -261,32 +272,101 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
         # one Dormand-Prince 5(4) step; the last stage row equals the
         # 5th-order weights, so k7 is the next step's k1 (FSAL), and the
         # equation is autonomous, so the nodes c_i never enter
+        y0, y1, y2, y3, y4, y5, y6, y7 = y
+        k1_0, k1_1, k1_2, k1_3, k1_4, k1_5, k1_6, k1_7 = k1
         try:
             n_rhs += 1
-            k2 = rhs([a + h * (1 / 5 * b) for a, b in zip(y, k1)])
+            k2_0, k2_1, k2_2, k2_3, k2_4, k2_5, k2_6, k2_7 = rhs((
+                y0 + h * (1 / 5 * k1_0),
+                y1 + h * (1 / 5 * k1_1),
+                y2 + h * (1 / 5 * k1_2),
+                y3 + h * (1 / 5 * k1_3),
+                y4 + h * (1 / 5 * k1_4),
+                y5 + h * (1 / 5 * k1_5),
+                y6 + h * (1 / 5 * k1_6),
+                y7 + h * (1 / 5 * k1_7),
+            ))
             n_rhs += 1
-            k3 = rhs([a + h * (3 / 40 * b + 9 / 40 * c) for a, b, c in zip(y, k1, k2)])
+            k3 = rhs((
+                y0 + h * (3 / 40 * k1_0 + 9 / 40 * k2_0),
+                y1 + h * (3 / 40 * k1_1 + 9 / 40 * k2_1),
+                y2 + h * (3 / 40 * k1_2 + 9 / 40 * k2_2),
+                y3 + h * (3 / 40 * k1_3 + 9 / 40 * k2_3),
+                y4 + h * (3 / 40 * k1_4 + 9 / 40 * k2_4),
+                y5 + h * (3 / 40 * k1_5 + 9 / 40 * k2_5),
+                y6 + h * (3 / 40 * k1_6 + 9 / 40 * k2_6),
+                y7 + h * (3 / 40 * k1_7 + 9 / 40 * k2_7),
+            ))
+            k3_0, k3_1, k3_2, k3_3, k3_4, k3_5, k3_6, k3_7 = k3
             n_rhs += 1
-            k4 = rhs([
-                a + h * (44 / 45 * b - 56 / 15 * c + 32 / 9 * d)
-                for a, b, c, d in zip(y, k1, k2, k3)
-            ])
+            k4 = rhs((
+                y0 + h * (44 / 45 * k1_0 - 56 / 15 * k2_0 + 32 / 9 * k3_0),
+                y1 + h * (44 / 45 * k1_1 - 56 / 15 * k2_1 + 32 / 9 * k3_1),
+                y2 + h * (44 / 45 * k1_2 - 56 / 15 * k2_2 + 32 / 9 * k3_2),
+                y3 + h * (44 / 45 * k1_3 - 56 / 15 * k2_3 + 32 / 9 * k3_3),
+                y4 + h * (44 / 45 * k1_4 - 56 / 15 * k2_4 + 32 / 9 * k3_4),
+                y5 + h * (44 / 45 * k1_5 - 56 / 15 * k2_5 + 32 / 9 * k3_5),
+                y6 + h * (44 / 45 * k1_6 - 56 / 15 * k2_6 + 32 / 9 * k3_6),
+                y7 + h * (44 / 45 * k1_7 - 56 / 15 * k2_7 + 32 / 9 * k3_7),
+            ))
+            k4_0, k4_1, k4_2, k4_3, k4_4, k4_5, k4_6, k4_7 = k4
             n_rhs += 1
-            k5 = rhs([
-                a + h * (19372 / 6561 * b - 25360 / 2187 * c + 64448 / 6561 * d - 212 / 729 * e)
-                for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-            ])
+            k5 = rhs((
+                y0 + h * (19372 / 6561 * k1_0 - 25360 / 2187 * k2_0 + 64448 / 6561 * k3_0
+                          - 212 / 729 * k4_0),
+                y1 + h * (19372 / 6561 * k1_1 - 25360 / 2187 * k2_1 + 64448 / 6561 * k3_1
+                          - 212 / 729 * k4_1),
+                y2 + h * (19372 / 6561 * k1_2 - 25360 / 2187 * k2_2 + 64448 / 6561 * k3_2
+                          - 212 / 729 * k4_2),
+                y3 + h * (19372 / 6561 * k1_3 - 25360 / 2187 * k2_3 + 64448 / 6561 * k3_3
+                          - 212 / 729 * k4_3),
+                y4 + h * (19372 / 6561 * k1_4 - 25360 / 2187 * k2_4 + 64448 / 6561 * k3_4
+                          - 212 / 729 * k4_4),
+                y5 + h * (19372 / 6561 * k1_5 - 25360 / 2187 * k2_5 + 64448 / 6561 * k3_5
+                          - 212 / 729 * k4_5),
+                y6 + h * (19372 / 6561 * k1_6 - 25360 / 2187 * k2_6 + 64448 / 6561 * k3_6
+                          - 212 / 729 * k4_6),
+                y7 + h * (19372 / 6561 * k1_7 - 25360 / 2187 * k2_7 + 64448 / 6561 * k3_7
+                          - 212 / 729 * k4_7),
+            ))
+            k5_0, k5_1, k5_2, k5_3, k5_4, k5_5, k5_6, k5_7 = k5
             n_rhs += 1
-            k6 = rhs([
-                a + h * (9017 / 3168 * b - 355 / 33 * c + 46732 / 5247 * d
-                         + 49 / 176 * e - 5103 / 18656 * f)
-                for a, b, c, d, e, f in zip(y, k1, k2, k3, k4, k5)
-            ])
-            y_new = [
-                a + h * (35 / 384 * b + 500 / 1113 * d + 125 / 192 * e
-                         - 2187 / 6784 * f + 11 / 84 * g)
-                for a, b, d, e, f, g in zip(y, k1, k3, k4, k5, k6)
-            ]
+            k6 = rhs((
+                y0 + h * (9017 / 3168 * k1_0 - 355 / 33 * k2_0 + 46732 / 5247 * k3_0
+                          + 49 / 176 * k4_0 - 5103 / 18656 * k5_0),
+                y1 + h * (9017 / 3168 * k1_1 - 355 / 33 * k2_1 + 46732 / 5247 * k3_1
+                          + 49 / 176 * k4_1 - 5103 / 18656 * k5_1),
+                y2 + h * (9017 / 3168 * k1_2 - 355 / 33 * k2_2 + 46732 / 5247 * k3_2
+                          + 49 / 176 * k4_2 - 5103 / 18656 * k5_2),
+                y3 + h * (9017 / 3168 * k1_3 - 355 / 33 * k2_3 + 46732 / 5247 * k3_3
+                          + 49 / 176 * k4_3 - 5103 / 18656 * k5_3),
+                y4 + h * (9017 / 3168 * k1_4 - 355 / 33 * k2_4 + 46732 / 5247 * k3_4
+                          + 49 / 176 * k4_4 - 5103 / 18656 * k5_4),
+                y5 + h * (9017 / 3168 * k1_5 - 355 / 33 * k2_5 + 46732 / 5247 * k3_5
+                          + 49 / 176 * k4_5 - 5103 / 18656 * k5_5),
+                y6 + h * (9017 / 3168 * k1_6 - 355 / 33 * k2_6 + 46732 / 5247 * k3_6
+                          + 49 / 176 * k4_6 - 5103 / 18656 * k5_6),
+                y7 + h * (9017 / 3168 * k1_7 - 355 / 33 * k2_7 + 46732 / 5247 * k3_7
+                          + 49 / 176 * k4_7 - 5103 / 18656 * k5_7),
+            ))
+            k6_0, k6_1, k6_2, k6_3, k6_4, k6_5, k6_6, k6_7 = k6
+            yn0 = y0 + h * (35 / 384 * k1_0 + 500 / 1113 * k3_0 + 125 / 192 * k4_0
+                            - 2187 / 6784 * k5_0 + 11 / 84 * k6_0)
+            yn1 = y1 + h * (35 / 384 * k1_1 + 500 / 1113 * k3_1 + 125 / 192 * k4_1
+                            - 2187 / 6784 * k5_1 + 11 / 84 * k6_1)
+            yn2 = y2 + h * (35 / 384 * k1_2 + 500 / 1113 * k3_2 + 125 / 192 * k4_2
+                            - 2187 / 6784 * k5_2 + 11 / 84 * k6_2)
+            yn3 = y3 + h * (35 / 384 * k1_3 + 500 / 1113 * k3_3 + 125 / 192 * k4_3
+                            - 2187 / 6784 * k5_3 + 11 / 84 * k6_3)
+            yn4 = y4 + h * (35 / 384 * k1_4 + 500 / 1113 * k3_4 + 125 / 192 * k4_4
+                            - 2187 / 6784 * k5_4 + 11 / 84 * k6_4)
+            yn5 = y5 + h * (35 / 384 * k1_5 + 500 / 1113 * k3_5 + 125 / 192 * k4_5
+                            - 2187 / 6784 * k5_5 + 11 / 84 * k6_5)
+            yn6 = y6 + h * (35 / 384 * k1_6 + 500 / 1113 * k3_6 + 125 / 192 * k4_6
+                            - 2187 / 6784 * k5_6 + 11 / 84 * k6_6)
+            yn7 = y7 + h * (35 / 384 * k1_7 + 500 / 1113 * k3_7 + 125 / 192 * k4_7
+                            - 2187 / 6784 * k5_7 + 11 / 84 * k6_7)
+            y_new = (yn0, yn1, yn2, yn3, yn4, yn5, yn6, yn7)
             n_rhs += 1
             k7 = rhs(y_new)
             ok = all(map(isfinite, y_new))
@@ -309,16 +389,43 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
             )
         enorm = math.inf
         if ok:
-            # error of the embedded 4th-order solution, weights b5 - b4
-            ratios = [
-                h * (71 / 57600 * b - 71 / 16695 * d + 71 / 1920 * e
-                     - 17253 / 339200 * f + 22 / 525 * g - 1 / 40 * k)
-                / (atol + rtol * (a if a > z else z))
-                for a, z, b, d, e, f, g, k in zip(
-                    map(abs, y), map(abs, y_new), k1, k3, k4, k5, k6, k7
-                )
-            ]
-            enorm = math.sqrt(sum([q * q for q in ratios]) / 8.0)
+            # error of the embedded 4th-order solution, weights b5 - b4, per
+            # component over atol + rtol max(|y|, |y_new|)
+            k7_0, k7_1, k7_2, k7_3, k7_4, k7_5, k7_6, k7_7 = k7
+            a, z = abs(y0), abs(yn0)
+            s = atol + rtol * (a if a > z else z)
+            e0 = h * (71 / 57600 * k1_0 - 71 / 16695 * k3_0 + 71 / 1920 * k4_0
+                      - 17253 / 339200 * k5_0 + 22 / 525 * k6_0 - 1 / 40 * k7_0) / s
+            a, z = abs(y1), abs(yn1)
+            s = atol + rtol * (a if a > z else z)
+            e1 = h * (71 / 57600 * k1_1 - 71 / 16695 * k3_1 + 71 / 1920 * k4_1
+                      - 17253 / 339200 * k5_1 + 22 / 525 * k6_1 - 1 / 40 * k7_1) / s
+            a, z = abs(y2), abs(yn2)
+            s = atol + rtol * (a if a > z else z)
+            e2 = h * (71 / 57600 * k1_2 - 71 / 16695 * k3_2 + 71 / 1920 * k4_2
+                      - 17253 / 339200 * k5_2 + 22 / 525 * k6_2 - 1 / 40 * k7_2) / s
+            a, z = abs(y3), abs(yn3)
+            s = atol + rtol * (a if a > z else z)
+            e3 = h * (71 / 57600 * k1_3 - 71 / 16695 * k3_3 + 71 / 1920 * k4_3
+                      - 17253 / 339200 * k5_3 + 22 / 525 * k6_3 - 1 / 40 * k7_3) / s
+            a, z = abs(y4), abs(yn4)
+            s = atol + rtol * (a if a > z else z)
+            e4 = h * (71 / 57600 * k1_4 - 71 / 16695 * k3_4 + 71 / 1920 * k4_4
+                      - 17253 / 339200 * k5_4 + 22 / 525 * k6_4 - 1 / 40 * k7_4) / s
+            a, z = abs(y5), abs(yn5)
+            s = atol + rtol * (a if a > z else z)
+            e5 = h * (71 / 57600 * k1_5 - 71 / 16695 * k3_5 + 71 / 1920 * k4_5
+                      - 17253 / 339200 * k5_5 + 22 / 525 * k6_5 - 1 / 40 * k7_5) / s
+            a, z = abs(y6), abs(yn6)
+            s = atol + rtol * (a if a > z else z)
+            e6 = h * (71 / 57600 * k1_6 - 71 / 16695 * k3_6 + 71 / 1920 * k4_6
+                      - 17253 / 339200 * k5_6 + 22 / 525 * k6_6 - 1 / 40 * k7_6) / s
+            a, z = abs(y7), abs(yn7)
+            s = atol + rtol * (a if a > z else z)
+            e7 = h * (71 / 57600 * k1_7 - 71 / 16695 * k3_7 + 71 / 1920 * k4_7
+                      - 17253 / 339200 * k5_7 + 22 / 525 * k6_7 - 1 / 40 * k7_7) / s
+            squares = (e0 * e0, e1 * e1, e2 * e2, e3 * e3, e4 * e4, e5 * e5, e6 * e6, e7 * e7)
+            enorm = math.sqrt(sum(squares) / 8.0)
         if not enorm <= 1.0:
             h *= max(0.2, 0.9 * (enorm + 1.0e-16) ** -0.2) if isfinite(enorm) else 0.5
             n_rejected += 1
@@ -328,7 +435,8 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
         t_new = t + h
         end = bisect_left(grid, t_new - at_node, i)
         if end > i:
-            passed.append((t, h, i, end, y, k1, k3, k4, k5, k6, k7))
+            passed.append((t, h, i, end))
+            states += (*y, *k1, *k3, *k4, *k5, *k6, *k7)
             i = end
         if i < n_samples and grid[i] - t_new <= at_node:
             ys[i] = y_new
@@ -342,15 +450,17 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
 
     if passed:
         # the n-th passed node is grid[node[n]], inside recorded step step[n]
-        t0, h0, first, ends, y0, *stages = map(np.array, zip(*passed))
+        t0, h0, first, ends = map(np.array, zip(*passed))
+        recorded = np.fromiter(states, float, len(states)).reshape(-1, 7, 8)
         counts = ends - first
         step = np.repeat(np.arange(counts.size), counts)
         node = np.arange(step.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         theta = (np.asarray(grid)[node] - t0[step]) / h0[step]
         # per step, c_j = h sum_i _DENSE_P[i, j] k_i; y(t + theta h) = y + sum_j theta^j c_j
-        coeffs = h0[:, None, None] * np.einsum("ij,isc->sjc", _DENSE_P, np.array(stages))
+        stages = recorded[:, 1:].transpose(1, 0, 2)
+        coeffs = h0[:, None, None] * np.einsum("ij,isc->sjc", _DENSE_P, stages)
         powers = theta[:, None] ** np.arange(1, 5)
-        ys[node] = y0[step] + np.einsum("nj,njc->nc", powers, coeffs[step])
+        ys[node] = recorded[step, 0] + np.einsum("nj,njc->nc", powers, coeffs[step])
     return n_steps, n_rejected, n_rhs
 
 

@@ -42,7 +42,7 @@ from .lorentz import (
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
 from .spin import TwoQubitState, direction_vector, pair_state
-from .transport import Tetrad, gauge_tetrad, spinor_propagator, world_propagator
+from .transport import Tetrad, spinor_propagator, world_propagator
 
 
 def boosted_tetrad(st: Spacetime, event: Event, velocity: np.ndarray | None = None) -> Tetrad:
@@ -51,23 +51,21 @@ def boosted_tetrad(st: Spacetime, event: Event, velocity: np.ndarray | None = No
     velocity is in world components; None means the static observer itself.
     This is the reference ("decay") frame construction.
     """
-    base = gauge_tetrad(st, event, "static")
-    if velocity is None:
-        return base
     g = metric_at(st, event)
-    uh = inverse_frame(base.matrix, g) @ np.asarray(velocity, dtype=float)
-    return Tetrad(event, base.matrix @ pure_boost(uh))
+    base = gram_schmidt_frame(g)
+    if velocity is None:
+        return Tetrad(event, base)
+    uh = inverse_frame(base, g) @ np.asarray(velocity, dtype=float)
+    return Tetrad(event, base @ pure_boost(uh))
 
 
-def _frame_velocity(st: Spacetime, frame: Tetrad, tangent: np.ndarray) -> np.ndarray:
-    g = st.metric(frame.event.coords)
-    return inverse_frame(frame.matrix, g) @ tangent
-
-
-def _static_components(st: Spacetime, event: Event, vector: np.ndarray) -> np.ndarray:
-    """A world vector at the event in static-tetrad components."""
-    g = st.metric(event.coords)
-    return inverse_frame(gram_schmidt_frame(g), g) @ vector
+def _end_static_inverse(seg: GeodesicSegment) -> np.ndarray:
+    """Inverse of the static tetrad at seg.end, cached on the segment: both
+    routes of pair_transport close the leg there."""
+    if "end_static_inverse" not in seg.cache:
+        g1 = seg.spacetime.metric(seg.end.coords)
+        seg.cache["end_static_inverse"] = inverse_frame(gram_schmidt_frame(g1), g1)
+    return seg.cache["end_static_inverse"]
 
 
 def rest_conjugation_factors(
@@ -89,11 +87,11 @@ def rest_conjugation_factors(
     the tangents in the reference and end-static components, and
     K = gauge_lift(gauge) lifts the constant static-to-gauge frame boost.
     """
-    st = seg.spacetime
     k = gauge_lift(gauge)
-    v = _static_components(st, reference.event, reference.matrix[:, 0])
-    uh0 = _frame_velocity(st, reference, seg.tangents[0])
-    uh1 = _static_components(st, seg.end, seg.tangents[-1])
+    g0 = seg.spacetime.metric(reference.event.coords)
+    v = inverse_frame(gram_schmidt_frame(g0), g0) @ reference.matrix[:, 0]
+    uh0 = inverse_frame(reference.matrix, g0) @ seg.tangents[0]
+    uh1 = _end_static_inverse(seg) @ seg.tangents[-1]
     pre = sl2_inverse(k) @ pure_boost_sl2(v) @ pure_boost_sl2(uh0)
     post = pure_boost_sl2_inverse(uh1) @ k
     return pre, post
@@ -102,11 +100,18 @@ def rest_conjugation_factors(
 def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Tetrad) -> np.ndarray:
     """3x3 rest-frame (Wigner) rotation along one leg (vector route, no spinors)."""
     st = seg.spacetime
-    uh0 = _frame_velocity(st, start_frame, seg.tangents[0])
-    uh1 = _frame_velocity(st, end_frame, seg.tangents[-1])
+    start_inverse = inverse_frame(start_frame.matrix, st.metric(start_frame.event.coords))
+    end_inverse = inverse_frame(end_frame.matrix, st.metric(seg.end.coords))
+    return _rest_rotation(seg, start_frame.matrix, start_inverse @ seg.tangents[0], end_inverse)
 
-    g1 = st.metric(seg.end.coords)
-    lam = inverse_frame(end_frame.matrix, g1) @ world_propagator(seg) @ start_frame.matrix
+
+def _rest_rotation(
+    seg: GeodesicSegment, start: np.ndarray, uh0: np.ndarray, end_inverse: np.ndarray
+) -> np.ndarray:
+    """rest_frame_rotation from the start tetrad, the first tangent in its
+    components and the inverse of the end tetrad."""
+    uh1 = end_inverse @ seg.tangents[-1]
+    lam = end_inverse @ world_propagator(seg) @ start
     conj = pure_boost_inverse(uh1) @ lam @ pure_boost(uh0)
     _, rot = lorentz_polar(conj)
     return rot[1:, 1:]
@@ -167,8 +172,14 @@ def pair_transport(
 
     reference = boosted_tetrad(st, seg1.start, decay_velocity)
     factors = tuple(rest_conjugation_factors(seg, reference, gauge) for seg in (seg1, seg2))
-    r1 = rest_frame_rotation(seg1, reference, gauge_tetrad(st, seg1.end, "static"))
-    r2 = rest_frame_rotation(seg2, reference, gauge_tetrad(st, seg2.end, "static"))
+    # the vector route closes each leg in the same frames, built once: the
+    # reference at the decay and the static tetrads at the leg ends
+    start_inverse = inverse_frame(reference.matrix, st.metric(reference.event.coords))
+    r1, r2 = (
+        _rest_rotation(seg, reference.matrix, start_inverse @ seg.tangents[0],
+                       _end_static_inverse(seg))
+        for seg in (seg1, seg2)
+    )
     pair = PairResult(seg1, seg2, r1, r2, factors, gauge)
     pair.spin1 = pair.spin_map(1, spinor_propagator(seg1))
     pair.spin2 = pair.spin_map(2, spinor_propagator(seg2))

@@ -24,6 +24,7 @@ from eprgeo import (
 )
 from eprgeo.errors import UsageError
 from eprgeo.frames import frame_field, gauge_boost, inverse_frame
+from eprgeo.geodesic import GeodesicSegment
 from eprgeo.lorentz import PAULI, expm2, pure_boost, pure_boost_inverse, rotation_axis_angle
 from eprgeo.pipeline import (
     PairResult,
@@ -31,10 +32,12 @@ from eprgeo.pipeline import (
     integrate_pair,
     pair_transport,
     rest_conjugation_factors,
+    rest_frame_rotation,
     spin_relative_rotation,
 )
 from eprgeo.scenario import load_scenario
 from eprgeo.spin import TwoQubitState, pair_state
+from eprgeo.transport import gauge_tetrad, spinor_propagator
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 rng = np.random.default_rng(17)
@@ -209,6 +212,45 @@ class TestRestConjugationFactors:
         expected_post = pure_boost_inverse(u1) @ big_g
         assert np.max(np.abs(vector_action(pre) - expected_pre)) < 1e-12
         assert np.max(np.abs(vector_action(post) - expected_post)) < 1e-12
+
+
+class TestSharedFrames:
+    """pair_transport builds each event's frames once for both routes; its
+    results must be those of the per-leg functions, bit for bit."""
+
+    LEGS = {
+        "schwarzschild": ({"M": 1.0}, [0.0, 11.0, 1.3, 0.4]),
+        "weak_field": ({"epsilon": 0.05}, [0.0, 1.5, -0.5, 0.8]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(LEGS))
+    @pytest.mark.parametrize("gauge", ["static", "boosted-static"])
+    @pytest.mark.parametrize("moving", [False, True])
+    def test_pair_transport_matches_the_per_leg_functions(self, static_tangent, kind, gauge, moving):
+        params, coords = self.LEGS[kind]
+        st = make_spacetime(kind, params)
+        coords = np.array(coords)
+        segs = [
+            integrate_geodesic(st, Event(coords), static_tangent(st, coords, w), 1.8)
+            for w in ([0.3, -0.2, 0.25], [-0.35, 0.1, -0.2])
+        ]
+        velocity = static_tangent(st, coords, [0.15, -0.1, 0.05]) if moving else None
+        pair = pair_transport(*segs, gauge=gauge, decay_velocity=velocity)
+
+        # the same legs with empty caches, closed one function at a time
+        legs = [GeodesicSegment(st, seg.tau, seg.events, seg.tangents) for seg in segs]
+        reference = boosted_tetrad(st, legs[0].start, velocity)
+        factors = tuple(rest_conjugation_factors(leg, reference, gauge) for leg in legs)
+        rotations = [rest_frame_rotation(leg, reference, gauge_tetrad(st, leg.end, "static")) for leg in legs]
+        expected = PairResult(*legs, *rotations, factors, gauge)
+        spins = [expected.spin_map(k, spinor_propagator(leg)) for k, leg in enumerate(legs, start=1)]
+
+        assert pair.rotation1.tobytes() == rotations[0].tobytes()
+        assert pair.rotation2.tobytes() == rotations[1].tobytes()
+        for got, want in zip(pair.conjugation_factors, factors):
+            assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        assert pair.spin1.tobytes() == spins[0].tobytes()
+        assert pair.spin2.tobytes() == spins[1].tobytes()
 
 
 class TestValidation:
