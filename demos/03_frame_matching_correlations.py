@@ -72,11 +72,18 @@ s_matched = chsh(res.state, za, xa, matched_axis(res, da), matched_axis(res, ea)
 print(f"  CHSH uncorrected      {s_naive:+.12f}")
 print(f"  CHSH matched          {s_matched:+.12f}   (bound -2 sqrt(2) = {-2 * np.sqrt(2):+.12f})")
 
-# --- the correction does not depend on the bookkeeping gauge ---------------
+# --- the bookkeeping gauge: a constant lift that cancels -------------------
+# The boosted-static gauge differs from the static one by a constant frame
+# boost K.  The spin route conjugates each transport by K and closes it with
+# factors that carry K^-1 and K, so K cancels algebraically: the difference
+# printed below is round-off by construction, not a test of the physics.
+# The real gauge test is test_spinor_route_is_covariant_under_a_local_gauge
+# (tests/test_transport.py), where the frame varies from point to point and
+# the spin connection itself must absorb it.
 res_b = pair_transport(seg1, seg2, gauge="boosted-static")
 e_s = correlation(res.state, a, matched_axis(res, a))
 e_b = correlation(res_b.state, a, matched_axis(res_b, a))
-print("\ngauge independence of the matched correlation")
+print("\nconstant gauge lift (cancels; the difference is round-off)")
 print(f"  static          {e_s:+.15f}")
 print(f"  boosted-static  {e_b:+.15f}")
 print(f"  difference      {abs(e_s - e_b):.2e}")

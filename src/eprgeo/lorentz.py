@@ -25,6 +25,8 @@ the frames.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import UsageError
@@ -153,33 +155,74 @@ def _unit_timelike(u_hat: np.ndarray) -> np.ndarray:
     return u
 
 
+def _inverse_unit(u_hat: np.ndarray) -> np.ndarray:
+    """The unit velocity whose pure boost inverts that of u_hat: the spatial
+    part of the normalized u_hat flipped, then normalized again."""
+    u = _unit_timelike(u_hat)
+    return _unit_timelike(np.array([u[0], -u[1], -u[2], -u[3]]))
+
+
+# The closed forms below take a velocity already through _unit_timelike and
+# work on its components as Python floats.  Each entry is the IEEE result of
+# the array expression in its docstring, signed zeros included: a ``0.0 +``
+# or ``0.0 -`` stands where that expression adds to or subtracts from an
+# exact zero.
+
+
+def _boost(u: np.ndarray) -> np.ndarray:
+    """pure_boost of a unit u: B[1:, 1:] = eye(3) + outer(u[1:], u[1:]) / (1 + u[0])."""
+    g, x, y, z = u.tolist()
+    d = 1.0 + g
+    xy, xz, yz = 0.0 + x * y / d, 0.0 + x * z / d, 0.0 + y * z / d
+    return np.array(
+        [
+            [g, x, y, z],
+            [x, 1.0 + x * x / d, xy, xz],
+            [y, xy, 1.0 + y * y / d, yz],
+            [z, xz, yz, 1.0 + z * z / d],
+        ]
+    )
+
+
+def _boost_sl2(u: np.ndarray) -> np.ndarray:
+    """pure_boost_sl2 of a unit u: c I - (u[1:] . sigma) / (2c), c = sqrt((1 + u[0])/2).
+
+    NumPy divides the complex array by the real 2c as a multiplication by 1/(2c),
+    so s = 1/(2c) is formed first.
+    """
+    g, x, y, z = u.tolist()
+    c = math.sqrt((1.0 + g) / 2.0)
+    s = 1.0 / (2.0 * c)
+    x, y, z = x * s, y * s, z * s
+    return np.array(
+        [[complex(c - z, 0.0), complex(0.0 - x, 0.0 + y)], [complex(0.0 - x, 0.0 - y), complex(c + z, 0.0)]]
+    )
+
+
 def pure_boost(u_hat: np.ndarray) -> np.ndarray:
     """The symmetric Lorentz boost mapping (1,0,0,0) to the unit timelike u_hat."""
-    u = _unit_timelike(u_hat)
-    gamma = u[0]
-    B = np.empty((4, 4))
-    B[0, 0] = gamma
-    B[0, 1:] = B[1:, 0] = u[1:]
-    B[1:, 1:] = np.eye(3) + np.outer(u[1:], u[1:]) / (1.0 + gamma)
-    return B
+    return _boost(_unit_timelike(u_hat))
 
 
 def pure_boost_inverse(u_hat: np.ndarray) -> np.ndarray:
-    u = _unit_timelike(u_hat)
-    return pure_boost(np.array([u[0], -u[1], -u[2], -u[3]]))
+    return _boost(_inverse_unit(u_hat))
 
 
 def pure_boost_sl2(u_hat: np.ndarray) -> np.ndarray:
     """SL(2,C) lift of pure_boost(u_hat): Hermitian positive, determinant one."""
-    u = _unit_timelike(u_hat)
-    c = np.sqrt((1.0 + u[0]) / 2.0)
-    usig = u[1] * SIGMA_X + u[2] * SIGMA_Y + u[3] * SIGMA_Z
-    return c * ID2 - usig / (2.0 * c)
+    return _boost_sl2(_unit_timelike(u_hat))
 
 
 def pure_boost_sl2_inverse(u_hat: np.ndarray) -> np.ndarray:
-    u = _unit_timelike(u_hat)
-    return pure_boost_sl2(np.array([u[0], -u[1], -u[2], -u[3]]))
+    return _boost_sl2(_inverse_unit(u_hat))
+
+
+def _polar_rotation(L: np.ndarray) -> np.ndarray:
+    """The rotation factor R of lorentz_polar(L), without building its boost."""
+    L = np.asarray(L, dtype=float)
+    if not (L[0, 0] > 0.0 and np.isfinite(L).all()):
+        raise UsageError("non-orthochronous or non-finite Lorentz map")
+    return pure_boost_inverse(L[:, 0]) @ L
 
 
 def lorentz_polar(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,13 +231,8 @@ def lorentz_polar(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B is the symmetric pure boost carrying (1,0,0,0) to L[:, 0]; the residual
     R fixes the time axis, so its spatial block is the rotation part.
     """
-    L = np.asarray(L, dtype=float)
-    if not (L[0, 0] > 0.0 and np.isfinite(L).all()):
-        raise UsageError("non-orthochronous or non-finite Lorentz map")
-    u = L[:, 0]
-    B = pure_boost(u)
-    R = pure_boost_inverse(u) @ L
-    return B, R
+    R = _polar_rotation(L)
+    return pure_boost(np.asarray(L, dtype=float)[:, 0]), R
 
 
 def su2_polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

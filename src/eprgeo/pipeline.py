@@ -19,6 +19,14 @@ gauge, which is what makes correlations gauge-independent.  The spin route
 applies the gauge in one place, PairResult.spin_map: it conjugates the
 static-frame transports of the legs and of every bundle path by the gauge
 lift before the leg's rest-frame factors close them.
+
+pair_transport closes both legs in one pass, _close_pair, which builds
+each frame once: per pair the decay-event metric, the static and reference
+tetrads with their inverses, and K^-1 S(v); per leg the end metric and
+end-static inverse (cached on the segment) and the two unit velocities that
+both routes' closing boosts come from.  PairResult.ortho_drift reads the
+decay frame kept on the pair.  boosted_tetrad, rest_conjugation_factors and
+rest_frame_rotation are one-leg forms of the same code.
 """
 
 from __future__ import annotations
@@ -28,21 +36,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import gauge_lift, gram_schmidt_frame, inverse_frame
+from .frames import gauge_boost, gauge_lift, gram_schmidt_frame, inverse_frame, orthonormality_defect
 from .geodesic import GeodesicSegment, integrate_geodesic
 from .lorentz import (
-    lorentz_polar,
-    pure_boost,
-    pure_boost_inverse,
-    pure_boost_sl2,
-    pure_boost_sl2_inverse,
+    _boost,
+    _boost_sl2,
+    _inverse_unit,
+    _polar_rotation,
+    _unit_timelike,
     rotation_matrix_from_su2,
     sl2_inverse,
     su2_polar,
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
 from .spin import TwoQubitState, direction_vector, pair_state
-from .transport import Tetrad, spinor_propagator, world_propagator
+from .transport import Tetrad, require_orthonormal, spinor_propagator, world_propagator
+
+
+def _decay_frames(
+    st: Spacetime, event: Event, velocity: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(g, static tetrad, its inverse, reference tetrad) at the decay event,
+    the reference being the static tetrad pure-boosted to the velocity."""
+    g = metric_at(st, event)
+    static = gram_schmidt_frame(g)
+    static_inverse = inverse_frame(static, g)
+    if velocity is None:
+        return g, static, static_inverse, static
+    uh = static_inverse @ np.asarray(velocity, dtype=float)
+    return g, static, static_inverse, static @ _boost(_unit_timelike(uh))
 
 
 def boosted_tetrad(st: Spacetime, event: Event, velocity: np.ndarray | None = None) -> Tetrad:
@@ -51,21 +73,48 @@ def boosted_tetrad(st: Spacetime, event: Event, velocity: np.ndarray | None = No
     velocity is in world components; None means the static observer itself.
     This is the reference ("decay") frame construction.
     """
-    g = metric_at(st, event)
-    base = gram_schmidt_frame(g)
-    if velocity is None:
-        return Tetrad(event, base)
-    uh = inverse_frame(base, g) @ np.asarray(velocity, dtype=float)
-    return Tetrad(event, base @ pure_boost(uh))
+    return Tetrad(event, _decay_frames(st, event, velocity)[3])
 
 
-def _end_static_inverse(seg: GeodesicSegment) -> np.ndarray:
-    """Inverse of the static tetrad at seg.end, cached on the segment: both
-    routes of pair_transport close the leg there."""
-    if "end_static_inverse" not in seg.cache:
+def _end_frames(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
+    """The metric diagonal at seg.end and the inverse of the static tetrad
+    there, cached on the segment: both routes of the closing and the
+    orthonormality diagnostic read them."""
+    if "end_frames" not in seg.cache:
         g1 = seg.spacetime.metric(seg.end.coords)
-        seg.cache["end_static_inverse"] = inverse_frame(gram_schmidt_frame(g1), g1)
-    return seg.cache["end_static_inverse"]
+        seg.cache["end_frames"] = g1, inverse_frame(gram_schmidt_frame(g1), g1)
+    return seg.cache["end_frames"]
+
+
+def _reference_lift(
+    static_inverse: np.ndarray, reference: np.ndarray, gauge: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """K = gauge_lift(gauge) and K^-1 S(v), v the reference's leg 0 in
+    static-tetrad components."""
+    k = gauge_lift(gauge)
+    v = static_inverse @ reference[:, 0]
+    return k, sl2_inverse(k) @ _boost_sl2(_unit_timelike(v))
+
+
+def _leg_velocities(
+    seg: GeodesicSegment, start_inverse: np.ndarray, end_inverse: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The unit first tangent in start-frame components, and the unit
+    velocity whose boost inverts that of the last tangent in end-frame
+    components: the two velocities both routes close a leg with."""
+    return (
+        _unit_timelike(start_inverse @ seg.tangents[0]),
+        _inverse_unit(end_inverse @ seg.tangents[-1]),
+    )
+
+
+def _leg_rotation(
+    seg: GeodesicSegment, start: np.ndarray, end_inverse: np.ndarray, w0: np.ndarray, w1: np.ndarray
+) -> np.ndarray:
+    """The vector route's 3x3 rest-frame rotation of a leg: the rotation
+    factor of B(u1)^-1 (N1^-1 P N0) B(u0), w0 and w1 from _leg_velocities."""
+    lam = end_inverse @ world_propagator(seg) @ start
+    return _polar_rotation(_boost(w1) @ lam @ _boost(w0))[1:, 1:]
 
 
 def rest_conjugation_factors(
@@ -86,15 +135,13 @@ def rest_conjugation_factors(
     v is the reference's leg 0 in static-tetrad components, u0 and u1 are
     the tangents in the reference and end-static components, and
     K = gauge_lift(gauge) lifts the constant static-to-gauge frame boost.
+    pair_transport builds the same factors for both legs at once.
     """
-    k = gauge_lift(gauge)
     g0 = seg.spacetime.metric(reference.event.coords)
-    v = inverse_frame(gram_schmidt_frame(g0), g0) @ reference.matrix[:, 0]
-    uh0 = inverse_frame(reference.matrix, g0) @ seg.tangents[0]
-    uh1 = _end_static_inverse(seg) @ seg.tangents[-1]
-    pre = sl2_inverse(k) @ pure_boost_sl2(v) @ pure_boost_sl2(uh0)
-    post = pure_boost_sl2_inverse(uh1) @ k
-    return pre, post
+    static_inverse = inverse_frame(gram_schmidt_frame(g0), g0)
+    k, ks = _reference_lift(static_inverse, reference.matrix, gauge)
+    w0, w1 = _leg_velocities(seg, inverse_frame(reference.matrix, g0), _end_frames(seg)[1])
+    return ks @ _boost_sl2(w0), _boost_sl2(w1) @ k
 
 
 def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Tetrad) -> np.ndarray:
@@ -102,19 +149,38 @@ def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Te
     st = seg.spacetime
     start_inverse = inverse_frame(start_frame.matrix, st.metric(start_frame.event.coords))
     end_inverse = inverse_frame(end_frame.matrix, st.metric(seg.end.coords))
-    return _rest_rotation(seg, start_frame.matrix, start_inverse @ seg.tangents[0], end_inverse)
+    w0, w1 = _leg_velocities(seg, start_inverse, end_inverse)
+    return _leg_rotation(seg, start_frame.matrix, end_inverse, w0, w1)
 
 
-def _rest_rotation(
-    seg: GeodesicSegment, start: np.ndarray, uh0: np.ndarray, end_inverse: np.ndarray
-) -> np.ndarray:
-    """rest_frame_rotation from the start tetrad, the first tangent in its
-    components and the inverse of the end tetrad."""
-    uh1 = end_inverse @ seg.tangents[-1]
-    lam = end_inverse @ world_propagator(seg) @ start
-    conj = pure_boost_inverse(uh1) @ lam @ pure_boost(uh0)
-    _, rot = lorentz_polar(conj)
-    return rot[1:, 1:]
+@dataclass(frozen=True)
+class DecayFrame:
+    """The static tetrad at the decay event and the metric diagonal it was built from."""
+
+    metric: np.ndarray
+    static: np.ndarray
+
+
+def _close_pair(
+    seg1: GeodesicSegment, seg2: GeodesicSegment, gauge: str, decay_velocity: np.ndarray | None
+) -> tuple[DecayFrame, tuple[np.ndarray, np.ndarray], tuple]:
+    """Both routes' closing of both legs: the decay frame, each leg's
+    rest-frame rotation and each leg's (pre, post) rest_conjugation_factors.
+
+    Every frame is built once: per pair the decay metric, the static and
+    reference tetrads with their inverses, and K^-1 S(v); per leg the
+    cached end frames and the two unit velocities both routes close it with.
+    """
+    g0, static, static_inverse, reference = _decay_frames(seg1.spacetime, seg1.start, decay_velocity)
+    reference_inverse = inverse_frame(reference, g0)
+    k, ks = _reference_lift(static_inverse, reference, gauge)
+    rotations, factors = [], []
+    for seg in (seg1, seg2):
+        end_inverse = _end_frames(seg)[1]
+        w0, w1 = _leg_velocities(seg, reference_inverse, end_inverse)
+        factors.append((ks @ _boost_sl2(w0), _boost_sl2(w1) @ k))
+        rotations.append(_leg_rotation(seg, reference, end_inverse, w0, w1))
+    return DecayFrame(g0, static), tuple(rotations), tuple(factors)
 
 
 @dataclass
@@ -123,7 +189,8 @@ class PairResult:
 
     ``conjugation_factors`` holds each leg's (pre, post) from
     rest_conjugation_factors, which ``spin_map`` applies in ``gauge``;
-    pair_transport sets ``spin1``, ``spin2`` and ``state``.
+    pair_transport sets ``spin1``, ``spin2``, ``state`` and ``decay_frame``,
+    which ``ortho_drift`` reads.
     """
 
     segment1: GeodesicSegment
@@ -135,6 +202,7 @@ class PairResult:
     spin1: np.ndarray | None = None
     spin2: np.ndarray | None = None
     state: TwoQubitState | None = None
+    decay_frame: DecayFrame | None = None
 
     def spin_map(self, leg: int, u: np.ndarray) -> np.ndarray:
         """Rest-frame SU(2) maps of static-frame transports u (batched) along leg 1 or 2:
@@ -144,6 +212,28 @@ class PairResult:
             k = gauge_lift(self.gauge)
             u = sl2_inverse(k) @ u @ k
         return su2_polar(post @ u @ pre)[0]
+
+    def ortho_drift(self) -> float:
+        """Largest orthonormality defect, over the legs of nonzero length, of
+        the gauge frame at the decay event parallel-transported to the leg's
+        end; 0.0 when both legs have zero length.
+
+        Per leg this is transport_tetrad(seg, gauge_tetrad(st, seg.start,
+        gauge)).defect(st), bit for bit, read from ``decay_frame`` and the
+        leg's cached end metric; the input frame's orthonormality is
+        checked once for both legs.
+        """
+        legs = [seg for seg in (self.segment1, self.segment2) if not seg.zero_length]
+        if not legs:
+            return 0.0
+        n0 = self.decay_frame.static
+        if self.gauge == "boosted-static":
+            n0 = n0 @ gauge_boost()
+        require_orthonormal(self.decay_frame.metric, n0)
+        drift = 0.0
+        for seg in legs:
+            drift = max(drift, orthonormality_defect(_end_frames(seg)[0], world_propagator(seg) @ n0))
+        return drift
 
     @property
     def relative_rotation(self) -> np.ndarray:
@@ -170,17 +260,8 @@ def pair_transport(
     if seg2.spacetime is not st:
         raise UsageError("legs live in different spacetimes")
 
-    reference = boosted_tetrad(st, seg1.start, decay_velocity)
-    factors = tuple(rest_conjugation_factors(seg, reference, gauge) for seg in (seg1, seg2))
-    # the vector route closes each leg in the same frames, built once: the
-    # reference at the decay and the static tetrads at the leg ends
-    start_inverse = inverse_frame(reference.matrix, st.metric(reference.event.coords))
-    r1, r2 = (
-        _rest_rotation(seg, reference.matrix, start_inverse @ seg.tangents[0],
-                       _end_static_inverse(seg))
-        for seg in (seg1, seg2)
-    )
-    pair = PairResult(seg1, seg2, r1, r2, factors, gauge)
+    frame, (r1, r2), factors = _close_pair(seg1, seg2, gauge, decay_velocity)
+    pair = PairResult(seg1, seg2, r1, r2, factors, gauge, decay_frame=frame)
     pair.spin1 = pair.spin_map(1, spinor_propagator(seg1))
     pair.spin2 = pair.spin_map(2, spinor_propagator(seg2))
     pair.state = TwoQubitState("pure", pair_state(pair.spin1, pair.spin2))

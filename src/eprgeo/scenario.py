@@ -63,7 +63,6 @@ from .pipeline import PairResult, matched_axis, pair_transport, spin_relative_ro
 from .report import FLAG_FAIL, FLAG_OK, Report
 from .spacetime import Event, Spacetime, make_spacetime, metric_at, require_event
 from .spin import CANONICAL_CHSH_DIRECTIONS, chsh_value, correlation_matrix, direction_vector
-from .transport import transport_tetrad, gauge_tetrad
 
 TOOL_VERSION = "0.1.0"
 
@@ -506,12 +505,7 @@ def _fill_report(sc: Scenario, report: Report) -> None:
         if not seg.zero_length:
             drift = max(drift, seg.meta["norm_drift"])
     report.add("diag_norm_drift", drift, flag=FLAG_OK if drift <= 1e-8 else FLAG_FAIL)
-    ortho = 0.0
-    for seg in (seg1, seg2):
-        if seg.zero_length:
-            continue
-        moved = transport_tetrad(seg, gauge_tetrad(st, seg.start, sc.gauge))
-        ortho = max(ortho, float(moved.defect(st)))
+    ortho = result.ortho_drift()
     report.add("diag_ortho_drift", ortho, flag=FLAG_OK if ortho <= 1e-8 else FLAG_FAIL)
 
     if sc.decoherence is not None:

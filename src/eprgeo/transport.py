@@ -191,11 +191,17 @@ def polygon_spinor_transport(st: Spacetime, xs: np.ndarray) -> np.ndarray:
 # contract-level operations
 
 
+def require_orthonormal(g: np.ndarray, n: np.ndarray) -> None:
+    """Raise UsageError unless the frame n is orthonormal in the metric
+    diagonal g within 100 ORTHO_TOL: the input check of a frame transport."""
+    defect = orthonormality_defect(g, n)
+    if not defect <= 100.0 * ORTHO_TOL:
+        raise UsageError(f"input tetrad is not orthonormal (defect {defect:.3e})")
+
+
 def transport_tetrad(seg: GeodesicSegment, n0: Tetrad) -> Tetrad:
     """Parallel transport of all four tetrad legs along the segment."""
     if not same_event(n0.event, seg.start, tol=1.0e-12):
         raise UsageError("tetrad is not attached to the segment's first event")
-    defect = n0.defect(seg.spacetime)
-    if not defect <= 100.0 * ORTHO_TOL:
-        raise UsageError(f"input tetrad is not orthonormal (defect {defect:.3e})")
+    require_orthonormal(seg.spacetime.metric(n0.event.coords), n0.matrix)
     return Tetrad(seg.end, world_propagator(seg) @ n0.matrix)

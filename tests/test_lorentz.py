@@ -16,6 +16,13 @@ from eprgeo.lorentz import (
     ID2,
     PAULI,
     SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _boost,
+    _boost_sl2,
+    _inverse_unit,
+    _polar_rotation,
+    _unit_timelike,
     expm2,
     lift_so13,
     lorentz_polar,
@@ -224,6 +231,67 @@ class TestBoosts:
         assert np.allclose(
             pure_boost_sl2_inverse(u) @ pure_boost_sl2(u), ID2, atol=1e-12
         )
+
+
+def _boost_array_form(u):
+    """pure_boost of a unit u as array expressions, the form _boost writes out."""
+    b = np.empty((4, 4))
+    b[0, 0] = u[0]
+    b[0, 1:] = b[1:, 0] = u[1:]
+    b[1:, 1:] = np.eye(3) + np.outer(u[1:], u[1:]) / (1.0 + u[0])
+    return b
+
+
+def _boost_sl2_array_form(u):
+    """pure_boost_sl2 of a unit u as array expressions, the form _boost_sl2 writes out."""
+    c = np.sqrt((1.0 + u[0]) / 2.0)
+    return c * ID2 - (u[1] * SIGMA_X + u[2] * SIGMA_Y + u[3] * SIGMA_Z) / (2.0 * c)
+
+
+def _boost_velocities():
+    """Seeded future timelike vectors, not normalized: near rest, moderate,
+    gamma about 10, and axis-aligned ones with zeros of either sign."""
+    r = np.random.default_rng(31)
+    out = []
+    for speed in (1.0e-9, 1.0e-4, 0.05, 0.6, 3.0, np.sqrt(99.0)):
+        for _ in range(12):
+            w = r.normal(size=3)
+            w *= speed / np.linalg.norm(w)
+            out.append(r.uniform(0.5, 2.0) * np.concatenate(([np.sqrt(1.0 + w @ w)], w)))
+    for w in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.4, -0.0, 0.0], [0.0, -0.7, -0.0], [-0.0, 0.0, 2.5]):
+        w = np.array(w)
+        out.append(np.concatenate(([np.sqrt(1.0 + w @ w)], w)))
+    return out
+
+
+class TestBoostClosedForms:
+    """The pair closing calls _boost and _boost_sl2 on velocities normalized
+    once; each must be its array form bit for bit, and the public boosts
+    (which check and normalize first) must be those forms too."""
+
+    @pytest.mark.parametrize("u", _boost_velocities())
+    def test_forward_boosts_match_the_array_forms(self, u):
+        unit = _unit_timelike(u)
+        assert _boost(unit).tobytes() == _boost_array_form(unit).tobytes() == pure_boost(u).tobytes()
+        want = _boost_sl2_array_form(unit)
+        assert _boost_sl2(unit).tobytes() == want.tobytes() == pure_boost_sl2(u).tobytes()
+
+    @pytest.mark.parametrize("u", _boost_velocities())
+    def test_inverse_boosts_match_the_array_forms(self, u):
+        # the inverse normalizes twice: unit(flip(unit(u)))
+        once = _unit_timelike(u)
+        unit = _unit_timelike(np.array([once[0], -once[1], -once[2], -once[3]]))
+        assert _inverse_unit(u).tobytes() == unit.tobytes()
+        assert _boost(unit).tobytes() == _boost_array_form(unit).tobytes() == pure_boost_inverse(u).tobytes()
+        want = _boost_sl2_array_form(unit)
+        assert _boost_sl2(unit).tobytes() == want.tobytes() == pure_boost_sl2_inverse(u).tobytes()
+
+    def test_polar_rotation_is_the_polar_split_without_its_boost(self):
+        u = np.array([np.sqrt(1.25), 0.5, 0.0, 0.0])
+        lam = pure_boost(u) @ pure_boost(np.array([np.sqrt(1.09), 0.0, 0.3, 0.0]))
+        b, r = lorentz_polar(lam)
+        assert _polar_rotation(lam).tobytes() == r.tobytes()
+        assert b.tobytes() == pure_boost(lam[:, 0]).tobytes()
 
 
 class TestPolar:

@@ -37,7 +37,7 @@ from eprgeo.pipeline import (
 )
 from eprgeo.scenario import load_scenario
 from eprgeo.spin import TwoQubitState, pair_state
-from eprgeo.transport import gauge_tetrad, spinor_propagator
+from eprgeo.transport import gauge_tetrad, spinor_propagator, transport_tetrad
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 rng = np.random.default_rng(17)
@@ -215,8 +215,9 @@ class TestRestConjugationFactors:
 
 
 class TestSharedFrames:
-    """pair_transport builds each event's frames once for both routes; its
-    results must be those of the per-leg functions, bit for bit."""
+    """pair_transport builds each event's frames once for both routes and
+    for the orthonormality diagnostic; its results must be those of the
+    per-leg functions, bit for bit."""
 
     LEGS = {
         "schwarzschild": ({"M": 1.0}, [0.0, 11.0, 1.3, 0.4]),
@@ -251,6 +252,11 @@ class TestSharedFrames:
             assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
         assert pair.spin1.tobytes() == spins[0].tobytes()
         assert pair.spin2.tobytes() == spins[1].tobytes()
+
+        # the report's diag_ortho_drift: the gauge frame at each leg's start,
+        # transported by transport_tetrad, its defect at the leg's end
+        drifts = [transport_tetrad(leg, gauge_tetrad(st, leg.start, gauge)).defect(st) for leg in legs]
+        assert pair.ortho_drift() == max(0.0, *drifts)
 
 
 class TestValidation:

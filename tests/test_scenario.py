@@ -540,7 +540,7 @@ seed = 639675700
         assert not report.has_failures
 
     def test_pair_frames_are_built_once_for_all_sigmas(self, monkeypatch):
-        calls = dict.fromkeys(("rest_conjugation_factors", "boosted_tetrad"), 0)
+        calls = dict.fromkeys(("_close_pair", "_decay_frames"), 0)
         modules = [m for n, m in sys.modules.items() if n == "eprgeo" or n.startswith("eprgeo.")]
         for name in calls:
             original = getattr(eprgeo.pipeline, name)
@@ -557,8 +557,8 @@ seed = 639675700
         report = run_scenario(parse_scenario(text))
         assert not report.has_failures
         assert len([r for r in report.rows if r.quantity == "decoherence_fidelity"]) == 3
-        # one reference tetrad and one factor pair per leg, shared by every sigma
-        assert calls == {"rest_conjugation_factors": 2, "boosted_tetrad": 1}
+        # one closing of the pair, with one set of decay frames, shared by every sigma
+        assert calls == {"_close_pair": 1, "_decay_frames": 1}
 
 
 SCHWARZSCHILD = """\
