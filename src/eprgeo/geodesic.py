@@ -203,7 +203,7 @@ def integrate_geodesic(
     ys = np.empty((n_samples, 8))
     ys[0, :4] = event0.coords
     ys[0, 4:] = u0
-    n_steps, n_rejected, n_rhs = _march(st, ys, nodes.tolist(), float(tol))
+    n_steps, n_rejected, n_rhs = _march(st, ys, nodes, float(tol))
 
     seg = GeodesicSegment(
         st,
@@ -222,18 +222,20 @@ def integrate_geodesic(
     return seg
 
 
-def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, int, int]:
+def _march(st: Spacetime, ys: np.ndarray, grid: np.ndarray, tol: float) -> tuple[int, int, int]:
     """March the state in ys[0] over grid, filling ys[k] at proper time grid[k].
 
-    grid is an increasing list of floats from 0.0; tol must be positive and
-    the start state finite, inside the chart.  The local error per step is
-    controlled at rtol=tol, atol=tol/100 on the two-node grid [0, tau] and
-    at min(tol, DENSE_TOL) on a grid with interior nodes; nothing else
-    limits the step.  ys[1:] is complete only once _march returns: the
-    interior nodes are filled after the loop, so after a raise they are not.
-    Returns (steps, rejected steps, RHS evaluations).  Raises IntegrationError
-    on step underflow and DomainExitError where the trajectory leaves the
-    chart, either with those counts so far as its ``counts``.
+    grid is the node array, increasing from 0.0; the step control bisects
+    it and the dense fill reads the node times from it.  tol must be
+    positive and the start state finite, inside the chart.  The local error
+    per step is controlled at rtol=tol, atol=tol/100 on the two-node grid
+    [0, tau] and at min(tol, DENSE_TOL) on a grid with interior nodes;
+    nothing else limits the step.  ys[1:] is complete only once _march
+    returns: the interior nodes are filled after the loop, so after a raise
+    they are not.  Returns (steps, rejected steps, RHS evaluations).  Raises
+    IntegrationError on step underflow and DomainExitError where the
+    trajectory leaves the chart, either with those counts so far as its
+    ``counts``.
 
     The step is written out per component: y0..y7 is the state, kj_c
     component c of stage j and yn0..yn7 the step's end.  Each component
@@ -244,7 +246,7 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
     floats is compensated, and a chain would round differently.
     """
     n_samples = len(grid)
-    tau_end = grid[-1]
+    tau_end = float(grid[-1])
     if n_samples > 2:
         tol = min(tol, DENSE_TOL)
     rtol, atol = tol, tol * 1.0e-2
@@ -256,7 +258,7 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
     isfinite = math.isfinite
     y = ys[0].tolist()
     k1 = rhs(y)
-    h = grid[1]
+    h = float(grid[1])
     t = 0.0
     i = 1  # next node to fill
     n_steps = n_rejected = 0
@@ -440,7 +442,7 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
             i = end
         if i < n_samples and grid[i] - t_new <= at_node:
             ys[i] = y_new
-            t_new = grid[i]
+            t_new = float(grid[i])
             i += 1
         t = t_new
         y = y_new
@@ -455,7 +457,7 @@ def _march(st: Spacetime, ys: np.ndarray, grid: list, tol: float) -> tuple[int, 
         counts = ends - first
         step = np.repeat(np.arange(counts.size), counts)
         node = np.arange(step.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-        theta = (np.asarray(grid)[node] - t0[step]) / h0[step]
+        theta = (grid[node] - t0[step]) / h0[step]
         # per step, c_j = h sum_i _DENSE_P[i, j] k_i; y(t + theta h) = y + sum_j theta^j c_j
         stages = recorded[:, 1:].transpose(1, 0, 2)
         coeffs = h0[:, None, None] * np.einsum("ij,isc->sjc", _DENSE_P, stages)
@@ -604,7 +606,7 @@ def solve_bvp(
             return None
         n_trials += 1
         try:
-            n_trial_rhs += _march(st, ys, [0.0, tau], march_tol)[2]
+            n_trial_rhs += _march(st, ys, np.array([0.0, tau]), march_tol)[2]
         except IntegrationError as exc:
             n_trial_rhs += exc.counts[2]
             return None

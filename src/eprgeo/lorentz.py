@@ -18,7 +18,10 @@ closed-form boosts (pure_boost_sl2).  A traceless generator [[c3, b], [d, -c3]]
 is exponentiated in closed form on its three components; expm2 reads them off
 a (..., 2, 2) matrix, and ordered_exp_product takes them as arrays and keeps
 the exponentials as components through the ordered product, which is how the
-spinor route builds its chord factors.  Nothing lifts a 4x4 Lorentz matrix
+spinor route builds its chord factors.  The exponential's two Horner series
+are formed in place, one array each, and a component product reuses one
+scratch array, with every operand order of the out-of-place expressions, so
+the results are the same bits.  Nothing lifts a 4x4 Lorentz matrix
 back up; the spinor route builds its frame lifts from the boosts that define
 the frames.
 """
@@ -45,6 +48,21 @@ ID2 = np.eye(2, dtype=complex)
 _SERIES_BOUND = 1.0e-3
 
 
+def _series(z: np.ndarray, c1: float, c2: float, d3: float) -> np.ndarray:
+    """1 + z (c1 + z (c2 + z / d3)) by Horner, in one new array.
+
+    Each ufunc takes its operands in the order of that expression, so every
+    element is the IEEE result of the out-of-place form.
+    """
+    h = z / d3
+    np.add(c2, h, out=h)
+    np.multiply(z, h, out=h)
+    np.add(c1, h, out=h)
+    np.multiply(z, h, out=h)
+    np.add(1.0, h, out=h)
+    return h
+
+
 def _exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
     """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 1.
 
@@ -56,9 +74,11 @@ def _exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
     (2003) 3).  Inputs share one shape of at least one axis.  Negating all
     three inputs gives the exact adjugate, bitwise.
     """
-    z = c3 * c3 + b * d
-    ch = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
-    sh = 1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))
+    z = c3 * c3
+    t = b * d
+    z += t
+    ch = _series(z, 0.5, 1.0 / 24.0, 720.0)
+    sh = _series(z, 1.0 / 6.0, 1.0 / 120.0, 5040.0)
     big = np.abs(z) >= _SERIES_BOUND
     if big.any():
         s = np.sqrt(z[big])
@@ -66,7 +86,7 @@ def _exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
         sh[big] = np.sinh(s) / s
     out = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
     p, q, r, s = out.swapaxes(0, 1)
-    t = sh * c3
+    np.multiply(sh, c3, out=t)
     np.add(ch, t, out=p)
     np.multiply(sh, b, out=q)
     np.multiply(sh, d, out=r)
@@ -292,15 +312,18 @@ def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for 2x2 factors held as components (p, q, r, s) on axis 1.
 
     Eight complex multiplies per product, on whole component arrays, each
-    entry a_i0 b_0j + a_i1 b_1j written straight into the result.
+    entry a_i0 b_0j + a_i1 b_1j written straight into the result; the four
+    a_i1 b_1j products share one scratch array.
     """
     p, q, r, s = a.swapaxes(0, 1)
     pb, qb, rb, sb = b.swapaxes(0, 1)
     out = np.empty(a.shape, dtype=np.result_type(a, b))
+    tmp = np.empty(a.shape[:1] + a.shape[2:], dtype=out.dtype)
     terms = ((p, pb, q, rb), (p, qb, q, sb), (r, pb, s, rb), (r, qb, s, sb))
     for o, (x0, y0, x1, y1) in zip(out.swapaxes(0, 1), terms):
         np.multiply(x0, y0, out=o)
-        o += x1 * y1
+        np.multiply(x1, y1, out=tmp)
+        o += tmp
     return out
 
 

@@ -242,24 +242,30 @@ class Schwarzschild(Spacetime):
         f = 1.0 - 2.0 * M / r
         sin = np.sin(th)
         cos = np.cos(th)
-        # each entry is minus the Gamma above times the one or two u^m it meets
+        # each entry is minus the Gamma above times the one or two u^m it
+        # meets, multiplied straight into its slot of W
         g001 = M / (r * r * f)
+        neg_g001 = -g001
         r_2m = r - 2.0 * M
         inv_r = 1.0 / r
+        neg_inv_r = -inv_r
         cot = cos / sin
         W = np.zeros(np.broadcast_shapes(x.shape, np.shape(u))[:-1] + (4, 4))
-        W[..., 0, 0] = -g001 * ur
-        W[..., 0, 1] = -g001 * ut
-        W[..., 1, 0] = -(M * f / (r * r)) * ut
-        W[..., 1, 1] = g001 * ur
-        W[..., 1, 2] = r_2m * uth
-        W[..., 1, 3] = r_2m * sin * sin * uph
-        W[..., 2, 1] = -inv_r * uth
-        W[..., 2, 2] = -inv_r * ur
-        W[..., 2, 3] = sin * cos * uph
-        W[..., 3, 1] = -inv_r * uph
-        W[..., 3, 2] = -cot * uph
-        W[..., 3, 3] = -(inv_r * ur + cot * uth)
+        np.multiply(neg_g001, ur, out=W[..., 0, 0])
+        np.multiply(neg_g001, ut, out=W[..., 0, 1])
+        np.multiply(-(M * f / (r * r)), ut, out=W[..., 1, 0])
+        np.multiply(g001, ur, out=W[..., 1, 1])
+        np.multiply(r_2m, uth, out=W[..., 1, 2])
+        np.multiply(r_2m * sin * sin, uph, out=W[..., 1, 3])
+        np.multiply(neg_inv_r, uth, out=W[..., 2, 1])
+        np.multiply(neg_inv_r, ur, out=W[..., 2, 2])
+        np.multiply(sin * cos, uph, out=W[..., 2, 3])
+        np.multiply(neg_inv_r, uph, out=W[..., 3, 1])
+        np.multiply(-cot, uph, out=W[..., 3, 2])
+        w33 = W[..., 3, 3]
+        np.multiply(inv_r, ur, out=w33)
+        w33 += cot * uth
+        np.negative(w33, out=w33)
         return W
 
     def static_connection(self, x, dx):

@@ -10,7 +10,11 @@ own, staged at its cubic Hermite midpoint (positions from (x, u),
 velocities from (u, a), a from the geodesic equation at its ends), whose W
 comes in the same call as the nodes'.  The RK4 stages and their ordered
 product are formed block by block of steps, the block products are
-multiplied in order, and the lone interval's step goes last.
+multiplied in order, and the lone interval's step goes last.  Each stage is
+formed in place in its own matmul result and the step's weighted sum in
+the second stage's buffer, so a block makes three stage arrays, not one
+array per arithmetic step; the IEEE results are those of the out-of-place
+expressions.
 
 Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
 the Hermite midpoint positions (which need no Gamma).
@@ -86,11 +90,29 @@ def _sample_step(seg: GeodesicSegment) -> float:
 
 def _rk4_steps(w0: np.ndarray, wm: np.ndarray, w1: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 step matrices of dP/dtau = W P over steps of length h,
-    given W at each step's start, middle and end (batched)."""
-    k2 = wm + (0.5 * h) * (wm @ w0)
-    k3 = wm + (0.5 * h) * (wm @ k2)
-    k4 = w1 + h * (w1 @ k3)
-    return _EYE4 + (h / 6.0) * (w0 + 2.0 * k2 + 2.0 * k3 + k4)
+    given W at each step's start, middle and end (batched).
+
+    k2 + wm is wm + k2 to the bit, since float + and * commute exactly, so
+    the in-place stages and the sum w0 + 2 k2 + 2 k3 + k4, kept in k2's
+    buffer in that order, give the out-of-place expressions' results.
+    """
+    k2 = wm @ w0
+    k2 *= 0.5 * h
+    k2 += wm
+    k3 = wm @ k2
+    k3 *= 0.5 * h
+    k3 += wm
+    k4 = w1 @ k3
+    k4 *= h
+    k4 += w1
+    k2 *= 2.0
+    k2 += w0
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += _EYE4
+    return k2
 
 
 #: RK4 steps per block of the vector route.  Blocks keep the stage arrays

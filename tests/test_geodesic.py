@@ -413,12 +413,12 @@ class TestDenseOutput:
         seg = integrate_geodesic(schwarzschild, *eccentric, 20.0, n_samples=2)
         ys = np.empty((2, 8))
         ys[0] = np.concatenate([seg.events[0], seg.tangents[0]])
-        counts = _march(schwarzschild, ys, [0.0, 20.0], DEFAULT_TOL)
+        counts = _march(schwarzschild, ys, np.array([0.0, 20.0]), DEFAULT_TOL)
         assert counts == (seg.meta["n_steps"], seg.meta["n_rejected"], seg.meta["n_rhs"])
         assert np.array_equal(ys[1, :4], seg.events[-1])
         assert np.array_equal(ys[1, 4:], seg.tangents[-1])
         # not tightened to DENSE_TOL, which takes more steps
-        assert _march(schwarzschild, ys.copy(), [0.0, 20.0], DENSE_TOL)[0] > counts[0]
+        assert _march(schwarzschild, ys.copy(), np.array([0.0, 20.0]), DENSE_TOL)[0] > counts[0]
 
     def test_sampled_leg_marches_at_dense_tol(self, schwarzschild, eccentric):
         loose = integrate_geodesic(schwarzschild, *eccentric, 20.0, tol=1e-10)

@@ -5,8 +5,9 @@ comprehension.  ``geodesic._march`` must reproduce it bit for bit: every
 node (``ys.tobytes()``), the (steps, rejected, RHS) counts, and for a march
 that raises, the exception's type, counts and last state.  The marches come
 from the shooting stress set (trials and full-grid re-integrations), from
-hand-made starts that leave the chart or underflow their step, and from the
-legs of the demo scenarios.
+hand-made starts that leave the chart or underflow their step, from the
+legs of the demo scenarios and from one whole r = 10 circular orbit.
+``_march`` takes the node array; the oracle takes its ``tolist()``.
 """
 
 import json
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from march_oracle import comprehension_march
-from eprgeo import Event, geodesic, make_spacetime, parse_scenario, run_scenario
+from eprgeo import Event, geodesic, integrate_orbit, make_spacetime, parse_scenario, run_scenario
 from eprgeo.errors import DomainExitError, IntegrationError
 from eprgeo.geodesic import DEFAULT_TOL, _march, solve_bvp
 
@@ -26,7 +27,10 @@ SCENARIOS = sorted((HERE.parent / "demos" / "scenarios").glob("*.cfg"))
 
 
 def outcome(march, st, start, grid, tol):
-    """(ys bytes, counts, None) of a march that returns, (ys bytes, counts, exc) of one that raises."""
+    """(ys bytes, counts, None) of a march that returns, (ys bytes, counts, exc) of one that raises.
+
+    grid is what ``march`` takes: the node array or, for the oracle, its list.
+    """
     ys = np.zeros((len(grid), 8))
     ys[0] = start
     try:
@@ -37,9 +41,11 @@ def outcome(march, st, start, grid, tol):
 
 
 def assert_same_march(st, start, grid, tol):
-    """Run both marches from one start; returns the exception both raised, or None."""
+    """Run both marches from one start over the node array grid; returns the
+    exception both raised, or None."""
+    assert isinstance(grid, np.ndarray)
     nodes, counts, exc = outcome(_march, st, start, grid, tol)
-    want_nodes, want_counts, want_exc = outcome(comprehension_march, st, start, grid, tol)
+    want_nodes, want_counts, want_exc = outcome(comprehension_march, st, start, grid.tolist(), tol)
     assert counts == want_counts
     assert nodes == want_nodes
     assert type(exc) is type(want_exc)
@@ -104,7 +110,7 @@ WEAK_FIELD = ("weak_field", {"epsilon": 0.1, "softening": 0.5})
 @pytest.mark.parametrize("n_samples", [2, 51])
 def test_raising_marches_match_the_oracle(spacetime, start, expected, n_samples):
     st = make_spacetime(*spacetime)
-    exc = assert_same_march(st, np.array(start), np.linspace(0.0, 1.0, n_samples).tolist(), DEFAULT_TOL)
+    exc = assert_same_march(st, np.array(start), np.linspace(0.0, 1.0, n_samples), DEFAULT_TOL)
     assert type(exc) is expected
 
 
@@ -113,3 +119,11 @@ def test_demo_scenario_legs_match_the_oracle(cfg, checked_marches):
     report = run_scenario(parse_scenario(cfg.read_text()))
     assert not report.has_failures
     assert None in checked_marches
+
+
+def test_long_orbit_march_matches_the_oracle(checked_marches):
+    """The r = 10 circular orbit: 8,313 nodes filled from 7 long steps."""
+    seg = integrate_orbit(make_spacetime(*SCHWARZSCHILD), 10.0)
+    assert checked_marches == [None]
+    assert seg.n_samples == 8313
+    assert seg.meta["n_steps"] == 7
