@@ -55,7 +55,7 @@ def leg(w, tau):
 
 seg1 = leg([0.45, 0.0, -0.2], 2.4)
 seg2 = leg([-0.35, 0.15, 0.3], 2.1)
-res = pair_transport(seg1, seg2, gauge="static")
+res = pair_transport(seg1, seg2)
 
 axis, angle = rotation_axis_angle(res.relative_rotation)
 print("\nSchwarzschild pair, r = 12M decay")
@@ -72,18 +72,12 @@ s_matched = chsh(res.state, za, xa, matched_axis(res, da), matched_axis(res, ea)
 print(f"  CHSH uncorrected      {s_naive:+.12f}")
 print(f"  CHSH matched          {s_matched:+.12f}   (bound -2 sqrt(2) = {-2 * np.sqrt(2):+.12f})")
 
-# --- the bookkeeping gauge: a constant lift that cancels -------------------
+# --- the bookkeeping gauge: a constant frame change never enters -------------
 # The boosted-static gauge differs from the static one by a constant frame
-# boost K.  The spin route conjugates each transport by K and closes it with
-# factors that carry K^-1 and K, so K cancels algebraically: the difference
-# printed below is round-off by construction, not a test of the physics.
-# The real gauge test is test_spinor_route_is_covariant_under_a_local_gauge
-# (tests/test_transport.py), where the frame varies from point to point and
-# the spin connection itself must absorb it.
-res_b = pair_transport(seg1, seg2, gauge="boosted-static")
-e_s = correlation(res.state, a, matched_axis(res, a))
-e_b = correlation(res_b.state, a, matched_axis(res_b, a))
-print("\nconstant gauge lift (cancels; the difference is round-off)")
-print(f"  static          {e_s:+.15f}")
-print(f"  boosted-static  {e_b:+.15f}")
-print(f"  difference      {abs(e_s - e_b):.2e}")
+# boost.  Both transport routes close every leg in static-tetrad components
+# between rest frames that do not depend on it, so a constant gauge cancels
+# exactly and never enters the spin route: pair_transport takes no gauge,
+# and there is nothing to compare here.  The real gauge test is
+# test_spinor_route_is_covariant_under_a_local_gauge (tests/test_transport.py),
+# where the frame varies from point to point and the spin connection itself
+# must absorb it.

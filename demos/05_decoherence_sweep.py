@@ -13,10 +13,10 @@ coherent averaging superposes amplitudes weighted by their relative
 action phases and renormalizes, so it stays pure and only the holonomy
 spread moves it.
 
-The channel degrades a transported pair: pair_transport fixes the gauge,
-the decay rest frame and the detector frames once, and averaged_state(pair,
-b1, b2, mode) reads every path of the bundles drawn around that pair's legs
-in those same frames.  The averaging mode is a property of the channel, not
+The channel degrades a transported pair: pair_transport fixes the decay
+rest frame and the detector frames once, and averaged_state(pair, b1, b2,
+mode) reads every path of the bundles drawn around that pair's legs in
+those same frames.  The averaging mode is a property of the channel, not
 of the paths: each sigma's bundle pair is drawn once and averaged both ways.
 averaged_state returns the averaged state together with its per-path terms
 (the SU(2) map times its action phase, or the 3x3 rotation), and

@@ -25,11 +25,11 @@ every path gets the base polygon's term, with zero relative action.
 pair once per bundle pair, and ``averaged_state(pair, b1, b2, mode)`` is
 its one-pair call.  Per leg, the base polygon is row 0 of one stack with
 the paths of every sigma > 0 bundle, and the stack goes through the
-transport and the pair's rest-frame map PairResult.spin_map, which applies
-its gauge, once per chunk of rows; each bundle's terms are its slice of the
-stack.  Each ChannelAverage holds the averaged state, the per-path terms
-and the reference state; ``fidelity_with_error(avg)`` derives the fidelity
-and its block standard error from that object.
+transport and the pair's rest-frame map PairResult.spin_map once per chunk
+of rows; each bundle's terms are its slice of the stack.  Each
+ChannelAverage holds the averaged state, the per-path terms and the
+reference state; ``fidelity_with_error(avg)`` derives the fidelity and its
+block standard error from that object.
 """
 
 from __future__ import annotations

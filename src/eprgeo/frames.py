@@ -6,7 +6,9 @@ zero.  The "static" gauge is the signature Gram-Schmidt frame built from the
 coordinate basis in order (t, then the spatial axes).  Every metric here is
 diagonal in its chart and is given as its diagonal g_aa, so that frame is
 diag(|g_aa|^(-1/2)).  The "boosted-static" gauge multiplies it on the right
-by a constant boost, so gauge independence can be tested.
+by a constant boost.  A constant frame change cancels in both transport
+routes, so the scenario's gauge picks only the decay tetrad whose
+orthonormality drift the report prints.
 
 The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form at
 the point, with no frame derivative and no differencing.
@@ -14,8 +16,7 @@ spin_connection_components maps the six coefficients each spacetime's
 static_connection gives in closed form to the three components (c3, b, d)
 of the static-frame SL(2,C) generator of -M_l dx^l for a chord dx, so the
 spinor route reads neither the metric nor Gamma; spin_connection stacks the
-same components into the (..., 2, 2) generator.  gauge_lift is the constant
-conjugation into the other gauge.
+same components into the (..., 2, 2) generator.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .lorentz import ETA, ETA_DIAG, ID2, pure_boost_sl2, sl2_components, sl2_matrix
+from .lorentz import ETA, ETA_DIAG, sl2_components, sl2_matrix
 from .spacetime import Spacetime, require_static_frame
 
 GAUGES = ("static", "boosted-static")
@@ -77,12 +78,6 @@ def inverse_frame(n: np.ndarray, g: np.ndarray) -> np.ndarray:
     g is the metric's diagonal, so the product with g scales the columns.
     """
     return ETA @ np.swapaxes(n, -1, -2) * g[..., None, :]
-
-
-def gauge_lift(gauge: str) -> np.ndarray:
-    """SL(2,C) lift K of the static-to-gauge frame boost: U in static frames is K^-1 U K."""
-    check_gauge(gauge)
-    return ID2 if gauge == "static" else pure_boost_sl2(gauge_boost()[:, 0])
 
 
 def spin_connection_components(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.ndarray:

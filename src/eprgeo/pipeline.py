@@ -2,27 +2,29 @@
 
 The chain per particle: start in the particle's rest frame at the decay
 event (reached from the shared reference tetrad by a pure boost), express
-everything in the computational gauge frame, transport along the leg, then
+everything in static-tetrad components, transport along the leg, then
 undo the arrival boost relative to the detector tetrad.  Parallel transport
 preserves the 4-velocity, so the composite map fixes the rest space and its
 polar unitary part is an honest SU(2) rotation: the rest-frame spin rotation
 of that particle.  Both the spin-1/2 route and the 4x4 vector route are
 implemented; they must agree through the double cover and are tested against
-each other, never merged.  Every frame on the way (decay reference, gauge
+each other, never merged.  Every frame on the way (decay reference, static
 frames, detector rest frames) is a static tetrad times a pure boost, so the
 spin-1/2 route lifts those boosts in SL(2,C) directly with pure_boost_sl2;
 no 4x4 Lorentz matrix is ever lifted back to SL(2,C).
 
 Physical anchors (the reference tetrad at the decay and the detector
-tetrads) are fixed in the static gauge regardless of the computational
-gauge, which is what makes correlations gauge-independent.  The spin route
-applies the gauge in one place, PairResult.spin_map: it conjugates the
-static-frame transports of the legs and of every bundle path by the gauge
-lift before the leg's rest-frame factors close them.
+tetrads) are fixed in the static gauge.  A constant change of
+computational frame conjugates every transport and is undone by the
+rest-frame factors, so it cancels exactly and neither route reads the
+scenario's gauge: PairResult.spin_map closes the static-frame transports
+of the legs and of every bundle path with the leg's rest-frame factors
+alone.  The gauge selects only the decay tetrad that
+PairResult.ortho_drift transports.
 
 pair_transport closes both legs in one pass, _close_pair, which builds
 each frame once: per pair the decay-event metric, the static and reference
-tetrads with their inverses, and K^-1 S(v); per leg the end metric and
+tetrads with their inverses, and S(v); per leg the end metric and
 end-static inverse (cached on the segment) and the two unit velocities that
 both routes' closing boosts come from.  PairResult.ortho_drift reads the
 decay frame kept on the pair.  boosted_tetrad, rest_conjugation_factors and
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import gauge_boost, gauge_lift, gram_schmidt_frame, inverse_frame, orthonormality_defect
+from .frames import check_gauge, gauge_boost, gram_schmidt_frame, inverse_frame, orthonormality_defect
 from .geodesic import GeodesicSegment, integrate_geodesic
 from .lorentz import (
     _boost,
@@ -45,7 +47,6 @@ from .lorentz import (
     _polar_rotation,
     _unit_timelike,
     rotation_matrix_from_su2,
-    sl2_inverse,
     su2_polar,
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
@@ -86,14 +87,9 @@ def _end_frames(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
     return seg.cache["end_frames"]
 
 
-def _reference_lift(
-    static_inverse: np.ndarray, reference: np.ndarray, gauge: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """K = gauge_lift(gauge) and K^-1 S(v), v the reference's leg 0 in
-    static-tetrad components."""
-    k = gauge_lift(gauge)
-    v = static_inverse @ reference[:, 0]
-    return k, sl2_inverse(k) @ _boost_sl2(_unit_timelike(v))
+def _reference_lift(static_inverse: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """S(v), v the reference's leg 0 in static-tetrad components."""
+    return _boost_sl2(_unit_timelike(static_inverse @ reference[:, 0]))
 
 
 def _leg_velocities(
@@ -117,12 +113,10 @@ def _leg_rotation(
     return _polar_rotation(_boost(w1) @ lam @ _boost(w0))[1:, 1:]
 
 
-def rest_conjugation_factors(
-    seg: GeodesicSegment, reference: Tetrad, gauge: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 factors closing a gauge-frame transport into a rest-frame map.
+def rest_conjugation_factors(seg: GeodesicSegment, reference: Tetrad) -> tuple[np.ndarray, np.ndarray]:
+    """The 2x2 factors closing a static-frame transport into a rest-frame map.
 
-    For a transport U in gauge-frame components, post @ U @ pre maps
+    For a transport U in static-frame components, post @ U @ pre maps
     canonical rest-frame spin components at ``reference`` (the boosted_tetrad
     at seg.start; rest velocity the segment's first tangent) to those at the
     static tetrad at seg.end (rest velocity its last tangent).  When U
@@ -131,17 +125,16 @@ def rest_conjugation_factors(
 
     Every frame involved is a static tetrad times a pure boost, so the
     factors are products of closed-form SL(2,C) boost lifts:
-    pre = K^-1 S(v) S(u0) and post = S(u1)^-1 K, where S is pure_boost_sl2,
-    v is the reference's leg 0 in static-tetrad components, u0 and u1 are
-    the tangents in the reference and end-static components, and
-    K = gauge_lift(gauge) lifts the constant static-to-gauge frame boost.
+    pre = S(v) S(u0) and post = S(u1)^-1, where S is pure_boost_sl2, v is
+    the reference's leg 0 in static-tetrad components, and u0 and u1 are
+    the tangents in the reference and end-static components.
     pair_transport builds the same factors for both legs at once.
     """
     g0 = seg.spacetime.metric(reference.event.coords)
     static_inverse = inverse_frame(gram_schmidt_frame(g0), g0)
-    k, ks = _reference_lift(static_inverse, reference.matrix, gauge)
+    sv = _reference_lift(static_inverse, reference.matrix)
     w0, w1 = _leg_velocities(seg, inverse_frame(reference.matrix, g0), _end_frames(seg)[1])
-    return ks @ _boost_sl2(w0), _boost_sl2(w1) @ k
+    return sv @ _boost_sl2(w0), _boost_sl2(w1)
 
 
 def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Tetrad) -> np.ndarray:
@@ -162,23 +155,23 @@ class DecayFrame:
 
 
 def _close_pair(
-    seg1: GeodesicSegment, seg2: GeodesicSegment, gauge: str, decay_velocity: np.ndarray | None
+    seg1: GeodesicSegment, seg2: GeodesicSegment, decay_velocity: np.ndarray | None
 ) -> tuple[DecayFrame, tuple[np.ndarray, np.ndarray], tuple]:
     """Both routes' closing of both legs: the decay frame, each leg's
     rest-frame rotation and each leg's (pre, post) rest_conjugation_factors.
 
     Every frame is built once: per pair the decay metric, the static and
-    reference tetrads with their inverses, and K^-1 S(v); per leg the
+    reference tetrads with their inverses, and S(v); per leg the
     cached end frames and the two unit velocities both routes close it with.
     """
     g0, static, static_inverse, reference = _decay_frames(seg1.spacetime, seg1.start, decay_velocity)
     reference_inverse = inverse_frame(reference, g0)
-    k, ks = _reference_lift(static_inverse, reference, gauge)
+    sv = _reference_lift(static_inverse, reference)
     rotations, factors = [], []
     for seg in (seg1, seg2):
         end_inverse = _end_frames(seg)[1]
         w0, w1 = _leg_velocities(seg, reference_inverse, end_inverse)
-        factors.append((ks @ _boost_sl2(w0), _boost_sl2(w1) @ k))
+        factors.append((sv @ _boost_sl2(w0), _boost_sl2(w1)))
         rotations.append(_leg_rotation(seg, reference, end_inverse, w0, w1))
     return DecayFrame(g0, static), tuple(rotations), tuple(factors)
 
@@ -188,9 +181,9 @@ class PairResult:
     """Everything the measurement layer and the bundle channel need about one decay.
 
     ``conjugation_factors`` holds each leg's (pre, post) from
-    rest_conjugation_factors, which ``spin_map`` applies in ``gauge``;
-    pair_transport sets ``spin1``, ``spin2``, ``state`` and ``decay_frame``,
-    which ``ortho_drift`` reads.
+    rest_conjugation_factors, which ``spin_map`` applies; pair_transport
+    sets ``spin1``, ``spin2``, ``state`` and ``decay_frame``, which
+    ``ortho_drift`` reads.
     """
 
     segment1: GeodesicSegment
@@ -198,22 +191,18 @@ class PairResult:
     rotation1: np.ndarray
     rotation2: np.ndarray
     conjugation_factors: tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    gauge: str
     spin1: np.ndarray | None = None
     spin2: np.ndarray | None = None
     state: TwoQubitState | None = None
     decay_frame: DecayFrame | None = None
 
     def spin_map(self, leg: int, u: np.ndarray) -> np.ndarray:
-        """Rest-frame SU(2) maps of static-frame transports u (batched) along leg 1 or 2:
-        the polar unitary part of post @ K^-1 u K @ pre, K = gauge_lift(gauge)."""
+        """Rest-frame SU(2) maps of static-frame transports u (batched) along
+        leg 1 or 2: the polar unitary part of post @ u @ pre."""
         pre, post = self.conjugation_factors[leg - 1]
-        if self.gauge != "static":
-            k = gauge_lift(self.gauge)
-            u = sl2_inverse(k) @ u @ k
         return su2_polar(post @ u @ pre)[0]
 
-    def ortho_drift(self) -> float:
+    def ortho_drift(self, gauge: str = "static") -> float:
         """Largest orthonormality defect, over the legs of nonzero length, of
         the gauge frame at the decay event parallel-transported to the leg's
         end; 0.0 when both legs have zero length.
@@ -223,11 +212,12 @@ class PairResult:
         leg's cached end metric; the input frame's orthonormality is
         checked once for both legs.
         """
+        check_gauge(gauge)
         legs = [seg for seg in (self.segment1, self.segment2) if not seg.zero_length]
         if not legs:
             return 0.0
         n0 = self.decay_frame.static
-        if self.gauge == "boosted-static":
+        if gauge == "boosted-static":
             n0 = n0 @ gauge_boost()
         require_orthonormal(self.decay_frame.metric, n0)
         drift = 0.0
@@ -246,7 +236,6 @@ def pair_transport(
     seg1: GeodesicSegment,
     seg2: GeodesicSegment,
     *,
-    gauge: str = "static",
     decay_velocity: np.ndarray | None = None,
 ) -> PairResult:
     """Run the full correlation pipeline for two legs sharing a decay event.
@@ -260,8 +249,8 @@ def pair_transport(
     if seg2.spacetime is not st:
         raise UsageError("legs live in different spacetimes")
 
-    frame, (r1, r2), factors = _close_pair(seg1, seg2, gauge, decay_velocity)
-    pair = PairResult(seg1, seg2, r1, r2, factors, gauge, decay_frame=frame)
+    frame, (r1, r2), factors = _close_pair(seg1, seg2, decay_velocity)
+    pair = PairResult(seg1, seg2, r1, r2, factors, decay_frame=frame)
     pair.spin1 = pair.spin_map(1, spinor_propagator(seg1))
     pair.spin2 = pair.spin_map(2, spinor_propagator(seg2))
     pair.state = TwoQubitState("pure", pair_state(pair.spin1, pair.spin2))

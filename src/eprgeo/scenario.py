@@ -19,7 +19,9 @@ comma-separated reals; lists of vectors are semicolon-separated.  Sections:
 ``[decoherence]`` (optional)
     ``sigma`` list, ``n_paths``, ``mode`` (coherent | incoherent), ``seed``.
 ``[numerics]`` (optional)
-    ``gauge``, ``tol``, ``bvp_tol``, ``sample_step``.
+    ``gauge``, ``tol``, ``bvp_tol``, ``sample_step``.  The gauge cancels in
+    both transport routes; it picks only the decay tetrad behind
+    ``diag_ortho_drift``.
 ``[output]`` (optional)
     ``format`` (table | csv) and ``path``.
 
@@ -442,9 +444,7 @@ def _fill_report(sc: Scenario, report: Report) -> None:
     if seg1 is None or seg2 is None:
         return
 
-    result = pair_transport(
-        seg1, seg2, gauge=sc.gauge, decay_velocity=sc.decay_velocity
-    )
+    result = pair_transport(seg1, seg2, decay_velocity=sc.decay_velocity)
 
     # Frame-matching rotation between the two detector frames, by both routes.
     axis, angle = rotation_axis_angle(result.relative_rotation)
@@ -505,7 +505,7 @@ def _fill_report(sc: Scenario, report: Report) -> None:
         if not seg.zero_length:
             drift = max(drift, seg.meta["norm_drift"])
     report.add("diag_norm_drift", drift, flag=FLAG_OK if drift <= 1e-8 else FLAG_FAIL)
-    ortho = result.ortho_drift()
+    ortho = result.ortho_drift(sc.gauge)
     report.add("diag_ortho_drift", ortho, flag=FLAG_OK if ortho <= 1e-8 else FLAG_FAIL)
 
     if sc.decoherence is not None:

@@ -24,8 +24,9 @@ closed-form connection coefficients, and ordered_exp_product exponentiates
 and multiplies them on components, chord axis first; so this route reads
 neither Gamma nor W, and the two routes share no connection code: the vector
 route reads W and the spinor route the six static-frame coefficients.  Both
-spinor transports are in static-frame components; the pair's rest-frame map
-(pipeline.PairResult.spin_map) conjugates them into its gauge.
+spinor transports are in static-frame components, which the pair's
+rest-frame map (pipeline.PairResult.spin_map) closes as they are: a
+constant gauge would cancel there.
 Each factor has determinant one and the factor for the reversed interval is
 its exact adjugate inverse, which is why a retraced path gives the identity
 to machine precision rather than to integration accuracy.  The SU(2) sign

@@ -2,18 +2,22 @@
 the test-side helpers that reverse a segment and compare the two transport
 routes through the double cover.
 
-``vector_action`` and ``reverse`` are plain functions, imported by the test
-modules with ``from conftest import ...``; the package itself never needs
-them.
+``vector_action``, ``reverse``, ``gauge_lift`` and ``gauge_closed_pair``
+are plain functions, imported by the test modules with
+``from conftest import ...``; the package itself never needs them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from eprgeo import Event, integrate_geodesic, make_spacetime
-from eprgeo.frames import frame_field, gauge_lift
+from eprgeo.frames import check_gauge, frame_field, gauge_boost
 from eprgeo.geodesic import GeodesicSegment
-from eprgeo.lorentz import ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, sl2_inverse
+from eprgeo.lorentz import ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_boost_sl2, sl2_inverse
+from eprgeo.pipeline import PairResult
+from eprgeo.spin import TwoQubitState, pair_state
 from eprgeo.transport import frame_propagator, spinor_propagator
 
 
@@ -28,6 +32,32 @@ def vector_action(a: np.ndarray) -> np.ndarray:
         for j in range(3):
             L[j + 1, b] = -0.5 * np.trace(PAULI[j] @ y).real
     return L
+
+
+def gauge_lift(gauge: str) -> np.ndarray:
+    """SL(2,C) lift K of the static-to-gauge frame boost: U in static frames is K^-1 U K."""
+    check_gauge(gauge)
+    return ID2 if gauge == "static" else pure_boost_sl2(gauge_boost()[:, 0])
+
+
+def gauge_closed_pair(pair: PairResult, gauge: str) -> PairResult:
+    """A copy of ``pair`` whose spin maps close every transport in ``gauge``.
+
+    Each static-frame transport U is conjugated into the gauge frames,
+    K^-1 U K, and closed by the gauge-frame factors K^-1 pre and post K,
+    K = gauge_lift(gauge).  The lift cancels in exact arithmetic, so the
+    copy's spins, state and bundle channel agree with the pair's to
+    round-off; a wrong lift or a transport left in static frames does not.
+    """
+    k = gauge_lift(gauge)
+    k_inv = sl2_inverse(k)
+    factors = tuple((k_inv @ pre, post @ k) for pre, post in pair.conjugation_factors)
+    closed = dataclasses.replace(pair, conjugation_factors=factors)
+    closed.spin_map = lambda leg, u: PairResult.spin_map(closed, leg, k_inv @ u @ k)
+    closed.spin1 = closed.spin_map(1, spinor_propagator(pair.segment1))
+    closed.spin2 = closed.spin_map(2, spinor_propagator(pair.segment2))
+    closed.state = TwoQubitState("pure", pair_state(closed.spin1, closed.spin2))
+    return closed
 
 
 def reverse(seg: GeodesicSegment) -> GeodesicSegment:

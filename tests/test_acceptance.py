@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import gauge_closed_pair
 from eprgeo import (
     CANONICAL_CHSH_DIRECTIONS,
     Event,
@@ -104,9 +105,12 @@ def test_04_matched_axis_and_gauge_independence(schwarzschild, static_tangent):
     and E comes from the spinor route's state, so |E + 1| is about half the
     squared gap between the routes.  The gauge half (E in the static
     against the boosted-static gauge) checks that the rest-frame
-    bookkeeping does not depend on the gauge: the constant gauge lift
-    enters the spinor route and the rest-frame factors as conjugations that
-    cancel, so it is not a test of the spin connection's covariance.
+    bookkeeping does not depend on the gauge: the test closes each leg's
+    transport the long way, K^-1 U K between the gauge-frame factors
+    K^-1 pre and post K (``conftest.gauge_closed_pair``), against the
+    pipeline's closing, which reads no gauge.  The constant lift cancels
+    by conjugation, so this is not a test of the spin connection's
+    covariance; the local-gauge oracle in test_transport is.
     """
     rng = np.random.default_rng(11)
     worst_e = 0.0
@@ -123,12 +127,13 @@ def test_04_matched_axis_and_gauge_independence(schwarzschild, static_tangent):
             segs.append(
                 integrate_geodesic(schwarzschild, e0, u, tau, n_samples=samples_for(tau))
             )
-        res_s = pair_transport(segs[0], segs[1], gauge="static")
-        res_b = pair_transport(segs[0], segs[1], gauge="boosted-static")
+        res_s = pair_transport(segs[0], segs[1])
+        res_b = gauge_closed_pair(res_s, "boosted-static")
         for _d in range(5):
             a = random_direction(rng)
-            e_s = correlation(res_s.state, a, matched_axis(res_s, a))
-            e_b = correlation(res_b.state, a, matched_axis(res_b, a))
+            b = matched_axis(res_s, a)
+            e_s = correlation(res_s.state, a, b)
+            e_b = correlation(res_b.state, a, b)
             worst_e = max(worst_e, abs(e_s + 1.0))
             worst_gap = max(worst_gap, abs(e_s - e_b))
     ok = worst_e <= 1e-6 and worst_gap <= 1e-6

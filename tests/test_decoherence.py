@@ -10,6 +10,7 @@ flat-spacetime case where the channel must do nothing.
 import numpy as np
 import pytest
 
+from conftest import gauge_closed_pair
 from eprgeo import (
     Event,
     averaged_state,
@@ -275,14 +276,15 @@ class TestAveragedState:
     ):
         """The same bundles around a boosted-static and a static pair give one channel.
 
-        The pair's spin map conjugates every path transport by the gauge
-        lift and its rest-frame factors undo it, so the gauges agree to
-        round-off (3e-16 in rho); path maps closed without the lift leave
-        a gap of 4e-4 at sigma = 0.3.
+        The boosted pair (``conftest.gauge_closed_pair``) conjugates every
+        path transport by the gauge lift and its gauge-frame factors undo
+        it, so the gauges agree to round-off (3e-16 in rho); the pipeline's
+        own closing reads no gauge.  Path maps closed without the lift
+        would leave a gap of 4e-4 in rho at sigma = 0 and 0.3.
         """
         v = static_tangent(schwarzschild, DECAY, [0.2, -0.1, 0.15])
         static = pair_transport(*legs, decay_velocity=v)
-        boosted = pair_transport(*legs, gauge="boosted-static", decay_velocity=v)
+        boosted = gauge_closed_pair(static, "boosted-static")
         b1 = sample_bundle(legs[0], sigma, 40, 11)
         b2 = sample_bundle(legs[1], sigma, 40, 12)
         avg_s = averaged_state(static, b1, b2, mode)

@@ -7,13 +7,14 @@ independence of metric and Christoffel evaluations."""
 import numpy as np
 import pytest
 
+from conftest import gauge_lift
 from eprgeo import make_spacetime
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.frames import (
     BOOST_RAPIDITY,
+    check_gauge,
     frame_field,
     gauge_boost,
-    gauge_lift,
     gram_schmidt_frame,
     inverse_frame,
     orthonormality_defect,
@@ -248,4 +249,4 @@ def test_unknown_gauge_rejected(schwarzschild):
     with pytest.raises(UsageError):
         frame_field(schwarzschild, np.array([0.0, 8.0, 1.0, 0.0]), "comoving")
     with pytest.raises(UsageError):
-        gauge_lift("comoving")
+        check_gauge("comoving")

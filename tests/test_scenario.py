@@ -8,6 +8,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,8 @@ from eprgeo.cli import main
 from eprgeo.errors import ConfigurationError
 from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, DEFAULT_TOL, samples_for
 from eprgeo.scenario import _SCHEMA, MAX_LEG_SAMPLES, MAX_PATHS, Scenario, load_scenario
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 FULL = """\
 # two detectors around a central mass
@@ -559,6 +562,25 @@ seed = 639675700
         assert len([r for r in report.rows if r.quantity == "decoherence_fidelity"]) == 3
         # one closing of the pair, with one set of decay frames, shared by every sigma
         assert calls == {"_close_pair": 1, "_decay_frames": 1}
+
+    def test_boosted_gauge_report_matches_the_static_one(self):
+        """A constant gauge cancels in both routes, so a boosted-static copy
+        of the Schwarzschild demo reports every row of the static one bit
+        for bit.  Only the scenario hash (and the id column cut from it)
+        and diag_ortho_drift, whose transported tetrad is the gauge's,
+        differ."""
+        static = (SCENARIO_DIR / "schwarzschild_pair.cfg").read_text(encoding="utf-8")
+        assert "gauge = static" in static
+        boosted = static.replace("gauge = static", "gauge = boosted-static")
+
+        def rows(text):
+            out = emit_report(run_scenario(parse_scenario(text)), "csv")
+            return [row[1:] for row in csv.reader(io.StringIO(out))]
+
+        want, got = rows(static), rows(boosted)
+        assert [r[0] for r in got] == [r[0] for r in want]
+        differ = [w[0] for g, w in zip(got, want) if g != w]
+        assert differ == ["scenario_sha256", "diag_ortho_drift"]
 
 
 SCHWARZSCHILD = """\
