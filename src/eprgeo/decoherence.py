@@ -29,7 +29,21 @@ transport and the pair's rest-frame map PairResult.spin_map once per chunk
 of rows; each bundle's terms are its slice of the stack.  Each
 ChannelAverage holds the averaged state, the per-path terms and the
 reference state; ``fidelity_with_error(avg)`` derives the fidelity and its
-block standard error from that object.
+block standard error from that object, building the FIDELITY_BLOCKS block
+states in one batched pass: coherent blocks as the singlet images
+pair_state(m1, m2) of all block means at once, read as
+|<reference|v>|^2 / |v|^2, incoherent blocks as the Fano form of the whole
+(k, 3, 3) stack of R1 R2^T.
+
+Each leg's decimated knots and proper times, the static-frame scale at its
+interior knots and the sigma-free factors of the bridge are built on the
+first draw around the leg and cached on its segment, read-only, so a sigma
+sweep evaluates the frame once per leg; no two segments share the cache.
+A draw forms the Brownian bridge in place, in one knot-major (knots, 3,
+paths) buffer filled from the normals, so that every step runs along the
+paths rather than over a trailing axis of three; it keeps every operand
+order of the out-of-place expressions, so the paths are the same bytes
+as that form.
 """
 
 from __future__ import annotations
@@ -45,7 +59,7 @@ from .geodesic import GeodesicSegment
 from .lorentz import rotation_matrix_from_su2
 from .pipeline import PairResult
 from .spacetime import Spacetime
-from .spin import PAULI_PAIRS, SINGLET, TwoQubitState, correlation, fidelity, pair_state
+from .spin import PAULI_PAIRS, TwoQubitState, correlation, fidelity, pair_state
 from .transport import polygon_spinor_transport
 
 MAX_BUNDLE_KNOTS = 160
@@ -87,6 +101,52 @@ def _decimate(n: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, n - 1, MAX_BUNDLE_KNOTS)).astype(int))
 
 
+@dataclass(frozen=True)
+class _LegKnots:
+    """One leg's decimated knots and the sigma-free factors of its bridge draw.
+
+    ``knots`` and ``taus`` are the decimated events and proper times;
+    ``scale`` holds the interior knots' static spatial legs (the static
+    frame is diagonal: spatial leg j is its scale times axis j + 1), and
+    ``root_dtau``, ``ratio``, ``root_var`` and ``envelope`` are the
+    increment, bridge and width factors.  Each factor is shaped to
+    broadcast against the knot-major (knots, 3, count) buffer of a draw.
+    Every array is read-only.
+    """
+
+    knots: np.ndarray
+    taus: np.ndarray
+    scale: np.ndarray
+    root_dtau: np.ndarray
+    ratio: np.ndarray
+    root_var: np.ndarray
+    envelope: np.ndarray
+
+
+def _leg_knots(seg: GeodesicSegment) -> _LegKnots:
+    """The leg's _LegKnots, built on first use and cached on the segment."""
+    if "bundle_knots" not in seg.cache:
+        idx = _decimate(seg.n_samples)
+        taus = seg.tau[idx] - seg.tau[0]
+        knots = seg.events[idx]
+        length = taus[-1]
+        t_int = taus[1:-1]
+        scale = np.diagonal(frame_field(seg.spacetime, knots), axis1=-2, axis2=-1)[1:-1, 1:]
+        leg = _LegKnots(
+            knots,
+            taus,
+            scale[:, :, None],
+            np.sqrt(np.diff(taus))[:, None, None],
+            (t_int / length)[:, None, None],
+            np.sqrt(t_int * (length - t_int) / length)[:, None, None],
+            np.sin(np.pi * t_int / length)[:, None, None],
+        )
+        for a in vars(leg).values():
+            a.setflags(write=False)
+        seg.cache["bundle_knots"] = leg
+    return seg.cache["bundle_knots"]
+
+
 def sample_bundle(
     seg: GeodesicSegment,
     sigma: float,
@@ -108,36 +168,39 @@ def sample_bundle(
         raise UsageError("cannot build a path bundle on a zero-length segment")
 
     st = seg.spacetime
-    idx = _decimate(seg.n_samples)
-    taus = seg.tau[idx] - seg.tau[0]
-    knots = seg.events[idx]
-    length = taus[-1]
-    meta = {"base_knots": knots.copy()}
+    leg = _leg_knots(seg)
+    knots = leg.knots
+    meta = {"base_knots": knots}
 
     if sigma == 0.0:
         paths = np.broadcast_to(knots, (n_paths,) + knots.shape)
         meta["resample_rounds"] = 0
-        return PathBundle(seg, taus, paths, sigma, meta)
+        return PathBundle(seg, leg.taus, paths, sigma, meta)
 
-    interior = slice(1, -1)
-    # the static frame is diagonal: spatial leg j is its scale times axis j + 1
-    scale = np.diagonal(frame_field(st, knots), axis1=-2, axis2=-1)[interior, 1:]
-    t_int = taus[interior]
-    envelope = np.sin(np.pi * t_int / length)
-    bridge_var = t_int * (length - t_int) / length
-    dtau = np.diff(taus)
-
+    width = sigma * leg.envelope
     rng = np.random.default_rng(seed)
 
     def draw(count: int) -> np.ndarray:
-        """count perturbed paths, shape (count, K+1, 4)."""
-        dw = rng.standard_normal((count, len(dtau), 3)) * np.sqrt(dtau)[:, None]
-        w = np.cumsum(dw, axis=1)
-        bridge = w[:, :-1, :] - (t_int / length)[None, :, None] * w[:, -1:, :]
-        unit = bridge / np.sqrt(bridge_var)[None, :, None]
-        delta = sigma * envelope[None, :, None] * unit
-        out = np.broadcast_to(knots, (count,) + knots.shape).copy()
-        out[:, interior, 1:] += scale * delta
+        """count perturbed paths, shape (count, K+1, 4).
+
+        The normals come in (count, K, 3) order, as the seed fixes them; the
+        bridge is formed in place in one knot-major (K, 3, count) buffer,
+        where every step runs along the paths, each the IEEE result of
+        (w[:-1] - (t/L) w[-1]) / sqrt(var) * (sigma env) * scale on the
+        cumulated increments w.
+        """
+        normals = rng.standard_normal((count, len(leg.root_dtau), 3))
+        w = np.empty(normals.shape[1:] + (count,))
+        np.multiply(normals.transpose(1, 2, 0), leg.root_dtau, out=w)
+        np.cumsum(w, axis=0, out=w)
+        bridge = w[:-1]
+        bridge -= leg.ratio * w[-1]
+        bridge /= leg.root_var
+        bridge *= width
+        bridge *= leg.scale
+        out = np.empty((count,) + knots.shape)
+        out[:] = knots
+        np.add(knots[1:-1, 1:, None], bridge, out=out[:, 1:-1, 1:].transpose(1, 2, 0))
         return out
 
     paths = draw(n_paths)
@@ -154,7 +217,7 @@ def sample_bundle(
         ok[bad] = np.all(st.in_chart(paths[bad]), axis=1)
         attempts += 1
     meta["resample_rounds"] = attempts - 1
-    return PathBundle(seg, taus, paths, sigma, meta)
+    return PathBundle(seg, leg.taus, paths, sigma, meta)
 
 
 def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -242,6 +305,16 @@ class ChannelAverage:
         return fidelity(self.reference_state, self.rho)
 
 
+def _singlet_image(a1: np.ndarray, a2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a1 x a2)|singlet> and its norm, batched; a norm below 1e-12 means the
+    coherent average destroyed the state."""
+    v = pair_state(a1, a2)
+    nrm = np.linalg.norm(v, axis=-1)
+    if np.any(nrm < 1.0e-12):
+        raise ConfigurationError("coherent bundle average destroyed the state entirely")
+    return v, nrm
+
+
 def _combine(a1: np.ndarray, a2: np.ndarray, mode: str) -> np.ndarray:
     """The all-pairs average from the two per-particle mean terms.  Unit trace.
 
@@ -251,13 +324,26 @@ def _combine(a1: np.ndarray, a2: np.ndarray, mode: str) -> np.ndarray:
     rho = (I - sum_jk (R1 R2^T)_jk sigma_j x sigma_k) / 4.
     """
     if mode == "coherent":
-        v = np.kron(a1, a2) @ SINGLET
-        nrm = float(np.linalg.norm(v))
-        if nrm < 1.0e-12:
-            raise ConfigurationError("coherent bundle average destroyed the state entirely")
+        v, nrm = _singlet_image(a1, a2)
         v = v / nrm
         return np.outer(v, v.conj())
-    return 0.25 * (_ID4 - np.tensordot(a1 @ a2.T, PAULI_PAIRS, 2))
+    # batched over leading axes in incoherent mode
+    return 0.25 * (_ID4 - np.tensordot(a1 @ np.swapaxes(a2, -1, -2), PAULI_PAIRS, 2))
+
+
+def _block_fidelities(reference: np.ndarray, m1: np.ndarray, m2: np.ndarray, mode: str) -> np.ndarray:
+    """Fidelity with ``reference`` of each _combine(m1[j], m2[j], mode), in one pass.
+
+    Coherent mode takes the singlet images v = pair_state(m1, m2) of all
+    blocks at once and reads |<reference|v>|^2 / |v|^2 without forming a
+    density matrix; incoherent mode builds the Fano form of the whole
+    (k, 3, 3) stack of R1 R2^T.
+    """
+    if mode == "coherent":
+        v, nrm = _singlet_image(m1, m2)
+        overlap = v @ reference.conj()
+        return (overlap.real**2 + overlap.imag**2) / (nrm * nrm)
+    return (reference.conj() @ _combine(m1, m2, mode) @ reference).real
 
 
 def averaged_states(
@@ -339,6 +425,6 @@ def fidelity_with_error(avg: ChannelAverage) -> tuple[float, float]:
     starts = np.arange(k) * n // k
     counts = np.diff(starts, append=n)[:, None, None]
     m1, m2 = (np.add.reduceat(t[:n], starts) / counts for t in avg.terms)
-    fs = [fidelity(avg.reference_state, _combine(a1, a2, avg.mode)) for a1, a2 in zip(m1, m2)]
+    fs = _block_fidelities(avg.reference_state, m1, m2, avg.mode)
     se = float(np.std(fs, ddof=1) / np.sqrt(k)) if k > 1 else 0.0
     return avg.fidelity, se

@@ -44,6 +44,7 @@ from .lorentz import (
     _boost,
     _boost_sl2,
     _inverse_unit,
+    _mul_2x2,
     _polar_rotation,
     _unit_timelike,
     rotation_matrix_from_su2,
@@ -198,9 +199,10 @@ class PairResult:
 
     def spin_map(self, leg: int, u: np.ndarray) -> np.ndarray:
         """Rest-frame SU(2) maps of static-frame transports u (batched) along
-        leg 1 or 2: the polar unitary part of post @ u @ pre."""
+        leg 1 or 2: the polar unitary part of post @ u @ pre, multiplied
+        left to right by the broadcast 2x2 product."""
         pre, post = self.conjugation_factors[leg - 1]
-        return su2_polar(post @ u @ pre)[0]
+        return su2_polar(_mul_2x2(_mul_2x2(post, u), pre))[0]
 
     def ortho_drift(self, gauge: str = "static") -> float:
         """Largest orthonormality defect, over the legs of nonzero length, of

@@ -115,10 +115,15 @@ def chsh_value(k: np.ndarray, a, ap, b, bp) -> float:
 
 
 def pair_state(w1: np.ndarray | None = None, w2: np.ndarray | None = None) -> np.ndarray:
-    """(W1 x W2)|singlet> as a bare 4-vector.  None means identity."""
+    """(W1 x W2)|singlet> as a bare 4-vector.  None means identity.
+
+    Closed form (W1 e0 x W2 e1 - W1 e1 x W2 e0) / sqrt 2, from the columns
+    of W1 and W2; batched over leading axes, (..., 2, 2) to (..., 4).
+    """
     w1 = ID2 if w1 is None else np.asarray(w1, dtype=complex)
     w2 = ID2 if w2 is None else np.asarray(w2, dtype=complex)
-    return np.kron(w1, w2) @ SINGLET
+    v = w1[..., :, None, 0] * w2[..., None, :, 1] - w1[..., :, None, 1] * w2[..., None, :, 0]
+    return v.reshape(v.shape[:-2] + (4,)) / _SQRT2
 
 
 def fidelity(reference: np.ndarray, rho: np.ndarray) -> float:

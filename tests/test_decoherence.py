@@ -23,6 +23,7 @@ from eprgeo import (
     pair_transport,
     sample_bundle,
 )
+from eprgeo import decoherence as deco
 from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage, _combine, _decimate
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.frames import frame_field
@@ -168,6 +169,38 @@ class TestSampling:
         assert sample_bundle(legs[0], 0.4, 30, 17).meta["resample_rounds"] == 1
         assert calls[1][0] == 1
 
+    def test_knot_cache_serves_every_sigma_of_one_leg(self, schwarzschild, static_tangent, monkeypatch):
+        u = static_tangent(schwarzschild, DECAY, [0.2, 0.0, 0.1])
+        seg = integrate_geodesic(schwarzschild, Event(DECAY), u, 3.0, n_samples=501)
+        calls = []
+
+        def counting(st, x, *rest, _original=deco.frame_field):
+            calls.append(np.shape(x))
+            return _original(st, x, *rest)
+
+        monkeypatch.setattr(deco, "frame_field", counting)
+        bundles = [sample_bundle(seg, sigma, 20, 3 + k) for k, sigma in enumerate((0.0, 0.1, 0.3, 0.1))]
+        # one static-frame evaluation over the decimated knots serves all four
+        assert calls == [(len(_decimate(seg.n_samples)), 4)]
+        leg = seg.cache["bundle_knots"]
+        assert all(b.base_knots is leg.knots and b.taus is leg.taus for b in bundles)
+        assert np.array_equal(bundles[1].paths, sample_bundle(seg, 0.1, 20, 4).paths)
+        assert not np.array_equal(bundles[1].paths, bundles[3].paths)
+        # the cached arrays are read-only: a draw cannot write into them
+        with pytest.raises(ValueError):
+            leg.knots[1, 1] = 0.0
+
+    def test_knot_cache_is_never_shared_between_legs(self, legs):
+        b1 = sample_bundle(legs[0], 0.1, 5, 0)
+        b2 = sample_bundle(legs[1], 0.1, 5, 0)
+        k1, k2 = legs[0].cache["bundle_knots"], legs[1].cache["bundle_knots"]
+        assert k1 is not k2 and b1.base_knots is k1.knots and b2.base_knots is k2.knots
+        for seg, knots in zip(legs, (k1, k2)):
+            idx = _decimate(seg.n_samples)
+            assert np.array_equal(knots.knots, seg.events[idx])
+            assert np.array_equal(knots.taus, seg.tau[idx] - seg.tau[0])
+        assert not np.array_equal(k1.knots, k2.knots)
+
     def test_zero_length_segment_rejected(self, schwarzschild, static_tangent):
         u = static_tangent(schwarzschild, DECAY, [0.0, 0.0, 0.0])
         seg = point_segment(schwarzschild, Event(DECAY), u)
@@ -228,11 +261,10 @@ class TestAveragedState:
         assert np.array_equal(t1, np.broadcast_to(t1[0], t1.shape))
         assert np.array_equal(t2, np.broadcast_to(t2[0], t2.shape))
 
-        def base_map(b, pre, post):
-            u = polygon_spinor_transport(b.base.spacetime, b.base_knots)
-            return su2_polar(post @ u @ pre)[0]
+        def base_map(leg, b):
+            return pair.spin_map(leg, polygon_spinor_transport(b.base.spacetime, b.base_knots))
 
-        base1, base2 = map(base_map, (b1, b2), *zip(*pair.conjugation_factors))
+        base1, base2 = base_map(1, b1), base_map(2, b2)
         term = (lambda m: m) if mode == "coherent" else rotation_matrix_from_su2
         assert np.array_equal(t1[0], term(base1)) and np.array_equal(t2[0], term(base2))
         assert np.array_equal(pair_state(base1, base2), avg.reference_state)

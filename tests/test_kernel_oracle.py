@@ -3,17 +3,45 @@
 ``kernel_oracle`` keeps the expression form of each kernel verbatim.  The
 kernels must reproduce it bit for bit (``tobytes()``) on seeded inputs, and
 every input is read-only, so a kernel that wrote into a caller's array
-would raise here.
+would raise here.  The bundle channel's broadcast closing, kron-free
+singlet image and batched block fidelities sum in another order than their
+oracles, so on the demo bundles they agree within 1e-14.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kernel_oracle as oracle
-from eprgeo import integrate_geodesic, integrate_orbit, lorentz, make_spacetime, transport
-from eprgeo.lorentz import _SERIES_BOUND, _exp_traceless, _pairwise, _product_2x2
+from eprgeo import (
+    Event,
+    averaged_state,
+    fidelity_with_error,
+    integrate_geodesic,
+    integrate_orbit,
+    lorentz,
+    make_spacetime,
+    pair_transport,
+    sample_bundle,
+    transport,
+)
+from eprgeo.decoherence import ChannelAverage
+from eprgeo.errors import ConfigurationError
+from eprgeo.frames import frame_field
+from eprgeo.geodesic import samples_for
+from eprgeo.lorentz import _SERIES_BOUND, _exp_traceless, _pairwise, _product_2x2, su2_polar
 from eprgeo.precession import circular_orbit_tangent
-from eprgeo.transport import _rk4_steps
+from eprgeo.scenario import load_scenario
+from eprgeo.spin import pair_state
+from eprgeo.transport import _rk4_steps, polygon_spinor_transport, spinor_propagator
+
+DEMOS = Path(__file__).parent.parent / "demos" / "scenarios"
+# the initial-value demo pairs: Schwarzschild, weak-field and Minkowski legs
+DEMO_PAIRS = ("decoherence_sweep", "weak_field_pair", "flat_singlet")
+# every demo pair gets the bundles of the decoherence demo's sweep
+SWEEP = load_scenario(str(DEMOS / "decoherence_sweep.cfg")).decoherence
+ROUND_OFF = 1.0e-14
 
 
 def frozen(*arrays):
@@ -149,3 +177,110 @@ def test_propagators_match_the_oracle_kernels(schwarzschild, monkeypatch, n_samp
     oracle_kernels(monkeypatch, schwarzschild)
     assert same_bits(transport.world_propagator(seg), world)
     assert same_bits(transport.spinor_propagator(seg), spinor)
+
+
+# ---------------------------------------------------------------------------
+# the bundle channel on the demo pairs
+
+
+@pytest.fixture(scope="module", params=DEMO_PAIRS)
+def demo_pair(request):
+    sc = load_scenario(str(DEMOS / f"{request.param}.cfg"))
+    legs = [
+        integrate_geodesic(
+            sc.spacetime, Event(sc.decay_event), d.tangent, d.tau, tol=sc.tol, n_samples=samples_for(d.tau, sc.sample_step)
+        )
+        for d in (sc.detector1, sc.detector2)
+    ]
+    return pair_transport(*legs, decay_velocity=sc.decay_velocity)
+
+
+@pytest.fixture(scope="module")
+def demo_bundles(demo_pair):
+    """(b1, b2) per sigma of the decoherence demo, around the pair's legs."""
+    legs = (demo_pair.segment1, demo_pair.segment2)
+    return [
+        tuple(sample_bundle(seg, sigma, SWEEP.n_paths, SWEEP.seed + 2 * k + j) for j, seg in enumerate(legs))
+        for k, sigma in enumerate(SWEEP.sigmas)
+    ]
+
+
+def test_bundle_draw_matches_the_out_of_place_oracle(demo_pair, demo_bundles):
+    for k, sigma in enumerate(SWEEP.sigmas):
+        if sigma == 0.0:
+            continue
+        for j, b in enumerate(demo_bundles[k]):
+            paths, rounds = oracle.bundle_paths(b.base, sigma, SWEEP.n_paths, SWEEP.seed + 2 * k + j)
+            assert same_bits(b.paths, paths)
+            assert b.meta["resample_rounds"] == rounds
+
+
+def test_bundle_draw_matches_the_out_of_place_oracle_through_redraws(schwarzschild):
+    """A radial leg just outside the horizon: some first draws leave the chart."""
+    x = np.array([0.0, 2.3, np.pi / 2.0, 0.0])
+    u = frame_field(schwarzschild, x, "static") @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
+    seg = integrate_geodesic(schwarzschild, Event(x), u, 1.0, n_samples=samples_for(1.0))
+    rounds = []
+    for sigma, seed in ((0.3, 5), (0.4, 6), (0.4, 7)):
+        b = sample_bundle(seg, sigma, 150, seed)
+        paths, r = oracle.bundle_paths(seg, sigma, 150, seed)
+        assert same_bits(b.paths, paths)
+        assert b.meta["resample_rounds"] == r
+        rounds.append(r)
+    assert max(rounds) >= 2
+
+
+def leg_stacks(pair, bundles):
+    """Per leg, the base polygon and every sigma > 0 bundle's paths, transported."""
+    st = pair.segment1.spacetime
+    for leg in (1, 2):
+        legs = [b[leg - 1] for b in bundles]
+        xs = np.concatenate([legs[0].base_knots[None]] + [b.paths for b in legs if b.sigma != 0.0])
+        yield leg, frozen(polygon_spinor_transport(st, xs))
+
+
+def test_closing_matches_the_matmul_oracle(demo_pair, demo_bundles):
+    for leg, u in leg_stacks(demo_pair, demo_bundles):
+        assert np.max(np.abs(demo_pair.spin_map(leg, u) - oracle.spin_map(demo_pair, leg, u))) <= ROUND_OFF
+        pre, post = demo_pair.conjugation_factors[leg - 1]
+        m = frozen(post @ u @ pre)
+        for got, want in zip(su2_polar(m), oracle.su2_polar(m)):
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= ROUND_OFF
+    # one 2x2 at a time: each leg's own closing, as pair_transport makes it
+    for leg, seg, spin in ((1, demo_pair.segment1, demo_pair.spin1), (2, demo_pair.segment2, demo_pair.spin2)):
+        u = frozen(spinor_propagator(seg))
+        assert np.max(np.abs(spin - oracle.spin_map(demo_pair, leg, u))) <= ROUND_OFF
+        pre, post = demo_pair.conjugation_factors[leg - 1]
+        m = frozen(post @ u @ pre)
+        for got, want in zip(su2_polar(m), oracle.su2_polar(m)):
+            assert got.shape == want.shape == (2, 2) and np.max(np.abs(got - want)) <= ROUND_OFF
+
+
+def test_pair_state_matches_the_kron_oracle(demo_pair, demo_bundles):
+    w1, w2 = (frozen(demo_pair.spin_map(leg, u)) for leg, u in leg_stacks(demo_pair, demo_bundles))
+    v = pair_state(w1, w2)
+    assert v.shape == (len(w1), 4)
+    assert np.max(np.abs(v - [oracle.pair_state(a, b) for a, b in zip(w1, w2)])) <= ROUND_OFF
+    assert np.max(np.abs(demo_pair.state.data - oracle.pair_state(demo_pair.spin1, demo_pair.spin2))) <= ROUND_OFF
+    assert same_bits(pair_state(), oracle.pair_state(lorentz.ID2, lorentz.ID2))
+
+
+@pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+def test_fidelity_with_error_matches_the_per_block_oracle(demo_pair, demo_bundles, mode):
+    for b1, b2 in demo_bundles:
+        avg = averaged_state(demo_pair, b1, b2, mode)
+        got, want = fidelity_with_error(avg), oracle.fidelity_with_error(avg)
+        assert np.max(np.abs(np.subtract(got, want))) <= ROUND_OFF
+        assert (got[1] == 0.0) == (want[1] == 0.0)
+
+
+def test_a_destroyed_block_raises_like_the_per_block_oracle():
+    """A block whose mean maps cancel leaves no singlet image to normalize."""
+    rng = np.random.default_rng(16)
+    t1 = complex_normal(rng, (20, 2, 2))
+    t1[5] = -t1[4]  # block 2 of 10, rows 4 and 5, has mean zero
+    t2 = complex_normal(rng, (20, 2, 2))
+    avg = ChannelAverage(np.eye(4) / 4.0, "coherent", (t1, t2), pair_state(), False)
+    for f in (fidelity_with_error, oracle.fidelity_with_error):
+        with pytest.raises(ConfigurationError, match="destroyed the state entirely"):
+            f(avg)
