@@ -44,7 +44,7 @@ print(f"  ang momentum spread  {np.ptp(angmom):.3e}")
 # --- a plunge that leaves the chart ----------------------------------------
 # Inward-pointing tangents eventually cross the horizon guard; the
 # integrator reports where and when it had to stop.
-n0 = frame_field(st, np.array([0.0, 6.0, np.pi / 2, 0.0]), "static")
+n0 = frame_field(st, np.array([0.0, 6.0, np.pi / 2, 0.0]))
 w = np.array([-2.0, 0.0, 0.0])
 u_in = n0 @ np.concatenate(([np.sqrt(1.0 + w @ w)], w))
 try:
@@ -60,7 +60,7 @@ except DomainExitError as exc:
 # the steps are many the count grows by about 10^(1/5) = 1.58 per decade of
 # tol, the signature of a 5th-order method.
 start = Event(np.array([0.0, 4.5, np.pi / 2, 0.0]))
-n0 = frame_field(st, start.coords, "static")
+n0 = frame_field(st, start.coords)
 w = np.array([0.9, 0.0, 1.2])
 u0 = n0 @ np.concatenate(([np.sqrt(1.0 + w @ w)], w))
 ref = integrate_geodesic(st, start, u0, 3.0, tol=1e-13, n_samples=2).end.coords

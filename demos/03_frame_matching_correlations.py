@@ -44,7 +44,7 @@ print(f"  matched axis   = {np.round(matched_axis(res, a), 12)}")
 # --- the same experiment at r = 12M ----------------------------------------
 st = make_spacetime("schwarzschild", {"M": 1.0})
 decay = np.array([0.0, 12.0, np.pi / 2, 0.0])
-n0 = frame_field(st, decay, "static")
+n0 = frame_field(st, decay)
 
 
 def leg(w, tau):
@@ -76,8 +76,8 @@ print(f"  CHSH matched          {s_matched:+.12f}   (bound -2 sqrt(2) = {-2 * np
 # The boosted-static gauge differs from the static one by a constant frame
 # boost.  Both transport routes close every leg in static-tetrad components
 # between rest frames that do not depend on it, so a constant gauge cancels
-# exactly and never enters the spin route: pair_transport takes no gauge,
-# and there is nothing to compare here.  The real gauge test is
+# exactly: no frame, transport or holonomy function takes a gauge, and only
+# the scenario's diag_ortho_drift row reads it.  The real gauge test is
 # test_spinor_route_is_covariant_under_a_local_gauge (tests/test_transport.py),
 # where the frame varies from point to point and the spin connection itself
 # must absorb it.

@@ -21,7 +21,7 @@ TAU = 4.0
 
 def mismatch_angle(eps):
     st = make_spacetime("weak_field", {"epsilon": eps})
-    n0 = frame_field(st, DECAY, "static")
+    n0 = frame_field(st, DECAY)
 
     def u(w):
         w = np.asarray(w, dtype=float)

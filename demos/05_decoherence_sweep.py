@@ -42,7 +42,7 @@ from eprgeo.geodesic import samples_for
 
 st = make_spacetime("schwarzschild", {"M": 1.0})
 decay = np.array([0.0, 12.0, np.pi / 2, 0.0])
-n0 = frame_field(st, decay, "static")
+n0 = frame_field(st, decay)
 
 
 def leg(w, tau=3.0):

@@ -92,10 +92,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    raise UsageError(f"unknown command {args.command!r}")
+    # the subcommand is required and ``run`` is the only one
+    return _cmd_run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

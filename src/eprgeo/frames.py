@@ -2,13 +2,14 @@
 
 A frame at an event is a matrix N whose columns are the frame legs in
 coordinate components, with N^T g N = eta and the timelike leg in column
-zero.  The "static" gauge is the signature Gram-Schmidt frame built from the
-coordinate basis in order (t, then the spatial axes).  Every metric here is
-diagonal in its chart and is given as its diagonal g_aa, so that frame is
-diag(|g_aa|^(-1/2)).  The "boosted-static" gauge multiplies it on the right
-by a constant boost.  A constant frame change cancels in both transport
-routes, so the scenario's gauge picks only the decay tetrad whose
-orthonormality drift the report prints.
+zero.  frame_field gives the static frame: the signature Gram-Schmidt frame
+built from the coordinate basis in order (t, then the spatial axes).  Every
+metric here is diagonal in its chart and is given as its diagonal g_aa, so
+that frame is diag(|g_aa|^(-1/2)).  Every frame below the scenario is
+static.  A constant frame change cancels in both transport routes, so the
+"boosted-static" gauge, the static frame times the constant gauge_boost,
+enters only the decay tetrad whose orthonormality drift the report prints
+(pipeline.PairResult.ortho_drift).
 
 The frame-index connection M_l = N^{-1}(d_l N + Gamma_l N) is closed-form at
 the point, with no frame derivative and no differencing.
@@ -63,13 +64,9 @@ def gram_schmidt_frame(g: np.ndarray) -> np.ndarray:
     return (1.0 / np.sqrt(nrm2))[..., None] * np.eye(4)
 
 
-def frame_field(st: Spacetime, coords: np.ndarray, gauge: str = "static") -> np.ndarray:
-    """Frame matrix N at coords (batched), in the requested gauge."""
-    check_gauge(gauge)
-    n = gram_schmidt_frame(st.metric(coords))
-    if gauge == "boosted-static":
-        n = n @ gauge_boost()
-    return n
+def frame_field(st: Spacetime, coords: np.ndarray) -> np.ndarray:
+    """Static frame matrix N at coords (batched)."""
+    return gram_schmidt_frame(st.metric(coords))
 
 
 def inverse_frame(n: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainExitError, IntegrationError, UsageError
-from .frames import frame_field, inverse_frame
+from .frames import frame_field, gram_schmidt_frame, inverse_frame
 from .spacetime import Event, Spacetime, metric_at, require_event, same_event
 
 DEFAULT_SAMPLE_STEP = 0.02
@@ -564,8 +564,8 @@ def solve_bvp(
     if same_event(origin, target, tol=1.0e-12):
         return point_segment(st, origin), ShootingReport(True, 0.0, 0, 0.0, "coincident endpoints")
 
-    n0 = frame_field(st, origin.coords)
     g0 = metric_at(st, origin)
+    n0 = gram_schmidt_frame(g0)
     dx, interval = chord(st, origin, target)
 
     if tau_hint is None:

@@ -245,26 +245,15 @@ def pure_boost_sl2(u_hat: np.ndarray) -> np.ndarray:
     return _boost_sl2(_unit_timelike(u_hat))
 
 
-def pure_boost_sl2_inverse(u_hat: np.ndarray) -> np.ndarray:
-    return _boost_sl2(_inverse_unit(u_hat))
-
-
 def _polar_rotation(L: np.ndarray) -> np.ndarray:
-    """The rotation factor R of lorentz_polar(L), without building its boost."""
+    """The rotation factor R of the polar split L = B R of a proper
+    orthochronous Lorentz matrix, B the symmetric pure boost carrying
+    (1,0,0,0) to L[:, 0]; R fixes the time axis, so its spatial block is the
+    rotation part.  B itself is never built."""
     L = np.asarray(L, dtype=float)
     if not (L[0, 0] > 0.0 and np.isfinite(L).all()):
         raise UsageError("non-orthochronous or non-finite Lorentz map")
     return pure_boost_inverse(L[:, 0]) @ L
-
-
-def lorentz_polar(L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a proper orthochronous Lorentz matrix as L = B R (boost x rotation).
-
-    B is the symmetric pure boost carrying (1,0,0,0) to L[:, 0]; the residual
-    R fixes the time axis, so its spatial block is the rotation part.
-    """
-    R = _polar_rotation(L)
-    return pure_boost(np.asarray(L, dtype=float)[:, 0]), R
 
 
 def _mul_2x2(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -14,13 +14,12 @@ spin-1/2 route lifts those boosts in SL(2,C) directly with pure_boost_sl2;
 no 4x4 Lorentz matrix is ever lifted back to SL(2,C).
 
 Physical anchors (the reference tetrad at the decay and the detector
-tetrads) are fixed in the static gauge.  A constant change of
+tetrads) are built on static tetrads.  A constant change of
 computational frame conjugates every transport and is undone by the
-rest-frame factors, so it cancels exactly and neither route reads the
-scenario's gauge: PairResult.spin_map closes the static-frame transports
-of the legs and of every bundle path with the leg's rest-frame factors
-alone.  The gauge selects only the decay tetrad that
-PairResult.ortho_drift transports.
+rest-frame factors, so it cancels exactly and neither route reads one:
+PairResult.spin_map closes the static-frame transports of the legs and
+of every bundle path with the leg's rest-frame factors alone.  Only
+PairResult.ortho_drift takes the scenario's choice of decay tetrad.
 
 pair_transport closes both legs in one pass, _close_pair, which builds
 each frame once: per pair the decay-event metric, the static and reference
@@ -209,10 +208,11 @@ class PairResult:
         the gauge frame at the decay event parallel-transported to the leg's
         end; 0.0 when both legs have zero length.
 
-        Per leg this is transport_tetrad(seg, gauge_tetrad(st, seg.start,
-        gauge)).defect(st), bit for bit, read from ``decay_frame`` and the
-        leg's cached end metric; the input frame's orthonormality is
-        checked once for both legs.
+        Per leg this is transport_tetrad(seg, t).defect(st), bit for bit, t
+        the static boosted_tetrad(st, seg.start), times gauge_boost() in the
+        boosted-static gauge; it is read from ``decay_frame`` and the leg's
+        cached end metric, and the input frame's orthonormality is checked
+        once for both legs.
         """
         check_gauge(gauge)
         legs = [seg for seg in (self.segment1, self.segment2) if not seg.zero_length]

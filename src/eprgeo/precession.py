@@ -14,9 +14,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geodesic import GeodesicSegment, integrate_geodesic
 from .lorentz import rotation_axis_angle, su2_rotation_angle
-from .pipeline import rest_frame_rotation
+from .pipeline import boosted_tetrad, rest_frame_rotation
 from .spacetime import Event, Spacetime
-from .transport import gauge_tetrad, spinor_propagator
+from .transport import spinor_propagator
 
 
 def _orbit_mass(st: Spacetime, r: float) -> float:
@@ -57,14 +57,17 @@ def integrate_orbit(st: Spacetime, r: float, n_orbits: float = 1.0) -> GeodesicS
     return integrate_geodesic(st, e0, u0, n_orbits * orbit_period(st, r))
 
 
-def rest_frame_holonomy_angle(seg: GeodesicSegment, gauge: str = "static") -> tuple[float, np.ndarray]:
+def rest_frame_holonomy_angle(seg: GeodesicSegment) -> tuple[float, np.ndarray]:
     """(angle, axis) of the transport holonomy seen by the comoving observer.
 
-    This is the rest-frame (Wigner) rotation between the gauge tetrads at the
-    two ends (pipeline.rest_frame_rotation); its angle is the precession.
+    This is the rest-frame (Wigner) rotation between the static tetrads at
+    the two ends (pipeline.boosted_tetrad with no velocity, and
+    pipeline.rest_frame_rotation); its angle is the precession.  Over a whole
+    orbit the start and end velocities agree in static components, so a
+    constant boost of both tetrads would only conjugate the rotation.
     """
     st = seg.spacetime
-    start, end = gauge_tetrad(st, seg.start, gauge), gauge_tetrad(st, seg.end, gauge)
+    start, end = boosted_tetrad(st, seg.start), boosted_tetrad(st, seg.end)
     axis, angle = rotation_axis_angle(rest_frame_rotation(seg, start, end))
     return angle, axis
 

@@ -26,15 +26,16 @@ neither Gamma nor W, and the two routes share no connection code: the vector
 route reads W and the spinor route the six static-frame coefficients.  Both
 spinor transports are in static-frame components, which the pair's
 rest-frame map (pipeline.PairResult.spin_map) closes as they are: a
-constant gauge would cancel there.
+constant frame change would cancel there.  frame_propagator expresses the
+vector route between the static frames at the ends.
 Each factor has determinant one and the factor for the reversed interval is
 its exact adjugate inverse, which is why a retraced path gives the identity
 to machine precision rather than to integration accuracy.  The SU(2) sign
 of the result is whatever the continuous composition along the path
 produces; no branch is re-chosen afterwards.
 
-Endpoint propagators are cached on the segment, the frame propagator keyed
-by gauge; reversed segments carry their own cache.
+Endpoint propagators are cached on the segment, one entry each; reversed
+segments carry their own cache.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .frames import frame_field, inverse_frame, orthonormality_defect, spin_connection_components
+from .frames import frame_field, gram_schmidt_frame, inverse_frame, orthonormality_defect, spin_connection_components
 from .geodesic import GeodesicSegment
 from .lorentz import ordered_exp_product, ordered_product
-from .spacetime import Event, Spacetime, require_event, same_event
+from .spacetime import Event, Spacetime, same_event
 
 ORTHO_TOL = 1.0e-8
 
@@ -68,12 +69,6 @@ class Tetrad:
     def defect(self, st: Spacetime) -> float:
         """Orthonormality defect max |N^T g N - eta| at this tetrad's event."""
         return orthonormality_defect(st.metric(self.event.coords), self.matrix)
-
-
-def gauge_tetrad(st: Spacetime, event: Event, gauge: str = "static") -> Tetrad:
-    """The gauge frame field evaluated at one event, packaged as a Tetrad."""
-    require_event(st, event)
-    return Tetrad(event, frame_field(st, event.coords, gauge))
 
 
 # ---------------------------------------------------------------------------
@@ -158,17 +153,15 @@ def world_propagator(seg: GeodesicSegment) -> np.ndarray:
     return p
 
 
-def frame_propagator(seg: GeodesicSegment, gauge: str = "static") -> np.ndarray:
-    """The same transport expressed between the gauge frames at the endpoints."""
-    key = ("frame_propagator", gauge)
-    if key in seg.cache:
-        return seg.cache[key]
+def frame_propagator(seg: GeodesicSegment) -> np.ndarray:
+    """The same transport expressed between the static frames at the endpoints."""
+    if "frame_propagator" in seg.cache:
+        return seg.cache["frame_propagator"]
     st = seg.spacetime
-    n1 = frame_field(st, seg.events[-1], gauge)
     g1 = st.metric(seg.events[-1])
-    n0 = frame_field(st, seg.events[0], gauge)
-    p = inverse_frame(n1, g1) @ world_propagator(seg) @ n0
-    seg.cache[key] = p
+    n0 = frame_field(st, seg.events[0])
+    p = inverse_frame(gram_schmidt_frame(g1), g1) @ world_propagator(seg) @ n0
+    seg.cache["frame_propagator"] = p
     return p
 
 

@@ -2,8 +2,8 @@
 the test-side helpers that reverse a segment and compare the two transport
 routes through the double cover.
 
-``vector_action``, ``reverse``, ``gauge_lift`` and ``gauge_closed_pair``
-are plain functions, imported by the test modules with
+``vector_action``, ``reverse``, ``gauge_frame``, ``gauge_lift`` and
+``gauge_closed_pair`` are plain functions, imported by the test modules with
 ``from conftest import ...``; the package itself never needs them.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from eprgeo import Event, integrate_geodesic, make_spacetime
 from eprgeo.frames import check_gauge, frame_field, gauge_boost
 from eprgeo.geodesic import GeodesicSegment
-from eprgeo.lorentz import ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_boost_sl2, sl2_inverse
+from eprgeo.lorentz import ETA, ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_boost_sl2, sl2_inverse
 from eprgeo.pipeline import PairResult
 from eprgeo.spin import TwoQubitState, pair_state
 from eprgeo.transport import frame_propagator, spinor_propagator
@@ -32,6 +32,14 @@ def vector_action(a: np.ndarray) -> np.ndarray:
         for j in range(3):
             L[j + 1, b] = -0.5 * np.trace(PAULI[j] @ y).real
     return L
+
+
+def gauge_frame(st, coords: np.ndarray, gauge: str) -> np.ndarray:
+    """The frame of ``gauge`` at coords (batched): the static frame_field,
+    times the constant gauge_boost() in the boosted-static gauge."""
+    check_gauge(gauge)
+    n = frame_field(st, coords)
+    return n if gauge == "static" else n @ gauge_boost()
 
 
 def gauge_lift(gauge: str) -> np.ndarray:
@@ -90,7 +98,7 @@ def static_tangent():
 
     def build(st, coords, w):
         w = np.asarray(w, dtype=float)
-        n0 = frame_field(st, np.asarray(coords, dtype=float), "static")
+        n0 = frame_field(st, np.asarray(coords, dtype=float))
         return n0 @ np.concatenate(([np.sqrt(1.0 + w @ w)], w))
 
     return build
@@ -141,13 +149,16 @@ def double_cover_defect():
 
         The spin-1/2 transport pushed through the vector action must reproduce
         the 4x4 frame-component transport; this is the routes' shared oracle.
-        The static-frame spinor transport is conjugated into the gauge frames
-        by the constant lift K, K^-1 U K, which checks gauge_lift against the
-        frames' gauge_boost.
+        Both static-frame transports are conjugated into the gauge frames by
+        the constant boost, K^-1 U K and L^-1 P L with L = gauge_boost() and
+        K = gauge_lift(gauge), which checks gauge_lift against gauge_boost.
         """
         k = gauge_lift(gauge)
         u = sl2_inverse(k) @ spinor_propagator(seg) @ k
-        lam = frame_propagator(seg, gauge)
+        lam = frame_propagator(seg)
+        if gauge != "static":
+            boost = gauge_boost()
+            lam = ETA @ boost.T @ ETA @ lam @ boost
         return float(np.max(np.abs(vector_action(u) - lam)))
 
     return double_cover_defect

@@ -45,7 +45,8 @@ from eprgeo.cli import main as cli_main
 from eprgeo.frames import frame_field
 from eprgeo.geodesic import samples_for
 from eprgeo.lorentz import rotation_axis_angle
-from eprgeo.transport import gauge_tetrad, spinor_propagator, transport_tetrad, world_propagator
+from eprgeo.pipeline import boosted_tetrad
+from eprgeo.transport import spinor_propagator, transport_tetrad, world_propagator
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -82,7 +83,7 @@ def test_01_flat_anticorrelation_and_chsh(minkowski):
 def test_02_geodetic_angle_both_routes(schwarzschild):
     seg = integrate_orbit(schwarzschild, 10.0)
     exact = geodetic_angle_exact(schwarzschild, 10.0)
-    a_vec, _ = rest_frame_holonomy_angle(seg, "static")
+    a_vec, _ = rest_frame_holonomy_angle(seg)
     a_spin = spinor_holonomy_angle(seg)
     dv, ds = abs(a_vec - exact), abs(a_spin - exact)
     ok = dv <= 1e-4 and ds <= 1e-4
@@ -166,7 +167,7 @@ def test_06_conservation_diagnostics(schwarzschild, battery):
             "ki,ki,ki->k", seg.tangents, schwarzschild.metric(seg.events), seg.tangents
         )
         drift = max(drift, float(np.max(np.abs(norms + 1.0))))
-        moved = transport_tetrad(seg, gauge_tetrad(schwarzschild, seg.start, "static"))
+        moved = transport_tetrad(seg, boosted_tetrad(schwarzschild, seg.start))
         ortho = max(ortho, float(moved.defect(schwarzschild)))
     ok = drift <= 1e-8 and ortho <= 1e-8
     assert verdict(
@@ -179,7 +180,7 @@ def test_07_weak_field_linear_scaling():
 
     def angle(eps: float) -> float:
         st = make_spacetime("weak_field", {"epsilon": eps})
-        n0 = frame_field(st, coords, "static")
+        n0 = frame_field(st, coords)
         w1 = np.array([0.5, 0.0, 0.0])
         w2 = np.array([-0.3, 0.45, 0.0])
         u1 = n0 @ np.concatenate(([np.sqrt(1.0 + w1 @ w1)], w1))

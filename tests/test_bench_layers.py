@@ -61,7 +61,7 @@ def test_traced_results_keep_the_fields_the_hooks_read():
 
     st = make_spacetime("schwarzschild", {"M": 1.0})
     decay = np.array([0.0, 12.0, np.pi / 2.0, 0.0])
-    u = frame_field(st, decay, "static") @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
+    u = frame_field(st, decay) @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
     leg = integrate_geodesic(st, Event(decay), u, 0.5)
     assert isinstance(leg.meta["n_steps"], int) and leg.meta["n_steps"] > 0
     assert isinstance(leg.meta["n_rejected"], int)
@@ -101,7 +101,7 @@ def test_traced_functions_take_what_the_hooks_read_where_they_read_it():
         assert fn(*args).shape[:-2] == (count,), fn.__name__
 
     decay = np.array([0.0, 12.0, np.pi / 2.0, 0.0])
-    u = frame_field(st, decay, "static") @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
+    u = frame_field(st, decay) @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
     leg = integrate_geodesic(st, Event(decay), u, 0.5)
     for propagator in (world_propagator, spinor_propagator):
         first = next(iter(inspect.signature(propagator).parameters.values()))

@@ -7,7 +7,7 @@ independence of metric and Christoffel evaluations."""
 import numpy as np
 import pytest
 
-from conftest import gauge_lift
+from conftest import gauge_frame, gauge_lift
 from eprgeo import make_spacetime
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.frames import (
@@ -48,7 +48,7 @@ def _dense(g):
 def test_frame_is_orthonormal(kind, gauge):
     st = _spacetime(kind)
     xs = POINTS[kind]
-    n = frame_field(st, xs, gauge)
+    n = gauge_frame(st, xs, gauge)
     g = st.metric(xs)
     gram = np.einsum("kma,kmn,knb->kab", n, _dense(g), n)
     assert np.max(np.abs(gram - ETA)) < 1e-12
@@ -57,24 +57,30 @@ def test_frame_is_orthonormal(kind, gauge):
 
 def test_static_frame_upper_triangular(schwarzschild):
     x = np.array([0.0, 8.0, 1.0, 0.5])
-    n = frame_field(schwarzschild, x, "static")
+    n = frame_field(schwarzschild, x)
     assert np.allclose(n, np.triu(n))
     # timelike leg along the static Killing direction
     assert n[1, 0] == 0.0 and n[2, 0] == 0.0 and n[3, 0] == 0.0
 
 
 def test_boosted_gauge_is_constant_boost_of_static(schwarzschild):
+    """gauge_boost is a Lorentz boost of rapidity BOOST_RAPIDITY along frame
+    axis 3, so the boosted frame's legs 0 and 3 mix the static ones."""
     x = np.array([0.0, 8.0, 1.0, 0.5])
-    ns = frame_field(schwarzschild, x, "static")
-    nb = frame_field(schwarzschild, x, "boosted-static")
-    assert np.allclose(nb, ns @ gauge_boost(), atol=1e-14)
+    ns = frame_field(schwarzschild, x)
+    nb = gauge_frame(schwarzschild, x, "boosted-static")
+    ch, sh = np.cosh(BOOST_RAPIDITY), np.sinh(BOOST_RAPIDITY)
+    assert np.allclose(nb[:, 0], ch * ns[:, 0] + sh * ns[:, 3], atol=1e-14)
+    assert np.allclose(nb[:, 3], sh * ns[:, 0] + ch * ns[:, 3], atol=1e-14)
+    assert np.array_equal(nb[:, 1:3], ns[:, 1:3])
     b = gauge_boost()
     assert b[0, 0] == pytest.approx(np.cosh(BOOST_RAPIDITY))
+    assert np.allclose(b.T @ ETA @ b, ETA, atol=1e-14)
 
 
 def test_inverse_frame_exact(schwarzschild):
     x = np.array([0.0, 7.0, 2.0, -1.0])
-    n = frame_field(schwarzschild, x, "static")
+    n = frame_field(schwarzschild, x)
     g = schwarzschild.metric(x)
     assert np.max(np.abs(inverse_frame(n, g) @ n - np.eye(4))) < 1e-13
 
@@ -128,7 +134,7 @@ def test_inverse_frame_is_bitwise_the_dense_form(kind, gauge):
     st, xs = _oracle_batch(kind)
     v = np.random.default_rng(5).normal(size=4)
     for x in xs[::20]:
-        n = frame_field(st, x, gauge)
+        n = gauge_frame(st, x, gauge)
         g = st.metric(x)
         inv = inverse_frame(n, g)
         dense = ETA @ n.T @ np.diag(g)
@@ -214,7 +220,7 @@ def test_spin_connection_matches_transport_derivative(kind, gauge):
     k = gauge_lift(gauge)
     # the unit chord e_l reads off -M_l
     m = sl2_inverse(k) @ spin_connection(st, np.broadcast_to(x, (4, 4)), np.eye(4)) @ k
-    n = frame_field(st, x, gauge)
+    n = gauge_frame(st, x, gauge)
     ninv = inverse_frame(n, st.metric(x))
     gamma = st.christoffel(x)
     h = 1e-6
@@ -222,7 +228,7 @@ def test_spin_connection_matches_transport_derivative(kind, gauge):
         xp, xm = x.copy(), x.copy()
         xp[lam] += h
         xm[lam] -= h
-        dn = (frame_field(st, xp, gauge) - frame_field(st, xm, gauge)) / (2 * h)
+        dn = (gauge_frame(st, xp, gauge) - gauge_frame(st, xm, gauge)) / (2 * h)
         ref = ninv @ (dn + gamma[:, lam, :] @ n)
         assert np.max(np.abs(m[lam] - lift_so13(-ref))) < 1e-5
 
@@ -245,8 +251,6 @@ def test_spin_connection_evaluates_neither_metric_nor_christoffel(monkeypatch):
     assert calls == {"metric": 0, "christoffel": 0}
 
 
-def test_unknown_gauge_rejected(schwarzschild):
-    with pytest.raises(UsageError):
-        frame_field(schwarzschild, np.array([0.0, 8.0, 1.0, 0.0]), "comoving")
+def test_unknown_gauge_rejected():
     with pytest.raises(UsageError):
         check_gauge("comoving")

@@ -442,7 +442,7 @@ class TestDenseOutput:
         seg = integrate_orbit(schwarzschild, 10.0)
         assert seg.meta["n_steps"] <= 10
         exact = geodetic_angle_exact(schwarzschild, 10.0)
-        assert abs(rest_frame_holonomy_angle(seg, "static")[0] - exact) < 1e-12
+        assert abs(rest_frame_holonomy_angle(seg)[0] - exact) < 1e-12
         assert abs(spinor_holonomy_angle(seg) - exact) < 1e-12
 
     def test_steps_are_not_locked_to_samples(self, schwarzschild, eccentric):

@@ -218,7 +218,7 @@ def test_bundle_draw_matches_the_out_of_place_oracle(demo_pair, demo_bundles):
 def test_bundle_draw_matches_the_out_of_place_oracle_through_redraws(schwarzschild):
     """A radial leg just outside the horizon: some first draws leave the chart."""
     x = np.array([0.0, 2.3, np.pi / 2.0, 0.0])
-    u = frame_field(schwarzschild, x, "static") @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
+    u = frame_field(schwarzschild, x) @ np.array([np.sqrt(1.09), 0.3, 0.0, 0.0])
     seg = integrate_geodesic(schwarzschild, Event(x), u, 1.0, n_samples=samples_for(1.0))
     rounds = []
     for sigma, seed in ((0.3, 5), (0.4, 6), (0.4, 7)):

@@ -25,19 +25,22 @@ from eprgeo.lorentz import (
     _unit_timelike,
     expm2,
     lift_so13,
-    lorentz_polar,
     ordered_exp_product,
     ordered_product,
     pure_boost,
     pure_boost_inverse,
     pure_boost_sl2,
-    pure_boost_sl2_inverse,
     rotation_axis_angle,
     rotation_matrix_from_su2,
     sl2_inverse,
     su2_polar,
     su2_rotation_angle,
 )
+
+
+def inverse_boost_sl2(u):
+    """SL(2,C) lift of pure_boost_inverse(u), as the pair closing forms it."""
+    return _boost_sl2(_inverse_unit(u))
 
 
 def expm_series(m, order=30, squarings=10):
@@ -215,7 +218,7 @@ class TestBoosts:
             assert np.allclose(pure_boost_inverse(u) @ b, np.eye(4), atol=1e-12)
 
     @pytest.mark.parametrize(
-        "boost", [pure_boost, pure_boost_inverse, pure_boost_sl2, pure_boost_sl2_inverse]
+        "boost", [pure_boost, pure_boost_inverse, pure_boost_sl2, inverse_boost_sl2]
     )
     @pytest.mark.parametrize(
         "u", [[np.nan, 0.0, 0.0, 0.0], [1.5, np.nan, 0.0, 0.0]], ids=["time", "space"]
@@ -229,7 +232,7 @@ class TestBoosts:
         u = np.concatenate(([np.sqrt(1 + w @ w)], w))
         assert np.allclose(vector_action(pure_boost_sl2(u)), pure_boost(u), atol=1e-12)
         assert np.allclose(
-            pure_boost_sl2_inverse(u) @ pure_boost_sl2(u), ID2, atol=1e-12
+            inverse_boost_sl2(u) @ pure_boost_sl2(u), ID2, atol=1e-12
         )
 
 
@@ -284,14 +287,14 @@ class TestBoostClosedForms:
         assert _inverse_unit(u).tobytes() == unit.tobytes()
         assert _boost(unit).tobytes() == _boost_array_form(unit).tobytes() == pure_boost_inverse(u).tobytes()
         want = _boost_sl2_array_form(unit)
-        assert _boost_sl2(unit).tobytes() == want.tobytes() == pure_boost_sl2_inverse(u).tobytes()
+        assert _boost_sl2(unit).tobytes() == want.tobytes() == inverse_boost_sl2(u).tobytes()
 
     def test_polar_rotation_is_the_polar_split_without_its_boost(self):
         u = np.array([np.sqrt(1.25), 0.5, 0.0, 0.0])
         lam = pure_boost(u) @ pure_boost(np.array([np.sqrt(1.09), 0.0, 0.3, 0.0]))
-        b, r = lorentz_polar(lam)
-        assert _polar_rotation(lam).tobytes() == r.tobytes()
-        assert b.tobytes() == pure_boost(lam[:, 0]).tobytes()
+        r = _polar_rotation(lam)
+        assert r.tobytes() == (pure_boost_inverse(lam[:, 0]) @ lam).tobytes()
+        assert r[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPolar:
@@ -301,7 +304,7 @@ class TestPolar:
         r4 = np.eye(4)
         r4[1:, 1:] = rodrigues([1.0, 2.0, 0.5], 0.9)
         lam = pure_boost(u) @ r4
-        b, r = lorentz_polar(lam)
+        b, r = pure_boost(lam[:, 0]), _polar_rotation(lam)
         assert np.allclose(b @ r, lam, atol=1e-12)
         assert np.allclose(b, b.T, atol=1e-12)
         assert r[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -310,7 +313,7 @@ class TestPolar:
     def test_lorentz_polar_rejects_time_reversal(self):
         lam = np.diag([-1.0, 1.0, 1.0, -1.0])
         with pytest.raises(UsageError):
-            lorentz_polar(lam)
+            _polar_rotation(lam)
 
     @pytest.mark.parametrize(
         "entry", [(0, 0), (2, 0), (2, 2), ...], ids=["time", "boost", "rotation", "all"]
@@ -319,7 +322,7 @@ class TestPolar:
         lam = pure_boost(np.array([np.sqrt(1.25), 0.5, 0.0, 0.0]))
         lam[entry] = np.nan
         with pytest.raises(UsageError, match="non-orthochronous|timelike"):
-            lorentz_polar(lam)
+            _polar_rotation(lam)
 
     def test_su2_polar(self):
         # left polar split: m = H W with H Hermitian positive, W special unitary

@@ -15,7 +15,7 @@ import pytest
 
 import eprgeo.scenario
 import eprgeo.transport
-from conftest import vector_action
+from conftest import gauge_frame, vector_action
 from eprgeo import (
     Event,
     correlation,
@@ -39,7 +39,7 @@ from eprgeo.pipeline import (
 )
 from eprgeo.scenario import load_scenario
 from eprgeo.spin import TwoQubitState, pair_state
-from eprgeo.transport import gauge_tetrad, spinor_propagator, transport_tetrad
+from eprgeo.transport import Tetrad, spinor_propagator, transport_tetrad
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 rng = np.random.default_rng(17)
@@ -55,7 +55,7 @@ def _flat_pair(minkowski, w1, w2, tau=2.0, **kwargs):
 def _curved_legs(schwarzschild, seed=0):
     r = np.random.default_rng(seed)
     coords = np.array([0.0, 11.0, 1.3, 0.4])
-    n0 = frame_field(schwarzschild, coords, "static")
+    n0 = frame_field(schwarzschild, coords)
     segs = []
     for _ in range(2):
         w = r.normal(scale=0.35, size=3)
@@ -190,7 +190,7 @@ class TestRestConjugationFactors:
 
         def static_components(x, vector):
             g = st.metric(x)
-            return inverse_frame(frame_field(st, x, "static"), g) @ vector
+            return inverse_frame(frame_field(st, x), g) @ vector
 
         v = static_components(seg.events[0], reference.matrix[:, 0])
         g0 = st.metric(seg.events[0])
@@ -231,7 +231,7 @@ class TestSharedFrames:
         legs = [GeodesicSegment(st, seg.tau, seg.events, seg.tangents) for seg in segs]
         reference = boosted_tetrad(st, legs[0].start, velocity)
         factors = tuple(rest_conjugation_factors(leg, reference) for leg in legs)
-        rotations = [rest_frame_rotation(leg, reference, gauge_tetrad(st, leg.end, "static")) for leg in legs]
+        rotations = [rest_frame_rotation(leg, reference, boosted_tetrad(st, leg.end)) for leg in legs]
         expected = PairResult(*legs, *rotations, factors)
         spins = [expected.spin_map(k, spinor_propagator(leg)) for k, leg in enumerate(legs, start=1)]
 
@@ -244,7 +244,8 @@ class TestSharedFrames:
 
         # the report's diag_ortho_drift: the gauge frame at each leg's start,
         # transported by transport_tetrad, its defect at the leg's end
-        drifts = [transport_tetrad(leg, gauge_tetrad(st, leg.start, gauge)).defect(st) for leg in legs]
+        gauged = [Tetrad(leg.start, gauge_frame(st, leg.start.coords, gauge)) for leg in legs]
+        drifts = [transport_tetrad(leg, t).defect(st) for leg, t in zip(legs, gauged)]
         assert pair.ortho_drift(gauge) == max(0.0, *drifts)
 
 

@@ -7,6 +7,7 @@ revolution, which never touches the transport code.
 import numpy as np
 import pytest
 
+from conftest import gauge_frame
 from eprgeo import (
     circular_orbit_tangent,
     geodetic_angle_exact,
@@ -16,6 +17,9 @@ from eprgeo import (
     spinor_holonomy_angle,
 )
 from eprgeo.errors import ConfigurationError
+from eprgeo.lorentz import rotation_axis_angle
+from eprgeo.pipeline import rest_frame_rotation
+from eprgeo.transport import Tetrad
 from eprgeo import make_spacetime
 
 
@@ -41,7 +45,7 @@ def test_exact_angle_formula(schwarzschild):
 @pytest.mark.parametrize("r", [8.0, 10.0])
 def test_vector_route_matches_exact(schwarzschild, r):
     seg = integrate_orbit(schwarzschild, r)
-    angle, axis = rest_frame_holonomy_angle(seg, "static")
+    angle, axis = rest_frame_holonomy_angle(seg)
     assert angle == pytest.approx(geodetic_angle_exact(schwarzschild, r), abs=1e-6)
     # precession axis is the orbital-plane normal
     assert abs(abs(axis[1]) - 1.0) < 1e-9
@@ -59,17 +63,24 @@ def test_half_orbit_angle(schwarzschild):
     # delta_phi * sqrt(1 - 3M/r).  The per-revolution deficit only appears
     # mod 2 pi once the orbit closes, so a half orbit shows pi * sqrt(0.7).
     half = integrate_orbit(schwarzschild, 10.0, n_orbits=0.5)
-    a2, _ = rest_frame_holonomy_angle(half, "static")
+    a2, _ = rest_frame_holonomy_angle(half)
     assert a2 == pytest.approx(np.pi * np.sqrt(0.7), abs=1e-6)
     whole = integrate_orbit(schwarzschild, 10.0, n_orbits=1.0)
-    a1, _ = rest_frame_holonomy_angle(whole, "static")
+    a1, _ = rest_frame_holonomy_angle(whole)
     assert a2 == pytest.approx((2 * np.pi - a1) / 2, abs=1e-6)
 
 
 def test_gauge_choice_does_not_change_angle(schwarzschild):
+    """The rest-frame rotation between the static end tetrads and between
+    the boosted-static ones has one angle over a whole orbit."""
     seg = integrate_orbit(schwarzschild, 10.0)
-    a_static, _ = rest_frame_holonomy_angle(seg, "static")
-    a_boosted, _ = rest_frame_holonomy_angle(seg, "boosted-static")
+
+    def angle(gauge):
+        start, end = (Tetrad(e, gauge_frame(schwarzschild, e.coords, gauge)) for e in (seg.start, seg.end))
+        return rotation_axis_angle(rest_frame_rotation(seg, start, end))[1]
+
+    a_static, a_boosted = angle("static"), angle("boosted-static")
+    assert a_static == rest_frame_holonomy_angle(seg)[0]
     assert a_boosted == pytest.approx(a_static, abs=1e-9)
 
 
@@ -117,7 +128,7 @@ def test_both_routes_evaluate_christoffel_once_per_node(monkeypatch):
 
     for name in points:
         monkeypatch.setattr(st, name, counted(name))
-    rest_frame_holonomy_angle(seg, "static")
+    rest_frame_holonomy_angle(seg)
     n = seg.n_samples
     assert n == 8313
     assert sum(points["connection_matrix"]) == n

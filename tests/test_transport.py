@@ -28,11 +28,10 @@ from eprgeo.errors import UsageError
 from eprgeo.frames import frame_field, spin_connection
 from eprgeo.geodesic import DEFAULT_SAMPLE_STEP, GeodesicSegment, point_segment, samples_for
 from eprgeo.lorentz import ETA, ID2, expm2, lift_so13, ordered_product, sl2_inverse
-from eprgeo.pipeline import rest_frame_rotation
+from eprgeo.pipeline import boosted_tetrad, rest_frame_rotation
 from eprgeo.transport import (
     Tetrad,
     frame_propagator,
-    gauge_tetrad,
     polygon_spinor_transport,
     spinor_propagator,
     transport_tetrad,
@@ -174,31 +173,32 @@ def test_world_propagator_blocks_multiply_into_one_product(schwarzschild, static
 class TestTetradTransport:
     def test_orthonormality_preserved(self, schwarzschild, battery):
         for seg in battery[:5]:
-            n0 = gauge_tetrad(schwarzschild, seg.start, "static")
+            n0 = boosted_tetrad(schwarzschild, seg.start)
             moved = transport_tetrad(seg, n0)
             assert moved.defect(schwarzschild) < 1e-10
             assert np.allclose(moved.event.coords, seg.end.coords)
 
     def test_rejects_detached_tetrad(self, schwarzschild, battery):
         seg = battery[0]
-        wrong = gauge_tetrad(schwarzschild, seg.end, "static")
+        wrong = boosted_tetrad(schwarzschild, seg.end)
         with pytest.raises(UsageError):
             transport_tetrad(seg, wrong)
 
     @pytest.mark.parametrize("entry", [(0, 0), (2, 3), ...], ids=["time-leg", "spatial-leg", "all"])
     def test_rejects_nan_tetrad(self, schwarzschild, battery, entry):
         seg = battery[0]
-        m = gauge_tetrad(schwarzschild, seg.start, "static").matrix.copy()
+        m = boosted_tetrad(schwarzschild, seg.start).matrix.copy()
         m[entry] = np.nan
         with pytest.raises(UsageError, match="not orthonormal"):
             transport_tetrad(seg, Tetrad(seg.start, m))
 
-    def test_gauge_tetrad_matches_frame_field(self, schwarzschild):
-        e = Event(np.array([0.0, 9.0, 1.1, 0.3]))
-        from eprgeo.frames import frame_field
-
-        n = gauge_tetrad(schwarzschild, e, "boosted-static")
-        assert np.allclose(n.matrix, frame_field(schwarzschild, e.coords, "boosted-static"))
+    def test_static_boosted_tetrad_is_the_frame_field(self, schwarzschild):
+        """With no velocity, boosted_tetrad is the static frame field, byte for byte."""
+        for coords in ([0.0, 9.0, 1.1, 0.3], [2.0, 2.5, 0.2, -3.0], [0.0, 40.0, 2.9, 1.0]):
+            e = Event(np.array(coords))
+            n = boosted_tetrad(schwarzschild, e)
+            assert n.event is e
+            assert n.matrix.tobytes() == frame_field(schwarzschild, e.coords).tobytes()
 
 
 class TestSpinorTransport:
@@ -391,7 +391,7 @@ class TestCorrespondence:
             minkowski, origin, np.array([np.sqrt(1.25), -0.5, 0, 0]), 2.0
         )
         back = reversed_segment(seg1)
-        lam = frame_propagator(seg2, "static") @ frame_propagator(back, "static")
+        lam = frame_propagator(seg2) @ frame_propagator(back)
         assert np.max(np.abs(lam - np.eye(4))) < 1e-12
         # spinor factor is +-identity
         u = spinor_propagator(seg2) @ spinor_propagator(back)
@@ -402,18 +402,18 @@ class TestCorrespondence:
         from eprgeo.frames import frame_field
 
         coords = np.array([0.0, 10.0, 1.3, 0.2])
-        n0 = frame_field(schwarzschild, coords, "static")
+        n0 = frame_field(schwarzschild, coords)
         segs = []
         for _ in range(2):
             w = rng.normal(scale=0.3, size=3)
             u = n0 @ np.concatenate(([np.sqrt(1 + w @ w)], w))
             segs.append(integrate_geodesic(schwarzschild, Event(coords), u, 1.5))
         back = reversed_segment(segs[0])
-        n1 = gauge_tetrad(schwarzschild, segs[0].end, "static")
+        n1 = boosted_tetrad(schwarzschild, segs[0].end)
         n2 = transport_tetrad(segs[1], transport_tetrad(back, n1))
         assert np.allclose(n2.event.coords, segs[1].end.coords)
         assert n2.defect(schwarzschild) < 1e-9
-        lam = frame_propagator(segs[1], "static") @ frame_propagator(back, "static")
+        lam = frame_propagator(segs[1]) @ frame_propagator(back)
         from eprgeo.lorentz import ETA
 
         assert np.max(np.abs(lam.T @ ETA @ lam - ETA)) < 1e-9
@@ -427,7 +427,7 @@ class TestCorrespondence:
 def static_rest_frame_rotation(seg):
     st = seg.spacetime
     return rest_frame_rotation(
-        seg, gauge_tetrad(st, seg.start, "static"), gauge_tetrad(st, seg.end, "static")
+        seg, boosted_tetrad(st, seg.start), boosted_tetrad(st, seg.end)
     )
 
 
