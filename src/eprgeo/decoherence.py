@@ -26,7 +26,10 @@ pair once per bundle pair, and ``averaged_state(pair, b1, b2, mode)`` is
 its one-pair call.  Per leg, the base polygon is row 0 of one stack with
 the paths of every sigma > 0 bundle, and the stack goes through the
 transport and the pair's rest-frame map PairResult.spin_map once per chunk
-of rows; each bundle's terms are its slice of the stack.  Each
+of rows; each bundle's terms are its slice of the stack.  The transport
+works in arrays it keeps from chunk to chunk (see transport), bounded by one
+chunk, and the coherent path action reads the chunk's chords and midpoints
+from them instead of forming them again.  Each
 ChannelAverage holds the averaged state, the per-path terms and the
 reference state; ``fidelity_with_error(avg)`` derives the fidelity and its
 block standard error from that object, building the FIDELITY_BLOCKS block
@@ -60,7 +63,7 @@ from .lorentz import rotation_matrix_from_su2
 from .pipeline import PairResult
 from .spacetime import Spacetime
 from .spin import PAULI_PAIRS, TwoQubitState, correlation, fidelity, pair_state
-from .transport import polygon_spinor_transport
+from .transport import chord_geometry, polygon_spinor_transport, transported_chord_geometry
 
 MAX_BUNDLE_KNOTS = 160
 MODES = ("coherent", "incoherent")
@@ -70,7 +73,9 @@ FIDELITY_BLOCKS = 10
 
 # stacked rows (a leg's base polygon, then bundle paths) per transport chunk;
 # bounds the per-chord (chords, rows) connection components and the
-# (chords, 4, rows) exponential components of one transport
+# (chords, 4, rows) exponential components of one transport, and with them
+# the arrays the transport keeps (transport._KEPT_CHORDS is this many rows
+# of MAX_BUNDLE_KNOTS - 1 chords)
 _CHUNK = 256
 
 _ID4 = np.eye(4, dtype=complex)
@@ -222,10 +227,14 @@ def sample_bundle(
 
 def path_action(st: Spacetime, xs: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Discretized kinetic action sum_k <dx, dx>/dtau along polygon paths."""
-    xs = np.asarray(xs, dtype=float)
-    dx = xs[..., 1:, :] - xs[..., :-1, :]
-    mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
-    q = st.metric(mid) * dx * dx
+    return _chord_action(st, *chord_geometry(np.asarray(xs, dtype=float)), taus)
+
+
+def _chord_action(st: Spacetime, dx: np.ndarray, mid: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """path_action from the paths' chords dx and chord midpoints mid."""
+    q = st.metric(mid)
+    q *= dx
+    q *= dx
     # np.sum's order over the four components, without a reduction's set-up cost
     num = ((q[..., 0] + q[..., 1]) + q[..., 2]) + q[..., 3]
     return np.sum(num / np.diff(taus), axis=-1)
@@ -255,7 +264,7 @@ def _leg_terms(
         if mode == "coherent":
             # a huge sigma overflows |dx|^2; the check below reports it instead
             with np.errstate(over="ignore", invalid="ignore"):
-                actions[lo : lo + _CHUNK] = path_action(st, chunk, base.taus)
+                actions[lo : lo + _CHUNK] = _chord_action(st, *transported_chord_geometry(chunk), base.taus)
     if mode == "incoherent":
         terms = rotation_matrix_from_su2(maps)
     else:

@@ -77,7 +77,9 @@ def inverse_frame(n: np.ndarray, g: np.ndarray) -> np.ndarray:
     return ETA @ np.swapaxes(n, -1, -2) * g[..., None, :]
 
 
-def spin_connection_components(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.ndarray:
+def spin_connection_components(
+    st: Spacetime, coords: np.ndarray, dx: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """(c3, b, d) of the static-frame generator [[c3, b], [d, -c3]] of -M_l dx^l.
 
     M_l = N^{-1}(d_l N + Gamma_l N) gives eta M_l = eta C_l + K_l, where
@@ -86,9 +88,9 @@ def spin_connection_components(st: Spacetime, coords: np.ndarray, dx: np.ndarray
     strict lower triangle is that of K = K_l dx^l, which st.static_connection
     gives in closed form, and sl2_components lifts -M_l dx^l = -eta A from
     those six coefficients.  Raises DomainError where the static frame does
-    not exist.
+    not exist.  The components go into ``out`` (3, ...) if given.
     """
-    return sl2_components(*st.static_connection(coords, dx))
+    return sl2_components(*st.static_connection(coords, dx), out=out)
 
 
 def spin_connection(st: Spacetime, coords: np.ndarray, dx: np.ndarray) -> np.ndarray:

@@ -21,9 +21,12 @@ the exponentials as components through the ordered product, which is how the
 spinor route builds its chord factors.  The exponential's two Horner series
 are formed in place, one array each, and a component product reuses one
 scratch array, with every operand order of the out-of-place expressions, so
-the results are the same bits.  Nothing lifts a 4x4 Lorentz matrix
-back up; the spinor route builds its frame lifts from the boosts that define
-the frames.
+the results are the same bits.  Both kernels, and the tree of products,
+also write into output and scratch arrays a caller passes: the bundle
+transport passes arrays it keeps from call to call, so that a chunk of
+paths does not free and fault in its memory again (see transport).
+Nothing lifts a 4x4 Lorentz matrix back up; the spinor route builds its
+frame lifts from the boosts that define the frames.
 
 The closing of a transport stack, su2_polar's m m^dagger and
 adj(h)/det(h) m and PairResult.spin_map's post u pre, multiplies (..., 2, 2)
@@ -60,13 +63,13 @@ ID2 = np.eye(2, dtype=complex)
 _SERIES_BOUND = 1.0e-3
 
 
-def _series(z: np.ndarray, c1: float, c2: float, d3: float) -> np.ndarray:
-    """1 + z (c1 + z (c2 + z / d3)) by Horner, in one new array.
+def _series(z: np.ndarray, c1: float, c2: float, d3: float, out: np.ndarray | None) -> np.ndarray:
+    """1 + z (c1 + z (c2 + z / d3)) by Horner, in ``out`` or one new array.
 
     Each ufunc takes its operands in the order of that expression, so every
     element is the IEEE result of the out-of-place form.
     """
-    h = z / d3
+    h = np.divide(z, d3, out=out)
     np.add(c2, h, out=h)
     np.multiply(z, h, out=h)
     np.add(c1, h, out=h)
@@ -75,7 +78,9 @@ def _series(z: np.ndarray, c1: float, c2: float, d3: float) -> np.ndarray:
     return h
 
 
-def _exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _exp_traceless(
+    c3: np.ndarray, b: np.ndarray, d: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 1.
 
     With z = c3^2 + b d = -det, the generator squares to z I, so
@@ -85,18 +90,27 @@ def _exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
     at or above it take the closed form (Moler & Van Loan, SIAM Rev. 45
     (2003) 3).  Inputs share one shape of at least one axis.  Negating all
     three inputs gives the exact adjugate, bitwise.
+
+    The result goes into ``out`` (n, 4, ...) and z, b d, ch and sh into
+    the four rows of ``work`` (4, n, ...) if given, else each into a new
+    array, made in that order; b d's row takes sh c3 once ch and sh are
+    formed.  The scratch must not share memory with ``out``: a ufunc whose
+    operands interleave in one buffer is evaluated through a copy, which
+    can round differently.
     """
-    z = c3 * c3
-    t = b * d
+    w = (None,) * 4 if work is None else work
+    z = np.multiply(c3, c3, out=w[0])
+    t = np.multiply(b, d, out=w[1])
     z += t
-    ch = _series(z, 0.5, 1.0 / 24.0, 720.0)
-    sh = _series(z, 1.0 / 6.0, 1.0 / 120.0, 5040.0)
+    ch = _series(z, 0.5, 1.0 / 24.0, 720.0, w[2])
+    sh = _series(z, 1.0 / 6.0, 1.0 / 120.0, 5040.0, w[3])
     big = np.abs(z) >= _SERIES_BOUND
     if big.any():
         s = np.sqrt(z[big])
         ch[big] = np.cosh(s)
         sh[big] = np.sinh(s) / s
-    out = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
+    if out is None:
+        out = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
     p, q, r, s = out.swapaxes(0, 1)
     np.multiply(sh, c3, out=t)
     np.add(ch, t, out=p)
@@ -119,17 +133,18 @@ def expm2(a: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def sl2_components(k10, k20, k21, k30, k31, k32) -> np.ndarray:
+def sl2_components(k10, k20, k21, k30, k31, k32, out: np.ndarray | None = None) -> np.ndarray:
     """(c3, b, d) of the lift [[c3, b], [d, -c3]] of m = -eta A, on a new axis 0.
 
     A is the antisymmetric matrix with strict lower triangle (k10, k20, k21,
     k30, k31, k32), so m has rotation part theta = (-k32, k31, -k21) and
     boost part b_k = -k_k0, and c3 = (k30 + i k21)/2,
     b = ((k10 - k31) + i (k32 - k20))/2, d = ((k10 + k31) + i (k32 + k20))/2.
-    Batched; the real and imaginary parts are written directly.
+    Batched; the real and imaginary parts are written directly, into
+    ``out`` if given, else into a new array.
     """
     k10, k20, k21, k30, k31, k32 = ks = [0.5 * k for k in (k10, k20, k21, k30, k31, k32)]
-    g = np.empty((3,) + np.broadcast_shapes(*map(np.shape, ks)), dtype=complex)
+    g = np.empty((3,) + np.broadcast_shapes(*map(np.shape, ks)), dtype=complex) if out is None else out
     re, im = g.real, g.imag
     re[0], im[0] = k30, k21
     re[1], im[1] = k10 - k31, k32 - k20
@@ -319,17 +334,23 @@ def su2_rotation_angle(u: np.ndarray) -> float:
     return float(2.0 * np.arccos(np.clip(abs(tr) / 2.0, 0.0, 1.0)))
 
 
-def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _product_2x2(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
     """a @ b for 2x2 factors held as components (p, q, r, s) on axis 1.
 
     Eight complex multiplies per product, on whole component arrays, each
     entry a_i0 b_0j + a_i1 b_1j written straight into the result; the four
-    a_i1 b_1j products share one scratch array.
+    a_i1 b_1j products share one scratch array.  The result goes into
+    ``out`` and the scratch into ``tmp`` (a's shape without axis 1), each a
+    new array when not given; neither may share memory with a or b.
     """
     p, q, r, s = a.swapaxes(0, 1)
     pb, qb, rb, sb = b.swapaxes(0, 1)
-    out = np.empty(a.shape, dtype=np.result_type(a, b))
-    tmp = np.empty(a.shape[:1] + a.shape[2:], dtype=out.dtype)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, b))
+    if tmp is None:
+        tmp = np.empty(a.shape[:1] + a.shape[2:], dtype=out.dtype)
     terms = ((p, pb, q, rb), (p, qb, q, sb), (r, pb, s, rb), (r, qb, s, sb))
     for o, (x0, y0, x1, y1) in zip(out.swapaxes(0, 1), terms):
         np.multiply(x0, y0, out=o)
@@ -338,27 +359,48 @@ def _product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pairwise(f: np.ndarray, pair) -> np.ndarray:
+def _pairwise(f: np.ndarray, pair, spare: np.ndarray | None = None) -> np.ndarray:
     """f[-1] ... f[0] for n >= 1 factors on axis 0, by pairwise tree reduction.
 
     Adjacent factors are combined in order, so the result is the exact
-    ordered product in O(log n) rounds; pair(a, b) multiplies a @ b.
+    ordered product in O(log n) rounds; pair(a, b) multiplies a @ b.  Given
+    ``spare``, room for ceil(n/2) factors, each round writes its products
+    with pair(a, b, out) alternately into spare and into f, which the round
+    before has consumed, and f is overwritten; the result is then a view of
+    one of the two.
     """
-    n = len(f)
+    n, bufs = len(f), (spare, f)
     while n > 1:
-        paired = pair(f[1:n:2], f[0 : n - 1 : 2])
-        if n % 2:
-            paired = np.concatenate([paired, f[n - 1 :]])
+        m = n // 2
+        if spare is None:
+            paired = pair(f[1:n:2], f[0 : n - 1 : 2])
+            if n % 2:
+                paired = np.concatenate([paired, f[n - 1 :]])
+        else:
+            paired = bufs[0][: n - m]
+            bufs = bufs[::-1]
+            pair(f[1:n:2], f[0 : n - 1 : 2], paired[:m])
+            if n % 2:
+                paired[m] = f[n - 1]
         f, n = paired, len(paired)
     return f[0]
 
 
-def _ordered_2x2(f: np.ndarray) -> np.ndarray:
-    """Ordered product (*lead, 2, 2) of 2x2 factors held as (n, 4, *lead) components."""
+def _ordered_2x2(f: np.ndarray, spare: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Ordered product (*lead, 2, 2) of 2x2 factors held as (n, 4, *lead) components.
+
+    Given ``spare`` (ceil(n/2), 4, *lead) and ``tmp`` (n // 2, *lead), the
+    rounds write into them and into f (see _pairwise) and allocate no
+    array of their own, and the result is copied out of them.
+    """
     lead = f.shape[2:]
     if len(f) == 0:
         return np.broadcast_to(ID2, lead + (2, 2)).copy()
-    return np.moveaxis(_pairwise(f, _product_2x2), 0, -1).reshape(lead + (2, 2))
+    if spare is None:
+        top = _pairwise(f, _product_2x2)
+    else:
+        top = _pairwise(f, lambda a, b, out: _product_2x2(a, b, out=out, tmp=tmp[: len(out)]), spare).copy()
+    return np.moveaxis(top, 0, -1).reshape(lead + (2, 2))
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -378,12 +420,23 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return _pairwise(np.moveaxis(m, -3, 0), np.matmul)
 
 
-def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
+def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray, buffer=None) -> np.ndarray:
     """Ordered product of exp([[c3, b], [d, -c3]]) over axis 0, last factor leftmost.
 
     The generators come as three component arrays of shape (n, *lead); the
     exponentials stay components through the same tree as ordered_product,
-    so no (..., 2, 2) generator or exponential array is made.  Returns
-    (*lead, 2, 2), the identity when n = 0.
+    so no (..., 2, 2) generator or exponential array is made.  Returns a new
+    (*lead, 2, 2) array, the identity when n = 0.
+
+    ``buffer(name, shape)``, if given, supplies the complex arrays the
+    exponentials and the product rounds are formed in: "exp" (n, 4, *lead),
+    "exp_work" (4, n, *lead), "spare" (ceil(n/2), 4, *lead) and "tmp"
+    (n // 2, *lead), so a caller that keeps them from call to call makes no
+    array of the chord shape here.  Without it each round's products are
+    made when needed and freed once consumed.
     """
-    return _ordered_2x2(_exp_traceless(c3, b, d))
+    if buffer is None:
+        return _ordered_2x2(_exp_traceless(c3, b, d))
+    n, lead = len(c3), c3.shape[1:]
+    f = _exp_traceless(c3, b, d, out=buffer("exp", (n, 4) + lead), work=buffer("exp_work", (4, n) + lead))
+    return _ordered_2x2(f, buffer("spare", (n - n // 2, 4) + lead), buffer("tmp", (n // 2,) + lead))

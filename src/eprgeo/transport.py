@@ -36,10 +36,27 @@ produces; no branch is re-chosen afterwards.
 
 Endpoint propagators are cached on the segment, one entry each; reversed
 segments carry their own cache.
+
+The batched bundle transport, polygon_spinor_transport, keeps its work
+arrays for the life of the process: the chunk's chord geometry (dx and
+mid, which the bundle channel's path action reads back through
+transported_chord_geometry), the connection components, the exponentials
+and the ordered product's two ping-pong arrays.  Freed, a chunk's few MB
+of such arrays let glibc trim the heap top, and the next chunk faulted
+them in again page by page, hundreds of minor faults per bundle channel
+call.  The arrays only grow, to at most one chunk of the bundle channel,
+_KEPT_CHORDS = 256 rows x 159 chords (about 11 MB) in each thread that
+runs a bundle transport; a larger stack and the single-leg propagators
+allocate per call.  Every stage keeps its ufunc sequence and operand
+order, so the results are the same bits, and each result is a new array
+that shares no memory with the kept ones.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,14 +182,18 @@ def frame_propagator(seg: GeodesicSegment) -> np.ndarray:
     return p
 
 
-def _chord_transport(st: Spacetime, mid: np.ndarray, dx: np.ndarray) -> np.ndarray:
+def _chord_transport(st: Spacetime, dx: np.ndarray, mid: np.ndarray, buffer=None) -> np.ndarray:
     """Ordered product of the chord exponentials, in static-frame components.
 
-    mid and dx are (..., chords, 4); the chord axis goes first, so the
-    connection components and their exponentials are (chords, ...) arrays.
+    dx and mid are (..., chords, 4); the chord axis goes first, so the
+    connection components and their exponentials are (chords, ...) arrays,
+    formed in the arrays ``buffer`` supplies if given (see
+    ordered_exp_product), else in new ones.
     """
-    g = spin_connection_components(st, np.moveaxis(mid, -2, 0), np.moveaxis(dx, -2, 0))
-    return ordered_exp_product(*g)
+    dx, mid = np.moveaxis(dx, -2, 0), np.moveaxis(mid, -2, 0)
+    out = None if buffer is None else buffer("generators", (3,) + dx.shape[:-1])
+    g = spin_connection_components(st, mid, dx, out)
+    return ordered_exp_product(*g, buffer)
 
 
 def spinor_propagator(seg: GeodesicSegment) -> np.ndarray:
@@ -184,9 +205,62 @@ def spinor_propagator(seg: GeodesicSegment) -> np.ndarray:
     else:
         dx = seg.events[1:] - seg.events[:-1]
         mid = _hermite_midpoints(seg.events, seg.tangents, _sample_step(seg))
-        u = _chord_transport(seg.spacetime, mid, dx)
+        u = _chord_transport(seg.spacetime, dx, mid)
     seg.cache["spinor_propagator"] = u
     return u
+
+
+class _Workspace(threading.local):
+    """Work arrays kept from call to call under their names, one set per thread.
+
+    ``work(name, shape, dtype)`` is a C-contiguous view of the first
+    prod(shape) elements of the flat array kept under ``name``, which is
+    replaced by a larger one when the request outgrows it and is never
+    shrunk or freed.  ``chords`` records the knots (by weak reference) and
+    the chord arrays of the last transport formed here.  Each thread sees
+    its own attributes, so concurrent transports never share an array.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+        self.chords: tuple | None = None
+
+    def __call__(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        a = self.arrays.get(name)
+        if a is None or a.size < size:
+            a = self.arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+
+#: the bundle transport's work arrays.  The chain frees a few MB of arrays
+#: per chunk of paths, and glibc then trims the heap top, so without them
+#: every chunk faults its memory in again page by page
+_BUNDLE_WORK = _Workspace()
+
+#: the largest stack, in rows times chords, transported in _BUNDLE_WORK: one
+#: chunk of the bundle channel (decoherence._CHUNK = 256 rows of at most
+#: MAX_BUNDLE_KNOTS - 1 = 159 chords).  A larger stack allocates its arrays
+#: per call, so what stays kept never grows with the number of paths
+_KEPT_CHORDS = 256 * 159
+
+
+def chord_geometry(xs: np.ndarray, buffer=None) -> tuple[np.ndarray, np.ndarray]:
+    """(dx, mid) of polygons xs (..., n, 4): the chords x[k+1] - x[k] and
+    midpoints 0.5 x[k+1] + 0.5 x[k], (..., n - 1, 4) each, formed in
+    buffer("dx") and buffer("mid") if given, else in new arrays; each is
+    the IEEE result of its expression.
+    """
+    shape = xs.shape[:-2] + (max(xs.shape[-2] - 1, 0), 4)
+    if buffer is None:
+        dx, mid = np.empty(shape), np.empty(shape)
+    else:
+        dx, mid = buffer("dx", shape, float), buffer("mid", shape, float)
+    head, tail = xs[..., 1:, :], xs[..., :-1, :]
+    np.multiply(0.5, head, out=mid)
+    mid += np.multiply(0.5, tail, out=dx)
+    np.subtract(head, tail, out=dx)
+    return dx, mid
 
 
 def polygon_spinor_transport(st: Spacetime, xs: np.ndarray) -> np.ndarray:
@@ -196,11 +270,34 @@ def polygon_spinor_transport(st: Spacetime, xs: np.ndarray) -> np.ndarray:
     of per-chord midpoint exponentials in static-frame components.  This is
     the discrete path law used for perturbed-path bundles, where the polygon
     itself is the path.
+
+    A stack of at most _KEPT_CHORDS chords forms its chord geometry,
+    connection components, exponentials and product rounds in the kept
+    _BUNDLE_WORK arrays, so a run of such calls allocates no array of the
+    chord shape after the first; the result is a new array all the same.
     """
     xs = np.asarray(xs, dtype=float)
-    dx = xs[..., 1:, :] - xs[..., :-1, :]
-    mid = 0.5 * xs[..., 1:, :] + 0.5 * xs[..., :-1, :]
-    return _chord_transport(st, mid, dx)
+    kept = xs[..., 1:, 0].size <= _KEPT_CHORDS
+    buffer = _BUNDLE_WORK if kept else None
+    dx, mid = chord_geometry(xs, buffer)
+    if kept:
+        _BUNDLE_WORK.chords = (weakref.ref(xs), dx, mid)
+    return _chord_transport(st, dx, mid, buffer)
+
+
+def transported_chord_geometry(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """chord_geometry(xs), read back from the kept arrays when the last
+    polygon_spinor_transport call formed them from this very array object,
+    else formed anew.
+
+    The kept arrays hold their values only until the next bundle transport,
+    so read them at once, and do not write to them or to xs in between.
+    """
+    if _BUNDLE_WORK.chords is not None:
+        knots, dx, mid = _BUNDLE_WORK.chords
+        if knots() is xs:
+            return dx, mid
+    return chord_geometry(np.asarray(xs, dtype=float))
 
 
 # ---------------------------------------------------------------------------

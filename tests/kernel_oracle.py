@@ -5,7 +5,9 @@
 ``decoherence.sample_bundle`` form their results in place, one buffer per
 result instead of one new array per arithmetic step.  These are the
 out-of-place forms, kept verbatim as the oracle of ``test_kernel_oracle.py``:
-the two must agree bit for bit.
+the two must agree bit for bit.  The exponential and product oracles take
+the kernels' output and scratch arguments, as the bundle transport passes
+its kept arrays, and copy their out-of-place result into the output.
 
 The bundle channel's closing and block fidelities are kept here in their
 earlier form too: ``su2_polar`` and ``spin_map`` with ``@`` on 2x2 stacks,
@@ -68,8 +70,12 @@ def schwarzschild_connection_matrix(mass: float, x, u) -> np.ndarray:
     return W
 
 
-def exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 1."""
+def exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray, out=None, work=None) -> np.ndarray:
+    """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 1.
+
+    Formed out of place, then copied into ``out`` if given; ``work``, the
+    kernel's scratch, is not used.
+    """
     z = c3 * c3 + b * d
     ch = 1.0 + z * (0.5 + z * (1.0 / 24.0 + z / 720.0))
     sh = 1.0 + z * (1.0 / 6.0 + z * (1.0 / 120.0 + z / 5040.0))
@@ -78,25 +84,37 @@ def exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray) -> np.ndarray:
         s = np.sqrt(z[big])
         ch[big] = np.cosh(s)
         sh[big] = np.sinh(s) / s
-    out = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
-    p, q, r, s = out.swapaxes(0, 1)
+    res = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
+    p, q, r, s = res.swapaxes(0, 1)
     t = sh * c3
     np.add(ch, t, out=p)
     np.multiply(sh, b, out=q)
     np.multiply(sh, d, out=r)
     np.subtract(ch, t, out=s)
-    return out
+    return into(out, res)
 
 
-def product_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2x2 factors held as components (p, q, r, s) on axis 1."""
+def product_2x2(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """a @ b for 2x2 factors held as components (p, q, r, s) on axis 1.
+
+    Formed out of place, then copied into ``out`` if given; ``tmp``, the
+    kernel's scratch, is not used.
+    """
     p, q, r, s = a.swapaxes(0, 1)
     pb, qb, rb, sb = b.swapaxes(0, 1)
-    out = np.empty(a.shape, dtype=np.result_type(a, b))
+    res = np.empty(a.shape, dtype=np.result_type(a, b))
     terms = ((p, pb, q, rb), (p, qb, q, sb), (r, pb, s, rb), (r, qb, s, sb))
-    for o, (x0, y0, x1, y1) in zip(out.swapaxes(0, 1), terms):
+    for o, (x0, y0, x1, y1) in zip(res.swapaxes(0, 1), terms):
         np.multiply(x0, y0, out=o)
         o += x1 * y1
+    return into(out, res)
+
+
+def into(out, res: np.ndarray) -> np.ndarray:
+    """res, copied into out when the caller passed an output array."""
+    if out is None:
+        return res
+    out[...] = res
     return out
 
 

@@ -7,6 +7,10 @@ channel.  Everything else is checked against construction invariants
 flat-spacetime case where the channel must do nothing.
 """
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +28,7 @@ from eprgeo import (
     sample_bundle,
 )
 from eprgeo import decoherence as deco
+from eprgeo import transport
 from eprgeo.decoherence import MAX_BUNDLE_KNOTS, ChannelAverage, _combine, _decimate
 from eprgeo.errors import DomainError, UsageError
 from eprgeo.frames import frame_field
@@ -288,6 +293,82 @@ class TestAveragedState:
             assert np.array_equal(avg.reference_state, alone.reference_state)
             assert avg.zero_width == alone.zero_width == (b1.sigma == 0.0)
         assert averaged_states(pair, [], [], mode) == []
+
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    def test_bundle_results_do_not_alias_the_kept_arrays(self, legs, pair, mode, monkeypatch):
+        """Two transports, then two channel averages, on different stacks back
+        to back: the second call of each pair overwrites the kept work arrays,
+        and no result of the first may change with them or share their memory."""
+        work = transport._Workspace()
+        monkeypatch.setattr(transport, "_BUNDLE_WORK", work)
+        st = legs[0].spacetime
+        b1s = [sample_bundle(legs[0], s, 150, 5 + 2 * k) for k, s in enumerate((0.2, 0.4))]
+        b2s = [sample_bundle(legs[1], s, 150, 6 + 2 * k) for k, s in enumerate((0.2, 0.4))]
+        kept, firsts, seconds = [], [], []
+        for run in (
+            lambda b1, b2: [polygon_spinor_transport(st, b1.paths)],
+            lambda b1, b2: [
+                a for avg in averaged_states(pair, [b1], [b2], mode) for a in (avg.rho, *avg.terms, avg.reference_state)
+            ],
+        ):
+            first = run(b1s[0], b2s[0])
+            saved = [a.copy() for a in first]
+            kept += work.arrays.values()
+            second = run(b1s[1], b2s[1])
+            kept += work.arrays.values()
+            assert not np.array_equal(first[0], second[0])
+            assert all(np.array_equal(a, b) for a, b in zip(first, saved))
+            firsts += first
+            seconds += second
+        assert len(firsts) == len(seconds) == 5 and kept
+        assert not any(np.shares_memory(r, k) for r in firsts + seconds for k in kept)
+
+    def test_concurrent_bundle_transports_keep_their_own_arrays(self, legs):
+        """Six threads transport six stacks at once, with a short switch
+        interval on two cores: each thread keeps its own work arrays, so
+        every result is the one a lone call gives."""
+        st = legs[0].spacetime
+        stacks = [sample_bundle(legs[k % 2], 0.1 * (k + 1), 60, k).paths for k in range(6)]
+        want = [polygon_spinor_transport(st, xs) for xs in stacks]
+        got = [[] for _ in stacks]
+
+        def run(k):
+            for _ in range(20):
+                got[k].append(polygon_spinor_transport(st, stacks[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(stacks))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(g) == 20 and all(np.array_equal(u, w) for u in g) for g, w in zip(got, want))
+
+    def test_bundle_channel_reuses_its_kept_arrays(self, legs, pair, monkeypatch):
+        """After the first call has grown the kept work arrays, a second call
+        on a stack of the same shape allocates none of its chord-shaped
+        arrays: its traced peak stays below half of the first call's."""
+        monkeypatch.setattr(transport, "_BUNDLE_WORK", transport._Workspace())
+        b1 = sample_bundle(legs[0], 0.3, 200, 5)
+        b2 = sample_bundle(legs[1], 0.3, 200, 6)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                averaged_states(pair, [b1], [b2], "coherent")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        first, second = peak(), peak()
+        assert second < 0.5 * first, (first, second)
+        # what stays kept is bounded by one chunk of the longest decimated legs
+        assert transport._KEPT_CHORDS == deco._CHUNK * (MAX_BUNDLE_KNOTS - 1)
 
     @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
     @pytest.mark.parametrize("n_paths", [7, 20, 25])

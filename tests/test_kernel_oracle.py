@@ -26,7 +26,7 @@ from eprgeo import (
     sample_bundle,
     transport,
 )
-from eprgeo.decoherence import ChannelAverage
+from eprgeo.decoherence import ChannelAverage, _decimate
 from eprgeo.errors import ConfigurationError
 from eprgeo.frames import frame_field
 from eprgeo.geodesic import samples_for
@@ -159,24 +159,60 @@ def test_product_2x2_matches_the_oracle(rows):
 
 
 def oracle_kernels(monkeypatch, st):
+    """Swap every kernel for its oracle; returns, per 2x2 kernel, the list
+    of calls made since, each True when its output array is one the bundle
+    transport keeps."""
+    calls = {"exp": [], "product": []}
+
+    def recording(kernel, record):
+        def call(*args, out=None, **scratch):
+            kept = transport._BUNDLE_WORK.arrays.values()
+            record.append(out is not None and any(np.shares_memory(out, a) for a in kept))
+            return kernel(*args, out=out, **scratch)
+
+        return call
+
     monkeypatch.setattr(transport, "_rk4_steps", oracle.rk4_steps)
-    monkeypatch.setattr(lorentz, "_exp_traceless", oracle.exp_traceless)
-    monkeypatch.setattr(lorentz, "_product_2x2", oracle.product_2x2)
+    monkeypatch.setattr(lorentz, "_exp_traceless", recording(oracle.exp_traceless, calls["exp"]))
+    monkeypatch.setattr(lorentz, "_product_2x2", recording(oracle.product_2x2, calls["product"]))
     monkeypatch.setattr(st, "connection_matrix", lambda x, u: oracle.schwarzschild_connection_matrix(st.mass, x, u))
+    return calls
+
+
+def bundle_stack(seg, rows=40):
+    """A stack of polygons around the segment's decimated knots, as the
+    bundle channel transports them: rows x knots within one kept chunk."""
+    knots = seg.events[_decimate(seg.n_samples)]
+    shift = 1.0e-3 * np.random.default_rng(17).standard_normal((rows,) + knots.shape)
+    shift[:, [0, -1]] = 0.0
+    return frozen(knots + shift)
 
 
 @pytest.mark.parametrize("n_samples", [2, 8, 8313], ids=["lone-step", "odd-intervals", "orbit"])
 def test_propagators_match_the_oracle_kernels(schwarzschild, monkeypatch, n_samples):
+    """Both single-leg propagators, and a bundle stack through the kept work
+    arrays of polygon_spinor_transport, with every kernel swapped for its
+    oracle.  The bundle stack must reach the patched 2x2 kernels with kept
+    output arrays, the spinor propagator with new ones: one exponential call
+    and one product call per tree round."""
     if n_samples == 8313:
         seg = integrate_orbit(schwarzschild, 10.0)
     else:
         seg = integrate_geodesic(schwarzschild, *circular_orbit_tangent(schwarzschild, 10.0), 3.0, n_samples=n_samples)
     assert seg.n_samples == n_samples
+    xs = bundle_stack(seg)
     world, spinor = transport.world_propagator(seg), transport.spinor_propagator(seg)
+    bundle = polygon_spinor_transport(schwarzschild, xs)
     seg.cache.clear()
-    oracle_kernels(monkeypatch, schwarzschild)
+    calls = oracle_kernels(monkeypatch, schwarzschild)
     assert same_bits(transport.world_propagator(seg), world)
     assert same_bits(transport.spinor_propagator(seg), spinor)
+    rounds = int(np.ceil(np.log2(n_samples - 1)))
+    assert calls == {"exp": [False], "product": [False] * rounds}
+    del calls["exp"][:], calls["product"][:]
+    assert same_bits(polygon_spinor_transport(schwarzschild, xs), bundle)
+    rounds = int(np.ceil(np.log2(xs.shape[1] - 1)))
+    assert calls == {"exp": [True], "product": [True] * rounds}
 
 
 # ---------------------------------------------------------------------------
