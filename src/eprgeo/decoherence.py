@@ -62,7 +62,7 @@ from .geodesic import GeodesicSegment
 from .lorentz import rotation_matrix_from_su2
 from .pipeline import PairResult
 from .spacetime import Spacetime
-from .spin import PAULI_PAIRS, TwoQubitState, correlation, fidelity, pair_state
+from .spin import PAULI_PAIRS, TwoQubitState, density_correlation, fidelity, pair_state
 from .transport import chord_geometry, polygon_spinor_transport, transported_chord_geometry
 
 MAX_BUNDLE_KNOTS = 160
@@ -414,8 +414,12 @@ def averaged_state(
 
 
 def degraded_correlation(avg: ChannelAverage, a, b) -> float:
-    """E(a, b) = tr(rho (a.sigma x b.sigma)) for the averaged state."""
-    return correlation(avg.state, a, b)
+    """E(a, b) = tr(rho (a.sigma x b.sigma)) for the averaged state.
+
+    The channel built rho as a density matrix, so it is read as it is, with
+    no TwoQubitState and its checks in between.
+    """
+    return density_correlation(avg.rho, a, b)
 
 
 def fidelity_with_error(avg: ChannelAverage) -> tuple[float, float]:

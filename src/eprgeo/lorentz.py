@@ -81,22 +81,22 @@ def _series(z: np.ndarray, c1: float, c2: float, d3: float, out: np.ndarray | No
 def _exp_traceless(
     c3: np.ndarray, b: np.ndarray, d: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
 ) -> np.ndarray:
-    """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 1.
+    """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 0.
 
     With z = c3^2 + b d = -det, the generator squares to z I, so
     exp = [[ch + sh c3, sh b], [sh d, ch - sh c3]] with ch = cosh sqrt z and
     sh = sinh(sqrt z)/sqrt z, both even in sqrt z.  Below _SERIES_BOUND they
     are Horner series, with no complex sqrt, sinh or cosh; only the elements
     at or above it take the closed form (Moler & Van Loan, SIAM Rev. 45
-    (2003) 3).  Inputs share one shape of at least one axis.  Negating all
-    three inputs gives the exact adjugate, bitwise.
+    (2003) 3).  Inputs share one shape.  Negating all three inputs gives the
+    exact adjugate, bitwise, and a zero generator the exact identity.
 
-    The result goes into ``out`` (n, 4, ...) and z, b d, ch and sh into
-    the four rows of ``work`` (4, n, ...) if given, else each into a new
-    array, made in that order; b d's row takes sh c3 once ch and sh are
-    formed.  The scratch must not share memory with ``out``: a ufunc whose
-    operands interleave in one buffer is evaluated through a copy, which
-    can round differently.
+    The result goes into ``out`` (4, ...) and z, b d, ch and sh into the
+    four rows of ``work`` (4, ...) if given, else each into a new array,
+    made in that order; b d's row takes sh c3 once ch and sh are formed.
+    The scratch must not share memory with ``out``: a ufunc whose operands
+    interleave in one buffer is evaluated through a copy, which can round
+    differently.
     """
     w = (None,) * 4 if work is None else work
     z = np.multiply(c3, c3, out=w[0])
@@ -110,8 +110,8 @@ def _exp_traceless(
         ch[big] = np.cosh(s)
         sh[big] = np.sinh(s) / s
     if out is None:
-        out = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
-    p, q, r, s = out.swapaxes(0, 1)
+        out = np.empty((4,) + z.shape, dtype=complex)
+    p, q, r, s = out
     np.multiply(sh, c3, out=t)
     np.add(ch, t, out=p)
     np.multiply(sh, b, out=q)
@@ -130,7 +130,7 @@ def expm2(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     flat = a.reshape(-1, 2, 2)
     out = _exp_traceless(flat[:, 0, 0], flat[:, 0, 1], flat[:, 1, 0])
-    return out.reshape(a.shape)
+    return out.T.reshape(a.shape)
 
 
 def sl2_components(k10, k20, k21, k30, k31, k32, out: np.ndarray | None = None) -> np.ndarray:
@@ -217,7 +217,8 @@ def _inverse_unit(u_hat: np.ndarray) -> np.ndarray:
 
 
 def _boost(u: np.ndarray) -> np.ndarray:
-    """pure_boost of a unit u: B[1:, 1:] = eye(3) + outer(u[1:], u[1:]) / (1 + u[0])."""
+    """The symmetric Lorentz boost B mapping (1,0,0,0) to a unit u:
+    B[1:, 1:] = eye(3) + outer(u[1:], u[1:]) / (1 + u[0])."""
     g, x, y, z = u.tolist()
     d = 1.0 + g
     xy, xz, yz = 0.0 + x * y / d, 0.0 + x * z / d, 0.0 + y * z / d
@@ -232,7 +233,8 @@ def _boost(u: np.ndarray) -> np.ndarray:
 
 
 def _boost_sl2(u: np.ndarray) -> np.ndarray:
-    """pure_boost_sl2 of a unit u: c I - (u[1:] . sigma) / (2c), c = sqrt((1 + u[0])/2).
+    """The SL(2,C) lift of _boost(u), Hermitian positive with determinant one:
+    c I - (u[1:] . sigma) / (2c), c = sqrt((1 + u[0])/2).
 
     NumPy divides the complex array by the real 2c as a multiplication by 1/(2c),
     so s = 1/(2c) is formed first.
@@ -246,18 +248,9 @@ def _boost_sl2(u: np.ndarray) -> np.ndarray:
     )
 
 
-def pure_boost(u_hat: np.ndarray) -> np.ndarray:
-    """The symmetric Lorentz boost mapping (1,0,0,0) to the unit timelike u_hat."""
-    return _boost(_unit_timelike(u_hat))
-
-
 def pure_boost_inverse(u_hat: np.ndarray) -> np.ndarray:
+    """The inverse of the symmetric Lorentz boost mapping (1,0,0,0) to the unit timelike u_hat."""
     return _boost(_inverse_unit(u_hat))
-
-
-def pure_boost_sl2(u_hat: np.ndarray) -> np.ndarray:
-    """SL(2,C) lift of pure_boost(u_hat): Hermitian positive, determinant one."""
-    return _boost_sl2(_unit_timelike(u_hat))
 
 
 def _polar_rotation(L: np.ndarray) -> np.ndarray:
@@ -337,70 +330,47 @@ def su2_rotation_angle(u: np.ndarray) -> float:
 def _product_2x2(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
 ) -> np.ndarray:
-    """a @ b for 2x2 factors held as components (p, q, r, s) on axis 1.
+    """a @ b for 2x2 factors held as entry arrays (2, 2, ...), factors last.
 
-    Eight complex multiplies per product, on whole component arrays, each
-    entry a_i0 b_0j + a_i1 b_1j written straight into the result; the four
-    a_i1 b_1j products share one scratch array.  The result goes into
-    ``out`` and the scratch into ``tmp`` (a's shape without axis 1), each a
+    a[:, :1] b[:1] + a[:, 1:] b[1:]: two broadcast multiplies over whole
+    stacks and one add, each entry a_i0 b_0j + a_i1 b_1j.  The result goes
+    into ``out`` and the second products into ``tmp`` (a's shape each), a
     new array when not given; neither may share memory with a or b.
     """
-    p, q, r, s = a.swapaxes(0, 1)
-    pb, qb, rb, sb = b.swapaxes(0, 1)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.result_type(a, b))
-    if tmp is None:
-        tmp = np.empty(a.shape[:1] + a.shape[2:], dtype=out.dtype)
-    terms = ((p, pb, q, rb), (p, qb, q, sb), (r, pb, s, rb), (r, qb, s, sb))
-    for o, (x0, y0, x1, y1) in zip(out.swapaxes(0, 1), terms):
-        np.multiply(x0, y0, out=o)
-        np.multiply(x1, y1, out=tmp)
-        o += tmp
+    out = np.multiply(a[:, :1], b[:1], out=out)
+    tmp = np.multiply(a[:, 1:], b[1:], out=tmp)
+    out += tmp
     return out
 
 
-def _pairwise(f: np.ndarray, pair, spare: np.ndarray | None = None) -> np.ndarray:
-    """f[-1] ... f[0] for n >= 1 factors on axis 0, by pairwise tree reduction.
+def _ordered_2x2(f: np.ndarray, spare: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """f[..., -1] @ ... @ f[..., 0], (*lead, 2, 2), for 2x2 factors held as (4, *lead, n) components.
 
-    Adjacent factors are combined in order, so the result is the exact
-    ordered product in O(log n) rounds; pair(a, b) multiplies a @ b.  Given
-    ``spare``, room for ceil(n/2) factors, each round writes its products
-    with pair(a, b, out) alternately into spare and into f, which the round
-    before has consumed, and f is overwritten; the result is then a view of
-    one of the two.
+    Adjacent factors are combined in order, by pairwise tree reduction, so
+    the result is the exact ordered product in O(log n) rounds of
+    _product_2x2 on (2, 2, *lead, m) entry views.  Each round writes its
+    products alternately into ``spare`` (4, *lead, ceil(n/2)) and into f,
+    which the round before has consumed, and its second products into
+    ``tmp`` (4, *lead, n // 2); the two are new arrays when not given.  f
+    is overwritten, and the result is copied out.  An empty factor axis
+    gives the identity.
     """
-    n, bufs = len(f), (spare, f)
+    head, n = f.shape[:-1], f.shape[-1]
+    if n == 0:
+        return np.broadcast_to(ID2, head[1:] + (2, 2)).copy()
+    if spare is None:
+        spare, tmp = np.empty(head + (n - n // 2,), f.dtype), np.empty(head + (n // 2,), f.dtype)
+    f, spare, tmp = (a.reshape((2, 2) + a.shape[1:]) for a in (f, spare, tmp))
+    bufs = (spare, f)
     while n > 1:
         m = n // 2
-        if spare is None:
-            paired = pair(f[1:n:2], f[0 : n - 1 : 2])
-            if n % 2:
-                paired = np.concatenate([paired, f[n - 1 :]])
-        else:
-            paired = bufs[0][: n - m]
-            bufs = bufs[::-1]
-            pair(f[1:n:2], f[0 : n - 1 : 2], paired[:m])
-            if n % 2:
-                paired[m] = f[n - 1]
-        f, n = paired, len(paired)
-    return f[0]
-
-
-def _ordered_2x2(f: np.ndarray, spare: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """Ordered product (*lead, 2, 2) of 2x2 factors held as (n, 4, *lead) components.
-
-    Given ``spare`` (ceil(n/2), 4, *lead) and ``tmp`` (n // 2, *lead), the
-    rounds write into them and into f (see _pairwise) and allocate no
-    array of their own, and the result is copied out of them.
-    """
-    lead = f.shape[2:]
-    if len(f) == 0:
-        return np.broadcast_to(ID2, lead + (2, 2)).copy()
-    if spare is None:
-        top = _pairwise(f, _product_2x2)
-    else:
-        top = _pairwise(f, lambda a, b, out: _product_2x2(a, b, out=out, tmp=tmp[: len(out)]), spare).copy()
-    return np.moveaxis(top, 0, -1).reshape(lead + (2, 2))
+        paired = bufs[0][..., : n - m]
+        bufs = bufs[::-1]
+        _product_2x2(f[..., 1:n:2], f[..., 0 : n - 1 : 2], out=paired[..., :m], tmp=tmp[..., :m])
+        if n % 2:
+            paired[..., m] = f[..., n - 1]
+        f, n = paired, n - m
+    return np.moveaxis(f[..., 0], (0, 1), (-2, -1)).copy()
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -413,30 +383,41 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     m = np.asarray(mats)
     lead, n, k = m.shape[:-3], m.shape[-3], m.shape[-1]
     if k == 2:
-        # the factor axis goes first: (n, 4, *lead) components
-        return _ordered_2x2(np.moveaxis(m.reshape(lead + (n, 4)), (-2, -1), (0, 1)))
+        # a copy with components first and factors last: (4, *lead, n)
+        return _ordered_2x2(np.moveaxis(m.reshape(lead + (n, 4)), -1, 0).copy())
     if n == 0:
         return np.broadcast_to(np.eye(k, dtype=m.dtype), lead + (k, k)).copy()
-    return _pairwise(np.moveaxis(m, -3, 0), np.matmul)
+    # the same tree as _ordered_2x2, on matrices stacked along the factor axis
+    f = np.moveaxis(m, -3, 0)
+    while n > 1:
+        paired = f[1:n:2] @ f[0 : n - 1 : 2]
+        f = np.concatenate([paired, f[n - 1 :]]) if n % 2 else paired
+        n = len(f)
+    return f[0]
+
+
+def _fresh(name: str, shape: tuple) -> np.ndarray:
+    """The array source of a chain that keeps no arrays: a new one per request."""
+    return np.empty(shape, dtype=complex)
 
 
 def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray, buffer=None) -> np.ndarray:
-    """Ordered product of exp([[c3, b], [d, -c3]]) over axis 0, last factor leftmost.
+    """Ordered product of exp([[c3, b], [d, -c3]]) over the last axis, last factor leftmost.
 
-    The generators come as three component arrays of shape (n, *lead); the
-    exponentials stay components through the same tree as ordered_product,
-    so no (..., 2, 2) generator or exponential array is made.  Returns a new
-    (*lead, 2, 2) array, the identity when n = 0.
+    The generators come as three component arrays of shape (*lead, n); the
+    exponentials stay components through the tree of _ordered_2x2, factors
+    last, so no (..., 2, 2) generator or exponential array is made.  Returns
+    a new (*lead, 2, 2) array, the identity when n = 0.
 
-    ``buffer(name, shape)``, if given, supplies the complex arrays the
-    exponentials and the product rounds are formed in: "exp" (n, 4, *lead),
-    "exp_work" (4, n, *lead), "spare" (ceil(n/2), 4, *lead) and "tmp"
-    (n // 2, *lead), so a caller that keeps them from call to call makes no
-    array of the chord shape here.  Without it each round's products are
-    made when needed and freed once consumed.
+    ``buffer(name, shape)`` supplies the complex arrays the exponentials
+    and the product rounds are formed in: "exp" and "exp_work"
+    (4, *lead, n), "spare" (4, *lead, ceil(n/2)) and "tmp"
+    (4, *lead, n // 2), so a caller that keeps them from call to call makes
+    no array of the chord shape here.  Without it they are new arrays, made
+    once per call.
     """
-    if buffer is None:
-        return _ordered_2x2(_exp_traceless(c3, b, d))
-    n, lead = len(c3), c3.shape[1:]
-    f = _exp_traceless(c3, b, d, out=buffer("exp", (n, 4) + lead), work=buffer("exp_work", (4, n) + lead))
-    return _ordered_2x2(f, buffer("spare", (n - n // 2, 4) + lead), buffer("tmp", (n // 2,) + lead))
+    buffer = _fresh if buffer is None else buffer
+    shape = (4,) + c3.shape
+    head, n = shape[:-1], shape[-1]
+    f = _exp_traceless(c3, b, d, out=buffer("exp", shape), work=buffer("exp_work", shape))
+    return _ordered_2x2(f, buffer("spare", head + (n - n // 2,)), buffer("tmp", head + (n // 2,)))

@@ -51,7 +51,7 @@ from .lorentz import (
 )
 from .spacetime import Event, Spacetime, metric_at, same_event
 from .spin import TwoQubitState, direction_vector, pair_state
-from .transport import Tetrad, require_orthonormal, spinor_propagator, world_propagator
+from .transport import Tetrad, require_orthonormal, spinor_propagators, world_propagator, world_propagators
 
 
 def _decay_frames(
@@ -105,11 +105,12 @@ def _leg_velocities(
 
 
 def _leg_rotation(
-    seg: GeodesicSegment, start: np.ndarray, end_inverse: np.ndarray, w0: np.ndarray, w1: np.ndarray
+    p: np.ndarray, start: np.ndarray, end_inverse: np.ndarray, w0: np.ndarray, w1: np.ndarray
 ) -> np.ndarray:
-    """The vector route's 3x3 rest-frame rotation of a leg: the rotation
-    factor of B(u1)^-1 (N1^-1 P N0) B(u0), w0 and w1 from _leg_velocities."""
-    lam = end_inverse @ world_propagator(seg) @ start
+    """The vector route's 3x3 rest-frame rotation of a leg with world
+    propagator p: the rotation factor of B(u1)^-1 (N1^-1 P N0) B(u0), w0 and
+    w1 from _leg_velocities."""
+    lam = end_inverse @ p @ start
     return _polar_rotation(_boost(w1) @ lam @ _boost(w0))[1:, 1:]
 
 
@@ -143,7 +144,7 @@ def rest_frame_rotation(seg: GeodesicSegment, start_frame: Tetrad, end_frame: Te
     start_inverse = inverse_frame(start_frame.matrix, st.metric(start_frame.event.coords))
     end_inverse = inverse_frame(end_frame.matrix, st.metric(seg.end.coords))
     w0, w1 = _leg_velocities(seg, start_inverse, end_inverse)
-    return _leg_rotation(seg, start_frame.matrix, end_inverse, w0, w1)
+    return _leg_rotation(world_propagator(seg), start_frame.matrix, end_inverse, w0, w1)
 
 
 @dataclass(frozen=True)
@@ -163,17 +164,23 @@ def _close_pair(
     Every frame is built once: per pair the decay metric, the static and
     reference tetrads with their inverses, and S(v); per leg the
     cached end frames and the two unit velocities both routes close it with.
+    Both legs' world propagators come from one stack.
     """
     g0, static, static_inverse, reference = _decay_frames(seg1.spacetime, seg1.start, decay_velocity)
     reference_inverse = inverse_frame(reference, g0)
     sv = _reference_lift(static_inverse, reference)
     rotations, factors = [], []
-    for seg in (seg1, seg2):
+    for seg, p in zip((seg1, seg2), world_propagators(seg1, seg2)):
         end_inverse = _end_frames(seg)[1]
         w0, w1 = _leg_velocities(seg, reference_inverse, end_inverse)
         factors.append((sv @ _boost_sl2(w0), _boost_sl2(w1)))
-        rotations.append(_leg_rotation(seg, reference, end_inverse, w0, w1))
+        rotations.append(_leg_rotation(p, reference, end_inverse, w0, w1))
     return DecayFrame(g0, static), tuple(rotations), tuple(factors)
+
+
+def _closed_maps(pre: np.ndarray, post: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The polar unitary part of post @ u @ pre, batched over any stack of the three."""
+    return su2_polar(_mul_2x2(_mul_2x2(post, u), pre))[0]
 
 
 @dataclass
@@ -200,8 +207,7 @@ class PairResult:
         """Rest-frame SU(2) maps of static-frame transports u (batched) along
         leg 1 or 2: the polar unitary part of post @ u @ pre, multiplied
         left to right by the broadcast 2x2 product."""
-        pre, post = self.conjugation_factors[leg - 1]
-        return su2_polar(_mul_2x2(_mul_2x2(post, u), pre))[0]
+        return _closed_maps(*self.conjugation_factors[leg - 1], u)
 
     def ortho_drift(self, gauge: str = "static") -> float:
         """Largest orthonormality defect, over the legs of nonzero length, of
@@ -253,8 +259,9 @@ def pair_transport(
 
     frame, (r1, r2), factors = _close_pair(seg1, seg2, decay_velocity)
     pair = PairResult(seg1, seg2, r1, r2, factors, decay_frame=frame)
-    pair.spin1 = pair.spin_map(1, spinor_propagator(seg1))
-    pair.spin2 = pair.spin_map(2, spinor_propagator(seg2))
+    # both legs' transports in one stack, closed in one polar split
+    pre, post = (np.stack(f) for f in zip(*factors))
+    pair.spin1, pair.spin2 = _closed_maps(pre, post, np.stack(spinor_propagators(seg1, seg2)))
     pair.state = TwoQubitState("pure", pair_state(pair.spin1, pair.spin2))
     return pair
 

@@ -14,9 +14,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .geodesic import GeodesicSegment, integrate_geodesic
 from .lorentz import rotation_axis_angle, su2_rotation_angle
-from .pipeline import boosted_tetrad, rest_frame_rotation
+from .pipeline import _decay_frames, _end_frames, _leg_rotation, _leg_velocities
 from .spacetime import Event, Spacetime
-from .transport import spinor_propagator
+from .transport import spinor_propagator, world_propagator
 
 
 def _orbit_mass(st: Spacetime, r: float) -> float:
@@ -61,14 +61,17 @@ def rest_frame_holonomy_angle(seg: GeodesicSegment) -> tuple[float, np.ndarray]:
     """(angle, axis) of the transport holonomy seen by the comoving observer.
 
     This is the rest-frame (Wigner) rotation between the static tetrads at
-    the two ends (pipeline.boosted_tetrad with no velocity, and
-    pipeline.rest_frame_rotation); its angle is the precession.  Over a whole
+    the two ends, pipeline.rest_frame_rotation between the boosted_tetrads
+    with no velocity, closed from the frames the pair closing builds: the
+    static tetrad at the start and the cached end frames, one metric
+    evaluation at each end.  Its angle is the precession.  Over a whole
     orbit the start and end velocities agree in static components, so a
     constant boost of both tetrads would only conjugate the rotation.
     """
-    st = seg.spacetime
-    start, end = boosted_tetrad(st, seg.start), boosted_tetrad(st, seg.end)
-    axis, angle = rotation_axis_angle(rest_frame_rotation(seg, start, end))
+    _, static, static_inverse, _ = _decay_frames(seg.spacetime, seg.start, None)
+    end_inverse = _end_frames(seg)[1]
+    w0, w1 = _leg_velocities(seg, static_inverse, end_inverse)
+    axis, angle = rotation_axis_angle(_leg_rotation(world_propagator(seg), static, end_inverse, w0, w1))
     return angle, axis
 
 

@@ -84,14 +84,23 @@ def direction_vector(a, side: str) -> np.ndarray:
 
 def correlation(state: TwoQubitState, a, b) -> float:
     """E(a, b) = <(a.sigma) x (b.sigma)>, each axis in its detector's frame."""
+    return density_correlation(state.density, a, b)
+
+
+def density_correlation(rho: np.ndarray, a, b) -> float:
+    """correlation for a density matrix its caller built, taken as valid."""
     va = direction_vector(a, "1")
     vb = direction_vector(b, "2")
-    return float(va @ correlation_matrix(state) @ vb)
+    return float(va @ _pauli_expectations(rho) @ vb)
 
 
 def correlation_matrix(state: TwoQubitState) -> np.ndarray:
     """K[j, k] = <sigma_j x sigma_k>, so E(a, b) = a^T K b."""
-    return np.trace(state.density @ PAULI_PAIRS, axis1=-2, axis2=-1).real
+    return _pauli_expectations(state.density)
+
+
+def _pauli_expectations(rho: np.ndarray) -> np.ndarray:
+    return np.trace(rho @ PAULI_PAIRS, axis1=-2, axis2=-1).real
 
 
 def chsh(state: TwoQubitState, a, ap, b, bp) -> float:

@@ -64,7 +64,7 @@ import numpy as np
 from .errors import UsageError
 from .frames import frame_field, gram_schmidt_frame, inverse_frame, orthonormality_defect, spin_connection_components
 from .geodesic import GeodesicSegment
-from .lorentz import ordered_exp_product, ordered_product
+from .lorentz import ID2, ordered_exp_product, ordered_product
 from .spacetime import Event, Spacetime, same_event
 
 ORTHO_TOL = 1.0e-8
@@ -135,39 +135,92 @@ def _rk4_steps(w0: np.ndarray, wm: np.ndarray, w1: np.ndarray, h: float) -> np.n
 _BLOCK = 1024
 
 
+def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
+    """P[end <- start] of segments of nonzero length, one (legs, 4, 4) stack.
+
+    Every leg's nodes, and the Hermite midpoint of a lone last interval in
+    the last row, go through one connection_matrix call on a (legs, rows, 4)
+    stack, a shorter leg padded with copies of its last node; one RK4 call
+    per block of steps covers every leg, a shorter leg's padding steps are
+    set to the identity, and each leg's lone last interval multiplies its
+    block tree last.
+    """
+    st = segs[0].spacetime
+    ns = [seg.n_samples - 1 for seg in segs]
+    hs = [_sample_step(seg) for seg in segs]
+    x, u = np.empty((2, len(segs), max(ns) + 1 + any(n % 2 for n in ns), 4))
+    for i, (seg, n, h) in enumerate(zip(segs, ns, hs)):
+        x[i, : n + 1], x[i, n + 1 :] = seg.events, seg.events[-1]
+        u[i, : n + 1], u[i, n + 1 :] = seg.tangents, seg.tangents[-1]
+        if n % 2:
+            # a lone last interval is staged at its Hermite midpoint; its ends'
+            # accelerations come from the geodesic equation
+            y = np.concatenate([seg.events[-2:], seg.tangents[-2:]], axis=1).tolist()
+            acc = np.array([st.geodesic_rhs(y[0])[4:], st.geodesic_rhs(y[1])[4:]])
+            x[i, -1] = _hermite_midpoints(seg.events[-2:], seg.tangents[-2:], h)
+            u[i, -1] = _hermite_midpoints(seg.tangents[-2:], acc, h)
+    w = st.connection_matrix(x, u)
+    # step j runs from node 2j to node 2j + 2 and is staged at node 2j + 1
+    m, step = max(ns) // 2, 2.0 * np.reshape(hs, (-1, 1, 1, 1))
+    blocks = []
+    for lo in range(0, m, _BLOCK):
+        a, b = 2 * lo, 2 * min(lo + _BLOCK, m)
+        steps = _rk4_steps(w[:, a:b:2], w[:, a + 1 : b : 2], w[:, a + 2 : b + 1 : 2], step)
+        for leg, n in zip(steps, ns):
+            leg[max(n // 2 - lo, 0) :] = _EYE4
+        blocks.append(ordered_product(steps))
+    # a stack of two-sample segments has no block, and an empty product is the identity
+    p = ordered_product(np.reshape(blocks, (-1, len(segs), 4, 4)).swapaxes(0, 1))
+    for i, (n, h) in enumerate(zip(ns, hs)):
+        if n % 2:
+            p[i] = _rk4_steps(w[i, n - 1], w[i, -1], w[i, n], h) @ p[i]
+    return p
+
+
+def _spinor_stack(segs: list[GeodesicSegment]) -> np.ndarray:
+    """U[end <- start] of segments of nonzero length, one (legs, 2, 2) stack.
+
+    Every leg's chords and Hermite midpoints go into one (legs, chords, 4)
+    pair of arrays, a shorter leg end-padded with zero chords at its last
+    midpoint: a zero generator's exponential is the exact identity.
+    """
+    n = max(seg.n_samples for seg in segs) - 1
+    dx, mid = np.zeros((len(segs), n, 4)), np.empty((len(segs), n, 4))
+    for i, seg in enumerate(segs):
+        k = seg.n_samples - 1
+        np.subtract(seg.events[1:], seg.events[:-1], out=dx[i, :k])
+        mid[i, :k] = _hermite_midpoints(seg.events, seg.tangents, _sample_step(seg))
+        mid[i, k:] = mid[i, k - 1]
+    return _chord_transport(segs[0].spacetime, dx, mid)
+
+
+def _cached(segs: tuple, key: str, identity: np.ndarray, stack) -> tuple:
+    """seg.cache[key] of each segment, filling in the missing ones: the
+    identity for a zero-length segment, one stack(todo) for the rest."""
+    todo = []
+    for seg in segs:
+        if key in seg.cache:
+            continue
+        if seg.zero_length:
+            seg.cache[key] = identity.copy()
+        elif not any(seg is s for s in todo):
+            todo.append(seg)
+    if todo:
+        if any(seg.spacetime is not todo[0].spacetime for seg in todo):
+            raise UsageError("segments live in different spacetimes")
+        for seg, p in zip(todo, stack(todo)):
+            seg.cache[key] = p
+    return tuple(seg.cache[key] for seg in segs)
+
+
+def world_propagators(*segs: GeodesicSegment) -> tuple:
+    """Endpoint parallel propagators in world indices, P[end <- start], one per segment."""
+    return _cached(segs, "world_propagator", _EYE4, _world_stack)
+
+
 def world_propagator(seg: GeodesicSegment) -> np.ndarray:
     """Endpoint parallel propagator in world indices, P[end <- start]."""
-    if "world_propagator" in seg.cache:
-        return seg.cache["world_propagator"]
-    if seg.zero_length:
-        p = _EYE4.copy()
-    else:
-        st = seg.spacetime
-        x, u = seg.events, seg.tangents
-        h = _sample_step(seg)
-        n = len(x) - 1
-        m = n // 2
-        if n % 2:
-            # a lone last interval is staged at its Hermite midpoint, appended
-            # after the nodes; its ends' accelerations come from the geodesic
-            # equation
-            y = np.concatenate([x[-2:], u[-2:]], axis=1).tolist()
-            acc = np.array([st.geodesic_rhs(y[0])[4:], st.geodesic_rhs(y[1])[4:]])
-            x = np.concatenate([x, _hermite_midpoints(x[-2:], u[-2:], h)])
-            u = np.concatenate([u, _hermite_midpoints(u[-2:], acc, h)])
-        w = st.connection_matrix(x, u)
-        # step j runs from node 2j to node 2j + 2 and is staged at node 2j + 1
-        blocks = []
-        for lo in range(0, m, _BLOCK):
-            a, b = 2 * lo, 2 * min(lo + _BLOCK, m)
-            steps = _rk4_steps(w[a:b:2], w[a + 1 : b : 2], w[a + 2 : b + 1 : 2], 2.0 * h)
-            blocks.append(ordered_product(steps))
-        # a two-sample segment has no block, and an empty product is the identity
-        p = ordered_product(np.reshape(blocks, (-1, 4, 4)))
-        if n % 2:
-            p = _rk4_steps(w[n - 1], w[n + 1], w[n], h) @ p
-    seg.cache["world_propagator"] = p
-    return p
+    return world_propagators(seg)[0]
 
 
 def frame_propagator(seg: GeodesicSegment) -> np.ndarray:
@@ -185,29 +238,24 @@ def frame_propagator(seg: GeodesicSegment) -> np.ndarray:
 def _chord_transport(st: Spacetime, dx: np.ndarray, mid: np.ndarray, buffer=None) -> np.ndarray:
     """Ordered product of the chord exponentials, in static-frame components.
 
-    dx and mid are (..., chords, 4); the chord axis goes first, so the
-    connection components and their exponentials are (chords, ...) arrays,
-    formed in the arrays ``buffer`` supplies if given (see
-    ordered_exp_product), else in new ones.
+    dx and mid are (..., chords, 4), so the connection components and their
+    exponentials are (..., chords) arrays, chords last, formed in the arrays
+    ``buffer`` supplies if given (see ordered_exp_product), else in new
+    ones.
     """
-    dx, mid = np.moveaxis(dx, -2, 0), np.moveaxis(mid, -2, 0)
     out = None if buffer is None else buffer("generators", (3,) + dx.shape[:-1])
     g = spin_connection_components(st, mid, dx, out)
     return ordered_exp_product(*g, buffer)
 
 
+def spinor_propagators(*segs: GeodesicSegment) -> tuple:
+    """SL(2,C) transport matrices U[end <- start] in static frames, one per segment."""
+    return _cached(segs, "spinor_propagator", ID2, _spinor_stack)
+
+
 def spinor_propagator(seg: GeodesicSegment) -> np.ndarray:
     """SL(2,C) transport matrix along the segment, U[end <- start], static frames."""
-    if "spinor_propagator" in seg.cache:
-        return seg.cache["spinor_propagator"]
-    if seg.zero_length:
-        u = np.eye(2, dtype=complex)
-    else:
-        dx = seg.events[1:] - seg.events[:-1]
-        mid = _hermite_midpoints(seg.events, seg.tangents, _sample_step(seg))
-        u = _chord_transport(seg.spacetime, dx, mid)
-    seg.cache["spinor_propagator"] = u
-    return u
+    return spinor_propagators(seg)[0]
 
 
 class _Workspace(threading.local):

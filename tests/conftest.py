@@ -2,9 +2,11 @@
 the test-side helpers that reverse a segment and compare the two transport
 routes through the double cover.
 
-``vector_action``, ``reverse``, ``gauge_frame``, ``gauge_lift`` and
-``gauge_closed_pair`` are plain functions, imported by the test modules with
-``from conftest import ...``; the package itself never needs them.
+``vector_action``, ``pure_boost``, ``pure_boost_sl2``, ``reverse``,
+``gauge_frame``, ``gauge_lift`` and ``gauge_closed_pair`` are plain
+functions, imported by the test modules with ``from conftest import ...``;
+the package itself never needs them.  The two boosts are the closed forms
+the package builds its frames from, taken from any timelike velocity.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import pytest
 from eprgeo import Event, integrate_geodesic, make_spacetime
 from eprgeo.frames import check_gauge, frame_field, gauge_boost
 from eprgeo.geodesic import GeodesicSegment
-from eprgeo.lorentz import ETA, ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, pure_boost_sl2, sl2_inverse
+from eprgeo.lorentz import ETA, ID2, PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, _boost, _boost_sl2, _unit_timelike, sl2_inverse
 from eprgeo.pipeline import PairResult
 from eprgeo.spin import TwoQubitState, pair_state
 from eprgeo.transport import frame_propagator, spinor_propagator
@@ -32,6 +34,16 @@ def vector_action(a: np.ndarray) -> np.ndarray:
         for j in range(3):
             L[j + 1, b] = -0.5 * np.trace(PAULI[j] @ y).real
     return L
+
+
+def pure_boost(u_hat: np.ndarray) -> np.ndarray:
+    """The symmetric Lorentz boost mapping (1,0,0,0) to the unit timelike u_hat."""
+    return _boost(_unit_timelike(u_hat))
+
+
+def pure_boost_sl2(u_hat: np.ndarray) -> np.ndarray:
+    """SL(2,C) lift of pure_boost(u_hat): Hermitian positive, determinant one."""
+    return _boost_sl2(_unit_timelike(u_hat))
 
 
 def gauge_frame(st, coords: np.ndarray, gauge: str) -> np.ndarray:

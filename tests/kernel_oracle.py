@@ -1,13 +1,22 @@
 """Array kernels in the expression form they were written from.
 
 ``transport._rk4_steps``, ``Schwarzschild.connection_matrix``,
-``lorentz._exp_traceless``, ``lorentz._product_2x2`` and the bridge draw of
+``lorentz._exp_traceless`` and the bridge draw of
 ``decoherence.sample_bundle`` form their results in place, one buffer per
 result instead of one new array per arithmetic step.  These are the
 out-of-place forms, kept verbatim as the oracle of ``test_kernel_oracle.py``:
-the two must agree bit for bit.  The exponential and product oracles take
-the kernels' output and scratch arguments, as the bundle transport passes
-its kept arrays, and copy their out-of-place result into the output.
+the two must agree bit for bit.  The exponential oracle takes the kernel's
+output and scratch arguments, as the bundle transport passes its kept
+arrays, and copies its out-of-place result into the output.
+
+The chord chain's ordered product is kept here in its component-major
+form: ``product_2x2``, ``pairwise`` and ``ordered_2x2`` hold the factors as
+(n, 4, *lead) components and write each of the four entries from whole
+component arrays.  The factor-last chain (``lorentz._ordered_2x2`` on
+(4, *lead, n) components, two broadcast multiplies and one add per round)
+must give the same bits; ``entry_product`` runs the component-major
+product on the factor-last kernel's arguments, so a whole propagator can be
+formed through it.
 
 The bundle channel's closing and block fidelities are kept here in their
 earlier form too: ``su2_polar`` and ``spin_map`` with ``@`` on 2x2 stacks,
@@ -71,7 +80,7 @@ def schwarzschild_connection_matrix(mass: float, x, u) -> np.ndarray:
 
 
 def exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray, out=None, work=None) -> np.ndarray:
-    """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 1.
+    """exp([[c3, b], [d, -c3]]) as components (p, q, r, s) on a new axis 0.
 
     Formed out of place, then copied into ``out`` if given; ``work``, the
     kernel's scratch, is not used.
@@ -84,8 +93,8 @@ def exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray, out=None, work=N
         s = np.sqrt(z[big])
         ch[big] = np.cosh(s)
         sh[big] = np.sinh(s) / s
-    res = np.empty(z.shape[:1] + (4,) + z.shape[1:], dtype=complex)
-    p, q, r, s = res.swapaxes(0, 1)
+    res = np.empty((4,) + z.shape, dtype=complex)
+    p, q, r, s = res
     t = sh * c3
     np.add(ch, t, out=p)
     np.multiply(sh, b, out=q)
@@ -94,20 +103,87 @@ def exp_traceless(c3: np.ndarray, b: np.ndarray, d: np.ndarray, out=None, work=N
     return into(out, res)
 
 
-def product_2x2(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+def product_2x2(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
     """a @ b for 2x2 factors held as components (p, q, r, s) on axis 1.
 
-    Formed out of place, then copied into ``out`` if given; ``tmp``, the
-    kernel's scratch, is not used.
+    Eight complex multiplies per product, on whole component arrays, each
+    entry a_i0 b_0j + a_i1 b_1j written straight into the result; the four
+    a_i1 b_1j products share one scratch array.  The result goes into
+    ``out`` and the scratch into ``tmp`` (a's shape without axis 1), each a
+    new array when not given; neither may share memory with a or b.
     """
     p, q, r, s = a.swapaxes(0, 1)
     pb, qb, rb, sb = b.swapaxes(0, 1)
-    res = np.empty(a.shape, dtype=np.result_type(a, b))
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, b))
+    if tmp is None:
+        tmp = np.empty(a.shape[:1] + a.shape[2:], dtype=out.dtype)
     terms = ((p, pb, q, rb), (p, qb, q, sb), (r, pb, s, rb), (r, qb, s, sb))
-    for o, (x0, y0, x1, y1) in zip(res.swapaxes(0, 1), terms):
+    for o, (x0, y0, x1, y1) in zip(out.swapaxes(0, 1), terms):
         np.multiply(x0, y0, out=o)
-        o += x1 * y1
-    return into(out, res)
+        np.multiply(x1, y1, out=tmp)
+        o += tmp
+    return out
+
+
+def pairwise(f: np.ndarray, pair, spare: np.ndarray | None = None) -> np.ndarray:
+    """f[-1] ... f[0] for n >= 1 factors on axis 0, by pairwise tree reduction.
+
+    Adjacent factors are combined in order, so the result is the exact
+    ordered product in O(log n) rounds; pair(a, b) multiplies a @ b.  Given
+    ``spare``, room for ceil(n/2) factors, each round writes its products
+    with pair(a, b, out) alternately into spare and into f, which the round
+    before has consumed, and f is overwritten; the result is then a view of
+    one of the two.
+    """
+    n, bufs = len(f), (spare, f)
+    while n > 1:
+        m = n // 2
+        if spare is None:
+            paired = pair(f[1:n:2], f[0 : n - 1 : 2])
+            if n % 2:
+                paired = np.concatenate([paired, f[n - 1 :]])
+        else:
+            paired = bufs[0][: n - m]
+            bufs = bufs[::-1]
+            pair(f[1:n:2], f[0 : n - 1 : 2], paired[:m])
+            if n % 2:
+                paired[m] = f[n - 1]
+        f, n = paired, len(paired)
+    return f[0]
+
+
+def ordered_2x2(f: np.ndarray, spare: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
+    """Ordered product (*lead, 2, 2) of 2x2 factors held as (n, 4, *lead) components.
+
+    Given ``spare`` (ceil(n/2), 4, *lead) and ``tmp`` (n // 2, *lead), the
+    rounds write into them and into f (see pairwise) and allocate no
+    array of their own, and the result is copied out of them.
+    """
+    lead = f.shape[2:]
+    if len(f) == 0:
+        return np.broadcast_to(ID2, lead + (2, 2)).copy()
+    if spare is None:
+        top = pairwise(f, product_2x2)
+    else:
+        top = pairwise(f, lambda a, b, out: product_2x2(a, b, out=out, tmp=tmp[: len(out)]), spare).copy()
+    return np.moveaxis(top, 0, -1).reshape(lead + (2, 2))
+
+
+def component_major(f: np.ndarray) -> np.ndarray:
+    """Factor-last components (4, *lead, n) in the (n, 4, *lead) layout of ordered_2x2, copied."""
+    return np.moveaxis(f, -1, 0).copy()
+
+
+def entry_product(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """lorentz._product_2x2 on its (2, 2, *lead, m) entry arrays, formed by
+    product_2x2 in the component-major layout and copied into ``out`` if
+    given; ``tmp``, the kernel's scratch, is not used."""
+    a, b = (component_major(v.reshape((4,) + v.shape[2:])) for v in (a, b))
+    res = np.moveaxis(product_2x2(a, b), 0, -1)
+    return into(out, res.reshape((2, 2) + res.shape[1:]))
 
 
 def into(out, res: np.ndarray) -> np.ndarray:

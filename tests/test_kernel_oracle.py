@@ -8,6 +8,7 @@ singlet image and batched block fidelities sum in another order than their
 oracles, so on the demo bundles they agree within 1e-14.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from eprgeo.decoherence import ChannelAverage, _decimate
 from eprgeo.errors import ConfigurationError
 from eprgeo.frames import frame_field
 from eprgeo.geodesic import samples_for
-from eprgeo.lorentz import _SERIES_BOUND, _exp_traceless, _pairwise, _product_2x2, su2_polar
+from eprgeo.lorentz import _SERIES_BOUND, _exp_traceless, _ordered_2x2, _product_2x2, ordered_exp_product, su2_polar
 from eprgeo.precession import circular_orbit_tangent
 from eprgeo.scenario import load_scenario
 from eprgeo.spin import pair_state
@@ -119,14 +120,14 @@ def test_connection_matrix_matches_the_oracle_on_an_orbit(schwarzschild):
 # chord exponentials and their products
 
 
-def generators(rng, shape):
-    """c3, b, d whose z = c3^2 + b d spans both sides of _SERIES_BOUND, with
-    some exact zeros."""
-    scale = 10.0 ** rng.uniform(-4.0, 0.5, shape)
+def generators(rng, shape, mixed=True, top=0.5):
+    """c3, b, d of scales 1e-4 to 10**top whose z = c3^2 + b d spans both
+    sides of _SERIES_BOUND (checked when ``mixed``), with some exact zeros."""
+    scale = 10.0 ** rng.uniform(-4.0, top, shape)
     c3, b, d = (complex_normal(rng, shape, scale) for _ in range(3))
     c3.flat[::17] = b.flat[::17] = d.flat[::17] = 0.0
     z = np.abs(c3 * c3 + b * d)
-    assert (z < _SERIES_BOUND).sum() > 10 and (z >= _SERIES_BOUND).sum() > 10
+    assert not mixed or ((z < _SERIES_BOUND).sum() > 10 and (z >= _SERIES_BOUND).sum() > 10)
     return c3, b, d
 
 
@@ -140,18 +141,45 @@ def test_exp_traceless_matches_the_oracle(shape):
     assert same_bits(e_neg, oracle.exp_traceless(*neg))
     # the reversed chord's factor is the exact adjugate [[s, -q], [-r, p]]
     # (equal values: a zero entry may change its sign)
-    p, q, r, s = e.swapaxes(0, 1)
-    assert np.array_equal(e_neg, np.stack([s, -q, -r, p], axis=1))
+    p, q, r, s = e
+    assert np.array_equal(e_neg, np.stack([s, -q, -r, p]))
+
+
+# single legs, a pair stack and a bundle stack
+LEADS = {"leg": (), "pair": (2,), "bundle": (40,)}
 
 
 @pytest.mark.parametrize("rows", [1, 5, 250])
 def test_product_2x2_matches_the_oracle(rows):
+    """The factor-last product of (2, 2, rows, 33) entries, a single leg's
+    (2, 2, 33) for one row, against the component-major product."""
     rng = np.random.default_rng(15)
-    a, b = frozen(complex_normal(rng, (33, 4, rows)), complex_normal(rng, (33, 4, rows)))
-    assert same_bits(_product_2x2(a, b), oracle.product_2x2(a, b))
-    # and through the pairwise tree of an ordered product
-    f = frozen(_exp_traceless(*generators(rng, (77, rows))))
-    assert same_bits(_pairwise(f, _product_2x2), _pairwise(f, oracle.product_2x2))
+    shape = (2, 2) + ((rows,) if rows > 1 else ()) + (33,)
+    a, b = frozen(complex_normal(rng, shape), complex_normal(rng, shape))
+    got = _product_2x2(a, b)
+    want = oracle.product_2x2(*(oracle.component_major(v.reshape((4,) + v.shape[2:])) for v in (a, b)))
+    assert same_bits(got.reshape((4,) + got.shape[2:]), np.moveaxis(want, 0, -1))
+    assert same_bits(oracle.entry_product(a, b), got)
+
+
+@pytest.mark.parametrize("lead", LEADS.values(), ids=LEADS.keys())
+def test_factor_last_chain_matches_the_component_major_oracle(lead):
+    """The factor-last tree, with new and with caller-kept arrays, and the
+    whole ordered_exp_product against ordered_2x2 on the same exponentials,
+    for odd and even factor counts from one to an orbit's."""
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 77, 250, 8312 if lead == () else 159):
+        c3, b, d = frozen(*generators(rng, lead + (n,), mixed=n > 50, top=-1.0))
+        f = frozen(_exp_traceless(c3, b, d))
+        want = oracle.ordered_2x2(oracle.component_major(f))
+        assert same_bits(_ordered_2x2(f.copy()), want)
+        head = (4,) + lead
+        spare, tmp = np.empty(head + (n - n // 2,), complex), np.empty(head + (n // 2,), complex)
+        assert same_bits(_ordered_2x2(f.copy(), spare, tmp), want)
+        assert same_bits(ordered_exp_product(c3, b, d), want)
+        kept = transport._Workspace()
+        assert same_bits(ordered_exp_product(c3, b, d, kept), want)
+        assert not any(np.shares_memory(want, a) for a in kept.arrays.values())
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +187,10 @@ def test_product_2x2_matches_the_oracle(rows):
 
 
 def oracle_kernels(monkeypatch, st):
-    """Swap every kernel for its oracle; returns, per 2x2 kernel, the list
-    of calls made since, each True when its output array is one the bundle
-    transport keeps."""
+    """Swap every kernel for its oracle, the 2x2 product for the
+    component-major one; returns, per 2x2 kernel, the list of calls made
+    since, each True when its output array is one the bundle transport
+    keeps."""
     calls = {"exp": [], "product": []}
 
     def recording(kernel, record):
@@ -174,7 +203,7 @@ def oracle_kernels(monkeypatch, st):
 
     monkeypatch.setattr(transport, "_rk4_steps", oracle.rk4_steps)
     monkeypatch.setattr(lorentz, "_exp_traceless", recording(oracle.exp_traceless, calls["exp"]))
-    monkeypatch.setattr(lorentz, "_product_2x2", recording(oracle.product_2x2, calls["product"]))
+    monkeypatch.setattr(lorentz, "_product_2x2", recording(oracle.entry_product, calls["product"]))
     monkeypatch.setattr(st, "connection_matrix", lambda x, u: oracle.schwarzschild_connection_matrix(st.mass, x, u))
     return calls
 
@@ -188,31 +217,50 @@ def bundle_stack(seg, rows=40):
     return frozen(knots + shift)
 
 
+def rounds(chords):
+    return int(np.ceil(np.log2(chords)))
+
+
+def fresh(seg):
+    """The segment with an empty cache."""
+    return dataclasses.replace(seg, cache={})
+
+
 @pytest.mark.parametrize("n_samples", [2, 8, 8313], ids=["lone-step", "odd-intervals", "orbit"])
 def test_propagators_match_the_oracle_kernels(schwarzschild, monkeypatch, n_samples):
-    """Both single-leg propagators, and a bundle stack through the kept work
-    arrays of polygon_spinor_transport, with every kernel swapped for its
-    oracle.  The bundle stack must reach the patched 2x2 kernels with kept
-    output arrays, the spinor propagator with new ones: one exponential call
-    and one product call per tree round."""
+    """Both single-leg propagators, a pair stack with a shorter leg, and a
+    bundle stack through the kept work arrays of polygon_spinor_transport,
+    with every kernel swapped for its oracle.  Each spinor chain is one
+    exponential call and one product call per tree round of its longest
+    leg: the single leg's and the pair's with new output arrays, the
+    bundle stack's with kept ones."""
+    e0, u0 = circular_orbit_tangent(schwarzschild, 10.0)
     if n_samples == 8313:
         seg = integrate_orbit(schwarzschild, 10.0)
     else:
-        seg = integrate_geodesic(schwarzschild, *circular_orbit_tangent(schwarzschild, 10.0), 3.0, n_samples=n_samples)
+        seg = integrate_geodesic(schwarzschild, e0, u0, 3.0, n_samples=n_samples)
     assert seg.n_samples == n_samples
+    u1 = frame_field(schwarzschild, e0.coords) @ [np.sqrt(1.5), 0.3, -0.5, 0.4]
+    short = integrate_geodesic(schwarzschild, e0, u1, 1.0, n_samples=6)
     xs = bundle_stack(seg)
     world, spinor = transport.world_propagator(seg), transport.spinor_propagator(seg)
+    pair = pair_transport(fresh(seg), short)
+    assert same_bits(pair.segment1.cache["world_propagator"], world)
+    assert same_bits(pair.segment1.cache["spinor_propagator"], spinor)
     bundle = polygon_spinor_transport(schwarzschild, xs)
     seg.cache.clear()
     calls = oracle_kernels(monkeypatch, schwarzschild)
     assert same_bits(transport.world_propagator(seg), world)
     assert same_bits(transport.spinor_propagator(seg), spinor)
-    rounds = int(np.ceil(np.log2(n_samples - 1)))
-    assert calls == {"exp": [False], "product": [False] * rounds}
+    assert calls == {"exp": [False], "product": [False] * rounds(n_samples - 1)}
+    del calls["exp"][:], calls["product"][:]
+    again = pair_transport(fresh(pair.segment1), fresh(pair.segment2))
+    for name in ("spin1", "spin2", "rotation1", "rotation2"):
+        assert same_bits(getattr(again, name), getattr(pair, name))
+    assert calls == {"exp": [False], "product": [False] * rounds(max(n_samples, 6) - 1)}
     del calls["exp"][:], calls["product"][:]
     assert same_bits(polygon_spinor_transport(schwarzschild, xs), bundle)
-    rounds = int(np.ceil(np.log2(xs.shape[1] - 1)))
-    assert calls == {"exp": [True], "product": [True] * rounds}
+    assert calls == {"exp": [True], "product": [True] * rounds(xs.shape[1] - 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import cmath
 import numpy as np
 import pytest
 
-from conftest import vector_action
+from conftest import pure_boost, pure_boost_sl2, vector_action
 from eprgeo.errors import UsageError
 from eprgeo.lorentz import (
     ETA,
@@ -27,9 +27,7 @@ from eprgeo.lorentz import (
     lift_so13,
     ordered_exp_product,
     ordered_product,
-    pure_boost,
     pure_boost_inverse,
-    pure_boost_sl2,
     rotation_axis_angle,
     rotation_matrix_from_su2,
     sl2_inverse,
@@ -400,10 +398,11 @@ def test_ordered_exp_product_matches_the_matrix_chain():
     c3, b, d = g[0, ..., 0, 0], g[1, ..., 0, 1], g[2, ..., 1, 0]
     mats = np.stack([c3, b, d, -c3], axis=-1).reshape(c3.shape + (2, 2))
     expected = ordered_product(np.moveaxis(expm2(mats), 0, -3))
-    out = ordered_exp_product(c3, b, d)
+    # the factor axis goes last
+    out = ordered_exp_product(c3.T, b.T, d.T)
     assert out.shape == (6, 2, 2)
     assert np.max(np.abs(out - expected)) <= 1e-15 * np.max(np.abs(expected))
-    empty = ordered_exp_product(*np.zeros((3, 0, 4), dtype=complex))
+    empty = ordered_exp_product(*np.zeros((3, 4, 0), dtype=complex))
     assert np.array_equal(empty, np.broadcast_to(ID2, (4, 2, 2)))
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import eprgeo.scenario
 import eprgeo.transport
-from conftest import gauge_frame, vector_action
+from conftest import gauge_frame, pure_boost, vector_action
 from eprgeo import (
     Event,
     correlation,
@@ -26,8 +26,8 @@ from eprgeo import (
 )
 from eprgeo.errors import UsageError
 from eprgeo.frames import frame_field, inverse_frame
-from eprgeo.geodesic import GeodesicSegment
-from eprgeo.lorentz import PAULI, expm2, pure_boost, pure_boost_inverse, rotation_axis_angle
+from eprgeo.geodesic import GeodesicSegment, point_segment
+from eprgeo.lorentz import PAULI, expm2, pure_boost_inverse, rotation_axis_angle
 from eprgeo.pipeline import (
     PairResult,
     boosted_tetrad,
@@ -39,7 +39,7 @@ from eprgeo.pipeline import (
 )
 from eprgeo.scenario import load_scenario
 from eprgeo.spin import TwoQubitState, pair_state
-from eprgeo.transport import Tetrad, spinor_propagator, transport_tetrad
+from eprgeo.transport import Tetrad, spinor_propagator, transport_tetrad, world_propagator
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 rng = np.random.default_rng(17)
@@ -137,19 +137,21 @@ class TestCurved:
     def test_both_gauges_share_each_legs_chord_product(self, schwarzschild, monkeypatch):
         """The spinor transport is cached in static frames and every gauge
         closes it with the same spin map, so pairing the same legs twice
-        multiplies each leg's chord exponentials once."""
+        multiplies the chord exponentials once: one ordered_exp_product
+        call on both legs stacked, the shorter one padded, and none on the
+        second pairing."""
         calls = []
         original = eprgeo.transport.ordered_exp_product
 
         def counting(*args):
-            calls.append(len(args[0]))
+            calls.append(args[0].shape)
             return original(*args)
 
         monkeypatch.setattr(eprgeo.transport, "ordered_exp_product", counting)
         segs = _curved_legs(schwarzschild, seed=4)
         first = pair_transport(*segs)
         again = pair_transport(*segs)
-        assert calls == [s.n_samples - 1 for s in segs]
+        assert calls == [(2, max(s.n_samples for s in segs) - 1)]
         assert first.spin1.tobytes() == again.spin1.tobytes()
         assert first.spin2.tobytes() == again.spin2.tobytes()
 
@@ -247,6 +249,58 @@ class TestSharedFrames:
         gauged = [Tetrad(leg.start, gauge_frame(st, leg.start.coords, gauge)) for leg in legs]
         drifts = [transport_tetrad(leg, t).defect(st) for leg, t in zip(legs, gauged)]
         assert pair.ortho_drift(gauge) == max(0.0, *drifts)
+
+
+class TestStackedLegs:
+    """pair_transport transports both legs in one stack per route, the
+    shorter leg padded; each leg's propagators and spin map must be those
+    of its one-leg call, bit for bit."""
+
+    SPACETIMES = {
+        "minkowski": ({}, [0.0, 0.3, -0.2, 0.1]),
+        **TestSharedFrames.LEGS,
+    }
+    # sample counts: even and odd interval counts, a lone interval, and 0 for
+    # a zero-length leg
+    COUNTS = [(9, 14), (21, 14), (14, 6), (2, 9), (14, 3), (0, 14), (9, 0), (33, 33)]
+
+    @pytest.mark.parametrize("kind", sorted(SPACETIMES))
+    @pytest.mark.parametrize("counts", COUNTS, ids=[f"{a}-{b}" for a, b in COUNTS])
+    def test_stacked_propagators_match_one_leg_calls(self, static_tangent, kind, counts):
+        params, coords = self.SPACETIMES[kind]
+        st = make_spacetime(kind, params)
+        coords = np.array(coords)
+        legs = []
+        for n, w in zip(counts, ([0.3, -0.2, 0.25], [-0.35, 0.1, -0.2])):
+            u = static_tangent(st, coords, w)
+            if n == 0:
+                legs.append(point_segment(st, Event(coords), u))
+            else:
+                legs.append(integrate_geodesic(st, Event(coords), u, 0.06 * n, n_samples=n))
+        pair = pair_transport(*legs)
+        for k, seg in enumerate(legs, start=1):
+            one = dataclasses.replace(seg, cache={})
+            for route in (world_propagator, spinor_propagator):
+                assert route(one).tobytes() == seg.cache[route.__name__].tobytes()
+            spin = pair.spin_map(k, spinor_propagator(one))
+            assert spin.tobytes() == getattr(pair, f"spin{k}").tobytes()
+
+    def test_a_cached_leg_is_not_transported_again(self, schwarzschild, monkeypatch):
+        calls = []
+        original = eprgeo.transport.ordered_exp_product
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return original(*args)
+
+        monkeypatch.setattr(eprgeo.transport, "ordered_exp_product", counting)
+        seg1, seg2 = _curved_legs(schwarzschild, seed=8)
+        u1 = spinor_propagator(seg1)
+        p1 = world_propagator(seg1)
+        pair = pair_transport(seg1, seg2)
+        assert calls == [(1, seg1.n_samples - 1), (1, seg2.n_samples - 1)]
+        assert seg1.cache["spinor_propagator"] is u1 and seg1.cache["world_propagator"] is p1
+        assert pair.spin1.tobytes() == pair.spin_map(1, u1).tobytes()
 
 
 class TestValidation:

@@ -163,7 +163,7 @@ class TestApplyTransports:
 
     def test_boost_part_is_discarded(self):
         # a pure-boost SL(2,C) factor must not change rest-frame spin axes
-        from eprgeo.lorentz import pure_boost_sl2
+        from conftest import pure_boost_sl2
 
         u = np.array([np.sqrt(1.0 + 0.25), 0.5, 0.0, 0.0])
         w, _ = su2_polar(pure_boost_sl2(u))
