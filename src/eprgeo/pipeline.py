@@ -10,8 +10,9 @@ of that particle.  Both the spin-1/2 route and the 4x4 vector route are
 implemented; they must agree through the double cover and are tested against
 each other, never merged.  Every frame on the way (decay reference, static
 frames, detector rest frames) is a static tetrad times a pure boost, so the
-spin-1/2 route lifts those boosts in SL(2,C) directly with pure_boost_sl2;
-no 4x4 Lorentz matrix is ever lifted back to SL(2,C).
+spin-1/2 route lifts those boosts in SL(2,C) directly, in closed form
+(lorentz._boost_sl2); no 4x4 Lorentz matrix is ever lifted back to
+SL(2,C).
 
 Physical anchors (the reference tetrad at the decay and the detector
 tetrads) are built on static tetrads.  A constant change of
@@ -21,13 +22,17 @@ PairResult.spin_map closes the static-frame transports of the legs and
 of every bundle path with the leg's rest-frame factors alone.  Only
 PairResult.ortho_drift takes the scenario's choice of decay tetrad.
 
-pair_transport closes both legs in one pass, _close_pair, which builds
-each frame once: per pair the decay-event metric, the static and reference
-tetrads with their inverses, and S(v); per leg the end metric and
-end-static inverse (cached on the segment) and the two unit velocities that
-both routes' closing boosts come from.  PairResult.ortho_drift reads the
-decay frame kept on the pair.  boosted_tetrad, rest_conjugation_factors and
-rest_frame_rotation are one-leg forms of the same code.
+pair_transport transports both legs in one stack per route
+(transport.world_propagators and spinor_propagators) and closes them in
+one pass, _close_pair, which builds each frame once: per pair the
+decay-event metric, the static and reference tetrads with their inverses,
+and S(v); per leg the end metric and end-static inverse (cached on the
+segment) and the two unit velocities that both routes' closing boosts come
+from.  Both legs' spin maps come from one polar split of the stacked
+post u pre.  PairResult.ortho_drift reads the decay frame kept on the
+pair.  boosted_tetrad, rest_conjugation_factors and rest_frame_rotation are
+one-leg forms of the same code, and precession closes an orbit's holonomy
+from the same frames.
 """
 
 from __future__ import annotations
@@ -126,9 +131,10 @@ def rest_conjugation_factors(seg: GeodesicSegment, reference: Tetrad) -> tuple[n
 
     Every frame involved is a static tetrad times a pure boost, so the
     factors are products of closed-form SL(2,C) boost lifts:
-    pre = S(v) S(u0) and post = S(u1)^-1, where S is pure_boost_sl2, v is
-    the reference's leg 0 in static-tetrad components, and u0 and u1 are
-    the tangents in the reference and end-static components.
+    pre = S(v) S(u0) and post = S(u1)^-1, where S is the SL(2,C) lift of
+    the pure boost (lorentz._boost_sl2), v is the reference's leg 0 in
+    static-tetrad components, and u0 and u1 are the tangents in the
+    reference and end-static components.
     pair_transport builds the same factors for both legs at once.
     """
     g0 = seg.spacetime.metric(reference.event.coords)

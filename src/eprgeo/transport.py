@@ -21,7 +21,7 @@ the Hermite midpoint positions (which need no Gamma).
 spin_connection_components gives each static-frame generator, already
 contracted with its chord, as three component arrays from the spacetime's
 closed-form connection coefficients, and ordered_exp_product exponentiates
-and multiplies them on components, chord axis first; so this route reads
+and multiplies them on components, chords last; so this route reads
 neither Gamma nor W, and the two routes share no connection code: the vector
 route reads W and the spinor route the six static-frame coefficients.  Both
 spinor transports are in static-frame components, which the pair's
@@ -34,22 +34,33 @@ to machine precision rather than to integration accuracy.  The SU(2) sign
 of the result is whatever the continuous composition along the path
 produces; no branch is re-chosen afterwards.
 
-Endpoint propagators are cached on the segment, one entry each; reversed
-segments carry their own cache.
+Segments are transported in stacks, one call per route for all of them:
+world_propagators(*segs) and spinor_propagators(*segs), of which
+world_propagator(seg) and spinor_propagator(seg) are the one-leg case, and
+pipeline.pair_transport the two-leg one.  The legs are stacked on a
+leading axis and the shorter ones padded at their end: with zero chords
+at their last midpoint on the spinor route, whose generators are exact
+zeros and whose exponentials the exact identity, and on the vector route
+with copies of their last node, whose RK4 steps are set to the identity.
+An identity factor at the end of a leg leaves the pairwise tree's pairing
+of the leg's own factors as it was, so each leg's propagator has the bits
+of its one-leg call.  Endpoint propagators are cached on the segment, one
+entry each, and a stack transports only the segments missing its entry;
+reversed segments carry their own cache.
 
 The batched bundle transport, polygon_spinor_transport, keeps its work
 arrays for the life of the process: the chunk's chord geometry (dx and
 mid, which the bundle channel's path action reads back through
 transported_chord_geometry), the connection components, the exponentials
-and the ordered product's two ping-pong arrays.  Freed, a chunk's few MB
-of such arrays let glibc trim the heap top, and the next chunk faulted
-them in again page by page, hundreds of minor faults per bundle channel
-call.  The arrays only grow, to at most one chunk of the bundle channel,
-_KEPT_CHORDS = 256 rows x 159 chords (about 11 MB) in each thread that
-runs a bundle transport; a larger stack and the single-leg propagators
-allocate per call.  Every stage keeps its ufunc sequence and operand
-order, so the results are the same bits, and each result is a new array
-that shares no memory with the kept ones.
+with their scratch, and the ordered product's spare array.  Freed, a
+chunk's few MB of such arrays let glibc trim the heap top, and the next
+chunk faulted them in again page by page, hundreds of minor faults per
+bundle channel call.  The arrays only grow, to at most one chunk of the
+bundle channel, _KEPT_CHORDS = 256 rows x 159 chords (about 11 MB) in each
+thread that runs a bundle transport; a larger stack and the segment
+propagators make theirs once per call.  Every stage keeps its ufunc
+sequence and operand order, so the results are the same bits, and each
+result is a new array that shares no memory with the kept ones.
 """
 
 from __future__ import annotations
