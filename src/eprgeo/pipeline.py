@@ -82,14 +82,17 @@ def boosted_tetrad(st: Spacetime, event: Event, velocity: np.ndarray | None = No
     return Tetrad(event, _decay_frames(st, event, velocity)[3])
 
 
-def _end_frames(seg: GeodesicSegment) -> tuple[np.ndarray, np.ndarray]:
-    """The metric diagonal at seg.end and the inverse of the static tetrad
-    there, cached on the segment: both routes of the closing and the
-    orthonormality diagnostic read them."""
-    if "end_frames" not in seg.cache:
-        g1 = seg.spacetime.metric(seg.end.coords)
-        seg.cache["end_frames"] = g1, inverse_frame(gram_schmidt_frame(g1), g1)
-    return seg.cache["end_frames"]
+def _end_frames(*segs: GeodesicSegment) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The metric diagonal at each seg.end and the inverse of the static
+    tetrad there, cached on the segment: both routes of the closing and the
+    orthonormality diagnostic read them.  The segments missing them are
+    evaluated in one stack."""
+    todo = [seg for seg in segs if "end_frames" not in seg.cache]
+    if todo:
+        g1 = todo[0].spacetime.metric(np.array([seg.events[-1] for seg in todo]))
+        for seg, g, n in zip(todo, g1, inverse_frame(gram_schmidt_frame(g1), g1)):
+            seg.cache["end_frames"] = g, n
+    return [seg.cache["end_frames"] for seg in segs]
 
 
 def _reference_lift(static_inverse: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -140,7 +143,7 @@ def rest_conjugation_factors(seg: GeodesicSegment, reference: Tetrad) -> tuple[n
     g0 = seg.spacetime.metric(reference.event.coords)
     static_inverse = inverse_frame(gram_schmidt_frame(g0), g0)
     sv = _reference_lift(static_inverse, reference.matrix)
-    w0, w1 = _leg_velocities(seg, inverse_frame(reference.matrix, g0), _end_frames(seg)[1])
+    w0, w1 = _leg_velocities(seg, inverse_frame(reference.matrix, g0), _end_frames(seg)[0][1])
     return sv @ _boost_sl2(w0), _boost_sl2(w1)
 
 
@@ -176,8 +179,7 @@ def _close_pair(
     reference_inverse = inverse_frame(reference, g0)
     sv = _reference_lift(static_inverse, reference)
     rotations, factors = [], []
-    for seg, p in zip((seg1, seg2), world_propagators(seg1, seg2)):
-        end_inverse = _end_frames(seg)[1]
+    for seg, p, (_, end_inverse) in zip((seg1, seg2), world_propagators(seg1, seg2), _end_frames(seg1, seg2)):
         w0, w1 = _leg_velocities(seg, reference_inverse, end_inverse)
         factors.append((sv @ _boost_sl2(w0), _boost_sl2(w1)))
         rotations.append(_leg_rotation(p, reference, end_inverse, w0, w1))
@@ -236,7 +238,7 @@ class PairResult:
         require_orthonormal(self.decay_frame.metric, n0)
         drift = 0.0
         for seg in legs:
-            drift = max(drift, orthonormality_defect(_end_frames(seg)[0], world_propagator(seg) @ n0))
+            drift = max(drift, orthonormality_defect(_end_frames(seg)[0][0], world_propagator(seg) @ n0))
         return drift
 
     @property

@@ -69,7 +69,7 @@ def rest_frame_holonomy_angle(seg: GeodesicSegment) -> tuple[float, np.ndarray]:
     constant boost of both tetrads would only conjugate the rotation.
     """
     _, static, static_inverse, _ = _decay_frames(seg.spacetime, seg.start, None)
-    end_inverse = _end_frames(seg)[1]
+    end_inverse = _end_frames(seg)[0][1]
     w0, w1 = _leg_velocities(seg, static_inverse, end_inverse)
     axis, angle = rotation_axis_angle(_leg_rotation(world_propagator(seg), static, end_inverse, w0, w1))
     return angle, axis
