@@ -419,17 +419,20 @@ def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray, buffer=Non
     last, so no (..., 2, 2) generator or exponential array is made.  Returns
     a new (*lead, 2, 2) array, the identity when n = 0.
 
-    ``buffer(name, shape)`` supplies the complex arrays the exponentials
-    and the product rounds are formed in: "exp" and "exp_work"
-    (4, *lead, n), and "spare" (4, *lead, ceil(n/2)).  The exponential's
-    scratch is free once the exponentials are formed, so the rounds' second
-    products go into its first n // 2 columns.  A caller that keeps the
-    arrays from call to call makes no array of the chord shape here;
-    without ``buffer`` they are new arrays, made once per call.
+    ``buffer(name, shape)`` supplies the two complex (4, *lead, n) arrays
+    the chain is formed in: "exp" for the exponentials and "exp_work" for
+    their scratch.  The scratch is free once the exponentials are formed,
+    and the product rounds take its memory as two blocks that do not
+    interleave: the second products' (4, *lead, n // 2) and the spare
+    (4, *lead, ceil(n/2)).  A caller that keeps the two arrays from call to
+    call makes no array of the chord shape here; without ``buffer`` they
+    are new arrays, made once per call.
     """
     buffer = _fresh if buffer is None else buffer
     shape = (4,) + c3.shape
     head, n = shape[:-1], shape[-1]
     work = buffer("exp_work", shape)
     f = _exp_traceless(c3, b, d, out=buffer("exp", shape), work=work)
-    return _ordered_2x2(f, buffer("spare", head + (n - n // 2,)), work[..., : n // 2])
+    cut = math.prod(head) * (n // 2)
+    flat = work.reshape(-1)
+    return _ordered_2x2(f, flat[cut:].reshape(head + (n - n // 2,)), flat[:cut].reshape(head + (n // 2,)))
