@@ -33,14 +33,15 @@ as x[:, :1] y[:1] + x[:, 1:] y[1:]: two broadcast multiplies and one add,
 three ufunc calls whatever the lead shape, whose inner loops run along the
 factors rather than over a lead axis of two.  Each entry is
 a_i0 b_0j + a_i1 b_1j with the operand order of the component-major tree
-it replaced, so the products are the same bits.  The rounds write into a
-spare array and into the consumed exponentials in turn, and their second
-products into the exponential's scratch, which is free by then; a caller
-may pass those arrays (the bundle transport keeps them from call to call,
-see transport), and without one they are made once per chain.  On a 2-CPU
-host the tree over one 250-chord leg took 55 us against 84 us component-
-major, two 250-chord legs stacked 79 against 167 us, and the 8,312-chord
-orbit, in kept arrays, 212 against 278 us.
+it replaced, so the products are the same bits.  The rounds write into the
+consumed exponentials and into the exponential's scratch, which is free
+by then; a caller may pass those two arrays (the bundle transport keeps
+them from call to call, see transport), and without one they are made
+once per chain.  Median tree times on a 2-CPU host, factor-last against
+component-major, both in kept arrays: one 250-chord leg 57 against 88 us,
+two 250-chord legs stacked 67 against 183 us, the 8,312-chord orbit 222
+against 309 us; a 256-row x 159-chord bundle stack, whose inner loops
+were along its rows, 1.9 against 1.35 ms.
 
 The closing of a transport stack, su2_polar's m m^dagger and
 adj(h)/det(h) m and PairResult.spin_map's post u pre, multiplies (..., 2, 2)

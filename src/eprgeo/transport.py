@@ -41,7 +41,9 @@ pipeline.pair_transport the two-leg one.  The legs are stacked on a
 leading axis and the shorter ones padded at their end: with zero chords
 at their last midpoint on the spinor route, whose generators are exact
 zeros and whose exponentials the exact identity, and on the vector route
-with copies of their last node, whose RK4 steps are set to the identity.
+with copies of their last node, whose RK4 steps are set to the identity;
+the vector route's samples are stacked component-major, so that
+connection_matrix reads each component as one contiguous row.
 An identity factor at the end of a leg leaves the pairwise tree's pairing
 of the leg's own factors as it was, so each leg's propagator has the bits
 of its one-leg call.  Endpoint propagators are cached on the segment, one
@@ -51,12 +53,12 @@ reversed segments carry their own cache.
 The batched bundle transport, polygon_spinor_transport, keeps its work
 arrays for the life of the process: the chunk's chord geometry (dx and
 mid, which the bundle channel's path action reads back through
-transported_chord_geometry), the connection components, the exponentials
-with their scratch, and the ordered product's spare array.  Freed, a
-chunk's few MB of such arrays let glibc trim the heap top, and the next
+transported_chord_geometry), the connection components, and the
+exponentials with their scratch, in which the product rounds run.  Freed,
+a chunk's few MB of such arrays let glibc trim the heap top, and the next
 chunk faulted them in again page by page, hundreds of minor faults per
 bundle channel call.  The arrays only grow, to at most one chunk of the
-bundle channel, _KEPT_CHORDS = 256 rows x 159 chords (about 11 MB) in each
+bundle channel, _KEPT_CHORDS = 256 rows x 159 chords (about 10 MB) in each
 thread that runs a bundle transport; a larger stack and the segment
 propagators make theirs once per call.  Every stage keeps its ufunc
 sequence and operand order, so the results are the same bits, and each
