@@ -26,20 +26,18 @@ pair once per bundle pair, and ``averaged_state(pair, b1, b2, mode)`` is
 its one-pair call.  Per leg, the base polygon is row 0 of one stack with
 the paths of every sigma > 0 bundle, and the stack goes through the
 transport and the pair's rest-frame map PairResult.spin_map once per chunk
-of rows; each bundle's terms are its slice of the stack.  The transport is
-the chord chain of the pair's own legs, on a (rows, chords) stack instead
-of a (2, chords) one; it works in arrays it keeps from chunk to chunk (see
-transport), bounded by one chunk, and the coherent path action reads the
-chunk's chords and midpoints from them instead of forming them again.
-Each ChannelAverage holds the averaged state, the per-path terms and the
+of rows; each bundle's terms are its slice of the stack.  The transport
+works in arrays it keeps from chunk to chunk (see transport), bounded by one
+chunk, and the coherent path action reads the chunk's chords and midpoints
+from them instead of forming them again.  Each
+ChannelAverage holds the averaged state, the per-path terms and the
 reference state; ``fidelity_with_error(avg)`` derives the fidelity and its
 block standard error from that object, building the FIDELITY_BLOCKS block
 states in one batched pass: coherent blocks as the singlet images
 pair_state(m1, m2) of all block means at once, read as
 |<reference|v>|^2 / |v|^2, incoherent blocks as the Fano form of the whole
-(k, 3, 3) stack of R1 R2^T.  ``degraded_correlation(avg, a, b)`` reads E
-off the channel's density matrix with the arithmetic of
-spin.correlation_matrix, without building and checking a TwoQubitState.
+(k, 3, 3) stack of R1 R2^T.  ``degraded_correlation`` reads rho as it is,
+with no TwoQubitState check.
 
 Each leg's decimated knots and proper times, the static-frame scale at its
 interior knots and the sigma-free factors of the bridge are built on the
@@ -417,11 +415,7 @@ def averaged_state(
 
 
 def degraded_correlation(avg: ChannelAverage, a, b) -> float:
-    """E(a, b) = tr(rho (a.sigma x b.sigma)) for the averaged state.
-
-    The channel built rho as a density matrix, so it is read as it is, with
-    no TwoQubitState and its checks in between.
-    """
+    """E(a, b) = tr(rho (a.sigma x b.sigma)) for the averaged state."""
     return density_correlation(avg.rho, a, b)
 
 

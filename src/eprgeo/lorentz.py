@@ -24,24 +24,17 @@ out-of-place expressions, so the results are the same bits.
 Nothing lifts a 4x4 Lorentz matrix back up; the spinor route builds its
 frame lifts from the boosts that define the frames.
 
-The chord chain holds its 2x2 factors factor-last: a stack of n factors
-over lead axes is a (4, *lead, n) array of components (p, q, r, s), the
-same layout for a single leg (no lead axis), both legs of a pair (2,) and
-a bundle stack (rows,).  A product round of the pairwise tree,
-_product_2x2, multiplies adjacent factors on a (2, 2, *lead, m) entry view
-as x[:, :1] y[:1] + x[:, 1:] y[1:]: two broadcast multiplies and one add,
-three ufunc calls whatever the lead shape, whose inner loops run along the
-factors rather than over a lead axis of two.  Each entry is
-a_i0 b_0j + a_i1 b_1j with the operand order of the component-major tree
-it replaced, so the products are the same bits.  The rounds write into the
-consumed exponentials and into the exponential's scratch, which is free
-by then; a caller may pass those two arrays (the bundle transport keeps
-them from call to call, see transport), and without one they are made
-once per chain.  Median tree times on a 2-CPU host, factor-last against
-component-major, both in kept arrays: one 250-chord leg 57 against 88 us,
-two 250-chord legs stacked 67 against 183 us, the 8,312-chord orbit 222
-against 309 us; a 256-row x 159-chord bundle stack, whose inner loops
-were along its rows, 1.9 against 1.35 ms.
+The chord chain holds its 2x2 factors factor-last, (4, *lead, n)
+components for a single leg, a pair stack (2,) and a bundle stack (rows,)
+alike.  A round of the pairwise tree, _product_2x2, is two broadcast
+multiplies and one add on a (2, 2, *lead, m) entry view, whose inner loops
+run along the factors, in the operand order of the component-major tree it
+replaced, so the bits are the same.  The rounds write into the consumed
+exponentials and the exponential's scratch, which a caller may keep (see
+transport).  Median tree times on a 2-CPU host against component-major: a
+250-chord leg 57 against 88 us, two stacked 67 against 183 us, the
+8,312-chord orbit 222 against 309 us; a 256-row x 159-chord bundle stack,
+whose inner loops were along its rows, 1.9 against 1.35 ms.
 
 The closing of a transport stack, su2_polar's m m^dagger and
 adj(h)/det(h) m and PairResult.spin_map's post u pre, multiplies (..., 2, 2)
@@ -228,8 +221,7 @@ def _inverse_unit(u_hat: np.ndarray) -> np.ndarray:
 
 
 def _boost(u: np.ndarray) -> np.ndarray:
-    """The symmetric Lorentz boost B mapping (1,0,0,0) to a unit u:
-    B[1:, 1:] = eye(3) + outer(u[1:], u[1:]) / (1 + u[0])."""
+    """The pure boost of a unit u: B[1:, 1:] = eye(3) + outer(u[1:], u[1:]) / (1 + u[0])."""
     g, x, y, z = u.tolist()
     d = 1.0 + g
     xy, xz, yz = 0.0 + x * y / d, 0.0 + x * z / d, 0.0 + y * z / d
@@ -244,8 +236,7 @@ def _boost(u: np.ndarray) -> np.ndarray:
 
 
 def _boost_sl2(u: np.ndarray) -> np.ndarray:
-    """The SL(2,C) lift of _boost(u), Hermitian positive with determinant one:
-    c I - (u[1:] . sigma) / (2c), c = sqrt((1 + u[0])/2).
+    """The SL(2,C) lift of _boost(u): c I - (u[1:] . sigma) / (2c), c = sqrt((1 + u[0])/2).
 
     NumPy divides the complex array by the real 2c as a multiplication by 1/(2c),
     so s = 1/(2c) is formed first.
@@ -260,7 +251,6 @@ def _boost_sl2(u: np.ndarray) -> np.ndarray:
 
 
 def pure_boost_inverse(u_hat: np.ndarray) -> np.ndarray:
-    """The inverse of the symmetric Lorentz boost mapping (1,0,0,0) to the unit timelike u_hat."""
     return _boost(_inverse_unit(u_hat))
 
 
@@ -341,12 +331,10 @@ def su2_rotation_angle(u: np.ndarray) -> float:
 def _product_2x2(
     a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
 ) -> np.ndarray:
-    """a @ b for 2x2 factors held as entry arrays (2, 2, ...), factors last.
+    """a @ b for 2x2 factors held as entry arrays (2, 2, ...): a[:, :1] b[:1] + a[:, 1:] b[1:].
 
-    a[:, :1] b[:1] + a[:, 1:] b[1:]: two broadcast multiplies over whole
-    stacks and one add, each entry a_i0 b_0j + a_i1 b_1j.  The result goes
-    into ``out`` and the second products into ``tmp`` (a's shape each), a
-    new array when not given; neither may share memory with a or b.
+    The result goes into ``out`` and the second products into ``tmp``
+    (a's shape), new arrays when not given, neither sharing memory with a or b.
     """
     out = np.multiply(a[:, :1], b[:1], out=out)
     tmp = np.multiply(a[:, 1:], b[1:], out=tmp)
@@ -355,16 +343,13 @@ def _product_2x2(
 
 
 def _ordered_2x2(f: np.ndarray, spare: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """f[..., -1] @ ... @ f[..., 0], (*lead, 2, 2), for 2x2 factors held as (4, *lead, n) components.
+    """f[..., -1] @ ... @ f[..., 0], (*lead, 2, 2), of 2x2 factors held as (4, *lead, n) components.
 
     Adjacent factors are combined in order, by pairwise tree reduction, so
-    the result is the exact ordered product in O(log n) rounds of
-    _product_2x2 on (2, 2, *lead, m) entry views.  Each round writes its
-    products alternately into ``spare`` (4, *lead, ceil(n/2)) and into f,
-    which the round before has consumed, and its second products into
-    ``tmp`` (4, *lead, n // 2); the two are new arrays when not given.  f
-    is overwritten, and the result is copied out.  An empty factor axis
-    gives the identity.
+    the result is the exact ordered product.  Each round writes its
+    products alternately into ``spare`` (4, *lead, ceil(n/2)) and into the
+    consumed f, and its second products into ``tmp`` (4, *lead, n // 2);
+    both are new arrays when not given.  f is overwritten.
     """
     head, n = f.shape[:-1], f.shape[-1]
     if n == 0:
@@ -408,26 +393,20 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _fresh(name: str, shape: tuple) -> np.ndarray:
-    """The array source of a chain that keeps no arrays: a new one per request."""
+    """A new array per request, for a chain that keeps none."""
     return np.empty(shape, dtype=complex)
 
 
 def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray, buffer=None) -> np.ndarray:
     """Ordered product of exp([[c3, b], [d, -c3]]) over the last axis, last factor leftmost.
 
-    The generators come as three component arrays of shape (*lead, n); the
-    exponentials stay components through the tree of _ordered_2x2, factors
-    last, so no (..., 2, 2) generator or exponential array is made.  Returns
-    a new (*lead, 2, 2) array, the identity when n = 0.
-
-    ``buffer(name, shape)`` supplies the two complex (4, *lead, n) arrays
-    the chain is formed in: "exp" for the exponentials and "exp_work" for
-    their scratch.  The scratch is free once the exponentials are formed,
-    and the product rounds take its memory as two blocks that do not
-    interleave: the second products' (4, *lead, n // 2) and the spare
-    (4, *lead, ceil(n/2)).  A caller that keeps the two arrays from call to
-    call makes no array of the chord shape here; without ``buffer`` they
-    are new arrays, made once per call.
+    The generators come as three (*lead, n) component arrays and the
+    exponentials stay components through _ordered_2x2.  Returns a new
+    (*lead, 2, 2) array, the identity when n = 0.  ``buffer(name, shape)``
+    supplies the (4, *lead, n) arrays "exp" and "exp_work" (new ones when
+    not given); once the exponentials are formed, the rounds take the
+    scratch's memory as two blocks that do not interleave, the second
+    products' and the spare.
     """
     buffer = _fresh if buffer is None else buffer
     shape = (4,) + c3.shape

@@ -10,9 +10,8 @@ of that particle.  Both the spin-1/2 route and the 4x4 vector route are
 implemented; they must agree through the double cover and are tested against
 each other, never merged.  Every frame on the way (decay reference, static
 frames, detector rest frames) is a static tetrad times a pure boost, so the
-spin-1/2 route lifts those boosts in SL(2,C) directly, in closed form
-(lorentz._boost_sl2); no 4x4 Lorentz matrix is ever lifted back to
-SL(2,C).
+spin-1/2 route lifts those boosts in SL(2,C) directly (_boost_sl2);
+no 4x4 Lorentz matrix is ever lifted back to SL(2,C).
 
 Physical anchors (the reference tetrad at the decay and the detector
 tetrads) are built on static tetrads.  A constant change of
@@ -22,17 +21,14 @@ PairResult.spin_map closes the static-frame transports of the legs and
 of every bundle path with the leg's rest-frame factors alone.  Only
 PairResult.ortho_drift takes the scenario's choice of decay tetrad.
 
-pair_transport transports both legs in one stack per route
-(transport.world_propagators and spinor_propagators) and closes them in
-one pass, _close_pair, which builds each frame once: per pair the
+pair_transport transports both legs in one stack per route and closes
+them in one pass, _close_pair, which builds each frame once: per pair the
 decay-event metric, the static and reference tetrads with their inverses,
 and S(v); per leg the end metric and end-static inverse (cached on the
 segment) and the two unit velocities that both routes' closing boosts come
-from.  Both legs' spin maps come from one polar split of the stacked
-post u pre.  PairResult.ortho_drift reads the decay frame kept on the
-pair.  boosted_tetrad, rest_conjugation_factors and rest_frame_rotation are
-one-leg forms of the same code, and precession closes an orbit's holonomy
-from the same frames.
+from.  One polar split gives both spin maps.  PairResult.ortho_drift reads
+the decay frame kept on the pair.  boosted_tetrad, rest_conjugation_factors
+and rest_frame_rotation are one-leg forms of the same code.
 """
 
 from __future__ import annotations
@@ -84,9 +80,8 @@ def boosted_tetrad(st: Spacetime, event: Event, velocity: np.ndarray | None = No
 
 def _end_frames(*segs: GeodesicSegment) -> list[tuple[np.ndarray, np.ndarray]]:
     """The metric diagonal at each seg.end and the inverse of the static
-    tetrad there, cached on the segment: both routes of the closing and the
-    orthonormality diagnostic read them.  The segments missing them are
-    evaluated in one stack."""
+    tetrad there, cached on the segment, the missing ones in one stack: both
+    routes of the closing and the orthonormality diagnostic read them."""
     todo = [seg for seg in segs if "end_frames" not in seg.cache]
     if todo:
         g1 = todo[0].spacetime.metric(np.array([seg.events[-1] for seg in todo]))
@@ -115,9 +110,8 @@ def _leg_velocities(
 def _leg_rotation(
     p: np.ndarray, start: np.ndarray, end_inverse: np.ndarray, w0: np.ndarray, w1: np.ndarray
 ) -> np.ndarray:
-    """The vector route's 3x3 rest-frame rotation of a leg with world
-    propagator p: the rotation factor of B(u1)^-1 (N1^-1 P N0) B(u0), w0 and
-    w1 from _leg_velocities."""
+    """The vector route's 3x3 rest-frame rotation of a leg, P = p: the rotation
+    factor of B(u1)^-1 (N1^-1 P N0) B(u0), w0 and w1 from _leg_velocities."""
     lam = end_inverse @ p @ start
     return _polar_rotation(_boost(w1) @ lam @ _boost(w0))[1:, 1:]
 
@@ -134,10 +128,9 @@ def rest_conjugation_factors(seg: GeodesicSegment, reference: Tetrad) -> tuple[n
 
     Every frame involved is a static tetrad times a pure boost, so the
     factors are products of closed-form SL(2,C) boost lifts:
-    pre = S(v) S(u0) and post = S(u1)^-1, where S is the SL(2,C) lift of
-    the pure boost (lorentz._boost_sl2), v is the reference's leg 0 in
-    static-tetrad components, and u0 and u1 are the tangents in the
-    reference and end-static components.
+    pre = S(v) S(u0) and post = S(u1)^-1, where S is _boost_sl2, v is
+    the reference's leg 0 in static-tetrad components, and u0 and u1 are
+    the tangents in the reference and end-static components.
     pair_transport builds the same factors for both legs at once.
     """
     g0 = seg.spacetime.metric(reference.event.coords)
@@ -173,7 +166,6 @@ def _close_pair(
     Every frame is built once: per pair the decay metric, the static and
     reference tetrads with their inverses, and S(v); per leg the
     cached end frames and the two unit velocities both routes close it with.
-    Both legs' world propagators come from one stack.
     """
     g0, static, static_inverse, reference = _decay_frames(seg1.spacetime, seg1.start, decay_velocity)
     reference_inverse = inverse_frame(reference, g0)
@@ -267,7 +259,6 @@ def pair_transport(
 
     frame, (r1, r2), factors = _close_pair(seg1, seg2, decay_velocity)
     pair = PairResult(seg1, seg2, r1, r2, factors, decay_frame=frame)
-    # both legs' transports in one stack, closed in one polar split
     pre, post = (np.stack(f) for f in zip(*factors))
     pair.spin1, pair.spin2 = _closed_maps(pre, post, np.stack(spinor_propagators(seg1, seg2)))
     pair.state = TwoQubitState("pure", pair_state(pair.spin1, pair.spin2))

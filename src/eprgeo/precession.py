@@ -61,10 +61,8 @@ def rest_frame_holonomy_angle(seg: GeodesicSegment) -> tuple[float, np.ndarray]:
     """(angle, axis) of the transport holonomy seen by the comoving observer.
 
     This is the rest-frame (Wigner) rotation between the static tetrads at
-    the two ends, pipeline.rest_frame_rotation between the boosted_tetrads
-    with no velocity, closed from the frames the pair closing builds: the
-    static tetrad at the start and the cached end frames, one metric
-    evaluation at each end.  Its angle is the precession.  Over a whole
+    the two ends, closed like a pair's leg (pipeline._close_pair); its angle
+    is the precession.  Over a whole
     orbit the start and end velocities agree in static components, so a
     constant boost of both tetrads would only conjugate the rotation.
     """

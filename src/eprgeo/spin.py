@@ -88,7 +88,7 @@ def correlation(state: TwoQubitState, a, b) -> float:
 
 
 def density_correlation(rho: np.ndarray, a, b) -> float:
-    """correlation for a density matrix its caller built, taken as valid."""
+    """correlation for a density matrix rho taken as valid."""
     va = direction_vector(a, "1")
     vb = direction_vector(b, "2")
     return float(va @ _pauli_expectations(rho) @ vb)

@@ -34,21 +34,14 @@ to machine precision rather than to integration accuracy.  The SU(2) sign
 of the result is whatever the continuous composition along the path
 produces; no branch is re-chosen afterwards.
 
-Segments are transported in stacks, one call per route for all of them:
-world_propagators(*segs) and spinor_propagators(*segs), of which
-world_propagator(seg) and spinor_propagator(seg) are the one-leg case, and
-pipeline.pair_transport the two-leg one.  The legs are stacked on a
-leading axis and the shorter ones padded at their end: with zero chords
-at their last midpoint on the spinor route, whose generators are exact
-zeros and whose exponentials the exact identity, and on the vector route
-with copies of their last node, whose RK4 steps are set to the identity;
-the vector route's samples are stacked component-major, so that
-connection_matrix reads each component as one contiguous row.
-An identity factor at the end of a leg leaves the pairwise tree's pairing
-of the leg's own factors as it was, so each leg's propagator has the bits
-of its one-leg call.  Endpoint propagators are cached on the segment, one
-entry each, and a stack transports only the segments missing its entry;
-reversed segments carry their own cache.
+world_propagators(*segs) and spinor_propagators(*segs) transport segments
+in one stack per route (world_propagator and spinor_propagator are the
+one-leg case).  Shorter legs are padded at their end with identity factors
+(zero chords, identity steps), which leaves the pairwise tree's pairing of
+each leg's own factors as it was, so each propagator has the bits of its
+one-leg call.  Propagators are cached on the segment, and a stack
+transports only the segments missing its entry; reversed segments carry
+their own cache.
 
 The batched bundle transport, polygon_spinor_transport, keeps its work
 arrays for the life of the process: the chunk's chord geometry (dx and
@@ -148,35 +141,23 @@ def _rk4_steps(w0: np.ndarray, wm: np.ndarray, w1: np.ndarray, h: float) -> np.n
 _BLOCK = 1024
 
 
-def _stacked_samples(segs: list[GeodesicSegment], rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions and velocities of the segments' samples as (legs, rows, 4)
-    views of one component-major (2, 4, legs, rows) array, a shorter leg
-    padded with copies of its last sample.  Each component is a contiguous
-    row, which connection_matrix reads faster than a C-ordered stack (on an
-    8,313-sample Schwarzschild orbit 567 against 652 us, more than the
-    transposing copy costs), with the same bits."""
-    xu = np.empty((2, 4, len(segs), rows))
-    for i, seg in enumerate(segs):
-        n = seg.n_samples
-        for k, y in enumerate((seg.events, seg.tangents)):
-            xu[k, :, i, :n], xu[k, :, i, n:] = y.T, y[-1, :, None]
-    return xu.transpose(0, 2, 3, 1)
-
-
 def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
     """P[end <- start] of segments of nonzero length, one (legs, 4, 4) stack.
 
-    Every leg's nodes, and the Hermite midpoint of a lone last interval in
-    the last row, go through one connection_matrix call on the stacked
-    samples; one RK4 call per block of steps covers every leg, a shorter
-    leg's padding steps are set to the identity, and each leg's lone last
-    interval multiplies its block tree last.
+    The legs' samples, and a lone last interval's Hermite midpoint in the
+    last row, are stacked component-major, so connection_matrix reads each
+    component as one contiguous row (on an 8,313-sample orbit 567 against
+    652 us, with the same bits); a shorter leg is padded with copies of its
+    last sample and its padding steps set to the identity.
     """
     st = segs[0].spacetime
     ns = [seg.n_samples - 1 for seg in segs]
     hs = [_sample_step(seg) for seg in segs]
-    x, u = _stacked_samples(segs, max(ns) + 1 + any(n % 2 for n in ns))
+    xu = np.empty((2, 4, len(segs), max(ns) + 1 + any(n % 2 for n in ns)))
+    x, u = xu.transpose(0, 2, 3, 1)
     for i, (seg, n, h) in enumerate(zip(segs, ns, hs)):
+        for k, y in enumerate((seg.events, seg.tangents)):
+            xu[k, :, i, : n + 1], xu[k, :, i, n + 1 :] = y.T, y[-1, :, None]
         if n % 2:
             # a lone last interval is staged at its Hermite midpoint; its ends'
             # accelerations come from the geodesic equation
@@ -203,12 +184,8 @@ def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
 
 
 def _spinor_stack(segs: list[GeodesicSegment]) -> np.ndarray:
-    """U[end <- start] of segments of nonzero length, one (legs, 2, 2) stack.
-
-    Every leg's chords and Hermite midpoints go into one (legs, chords, 4)
-    pair of arrays, a shorter leg end-padded with zero chords at its last
-    midpoint: a zero generator's exponential is the exact identity.
-    """
+    """U[end <- start] of segments of nonzero length, one (legs, 2, 2) stack,
+    a shorter leg padded with zero chords at its last midpoint."""
     n = max(seg.n_samples for seg in segs) - 1
     dx, mid = np.zeros((len(segs), n, 4)), np.empty((len(segs), n, 4))
     for i, seg in enumerate(segs):
@@ -220,7 +197,7 @@ def _spinor_stack(segs: list[GeodesicSegment]) -> np.ndarray:
 
 
 def _cached(segs: tuple, key: str, identity: np.ndarray, stack) -> tuple:
-    """seg.cache[key] of each segment, filling in the missing ones: the
+    """seg.cache[key] of each segment, the missing ones filled in: the
     identity for a zero-length segment, one stack(todo) for the rest."""
     todo = []
     for seg in segs:
