@@ -31,10 +31,14 @@ multiplies and one add on a (2, 2, *lead, m) entry view, whose inner loops
 run along the factors, in the operand order of the component-major tree it
 replaced, so the bits are the same.  The rounds write into the consumed
 exponentials and the exponential's scratch, which a caller may keep (see
-transport).  Median tree times on a 2-CPU host against component-major: a
-250-chord leg 57 against 88 us, two stacked 67 against 183 us, the
-8,312-chord orbit 222 against 309 us; a 256-row x 159-chord bundle stack,
-whose inner loops were along its rows, 1.9 against 1.35 ms.
+transport), each round's products as one contiguous stack: a stack's rows
+are then one run of memory in every round of an even count, where slices
+of a fixed-width buffer left NumPy an inner loop per row and entry (on a
+256-row x 159-chord bundle stack 1.14 against 1.78 ms).  Median tree times
+on a 2-CPU host against component-major: a 250-chord leg 55 against 90 us,
+two stacked 62 against 187 us, the 8,312-chord orbit 215 against 430 us,
+a 256-row x 159-chord bundle stack 1.14 against 1.35 ms (160 chords: 0.83
+against 1.35 ms).
 
 The closing of a transport stack, su2_polar's m m^dagger and
 adj(h)/det(h) m and PairResult.spin_map's post u pre, multiplies (..., 2, 2)
@@ -343,26 +347,32 @@ def _product_2x2(
 
 
 def _ordered_2x2(f: np.ndarray, spare: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """f[..., -1] @ ... @ f[..., 0], (*lead, 2, 2), of 2x2 factors held as (4, *lead, n) components.
+    """f[..., -1] @ ... @ f[..., 0], (*lead, 2, 2), of 2x2 factors held as contiguous (4, *lead, n) components.
 
     Adjacent factors are combined in order, by pairwise tree reduction, so
     the result is the exact ordered product.  Each round writes its
-    products alternately into ``spare`` (4, *lead, ceil(n/2)) and into the
-    consumed f, and its second products into ``tmp`` (4, *lead, n // 2);
-    both are new arrays when not given.  f is overwritten.
+    products as one contiguous array, alternately into the memory of
+    ``spare`` and into that of the consumed f, and its second products into
+    ``tmp``: flat arrays of at least 4 prod(lead) ceil(n/2) and
+    4 prod(lead) (n // 2) elements, new ones when not given.  A round of an
+    even count then reads and writes each entry of a stack as one run of
+    memory, which NumPy loops over in one pass.  f is overwritten.
     """
     head, n = f.shape[:-1], f.shape[-1]
     if n == 0:
         return np.broadcast_to(ID2, head[1:] + (2, 2)).copy()
+    size = math.prod(head)
     if spare is None:
-        spare, tmp = np.empty(head + (n - n // 2,), f.dtype), np.empty(head + (n // 2,), f.dtype)
-    f, spare, tmp = (a.reshape((2, 2) + a.shape[1:]) for a in (f, spare, tmp))
-    bufs = (spare, f)
+        spare, tmp = np.empty(size * (n - n // 2), f.dtype), np.empty(size * (n // 2), f.dtype)
+    entries = (2, 2) + head[1:]
+    bufs = (spare, f.reshape(-1))
+    f = f.reshape(entries + (n,))
     while n > 1:
         m = n // 2
-        paired = bufs[0][..., : n - m]
+        paired = bufs[0][: size * (n - m)].reshape(entries + (n - m,))
         bufs = bufs[::-1]
-        _product_2x2(f[..., 1:n:2], f[..., 0 : n - 1 : 2], out=paired[..., :m], tmp=tmp[..., :m])
+        second = tmp[: size * m].reshape(entries + (m,))
+        _product_2x2(f[..., 1:n:2], f[..., 0 : n - 1 : 2], out=paired[..., :m], tmp=second)
         if n % 2:
             paired[..., m] = f[..., n - 1]
         f, n = paired, n - m
@@ -415,4 +425,4 @@ def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray, buffer=Non
     f = _exp_traceless(c3, b, d, out=buffer("exp", shape), work=work)
     cut = math.prod(head) * (n // 2)
     flat = work.reshape(-1)
-    return _ordered_2x2(f, flat[cut:].reshape(head + (n - n // 2,)), flat[:cut].reshape(head + (n // 2,)))
+    return _ordered_2x2(f, flat[cut:], flat[:cut])

@@ -9,6 +9,7 @@ oracles, so on the demo bundles they agree within 1e-14.
 """
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -166,15 +167,16 @@ def test_product_2x2_matches_the_oracle(rows):
 def test_factor_last_chain_matches_the_component_major_oracle(lead):
     """The factor-last tree, with new and with caller-kept arrays, and the
     whole ordered_exp_product against ordered_2x2 on the same exponentials,
-    for odd and even factor counts from one to an orbit's."""
+    for odd and even factor counts from one to an orbit's (160 halves evenly
+    down to 5, so its rounds run over whole contiguous stacks)."""
     rng = np.random.default_rng(16)
-    for n in (1, 2, 3, 77, 250, 8312 if lead == () else 159):
+    for n in (1, 2, 3, 77, 159, 160, 250) + ((8312,) if lead == () else ()):
         c3, b, d = frozen(*generators(rng, lead + (n,), mixed=n > 50, top=-1.0))
         f = frozen(_exp_traceless(c3, b, d))
         want = oracle.ordered_2x2(oracle.component_major(f))
         assert same_bits(_ordered_2x2(f.copy()), want)
-        head = (4,) + lead
-        spare, tmp = np.empty(head + (n - n // 2,), complex), np.empty(head + (n // 2,), complex)
+        size = 4 * math.prod(lead)
+        spare, tmp = np.empty(size * (n - n // 2), complex), np.empty(size * (n // 2), complex)
         assert same_bits(_ordered_2x2(f.copy(), spare, tmp), want)
         assert same_bits(ordered_exp_product(c3, b, d), want)
         kept = transport._Workspace()
