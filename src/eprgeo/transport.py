@@ -38,8 +38,9 @@ world_propagators(*segs) and spinor_propagators(*segs) transport segments
 in one stack per route (world_propagator and spinor_propagator are the
 one-leg case).  Shorter legs are padded at their end with identity factors
 (zero chords, identity steps), which leaves the pairwise tree's pairing of
-each leg's own factors as it was, so each propagator has the bits of its
-one-leg call.  Propagators are cached on the segment, and a stack
+each leg's own factors as it was; a product with an exact identity
+changes at most the sign of a zero entry, so each propagator has the bits
+of its one-leg call up to that sign.  Propagators are cached on the segment, and a stack
 transports only the segments missing its entry; reversed segments carry
 their own cache.
 
