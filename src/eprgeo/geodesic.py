@@ -18,11 +18,17 @@ overhead costs more again: every component of every stage repeats the
 Butcher coefficients as literals in one order and grouping.  The error norm
 is a root mean square of eight floats and the chart test is the spacetime's
 one-point ``contains``.  An accepted step that passes nodes only records its
-start and stages, as flat floats; all passed nodes are filled after the
-loop in one NumPy pass through the coefficient matrix _DENSE_P.  That loop
-is the private core ``_march``; ``integrate_geodesic`` wraps it with input
-validation, the sample grid and the 4-velocity norm check, and the
-shooting's trial shots call the core directly on the two-node grid [0, tau].
+start and stages, as flat floats, and the passed nodes are filled after the
+loop through the coefficient matrix _DENSE_P: a step that passes at least
+_OWN_FILL_NODES nodes over its own contiguous range of nodes, the shorter
+steps in one NumPy pass that gathers each node's step coefficients, the
+cheaper form for each (they cross near 150 nodes per step).  A pairs leg
+passes 10 to 15 nodes per step and is filled in the gathered pass; an
+r = 10 orbit passes all but 152 of its 8,313 nodes in three steps of 624
+nodes or more, which skip the 2 MB gather.  That loop is the private core
+``_march``; ``integrate_geodesic`` wraps it with input validation, the
+sample grid and the 4-velocity norm check, and the shooting's trial shots
+call the core directly on the two-node grid [0, tau].
 
 The boundary-value problem (geodesic from O to a given target event) is
 solved by shooting on four unknowns: the spatial velocity of the launch
@@ -231,11 +237,12 @@ def _march(st: Spacetime, ys: np.ndarray, grid: np.ndarray, tol: float) -> tuple
     per step is controlled at rtol=tol, atol=tol/100 on the two-node grid
     [0, tau] and at min(tol, DENSE_TOL) on a grid with interior nodes;
     nothing else limits the step.  ys[1:] is complete only once _march
-    returns: the interior nodes are filled after the loop, so after a raise
-    they are not.  Returns (steps, rejected steps, RHS evaluations).  Raises
-    IntegrationError on step underflow and DomainExitError where the
-    trajectory leaves the chart, either with those counts so far as its
-    ``counts``.
+    returns: the interior nodes are filled after the loop by _dense_fill,
+    a long step over its own node range and the short ones in one gathered
+    pass, so after a raise they are not.  Returns (steps, rejected steps,
+    RHS evaluations).  Raises IntegrationError on step underflow and
+    DomainExitError where the trajectory leaves the chart, either with
+    those counts so far as its ``counts``.
 
     The step is written out per component: y0..y7 is the state, kj_c
     component c of stage j and yn0..yn7 the step's end.  Each component
@@ -451,19 +458,54 @@ def _march(st: Spacetime, ys: np.ndarray, grid: np.ndarray, tol: float) -> tuple
         n_steps += 1
 
     if passed:
-        # the n-th passed node is grid[node[n]], inside recorded step step[n]
-        t0, h0, first, ends = map(np.array, zip(*passed))
-        recorded = np.fromiter(states, float, len(states)).reshape(-1, 7, 8)
-        counts = ends - first
+        _dense_fill(ys, grid, passed, states)
+    return n_steps, n_rejected, n_rhs
+
+
+#: Steps that pass at least this many nodes are filled each over its own node
+#: range, the rest in one gathered pass.  A step's own fill costs about 7 us
+#: of NumPy calls whatever its size, and then 0.05 us a node; the gathered
+#: pass costs 0.1 us a node, as it gathers each node's 32 coefficients.  On a
+#: 2-CPU host the two cross at about 150 nodes per step (per step of 128
+#: nodes 15.0 against 14.0 us, of 256 nodes 23.1 against 26.3 us).  On
+#: pairs seed 1, 6 of 622 steps pass 128 nodes or more; an r = 10 orbit
+#: passes 4, 24 and 124 nodes in its first steps and 8,153 in the three
+#: after.
+_OWN_FILL_NODES = 128
+
+_POWERS = np.arange(1, 5)
+
+
+def _dense_fill(ys: np.ndarray, grid: np.ndarray, passed: list, states: list) -> None:
+    """Fill ys at the nodes that _march's recorded steps passed.
+
+    passed holds (t, h, first node, end node) per step and states the same
+    steps' y, k1, k3, ..., k7 as 56 floats each.  Node n of a step is
+    y + sum_j theta^j c_j with theta = (grid[n] - t) / h and the step's
+    c_j = h sum_i _DENSE_P[i, j] k_i.  A step of at least _OWN_FILL_NODES
+    nodes is evaluated over its own contiguous range of ys against its four
+    coefficient rows; the shorter steps share one pass that gathers each
+    node's step.  Both forms give every node the same bits.
+    """
+    t0, h0, first, ends = map(np.array, zip(*passed))
+    recorded = np.fromiter(states, float, len(states)).reshape(-1, 7, 8)
+    stages = recorded[:, 1:].transpose(1, 0, 2)
+    coeffs = h0[:, None, None] * np.einsum("ij,isc->sjc", _DENSE_P, stages)
+    counts = ends - first
+    own = counts >= _OWN_FILL_NODES
+    if own.any():
+        for s in np.flatnonzero(own):
+            a, b = first[s], ends[s]
+            theta = (grid[a:b] - t0[s]) / h0[s]
+            np.add(recorded[s, 0], np.einsum("nj,jc->nc", theta[:, None] ** _POWERS, coeffs[s]), out=ys[a:b])
+        short = ~own
+        t0, h0, first, counts, coeffs, recorded = (v[short] for v in (t0, h0, first, counts, coeffs, recorded))
+    if counts.size:
+        # the n-th short-step node is grid[node[n]], inside step[n]
         step = np.repeat(np.arange(counts.size), counts)
         node = np.arange(step.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
         theta = (grid[node] - t0[step]) / h0[step]
-        # per step, c_j = h sum_i _DENSE_P[i, j] k_i; y(t + theta h) = y + sum_j theta^j c_j
-        stages = recorded[:, 1:].transpose(1, 0, 2)
-        coeffs = h0[:, None, None] * np.einsum("ij,isc->sjc", _DENSE_P, stages)
-        powers = theta[:, None] ** np.arange(1, 5)
-        ys[node] = recorded[step, 0] + np.einsum("nj,njc->nc", powers, coeffs[step])
-    return n_steps, n_rejected, n_rhs
+        ys[node] = recorded[step, 0] + np.einsum("nj,njc->nc", theta[:, None] ** _POWERS, coeffs[step])
 
 
 @dataclass

@@ -402,9 +402,9 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return f[0]
 
 
-def _fresh(name: str, shape: tuple) -> np.ndarray:
+def _fresh(name: str, shape: tuple, dtype=complex) -> np.ndarray:
     """A new array per request, for a chain that keeps none."""
-    return np.empty(shape, dtype=complex)
+    return np.empty(shape, dtype)
 
 
 def ordered_exp_product(c3: np.ndarray, b: np.ndarray, d: np.ndarray, buffer=None) -> np.ndarray:

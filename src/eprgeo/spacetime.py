@@ -108,11 +108,12 @@ class Spacetime:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def connection_matrix(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    def connection_matrix(self, x: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """W^l_s = -Gamma^l_ms u^m at points x for velocities u (batched).
 
         x and u broadcast over their leading axes; the result is
-        (..., 4, 4), in closed form, with no Gamma array filled.
+        (..., 4, 4), in closed form, with no Gamma array filled.  It goes
+        into ``out`` if given, else into a new array.
         """
         raise NotImplementedError
 
@@ -171,8 +172,11 @@ class Minkowski(Spacetime):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (4, 4, 4))
 
-    def connection_matrix(self, x, u):
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u))[:-1] + (4, 4))
+    def connection_matrix(self, x, u, out=None):
+        if out is None:
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(u))[:-1] + (4, 4))
+        out.fill(0.0)
+        return out
 
     def static_connection(self, x, dx):
         zero = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(dx))[:-1])
@@ -233,7 +237,7 @@ class Schwarzschild(Spacetime):
         G[..., 3, 2, 3] = G[..., 3, 3, 2] = cos / sin
         return G
 
-    def connection_matrix(self, x, u):
+    def connection_matrix(self, x, u, out=None):
         x = np.asarray(x, dtype=float)
         ut, ur, uth, uph = np.moveaxis(np.asarray(u, dtype=float), -1, 0)
         M = self.mass
@@ -250,7 +254,11 @@ class Schwarzschild(Spacetime):
         inv_r = 1.0 / r
         neg_inv_r = -inv_r
         cot = cos / sin
-        W = np.zeros(np.broadcast_shapes(x.shape, np.shape(u))[:-1] + (4, 4))
+        if out is None:
+            W = np.zeros(np.broadcast_shapes(x.shape, np.shape(u))[:-1] + (4, 4))
+        else:
+            W = out
+            W.fill(0.0)
         np.multiply(neg_g001, ur, out=W[..., 0, 0])
         np.multiply(neg_g001, ut, out=W[..., 0, 1])
         np.multiply(-(M * f / (r * r)), ut, out=W[..., 1, 0])
@@ -378,7 +386,7 @@ class WeakField(Spacetime):
         G[..., 1:, 1:, 1:] = -term / B[..., None, None, None]
         return G
 
-    def connection_matrix(self, x, u):
+    def connection_matrix(self, x, u, out=None):
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
         phi, grad = self._potential(x[..., 1:])
@@ -390,7 +398,7 @@ class WeakField(Spacetime):
         dv = np.sum(d * v, axis=-1, keepdims=True)
         # W^0_0 = -(d.v)/A, W^0_i = -d_i u^t/A, W^i_0 = -d_i u^t/B,
         # W^i_j = (delta_ij (d.v) + v^i d_j - v^j d_i)/B
-        W = np.empty(np.broadcast_shapes(x.shape, u.shape)[:-1] + (4, 4))
+        W = np.empty(np.broadcast_shapes(x.shape, u.shape)[:-1] + (4, 4)) if out is None else out
         W[..., 0, :1] = -dv / A
         W[..., 0, 1:] = -(d / A) * ut
         W[..., 1:, 0] = -(d / B) * ut

@@ -44,19 +44,24 @@ of its one-leg call up to that sign.  Propagators are cached on the segment, and
 transports only the segments missing its entry; reversed segments carry
 their own cache.
 
-The batched bundle transport, polygon_spinor_transport, keeps its work
-arrays for the life of the process: the chunk's chord geometry (dx and
-mid, which the bundle channel's path action reads back through
-transported_chord_geometry), the connection components, and the
-exponentials with their scratch, in which the product rounds run.  Freed,
-a chunk's few MB of such arrays let glibc trim the heap top, and the next
-chunk faulted them in again page by page, hundreds of minor faults per
-bundle channel call.  The arrays only grow, to at most one chunk of the
-bundle channel, _KEPT_CHORDS = 256 rows x 159 chords (about 10 MB) in each
-thread that runs a bundle transport; a larger stack and the segment
-propagators make theirs once per call.  Every stage keeps its ufunc
-sequence and operand order, so the results are the same bits, and each
-result is a new array that shares no memory with the kept ones.
+The transports keep their work arrays for the life of the process, one
+set per thread.  The batched bundle transport, polygon_spinor_transport,
+keeps the chunk's chord geometry (dx and mid, which the bundle channel's
+path action reads back through transported_chord_geometry), the connection
+components, and the exponentials with their scratch, in which the product
+rounds run.  The segment stacks form their chords, midpoints and chord
+chain in the same arrays, and the vector route its component-major samples
+and W besides.  Freed, a chunk's or an orbit's few MB of such arrays let
+glibc trim the heap top, and the next call faulted them in again page by
+page: hundreds of minor faults per bundle channel call, and up to 39 per
+``orbits`` benchmark item, where the kept arrays take none.  The arrays
+only grow, to at most _KEPT_CHORDS = 256 rows x 159 chords, one chunk of
+the bundle channel: about 10 MB for the chord chain and 8 MB for the
+samples and W of a vector-route stack of as many samples, so at most 18 MB
+in each thread; a larger stack makes its arrays once per call.
+Every stage keeps its ufunc sequence and operand order, so the results are
+the same bits, and each result is a new array that shares no memory with
+the kept ones.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ import numpy as np
 from .errors import UsageError
 from .frames import frame_field, gram_schmidt_frame, inverse_frame, orthonormality_defect, spin_connection_components
 from .geodesic import GeodesicSegment
-from .lorentz import ID2, ordered_exp_product, ordered_product
+from .lorentz import ID2, _fresh, ordered_exp_product, ordered_product
 from .spacetime import Event, Spacetime, same_event
 
 ORTHO_TOL = 1.0e-8
@@ -99,9 +104,62 @@ class Tetrad:
 # segment-level propagators (internal, cached)
 
 
-def _hermite_midpoints(y: np.ndarray, dy: np.ndarray, h: float) -> np.ndarray:
-    """Cubic Hermite midpoints of the intervals of samples y with derivatives dy."""
-    return 0.5 * y[:-1] + 0.5 * y[1:] + (h / 8.0) * (dy[:-1] - dy[1:])
+def _hermite_midpoints(y: np.ndarray, dy: np.ndarray, h: float, out=None, scratch=None) -> np.ndarray:
+    """Cubic Hermite midpoints 0.5 y[:-1] + 0.5 y[1:] + (h / 8) (dy[:-1] - dy[1:])
+    of the intervals of samples y with derivatives dy.
+
+    Formed in ``out`` with ``scratch`` (the result's shape) if given, else in
+    new arrays, by the IEEE operations of that expression in its order.
+    """
+    out = np.multiply(0.5, y[:-1], out=out)
+    out += np.multiply(0.5, y[1:], out=scratch)
+    scratch = np.subtract(dy[:-1], dy[1:], out=scratch)
+    scratch *= h / 8.0
+    out += scratch
+    return out
+
+
+class _Workspace(threading.local):
+    """Work arrays kept from call to call under their names, one set per thread.
+
+    ``work(name, shape, dtype)`` is a C-contiguous view of the first
+    prod(shape) elements of the flat array kept under ``name``, which is
+    replaced by a larger one when the request outgrows it and is never
+    shrunk or freed.  ``chords`` records the knots (by weak reference) and
+    the chord arrays of the last bundle transport formed here, until a
+    segment stack overwrites those arrays and clears it.  Each thread sees
+    its own attributes, so concurrent transports never share an array.
+    """
+
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+        self.chords: tuple | None = None
+
+    def __call__(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+        size = math.prod(shape)
+        a = self.arrays.get(name)
+        if a is None or a.size < size:
+            a = self.arrays[name] = np.empty(size, dtype)
+        return a[:size].reshape(shape)
+
+
+#: the transports' kept work arrays.  A bundle chunk or an orbit frees a few
+#: MB of arrays, and glibc then trims the heap top, so without them each
+#: call faults its memory in again page by page
+_WORK = _Workspace()
+
+#: the largest stack, in rows times chords, transported in _WORK: one chunk
+#: of the bundle channel (decoherence._CHUNK = 256 rows of at most
+#: MAX_BUNDLE_KNOTS - 1 = 159 chords).  A larger stack allocates its arrays
+#: per call, so what stays kept never grows with the number of paths
+_KEPT_CHORDS = 256 * 159
+
+
+def _work(size: int):
+    """_WORK for a stack of at most _KEPT_CHORDS chords or samples (rows
+    times chords or samples), else lorentz._fresh, which makes a new array
+    per request."""
+    return _WORK if size <= _KEPT_CHORDS else _fresh
 
 
 def _sample_step(seg: GeodesicSegment) -> float:
@@ -149,12 +207,15 @@ def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
     last row, are stacked component-major, so connection_matrix reads each
     component as one contiguous row (on an 8,313-sample orbit 567 against
     652 us, with the same bits); a shorter leg is padded with copies of its
-    last sample and its padding steps set to the identity.
+    last sample and its padding steps set to the identity.  The samples and
+    W are formed in _work's arrays.
     """
     st = segs[0].spacetime
     ns = [seg.n_samples - 1 for seg in segs]
     hs = [_sample_step(seg) for seg in segs]
-    xu = np.empty((2, 4, len(segs), max(ns) + 1 + any(n % 2 for n in ns)))
+    width = max(ns) + 1 + any(n % 2 for n in ns)
+    buffer = _work(len(segs) * width)
+    xu = buffer("samples", (2, 4, len(segs), width), float)
     x, u = xu.transpose(0, 2, 3, 1)
     for i, (seg, n, h) in enumerate(zip(segs, ns, hs)):
         for k, y in enumerate((seg.events, seg.tangents)):
@@ -166,7 +227,7 @@ def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
             acc = np.array([st.geodesic_rhs(y[0])[4:], st.geodesic_rhs(y[1])[4:]])
             x[i, -1] = _hermite_midpoints(seg.events[-2:], seg.tangents[-2:], h)
             u[i, -1] = _hermite_midpoints(seg.tangents[-2:], acc, h)
-    w = st.connection_matrix(x, u)
+    w = st.connection_matrix(x, u, out=buffer("connection", x.shape + (4,), float))
     # step j runs from node 2j to node 2j + 2 and is staged at node 2j + 1
     m, step = max(ns) // 2, 2.0 * np.reshape(hs, (-1, 1, 1, 1))
     blocks = []
@@ -186,15 +247,20 @@ def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
 
 def _spinor_stack(segs: list[GeodesicSegment]) -> np.ndarray:
     """U[end <- start] of segments of nonzero length, one (legs, 2, 2) stack,
-    a shorter leg padded with zero chords at its last midpoint."""
+    a shorter leg padded with zero chords at its last midpoint.  The chords,
+    midpoints and chord chain are formed in _work's arrays."""
     n = max(seg.n_samples for seg in segs) - 1
-    dx, mid = np.zeros((len(segs), n, 4)), np.empty((len(segs), n, 4))
+    buffer = _work(len(segs) * n)
+    # dx and mid may be the kept arrays of the last bundle transport's chords
+    _WORK.chords = None
+    dx, mid = buffer("dx", (len(segs), n, 4), float), buffer("mid", (len(segs), n, 4), float)
     for i, seg in enumerate(segs):
         k = seg.n_samples - 1
+        _hermite_midpoints(seg.events, seg.tangents, _sample_step(seg), mid[i, :k], dx[i, :k])
         np.subtract(seg.events[1:], seg.events[:-1], out=dx[i, :k])
-        mid[i, :k] = _hermite_midpoints(seg.events, seg.tangents, _sample_step(seg))
+        dx[i, k:] = 0.0
         mid[i, k:] = mid[i, k - 1]
-    return _chord_transport(segs[0].spacetime, dx, mid)
+    return _chord_transport(segs[0].spacetime, dx, mid, buffer)
 
 
 def _cached(segs: tuple, key: str, identity: np.ndarray, stack) -> tuple:
@@ -238,16 +304,14 @@ def frame_propagator(seg: GeodesicSegment) -> np.ndarray:
     return p
 
 
-def _chord_transport(st: Spacetime, dx: np.ndarray, mid: np.ndarray, buffer=None) -> np.ndarray:
+def _chord_transport(st: Spacetime, dx: np.ndarray, mid: np.ndarray, buffer) -> np.ndarray:
     """Ordered product of the chord exponentials, in static-frame components.
 
     dx and mid are (..., chords, 4), so the connection components and their
     exponentials are (..., chords) arrays, chords last, formed in the arrays
-    ``buffer`` supplies if given (see ordered_exp_product), else in new
-    ones.
+    ``buffer`` supplies (see ordered_exp_product).
     """
-    out = None if buffer is None else buffer("generators", (3,) + dx.shape[:-1])
-    g = spin_connection_components(st, mid, dx, out)
+    g = spin_connection_components(st, mid, dx, buffer("generators", (3,) + dx.shape[:-1]))
     return ordered_exp_product(*g, buffer)
 
 
@@ -261,52 +325,14 @@ def spinor_propagator(seg: GeodesicSegment) -> np.ndarray:
     return spinor_propagators(seg)[0]
 
 
-class _Workspace(threading.local):
-    """Work arrays kept from call to call under their names, one set per thread.
-
-    ``work(name, shape, dtype)`` is a C-contiguous view of the first
-    prod(shape) elements of the flat array kept under ``name``, which is
-    replaced by a larger one when the request outgrows it and is never
-    shrunk or freed.  ``chords`` records the knots (by weak reference) and
-    the chord arrays of the last transport formed here.  Each thread sees
-    its own attributes, so concurrent transports never share an array.
-    """
-
-    def __init__(self) -> None:
-        self.arrays: dict[str, np.ndarray] = {}
-        self.chords: tuple | None = None
-
-    def __call__(self, name: str, shape: tuple, dtype=complex) -> np.ndarray:
-        size = math.prod(shape)
-        a = self.arrays.get(name)
-        if a is None or a.size < size:
-            a = self.arrays[name] = np.empty(size, dtype)
-        return a[:size].reshape(shape)
-
-
-#: the bundle transport's work arrays.  The chain frees a few MB of arrays
-#: per chunk of paths, and glibc then trims the heap top, so without them
-#: every chunk faults its memory in again page by page
-_BUNDLE_WORK = _Workspace()
-
-#: the largest stack, in rows times chords, transported in _BUNDLE_WORK: one
-#: chunk of the bundle channel (decoherence._CHUNK = 256 rows of at most
-#: MAX_BUNDLE_KNOTS - 1 = 159 chords).  A larger stack allocates its arrays
-#: per call, so what stays kept never grows with the number of paths
-_KEPT_CHORDS = 256 * 159
-
-
-def chord_geometry(xs: np.ndarray, buffer=None) -> tuple[np.ndarray, np.ndarray]:
+def chord_geometry(xs: np.ndarray, buffer=_fresh) -> tuple[np.ndarray, np.ndarray]:
     """(dx, mid) of polygons xs (..., n, 4): the chords x[k+1] - x[k] and
     midpoints 0.5 x[k+1] + 0.5 x[k], (..., n - 1, 4) each, formed in
-    buffer("dx") and buffer("mid") if given, else in new arrays; each is
-    the IEEE result of its expression.
+    buffer("dx") and buffer("mid"), new arrays by default; each is the IEEE
+    result of its expression.
     """
     shape = xs.shape[:-2] + (max(xs.shape[-2] - 1, 0), 4)
-    if buffer is None:
-        dx, mid = np.empty(shape), np.empty(shape)
-    else:
-        dx, mid = buffer("dx", shape, float), buffer("mid", shape, float)
+    dx, mid = buffer("dx", shape, float), buffer("mid", shape, float)
     head, tail = xs[..., 1:, :], xs[..., :-1, :]
     np.multiply(0.5, head, out=mid)
     mid += np.multiply(0.5, tail, out=dx)
@@ -324,15 +350,14 @@ def polygon_spinor_transport(st: Spacetime, xs: np.ndarray) -> np.ndarray:
 
     A stack of at most _KEPT_CHORDS chords forms its chord geometry,
     connection components, exponentials and product rounds in the kept
-    _BUNDLE_WORK arrays, so a run of such calls allocates no array of the
-    chord shape after the first; the result is a new array all the same.
+    _WORK arrays, so a run of such calls allocates no array of the chord
+    shape after the first; the result is a new array all the same.
     """
     xs = np.asarray(xs, dtype=float)
-    kept = xs[..., 1:, 0].size <= _KEPT_CHORDS
-    buffer = _BUNDLE_WORK if kept else None
+    buffer = _work(xs[..., 1:, 0].size)
     dx, mid = chord_geometry(xs, buffer)
-    if kept:
-        _BUNDLE_WORK.chords = (weakref.ref(xs), dx, mid)
+    if buffer is _WORK:
+        _WORK.chords = (weakref.ref(xs), dx, mid)
     return _chord_transport(st, dx, mid, buffer)
 
 
@@ -341,11 +366,11 @@ def transported_chord_geometry(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     polygon_spinor_transport call formed them from this very array object,
     else formed anew.
 
-    The kept arrays hold their values only until the next bundle transport,
-    so read them at once, and do not write to them or to xs in between.
+    The kept arrays hold their values only until the next transport, so
+    read them at once, and do not write to them or to xs in between.
     """
-    if _BUNDLE_WORK.chords is not None:
-        knots, dx, mid = _BUNDLE_WORK.chords
+    if _WORK.chords is not None:
+        knots, dx, mid = _WORK.chords
         if knots() is xs:
             return dx, mid
     return chord_geometry(np.asarray(xs, dtype=float))

@@ -33,6 +33,7 @@ import numpy as np
 from eprgeo.decoherence import _ID4, FIDELITY_BLOCKS, RESAMPLE_ATTEMPTS, _decimate
 from eprgeo.errors import ConfigurationError, DomainError
 from eprgeo.frames import frame_field
+from eprgeo.geodesic import _DENSE_P
 from eprgeo.lorentz import _SERIES_BOUND, ID2, sl2_inverse
 from eprgeo.spin import PAULI_PAIRS, SINGLET, fidelity
 
@@ -46,6 +47,23 @@ def rk4_steps(w0: np.ndarray, wm: np.ndarray, w1: np.ndarray, h: float) -> np.nd
     k3 = wm + (0.5 * h) * (wm @ k2)
     k4 = w1 + h * (w1 @ k3)
     return _EYE4 + (h / 6.0) * (w0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def dense_fill(ys: np.ndarray, grid: np.ndarray, passed: list, states: list) -> None:
+    """geodesic._dense_fill as one pass over all passed nodes, each node's
+    step coefficients gathered into an (nodes, 4, 8) array."""
+    # the n-th passed node is grid[node[n]], inside recorded step step[n]
+    t0, h0, first, ends = map(np.array, zip(*passed))
+    recorded = np.fromiter(states, float, len(states)).reshape(-1, 7, 8)
+    counts = ends - first
+    step = np.repeat(np.arange(counts.size), counts)
+    node = np.arange(step.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    theta = (grid[node] - t0[step]) / h0[step]
+    # per step, c_j = h sum_i _DENSE_P[i, j] k_i; y(t + theta h) = y + sum_j theta^j c_j
+    stages = recorded[:, 1:].transpose(1, 0, 2)
+    coeffs = h0[:, None, None] * np.einsum("ij,isc->sjc", _DENSE_P, stages)
+    powers = theta[:, None] ** np.arange(1, 5)
+    ys[node] = recorded[step, 0] + np.einsum("nj,njc->nc", powers, coeffs[step])
 
 
 def schwarzschild_connection_matrix(mass: float, x, u) -> np.ndarray:

@@ -300,7 +300,7 @@ class TestAveragedState:
         to back: the second call of each pair overwrites the kept work arrays,
         and no result of the first may change with them or share their memory."""
         work = transport._Workspace()
-        monkeypatch.setattr(transport, "_BUNDLE_WORK", work)
+        monkeypatch.setattr(transport, "_WORK", work)
         st = legs[0].spacetime
         b1s = [sample_bundle(legs[0], s, 150, 5 + 2 * k) for k, s in enumerate((0.2, 0.4))]
         b2s = [sample_bundle(legs[1], s, 150, 6 + 2 * k) for k, s in enumerate((0.2, 0.4))]
@@ -353,7 +353,7 @@ class TestAveragedState:
         """After the first call has grown the kept work arrays, a second call
         on a stack of the same shape allocates none of its chord-shaped
         arrays: its traced peak stays below half of the first call's."""
-        monkeypatch.setattr(transport, "_BUNDLE_WORK", transport._Workspace())
+        monkeypatch.setattr(transport, "_WORK", transport._Workspace())
         b1 = sample_bundle(legs[0], 0.3, 200, 5)
         b2 = sample_bundle(legs[1], 0.3, 200, 6)
 

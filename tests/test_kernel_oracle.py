@@ -18,6 +18,7 @@ import pytest
 import kernel_oracle as oracle
 from eprgeo import (
     Event,
+    geodesic,
     averaged_state,
     fidelity_with_error,
     integrate_geodesic,
@@ -31,7 +32,7 @@ from eprgeo import (
 from eprgeo.decoherence import ChannelAverage, _decimate
 from eprgeo.errors import ConfigurationError
 from eprgeo.frames import frame_field
-from eprgeo.geodesic import samples_for
+from eprgeo.geodesic import _OWN_FILL_NODES, samples_for
 from eprgeo.lorentz import _SERIES_BOUND, _exp_traceless, _ordered_2x2, _product_2x2, ordered_exp_product, su2_polar
 from eprgeo.precession import circular_orbit_tangent
 from eprgeo.scenario import load_scenario
@@ -64,6 +65,55 @@ def complex_normal(rng, shape, scale=1.0):
 @pytest.fixture(scope="module")
 def schwarzschild():
     return make_spacetime("schwarzschild", {"M": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# the dense fill
+
+
+def fill_leg(kind):
+    """The legs of the fill oracle: the r = 10 orbit; a pairs-like
+    Schwarzschild leg (3 to 8 nodes per step); the same leg on a 50 times
+    finer grid, whose steps fall on both sides of _OWN_FILL_NODES; and a
+    Minkowski leg, whose zero error estimate grows each step fivefold from
+    the first node, so every step ends on a node."""
+    if kind == "orbit":
+        return integrate_orbit(make_spacetime("schwarzschild", {"M": 1.0}), 10.0)
+    if kind == "on-a-node":
+        st = make_spacetime("minkowski")
+        return integrate_geodesic(st, Event(np.zeros(4)), [1.25, 0.75, 0.0, 0.0], 7.81, n_samples=782)
+    st = make_spacetime("schwarzschild", {"M": 1.0})
+    x = np.array([0.0, 9.0, 1.2, 0.3])
+    u = frame_field(st, x) @ [np.sqrt(1.14), 0.3, 0.1, -0.2]
+    return integrate_geodesic(st, Event(x), u, 8.0, n_samples=samples_for(8.0) if kind == "pairs-like" else 20_001)
+
+
+@pytest.mark.parametrize("kind", ["orbit", "pairs-like", "both-sides", "on-a-node"])
+def test_dense_fill_matches_the_gathered_oracle(monkeypatch, kind):
+    """Long steps filled over their own node ranges and short ones in one
+    gathered pass give every node the bits of the gathered pass over all
+    nodes, and leave a node that a step ends on to that step's end."""
+    fill, steps = geodesic._dense_fill, []
+
+    def recording(ys, grid, passed, states):
+        steps.append((grid, passed))
+        fill(ys, grid, passed, states)
+
+    monkeypatch.setattr(geodesic, "_dense_fill", recording)
+    seg = fill_leg(kind)
+    monkeypatch.setattr(geodesic, "_dense_fill", oracle.dense_fill)
+    want = fill_leg(kind)
+    assert same_bits(seg.events, want.events) and same_bits(seg.tangents, want.tangents)
+    ((grid, passed),) = steps
+    counts = np.array([end - first for _, _, first, end in passed])
+    own = counts >= _OWN_FILL_NODES
+    if kind == "pairs-like":
+        assert not own.any() and np.median(counts) < 20
+    else:
+        assert own.any() and not own.all()
+    if kind == "on-a-node":
+        assert list(counts) == [4, 24, 124, 624]
+        assert all(abs(grid[end] - (t + h)) <= 1.0e-14 * grid[-1] for t, h, _, end in passed)
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +240,26 @@ def test_factor_last_chain_matches_the_component_major_oracle(lead):
 
 def oracle_kernels(monkeypatch, st):
     """Swap every kernel for its oracle, the 2x2 product for the
-    component-major one; returns, per 2x2 kernel, the list of calls made
-    since, each True when its output array is one the bundle transport
-    keeps."""
-    calls = {"exp": [], "product": []}
+    component-major one; returns, per 2x2 kernel and for W, the list of
+    calls made since, each True when its output array is one the
+    transports keep."""
+    calls = {"exp": [], "product": [], "W": []}
 
     def recording(kernel, record):
         def call(*args, out=None, **scratch):
-            kept = transport._BUNDLE_WORK.arrays.values()
+            kept = transport._WORK.arrays.values()
             record.append(out is not None and any(np.shares_memory(out, a) for a in kept))
             return kernel(*args, out=out, **scratch)
 
         return call
 
+    def connection_matrix(x, u, out=None):
+        return oracle.into(out, oracle.schwarzschild_connection_matrix(st.mass, x, u))
+
     monkeypatch.setattr(transport, "_rk4_steps", oracle.rk4_steps)
     monkeypatch.setattr(lorentz, "_exp_traceless", recording(oracle.exp_traceless, calls["exp"]))
     monkeypatch.setattr(lorentz, "_product_2x2", recording(oracle.entry_product, calls["product"]))
-    monkeypatch.setattr(st, "connection_matrix", lambda x, u: oracle.schwarzschild_connection_matrix(st.mass, x, u))
+    monkeypatch.setattr(st, "connection_matrix", recording(connection_matrix, calls["W"]))
     return calls
 
 
@@ -231,11 +284,10 @@ def fresh(seg):
 @pytest.mark.parametrize("n_samples", [2, 8, 8313], ids=["lone-step", "odd-intervals", "orbit"])
 def test_propagators_match_the_oracle_kernels(schwarzschild, monkeypatch, n_samples):
     """Both single-leg propagators, a pair stack with a shorter leg, and a
-    bundle stack through the kept work arrays of polygon_spinor_transport,
-    with every kernel swapped for its oracle.  Each spinor chain is one
-    exponential call and one product call per tree round of its longest
-    leg: the single leg's and the pair's with new output arrays, the
-    bundle stack's with kept ones."""
+    bundle stack, with every kernel swapped for its oracle.  Each spinor
+    chain is one exponential call and one product call per tree round of
+    its longest leg, and each vector route one W call, all of them with
+    output arrays the transports keep."""
     e0, u0 = circular_orbit_tangent(schwarzschild, 10.0)
     if n_samples == 8313:
         seg = integrate_orbit(schwarzschild, 10.0)
@@ -254,15 +306,17 @@ def test_propagators_match_the_oracle_kernels(schwarzschild, monkeypatch, n_samp
     calls = oracle_kernels(monkeypatch, schwarzschild)
     assert same_bits(transport.world_propagator(seg), world)
     assert same_bits(transport.spinor_propagator(seg), spinor)
-    assert calls == {"exp": [False], "product": [False] * rounds(n_samples - 1)}
-    del calls["exp"][:], calls["product"][:]
+    assert calls == {"exp": [True], "product": [True] * rounds(n_samples - 1), "W": [True]}
+    for c in calls.values():
+        c.clear()
     again = pair_transport(fresh(pair.segment1), fresh(pair.segment2))
     for name in ("spin1", "spin2", "rotation1", "rotation2"):
         assert same_bits(getattr(again, name), getattr(pair, name))
-    assert calls == {"exp": [False], "product": [False] * rounds(max(n_samples, 6) - 1)}
-    del calls["exp"][:], calls["product"][:]
+    assert calls == {"exp": [True], "product": [True] * rounds(max(n_samples, 6) - 1), "W": [True]}
+    for c in calls.values():
+        c.clear()
     assert same_bits(polygon_spinor_transport(schwarzschild, xs), bundle)
-    assert calls == {"exp": [True], "product": [True] * rounds(xs.shape[1] - 1)}
+    assert calls == {"exp": [True], "product": [True] * rounds(xs.shape[1] - 1), "W": []}
 
 
 # ---------------------------------------------------------------------------

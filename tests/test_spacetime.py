@@ -269,6 +269,9 @@ def test_connection_matrix_matches_christoffel_contraction(kind, params):
         w = st.connection_matrix(xs, us)
         oracle = christoffel_contraction(st, xs, us)
         assert w.shape == xs.shape[:-1] + (4, 4)
+        # into a caller's array, whatever it held before: the same bits
+        out = np.full(w.shape, np.nan)
+        assert st.connection_matrix(xs, us, out=out) is out and out.tobytes() == w.tobytes()
         assert np.all(np.abs(w - oracle) <= 1.0e-14 * np.maximum(1.0, np.abs(oracle)))
     for k in (0, len(x) - 1):
         w = st.connection_matrix(x[k], u[k])

@@ -7,7 +7,9 @@ cover, and the spinor route transforms covariantly under a
 position-dependent local Lorentz gauge.
 """
 
+import dataclasses
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -170,6 +172,104 @@ def test_world_propagator_blocks_multiply_into_one_product(schwarzschild, static
         assert np.array_equal(world_propagator(seg), p)
 
 
+class TestKeptSegmentArrays:
+    """The segment stacks form their samples, W and chord chain in the kept
+    per-thread work arrays, like the bundle transport
+    (test_decoherence.py::TestAveragedState)."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        work = transport._Workspace()
+        monkeypatch.setattr(transport, "_WORK", work)
+        return work
+
+    @staticmethod
+    def legs(st, static_tangent, n_samples=None):
+        coords = np.array([0.0, 9.0, 1.2, 0.3])
+        return [
+            integrate_geodesic(st, Event(coords), static_tangent(st, coords, w), tau, n_samples=n_samples)
+            for w, tau in (([0.3, 0.1, -0.2], 4.0), ([-0.2, 0.25, 0.1], 2.5))
+        ]
+
+    @staticmethod
+    def propagators(segs):
+        fresh = [dataclasses.replace(seg, cache={}) for seg in segs]
+        return [*transport.world_propagators(*fresh), *transport.spinor_propagators(*fresh)]
+
+    def test_segment_propagators_do_not_alias_the_kept_arrays(self, schwarzschild, static_tangent, work):
+        """An orbit, then a pair of unequal legs and each leg alone, back to
+        back: the later stacks overwrite the orbit's kept arrays, and no
+        propagator may change with them or share their memory."""
+        orbit = integrate_orbit(schwarzschild, 10.0)
+        legs = self.legs(schwarzschild, static_tangent)
+        first = self.propagators([orbit])
+        saved = [p.copy() for p in first]
+        kept = list(work.arrays.values())
+        later = self.propagators(legs) + self.propagators(legs[:1]) + self.propagators(legs[1:])
+        kept += work.arrays.values()
+        assert {"samples", "connection", "dx", "mid", "generators", "exp", "exp_work"} <= set(work.arrays)
+        assert all(np.array_equal(p, q) for p, q in zip(first, saved))
+        assert not any(np.shares_memory(p, k) for p in first + later for k in kept)
+
+    def test_concurrent_segment_transports_keep_their_own_arrays(self, schwarzschild, static_tangent):
+        """Six threads transport six stacks at once, with a short switch
+        interval on two cores: each thread keeps its own work arrays, so
+        every propagator is the one a lone call gives."""
+        legs = self.legs(schwarzschild, static_tangent) + [integrate_orbit(schwarzschild, 8.0, n_orbits=0.1)]
+        stacks = [legs[:2], legs[:1], legs[1:2], legs[2:], legs[1:], legs[::2]]
+        want = [self.propagators(segs) for segs in stacks]
+        got = [[] for _ in stacks]
+
+        def run(k):
+            for _ in range(20):
+                got[k].append(self.propagators(stacks[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(stacks))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert len(g) == 20 and all(np.array_equal(p, q) for ps in g for p, q in zip(ps, w))
+
+    def test_stack_above_the_kept_bound_allocates_per_call(self, schwarzschild, static_tangent, work):
+        """Two legs of _KEPT_CHORDS // 2 + 1 chords each: each leg alone is
+        transported in the kept arrays, the two stacked allocate theirs per
+        call and keep none, and both give the same propagators."""
+        legs = self.legs(schwarzschild, static_tangent, n_samples=transport._KEPT_CHORDS // 2 + 2)
+        stacked = self.propagators(legs)
+        assert work.arrays == {}
+        alone = [p for ps in zip(*(self.propagators([seg]) for seg in legs)) for p in ps]
+        assert work.arrays["connection"].shape == ((legs[0].n_samples + 1) * 16,)
+        assert all(np.array_equal(p, q) for p, q in zip(stacked, alone))
+
+    def test_orbit_holonomy_reuses_its_kept_arrays(self, schwarzschild, work):
+        """After the first orbit has grown the kept work arrays, both routes'
+        holonomy on a second orbit of the same size allocates none of them
+        again: its traced peak stays below half of the first's (0.8 against
+        3.7 MB)."""
+        seg = integrate_orbit(schwarzschild, 10.0)
+
+        def peak():
+            fresh = dataclasses.replace(seg, cache={})
+            tracemalloc.start()
+            try:
+                rest_frame_holonomy_angle(fresh)
+                spinor_holonomy_angle(fresh)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        first, second = peak(), peak()
+        assert second < 0.5 * first, (first, second)
+
+
 class TestTetradTransport:
     def test_orthonormality_preserved(self, schwarzschild, battery):
         for seg in battery[:5]:
@@ -243,7 +343,7 @@ class TestSpinorTransport:
         def no_christoffel(x):
             raise AssertionError("the spinor route evaluated Christoffel symbols")
 
-        def no_connection_matrix(x, u):
+        def no_connection_matrix(x, u, out=None):
             raise AssertionError("the spinor route evaluated the connection matrix")
 
         monkeypatch.setattr(st, "christoffel", no_christoffel)
