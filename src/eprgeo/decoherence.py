@@ -26,33 +26,33 @@ pair once per bundle pair, and ``averaged_state(pair, b1, b2, mode)`` is
 its one-pair call.  Per leg, the base polygon is row 0 of one stack with
 the paths of every sigma > 0 bundle, and the stack goes through the
 transport and the pair's rest-frame map PairResult.spin_map once per chunk
-of rows; each bundle's terms are its slice of the stack.  The transport
-works in arrays it keeps from chunk to chunk (see transport), bounded by one
-chunk, and the coherent path action reads the chunk's chords and midpoints
-from them instead of forming them again.  Each
+of rows; each bundle's terms are its slice of the stack, and a pair whose
+slices hold a path action that is not finite raises DomainError.  The
+transport works in arrays it keeps from chunk to chunk (see transport),
+bounded by one chunk, and the coherent path action reads the chunk's chords
+and midpoints from them instead of forming them again.  Each
 ChannelAverage holds the averaged state, the per-path terms and the
 reference state; ``fidelity_with_error(avg)`` derives the fidelity and its
-block standard error from that object, building the FIDELITY_BLOCKS block
-states in one batched pass: coherent blocks as the singlet images
-pair_state(m1, m2) of all block means at once, read as
-|<reference|v>|^2 / |v|^2, incoherent blocks as the Fano form of the whole
-(k, 3, 3) stack of R1 R2^T.  ``degraded_correlation`` reads rho as it is,
-with no TwoQubitState check.
+block standard error from that object in one batched pass over the block
+means.  ``degraded_correlation`` reads rho as it is, with no TwoQubitState
+check.
+
+``sigma_sweep(pair, sigmas, n_paths, mode, seed)`` owns the sigma sweep:
+it draws each sigma's bundles with its own seeds, averages them in groups
+that fit one chunk, and yields every sigma before the first that fails,
+with no row transported twice.
 
 Each leg's decimated knots and proper times, the static-frame scale at its
 interior knots and the sigma-free factors of the bridge are built on the
 first draw around the leg and cached on its segment, read-only, so a sigma
 sweep evaluates the frame once per leg; no two segments share the cache.
-A draw forms the Brownian bridge in place, in one knot-major (knots, 3,
-paths) buffer filled from the normals, so that every step runs along the
-paths rather than over a trailing axis of three; it keeps every operand
-order of the out-of-place expressions, so the paths are the same bytes
-as that form.
+A draw forms the Brownian bridge in place in one knot-major buffer, with
+the bytes of the out-of-place form (see sample_bundle).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,7 +243,7 @@ def _chord_action(st: Spacetime, dx: np.ndarray, mid: np.ndarray, taus: np.ndarr
 
 def _leg_terms(
     pair: PairResult, leg: int, bundles: Sequence[PathBundle], mode: str
-) -> tuple[list[np.ndarray], np.ndarray]:
+) -> tuple[list[np.ndarray | None], np.ndarray]:
     """(per-path terms of each bundle, sigma=0 map) around leg 1 or 2 of the pair.
 
     The base polygon is row 0 of one stack with the paths of every sigma > 0
@@ -251,31 +251,31 @@ def _leg_terms(
     rows at a time.  Every operation acts on each row alone, so a bundle's
     terms do not depend on the bundles stacked beside it.  A coherent term is
     the path's SU(2) map times its action phase exp(-(i/4)(S_path - S_base));
-    an incoherent term is the path's 3x3 rotation.  The channel reads only
-    the mean term of each bundle.
+    an incoherent term is the path's 3x3 rotation.  A bundle with a phase
+    that is not finite gets None for its terms.
     """
     st = pair.segment1.spacetime
     base = bundles[0]
     xs = np.concatenate([base.base_knots[None]] + [b.paths for b in bundles if b.sigma != 0.0])
     maps = np.empty((len(xs), 2, 2), dtype=complex)
     actions = np.empty(len(xs))
+    bad = np.zeros(len(xs), dtype=bool)
     for lo in range(0, len(xs), _CHUNK):
         chunk = xs[lo : lo + _CHUNK]
         maps[lo : lo + _CHUNK] = pair.spin_map(leg, polygon_spinor_transport(st, chunk))
         if mode == "coherent":
-            # a huge sigma overflows |dx|^2; the check below reports it instead
+            # a huge sigma overflows |dx|^2; the finite check below reports it
             with np.errstate(over="ignore", invalid="ignore"):
                 actions[lo : lo + _CHUNK] = _chord_action(st, *transported_chord_geometry(chunk), base.taus)
     if mode == "incoherent":
         terms = rotation_matrix_from_su2(maps)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            phases = np.exp(-0.25j * (actions[1:] - actions[0]))
-        if not np.all(np.isfinite(phases)):
-            raise DomainError("path action is not finite; reduce sigma")
         # row 0 keeps the base map itself: its relative action is zero
         terms = maps
-        terms[1:] *= phases[:, None, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = np.exp(-0.25j * (actions[1:] - actions[0]))
+            terms[1:] *= phases[:, None, None]
+        bad[1:] = ~np.isfinite(phases)
 
     out, lo = [], 1
     for b in bundles:
@@ -283,7 +283,7 @@ def _leg_terms(
             # every path is the base polygon: the base term, zero relative action
             out.append(np.broadcast_to(terms[0], (b.n_paths,) + terms.shape[1:]))
         else:
-            out.append(terms[lo : lo + b.n_paths])
+            out.append(None if bad[lo : lo + b.n_paths].any() else terms[lo : lo + b.n_paths])
             lo += b.n_paths
     return out, maps[0]
 
@@ -356,6 +356,24 @@ def _block_fidelities(reference: np.ndarray, m1: np.ndarray, m2: np.ndarray, mod
     return (reference.conj() @ _combine(m1, m2, mode) @ reference).real
 
 
+def _channel(
+    pair: PairResult, bundles1: Sequence[PathBundle], bundles2: Sequence[PathBundle], mode: str
+) -> Iterator[ChannelAverage]:
+    """The ChannelAverage of each bundle pair, in order, from one transport
+    of each leg's stack.  The first pair with a path action that is not
+    finite raises DomainError after every pair before it has been yielded."""
+    if not bundles1:
+        return
+    terms1, base_map1 = _leg_terms(pair, 1, bundles1, mode)
+    terms2, base_map2 = _leg_terms(pair, 2, bundles2, mode)
+    reference = pair_state(base_map1, base_map2)
+    for b1, b2, t1, t2 in zip(bundles1, bundles2, terms1, terms2):
+        if t1 is None or t2 is None:
+            raise DomainError("path action is not finite; reduce sigma")
+        rho = _combine(t1.mean(axis=0), t2.mean(axis=0), mode)
+        yield ChannelAverage(rho, mode, (t1, t2), reference, b1.sigma == 0.0 and b2.sigma == 0.0)
+
+
 def averaged_states(
     pair: PairResult,
     bundles1: Sequence[PathBundle],
@@ -370,7 +388,8 @@ def averaged_states(
     base polygon and paths are transported in one stack, so a sweep over
     sigma pays the per-call cost of the transport chain once per chunk of
     rows, not once per bundle.  The stack holds every bundle handed over:
-    pass as many as memory allows at once.
+    pass as many as memory allows at once.  A pair whose path action is
+    not finite fails the whole call with DomainError.
     """
     if mode not in MODES:
         raise UsageError(f"unknown averaging mode {mode!r}")
@@ -380,22 +399,7 @@ def averaged_states(
         b.base is not pair.segment2 for b in bundles2
     ):
         raise UsageError("bundles must be drawn around the pair's legs, in leg order")
-    if not bundles1:
-        return []
-
-    terms1, base_map1 = _leg_terms(pair, 1, bundles1, mode)
-    terms2, base_map2 = _leg_terms(pair, 2, bundles2, mode)
-    reference = pair_state(base_map1, base_map2)
-    return [
-        ChannelAverage(
-            _combine(t1.mean(axis=0), t2.mean(axis=0), mode),
-            mode,
-            (t1, t2),
-            reference,
-            b1.sigma == 0.0 and b2.sigma == 0.0,
-        )
-        for b1, b2, t1, t2 in zip(bundles1, bundles2, terms1, terms2)
-    ]
+    return list(_channel(pair, bundles1, bundles2, mode))
 
 
 def averaged_state(
@@ -412,6 +416,45 @@ def averaged_state(
     one bundle pair: pass the result to ``fidelity_with_error``.
     """
     return averaged_states(pair, [b1], [b2], mode)[0]
+
+
+def sigma_sweep(
+    pair: PairResult, sigmas: Sequence[float], n_paths: int, mode: str = "coherent", seed: int = 0
+) -> Iterator[tuple[float, int, ChannelAverage]]:
+    """(sigma, resample rounds, ChannelAverage) of each sigma, in sigma order.
+
+    Sigma k's bundles are drawn around the pair's legs with seeds seed + 2k
+    and seed + 2k + 1 and averaged in groups whose stacked rows per leg, the
+    base polygon's included, fit in one transport chunk; a larger bundle is
+    a group of its own, and a zero-width bundle adds no rows.  Each group is
+    yielded before the next is drawn, so a sweep holds no more paths than
+    its largest group.  The first sigma whose draw or path action fails
+    raises DomainError after every sigma before it has been yielded.
+    """
+    if mode not in MODES:
+        raise UsageError(f"unknown averaging mode {mode!r}")
+    b1s: list[PathBundle] = []
+    b2s: list[PathBundle] = []
+
+    def flush() -> Iterator[tuple[float, int, ChannelAverage]]:
+        for b1, b2, avg in zip(b1s, b2s, _channel(pair, b1s, b2s, mode)):
+            yield b1.sigma, b1.meta["resample_rounds"] + b2.meta["resample_rounds"], avg
+        b1s.clear()
+        b2s.clear()
+
+    for k, sigma in enumerate(sigmas):
+        rows = 1 + n_paths * sum(b.sigma != 0.0 for b in b1s)
+        if rows > 1 and rows + (n_paths if sigma != 0.0 else 0) > _CHUNK:
+            yield from flush()
+        try:
+            b1 = sample_bundle(pair.segment1, sigma, n_paths, seed + 2 * k)
+            b2 = sample_bundle(pair.segment2, sigma, n_paths, seed + 2 * k + 1)
+        except DomainError:
+            yield from flush()
+            raise
+        b1s.append(b1)
+        b2s.append(b2)
+    yield from flush()
 
 
 def degraded_correlation(avg: ChannelAverage, a, b) -> float:

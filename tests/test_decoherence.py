@@ -452,6 +452,60 @@ class TestAveragedState:
             averaged_states(pair, [b1, b1], [b2])
 
 
+@pytest.fixture(scope="module")
+def flat_pair(minkowski):
+    """A flat pair, where a huge sigma stays in the chart and overflows the path action."""
+    e0 = Event(np.zeros(4))
+    u1 = np.array([np.sqrt(1.16), 0.4, 0.0, 0.0])
+    u2 = np.array([np.sqrt(1.25), -0.5, 0.0, 0.0])
+    s1 = integrate_geodesic(minkowski, e0, u1, TAU, n_samples=samples_for(TAU))
+    s2 = integrate_geodesic(minkowski, e0, u2, TAU, n_samples=samples_for(TAU))
+    return pair_transport(s1, s2)
+
+
+def sweep_bundles(pair, sigmas, n_paths, seed):
+    """The bundles sigma_sweep draws: seeds seed + 2k and seed + 2k + 1."""
+    b1s = [sample_bundle(pair.segment1, s, n_paths, seed + 2 * k) for k, s in enumerate(sigmas)]
+    b2s = [sample_bundle(pair.segment2, s, n_paths, seed + 2 * k + 1) for k, s in enumerate(sigmas)]
+    return b1s, b2s
+
+
+class TestSigmaSweep:
+    @pytest.mark.parametrize("mode", ["coherent", "incoherent"])
+    @pytest.mark.parametrize("chunk", [256, 8])
+    def test_sigma_sweep_matches_averaged_states(self, pair, mode, chunk, monkeypatch):
+        """The sweep's groups change no byte of any average: at _CHUNK = 8,
+        each 6-path bundle forms a group of its own."""
+        monkeypatch.setattr(deco, "_CHUNK", chunk)
+        sigmas = (0.0, 0.2, 0.1, 0.0, 0.3)
+        b1s, b2s = sweep_bundles(pair, sigmas, 6, 5)
+        want = averaged_states(pair, b1s, b2s, mode)
+        got = list(deco.sigma_sweep(pair, sigmas, 6, mode, seed=5))
+        assert [g[0] for g in got] == list(sigmas)
+        rounds = [b1.meta["resample_rounds"] + b2.meta["resample_rounds"] for b1, b2 in zip(b1s, b2s)]
+        assert [g[1] for g in got] == rounds
+        for (_, _, avg), ref in zip(got, want):
+            assert avg.rho.tobytes() == ref.rho.tobytes()
+            assert all(t.tobytes() == u.tobytes() for t, u in zip(avg.terms, ref.terms))
+
+    @pytest.mark.parametrize("bad_leg", [1, 2])
+    @pytest.mark.parametrize("bad_pair", [0, 1])
+    def test_averaged_states_raises_if_any_pair_fails(self, flat_pair, bad_leg, bad_pair):
+        bundles = [list(b) for b in sweep_bundles(flat_pair, (0.1, 0.2), 4, 3)]
+        seg = flat_pair.segment1 if bad_leg == 1 else flat_pair.segment2
+        bundles[bad_leg - 1][bad_pair] = sample_bundle(seg, 1e300, 4, 9)
+        with pytest.raises(DomainError, match=r"^path action is not finite; reduce sigma$"):
+            averaged_states(flat_pair, *bundles, "coherent")
+        # flat transports are the identity, and incoherent mode reads no action
+        assert len(averaged_states(flat_pair, *bundles, "incoherent")) == 2
+
+    def test_sigma_sweep_yields_every_sigma_before_the_failing_one(self, flat_pair):
+        sweep = deco.sigma_sweep(flat_pair, (0.0, 0.1, 1e300, 0.2), 4, "coherent", seed=3)
+        assert [next(sweep)[0] for _ in range(2)] == [0.0, 0.1]
+        with pytest.raises(DomainError, match=r"^path action is not finite; reduce sigma$"):
+            next(sweep)
+
+
 def _kron_left(w):
     """kron(W, I2) for a batch of 2x2 matrices."""
     return np.einsum("...ij,kl->...ikjl", w, ID2).reshape(w.shape[:-2] + (4, 4))

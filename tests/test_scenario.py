@@ -701,3 +701,88 @@ class TestBundleSweep:
         assert not report2.has_failures and not report40.has_failures
         assert len([r for r in sweep_rows(report40) if r.quantity == "decoherence_sigma"]) == 40
         assert large <= 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize(
+        "text, bad, chunk, rows",
+        [
+            # each leg's 41-row stack is transported once; the failing pair is
+            # found on its own slice of the stack, with no second pass
+            (MINIMAL + decoherence((0.0, 0.1, 1e300), 20), 1e300, 256, [41, 41]),
+            # the draw fails before the channel runs: only the good sigmas' rows
+            (SCHWARZSCHILD + decoherence((0.0, 0.1, 50.0), 20), 50.0, 256, [21, 21]),
+            # at _CHUNK = 8, 7 rows per leg: the bad sigma shares a group with the good ones
+            (MINIMAL + decoherence((0.0, 0.1, 1e300), 3), 1e300, 8, [7, 7]),
+            # the bad sigma's 11 rows per leg form a group of their own, in two chunks
+            (MINIMAL + decoherence((0.0, 0.1, 1e300), 10), 1e300, 8, [8, 3, 8, 3] * 2),
+            # the bad sigma's 3 paths overflow the first group's 7 rows: a later group
+            (MINIMAL + decoherence((0.0, 0.1, 0.2, 1e300), 3), 1e300, 8, [7, 7, 4, 4]),
+        ],
+        ids=[
+            "non-finite-action",
+            "hopeless-draw",
+            "bad-sigma-in-a-shared-group",
+            "bad-bundle-in-two-chunks",
+            "bad-sigma-in-a-later-group",
+        ],
+    )
+    def test_failing_sigma_is_named_without_a_second_transport(self, monkeypatch, text, bad, chunk, rows):
+        monkeypatch.setattr(eprgeo.decoherence, "_CHUNK", chunk)
+        good = run_scenario(parse_scenario(text.replace(f", {bad}", "")))
+        assert not good.has_failures
+        original = eprgeo.decoherence.polygon_spinor_transport
+        shapes = []
+
+        def counting(st, xs):
+            shapes.append(np.shape(xs)[0])
+            return original(st, xs)
+
+        monkeypatch.setattr(eprgeo.decoherence, "polygon_spinor_transport", counting)
+        report = run_scenario(parse_scenario(text))
+        assert shapes == rows
+        # every row of the sweep without the bad sigma, then one failure row
+        assert report.rows[:-1] == good.rows
+        failures = [r for r in report.rows if r.quantity == "failure"]
+        assert failures == report.rows[-1:]
+        assert failures[0].value.startswith(f"decoherence: sigma={bad}: ")
+
+    @pytest.mark.parametrize(
+        "sigmas, fids, flags",
+        [
+            # a wider sigma may not raise the fidelity
+            ((0.1, 0.2), (0.9, 0.95), ["", "fail"]),
+            ((0.1, 0.2), (0.95, 0.9), ["", "ok"]),
+            # a narrower sigma may not lower it
+            ((0.2, 0.1), (0.9, 0.95), ["", "ok"]),
+            ((0.2, 0.1), (0.95, 0.9), ["", "fail"]),
+            # equal sigmas must agree
+            ((0.2, 0.2), (0.9, 0.9), ["", "ok"]),
+            ((0.2, 0.2), (0.9, 0.95), ["", "fail"]),
+            ((0.2, 0.2), (0.95, 0.9), ["", "fail"]),
+            # sigma = 0 has its own rule, and the next row compares with it
+            ((0.3, 0.0, 0.2), (0.9, 1.0, 0.95), ["", "ok", "ok"]),
+            ((0.3, 0.0, 0.2), (0.9, 0.95, 1.1), ["", "fail", "fail"]),
+        ],
+    )
+    def test_fidelity_flag_compares_by_sigma(self, monkeypatch, sigmas, fids, flags):
+        """Each fidelity is compared with the previous row's by which of
+        the two sigmas is wider, not by list order; the standard errors are
+        set to 0, so the margin is round-off alone."""
+        it = iter(fids)
+        monkeypatch.setattr(eprgeo.decoherence, "fidelity_with_error", lambda avg: (next(it), 0.0))
+        report = run_scenario(parse_scenario(MINIMAL + decoherence(sigmas, 2)))
+        assert [r.flag for r in report.rows if r.quantity == "decoherence_fidelity"] == flags
+
+    @pytest.mark.parametrize("sigma", ["0.6, 0.3, 0", "0.3, 0, 0.6, 0.1, 0.45"], ids=["descending", "mixed"])
+    def test_sweep_in_any_sigma_order_flags_no_row(self, tmp_path, sigma):
+        """The sweep demo with its sigmas reordered: the narrower bundle's
+        higher fidelity after a wider one is not flagged, and --strict exits 0."""
+        text = (SCENARIO_DIR / "decoherence_sweep.cfg").read_text(encoding="utf-8")
+        assert "sigma = 0, 0.3, 0.6" in text
+        path = tmp_path / "sweep.cfg"
+        path.write_text(text.replace("sigma = 0, 0.3, 0.6", f"sigma = {sigma}"), encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["run", str(path), "--strict", "--format", "csv", "--out", str(out)]) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text(encoding="utf-8"))))
+        fids = [r for r in rows[1:] if r[1] == "decoherence_fidelity"]
+        assert len(fids) == len(sigma.split(","))
+        assert all(r[5] in ("", "ok") for r in fids)
