@@ -113,7 +113,9 @@ class Spacetime:
 
         x and u broadcast over their leading axes; the result is
         (..., 4, 4), in closed form, with no Gamma array filled.  It goes
-        into ``out`` if given, else into a new array.
+        into ``out`` if given, which may be any writable (..., 4, 4) view
+        of the result's shape (an entry-major array's transpose, say),
+        with the bits of a new array; else into a new array.
         """
         raise NotImplementedError
 

@@ -2,19 +2,21 @@
 
 Vector transport works in world indices: the endpoint-to-endpoint propagator
 P solves dP/dtau = W P with W^l_s = -Gamma^l_ms u^m, integrated with one
-classical RK4 step per pair of sample intervals, staged at the stored
-middle node.  W comes once per node from the spacetime's closed-form
-``connection_matrix``, which fills no Gamma array.  A lone last interval
-(an odd interval count, a two-sample segment) takes one RK4 step of its
-own, staged at its cubic Hermite midpoint (positions from (x, u),
-velocities from (u, a), a from the geodesic equation at its ends), whose W
-comes in the same call as the nodes'.  The RK4 stages and their ordered
-product are formed block by block of steps, the block products are
-multiplied in order, and the lone interval's step goes last.  Each stage is
-formed in place in its own matmul result and the step's weighted sum in
-the second stage's buffer, so a block makes three stage arrays, not one
-array per arithmetic step; the IEEE results are those of the out-of-place
-expressions.
+classical RK4 step per pair of sample intervals, staged at the stored middle
+node.  W comes once per node from the spacetime's closed-form
+``connection_matrix``, which fills no Gamma array, written entry-major so
+each entry is one contiguous row.  A lone last interval (an odd interval
+count, a two-sample segment) takes one RK4 step of its own, staged at its
+cubic Hermite midpoint (positions from (x, u), velocities from (u, a), a
+from the geodesic equation at its ends), whose W comes in the same call as
+the nodes'.  The RK4 stages and their ordered product are formed block by
+block of steps, the block products are multiplied in order, and the lone
+interval's step goes last.  A block's even and odd nodes are first copied
+into two contiguous node-major stacks, so its stages read whole 4x4
+matrices, not every other node.  Each stage is formed in place in its own
+matmul result and the step's weighted sum in the second stage's buffer, so a
+block makes three stage arrays, not one array per arithmetic step; the IEEE
+results are those of the out-of-place expressions.
 
 Spin-1/2 transport multiplies per-interval exponentials exp(-M_l dx^l) at
 the Hermite midpoint positions (which need no Gamma).
@@ -51,14 +53,16 @@ path action reads back through transported_chord_geometry), the connection
 components, and the exponentials with their scratch, in which the product
 rounds run.  The segment stacks form their chords, midpoints and chord
 chain in the same arrays, and the vector route its component-major samples
-and W besides.  Freed, a chunk's or an orbit's few MB of such arrays let
+and entry-major W besides; its blocks are staged in the samples' array, dead
+once W is formed.  Freed, a chunk's or an orbit's few MB of such arrays let
 glibc trim the heap top, and the next call faulted them in again page by
 page: hundreds of minor faults per bundle channel call, and up to 39 per
 ``orbits`` benchmark item, where the kept arrays take none.  The arrays
 only grow, to at most _KEPT_CHORDS = 256 rows x 159 chords, one chunk of
-the bundle channel: about 10 MB for the chord chain and 8 MB for the
-samples and W of a vector-route stack of as many samples, so at most 18 MB
-in each thread; a larger stack makes its arrays once per call.
+the bundle channel: about 10 MB for the chord chain and 10 MB for the
+samples (or a block's staged nodes, up to as many floats as W) and W of a
+vector-route stack of as many samples, so at most 20 MB in each thread; a
+larger stack makes its arrays once per call.
 Every stage keeps its ufunc sequence and operand order, so the results are
 the same bits, and each result is a new array that shares no memory with
 the kept ones.
@@ -204,18 +208,25 @@ def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
     """P[end <- start] of segments of nonzero length, one (legs, 4, 4) stack.
 
     The legs' samples, and a lone last interval's Hermite midpoint in the
-    last row, are stacked component-major, so connection_matrix reads each
-    component as one contiguous row (on an 8,313-sample orbit 567 against
-    652 us, with the same bits); a shorter leg is padded with copies of its
-    last sample and its padding steps set to the identity.  The samples and
-    W are formed in _work's arrays.
+    last row, are stacked component-major, and W entry-major, so
+    connection_matrix reads each component and writes each entry as one
+    contiguous row (on the r = 10 orbit's 8,313 nodes 352 against 585 us,
+    with the same bits); a shorter leg is padded with copies of its last
+    sample and its padding steps set to the identity.  Each block stages its
+    even and odd nodes' W node-major in the samples' array, dead once W is
+    formed, so the RK4 stages read contiguous matrices.  The samples and W
+    are formed in _work's arrays.
     """
     st = segs[0].spacetime
-    ns = [seg.n_samples - 1 for seg in segs]
+    legs, ns = len(segs), [seg.n_samples - 1 for seg in segs]
     hs = [_sample_step(seg) for seg in segs]
     width = max(ns) + 1 + any(n % 2 for n in ns)
-    buffer = _work(len(segs) * width)
-    xu = buffer("samples", (2, 4, len(segs), width), float)
+    # step j runs from node 2j to node 2j + 2 and is staged at node 2j + 1
+    m, step = max(ns) // 2, 2.0 * np.reshape(hs, (-1, 1, 1, 1))
+    buffer = _work(legs * width)
+    # the samples, then a block's 2b + 1 staged nodes
+    kept = buffer("samples", (max(8 * width, 16 * (2 * min(m, _BLOCK) + 1)) * legs,), float)
+    xu = kept[: 8 * legs * width].reshape(2, 4, legs, width)
     x, u = xu.transpose(0, 2, 3, 1)
     for i, (seg, n, h) in enumerate(zip(segs, ns, hs)):
         for k, y in enumerate((seg.events, seg.tangents)):
@@ -227,18 +238,19 @@ def _world_stack(segs: list[GeodesicSegment]) -> np.ndarray:
             acc = np.array([st.geodesic_rhs(y[0])[4:], st.geodesic_rhs(y[1])[4:]])
             x[i, -1] = _hermite_midpoints(seg.events[-2:], seg.tangents[-2:], h)
             u[i, -1] = _hermite_midpoints(seg.tangents[-2:], acc, h)
-    w = st.connection_matrix(x, u, out=buffer("connection", x.shape + (4,), float))
-    # step j runs from node 2j to node 2j + 2 and is staged at node 2j + 1
-    m, step = max(ns) // 2, 2.0 * np.reshape(hs, (-1, 1, 1, 1))
+    w = st.connection_matrix(x, u, out=buffer("connection", (4, 4, legs, width), float).transpose(2, 3, 0, 1))
     blocks = []
     for lo in range(0, m, _BLOCK):
-        a, b = 2 * lo, 2 * min(lo + _BLOCK, m)
-        steps = _rk4_steps(w[:, a:b:2], w[:, a + 1 : b : 2], w[:, a + 2 : b + 1 : 2], step)
+        k, a = min(_BLOCK, m - lo), 2 * lo
+        even = kept[: 16 * legs * (k + 1)].reshape(legs, k + 1, 4, 4)
+        odd = kept[16 * legs * (k + 1) : 16 * legs * (2 * k + 1)].reshape(legs, k, 4, 4)
+        even[...], odd[...] = w[:, a : a + 2 * k + 1 : 2], w[:, a + 1 : a + 2 * k : 2]
+        steps = _rk4_steps(even[:, :k], odd, even[:, 1:], step)
         for leg, n in zip(steps, ns):
             leg[max(n // 2 - lo, 0) :] = _EYE4
         blocks.append(ordered_product(steps))
     # a stack of two-sample segments has no block, and an empty product is the identity
-    p = ordered_product(np.reshape(blocks, (-1, len(segs), 4, 4)).swapaxes(0, 1))
+    p = ordered_product(np.reshape(blocks, (-1, legs, 4, 4)).swapaxes(0, 1))
     for i, (n, h) in enumerate(zip(ns, hs)):
         if n % 2:
             p[i] = _rk4_steps(w[i, n - 1], w[i, -1], w[i, n], h) @ p[i]

@@ -18,6 +18,12 @@ must give the same bits; ``entry_product`` runs the component-major
 product on the factor-last kernel's arguments, so a whole propagator can be
 formed through it.
 
+The vector route's segment stack is kept here in its node-major form:
+``world_stack`` writes W with each node's 4x4 matrix contiguous and forms
+each block's RK4 stages from every other node of it (``w[:, a:b:2]``).
+``transport._world_stack`` writes W entry-major and stages each block's
+nodes in contiguous stacks; the two must give the same bits.
+
 The bundle channel's closing and block fidelities are kept here in their
 earlier form too: ``su2_polar`` and ``spin_map`` with ``@`` on 2x2 stacks,
 ``pair_state`` through ``np.kron``, and the standard error of
@@ -34,8 +40,9 @@ from eprgeo.decoherence import _ID4, FIDELITY_BLOCKS, RESAMPLE_ATTEMPTS, _decima
 from eprgeo.errors import ConfigurationError, DomainError
 from eprgeo.frames import frame_field
 from eprgeo.geodesic import _DENSE_P
-from eprgeo.lorentz import _SERIES_BOUND, ID2, sl2_inverse
+from eprgeo.lorentz import _SERIES_BOUND, ID2, ordered_product, sl2_inverse
 from eprgeo.spin import PAULI_PAIRS, SINGLET, fidelity
+from eprgeo.transport import _hermite_midpoints, _rk4_steps, _sample_step
 
 _EYE4 = np.eye(4)
 
@@ -47,6 +54,40 @@ def rk4_steps(w0: np.ndarray, wm: np.ndarray, w1: np.ndarray, h: float) -> np.nd
     k3 = wm + (0.5 * h) * (wm @ k2)
     k4 = w1 + h * (w1 @ k3)
     return _EYE4 + (h / 6.0) * (w0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def world_stack(segs, block: int) -> np.ndarray:
+    """transport._world_stack with node-major W, in new arrays, its RK4
+    steps formed ``block`` at a time from every other node of W."""
+    st = segs[0].spacetime
+    ns = [seg.n_samples - 1 for seg in segs]
+    hs = [_sample_step(seg) for seg in segs]
+    width = max(ns) + 1 + any(n % 2 for n in ns)
+    xu = np.empty((2, 4, len(segs), width))
+    x, u = xu.transpose(0, 2, 3, 1)
+    for i, (seg, n, h) in enumerate(zip(segs, ns, hs)):
+        for k, y in enumerate((seg.events, seg.tangents)):
+            xu[k, :, i, : n + 1], xu[k, :, i, n + 1 :] = y.T, y[-1, :, None]
+        if n % 2:
+            y = np.concatenate([seg.events[-2:], seg.tangents[-2:]], axis=1).tolist()
+            acc = np.array([st.geodesic_rhs(y[0])[4:], st.geodesic_rhs(y[1])[4:]])
+            x[i, -1] = _hermite_midpoints(seg.events[-2:], seg.tangents[-2:], h)
+            u[i, -1] = _hermite_midpoints(seg.tangents[-2:], acc, h)
+    w = st.connection_matrix(x, u, out=np.empty(x.shape + (4,)))
+    # step j runs from node 2j to node 2j + 2 and is staged at node 2j + 1
+    m, step = max(ns) // 2, 2.0 * np.reshape(hs, (-1, 1, 1, 1))
+    blocks = []
+    for lo in range(0, m, block):
+        a, b = 2 * lo, 2 * min(lo + block, m)
+        steps = _rk4_steps(w[:, a:b:2], w[:, a + 1 : b : 2], w[:, a + 2 : b + 1 : 2], step)
+        for leg, n in zip(steps, ns):
+            leg[max(n // 2 - lo, 0) :] = _EYE4
+        blocks.append(ordered_product(steps))
+    p = ordered_product(np.reshape(blocks, (-1, len(segs), 4, 4)).swapaxes(0, 1))
+    for i, (n, h) in enumerate(zip(ns, hs)):
+        if n % 2:
+            p[i] = _rk4_steps(w[i, n - 1], w[i, -1], w[i, n], h) @ p[i]
+    return p
 
 
 def dense_fill(ys: np.ndarray, grid: np.ndarray, passed: list, states: list) -> None:

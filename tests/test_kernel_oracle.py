@@ -145,6 +145,46 @@ def test_strided_rk4_steps_match_the_oracle(schwarzschild):
 
 
 # ---------------------------------------------------------------------------
+# the vector route's segment stack
+
+STACK_SPACETIMES = {
+    "minkowski": ({}, [0.0, 1.0, -2.0, 0.5]),
+    "schwarzschild": ({"M": 1.0}, [0.0, 9.0, 1.2, 0.3]),
+    "weak_field": ({"epsilon": 0.05}, [0.0, 1.0, -2.0, 0.5]),
+}
+# samples per leg: odd and even interval counts, two-sample legs, and with
+# 8-step blocks padding steps inside a block, partial and whole last blocks
+STACKS = ((41,), (40,), (2,), (40, 27), (2, 40, 17), (34, 2, 21))
+
+
+@pytest.mark.parametrize("radius", [8.0, 10.0, 12.0])
+def test_world_stack_matches_the_node_major_oracle_on_orbits(schwarzschild, radius):
+    seg = integrate_orbit(schwarzschild, radius)
+    frozen(seg.events, seg.tangents)
+    assert same_bits(transport._world_stack([seg]), oracle.world_stack([seg], 1024))
+
+
+@pytest.mark.parametrize("block", [8, 1024])
+@pytest.mark.parametrize("kind", STACK_SPACETIMES)
+def test_world_stack_matches_the_node_major_oracle_on_leg_stacks(static_tangent, monkeypatch, kind, block):
+    """One-, two- and three-leg stacks back to back in one workspace, so each
+    stages its blocks in arrays that hold the stack before it."""
+    params, coords = STACK_SPACETIMES[kind]
+    st, coords = make_spacetime(kind, params), np.array(coords)
+    monkeypatch.setattr(transport, "_WORK", transport._Workspace())
+    monkeypatch.setattr(transport, "_BLOCK", block)
+    ws = ([0.3, 0.1, -0.2], [-0.2, 0.25, 0.1], [0.1, -0.3, 0.05])
+    for ns in STACKS:
+        segs = [
+            integrate_geodesic(st, Event(coords), static_tangent(st, coords, w), 0.05 * n + 0.5, n_samples=n)
+            for w, n in zip(ws, ns)
+        ]
+        for seg in segs:
+            frozen(seg.events, seg.tangents)
+        assert same_bits(transport._world_stack(segs), oracle.world_stack(segs, block)), ns
+
+
+# ---------------------------------------------------------------------------
 # the closed-form W
 
 

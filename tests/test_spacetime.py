@@ -285,6 +285,29 @@ def test_connection_matrix_matches_christoffel_contraction(kind, params):
         assert np.all(st.connection_matrix(x[-3:-1], u[-3:-1]) == 0.0)
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [("minkowski", {}), ("schwarzschild", {"M": 1.0}), ("weak_field", {"epsilon": 0.1, "softening": 0.5})],
+)
+def test_connection_matrix_fills_an_entry_major_view(kind, params):
+    """out may be any writable (..., 4, 4) view.  Here it is the transpose of
+    a (4, 4, legs, width) array, each entry one contiguous row, and x and u
+    are component-major views, as the vector route passes them: Minkowski's
+    fill, Schwarzschild's slot writes and WeakField's block writes give the
+    bits of a fresh call."""
+    st = make_spacetime(kind, params)
+    x, u = _connection_points(kind, params, np.random.default_rng(14))
+    n = len(x) // 2 * 2
+    xs, us = x[:n].reshape(2, -1, 4), u[:n].reshape(2, -1, 4)
+    w = st.connection_matrix(xs, us)
+    xc, uc = np.stack([xs, us]).transpose(0, 3, 1, 2).copy().transpose(0, 2, 3, 1)
+    e = np.full((4, 4) + xs.shape[:-1], np.nan)
+    out = e.transpose(2, 3, 0, 1)
+    assert not out.flags.c_contiguous and not xc.flags.c_contiguous
+    assert st.connection_matrix(xc, uc, out=out) is out
+    assert out.tobytes() == w.tobytes()
+
+
 def test_geodesic_rhs_at_huge_weak_field_coordinates():
     # the squared distance overflows to inf; the gradient vanishes, no error
     st = make_spacetime("weak_field", {"epsilon": 0.1})

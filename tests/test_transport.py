@@ -137,20 +137,30 @@ def test_world_propagator_matches_the_einsum_contraction(static_tangent, kind, p
         assert np.max(np.abs(world_propagator(seg) - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
-def test_world_propagator_memory_peak_on_a_long_orbit(schwarzschild):
+def test_world_propagator_memory_peak_on_a_long_orbit(schwarzschild, monkeypatch):
     """The vector route holds one (n, 4, 4) array, the node W, and works
-    through the intervals in blocks: on the 11,311-sample r = 12 orbit it
-    peaks at about 3.3 MiB, where a dense (n, 4, 4, 4) Gamma at the nodes
-    alone would take 5.5 MiB."""
+    through the intervals in blocks, staged in the samples' array.  In a
+    fresh workspace the 11,311-sample r = 12 orbit peaks at 3.11 MiB, where
+    a dense (n, 4, 4, 4) Gamma at the nodes alone would take 5.5 MiB, and
+    keeps its samples (0.69 MiB) and W (1.38 MiB).  A second call makes
+    neither again: it peaks at 1.04 MiB, in connection_matrix's
+    temporaries, and its bound of 1.2 MiB leaves a 0.16 MiB margin, below
+    what a new samples array would add."""
+    monkeypatch.setattr(transport, "_WORK", transport._Workspace())
     seg = integrate_orbit(schwarzschild, 12.0)
     assert seg.n_samples == 11311
-    tracemalloc.start()
-    try:
-        world_propagator(seg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.0 * 2**20
+
+    def peak():
+        tracemalloc.start()
+        try:
+            world_propagator(dataclasses.replace(seg, cache={}))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < 4.0 * 2**20
+    assert {k: a.shape for k, a in transport._WORK.arrays.items()} == {"samples": (8 * 11311,), "connection": (16 * 11311,)}
+    assert peak() < 1.2 * 2**20
 
 
 @pytest.mark.parametrize("block", [8, 1024])
